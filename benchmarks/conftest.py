@@ -19,14 +19,8 @@ per job plus a summary per sweep, ``REPRO_JOB_TIMEOUT=S`` bounds each
 job's wall clock (a stuck worker is killed and the job retried),
 ``REPRO_MAX_RETRIES=N`` sets the retry budget, and ``REPRO_FAULT_SPEC``
 injects deterministic faults for smoke-testing the recovery paths (see
-``repro.experiments.faults``).
-
-The throughput scheduler honors the same convention:
-``REPRO_DISPATCH={lpt,fifo}`` picks the execution order,
-``REPRO_POOL_MODE={warm,cold}`` warm fork-server vs per-map worker
-pools, ``REPRO_TRANSPORT={packed,pickle}`` the result transport, and
-``REPRO_COST_MODEL=/path`` the cost-model sidecar.  All of them change
-wall-clock only — never a table.
+``repro.experiments.faults``).  All of them change wall-clock only —
+never a table.
 """
 
 from __future__ import annotations

@@ -15,10 +15,8 @@ Usage::
     python -m repro trace fig04               # list the stored traces
     python -m repro trace fig04 --job 0       # channels of one job's trace
     python -m repro trace fig04 --replay      # recompute the table from traces
-    python -m repro run all --dispatch fifo   # submission-order dispatch
     python -m repro bench                     # kernel + figure benchmarks
     python -m repro bench --quick             # CI smoke mode
-    python -m repro bench --sweep             # cold-sweep throughput
     python -m repro bench --compare OLD NEW   # regression deltas by name
     python -m repro bench --compare OLD NEW --gate event_chain  # gating
     python -m repro profile fig04 --top 15    # cProfile hot-function report
@@ -43,16 +41,14 @@ slot (the job is retried on a rebuilt pool), stuck jobs can be bounded
 with ``--job-timeout``, failing jobs retry up to ``--max-retries`` times,
 and completed results always reach the cache before any failure
 propagates.  ``--run-log PATH`` appends one JSONL provenance record per
-job (content hash, attempts, worker pid, wall time, dispatch order,
-predicted cost) plus a summary per figure — see ``docs/experiments.md``.
+job (content hash, attempts, worker pid, wall time) plus a summary per
+figure — see ``docs/experiments.md``.
 
-Dispatch is throughput-oriented by default: a learned cost model
-(persisted beside the result cache) predicts each job's wall seconds,
-the longest jobs are submitted first (``--dispatch lpt``), jobs cheaper
-than a pool round-trip run inline in the coordinator, worker pools fork
-from a warm preloaded fork-server template, and results travel as
-packed canonical-JSON frames.  None of this can change a table — only
-how fast it appears; see ``docs/performance.md``.
+Jobs run in submission order; on a parallel run those cheaper than a
+pool round-trip run inline in the coordinator, worker pools fork from a
+warm preloaded fork-server template, and results travel as packed
+canonical-JSON frames.  None of this can change a table — only how fast
+it appears; see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -182,14 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="record a telemetry trace per job, stored beside the cached "
         "result (requires the cache; inspect with 'repro trace')",
     )
-    run_parser.add_argument(
-        "--dispatch",
-        choices=("fifo", "lpt"),
-        default=None,
-        help="execution order: 'lpt' submits the predicted-longest jobs "
-        "first (default), 'fifo' preserves submission order; tables are "
-        "byte-identical either way (also honors REPRO_DISPATCH)",
-    )
     bench_parser = sub.add_parser(
         "bench", help="run the kernel benchmarks and write BENCH_*.json"
     )
@@ -218,20 +206,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--skip-figures",
         action="store_true",
         help="only the kernel micro/macro benchmarks (skip figure jobs)",
-    )
-    bench_parser.add_argument(
-        "--sweep",
-        action="store_true",
-        help="measure end-to-end cold-sweep throughput (serial vs old "
-        "dispatch vs the LPT scheduler) and write BENCH_sweep.json",
-    )
-    bench_parser.add_argument(
-        "--parallel",
-        type=int,
-        default=4,
-        metavar="N",
-        help="worker count for the --sweep parallel configurations "
-        "(default: 4)",
     )
     bench_parser.add_argument(
         "--compare",
@@ -378,12 +352,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         job_timeout=args.job_timeout,
         max_retries=args.max_retries,
         run_log=args.run_log,
-        dispatch=args.dispatch,
-        # The cost model learns job wall times across runs; its sidecar
-        # lives beside the result cache (cache off -> in-memory model).
-        cost_model=(
-            pathlib.Path(cache_dir) / "costmodel.json" if args.cache else None
-        ),
     )
 
     total_jobs = total_computed = total_hits = total_dedup = 0
@@ -458,7 +426,6 @@ def _bench_command(args) -> int:
         new_document,
         packet_forwarding_benchmark,
         render_comparison,
-        sweep_benchmarks,
         validate_bench,
     )
 
@@ -494,23 +461,6 @@ def _bench_command(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     mode = "quick" if args.quick else "full"
 
-    if args.sweep:
-        print(
-            f"[bench: sweep throughput, mode={mode}, "
-            f"parallel={args.parallel}]"
-        )
-        started = time.time()
-        sweep_doc = new_document(
-            "sweep", args.quick, sweep_benchmarks(args.quick, args.parallel)
-        )
-        sweep_path = args.out / "BENCH_sweep.json"
-        sweep_path.write_text(dump_document(sweep_doc))
-        for entry in sweep_doc["benchmarks"]:
-            speedup = entry.get("speedup")
-            tag = f"  {speedup:.2f}x vs old dispatch" if speedup is not None else ""
-            print(f"  {entry['name']:<28} {entry['best_s']:>8.3f} s/sweep{tag}")
-        print(f"wrote {sweep_path} ({time.time() - started:.1f}s)")
-        return 0
     print(f"[bench: kernel micro/macro, mode={mode}]")
     started = time.time()
     entries = kernel_microbenchmarks(quick=args.quick, k=args.repeats)

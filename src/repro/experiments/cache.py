@@ -101,6 +101,28 @@ class CacheStats:
         return f"{self.hits} hits, {self.misses} misses, {self.stores} stores"
 
 
+def _atomic_write_text(path: pathlib.Path, text: str) -> None:
+    """Write ``text`` to ``path`` so readers see the old or the new file.
+
+    The text goes to a ``<name>*.tmp`` sibling first and is renamed over
+    ``path``; a failed write removes its tmp file before re-raising, and
+    a killed process leaves only ``*.tmp`` litter for ``prune()`` and
+    ``clear()`` to sweep — never a torn entry.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Content-addressed store of JSON job payloads.
 
@@ -234,21 +256,7 @@ class ResultCache:
         elif self._batch is not None and len(text) <= PACK_SMALL_LIMIT:
             self._batch[key] = text
         else:
-            path = self._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            _atomic_write_text(self._path(key), text)
         self.stats.stores += 1
 
     # -- batched stores and pack files --------------------------------------
@@ -324,18 +332,7 @@ class ResultCache:
         text = json.dumps(
             {"version": _PACK_INDEX_VERSION, "entries": entries}, sort_keys=True
         )
-        path = self._pack_index_path(shard)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_write_text(self._pack_index_path(shard), text)
         self._pack_indexes[shard] = entries
 
     def _pack_read(self, key: str) -> Optional[str]:
@@ -370,19 +367,7 @@ class ResultCache:
         if self.root is None:
             self._memory_traces[key] = text
             return
-        path = self._trace_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_write_text(self._trace_path(key), text)
 
     def load_trace(self, jb: Job) -> Optional[str]:
         """The stored JSONL trace for ``jb``, or None."""

@@ -1,45 +1,33 @@
-"""Learned job cost model feeding the executor's LPT dispatch.
+"""In-memory job cost model feeding the executor's inline fast path.
 
-Longest-processing-time-first scheduling needs one number per job —
-predicted wall seconds — *before* the job has ever run.  This module
-supplies it from three tiers, most-informed first:
+The parallel executor needs one number per job — predicted wall seconds
+— *before* the job has run, to decide whether a pool round-trip (~ms)
+is worth paying.  This module supplies it from three tiers,
+most-informed first:
 
 1. **Learned estimates**: an exponentially-weighted moving average of
-   observed wall times, keyed by ``scenario:scale`` (the two job fields
-   that dominate cost; parameters within one sweep vary far less than
-   scenarios vary between figures).  Estimates persist in a small JSON
-   sidecar — ``~/.cache``-style, beside the result cache — so the second
-   sweep of a cold machine already dispatches with measured costs.
+   the wall times this model has been shown, keyed by ``scenario:scale``
+   (the two job fields that dominate cost; parameters within one sweep
+   vary far less than scenarios vary between figures).
 2. **Static seeds**: per-scenario heuristics calibrated from the
    committed ``BENCH_figures.json`` timings, used until the first
    observation lands.  Absolute accuracy is irrelevant; only the
-   *ordering* (and the µs-vs-seconds magnitude used by the inline
-   fast path) matters for scheduling.
+   µs-vs-seconds magnitude matters, and the seeds already separate
+   closed-form from simulated scenarios by 30x, which is why estimates
+   are not persisted across runs.
 3. **A default**: one second, scaled, for unknown scenarios.
 
 The model never reads a clock itself — wall times are handed in by the
-executor — and a corrupt sidecar is ignored *loudly* (a warning on
-stderr, then a cold start) rather than poisoning dispatch or crashing a
-sweep.  Predictions only reorder execution; results are still reduced
-in canonical job order, so a wildly wrong estimate can cost wall-clock
-but can never change a table.
+executor.  Predictions only choose *where* a job runs; results are
+reduced in canonical job order, so a wildly wrong estimate can cost
+wall-clock but can never change a table.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import sys
-import tempfile
-from typing import Optional, Union
-
 from repro.experiments.jobs import Job
 
-__all__ = ["COST_MODEL_VERSION", "CostModel", "DEFAULT_SEED_S", "STATIC_SEED_S"]
-
-#: Sidecar format version; unknown versions are treated as corrupt.
-COST_MODEL_VERSION = 1
+__all__ = ["CostModel", "DEFAULT_SEED_S", "STATIC_SEED_S"]
 
 #: Cold-start wall-second seeds per scenario at the "fast" scale,
 #: calibrated from the committed per-job figure benchmarks.  The two
@@ -71,23 +59,11 @@ _ALPHA = 0.3
 
 
 class CostModel:
-    """Predicted wall seconds per job, learned from executor history.
+    """Predicted wall seconds per job, learned from executor history."""
 
-    ``path=None`` keeps the model in memory (hermetic for tests and for
-    cache-less runs); a path loads the sidecar eagerly and persists via
-    :meth:`save` — an atomic, sorted-keys JSON write, matching the
-    result cache's torn-write discipline.
-    """
-
-    def __init__(self, path: Union[str, os.PathLike, None] = None):
-        self.path = pathlib.Path(path) if path is not None else None
+    def __init__(self) -> None:
         #: key -> [ewma_seconds, observation_count]
         self._estimates: dict[str, list] = {}
-        self._dirty = False
-        if self.path is not None:
-            self._load()
-
-    # -- keys and prediction ------------------------------------------------
 
     @staticmethod
     def key(jb: Job) -> str:
@@ -113,75 +89,11 @@ class CostModel:
         else:
             estimate[0] += _ALPHA * (float(wall_s) - estimate[0])
             estimate[1] += 1
-        self._dirty = True
 
     def observations(self, jb: Job) -> int:
         """How many observations back the estimate for ``jb``'s key."""
         estimate = self._estimates.get(self.key(jb))
         return int(estimate[1]) if estimate is not None else 0
 
-    # -- persistence --------------------------------------------------------
-
-    def _load(self) -> None:
-        assert self.path is not None
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return  # no sidecar yet: cold start, silently
-        try:
-            doc = json.loads(text)
-            if doc["version"] != COST_MODEL_VERSION:
-                raise ValueError(f"unknown sidecar version {doc['version']!r}")
-            estimates = doc["estimates"]
-            loaded = {}
-            for key, pair in estimates.items():
-                mean_s, count = float(pair[0]), int(pair[1])
-                if not mean_s >= 0.0 or count < 1:
-                    raise ValueError(f"invalid estimate for {key!r}: {pair!r}")
-                loaded[key] = [mean_s, count]
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
-            # Loud, not fatal: dispatch falls back to static seeds and the
-            # next save() rewrites the sidecar wholesale.
-            print(
-                f"repro: ignoring corrupt cost-model sidecar {self.path}: {exc}",
-                file=sys.stderr,
-            )
-            self._dirty = True  # rewrite the bad file on the next save
-            return
-        self._estimates = loaded
-
-    def save(self) -> bool:
-        """Persist the estimates if anything changed; True when written."""
-        if self.path is None or not self._dirty:
-            return False
-        doc = {
-            "version": COST_MODEL_VERSION,
-            "estimates": {
-                key: [round(pair[0], 9), pair[1]]
-                for key, pair in sorted(self._estimates.items())
-            },
-        }
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._dirty = False
-        return True
-
-    def __len__(self) -> int:
-        return len(self._estimates)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = str(self.path) if self.path is not None else "memory"
-        return f"<CostModel {where} [{len(self)} estimates]>"
+        return f"<CostModel [{len(self._estimates)} estimates]>"

@@ -19,34 +19,29 @@ state: determinism is preserved by construction, and results are keyed by
 submission position rather than completion time.  That same purity makes
 retries safe — re-running a job can only reproduce the identical payload.
 
-Throughput (the scheduler):
+Throughput (one configuration, no modes; jobs execute in submission
+order — see ``docs/performance.md`` for the ablation that left these):
 
-* **cost-model LPT dispatch** — a :class:`~repro.experiments.costmodel.
-  CostModel` predicts each job's wall seconds (learned from run history,
-  static heuristics when cold) and ``dispatch="lpt"`` submits the
-  longest jobs first, so a sweep's stragglers start early instead of
-  serializing at the tail of the map.  ``dispatch="fifo"`` preserves
-  submission order.  Dispatch only reorders *execution*; results are
-  still reduced in canonical job order, so tables cannot change.
-* **inline fast path** — jobs predicted under ``inline_threshold_s``
-  (closed-form analysis figures: microseconds) run in the coordinating
-  process instead of paying a pool round-trip, when no fault injection
-  or per-job timeout needs worker isolation.
-* **warm fork-server pools** (``pool_mode="warm"``, the default) — worker
-  pools come from a preloaded ``multiprocessing.forkserver`` context
-  that imports ``repro`` once, so pool builds and crash-rebuilds fork a
-  warm template instead of paying interpreter+import startup; the pools
-  persist across ``map`` calls (until :meth:`ParallelExecutor.close`)
-  so a 20-figure sweep builds its slots once.  Platforms without fork
-  fall back to ``spawn``.  ``pool_mode="cold"`` restores the historical
-  pools-per-map behavior.
-* **packed result transport** (``transport="packed"``, the default) —
-  workers return results as length-prefixed binary frames carrying the
-  *canonical JSON bytes* the cache stores
-  (:mod:`repro.experiments.transport`), so the coordinator splices them
-  into cache records instead of re-serializing a re-pickled dict; with
-  a disk cache the map's small records flush as batched per-shard pack
-  appends (:meth:`~repro.experiments.cache.ResultCache.flush_batch`).
+* **inline fast path** — a :class:`~repro.experiments.costmodel.
+  CostModel` predicts each job's wall seconds (static seeds, refined by
+  an in-memory EWMA of what this executor has observed) and jobs
+  predicted at or under :data:`INLINE_THRESHOLD_S` (closed-form analysis
+  figures: microseconds) run in the coordinating process instead of
+  paying a pool round-trip, when no fault injection or per-job timeout
+  needs worker isolation.
+* **warm fork-server pools** — worker pools come from a preloaded
+  ``multiprocessing.forkserver`` context that imports ``repro`` once, so
+  pool builds and crash-rebuilds fork a warm template instead of paying
+  interpreter+import startup; the pools persist across ``map`` calls
+  (until :meth:`ParallelExecutor.close`) so a 20-figure sweep builds
+  its slots once.  Platforms without fork fall back to ``spawn``.
+* **packed result transport** — workers return results as
+  length-prefixed binary frames carrying the *canonical JSON bytes* the
+  cache stores (:mod:`repro.experiments.transport`), so the coordinator
+  splices them into cache records instead of re-serializing a
+  re-pickled dict; with a disk cache the map's small records flush as
+  batched per-shard pack appends
+  (:meth:`~repro.experiments.cache.ResultCache.flush_batch`).
 
 Fault tolerance (the parallel executor, unchanged semantics):
 
@@ -67,13 +62,12 @@ Fault tolerance (the parallel executor, unchanged semantics):
 
 Observability: :attr:`Executor.last_report` carries full accounting for
 the last ``map`` call (retries, failures, timeouts, salvaged results,
-pool rebuilds, degradation, per-stage wall-clock, dispatch mode, inline
-count, load-balance efficiency), and an optional
+pool rebuilds, degradation, per-stage wall-clock, inline count,
+load-balance efficiency), and an optional
 :class:`~repro.experiments.runlog.RunLog` records one JSONL event per
-job (content hash, status, attempts, worker pid, wall time, dispatch
-order, predicted wall seconds) plus a summary per batch.  Deterministic
-fault injection for all of the above lives in
-:mod:`repro.experiments.faults`.
+job (content hash, status, attempts, worker pid, wall time) plus a
+summary per batch.  Deterministic fault injection for all of the above
+lives in :mod:`repro.experiments.faults`.
 """
 
 from __future__ import annotations
@@ -97,7 +91,6 @@ from repro.experiments.runlog import RunLog
 from repro.experiments.transport import PackedResult, pack_result, unpack_result
 
 __all__ = [
-    "DISPATCH_MODES",
     "ExecutionError",
     "ExecutionReport",
     "Executor",
@@ -112,12 +105,6 @@ __all__ = [
 DEFAULT_MAX_RETRIES = 2
 #: Base of the exponential retry backoff, in seconds.
 DEFAULT_BACKOFF_S = 0.05
-#: Recognized dispatch orders (see ``--dispatch`` / ``REPRO_DISPATCH``).
-DISPATCH_MODES = ("fifo", "lpt")
-#: Recognized pool modes (see ``REPRO_POOL_MODE``).
-POOL_MODES = ("warm", "cold")
-#: Recognized result transports (see ``REPRO_TRANSPORT``).
-TRANSPORTS = ("packed", "pickle")
 #: Jobs predicted at or under this many wall seconds run inline in the
 #: coordinator instead of paying a pool round-trip (~ms each).
 INLINE_THRESHOLD_S = 0.01
@@ -152,23 +139,17 @@ def _warm_context() -> multiprocessing.context.BaseContext:
     return _warm_ctx
 
 
-def _env_float(name: str) -> Optional[float]:
+def _env_number(name: str, convert: type) -> Any:
+    """``convert($name)``, or None when unset; a bad value names ``name``."""
     raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else None
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else None
-
-
-def _env_choice(name: str, choices: Sequence[str]) -> Optional[str]:
-    raw = os.environ.get(name, "").strip().lower()
     if not raw:
         return None
-    if raw not in choices:
-        raise ValueError(f"{name} must be one of {tuple(choices)}, got {raw!r}")
-    return raw
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ValueError(
+            f"{name}={raw!r} is not a valid {convert.__name__}"
+        ) from None
 
 
 @dataclass
@@ -189,7 +170,6 @@ class ExecutionReport:
     cache_hits: int = 0
     deduplicated: int = 0
     # -- scheduling ---------------------------------------------------------
-    dispatch: str = ""  # dispatch order used ("fifo" | "lpt")
     inlined: int = 0  # jobs run on the coordinator's inline fast path
     load_balance: float = 1.0  # max slot busy time / mean (1.0 = perfect)
     # -- fault tolerance ----------------------------------------------------
@@ -204,7 +184,7 @@ class ExecutionReport:
     execute_s: float = 0.0  # stage 2/3: compute + store
     store_s: float = 0.0  # portion of execute_s spent persisting results
     startup_s: float = 0.0  # building / reviving worker pools
-    dispatch_s: float = 0.0  # cost prediction + ordering
+    dispatch_s: float = 0.0  # cost prediction + inline/pool partition
     transport_s: float = 0.0  # decoding packed result frames
     compute_s: float = 0.0  # sum of successful attempts' wall seconds
 
@@ -214,7 +194,6 @@ class ExecutionReport:
             "computed": self.computed,
             "cache_hits": self.cache_hits,
             "deduplicated": self.deduplicated,
-            "dispatch": self.dispatch,
             "inlined": self.inlined,
             "load_balance": round(self.load_balance, 6),
             "retries": self.retries,
@@ -249,32 +228,24 @@ class ExecutionError(RuntimeError):
 
 def _pool_run(
     jb: Job, position: int, attempt: int, fault_text: Optional[str]
-) -> tuple[Any, int]:
+) -> tuple[PackedResult, int]:
     """Worker-side entry point: run one job, report the worker pid.
 
     Fault injection (:mod:`repro.experiments.faults`) is bound here —
     inside the worker process — so a ``crash`` fault can only ever kill a
     worker, never the coordinating process.
+
+    The worker serializes the payload *once*, to the canonical JSON the
+    cache would store anyway, so the pool ships one bytes frame instead
+    of pickling a nested dict the coordinator must re-serialize.
     """
     fault = None
     if fault_text:
         spec = FaultSpec.parse(fault_text)
         if spec is not None:
             fault = spec.bind(position, attempt)
-    return execute_job(jb, fault=fault), os.getpid()
-
-
-def _pool_run_packed(
-    jb: Job, position: int, attempt: int, fault_text: Optional[str]
-) -> tuple[PackedResult, int]:
-    """Packed-transport worker entry: encode the payload before returning.
-
-    The worker serializes the payload *once*, to the canonical JSON the
-    cache would store anyway, so the pool ships one bytes frame instead
-    of pickling a nested dict the coordinator must re-serialize.
-    """
-    value, pid = _pool_run(jb, position, attempt, fault_text)
-    return pack_result(value, traced=jb.trace), pid
+    value = execute_job(jb, fault=fault)
+    return pack_result(value, traced=jb.trace), os.getpid()
 
 
 class Executor:
@@ -298,13 +269,14 @@ class Executor:
         backoff_s: Optional[float] = None,
         run_log: Union[RunLog, str, os.PathLike, None] = None,
         fault: Optional[str] = None,
-        dispatch: Optional[str] = None,
-        cost_model: Union[CostModel, str, os.PathLike, None] = None,
+        cost_model: Optional[CostModel] = None,
     ):
         self.job_timeout = (
-            job_timeout if job_timeout is not None else _env_float("REPRO_JOB_TIMEOUT")
+            job_timeout
+            if job_timeout is not None
+            else _env_number("REPRO_JOB_TIMEOUT", float)
         )
-        env_retries = _env_int("REPRO_MAX_RETRIES")
+        env_retries = _env_number("REPRO_MAX_RETRIES", int)
         self.max_retries = (
             max_retries
             if max_retries is not None
@@ -322,20 +294,7 @@ class Executor:
         fault_text = fault if fault is not None else os.environ.get("REPRO_FAULT_SPEC")
         FaultSpec.parse(fault_text)  # validate eagerly: fail fast on typos
         self._fault_text = (fault_text or "").strip() or None
-        if dispatch is None:
-            dispatch = _env_choice("REPRO_DISPATCH", DISPATCH_MODES) or "lpt"
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-            )
-        self.dispatch = dispatch
-        if isinstance(cost_model, CostModel):
-            self.cost_model = cost_model
-        elif cost_model is not None:
-            self.cost_model = CostModel(cost_model)
-        else:
-            env_sidecar = os.environ.get("REPRO_COST_MODEL", "").strip()
-            self.cost_model = CostModel(env_sidecar or None)
+        self.cost_model = cost_model if cost_model is not None else CostModel()
         self.last_report = ExecutionReport()
         self._completed_count = 0  # per-map scratch, read by degrade/salvage
 
@@ -384,16 +343,14 @@ class Executor:
             wall_s: float,
             degraded: bool = False,
             timed_out: bool = False,
-            dispatch_order: Optional[int] = None,
-            predicted_wall_s: Optional[float] = None,
         ) -> None:
             # Store immediately — salvage: a later failure cannot discard
             # this result, and a rerun will answer it from the cache.
             _, jb = unique[pos]
             trace_text: Optional[str] = None
             if isinstance(value, PackedResult):
-                # Packed transport: the frame carries the canonical JSON
-                # bytes; splice them straight into the cache record.
+                # From a pool worker: the frame carries the canonical
+                # JSON bytes; splice them straight into the cache record.
                 transport_started = time.monotonic()
                 value_text, trace_text = unpack_result(value)
                 report.transport_s += time.monotonic() - transport_started
@@ -435,8 +392,6 @@ class Executor:
                 degraded=degraded,
                 timed_out=timed_out,
                 trace_path=trace_path,
-                dispatch_order=dispatch_order,
-                predicted_wall_s=predicted_wall_s,
             )
 
         batching = cache is not None and cache.begin_batch()
@@ -459,13 +414,6 @@ class Executor:
                         file=sys.stderr,
                     )
                 report.store_s += time.monotonic() - flush_started
-            try:
-                self.cost_model.save()
-            except OSError as exc:
-                print(
-                    f"repro: cost-model sidecar write failed: {exc!r}",
-                    file=sys.stderr,
-                )
             report.execute_s = time.monotonic() - execute_started
             self._log_map(report)
 
@@ -486,20 +434,6 @@ class Executor:
         """Run the deduplicated batch; call ``complete(pos, value, ...)``
         for each job as it finishes.  Subclass responsibility."""
         raise NotImplementedError
-
-    def _dispatch_order(
-        self, jobs: Sequence[Job], predicted: Sequence[float]
-    ) -> list[int]:
-        """Execution order over ``range(len(jobs))`` per the dispatch mode.
-
-        LPT sorts by descending predicted wall seconds with the original
-        position as tie-break, so equal predictions keep submission
-        order and the order is a pure function of the predictions —
-        never of completion timing.
-        """
-        if self.dispatch == "lpt":
-            return sorted(range(len(jobs)), key=lambda pos: (-predicted[pos], pos))
-        return list(range(len(jobs)))
 
     def close(self) -> None:
         """Release held resources (worker pools).  Base: nothing to do."""
@@ -576,8 +510,6 @@ class Executor:
         timed_out: bool = False,
         error: Optional[str] = None,
         trace_path: Optional[str] = None,
-        dispatch_order: Optional[int] = None,
-        predicted_wall_s: Optional[float] = None,
     ) -> None:
         if self.run_log is None:
             return
@@ -598,10 +530,6 @@ class Executor:
             record["error"] = error
         if trace_path is not None:
             record["trace_path"] = trace_path
-        if dispatch_order is not None:
-            record["dispatch_order"] = dispatch_order
-        if predicted_wall_s is not None:
-            record["predicted_wall_s"] = round(predicted_wall_s, 6)
         self.run_log.record(**record)
 
     def _log_map(self, report: ExecutionReport) -> None:
@@ -616,31 +544,8 @@ class SerialExecutor(Executor):
     workers = 1
 
     def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
-        report = self.last_report
-        report.dispatch = self.dispatch
-        dispatch_started = time.monotonic()
-        predicted = [self.cost_model.predict(jb) for jb in jobs]
-        order = self._dispatch_order(jobs, predicted)
-        report.dispatch_s += time.monotonic() - dispatch_started
-        for rank, pos in enumerate(order):
-            self._run_in_process(
-                pos,
-                jobs[pos],
-                _with_dispatch(complete, rank, predicted[pos]),
-            )
-
-
-def _with_dispatch(
-    complete: Callable, rank: int, predicted_wall_s: float
-) -> Callable:
-    """Bind one job's dispatch provenance onto the completion callback."""
-
-    def wrapped(pos: int, value: Any, **kwargs: Any) -> None:
-        kwargs.setdefault("dispatch_order", rank)
-        kwargs.setdefault("predicted_wall_s", predicted_wall_s)
-        complete(pos, value, **kwargs)
-
-    return wrapped
+        for pos, jb in enumerate(jobs):
+            self._run_in_process(pos, jb, complete)
 
 
 class _Slot:
@@ -648,8 +553,8 @@ class _Slot:
 
     Worker isolation is what makes failure attribution exact: a crashed
     process breaks only its own pool, so exactly the job it was running
-    is retried — every other worker keeps its work.  Warm-mode slots
-    outlive individual ``map`` calls; ``busy_s`` accumulates the wall
+    is retried — every other worker keeps its work.  Slots outlive
+    individual ``map`` calls; ``busy_s`` accumulates the wall
     time this slot spent on successful harvests within the current map,
     feeding the load-balance efficiency metric.
     """
@@ -683,9 +588,6 @@ class ParallelExecutor(Executor):
         workers: Optional[int] = None,
         *,
         max_pool_rebuilds: Optional[int] = None,
-        pool_mode: Optional[str] = None,
-        transport: Optional[str] = None,
-        inline_threshold_s: Optional[float] = None,
         **kwargs,
     ):
         super().__init__(**kwargs)
@@ -700,32 +602,13 @@ class ParallelExecutor(Executor):
         self.max_pool_rebuilds = (
             max_pool_rebuilds if max_pool_rebuilds is not None else workers + 2
         )
-        if pool_mode is None:
-            pool_mode = _env_choice("REPRO_POOL_MODE", POOL_MODES) or "warm"
-        if pool_mode not in POOL_MODES:
-            raise ValueError(
-                f"pool_mode must be one of {POOL_MODES}, got {pool_mode!r}"
-            )
-        self.pool_mode = pool_mode
-        if transport is None:
-            transport = _env_choice("REPRO_TRANSPORT", TRANSPORTS) or "packed"
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
-        self.transport = transport
-        self.inline_threshold_s = (
-            inline_threshold_s if inline_threshold_s is not None else INLINE_THRESHOLD_S
-        )
         self._rebuilds_used = 0
         self._slots: list[_Slot] = []
 
     # -- pool plumbing ------------------------------------------------------
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        if self.pool_mode == "warm":
-            return ProcessPoolExecutor(max_workers=1, mp_context=_warm_context())
-        return ProcessPoolExecutor(max_workers=1)
+        return ProcessPoolExecutor(max_workers=1, mp_context=_warm_context())
 
     def _kill_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
         """Tear a pool down without waiting on a possibly-stuck worker."""
@@ -744,7 +627,7 @@ class ParallelExecutor(Executor):
     def _ensure_slots(self, count: int) -> list[_Slot]:
         """The first ``count`` slots, built or revived, reset for one map.
 
-        Warm mode reuses live pools across maps; dead or missing slots
+        Live pools are reused across maps; dead or missing slots
         get fresh pools (forked from the warm template, so a revival is
         cheap) without charging the per-map rebuild budget — that budget
         meters *crash* recovery, not startup.
@@ -802,39 +685,28 @@ class ParallelExecutor(Executor):
         if not jobs:
             return
         report = self.last_report
-        report.dispatch = self.dispatch
-        dispatch_started = time.monotonic()
-        predicted = [self.cost_model.predict(jb) for jb in jobs]
-        order = self._dispatch_order(jobs, predicted)
-        report.dispatch_s += time.monotonic() - dispatch_started
-        finishers = {
-            pos: _with_dispatch(complete, rank, predicted[pos])
-            for rank, pos in enumerate(order)
-        }
-
         plain = self._fault_text is None and self.job_timeout is None
         if plain and (self.workers == 1 or len(jobs) <= 1):
             # Nothing to inject or time out, and no real parallelism to
             # gain: the pool buys no isolation worth its startup cost.
-            for pos in order:
-                self._run_in_process(pos, jobs[pos], finishers[pos])
+            for pos, jb in enumerate(jobs):
+                self._run_in_process(pos, jb, complete)
             return
 
         # Inline fast path: jobs predicted cheaper than a pool round-trip
         # run right here.  Only when no fault spec or timeout needs the
         # worker-isolation boundary (injected faults must be able to kill
         # a worker, never the coordinator).
-        if plain and self.inline_threshold_s > 0.0:
-            inline = [
-                pos for pos in order if predicted[pos] <= self.inline_threshold_s
-            ]
-        else:
-            inline = []
-        inlined = dict.fromkeys(inline)
-        pooled = [pos for pos in order if pos not in inlined]
+        dispatch_started = time.monotonic()
+        inline: list[int] = []
+        pooled: list[int] = []
+        for pos, jb in enumerate(jobs):
+            cheap = plain and self.cost_model.predict(jb) <= INLINE_THRESHOLD_S
+            (inline if cheap else pooled).append(pos)
+        report.dispatch_s += time.monotonic() - dispatch_started
         report.inlined += len(inline)
         for pos in inline:
-            self._run_in_process(pos, jobs[pos], finishers[pos])
+            self._run_in_process(pos, jobs[pos], complete)
         if not pooled:
             return
 
@@ -854,7 +726,7 @@ class ParallelExecutor(Executor):
                 if not busy:
                     if queue and not any(slot.alive for slot in slots):
                         # Pool irrecoverable: degrade to in-process serial.
-                        self._degrade(queue, finishers)
+                        self._degrade(queue, complete)
                         return
                     continue  # a submit just failed; loop re-fills
                 waitmap = {slot.future: slot for slot in busy}
@@ -875,12 +747,12 @@ class ParallelExecutor(Executor):
                     if slot.future is None or slot.future not in done:
                         continue
                     try:
-                        self._harvest(slot, queue, finishers, now)
+                        self._harvest(slot, queue, complete, now)
                     except ExecutionError as exc:
                         if error is None:
                             error = exc
                 if error is not None:
-                    self._drain(slots, finishers)
+                    self._drain(slots, complete)
                     raise error
                 if self.job_timeout is not None:
                     for slot in busy:
@@ -896,14 +768,11 @@ class ParallelExecutor(Executor):
             if any(busy_times):
                 mean = sum(busy_times) / len(busy_times)
                 report.load_balance = max(busy_times) / mean
-            if self.pool_mode == "cold":
-                self.close()
 
     def _submit(self, slot: _Slot, queue: deque) -> None:
         pos, jb, attempt = queue.popleft()
-        entry = _pool_run_packed if self.transport == "packed" else _pool_run
         try:
-            future = slot.pool.submit(entry, jb, pos, attempt, self._fault_text)
+            future = slot.pool.submit(_pool_run, jb, pos, attempt, self._fault_text)
         except Exception:  # simlint: disable=E001(the pool can die between harvest and submit; the job is requeued untouched)
             # The pool died between harvest and submit: put the job back
             # untouched (it never ran) and rebuild or retire the slot.
@@ -915,7 +784,7 @@ class ParallelExecutor(Executor):
         slot.started = time.monotonic()
 
     def _harvest(
-        self, slot: _Slot, queue: deque, finishers: dict, now: float
+        self, slot: _Slot, queue: deque, complete: Callable, now: float
     ) -> None:
         pos, jb, attempt = slot.item
         wall_s = now - slot.started
@@ -934,11 +803,11 @@ class ParallelExecutor(Executor):
             self._retry_or_fail(queue, pos, jb, attempt, exc)
         else:
             slot.busy_s += wall_s
-            finishers[pos](
+            complete(
                 pos, value, attempts=attempt, worker_pid=worker_pid, wall_s=wall_s
             )
 
-    def _drain(self, slots: Sequence[_Slot], finishers: dict) -> None:
+    def _drain(self, slots: Sequence[_Slot], complete: Callable) -> None:
         """A terminal failure is about to propagate: give in-flight
         workers a bounded moment to finish, and salvage what they return.
 
@@ -967,7 +836,7 @@ class ParallelExecutor(Executor):
             except Exception:  # simlint: disable=E001(salvage-only drain; the primary ExecutionError is already propagating)
                 continue
             slot.busy_s += wall_s
-            finishers[pos](
+            complete(
                 pos, value, attempts=attempt, worker_pid=worker_pid, wall_s=wall_s
             )
 
@@ -1016,7 +885,7 @@ class ParallelExecutor(Executor):
             attempts=attempt,
         ) from exc
 
-    def _degrade(self, queue: deque, finishers: dict) -> None:
+    def _degrade(self, queue: deque, complete: Callable) -> None:
         """Pool irrecoverable: finish the remaining jobs in-process.
 
         Results completed by the pool before degradation are counted as
@@ -1027,7 +896,7 @@ class ParallelExecutor(Executor):
         while queue:
             pos, jb, attempt = queue.popleft()
             self._run_in_process(
-                pos, jb, finishers[pos], start_attempt=attempt, degraded=True
+                pos, jb, complete, start_attempt=attempt, degraded=True
             )
 
 
@@ -1039,17 +908,14 @@ def make_executor(
     backoff_s: Optional[float] = None,
     run_log: Union[RunLog, str, os.PathLike, None] = None,
     fault: Optional[str] = None,
-    dispatch: Optional[str] = None,
-    cost_model: Union[CostModel, str, os.PathLike, None] = None,
+    cost_model: Optional[CostModel] = None,
 ) -> Executor:
     """``parallel <= 1`` gives the serial executor, else a process pool.
 
     Keyword arguments default from the environment (``REPRO_JOB_TIMEOUT``,
-    ``REPRO_MAX_RETRIES``, ``REPRO_RUN_LOG``, ``REPRO_FAULT_SPEC``,
-    ``REPRO_DISPATCH``, ``REPRO_POOL_MODE``, ``REPRO_TRANSPORT``,
-    ``REPRO_COST_MODEL``) so the benchmark harness and CI smoke jobs can
-    configure fault tolerance, scheduling and telemetry without touching
-    call sites.
+    ``REPRO_MAX_RETRIES``, ``REPRO_RUN_LOG``, ``REPRO_FAULT_SPEC``) so the
+    benchmark harness and CI smoke jobs can configure fault tolerance and
+    telemetry without touching call sites.
     """
     kwargs = dict(
         job_timeout=job_timeout,
@@ -1057,7 +923,6 @@ def make_executor(
         backoff_s=backoff_s,
         run_log=run_log,
         fault=fault,
-        dispatch=dispatch,
         cost_model=cost_model,
     )
     if parallel and parallel > 1:

@@ -16,20 +16,16 @@ Record schema (``event="job"``, one per submitted job)::
      "timed_out": false,        # a per-job timeout fired for this job
      "degraded": false,         # computed in-process after pool degradation
      "worker_pid": 4242,        # pid that produced the payload (null if none)
-     "wall_s": 1.234,           # wall-clock of the successful attempt
-     "dispatch_order": 0,       # rank in the execution order (0 = first
-                                # submitted; computed jobs only)
-     "predicted_wall_s": 1.1}   # the cost model's estimate at dispatch
-                                # time (computed jobs only)
+     "wall_s": 1.234}           # wall-clock of the successful attempt
 
 Plus one summary record per ``Executor.map`` call (``event="map"``) with
 the full :class:`~repro.experiments.executor.ExecutionReport` accounting
 (jobs / computed / cache_hits / deduplicated / retries / failures /
 timeouts / salvaged / pool_rebuilds / degraded, the per-stage wall-clock
 including scheduler phases — startup_s / dispatch_s / transport_s /
-compute_s — the dispatch mode, the inline-fast-path count, and
-``load_balance``: the busiest worker slot's busy time over the mean,
-1.0 meaning a perfectly balanced map).
+compute_s — the inline-fast-path count, and ``load_balance``: the
+busiest worker slot's busy time over the mean, 1.0 meaning a perfectly
+balanced map).
 
 Point the CLI at a log with ``--run-log PATH`` or set ``REPRO_RUN_LOG``
 for the benchmark harness; records append, so one log can span a whole

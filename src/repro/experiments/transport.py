@@ -1,9 +1,8 @@
 """Packed result transport: canonical-JSON payloads in binary frames.
 
-The parallel executor historically returned results by letting
-``ProcessPoolExecutor`` pickle the nested payload dict in the worker and
-re-building it object-by-object in the coordinator, which then
-*re-serialized* it to canonical JSON for the result cache.  The packed
+Letting ``ProcessPoolExecutor`` pickle a nested payload dict in the
+worker means the coordinator rebuilds it object-by-object and then
+*re-serializes* it to canonical JSON for the result cache.  The packed
 transport removes the double serialization: the worker encodes the
 payload **once**, to the exact canonical-JSON bytes the cache stores
 (``json.dumps(value, allow_nan=True, sort_keys=True)``), and ships them
@@ -11,8 +10,8 @@ in a small length-prefixed binary frame (stdlib :mod:`struct`, no
 msgpack dependency).  The coordinator splices those bytes directly into
 the cache record (:meth:`~repro.experiments.cache.ResultCache.store_text`)
 and decodes the value with one ``json.loads`` — the same round-trip
-``store()`` performs, so results are byte-identical whichever transport
-carried them.
+``store()`` performs, so results are byte-identical whether a pool
+worker or the coordinating process computed them.
 
 Frame layout (little-endian)::
 

@@ -9,8 +9,6 @@ This package is the measurement side of the fast-path overhaul:
   fig04-style dumbbell, plus end-to-end figure-job timings;
 * :mod:`repro.perf.reference` — the frozen pre-overhaul kernel and
   forwarding stack every benchmark is measured against;
-* :mod:`repro.perf.sweep` — the cold-sweep throughput macrobenchmark
-  (serial vs old dispatch vs the LPT/warm-pool/packed scheduler);
 * :mod:`repro.perf.schema` — the deterministic ``BENCH_*.json`` shape;
 * :mod:`repro.perf.compare` — ``bench --compare`` regression deltas;
 * :mod:`repro.perf.profiling` — the ``repro profile`` cProfile wrapper.
@@ -40,7 +38,6 @@ from repro.perf.schema import (
     new_document,
     validate_bench,
 )
-from repro.perf.sweep import sweep_benchmarks
 from repro.perf.timing import TimingResult, min_of_k
 
 __all__ = [
@@ -58,6 +55,5 @@ __all__ = [
     "packet_forwarding_benchmark",
     "profile_figure",
     "render_comparison",
-    "sweep_benchmarks",
     "validate_bench",
 ]

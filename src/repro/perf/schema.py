@@ -2,9 +2,7 @@
 
 ``python -m repro bench`` emits two documents — ``BENCH_kernel.json``
 (micro/macro kernel benchmarks) and ``BENCH_figures.json`` (per-figure
-job timings) — and ``bench --sweep`` a third, ``BENCH_sweep.json``
-(end-to-end sweep throughput with a per-phase breakdown in ``meta``).
-The *values* are wall-clock measurements and vary run to
+job timings).  The *values* are wall-clock measurements and vary run to
 run; the *schema* is deterministic: a fixed top-level key set, a fixed
 per-benchmark key set, benchmarks sorted by name, and ``sort_keys=True``
 serialization, so two BENCH files always diff structurally clean and
@@ -43,8 +41,8 @@ _ENTRY_OPTIONAL = {"baseline", "speedup", "meta"}
 #: Required keys of a baseline sub-object.
 _BASELINE_KEYS = {"best_s", "per_op_ns", "rate"}
 
-_KINDS = ("kernel", "figures", "sweep")
-_GROUPS = ("micro", "macro", "figure", "sweep")
+_KINDS = ("kernel", "figures")
+_GROUPS = ("micro", "macro", "figure")
 
 
 class BenchSchemaError(ValueError):

@@ -1,17 +1,10 @@
 """Unit tests for the executor's learned job cost model."""
 
-import json
-
 import pytest
 
 from repro.experiments import fig11_convergence_analysis as fig11
 from repro.experiments import fig20_timeout_models as fig20
-from repro.experiments.costmodel import (
-    COST_MODEL_VERSION,
-    DEFAULT_SEED_S,
-    STATIC_SEED_S,
-    CostModel,
-)
+from repro.experiments.costmodel import DEFAULT_SEED_S, STATIC_SEED_S, CostModel
 
 JOB = lambda: fig20.jobs("fast")[0]  # noqa: E731 - tiny factory
 
@@ -81,64 +74,3 @@ class TestWarmUpdates:
         model.observe(jb, bad)
         assert model.observations(jb) == 0
         assert model.predict(jb) == STATIC_SEED_S[jb.scenario]
-
-
-class TestSidecarPersistence:
-    def test_save_and_reload_round_trip(self, tmp_path):
-        path = tmp_path / "costmodel.json"
-        model = CostModel(path)
-        jb = JOB()
-        model.observe(jb, 1.5)
-        assert model.save() is True
-        assert model.save() is False  # clean: nothing to write
-        reloaded = CostModel(path)
-        assert reloaded.predict(jb) == pytest.approx(1.5)
-        assert reloaded.observations(jb) == 1
-
-    def test_missing_sidecar_is_a_silent_cold_start(self, tmp_path, capsys):
-        model = CostModel(tmp_path / "nope.json")
-        assert len(model) == 0
-        assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{ not json !",
-            '{"version": 99, "estimates": {}}',
-            '{"estimates": {}}',
-            '{"version": 1, "estimates": {"k": [-1.0, 1]}}',
-            '{"version": 1, "estimates": {"k": [1.0, 0]}}',
-            '{"version": 1, "estimates": {"k": "oops"}}',
-        ],
-    )
-    def test_corrupt_sidecar_is_ignored_loudly(self, tmp_path, capsys, text):
-        path = tmp_path / "costmodel.json"
-        path.write_text(text)
-        model = CostModel(path)
-        err = capsys.readouterr().err
-        assert "ignoring corrupt cost-model sidecar" in err
-        assert str(path) in err
-        # Dispatch falls back to the static seeds...
-        jb = JOB()
-        assert model.predict(jb) == STATIC_SEED_S[jb.scenario]
-        # ...and the next save rewrites the bad file wholesale.
-        assert model.save() is True
-        doc = json.loads(path.read_text())
-        assert doc["version"] == COST_MODEL_VERSION
-
-    def test_saved_sidecar_is_deterministic(self, tmp_path):
-        jb = JOB()
-        paths = []
-        for name in ("a.json", "b.json"):
-            model = CostModel(tmp_path / name)
-            model.observe(fig11.jobs("fast")[0], 0.25)
-            model.observe(jb, 1.0)
-            model.save()
-            paths.append(tmp_path / name)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_no_tmp_litter_after_save(self, tmp_path):
-        model = CostModel(tmp_path / "costmodel.json")
-        model.observe(JOB(), 1.0)
-        model.save()
-        assert [p.name for p in tmp_path.iterdir()] == ["costmodel.json"]

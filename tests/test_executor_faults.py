@@ -312,6 +312,14 @@ class TestRunLog:
         executor.map(JOBS()[:1])
         assert log.exists() and read_log(log)
 
+    @pytest.mark.parametrize(
+        "name,raw", [("REPRO_JOB_TIMEOUT", "ten"), ("REPRO_MAX_RETRIES", "2.5")]
+    )
+    def test_malformed_env_value_names_the_variable(self, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=f"{name}='{raw}'"):
+            make_executor(0)
+
 
 class TestWorkerCountValidation:
     def test_zero_workers_rejected(self):

@@ -149,6 +149,17 @@ class TestJobsContract:
         assert callable(module.reduce), name
         assert callable(module.run), name
 
+    def test_every_figure_has_one_cost_class(self):
+        # The executor runs jobs in submission order because every map is
+        # one figure and every figure's jobs share one (scenario, scale):
+        # any cost-ordered dispatch would be the identity.  A figure that
+        # breaks this is the moment to re-propose cost-ordered dispatch,
+        # measured against the sweep_parallel2 workload in bench/.
+        for name, module in {**ALL_FIGURES, **EXTENSIONS}.items():
+            for scale in ("fast", "paper"):
+                classes = {(jb.scenario, jb.scale) for jb in module.jobs(scale)}
+                assert len(classes) == 1, (name, scale, classes)
+
     def test_jobs_are_indexed_in_order(self):
         js = fig20.jobs("fast")
         assert [j.index for j in js] == list(range(len(js)))

@@ -111,16 +111,6 @@ class TestSchema:
         with pytest.raises(BenchSchemaError):
             validate_bench(new_document("kernel", False, [bad]))
 
-    def test_sweep_kind_and_group_validate(self):
-        sweep = entry(
-            "sweep_accept_dispatch_new",
-            group="sweep",
-            unit="s/sweep",
-            meta={"phases": {"startup_s": 0.1}, "parallel": 4},
-        )
-        doc = new_document("sweep", True, [sweep])
-        validate_bench(json.loads(dump_document(doc)))
-
 
 class TestCompare:
     def docs(self):

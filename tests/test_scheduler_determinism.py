@@ -1,13 +1,18 @@
-"""Dispatch order is a throughput knob, never a correctness knob.
+"""Where and when a job runs is a throughput matter, never a correctness one.
 
-The scheduler overhaul (cost-model LPT dispatch, inline fast path, warm
-pools, packed transport) must be invisible in every output byte: these
-tests drive *arbitrary* dispatch permutations and every executor
-configuration through the pipeline and assert byte-identical reduced
-tables and identical on-disk cache contents.  The cache comparison is
-deliberately a whole-tree byte fingerprint — batched pack files are
-sorted on flush, so even *file* bytes must not depend on completion
-order.
+The executor's machinery (inline fast path, warm pools, packed
+transport, batched pack writes) must be invisible in every output byte:
+these tests drive *arbitrary* execution orders and both execution
+places — the coordinating process and a real two-worker pool — through
+the pipeline and assert byte-identical reduced tables and identical
+on-disk cache contents.  The cache comparison is deliberately a
+whole-tree byte fingerprint — batched pack files are sorted on flush, so
+even *file* bytes must not depend on completion order.
+
+Jobs execute in submission order, so an execution order is forced by
+permuting the submitted list and un-permuting the results.  The pool is
+forced with ``job_timeout=``: a timeout needs the worker-isolation
+boundary, so the executor itself switches the inline fast path off.
 """
 
 import pathlib
@@ -24,15 +29,19 @@ from repro.experiments.costmodel import CostModel
 from repro.experiments.executor import ParallelExecutor, SerialExecutor
 
 N_JOBS = len(fig20.jobs("fast"))
+#: Generous: it only has to be set, never to fire.
+POOL_FORCING_TIMEOUT_S = 120.0
 
 
-def _run_with_order(order, tmp_root):
-    """One serial map of fig20 with a forced dispatch order."""
-    executor = SerialExecutor()
-    executor._dispatch_order = lambda jobs, predicted: list(order)
+def _run_with_order(order, tmp_root, executor=None):
+    """One map of fig20 (serial by default) executed in ``order``."""
+    jobs = fig20.jobs("fast")
     cache = ResultCache(tmp_root)
-    table = fig20.reduce(executor.map(fig20.jobs("fast"), cache)).format()
-    return table, _fingerprint(tmp_root)
+    permuted = (executor or SerialExecutor()).map([jobs[i] for i in order], cache)
+    results = [None] * len(jobs)
+    for rank, i in enumerate(order):
+        results[i] = permuted[rank]
+    return fig20.reduce(results).format(), _fingerprint(tmp_root)
 
 
 def _fingerprint(root) -> dict[str, bytes]:
@@ -64,44 +73,30 @@ class TestPermutationProperty:
         ],
     )
     def test_pooled_permutations_are_byte_identical(self, order, tmp_path):
-        # Same property through real worker pools: inline disabled so
-        # every job takes the pool round-trip in the permuted order.
+        # Same property through real worker pools: every job takes the
+        # pool round-trip, submitted in the permuted order.
         reference = _run_with_order(range(N_JOBS), tmp_path / "ref")
-        executor = ParallelExecutor(
-            workers=2, pool_mode="cold", inline_threshold_s=0.0
-        )
-        executor._dispatch_order = lambda jobs, predicted: list(order)
+        executor = ParallelExecutor(workers=2, job_timeout=POOL_FORCING_TIMEOUT_S)
         try:
-            cache = ResultCache(tmp_path / "pooled")
-            table = fig20.reduce(executor.map(fig20.jobs("fast"), cache)).format()
+            pooled = _run_with_order(order, tmp_path / "pooled", executor)
+            assert executor.last_report.inlined == 0
         finally:
             executor.close()
-        assert table == reference[0]
-        assert _fingerprint(tmp_path / "pooled") == reference[1]
+        assert pooled == reference
 
 
 class TestConfigurationMatrix:
-    @pytest.mark.parametrize("dispatch", ["fifo", "lpt"])
-    @pytest.mark.parametrize("pool_mode", ["warm", "cold"])
-    @pytest.mark.parametrize("transport", ["packed", "pickle"])
-    def test_every_configuration_matches_serial(
-        self, tmp_path, dispatch, pool_mode, transport
-    ):
+    """The matrix has one cell left — the places a job can run in it."""
+
+    def test_two_worker_pooled_map_matches_serial(self, tmp_path):
         jobs = fig11.jobs("fast")
         serial_cache = ResultCache(tmp_path / "serial")
-        serial = fig11.reduce(
-            SerialExecutor(dispatch=dispatch).map(jobs, serial_cache)
-        ).format()
-        executor = ParallelExecutor(
-            workers=2,
-            dispatch=dispatch,
-            pool_mode=pool_mode,
-            transport=transport,
-            inline_threshold_s=0.0,  # force the pools: that's the point
-        )
+        serial = fig11.reduce(SerialExecutor().map(jobs, serial_cache)).format()
+        executor = ParallelExecutor(workers=2, job_timeout=POOL_FORCING_TIMEOUT_S)
         try:
             parallel_cache = ResultCache(tmp_path / "parallel")
             parallel = fig11.reduce(executor.map(jobs, parallel_cache)).format()
+            assert executor.last_report.inlined == 0
         finally:
             executor.close()
         assert parallel == serial
@@ -112,7 +107,9 @@ class TestConfigurationMatrix:
     def test_inline_fast_path_matches_pooled(self, tmp_path):
         jobs = fig20.jobs("fast")
         inline_exec = ParallelExecutor(workers=2)  # analysis jobs inline
-        pooled_exec = ParallelExecutor(workers=2, inline_threshold_s=0.0)
+        pooled_exec = ParallelExecutor(
+            workers=2, job_timeout=POOL_FORCING_TIMEOUT_S
+        )
         try:
             inline_cache = ResultCache(tmp_path / "inline")
             inline = fig20.reduce(inline_exec.map(jobs, inline_cache)).format()
@@ -126,26 +123,15 @@ class TestConfigurationMatrix:
         assert inline == pooled
         assert _fingerprint(tmp_path / "inline") == _fingerprint(tmp_path / "pooled")
 
-
-class TestDispatchOrderFunction:
-    def test_lpt_sorts_by_descending_prediction(self):
-        executor = SerialExecutor(dispatch="lpt")
-        order = executor._dispatch_order([None] * 4, [0.5, 3.0, 0.1, 2.0])
-        assert order == [1, 3, 0, 2]
-
-    def test_lpt_ties_keep_submission_order(self):
-        executor = SerialExecutor(dispatch="lpt")
-        assert executor._dispatch_order([None] * 4, [1.0] * 4) == [0, 1, 2, 3]
-
-    def test_fifo_preserves_submission_order(self):
-        executor = SerialExecutor(dispatch="fifo")
-        assert executor._dispatch_order([None] * 3, [0.1, 5.0, 1.0]) == [0, 1, 2]
-
-    def test_lpt_uses_learned_costs(self):
-        # After observing a slow job, LPT must promote its scenario.
+    def test_inline_decision_uses_learned_costs(self):
+        # The cost model's one reader: after a scenario has been observed
+        # slow, its jobs stop taking the inline path.
         model = CostModel()
-        jobs = fig20.jobs("fast")[:2] + fig11.jobs("fast")[:1]
-        model.observe(jobs[2], 100.0)  # fig11's scenario measured huge
-        executor = SerialExecutor(dispatch="lpt", cost_model=model)
-        predicted = [model.predict(jb) for jb in jobs]
-        assert executor._dispatch_order(jobs, predicted)[0] == 2
+        jobs = fig20.jobs("fast") + fig11.jobs("fast")[:1]
+        model.observe(jobs[-1], 100.0)  # fig11's scenario measured huge
+        executor = ParallelExecutor(workers=2, cost_model=model)
+        try:
+            executor.map(jobs)
+            assert executor.last_report.inlined == len(jobs) - 1
+        finally:
+            executor.close()
