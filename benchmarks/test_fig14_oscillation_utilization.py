@@ -2,6 +2,7 @@
 
 from conftest import run_once
 
+from repro.experiments import fig14_oscillation_utilization
 from repro.experiments.oscillation_utilization import sweep, table_from_sweep
 
 
@@ -19,8 +20,8 @@ def test_fig14_oscillation_utilization(benchmark, scale, sweep_cache, report):
     table = table_from_sweep(
         results,
         metric="utilization",
-        title="Figure 14: utilization vs CBR ON/OFF time (3:1 oscillation)",
-        notes="",
+        title=fig14_oscillation_utilization.TITLE,
+        notes=fig14_oscillation_utilization.NOTES,
     )
     report("fig14_oscillation_utilization", table)
 

@@ -2,6 +2,7 @@
 
 from conftest import run_once
 
+from repro.experiments import fig16_extreme_oscillation
 from repro.experiments.oscillation_utilization import sweep, table_from_sweep
 
 
@@ -17,8 +18,8 @@ def test_fig16_extreme_oscillation(benchmark, scale, sweep_cache, report):
     table = table_from_sweep(
         results,
         metric="utilization",
-        title="Figure 16: utilization vs CBR ON/OFF time (10:1 oscillation)",
-        notes="",
+        title=fig16_extreme_oscillation.TITLE,
+        notes=fig16_extreme_oscillation.NOTES,
     )
     report("fig16_extreme_oscillation", table)
 

@@ -15,10 +15,6 @@ Usage::
     python -m repro trace fig04               # list the stored traces
     python -m repro trace fig04 --job 0       # channels of one job's trace
     python -m repro trace fig04 --replay      # recompute the table from traces
-    python -m repro bench                     # kernel + figure benchmarks
-    python -m repro bench --quick             # CI smoke mode
-    python -m repro bench --compare OLD NEW   # regression deltas by name
-    python -m repro bench --compare OLD NEW --gate event_chain  # gating
     python -m repro profile fig04 --top 15    # cProfile hot-function report
 
 ``run --trace`` records every probe channel (queue arrivals/drops/marks,
@@ -178,57 +174,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="record a telemetry trace per job, stored beside the cached "
         "result (requires the cache; inspect with 'repro trace')",
     )
-    bench_parser = sub.add_parser(
-        "bench", help="run the kernel benchmarks and write BENCH_*.json"
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller workloads and fewer repeats (CI smoke mode)",
-    )
-    bench_parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("."),
-        metavar="DIR",
-        help="directory for BENCH_kernel.json / BENCH_figures.json "
-        "(default: current directory)",
-    )
-    bench_parser.add_argument(
-        "-k",
-        "--repeats",
-        type=int,
-        default=0,
-        metavar="N",
-        help="override the min-of-k repeat count (default: per-benchmark)",
-    )
-    bench_parser.add_argument(
-        "--skip-figures",
-        action="store_true",
-        help="only the kernel micro/macro benchmarks (skip figure jobs)",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        default=None,
-        help="diff two BENCH files by benchmark name instead of measuring",
-    )
-    bench_parser.add_argument(
-        "--gate",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="with --compare: exit non-zero if benchmark NAME regressed "
-        "more than 10%% per-op (repeatable; others stay advisory)",
-    )
-    bench_parser.add_argument(
-        "--validate",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="schema-check one BENCH file and exit",
-    )
     profile_parser = sub.add_parser(
         "profile", help="cProfile a figure's jobs and print hot functions"
     )
@@ -310,9 +255,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name}: {summary}")
         return 0
 
-    if args.command == "bench":
-        return _bench_command(args)
-
+    if args.command != "run" and args.figure == "all":
+        print(f"{args.command} works on one figure at a time", file=sys.stderr)
+        return 2
     names = list(runnable) if args.figure == "all" else [args.figure]
     unknown = [n for n in names if n not in runnable]
     if unknown:
@@ -321,18 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if args.command == "profile":
-        from repro.perf.profiling import profile_figure
-
-        print(
-            profile_figure(
-                args.figure,
-                scale=args.scale,
-                jobs=args.jobs,
-                top=args.top,
-                sort=args.sort,
-            )
-        )
-        return 0
+        return _profile_command(args, runnable)
 
     if args.command == "trace":
         return _trace_command(args, runnable)
@@ -413,81 +347,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _bench_command(args) -> int:
-    """``repro bench``: measure, compare or validate BENCH documents."""
-    from repro.perf import (
-        BenchSchemaError,
-        compare_documents,
-        dump_document,
-        figure_benchmarks,
-        gate_failures,
-        kernel_microbenchmarks,
-        load_bench,
-        new_document,
-        packet_forwarding_benchmark,
-        render_comparison,
-        validate_bench,
+def _profile_command(args, runnable) -> int:
+    """``repro profile``: cProfile a figure's jobs and print hot functions.
+
+    The jobs run in-process (no cache, no worker pool — a profile of a
+    subprocess would be empty).
+    """
+    import cProfile
+    import io
+    import pstats
+
+    from repro.experiments.jobs import execute_job
+
+    job_list = runnable[args.figure].jobs(args.scale)[: max(1, args.jobs)]
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        for jb in job_list:
+            execute_job(jb)
+    finally:
+        profiler.disable()
+
+    buffer = io.StringIO()
+    stats = pstats.Stats(profiler, stream=buffer)
+    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    print(
+        f"profile: {args.figure} scale={args.scale} jobs={len(job_list)} "
+        f"sort={args.sort}"
     )
-
-    if args.validate is not None:
-        try:
-            import json
-
-            with open(args.validate, encoding="utf-8") as fh:
-                validate_bench(json.load(fh))
-        except (OSError, ValueError) as exc:
-            print(f"{args.validate}: {exc}", file=sys.stderr)
-            return 1
-        print(f"{args.validate}: valid {load_bench(str(args.validate))['schema']}")
-        return 0
-
-    if args.compare is not None:
-        old_path, new_path = args.compare
-        try:
-            deltas = compare_documents(load_bench(old_path), load_bench(new_path))
-        except (OSError, BenchSchemaError, ValueError) as exc:
-            print(f"compare failed: {exc}", file=sys.stderr)
-            return 1
-        print(render_comparison(deltas))
-        if args.gate:
-            failures = gate_failures(deltas, args.gate)
-            for failure in failures:
-                print(f"GATE: {failure}", file=sys.stderr)
-            if failures:
-                return 1
-            print(f"gate ok: {', '.join(args.gate)}")
-        return 0
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    mode = "quick" if args.quick else "full"
-
-    print(f"[bench: kernel micro/macro, mode={mode}]")
-    started = time.time()
-    entries = kernel_microbenchmarks(quick=args.quick, k=args.repeats)
-    entries.append(packet_forwarding_benchmark(quick=args.quick, k=args.repeats))
-    kernel_doc = new_document("kernel", args.quick, entries)
-    kernel_path = args.out / "BENCH_kernel.json"
-    kernel_path.write_text(dump_document(kernel_doc))
-    for entry in kernel_doc["benchmarks"]:
-        speedup = entry.get("speedup")
-        tag = f"  {speedup:.2f}x vs reference" if speedup is not None else ""
-        print(
-            f"  {entry['name']:<24} {entry['per_op_ns']:>12,.0f} ns/op "
-            f"({entry['unit']}){tag}"
-        )
-    print(f"wrote {kernel_path} ({time.time() - started:.1f}s)")
-
-    if not args.skip_figures:
-        print(f"[bench: figure jobs, mode={mode}]")
-        started = time.time()
-        figures_doc = new_document(
-            "figures", args.quick, figure_benchmarks(quick=args.quick, k=args.repeats)
-        )
-        figures_path = args.out / "BENCH_figures.json"
-        figures_path.write_text(dump_document(figures_doc))
-        for entry in figures_doc["benchmarks"]:
-            print(f"  {entry['name']:<24} {entry['best_s']:>8.2f} s/job")
-        print(f"wrote {figures_path} ({time.time() - started:.1f}s)")
+    print(buffer.getvalue().rstrip())
     return 0
 
 
@@ -496,9 +385,6 @@ def _trace_command(args, runnable) -> int:
     from repro.experiments.replay import replay_job
     from repro.telemetry.trace import TraceReader
 
-    if args.figure == "all":
-        print("trace works on one figure at a time", file=sys.stderr)
-        return 2
     module = runnable[args.figure]
     cache = ResultCache(args.cache_dir if args.cache_dir else default_cache_dir())
     jobs = module.jobs(args.scale)

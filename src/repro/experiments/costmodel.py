@@ -9,9 +9,9 @@ most-informed first:
    the wall times this model has been shown, keyed by ``scenario:scale``
    (the two job fields that dominate cost; parameters within one sweep
    vary far less than scenarios vary between figures).
-2. **Static seeds**: per-scenario heuristics calibrated from the
-   committed ``BENCH_figures.json`` timings, used until the first
-   observation lands.  Absolute accuracy is irrelevant; only the
+2. **Static seeds**: per-scenario constants calibrated once from
+   measured per-job wall times, used until the first observation
+   lands.  Absolute accuracy is irrelevant; only the
    µs-vs-seconds magnitude matters, and the seeds already separate
    closed-form from simulated scenarios by 30x, which is why estimates
    are not persisted across runs.
@@ -30,7 +30,7 @@ from repro.experiments.jobs import Job
 __all__ = ["CostModel", "DEFAULT_SEED_S", "STATIC_SEED_S"]
 
 #: Cold-start wall-second seeds per scenario at the "fast" scale,
-#: calibrated from the committed per-job figure benchmarks.  The two
+#: calibrated once from measured per-job wall times.  The two
 #: closed-form analysis scenarios are microseconds by construction —
 #: that magnitude (not the exact value) is what routes them onto the
 #: executor's inline fast path instead of a process pool.

@@ -22,15 +22,11 @@ __all__ = ["DirectRandomRule", "WallClockRule", "UnorderedIterationRule"]
 
 #: Packages whose code runs *inside* a simulation (sim time only).
 SIM_PACKAGES = ("repro/sim", "repro/net", "repro/cc", "repro/traffic")
-#: The wider determinism domain: everything that feeds figure output,
-#: plus repro/perf — benchmark *documents* must stay structurally
-#: deterministic (D003 set-iteration order would leak into BENCH JSON)
-#: even though their measured values are wall-clock by nature.
+#: The wider determinism domain: everything that feeds figure output.
 DOMAIN_PACKAGES = SIM_PACKAGES + (
     "repro/metrics",
     "repro/analysis",
     "repro/experiments",
-    "repro/perf",
 )
 
 #: Wall-clock callables, by dotted name as written at the call site.
@@ -128,13 +124,6 @@ class WallClockRule(Rule):
     allowlist = (
         "repro/experiments/executor.py",
         "repro/experiments/runlog.py",
-        # repro/perf *is* the wall clock: its entire job is measuring how
-        # long the kernel takes (min-of-k over time.perf_counter) and
-        # cProfile-ing figure runs.  Its output goes to BENCH_*.json and
-        # the profile report, never into a figure table, so exempting the
-        # whole package cannot let host timing leak into results.  The
-        # other determinism rules (D003 in particular) still apply.
-        "repro/perf",
     )
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:

@@ -11,10 +11,9 @@ counts are preserved in the run's ``properties`` bag, as are stale
 baseline entries.
 
 :func:`validate_sarif` is a hand-rolled structural validator for the
-subset of the SARIF 2.1.0 schema this module emits (same approach as
-``repro.perf.schema``): the test suite always runs it, and additionally
-validates against the full official JSON schema when the optional
-``jsonschema`` package is importable.
+subset of the SARIF 2.1.0 schema this module emits: the test suite
+always runs it, and additionally validates against the full official
+JSON schema when the optional ``jsonschema`` package is importable.
 """
 
 from __future__ import annotations

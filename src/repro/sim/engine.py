@@ -16,9 +16,8 @@ The calendar stores ``(time, seq, ...)`` tuples rather than bare
 instead of dispatching to a Python ``Event.__lt__`` per comparison — on a
 calendar of a few hundred events that removes five to ten Python calls
 from every push and pop, which is most of what the kernel does per
-packet.  Three further fast paths, all measured by ``python -m repro
-bench`` against the frozen pre-overhaul kernel in
-:mod:`repro.perf.reference`:
+packet.  Three further fast paths, all checked for firing order against
+the frozen pre-overhaul kernel in ``tests/reference_kernel.py``:
 
 * Events scheduled at exactly the current time (``at(now, ...)`` or
   ``schedule(0, ...)``) skip the heap entirely and land in a FIFO

@@ -6,7 +6,8 @@ Two layers:
   miniature fig14-style run in a fresh interpreter with enforcement
   armed — the ``@checked`` gate is evaluated at decoration (import) time,
   so flipping the env var in-process would be a no-op;
-* full-figure byte-identity tests for fig04 and fig14, gated behind
+* full-figure byte-identity tests for fig04 and fig14 (plain vs enforced,
+  and plain vs the committed ``results/`` table), gated behind
   ``REPRO_SWEEP_TESTS=1`` because each figure runs twice (~3 minutes
   total).  CI's static-analysis workflow sets the gate; see
   ``.github/workflows/ci.yml``.
@@ -18,6 +19,8 @@ import subprocess
 import sys
 
 import pytest
+
+from repro.experiments import ALL_FIGURES
 
 REPO = pathlib.Path(__file__).parent.parent
 
@@ -87,4 +90,11 @@ def test_full_figure_byte_identical_under_enforcement(figure, tmp_path):
     assert plain_bytes == checked_bytes, (
         f"{table} differs under REPRO_CONTRACTS=1 — contracts must be "
         "observation-only"
+    )
+
+    module_name = ALL_FIGURES[figure].__name__.rsplit(".", 1)[-1]
+    committed = REPO / "results" / f"{module_name}.txt"
+    assert plain_bytes == committed.read_bytes(), (
+        f"{committed.name} is stale: regenerate it with "
+        f"'repro run {figure} --no-cache --out DIR'"
     )

@@ -87,24 +87,6 @@ class TestD002:
             report = lint_fixture("d002_bad", allowed, "D002")
             assert report.ok, allowed
 
-    def test_perf_package_is_allowlisted(self):
-        # The benchmark harness *is* the wall clock (min-of-k over
-        # perf_counter); the whole package is exempt, not single files.
-        for allowed in (
-            "src/repro/perf/timing.py",
-            "src/repro/perf/macro.py",
-        ):
-            report = lint_fixture("d002_bad", allowed, "D002")
-            assert report.ok, allowed
-
-    def test_perf_package_still_in_scope_for_d003(self):
-        # The D002 exemption is narrow: perf code is still in the
-        # determinism domain, so set-iteration order (which would leak
-        # into BENCH JSON) stays flagged.
-        report = lint_fixture("d003_bad", "src/repro/perf/schema.py", "D003")
-        assert not report.ok
-        assert all(f.rule == "D003" for f in report.findings)
-
 
 # ---------------------------------------------------------------------------
 # D003: unordered set iteration escaping into outputs

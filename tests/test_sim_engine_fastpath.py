@@ -4,7 +4,7 @@ The tuple-keyed calendar, the same-time ready deque and the
 fire-and-forget ``call_in``/``call_at`` entries are pure performance
 work: the observable contract — events fire in ``(time, seq)`` order,
 cancelled events never fire, compaction is invisible — must match the
-frozen pre-overhaul kernel in :mod:`repro.perf.reference` exactly.
+frozen pre-overhaul kernel in ``tests/reference_kernel.py`` exactly.
 These tests drive random schedule / cancel / compaction churn through
 both kernels and compare the full firing transcripts.
 """
@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf.reference import ReferenceSimulator
 from repro.sim.engine import Simulator
+from tests.reference_kernel import ReferenceSimulator
 
 # One churn program = a list of instructions interpreted against a kernel:
 #   ("at", time_fraction)        schedule at now + fraction * horizon

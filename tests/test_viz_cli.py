@@ -116,3 +116,21 @@ class TestCli:
     def test_run_persists_output(self, tmp_path, capsys):
         assert main(["run", "fig11", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig11.txt").exists()
+
+    def test_profile_reports_hot_functions(self, capsys):
+        assert main(["profile", "fig11", "--jobs", "1", "--top", "5"]) == 0
+        report = capsys.readouterr().out
+        assert report.startswith("profile: fig11 scale=fast jobs=1 sort=cumulative")
+        assert "function calls" in report and "cumulative" in report
+
+    def test_profile_rejects_unknown_inputs(self, capsys):
+        assert main(["profile", "nope"]) == 2
+        assert "unknown" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "fig11", "--sort", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["profile", "all"]) == 2
+        streams = capsys.readouterr()
+        assert "one figure at a time" in streams.err
+        assert streams.out == ""
