@@ -42,7 +42,7 @@ import math
 import os
 import typing
 from dataclasses import dataclass
-from typing import Annotated, Final
+from typing import Annotated
 
 from repro.units import (
     BIT_PER_SECOND,
@@ -51,12 +51,9 @@ from repro.units import (
     PACKET_PER_SECOND,
     RATIO,
     SECOND,
-    Unit,
 )
 
 __all__ = [
-    "ALIAS_RANGES",
-    "ALIAS_UNITS",
     "ContractViolation",
     "CwndPackets",
     "NonNegPps",
@@ -138,37 +135,6 @@ CwndPackets = Annotated[float, PACKET, Range(1.0, math.inf)]
 PositiveRatio = Annotated[float, RATIO, Range(0.0, math.inf, lo_open=True)]
 #: A non-negative dimensionless factor (rates that may underflow to 0).
 NonNegRatio = Annotated[float, RATIO, Range(0.0, math.inf)]
-
-#: Alias leaf name -> Unit, for simlint's name-based annotation
-#: resolution (mirrors ``repro.lint.analysis.unitcheck._ALIAS_UNITS``;
-#: ``tests/test_contracts.py`` pins these against the aliases above).
-ALIAS_UNITS: Final[dict[str, Unit]] = {
-    "Probability": RATIO,
-    "NonNegRate": BIT_PER_SECOND,
-    "NonNegPps": PACKET_PER_SECOND,
-    "NonNegRatio": RATIO,
-    "PositiveRate": BIT_PER_SECOND,
-    "PositiveSeconds": SECOND,
-    "NonNegSeconds": SECOND,
-    "PositiveBytes": BYTE,
-    "CwndPackets": PACKET,
-    "PositiveRatio": RATIO,
-}
-
-#: Alias leaf name -> Range, the other half of the metadata.
-ALIAS_RANGES: Final[dict[str, Range]] = {
-    "Probability": Range(0.0, 1.0),
-    "NonNegRate": Range(0.0, math.inf),
-    "NonNegPps": Range(0.0, math.inf),
-    "NonNegRatio": Range(0.0, math.inf),
-    "PositiveRate": Range(0.0, math.inf, lo_open=True),
-    "PositiveSeconds": Range(0.0, math.inf, lo_open=True),
-    "NonNegSeconds": Range(0.0, math.inf),
-    "PositiveBytes": Range(0.0, math.inf, lo_open=True),
-    "CwndPackets": Range(1.0, math.inf),
-    "PositiveRatio": Range(0.0, math.inf, lo_open=True),
-}
-
 
 class ContractViolation(ValueError):
     """A runtime value escaped its declared :class:`Range` contract."""

@@ -20,8 +20,8 @@ R001  experiment-registry consistency (modules ↔ tables ↔ scenarios)
 E001  no blind ``except`` on worker execution paths without a
       ``# simlint: disable=E001(reason)`` justification
 U001  incompatible units added, subtracted, compared, assigned or
-      returned (whole-program unit inference over ``net``/``cc``/
-      ``metrics``/``telemetry``; see :mod:`repro.units`)
+      returned (unit inference over ``net``/``cc``/``metrics``/
+      ``telemetry``; see :mod:`repro.units`)
 U002  bits and bytes mixed in one product without the factor-8
       conversion
 U003  call argument unit conflicts with the parameter's declared unit
@@ -30,20 +30,28 @@ U004  a name's unit suffix (``_s``, ``_bps``, ...) contradicts its
 F001  file I/O or process-state reads reachable from a ``@scenario``
       runner, ``jobs()`` or ``reduce()`` (cache-key purity)
 F002  module-global mutation reachable from the same entry points
+I001  division by a value whose interval includes 0 with no dominating
+      guard (interval analysis over ``cc``/``net``/``sim``/``metrics``/
+      ``analysis``; see :mod:`repro.contracts`)
+I002  a value provably outside a ``Range`` contract flows into an
+      annotated parameter, return or declaration
+I003  a provably negative time reaches the scheduling APIs
+I004  a declared ``Range`` contract the body's clamps drift outside
+T001  measurements kept in bare lists instead of telemetry probes
 ====  ====================================================================
 
-The U- and F-families are whole-program analyses (symbol tables, unit
-dataflow, call-graph reachability) built once per run and shared through
-:class:`~repro.lint.engine.LintContext`; the earlier families are
-single-pass AST pattern rules.
+The U-, I- and F-families are whole-program analyses built once per run
+and shared through :class:`~repro.lint.engine.LintContext`: one
+abstract-interpretation pass over the unit × range product domain
+serves all eight U/I rules, one call-graph reachability pass the two
+F-rules.  The earlier families are single-pass AST pattern rules.
 
 Run ``python -m repro.lint src tests``; ``--format sarif`` emits SARIF
-2.1.0 for CI upload, ``--baseline FILE`` adopts a rule incrementally.
-See ``docs/linting.md`` and ``docs/units.md``.
+2.1.0 for CI upload.  See ``docs/linting.md``, ``docs/units.md`` and
+``docs/contracts.md``.
 """
 
 import repro.lint.rules  # noqa: F401  (importing registers every rule)
-from repro.lint.baseline import Baseline, fingerprint
 from repro.lint.cli import main
 from repro.lint.engine import (
     LintContext,
@@ -59,7 +67,6 @@ from repro.lint.sarif import to_sarif, validate_sarif
 from repro.lint.suppress import Suppression, SuppressionIndex, parse_suppressions
 
 __all__ = [
-    "Baseline",
     "Finding",
     "JSON_SCHEMA_VERSION",
     "LintContext",
@@ -69,7 +76,6 @@ __all__ = [
     "Suppression",
     "SuppressionIndex",
     "all_codes",
-    "fingerprint",
     "lint_paths",
     "lint_sources",
     "main",

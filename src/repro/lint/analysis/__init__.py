@@ -1,19 +1,22 @@
-"""Whole-program analysis layer behind simlint's U- and F-rule families.
+"""Whole-program analysis layer behind simlint's U-, I- and F-rule families.
 
 PR 3's rules are single-pass AST pattern matchers: they look at one node
 at a time and need no idea what a name refers to.  The units-of-measure
-rules (U001-U004) and the cache-purity rules (F001-F002) cannot work
-that way — "this expression is in bits/s" and "this scenario runner
-reaches file I/O three calls down" are *whole-program* facts.  This
-package supplies the shared machinery:
+rules (U001-U004), the interval rules (I001-I004) and the cache-purity
+rules (F001-F002) cannot work that way — "this expression is in bits/s",
+"this divisor may be zero" and "this scenario runner reaches file I/O
+three calls down" are *whole-program* facts.  This package supplies the
+shared machinery:
 
 * :mod:`repro.lint.analysis.symbols` — per-module symbol tables (imports,
   functions, classes, module-level bindings) plus cross-module name
   resolution over the set of files being linted;
-* :mod:`repro.lint.analysis.dataflow` — a lightweight intraprocedural
-  forward walker over assignments, calls and returns, in source order;
-* :mod:`repro.lint.analysis.unitcheck` — unit inference and mismatch
-  detection over the :class:`repro.units.Unit` algebra;
+* :mod:`repro.lint.analysis.intervals` — the interval domain and the one
+  flow-sensitive abstract interpreter, which executes a scope over the
+  product of value ranges and :class:`repro.units.Unit` units;
+* :mod:`repro.lint.analysis.contracts` — the alias table, the
+  whole-program signature index and the driver that turns one
+  interpretation pass into the events behind all eight U/I rules;
 * :mod:`repro.lint.analysis.purity` — interprocedural reachability from
   cache-relevant entry points (``@scenario`` runners, ``jobs()``,
   ``reduce()``) to impure operations.
@@ -22,7 +25,8 @@ Analyses are built once per lint run and shared between rules through
 the engine's :class:`repro.lint.engine.LintContext`.
 """
 
-from repro.lint.analysis.dataflow import DataflowWalker, iter_scope_statements
+from repro.lint.analysis.contracts import analyze_contracts
+from repro.lint.analysis.intervals import Event
 from repro.lint.analysis.purity import PurityAnalysis, analyze_purity
 from repro.lint.analysis.symbols import (
     ClassInfo,
@@ -31,18 +35,15 @@ from repro.lint.analysis.symbols import (
     Program,
     build_program,
 )
-from repro.lint.analysis.unitcheck import UnitEvent, analyze_units
 
 __all__ = [
     "ClassInfo",
-    "DataflowWalker",
+    "Event",
     "FunctionInfo",
     "ModuleTable",
     "Program",
     "PurityAnalysis",
-    "UnitEvent",
+    "analyze_contracts",
     "analyze_purity",
-    "analyze_units",
     "build_program",
-    "iter_scope_statements",
 ]

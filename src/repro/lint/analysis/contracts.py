@@ -1,14 +1,30 @@
-"""Range-contract checking: the bridge from annotations to I-rule events.
+"""Quantity contracts: the bridge from annotations to U/I-rule events.
 
-This module layers :mod:`repro.lint.analysis.intervals` (the abstract
-interpreter) onto the whole-program symbol tables: it reads the
-``Annotated`` contract aliases of :mod:`repro.contracts` off function
-signatures (by name, through each module's import table — exactly how
-the unit checker resolves :mod:`repro.units` aliases), seeds parameter
-intervals from the declared ranges, interprets every function body in
-the scoped packages, and emits one :class:`IntervalEvent` per finding:
+One ``Annotated[float, Unit, Range]`` alias on a signature declares two
+things about a quantity — its unit of measure and the range it must stay
+in — and this module turns both into findings in one pass.  It layers
+:mod:`repro.lint.analysis.intervals` (the abstract interpreter over the
+unit × range product domain) onto the whole-program symbol tables:
 
-* ``div``  (I001) — a division whose divisor interval is *known* (has a
+* the alias table is read off :mod:`repro.units` and
+  :mod:`repro.contracts` themselves (``typing.get_args``), and an alias
+  is honoured only when the annotation's name resolves to its defining
+  module through the importing module's import table — a homonymous
+  user-defined ``Probability`` stays uninterpreted;
+* :class:`World` indexes every function's declared parameter/return
+  ``(unit, range)`` pairs, plus attribute and return units by name;
+* :func:`analyze_contracts` interprets every scope of the in-scope files
+  once, seeding parameters from the signature, and collects one
+  :class:`~repro.lint.analysis.intervals.Event` per finding.
+
+Eight event kinds come out, one per rule:
+
+* ``arith`` (U001) — incompatible units added, subtracted, compared,
+  assigned or returned;
+* ``mix`` (U002) — bit/byte mixing without the factor-8 conversion;
+* ``arg`` (U003) — argument unit conflicts with the parameter's;
+* ``suffix`` (U004) — a name's suffix conflicts with its annotation;
+* ``div`` (I001) — a division whose divisor interval is *known* (has a
   finite lower bound) and still contains zero;
 * ``range`` (I002) — a value whose inferred interval is provably
   disjoint from the contract of the parameter/return it flows into;
@@ -18,24 +34,40 @@ the scoped packages, and emits one :class:`IntervalEvent` per finding:
 * ``drift`` (I004) — a function contracted to return some range whose
   body clamps or computes values with a finite bound outside it.
 
-False-positive discipline mirrors the unit checker: unknown intervals
-(TOP) never fire anything, definite violations require provable
-disjointness, and the ``div`` criterion demands a known lower bound so
-half-refined comparisons cannot manufacture noise.
+Inference is intraprocedural (one scope at a time) but the *anchors* are
+whole-program: a call's arguments are checked against the callee's
+declaration wherever the callee resolves inside the linted file set —
+by name, through ``self``, or through a receiver typed by a parameter
+annotation or a constructor call — and an attribute like ``cfg.rtt_s``
+carries its unit into any module that touches it.
+
+False-positive discipline: unknowns (a ``None`` unit, a TOP interval)
+never fire anything, unit mismatches need *both* sides known, range
+violations require provable disjointness, and the ``div`` criterion
+demands a known lower bound so half-refined comparisons cannot
+manufacture noise.
 """
 
 from __future__ import annotations
 
 import ast
+import typing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Final, NamedTuple, Optional, Sequence
 
-from repro.contracts import ALIAS_RANGES, Range
+import repro.contracts
+import repro.units
+from repro.contracts import Range
 from repro.lint.analysis.intervals import (
-    Env,
-    Interval,
-    IntervalInterpreter,
     TOP,
+    UNKNOWN,
+    Env,
+    Event,
+    Interpreter,
+    Interval,
+    Value,
+    conversion_hint,
+    suffix_unit,
 )
 from repro.lint.analysis.symbols import (
     ClassInfo,
@@ -44,11 +76,12 @@ from repro.lint.analysis.symbols import (
     Program,
 )
 from repro.lint.astutil import dotted_name
+from repro.units import Unit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.lint.engine import SourceFile
 
-__all__ = ["IntervalEvent", "analyze_contracts", "interval_of"]
+__all__ = ["ALIASES", "Alias", "Declared", "analyze_contracts", "interval_of"]
 
 #: Scheduling APIs whose first argument is a (relative or absolute)
 #: simulation time that must never be negative.  ``at`` is ambiguous as
@@ -57,15 +90,51 @@ __all__ = ["IntervalEvent", "analyze_contracts", "interval_of"]
 _TIME_METHODS = {"schedule", "call_in", "call_at"}
 _TIME_KEYWORDS = {"delay", "time", "when"}
 
+#: Method names that collide with builtin container methods; attribute
+#: calls on *untyped* receivers never resolve through these (a bare
+#: ``some_list.append(x)`` must not borrow TimeSeries.append's units).
+_AMBIGUOUS_METHOD_NAMES = {
+    "append", "add", "extend", "insert", "pop", "popleft", "update", "get",
+    "items", "keys", "values", "clear", "remove", "sort", "index", "count",
+    "copy", "join", "split", "open", "read", "write", "load", "send",
+    "record", "sample", "increment", "start", "stop", "run", "build",
+}
 
-@dataclass(frozen=True)
-class IntervalEvent:
-    """One interval-analysis finding, before rule-code assignment."""
 
-    kind: str  # div | range | time | drift
-    path: str
-    node: ast.AST
-    message: str
+class Declared(NamedTuple):
+    """What one annotation (or name suffix) declares about a quantity."""
+
+    unit: Optional[Unit] = None
+    range: Optional[Range] = None
+
+
+class Alias(NamedTuple):
+    """One ``Annotated`` alias: its metadata and the module defining it."""
+
+    declared: Declared
+    module: str
+
+
+def _alias_table() -> dict[str, Alias]:
+    """Alias name -> metadata, read off the alias definitions themselves."""
+    table: dict[str, Alias] = {}
+    for module in (repro.units, repro.contracts):
+        for name, alias in vars(module).items():
+            if typing.get_origin(alias) is not typing.Annotated:
+                continue
+            metadata = typing.get_args(alias)[1:]
+            declared = Declared(
+                next((m for m in metadata if isinstance(m, Unit)), None),
+                next((m for m in metadata if isinstance(m, Range)), None),
+            )
+            table.setdefault(name, Alias(declared, module.__name__))
+    return table
+
+
+#: Every alias simlint interprets, by the name it is defined under.
+ALIASES: Final = _alias_table()
+
+_NOTHING: Final = Declared()
 
 
 def interval_of(rng: Range) -> Interval:
@@ -84,282 +153,444 @@ def _admits(declared: Range, value: Interval) -> bool:
     return declared.contains(value.lo) and declared.contains(value.hi)
 
 
+def _seeded(declared: Declared, cls: Optional[ClassInfo] = None) -> Value:
+    """The abstract value a declaration promises."""
+    interval = interval_of(declared.range) if declared.range is not None else TOP
+    return Value(interval, declared.unit, cls)
+
+
 @dataclass
-class ContractSignature:
-    """Declared ranges of one function's parameters and return value."""
+class Signature:
+    """Declared units and ranges of one function's parameters and return."""
 
     info: FunctionInfo
+    #: Positional parameters in order (what call arguments bind to).
     param_names: list[str]
-    param_ranges: dict[str, Optional[Range]]
-    return_range: Optional[Range]
-    has_vararg: bool
+    #: Every named parameter, keyword-only ones included.
+    params: dict[str, Declared]
+    returns: Declared
 
 
-class ContractWorld:
-    """Whole-program contract anchors: per-function declared ranges."""
+class World:
+    """Whole-program anchors: signatures, attribute and return units."""
 
     def __init__(self, program: Program):
         self.program = program
-        self.signatures: dict[int, ContractSignature] = {}  # id(FunctionInfo)
+        self.signatures: dict[int, Signature] = {}  # id(FunctionInfo)
+        self.class_attrs: dict[int, dict[str, Optional[Unit]]] = {}  # id(ClassInfo)
+        #: attribute name -> unit, when every declaration in the program
+        #: agrees; conflicting names are mapped to None and never used.
+        self.attr_units: dict[str, Optional[Unit]] = {}
+        #: function/method name -> return unit, when unambiguous.
+        self.return_units: dict[str, Optional[Unit]] = {}
         for table in program.modules.values():
             for info in table.all_functions():
                 self._index_function(info)
+            for cls in table.classes.values():
+                self._index_class_attrs(cls)
+        self._merge_global_indexes()
 
-    def annotation_range(
+    # -- construction --------------------------------------------------------
+
+    def annotation(
         self, module: ModuleTable, annotation: Optional[ast.expr]
-    ) -> Optional[Range]:
-        """The :class:`Range` an annotation declares, if any.
+    ) -> Declared:
+        """The unit and range an annotation expression declares, if any.
 
-        Contract aliases are honored only when the name resolves to
-        :mod:`repro.contracts` through the module's import table (or is
-        used inside ``repro.contracts`` itself) — a user-defined
-        ``Probability`` in some other module stays uninterpreted.
+        Aliases are honoured only when the name resolves to the alias's
+        defining module through ``module``'s import table (or is used
+        inside that module itself).
         """
         if annotation is None:
-            return None
+            return _NOTHING
         if isinstance(annotation, ast.Subscript):
+            # Optional[Seconds] / Annotated[Seconds, ...] wrappers: look
+            # through one level when the head is a typing construct.
             head = dotted_name(annotation.value)
             if head is not None and head.split(".")[-1] in ("Optional", "Annotated"):
                 inner = annotation.slice
                 if isinstance(inner, ast.Tuple) and inner.elts:
                     inner = inner.elts[0]
-                return self.annotation_range(module, inner)
-            return None
+                return self.annotation(module, inner)
+            return _NOTHING
         if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
-            left = self.annotation_range(module, annotation.left)
-            return left if left is not None else self.annotation_range(
+            left = self.annotation(module, annotation.left)
+            return left if left != _NOTHING else self.annotation(
                 module, annotation.right
             )
         name = dotted_name(annotation)
         if name is None:
-            return None
-        leaf = name.split(".")[-1]
-        if leaf not in ALIAS_RANGES:
-            return None
-        head = name.split(".")[0]
+            return _NOTHING
+        head, _, rest = name.partition(".")
+        alias = ALIASES.get(name.rsplit(".", 1)[-1])
+        if alias is None:
+            return _NOTHING
         target = module.imports.get(head)
         if target is None:
-            return ALIAS_RANGES[leaf] if module.dotted == "repro.contracts" else None
-        full = target + ("." + ".".join(name.split(".")[1:]) if "." in name else "")
-        if full.startswith("repro.contracts"):
-            return ALIAS_RANGES[leaf]
-        return None
+            resolved = module.dotted == alias.module
+        else:
+            resolved = (target + ("." + rest if rest else "")).startswith(alias.module)
+        return alias.declared if resolved else _NOTHING
+
+    def declared(
+        self, module: ModuleTable, name: Optional[str], annotation: Optional[ast.expr]
+    ) -> Declared:
+        """The annotation's declaration, its unit defaulting to the
+        name-suffix unit."""
+        declared = self.annotation(module, annotation)
+        if declared.unit is None:
+            declared = declared._replace(unit=suffix_unit(name))
+        return declared
 
     def _index_function(self, info: FunctionInfo) -> None:
         args = info.node.args
-        positional = list(args.posonlyargs) + list(args.args)
-        ranges: dict[str, Optional[Range]] = {}
-        for arg in positional + list(args.kwonlyargs):
-            ranges[arg.arg] = self.annotation_range(info.module, arg.annotation)
-        self.signatures[id(info)] = ContractSignature(
+        positional = [*args.posonlyargs, *args.args]
+        self.signatures[id(info)] = Signature(
             info=info,
             param_names=[a.arg for a in positional],
-            param_ranges=ranges,
-            return_range=self.annotation_range(info.module, info.node.returns),
-            has_vararg=args.vararg is not None,
+            params={
+                a.arg: self.declared(info.module, a.arg, a.annotation)
+                for a in (*positional, *args.kwonlyargs)
+            },
+            returns=self.declared(info.module, info.node.name, info.node.returns),
         )
 
-    def signature_of(self, info: FunctionInfo) -> Optional[ContractSignature]:
-        return self.signatures.get(id(info))
+    def _index_class_attrs(self, cls: ClassInfo) -> None:
+        attrs: dict[str, Optional[Unit]] = {}
+
+        def record(name: str, unit: Optional[Unit]) -> None:
+            if unit is None:
+                return
+            if name in attrs and attrs[name] is not None and attrs[name] != unit:
+                attrs[name] = None  # conflicting declarations: unusable
+            else:
+                attrs.setdefault(name, unit)
+
+        for stmt in cls.node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                record(
+                    stmt.target.id,
+                    self.declared(cls.module, stmt.target.id, stmt.annotation).unit,
+                )
+        for method in cls.methods.values():
+            sig = self.signatures[id(method)]
+            for node in ast.walk(method.node):
+                target: Optional[ast.expr] = None
+                annotation: Optional[ast.expr] = None
+                value: Optional[ast.expr] = None
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target, value = node.targets[0], node.value
+                elif isinstance(node, ast.AnnAssign):
+                    target, annotation, value = node.target, node.annotation, node.value
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    unit = self.declared(cls.module, target.attr, annotation).unit
+                    if unit is None and isinstance(value, ast.Name):
+                        unit = sig.params.get(value.id, _NOTHING).unit
+                    record(target.attr, unit)
+        self.class_attrs[id(cls)] = attrs
+
+    def _merge_global_indexes(self) -> None:
+        def merge(index: dict[str, Optional[Unit]], name: str, unit: Unit) -> None:
+            if name in index and index[name] != unit:
+                index[name] = None
+            else:
+                index.setdefault(name, unit)
+
+        for attrs in self.class_attrs.values():
+            for name, unit in attrs.items():
+                if unit is not None:
+                    merge(self.attr_units, name, unit)
+        for sig in self.signatures.values():
+            if sig.returns.unit is not None:
+                merge(self.return_units, sig.info.name, sig.returns.unit)
+
+    # -- queries -------------------------------------------------------------
+
+    def class_attr_unit(self, cls: ClassInfo, attr: str) -> Optional[Unit]:
+        for candidate in self.program.mro(cls):
+            attrs = self.class_attrs.get(id(candidate), {})
+            if attr in attrs:
+                return attrs[attr]
+        return None
+
+    def annotation_class(
+        self, module: ModuleTable, annotation: Optional[ast.expr]
+    ) -> Optional[ClassInfo]:
+        """The project class a (possibly quoted) annotation names."""
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            try:
+                annotation = ast.parse(annotation.value, mode="eval").body
+            except SyntaxError:
+                return None
+        name = dotted_name(annotation) if annotation is not None else None
+        if name is None:
+            return None
+        return self.program.resolve_class(module, name)
 
 
-class _FunctionAnalyzer(IntervalInterpreter):
-    """Interprets one scope and emits contract events."""
+class _ScopeAnalyzer(Interpreter):
+    """Interprets one scope, supplying the whole-program knowledge."""
 
     def __init__(
         self,
-        world: ContractWorld,
-        src: "SourceFile",
+        world: World,
+        path: str,
         module: ModuleTable,
-        events: list[IntervalEvent],
-        seen: set[tuple[int, str]],
-        cls: Optional[ClassInfo] = None,
-        signature: Optional[ContractSignature] = None,
+        events: list[Event],
+        signature: Optional[Signature] = None,
     ):
-        super().__init__()
+        super().__init__(path, events)
         self.world = world
-        self.src = src
         self.module = module
-        self.events = events
-        self._seen = seen
-        self.cls = cls
         self.signature = signature
 
-    # -- event plumbing ------------------------------------------------------
+    # -- declarations (U004) -------------------------------------------------
 
-    def _emit(self, kind: str, node: ast.AST, message: str) -> None:
-        key = (id(node), kind)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.events.append(IntervalEvent(kind, self.src.path, node, message))
-
-    @staticmethod
-    def _describe(node: ast.AST) -> str:
-        try:
-            text = ast.unparse(node)  # type: ignore[arg-type]
-        except Exception:
-            return "<expr>"
-        return text if len(text) <= 40 else text[:37] + "..."
+    def check_declaration(
+        self, node: ast.AST, name: str, annotation: Optional[ast.expr]
+    ) -> None:
+        from_suffix = suffix_unit(name)
+        from_annotation = self.world.annotation(self.module, annotation).unit
+        if (
+            from_suffix is not None
+            and from_annotation is not None
+            and not from_suffix.compatible(from_annotation)
+        ):
+            self.emit(
+                "suffix",
+                node,
+                f"name {name!r} says {from_suffix} but its annotation "
+                f"says {from_annotation}; rename or fix the annotation",
+            )
 
     # -- interpreter hooks ---------------------------------------------------
 
-    def handle_division(self, node: ast.AST, divisor: Interval) -> None:
-        if divisor.is_empty or not divisor.contains_zero:
-            return
-        # Only speak when the lower bound is *known*: an unconstrained
-        # or half-refined divisor (TOP, (-inf, c]) stays silent, so
-        # unannotated code can never produce noise.
-        if divisor.lo == float("-inf"):
-            return
-        divisor_expr: Optional[ast.AST] = None
-        if isinstance(node, ast.BinOp):
-            divisor_expr = node.right
-        elif isinstance(node, ast.AugAssign):
-            divisor_expr = node.value
-        label = self._describe(divisor_expr) if divisor_expr is not None else "<expr>"
-        self._emit(
-            "div",
-            node,
-            f"divides by {label!r} whose interval {divisor} includes 0 "
-            "with no dominating guard (raise, clamp, or test the divisor "
-            "before dividing)",
-        )
+    def attribute_value(self, node: ast.Attribute, env: Env) -> Value:
+        unit = suffix_unit(node.attr)
+        if unit is None:
+            cls = self._receiver_class(node.value, env)
+            if cls is not None:
+                unit = self.world.class_attr_unit(cls, node.attr)
+            else:
+                unit = self.world.attr_units.get(node.attr)
+        return Value(unit=unit)
 
-    def handle_return(self, stmt: ast.Return, value: Interval) -> None:
-        if self.signature is None or self.signature.return_range is None:
+    def handle_assign(
+        self, target: ast.expr, value: Value, stmt: ast.stmt, env: Env
+    ) -> Value:
+        annotation = stmt.annotation if isinstance(stmt, ast.AnnAssign) else None
+        declared = self.world.annotation(self.module, annotation)
+        unit = declared.unit
+        if isinstance(target, ast.Attribute):
+            if unit is None:
+                unit = self.attribute_value(target, env).unit
+            label = f"attribute {target.attr!r}"
+        else:
+            assert isinstance(target, ast.Name)
+            self.check_declaration(target, target.id, annotation)
+            if unit is None:
+                unit = suffix_unit(target.id)
+            label = repr(target.id)
+        if (
+            unit is not None
+            and value.unit is not None
+            and not value.unit.compatible(unit)
+        ):
+            self.emit(
+                "arith",
+                target,
+                f"assigns {value.unit} to {label}, which is declared {unit}"
+                + conversion_hint(value.unit, unit),
+            )
+        interval = value.interval
+        if declared.range is not None and isinstance(target, ast.Name):
+            contract = interval_of(declared.range)
+            if not interval.is_empty and interval.disjoint(contract):
+                self.emit(
+                    "range",
+                    stmt,
+                    f"assigns a value in {interval} to {target.id!r}, which is "
+                    f"contracted to {declared.range}",
+                )
+            elif not _admits(declared.range, interval):
+                # The declaration is an extra assumption: narrow the local.
+                interval = interval.meet(contract)
+        return Value(interval, unit if unit is not None else value.unit, value.cls)
+
+    def handle_return(self, stmt: ast.Return, value: Value) -> None:
+        if self.signature is None:
             return
-        declared = self.signature.return_range
-        contract = interval_of(declared)
+        declared = self.signature.returns
         qualname = self.signature.info.qualname
-        if value.is_empty or _admits(declared, value):
+        if (
+            declared.unit is not None
+            and value.unit is not None
+            and not value.unit.compatible(declared.unit)
+        ):
+            self.emit(
+                "arith",
+                stmt,
+                f"returns {value.unit} from {qualname}(), which is declared "
+                f"to return {declared.unit}"
+                + conversion_hint(value.unit, declared.unit),
+            )
+        interval = value.interval
+        if (
+            declared.range is None
+            or interval.is_empty
+            or _admits(declared.range, interval)
+        ):
             return
-        if value.disjoint(contract):
-            self._emit(
+        contract = interval_of(declared.range)
+        if interval.disjoint(contract):
+            self.emit(
                 "range",
                 stmt,
-                f"returns a value in {value} from {qualname}(), which is "
-                f"contracted to return {declared}",
+                f"returns a value in {interval} from {qualname}(), which is "
+                f"contracted to return {declared.range}",
             )
             return
-        lo_escapes = value.lo > float("-inf") and not contract.contains(value.lo) and (
-            value.lo < contract.lo or not value.lo_open
+        lo_escapes = (
+            interval.lo > float("-inf")
+            and not contract.contains(interval.lo)
+            and (interval.lo < contract.lo or not interval.lo_open)
         )
-        hi_escapes = value.hi < float("inf") and not contract.contains(value.hi) and (
-            value.hi > contract.hi or not value.hi_open
+        hi_escapes = (
+            interval.hi < float("inf")
+            and not contract.contains(interval.hi)
+            and (interval.hi > contract.hi or not interval.hi_open)
         )
         if lo_escapes or hi_escapes:
-            self._emit(
+            self.emit(
                 "drift",
                 stmt,
-                f"{qualname}() is contracted to return {declared} but this "
-                f"return admits values in {value}: the body's clamps/"
+                f"{qualname}() is contracted to return {declared.range} but "
+                f"this return admits values in {interval}: the body's clamps/"
                 "assignments drift outside the declared range",
             )
 
-    def handle_call(self, call: ast.Call, env: Env) -> None:
-        resolved = self._resolve_call(call)
-        self._check_contracted_args(call, env, resolved)
-        self._check_time_argument(call, env, resolved)
-
-    def call_interval(self, call: ast.Call, env: Env) -> Interval:
-        resolved = self._resolve_call(call)
-        if isinstance(resolved, FunctionInfo):
-            sig = self.world.signature_of(resolved)
-            if sig is not None and sig.return_range is not None:
-                return interval_of(sig.return_range)
-        return TOP
-
-    def handle_assign(
-        self, target: ast.expr, value: Interval, stmt: ast.stmt, env: Env
-    ) -> None:
-        if not isinstance(stmt, ast.AnnAssign) or not isinstance(target, ast.Name):
-            return
-        declared = self.world.annotation_range(self.module, stmt.annotation)
-        if declared is None:
-            return
-        contract = interval_of(declared)
-        if _admits(declared, value):
-            env.set(target.id, value)
-            return
-        if not value.is_empty and value.disjoint(contract):
-            self._emit(
-                "range",
-                stmt,
-                f"assigns a value in {value} to {target.id!r}, which is "
-                f"contracted to {declared}",
+    def handle_call(
+        self, call: ast.Call, arguments: "dict[ast.expr, Value]", env: Env
+    ) -> Value:
+        target = self._resolve_call(call, env)
+        # The call itself supplies the first parameter of a constructor
+        # and of an instance or class method — not of a @staticmethod.
+        if isinstance(target, ClassInfo):
+            callee = self.world.program.find_method(target, "__init__")
+            bound = True
+        else:
+            callee = target
+            bound = (
+                callee is not None
+                and callee.cls is not None
+                and "staticmethod" not in callee.decorator_names()
             )
-            return
-        # The declaration is an extra assumption: narrow the local.
-        env.set(target.id, value.meet(contract))
+        if callee is not None:
+            self._check_arguments(call, arguments, callee, bound)
+        self._check_time_argument(call, arguments, callee)
+        if isinstance(target, FunctionInfo):
+            return _seeded(self.world.signatures[id(target)].returns)
+        if isinstance(target, ClassInfo):
+            return Value(cls=target)
+        # Unresolved: fall back to the callee name's own suffix, then to
+        # the unambiguous global return-unit index.
+        func = call.func
+        if isinstance(func, ast.Name):
+            return Value(unit=suffix_unit(func.id))
+        if isinstance(func, ast.Attribute):
+            unit = suffix_unit(func.attr)
+            if unit is None and func.attr not in _AMBIGUOUS_METHOD_NAMES:
+                unit = self.world.return_units.get(func.attr)
+            return Value(unit=unit)
+        return UNKNOWN
 
     # -- call resolution -----------------------------------------------------
 
-    def _resolve_call(self, call: ast.Call) -> Optional[FunctionInfo]:
-        func = call.func
-        if isinstance(func, ast.Name):
-            resolved = self.world.program.resolve(self.module, func.id)
-            if isinstance(resolved, FunctionInfo):
-                return resolved
-            if isinstance(resolved, ClassInfo):
-                return self.world.program.find_method(resolved, "__init__")
-            return None
-        if isinstance(func, ast.Attribute):
-            receiver = func.value
-            if isinstance(receiver, ast.Name) and receiver.id == "self":
-                if self.cls is not None:
-                    return self.world.program.find_method(self.cls, func.attr)
-                return None
-            name = dotted_name(func)
-            if name is not None:
-                resolved = self.world.program.resolve(self.module, name)
-                if isinstance(resolved, FunctionInfo):
-                    return resolved
-                if isinstance(resolved, ClassInfo):
-                    return self.world.program.find_method(resolved, "__init__")
+    @staticmethod
+    def _receiver_class(receiver: ast.expr, env: Env) -> Optional[ClassInfo]:
+        """The class of ``self``, of a parameter annotated with a project
+        class, or of a local bound to a constructor call."""
+        if isinstance(receiver, ast.Name):
+            return env.get(receiver.id).cls
         return None
 
-    def _check_contracted_args(
-        self, call: ast.Call, env: Env, resolved: Optional[FunctionInfo]
+    def _resolve_call(
+        self, call: ast.Call, env: Env
+    ) -> "FunctionInfo | ClassInfo | None":
+        """The callee, resolved as far as the symbol tables allow."""
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            cls = self._receiver_class(func.value, env)
+            if cls is not None:
+                return self.world.program.find_method(cls, func.attr)
+        name = dotted_name(func)
+        if name is None:
+            return None
+        resolved = self.world.program.resolve(self.module, name)
+        return resolved if isinstance(resolved, (FunctionInfo, ClassInfo)) else None
+
+    # -- argument checks (U003, I002, I003) ----------------------------------
+
+    def _check_arguments(
+        self,
+        call: ast.Call,
+        arguments: "dict[ast.expr, Value]",
+        callee: FunctionInfo,
+        bound: bool,
     ) -> None:
-        if resolved is None:
-            return
-        sig = self.world.signature_of(resolved)
-        if sig is None:
-            return
-        skip_self = resolved.cls is not None and not isinstance(call.func, ast.Name)
-        if resolved.node.name == "__init__":
-            skip_self = True
-        params = sig.param_names[1:] if skip_self and sig.param_names else sig.param_names
+        sig = self.world.signatures[id(callee)]
+        params = sig.param_names[1:] if bound else sig.param_names
         for position, arg in enumerate(call.args):
             if isinstance(arg, ast.Starred) or position >= len(params):
-                break
-            self._check_arg(sig, params[position], arg, env)
+                break  # varargs or miscounted: stop, don't guess
+            self._check_argument(sig, params[position], arg, arguments[arg])
         for kw in call.keywords:
-            if kw.arg is not None and kw.arg in sig.param_ranges:
-                self._check_arg(sig, kw.arg, kw.value, env)
+            if kw.arg is not None and kw.arg in sig.params:
+                self._check_argument(sig, kw.arg, kw.value, arguments[kw.value])
 
-    def _check_arg(
-        self, sig: ContractSignature, param: str, arg: ast.expr, env: Env
+    def _check_argument(
+        self, sig: Signature, param: str, arg: ast.expr, actual: Value
     ) -> None:
-        declared = sig.param_ranges.get(param)
-        if declared is None:
+        declared = sig.params[param]
+        if (
+            declared.unit is not None
+            and actual.unit is not None
+            and not actual.unit.compatible(declared.unit)
+        ):
+            self.emit(
+                "arg",
+                arg,
+                f"passes {actual.unit} where parameter {param!r} of "
+                f"{sig.info.qualname}() expects {declared.unit}"
+                + conversion_hint(actual.unit, declared.unit),
+            )
+        interval = actual.interval
+        if (
+            declared.range is None
+            or interval.is_empty
+            or interval.is_top
+            or _admits(declared.range, interval)
+        ):
             return
-        actual = self.eval(arg, env)
-        if actual.is_empty or actual.is_top or _admits(declared, actual):
-            return
-        if actual.disjoint(interval_of(declared)):
-            self._emit(
+        if interval.disjoint(interval_of(declared.range)):
+            self.emit(
                 "range",
                 arg,
-                f"passes a value in {actual} where parameter {param!r} of "
-                f"{sig.info.qualname}() is contracted to {declared}",
+                f"passes a value in {interval} where parameter {param!r} of "
+                f"{sig.info.qualname}() is contracted to {declared.range}",
             )
 
     def _check_time_argument(
-        self, call: ast.Call, env: Env, resolved: Optional[FunctionInfo]
+        self,
+        call: ast.Call,
+        arguments: "dict[ast.expr, Value]",
+        callee: Optional[FunctionInfo],
     ) -> None:
-        api = self._time_api_name(call, resolved)
+        api = self._time_api_name(call, callee)
         if api is None:
             return
         delay: Optional[ast.expr] = None
@@ -372,12 +603,12 @@ class _FunctionAnalyzer(IntervalInterpreter):
                     break
         if delay is None:
             return
-        interval = self.eval(delay, env)
+        interval = arguments[delay].interval
         if interval.is_empty:
             return
         provably_negative = interval.hi < 0 or (interval.hi == 0 and interval.hi_open)
         if provably_negative:
-            self._emit(
+            self.emit(
                 "time",
                 delay,
                 f"passes a provably negative time (interval {interval}) to "
@@ -385,17 +616,17 @@ class _FunctionAnalyzer(IntervalInterpreter):
             )
 
     def _time_api_name(
-        self, call: ast.Call, resolved: Optional[FunctionInfo]
+        self, call: ast.Call, callee: Optional[FunctionInfo]
     ) -> Optional[str]:
         func = call.func
         if not isinstance(func, ast.Attribute):
             return None
-        if resolved is not None and resolved.cls is not None:
-            if resolved.cls.name in ("Simulator", "Timer") and resolved.node.name in (
+        if callee is not None and callee.cls is not None:
+            if callee.cls.name in ("Simulator", "Timer") and callee.name in (
                 *_TIME_METHODS,
                 "at",
             ):
-                return f"{resolved.cls.name}.{resolved.node.name}"
+                return f"{callee.cls.name}.{callee.name}"
         if func.attr in _TIME_METHODS:
             return func.attr
         if func.attr == "at" and self._looks_like_sim(func.value):
@@ -411,51 +642,57 @@ class _FunctionAnalyzer(IntervalInterpreter):
         return False
 
 
-def _seed_env(world: ContractWorld, info: FunctionInfo) -> Env:
+def _analyze_function(
+    world: World, path: str, info: FunctionInfo, events: list[Event]
+) -> None:
+    sig = world.signatures[id(info)]
+    scope = _ScopeAnalyzer(world, path, info.module, events, sig)
     env = Env()
-    sig = world.signature_of(info)
-    if sig is not None:
-        for name, rng in sig.param_ranges.items():
-            if rng is not None:
-                env.set(name, interval_of(rng))
-    return env
+    args = info.node.args
+    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+        scope.check_declaration(arg, arg.arg, arg.annotation)
+        cls = world.annotation_class(info.module, arg.annotation)
+        env.set(arg.arg, _seeded(sig.params[arg.arg], cls))
+    if info.cls is not None:
+        env.set("self", Value(cls=info.cls))
+    scope.check_declaration(info.node, info.name, info.node.returns)
+    scope.run(info.node.body, env)
 
 
 def analyze_contracts(
     program: Program,
     files: Sequence["SourceFile"],
     scope_paths: Sequence[str],
-) -> list[IntervalEvent]:
-    """Run the interval/contract analysis over the in-scope files.
+) -> list[Event]:
+    """Run the unit/interval analysis over the in-scope files.
 
-    Contract anchors (signatures) come from the whole program; function
+    Anchors (signatures, attribute units) come from the whole program;
     bodies are interpreted — and events reported — only for files whose
     paths sit inside ``scope_paths``.
     """
     from repro.lint.registry import in_package
 
-    world = ContractWorld(program)
-    events: list[IntervalEvent] = []
+    world = World(program)
+    events: list[Event] = []
     for src in files:
         if src.tree is None or not in_package(src.path, *scope_paths):
             continue
         table = program.table(src.path)
         if table is None:
             continue
-        seen: set[tuple[int, str]] = set()
-        module_body = table.tree.body if isinstance(table.tree, ast.Module) else []
-        _FunctionAnalyzer(world, src, table, events, seen).run(module_body, Env())
+        module_scope = _ScopeAnalyzer(world, src.path, table, events)
+        if isinstance(table.tree, ast.Module):
+            module_scope.run(table.tree.body, Env())
+        for cls in table.classes.values():
+            for stmt in cls.node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(
+                    stmt.target, ast.Name
+                ):
+                    module_scope.check_declaration(
+                        stmt.target, stmt.target.id, stmt.annotation
+                    )
         for info in table.all_functions():
-            analyzer = _FunctionAnalyzer(
-                world,
-                src,
-                table,
-                events,
-                seen,
-                cls=info.cls,
-                signature=world.signature_of(info),
-            )
-            analyzer.run(info.node.body, _seed_env(world, info))
+            _analyze_function(world, src.path, info, events)
     events.sort(
         key=lambda e: (
             e.path,

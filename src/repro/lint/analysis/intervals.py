@@ -1,44 +1,75 @@
-"""Interval abstract interpretation over one function body.
+"""Abstract interpretation of one function body over ranges and units.
 
-This is the numeric core of simlint's I-rules: a classic interval
-domain (value ranges over floats with optionally *open* endpoints) and
-a flow-sensitive intraprocedural abstract interpreter that executes a
-function body over it — branch refinement on comparisons, widening at
-loop heads, and transfer functions for arithmetic including division.
+This is the core of simlint's U- and I-rules: a classic interval domain
+(value ranges over floats with optionally *open* endpoints) and the one
+flow-sensitive intraprocedural abstract interpreter that executes a
+function body over the product of that domain with units of measure —
+branch refinement on comparisons, widening at loop heads, transfer
+functions for arithmetic including division, and the
+:class:`repro.units.Unit` algebra riding the same walk.
 
-Open endpoints are what make the domain strong enough for the paper's
-equations: after ``if not 0.0 < p <= 1.0: raise ValueError`` the
+Open endpoints are what make the interval domain strong enough for the
+paper's equations: after ``if not 0.0 < p <= 1.0: raise ValueError`` the
 loss-event rate ``p`` is known to lie in ``(0, 1]``, which *excludes*
 zero, so ``math.sqrt(1.5 / p)`` is provably safe — while an unguarded
 ``1.0 / p`` under a ``Probability`` contract (``[0, 1]``) is provably
 dangerous as ``p -> 0`` (Bansal et al., SIGCOMM 2001, Section 5).
 
-The interpreter is deliberately client-agnostic: it knows Python
-control flow and numeric transfer functions, and defers everything
-that needs whole-program context (call resolution, annotation
-contracts, event emission) to overridable hooks.  The contracts layer
-(:mod:`repro.lint.analysis.contracts`) subclasses it; the lattice-law
-property tests exercise the domain directly.
+The unit half follows :class:`repro.units.Unit`; the one special case is
+the literal ``8`` / ``8.0``, which in a product or quotient against a
+bit- or byte-carrying operand is read as the conversion factor
+``bit/byte`` (so ``bytes * 8`` is bits, ``bits / 8`` is bytes and
+``8.0 / bandwidth_bps`` is seconds-per-byte).  Any other product mixing
+``bit`` and ``byte`` is reported.  Names anchor their unit by the
+repository's suffix convention (``_s``, ``_bps``, ``_bytes``, ...).
+
+Being flow-sensitive has two visible consequences for units: code after
+an unconditional ``return``/``raise`` is never examined, and a name
+rebound with different units on two branch arms has *no* unit after the
+join (rather than whichever assignment came last in the source).
+
+The interpreter knows Python control flow and the two algebras, and
+defers everything that needs whole-program context (call resolution,
+annotation contracts, attribute units) to overridable hooks, which
+:mod:`repro.lint.analysis.contracts` implements; the lattice-law
+property tests exercise the domains directly.
 
 Soundness conventions:
 
-* ``TOP`` (the unconstrained interval) propagates silently — hooks are
-  given every division, but a client that wants zero false positives
-  only speaks when the divisor's interval is *known*;
-* joins over-approximate (interval hull), ``int``/``round``/``//``
-  round outward to closed endpoints, and widening jumps to the nearest
-  of a small threshold set (−1, 0, 1) before giving up to infinity, so
-  loop analysis terminates in a handful of iterations.
+* unknowns propagate silently — ``TOP`` (the unconstrained interval)
+  and a ``None`` unit never fire anything, so unannotated code cannot
+  produce noise;
+* joins over-approximate (interval hull; unit kept only when both sides
+  agree), ``int``/``round``/``//`` round outward to closed endpoints,
+  and widening jumps to the nearest of a small threshold set (−1, 0, 1)
+  before giving up to infinity, so loop analysis terminates in a handful
+  of iterations.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
-from typing import Final, Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Final, Iterable, Optional, Sequence
 
-__all__ = ["Env", "Interval", "IntervalInterpreter", "TOP", "EMPTY"]
+from repro.units import BIT, BITS_PER_BYTE, BYTE, SUFFIX_UNITS, Unit
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.lint.analysis.symbols import ClassInfo
+
+__all__ = [
+    "EMPTY",
+    "Env",
+    "Event",
+    "Interpreter",
+    "Interval",
+    "TOP",
+    "UNKNOWN",
+    "Value",
+    "conversion_hint",
+    "suffix_unit",
+]
 
 _INF = math.inf
 
@@ -288,7 +319,7 @@ class Interval:
         if self.is_top:
             # |x| >= 0, but manufacturing a known lower bound out of a
             # fully unknown operand lets guarded divisions false-fire
-            # (see handle_division's known-lower-bound criterion).
+            # (see _check_division's known-lower-bound criterion).
             return TOP
         if self.lo >= 0:
             return self
@@ -430,45 +461,79 @@ def _inv_endpoint(value: float, is_open: bool, sign: float) -> tuple[float, bool
 
 
 # ---------------------------------------------------------------------------
-# The abstract environment
+# The product value and the abstract environment
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Value:
+    """Everything the interpreter knows about one expression.
+
+    A product of independent facts: the numeric range (an
+    :class:`Interval`), the unit of measure (a flat lattice — a known
+    :class:`~repro.units.Unit`, or ``None`` for unknown) and, for
+    receivers, the project class the value is an instance of.  ``join``
+    is the interval hull with unit and class kept only where both sides
+    agree; the flat components have height two, so widening — which
+    only has to act on the interval — still terminates.
+    """
+
+    interval: Interval = TOP
+    unit: Optional[Unit] = None
+    cls: Optional["ClassInfo"] = None
+
+    @property
+    def is_unknown(self) -> bool:
+        return self.interval.is_top and self.unit is None and self.cls is None
+
+    def join(self, other: "Value") -> "Value":
+        return self._merged(other, self.interval.join(other.interval))
+
+    def widen(self, newer: "Value") -> "Value":
+        return self._merged(newer, self.interval.widen(newer.interval))
+
+    def _merged(self, other: "Value", interval: Interval) -> "Value":
+        return Value(
+            interval,
+            self.unit if self.unit == other.unit else None,
+            self.cls if self.cls is other.cls else None,
+        )
+
+
+UNKNOWN: Final = Value()
+
+
 class Env:
-    """Name -> :class:`Interval`; absent names are TOP (unconstrained)."""
+    """Name -> :class:`Value`; absent names are :data:`UNKNOWN`."""
 
     __slots__ = ("vars",)
 
-    def __init__(self, vars: "Optional[dict[str, Interval]]" = None):
-        self.vars: dict[str, Interval] = dict(vars or {})
+    def __init__(self, vars: "Optional[dict[str, Value]]" = None):
+        self.vars: dict[str, Value] = dict(vars or {})
 
-    def get(self, name: str) -> Interval:
-        return self.vars.get(name, TOP)
+    def get(self, name: str) -> Value:
+        return self.vars.get(name, UNKNOWN)
 
-    def set(self, name: str, interval: Interval) -> None:
-        if interval.is_top:
+    def set(self, name: str, value: Value) -> None:
+        if value.is_unknown:
             self.vars.pop(name, None)
         else:
-            self.vars[name] = interval
+            self.vars[name] = value
 
     def copy(self) -> "Env":
         return Env(self.vars)
 
     def join(self, other: "Env") -> "Env":
-        out: dict[str, Interval] = {}
+        out = Env()
         for name in self.vars.keys() & other.vars.keys():
-            joined = self.vars[name].join(other.vars[name])
-            if not joined.is_top:
-                out[name] = joined
-        return Env(out)
+            out.set(name, self.vars[name].join(other.vars[name]))
+        return out
 
     def widen(self, newer: "Env") -> "Env":
-        out: dict[str, Interval] = {}
+        out = Env()
         for name in self.vars.keys() & newer.vars.keys():
-            widened = self.vars[name].widen(newer.vars[name])
-            if not widened.is_top:
-                out[name] = widened
-        return Env(out)
+            out.set(name, self.vars[name].widen(newer.vars[name]))
+        return out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Env) and self.vars == other.vars
@@ -506,6 +571,69 @@ def _assigned_names(node: ast.AST) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
+# Unit anchors that need no whole-program context
+# ---------------------------------------------------------------------------
+
+#: Longest suffixes first, so ``_per_s`` wins over ``_s``.
+_SUFFIXES = sorted(SUFFIX_UNITS, key=len, reverse=True)
+
+#: Builtins through which a unit passes unchanged.
+_PASSTHROUGH_CALLS = {"abs", "float", "int", "round", "min", "max"}
+
+
+def suffix_unit(name: Optional[str]) -> Optional[Unit]:
+    """The unit a name's suffix declares, if any."""
+    if not name:
+        return None
+    for suffix in _SUFFIXES:
+        if name.endswith(suffix) and len(name) > len(suffix):
+            return SUFFIX_UNITS[suffix]
+    return None
+
+
+def _literal(node: ast.expr) -> Optional[float]:
+    """The value of a bare (possibly signed) numeric literal, else None.
+
+    Literals are transparent scalars for the unit algebra — ``rtt_s *
+    0.5`` is still seconds — and the literal ``8`` is the bit/byte
+    conversion factor.  Both readings are keyed on the *syntax*: a name
+    bound to ``8`` elsewhere carries no such licence.
+    """
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _literal(node.operand)
+    if isinstance(node, ast.Constant) and not isinstance(node.value, bool):
+        if isinstance(node.value, (int, float)):
+            return float(node.value)
+    return None
+
+
+def _eight_unit(node: ast.expr, other: Unit) -> Optional[Unit]:
+    """``bit/byte`` when ``node`` is the literal 8 and can cancel against
+    a bit- or byte-carrying ``other``; else None."""
+    if _literal(node) != 8:
+        return None
+    if other.exponent("bit") == 0 and other.exponent("byte") == 0:
+        return None
+    return BITS_PER_BYTE
+
+
+def conversion_hint(a: Unit, b: Unit) -> str:
+    if {a, b} == {BIT, BYTE}:
+        return " (convert with repro.units.bytes_to_bits / bits_to_bytes)"
+    return ""
+
+
+def _describe(node: Optional[ast.AST]) -> str:
+    if node is None:
+        return "<expr>"
+    try:
+        text = ast.unparse(node)
+    except Exception:
+        return "<expr>"
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+# ---------------------------------------------------------------------------
 # The interpreter
 # ---------------------------------------------------------------------------
 
@@ -527,42 +655,70 @@ _MATH_CONSTANTS: Final = {
     "tau": Interval.point(math.tau),
 }
 
+_BOOLEAN: Final = Value(Interval(0.0, 1.0))
 
-class IntervalInterpreter:
+_COMPARABLE = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+
+@dataclass(frozen=True)
+class Event:
+    """One U- or I-rule finding, before rule-code assignment."""
+
+    kind: str  # arith | mix | arg | suffix | div | range | time | drift
+    path: str
+    node: ast.AST
+    message: str
+
+
+class Interpreter:
     """Flow-sensitive abstract execution of one function or module body.
 
-    Subclasses override the ``handle_*``/``*_interval`` hooks to plug in
-    whole-program knowledge and collect events; the base class is a pure
-    interpreter with no opinions about what is worth reporting.
+    The one statement walker behind all eight U/I rules.  It knows
+    Python control flow, the interval transfer functions and the unit
+    algebra, and reports what it can decide from an expression alone:
+    ``div`` (I001), ``arith`` for mixed-unit ``+``/``-``/comparison
+    (U001) and ``mix`` (U002).  Everything that needs whole-program
+    context — what a call resolves to, what an attribute or annotation
+    declares — is deferred to the ``handle_*``/``attribute_value`` hooks, which
+    :mod:`repro.lint.analysis.contracts` implements.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, path: str, events: list[Event]) -> None:
+        self.path = path
+        self.events = events
+        self._seen: set[tuple[int, str]] = set()
         self._break_envs: list[list[Env]] = []
         self._continue_envs: list[list[Env]] = []
 
-    # -- client hooks --------------------------------------------------------
+    def emit(self, kind: str, node: ast.AST, message: str) -> None:
+        """Record one event; loop passes revisit nodes, so deduplicate."""
+        key = (id(node), kind)
+        if key not in self._seen:
+            self._seen.add(key)
+            self.events.append(Event(kind, self.path, node, message))
 
-    def handle_division(self, node: ast.AST, divisor: Interval) -> None:
-        """Every ``/``, ``//``, ``%`` with the divisor's interval."""
+    # -- whole-program hooks -------------------------------------------------
 
-    def handle_return(self, stmt: ast.Return, value: Interval) -> None:
-        """Every ``return expr`` with the returned interval."""
+    def handle_return(self, stmt: ast.Return, value: Value) -> None:
+        """Every ``return expr`` with the returned value."""
 
-    def handle_call(self, call: ast.Call, env: Env) -> None:
-        """Every call expression, after its arguments were evaluated."""
+    def handle_call(
+        self, call: ast.Call, arguments: "dict[ast.expr, Value]", env: Env
+    ) -> Value:
+        """Every call expression, with its evaluated positional and
+        keyword arguments; returns what the callee declares it returns
+        (used where the interpreter has no transfer function)."""
+        return UNKNOWN
 
-    def call_interval(self, call: ast.Call, env: Env) -> Interval:
-        """Result interval of an unrecognized call (default: TOP)."""
-        return TOP
-
-    def attribute_interval(self, node: ast.Attribute, env: Env) -> Interval:
-        """Interval of an attribute read (default: TOP)."""
-        return TOP
+    def attribute_value(self, node: ast.Attribute, env: Env) -> Value:
+        """Value of an attribute read."""
+        return UNKNOWN
 
     def handle_assign(
-        self, target: ast.expr, value: Interval, stmt: ast.stmt, env: Env
-    ) -> None:
-        """Every single-target assignment, after evaluation."""
+        self, target: ast.expr, value: Value, stmt: ast.stmt, env: Env
+    ) -> Value:
+        """Every Name/Attribute binding; returns the value to store."""
+        return value
 
     # -- driving -------------------------------------------------------------
 
@@ -588,24 +744,24 @@ class IntervalInterpreter:
                 self._bind(target, value, stmt, env)
             return env
         if isinstance(stmt, ast.AnnAssign):
-            value = self.eval(stmt.value, env) if stmt.value is not None else TOP
-            if stmt.value is not None:
-                self._bind(stmt.target, value, stmt, env)
+            # A bare ``x: Seconds`` still declares: bind it as unknown.
+            self._bind(stmt.target, self.eval(stmt.value, env), stmt, env)
             return env
         if isinstance(stmt, ast.AugAssign):
-            current = self._read_target(stmt.target, env)
+            current = self.eval(stmt.target, env)
             operand = self.eval(stmt.value, env)
-            result = self._binop_interval(stmt, stmt.op, current, operand)
+            result = self._binop(
+                stmt, stmt.op, stmt.target, current, stmt.value, operand
+            )
             self._bind(stmt.target, result, stmt, env)
             return env
         if isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                value = self.eval(stmt.value, env)
-                self.handle_return(stmt, value)
+                self.handle_return(stmt, self.eval(stmt.value, env))
             return None
         if isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self.eval(stmt.exc, env)
+            self.eval(stmt.exc, env)
+            self.eval(stmt.cause, env)
             return None
         if isinstance(stmt, ast.If):
             return self._exec_if(stmt, env)
@@ -619,7 +775,7 @@ class IntervalInterpreter:
             for item in stmt.items:
                 self.eval(item.context_expr, env)
                 if item.optional_vars is not None:
-                    self._bind(item.optional_vars, TOP, stmt, env)
+                    self._bind(item.optional_vars, UNKNOWN, stmt, env)
             return self._exec_block(stmt.body, env)
         if isinstance(stmt, ast.Assert):
             self.eval(stmt.test, env)
@@ -636,18 +792,25 @@ class IntervalInterpreter:
                 self._continue_envs[-1].append(env.copy())
             return None
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            env.set(stmt.name, TOP)
+            # The body is its own scope, but decorators and defaults run
+            # here, in the enclosing one.
+            for decorator in stmt.decorator_list:
+                self.eval(decorator, env)
+            if not isinstance(stmt, ast.ClassDef):
+                for default in (*stmt.args.defaults, *stmt.args.kw_defaults):
+                    self.eval(default, env)
+            env.set(stmt.name, UNKNOWN)
             return env
         if isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
-                    env.set(target.id, TOP)
+                    env.set(target.id, UNKNOWN)
             return env
         if isinstance(stmt, ast.Match):
             self.eval(stmt.subject, env)
             havoc = env.copy()
             for name in _assigned_names(stmt):
-                havoc.set(name, TOP)
+                havoc.set(name, UNKNOWN)
             outs = [
                 self._exec_block(case.body, havoc.copy()) for case in stmt.cases
             ]
@@ -688,7 +851,7 @@ class IntervalInterpreter:
             self._continue_envs.pop()
 
     def _exec_for(self, stmt: ast.For, env: Env) -> Optional[Env]:
-        iter_interval = self._iterable_element_interval(stmt.iter, env)
+        element = Value(self._iterable_element_interval(stmt.iter, env))
         self.eval(stmt.iter, env)
         self._break_envs.append([])
         self._continue_envs.append([])
@@ -696,7 +859,7 @@ class IntervalInterpreter:
         try:
             for iteration in range(MAX_LOOP_PASSES):
                 body_in = head.copy()
-                self._bind(stmt.target, iter_interval, stmt, body_in)
+                self._bind(stmt.target, element, stmt, body_in)
                 self._continue_envs[-1] = []
                 body_out = self._exec_block(stmt.body, body_in)
                 body_out = _join_envs(body_out, *self._continue_envs[-1])
@@ -722,7 +885,7 @@ class IntervalInterpreter:
             and not node.keywords
             and 1 <= len(node.args) <= 3
         ):
-            args = [self.eval(a, env) for a in node.args]
+            args = [self.eval(a, env).interval for a in node.args]
             if len(args) == 1:
                 start, stop = Interval.point(0.0), args[0]
             else:
@@ -735,7 +898,7 @@ class IntervalInterpreter:
     def _exec_try(self, stmt: ast.Try, env: Env) -> Optional[Env]:
         havoc = env.copy()
         for name in _assigned_names(stmt):
-            havoc.set(name, TOP)
+            havoc.set(name, UNKNOWN)
         body_out = self._exec_block(stmt.body, env.copy())
         if stmt.orelse and body_out is not None:
             body_out = self._exec_block(stmt.orelse, body_out)
@@ -754,71 +917,75 @@ class IntervalInterpreter:
     # -- binding -------------------------------------------------------------
 
     def _bind(
-        self, target: ast.expr, value: Interval, stmt: ast.stmt, env: Env
+        self, target: ast.expr, value: Value, stmt: ast.stmt, env: Env
     ) -> None:
         if isinstance(target, ast.Name):
-            env.set(target.id, value)
-            self.handle_assign(target, value, stmt, env)
+            env.set(target.id, self.handle_assign(target, value, stmt, env))
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._bind(element, TOP, stmt, env)
+                self._bind(element, UNKNOWN, stmt, env)
         elif isinstance(target, ast.Starred):
-            self._bind(target.value, TOP, stmt, env)
+            self._bind(target.value, UNKNOWN, stmt, env)
         elif isinstance(target, ast.Attribute):
             self.handle_assign(target, value, stmt, env)
         # Subscript targets carry no name-level information.
 
-    def _read_target(self, target: ast.expr, env: Env) -> Interval:
-        if isinstance(target, ast.Name):
-            return env.get(target.id)
-        if isinstance(target, ast.Attribute):
-            return self.attribute_interval(target, env)
-        return TOP
-
     # -- expressions ---------------------------------------------------------
 
-    def eval(self, node: Optional[ast.expr], env: Env) -> Interval:
+    def eval(self, node: Optional[ast.expr], env: Env) -> Value:
         if node is None:
-            return TOP
+            return UNKNOWN
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
-                return Interval.point(float(node.value))
-            if isinstance(node.value, (int, float)):
-                return Interval.point(float(node.value))
-            return TOP
+            if isinstance(node.value, (bool, int, float)):
+                return Value(Interval.point(float(node.value)))
+            return UNKNOWN
         if isinstance(node, ast.Name):
-            return env.get(node.id)
+            value = env.get(node.id)
+            if value.unit is None:
+                declared = suffix_unit(node.id)
+                if declared is not None:
+                    return replace(value, unit=declared)
+            return value
         if isinstance(node, ast.Attribute):
             root = node.value
-            if isinstance(root, ast.Name) and root.id == "math":
-                constant = _MATH_CONSTANTS.get(node.attr)
-                if constant is not None:
-                    return constant
-            return self.attribute_interval(node, env)
+            if isinstance(root, ast.Name):
+                if root.id == "math" and node.attr in _MATH_CONSTANTS:
+                    return Value(_MATH_CONSTANTS[node.attr])
+            else:
+                self.eval(root, env)  # calls/divisions inside the receiver
+            return self.attribute_value(node, env)
         if isinstance(node, ast.UnaryOp):
             operand = self.eval(node.operand, env)
             if isinstance(node.op, ast.USub):
-                return operand.neg()
+                return Value(operand.interval.neg(), operand.unit)
             if isinstance(node.op, ast.UAdd):
                 return operand
             if isinstance(node.op, ast.Not):
-                return Interval.make(0.0, 1.0)
-            return TOP
+                return _BOOLEAN
+            return UNKNOWN
         if isinstance(node, ast.BinOp):
             left = self.eval(node.left, env)
             right = self.eval(node.right, env)
-            return self._binop_interval(node, node.op, left, right, env)
+            return self._binop(node, node.op, node.left, left, node.right, right)
         if isinstance(node, ast.BoolOp):
-            values = [self.eval(v, env) for v in node.values]
-            out = values[0]
-            for v in values[1:]:
-                out = out.join(v)
-            return out
+            return _alternatives([self.eval(v, env) for v in node.values])
         if isinstance(node, ast.Compare):
-            self.eval(node.left, env)
-            for comparator in node.comparators:
-                self.eval(comparator, env)
-            return Interval.make(0.0, 1.0)
+            operands = [node.left, *node.comparators]
+            units = [self.eval(operand, env).unit for operand in operands]
+            for op, left, right in zip(node.ops, units, units[1:]):
+                if (
+                    isinstance(op, _COMPARABLE)
+                    and left is not None
+                    and right is not None
+                    and not left.compatible(right)
+                ):
+                    self.emit(
+                        "arith",
+                        node,
+                        f"compares incompatible units: {left} vs {right}"
+                        + conversion_hint(left, right),
+                    )
+            return _BOOLEAN
         if isinstance(node, ast.IfExp):
             self.eval(node.test, env)
             then_env = self.refine(env.copy(), node.test, True)
@@ -829,27 +996,42 @@ class IntervalInterpreter:
             if else_env is not None:
                 branches.append(self.eval(node.orelse, else_env))
             if not branches:
-                return EMPTY
-            out = branches[0]
-            for b in branches[1:]:
-                out = out.join(b)
-            return out
+                return Value(EMPTY)
+            return _alternatives(branches)
         if isinstance(node, ast.Call):
             return self._eval_call(node, env)
         # Subscripts, containers, comprehensions, f-strings, lambdas...:
-        # walk child expressions so nested divisions are still seen.
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr) and not isinstance(node, ast.Lambda):
-                self.eval(child, env)
-        return TOP
+        # walk child expressions so nested operations are still seen.
+        if not isinstance(node, ast.Lambda):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.expr):
+                    self.eval(child, env)
+                elif isinstance(child, ast.comprehension):
+                    self.eval(child.iter, env)
+                    for condition in child.ifs:
+                        self.eval(condition, env)
+        return UNKNOWN
 
-    def _binop_interval(
+    # -- arithmetic ----------------------------------------------------------
+
+    def _binop(
         self,
         node: ast.AST,
         op: ast.operator,
-        left: Interval,
-        right: Interval,
-        env: Optional[Env] = None,
+        left_node: ast.expr,
+        left: Value,
+        right_node: ast.expr,
+        right: Value,
+    ) -> Value:
+        """``left op right`` in both domains; ``node`` is the BinOp or
+        AugAssign the events are pinned to."""
+        return Value(
+            self._binop_interval(node, op, left.interval, right.interval),
+            self._binop_unit(node, op, left_node, left.unit, right_node, right.unit),
+        )
+
+    def _binop_interval(
+        self, node: ast.AST, op: ast.operator, left: Interval, right: Interval
     ) -> Interval:
         if isinstance(op, ast.Add):
             return left.add(right)
@@ -858,7 +1040,7 @@ class IntervalInterpreter:
         if isinstance(op, ast.Mult):
             return left.mul(right)
         if isinstance(op, (ast.Div, ast.FloorDiv, ast.Mod)):
-            self.handle_division(node, right)
+            self._check_division(node, right)
             if isinstance(op, ast.Div):
                 return left.div(right)
             if isinstance(op, ast.FloorDiv):
@@ -870,6 +1052,86 @@ class IntervalInterpreter:
         if isinstance(op, ast.Pow):
             return self._pow_interval(left, right)
         return TOP
+
+    def _check_division(self, node: ast.AST, divisor: Interval) -> None:
+        if divisor.is_empty or not divisor.contains_zero:
+            return
+        # Only speak when the lower bound is *known*: an unconstrained
+        # or half-refined divisor (TOP, (-inf, c]) stays silent, so
+        # unannotated code can never produce noise.
+        if divisor.lo == -_INF:
+            return
+        divisor_expr: Optional[ast.AST] = None
+        if isinstance(node, ast.BinOp):
+            divisor_expr = node.right
+        elif isinstance(node, ast.AugAssign):
+            divisor_expr = node.value
+        self.emit(
+            "div",
+            node,
+            f"divides by {_describe(divisor_expr)!r} whose interval {divisor} "
+            "includes 0 with no dominating guard (raise, clamp, or test the "
+            "divisor before dividing)",
+        )
+
+    def _binop_unit(
+        self,
+        node: ast.AST,
+        op: ast.operator,
+        left_node: ast.expr,
+        left: Optional[Unit],
+        right_node: ast.expr,
+        right: Optional[Unit],
+    ) -> Optional[Unit]:
+        """The unit algebra.  Unknown operands propagate silently: only
+        two *known* units can disagree, so partial annotation coverage
+        never manufactures a mismatch."""
+        if isinstance(op, (ast.Add, ast.Sub)):
+            if left is not None and right is not None:
+                if left.compatible(right):
+                    return left
+                verb = "adds" if isinstance(op, ast.Add) else "subtracts"
+                if isinstance(node, ast.AugAssign):
+                    message = f"{verb} {right} in place to a {left} quantity"
+                else:
+                    message = f"{verb} incompatible units: {left} and {right}"
+                self.emit("arith", node, message + conversion_hint(left, right))
+                return None
+            if left is not None and _literal(right_node) is not None:
+                return left
+            if right is not None and _literal(left_node) is not None:
+                return right
+            return None
+        if isinstance(op, ast.Mod):
+            return left
+        if not isinstance(op, (ast.Mult, ast.Div, ast.FloorDiv)):
+            return None
+        dividing = not isinstance(op, ast.Mult)
+        # A literal is a transparent scalar — except the factor-8
+        # conversion: a literal 8 against a bit/byte-carrying operand is
+        # the unit bit/byte, oriented so the product cancels.
+        if right is not None and _literal(left_node) is not None:
+            left = _eight_unit(left_node, right)
+            if left is None:
+                return right.inverse() if dividing else right
+        elif left is not None and _literal(right_node) is not None:
+            right = _eight_unit(right_node, left)
+            if right is None:
+                return left
+        if left is None or right is None:
+            return None
+        result = left.div(right) if dividing else left.mul(right)
+        if result.mixes_bits_and_bytes:
+            self.emit(
+                "mix",
+                node,
+                f"{'divides' if dividing else 'multiplies'} {left} "
+                f"{'by' if dividing else 'and'} {right} leaving "
+                f"{result}: bits and bytes mixed without the "
+                "factor-8 conversion (see repro.units.CONVERSIONS)",
+            )
+            return None
+        return result
 
     def _pow_interval(self, base: Interval, exponent: Interval) -> Interval:
         if base.is_empty or exponent.is_empty:
@@ -900,51 +1162,72 @@ class IntervalInterpreter:
             return Interval.make(0.0, _INF, False, True)
         return TOP
 
-    def _eval_call(self, call: ast.Call, env: Env) -> Interval:
-        args = [self.eval(a, env) for a in call.args if not isinstance(a, ast.Starred)]
+    # -- calls ---------------------------------------------------------------
+
+    def _eval_call(self, call: ast.Call, env: Env) -> Value:
+        func = call.func
+        if isinstance(func, ast.Attribute) and not isinstance(func.value, ast.Name):
+            self.eval(func.value, env)  # a.b(x).c(y): the inner call
+        arguments: dict[ast.expr, Value] = {}
         for a in call.args:
             if isinstance(a, ast.Starred):
                 self.eval(a.value, env)
+            else:
+                arguments[a] = self.eval(a, env)
+        args = list(arguments.values())
         for kw in call.keywords:
-            self.eval(kw.value, env)
-        self.handle_call(call, env)
+            arguments[kw.value] = self.eval(kw.value, env)
+        declared = self.handle_call(call, arguments, env)
+        interval = self._builtin_interval(call, [a.interval for a in args])
+        if isinstance(func, ast.Name) and func.id in _PASSTHROUGH_CALLS and args:
+            return Value(
+                interval if interval is not None else TOP, _agreed_unit(args)
+            )
+        return Value(interval) if interval is not None else declared
+
+    def _builtin_interval(
+        self, call: ast.Call, args: list[Interval]
+    ) -> Optional[Interval]:
+        """Transfer functions of the numeric builtins and ``math.*``;
+        None for every other callee."""
         func = call.func
-        simple = None
-        if isinstance(func, ast.Name):
-            simple = func.id
-        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            if func.value.id == "math":
-                simple = func.attr
-                if simple in _MONOTONE_MATH and len(args) == 1:
-                    fn, domain = _MONOTONE_MATH[simple]
-                    return args[0].monotone(fn, domain)
-                if simple == "fabs" and len(args) == 1:
-                    return args[0].absolute()
-                if simple in ("floor", "ceil", "trunc") and len(args) == 1:
-                    return args[0].outward_int()
-                if simple == "pow" and len(args) == 2:
-                    return self._pow_interval(args[0], args[1])
-                return self.call_interval(call, env)
-        if simple in ("min", "max") and len(args) >= 2 and not call.keywords:
+        if isinstance(func, ast.Attribute):
+            if not (isinstance(func.value, ast.Name) and func.value.id == "math"):
+                return None
+            name = func.attr
+            if name in _MONOTONE_MATH and len(args) == 1:
+                fn, domain = _MONOTONE_MATH[name]
+                return args[0].monotone(fn, domain)
+            if name == "fabs" and len(args) == 1:
+                return args[0].absolute()
+            if name in ("floor", "ceil", "trunc") and len(args) == 1:
+                return args[0].outward_int()
+            if name == "pow" and len(args) == 2:
+                return self._pow_interval(args[0], args[1])
+            return None
+        if not isinstance(func, ast.Name):
+            return None
+        name = func.id
+        if name in ("min", "max") and len(args) >= 2 and not call.keywords:
             out = args[0]
             for other in args[1:]:
-                out = _interval_min(out, other) if simple == "min" else _interval_max(
+                out = _interval_min(out, other) if name == "min" else _interval_max(
                     out, other
                 )
             return out
-        if simple == "abs" and len(args) == 1:
+        if name == "abs" and len(args) == 1:
             return args[0].absolute()
-        if simple == "float" and len(args) == 1:
+        if name == "float" and len(args) == 1:
             return args[0]
-        if simple in ("int", "round") and args:
+        if name in ("int", "round") and args:
             return args[0].outward_int()
-        if simple == "len":
+        if name == "len":
             # len() >= 0 is true but useless here: the emptiness guards
             # that protect divisions by len(xs) are container-truthiness
             # tests this numeric analysis cannot see, so a known lower
             # bound of 0 only produces false I001 findings.
             return TOP
-        return self.call_interval(call, env)
+        return None
 
     # -- branch refinement ---------------------------------------------------
 
@@ -973,21 +1256,28 @@ class IntervalInterpreter:
         if isinstance(test, ast.Compare):
             return self._refine_compare(env, test, assume)
         if isinstance(test, ast.Name):
-            interval = env.get(test.id)
-            if interval.is_top:
+            current = env.get(test.id)
+            if current.interval.is_top:
                 return env  # could be None/str/...; numeric truthiness unsafe
-            refined = (
-                interval.assume_ne(Interval.point(0.0))
+            zero = Interval.point(0.0)
+            return self._narrow(
+                env,
+                test.id,
+                current.interval.assume_ne(zero)
                 if assume
-                else interval.meet(Interval.point(0.0))
+                else current.interval.meet(zero),
             )
-            if refined.is_empty:
-                return None
-            env.set(test.id, refined)
-            return env
         if isinstance(test, ast.Constant):
             truthy = bool(test.value)
             return env if truthy == assume else None
+        return env
+
+    @staticmethod
+    def _narrow(env: Env, name: str, interval: Interval) -> Optional[Env]:
+        """Refine one name's range in place; None when it became empty."""
+        if interval.is_empty:
+            return None
+        env.set(name, replace(env.get(name), interval=interval))
         return env
 
     def _refine_compare(
@@ -1045,10 +1335,10 @@ class IntervalInterpreter:
     ) -> Optional[Env]:
         if not isinstance(name_side, ast.Name):
             return env
-        bound = self.eval(bound_side, env)
+        bound = self.eval(bound_side, env).interval
         if bound.is_empty:
             return None
-        current = env.get(name_side.id)
+        current = env.get(name_side.id).interval
         if kind is ast.Lt:
             refined = current.assume_lt(bound)
         elif kind is ast.LtE:
@@ -1063,10 +1353,30 @@ class IntervalInterpreter:
             refined = current.assume_ne(bound)
         else:
             return env
-        if refined.is_empty:
-            return None
-        env.set(name_side.id, refined)
-        return env
+        return self._narrow(env, name_side.id, refined)
+
+
+def _agreed_unit(values: Sequence[Value]) -> Optional[Unit]:
+    """The unit of ``min(a, b)`` / ``a if c else b`` / ``a or b``.
+
+    The operands of one such expression are meant as the same quantity,
+    so those of unknown unit (a literal, an untyped name) adopt the unit
+    the known ones agree on.  This is deliberately more generous than
+    the statement-level join, where a unit survives only if *every*
+    path carries it.
+    """
+    units = [value.unit for value in values if value.unit is not None]
+    if units and all(units[0].compatible(unit) for unit in units[1:]):
+        return units[0]
+    return None
+
+
+def _alternatives(values: Sequence[Value]) -> Value:
+    """One of several values: the hull of the ranges, the agreed unit."""
+    out = values[0]
+    for value in values[1:]:
+        out = out.join(value)
+    return replace(out, unit=_agreed_unit(values))
 
 
 def _interval_min(a: Interval, b: Interval) -> Interval:

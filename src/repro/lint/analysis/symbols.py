@@ -83,9 +83,13 @@ class FunctionInfo:
         return names
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassInfo:
-    """One class definition: methods plus base-class names as written."""
+    """One class definition: methods plus base-class names as written.
+
+    Compared by identity: two infos are the same class only when they
+    are the same object.
+    """
 
     module: "ModuleTable"
     name: str
@@ -221,6 +225,8 @@ class Program:
                 return module.functions[head]
             if head in module.classes:
                 return module.classes[head]
+        elif head in module.classes:
+            return module.classes[head].methods.get(rest)
         target = module.imports.get(head)
         if target is None:
             return None

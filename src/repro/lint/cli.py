@@ -7,18 +7,13 @@ Usage::
     python -m repro.lint src --format sarif   # SARIF 2.1.0 (CI upload)
     python -m repro.lint src --select U001,U002
     python -m repro.lint src --ignore E001
-    python -m repro.lint src --baseline lint-baseline.json
-    python -m repro.lint src --write-baseline lint-baseline.json
     python -m repro.lint --list-rules
     python -m repro.lint --explain I001       # rationale + examples
     python -m repro.lint src --stats          # per-rule wall time
 
 Exit status: 0 clean, 1 findings, 2 usage error.  Inline suppressions
 use ``# simlint: disable=CODE`` (``CODE(reason)`` where a justification
-is required — see ``docs/linting.md``).  ``--baseline`` suppresses the
-findings recorded in the given file (by content fingerprint) so new
-rules can be adopted incrementally; ``--write-baseline`` records the
-current findings and exits 0.
+is required — see ``docs/linting.md``).
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ import sys
 from typing import Optional, Sequence
 
 import repro.lint.rules  # noqa: F401  (register every rule)
-from repro.lint.baseline import Baseline
 from repro.lint.engine import lint_paths
 from repro.lint.registry import RULES, resolve_codes
 from repro.lint.sarif import to_sarif
@@ -129,17 +123,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="alias for --format json",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress the findings recorded in FILE (content "
-        "fingerprints); stale entries are reported but never fail",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings into FILE and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="describe every registered rule and exit",
@@ -182,30 +165,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
 
-    baseline: Optional[Baseline] = None
-    if args.baseline is not None and args.write_baseline is None:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro.lint: {exc}", file=sys.stderr)
-            return 2
-
     try:
-        report = lint_paths(args.paths, select=select, ignore=ignore, baseline=baseline)
+        report = lint_paths(args.paths, select=select, ignore=ignore)
     except FileNotFoundError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline is not None:
-        Baseline.from_findings(report.findings).dump(args.write_baseline)
-        print(
-            f"simlint: wrote {len(report.findings)} finding(s) to "
-            f"baseline {args.write_baseline}"
-        )
-        return 0
-
-    for stale in report.stale_baseline:
-        print(f"repro.lint: stale baseline entry: {stale}", file=sys.stderr)
 
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -224,13 +188,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     suppressed = (
         f", {report.suppressed} suppressed" if report.suppressed else ""
     )
-    baselined = (
-        f", {report.baselined} baselined" if report.baselined else ""
-    )
-    print(
-        f"simlint: {summary} in {report.files_checked} file(s)"
-        f"{suppressed}{baselined}"
-    )
+    print(f"simlint: {summary} in {report.files_checked} file(s){suppressed}")
     if args.stats:
         print(_format_stats(report.timings))
     return 0 if report.ok else 1

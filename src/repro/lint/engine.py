@@ -3,15 +3,15 @@
 The engine owns everything rule-agnostic: walking paths to ``.py``
 files, parsing each into a :class:`SourceFile` (AST + raw text +
 suppression index), running per-file and project rules, and filtering
-findings through the inline-suppression index and the optional
-baseline.  Rules never see the suppression machinery — they report
-everything, and the engine decides what the developer has justified
-away.
+findings through the inline-suppression index.  Rules never see the
+suppression machinery — they report everything, and the engine decides
+what the developer has justified away.
 
 Project rules share one :class:`LintContext` per run: the whole-program
-analyses (symbol tables, unit events, purity reachability) are built
-lazily on first request and cached there, so the four U-rules and two
-F-rules together cost one analysis pass, not six.
+analyses (symbol tables, the unit/interval contract events, purity
+reachability) are built lazily on first request and cached there, so
+the eight U/I-rules cost one abstract-interpretation pass and the two
+F-rules one reachability pass.
 
 Two entry points matter to callers:
 
@@ -35,11 +35,9 @@ from repro.lint.registry import RULES, Rule
 from repro.lint.suppress import SuppressionIndex, parse_suppressions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.analysis.contracts import IntervalEvent
+    from repro.lint.analysis.intervals import Event
     from repro.lint.analysis.purity import PurityAnalysis
     from repro.lint.analysis.symbols import Program
-    from repro.lint.analysis.unitcheck import UnitEvent
-    from repro.lint.baseline import Baseline
 
 __all__ = [
     "LintContext",
@@ -107,16 +105,15 @@ class LintContext:
     """Per-run shared state for project rules.
 
     Whole-program analyses are expensive (symbol tables over every file,
-    unit inference, call-graph reachability); the engine builds one
-    context per run and hands it to every project rule, which memoizes
-    each analysis on first use.
+    abstract interpretation, call-graph reachability); the engine builds
+    one context per run and hands it to every project rule, which
+    memoizes each analysis on first use.
     """
 
     def __init__(self, files: Sequence["SourceFile"]):
         self.files = list(files)
         self._program: Optional["Program"] = None
-        self._unit_events: dict[tuple[str, ...], list["UnitEvent"]] = {}
-        self._interval_events: dict[tuple[str, ...], list["IntervalEvent"]] = {}
+        self._contract_events: dict[tuple[str, ...], list["Event"]] = {}
         self._purity: Optional["PurityAnalysis"] = None
 
     @property
@@ -128,25 +125,20 @@ class LintContext:
             self._program = build_program(self.files)
         return self._program
 
-    def unit_events(self, scope: Sequence[str]) -> list["UnitEvent"]:
-        """Unit-mismatch events for files inside ``scope`` packages."""
-        key = tuple(scope)
-        if key not in self._unit_events:
-            from repro.lint.analysis.unitcheck import analyze_units
+    def contract_events(self, scope: Sequence[str]) -> list["Event"]:
+        """Unit and interval events for files inside ``scope`` packages.
 
-            self._unit_events[key] = analyze_units(self.program, self.files, key)
-        return self._unit_events[key]
-
-    def interval_events(self, scope: Sequence[str]) -> list["IntervalEvent"]:
-        """Interval/contract events for files inside ``scope`` packages."""
+        One abstract-interpretation pass serves all eight U/I rules;
+        each rule picks its own event kind out of the result.
+        """
         key = tuple(scope)
-        if key not in self._interval_events:
+        if key not in self._contract_events:
             from repro.lint.analysis.contracts import analyze_contracts
 
-            self._interval_events[key] = analyze_contracts(
+            self._contract_events[key] = analyze_contracts(
                 self.program, self.files, key
             )
-        return self._interval_events[key]
+        return self._contract_events[key]
 
     @property
     def purity(self) -> "PurityAnalysis":
@@ -165,10 +157,6 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Findings absorbed by the ``--baseline`` file, if one was given.
-    baselined: int = 0
-    #: Human descriptions of baseline entries nothing matched anymore.
-    stale_baseline: list[str] = field(default_factory=list)
     #: Wall time spent per rule code, in seconds (``--stats``).  A
     #: project rule that triggers a shared LintContext analysis build
     #: pays for that build; later rules reusing the cache read ~0.
@@ -192,8 +180,6 @@ class LintReport:
             "ok": self.ok,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
-            "stale_baseline": list(self.stale_baseline),
             "counts": self.counts(),
             "findings": [f.as_dict() for f in self.findings],
         }
@@ -263,7 +249,6 @@ def lint_files(
     files: Sequence[SourceFile],
     select: "set[str] | None" = None,
     ignore: "set[str] | None" = None,
-    baseline: "Baseline | None" = None,
 ) -> LintReport:
     """Run the active rules over parsed files and filter suppressions."""
     report = LintReport(files_checked=len(files))
@@ -304,11 +289,6 @@ def lint_files(
         if kept is not None:
             report.findings.append(kept)
     report.findings.sort(key=Finding.sort_key)
-    if baseline is not None:
-        kept_findings, baselined, stale = baseline.apply(report.findings)
-        report.findings = kept_findings
-        report.baselined = baselined
-        report.stale_baseline = stale
     return report
 
 
@@ -316,7 +296,6 @@ def lint_sources(
     sources: Mapping[str, str],
     select: "set[str] | None" = None,
     ignore: "set[str] | None" = None,
-    baseline: "Baseline | None" = None,
 ) -> LintReport:
     """Lint in-memory ``{virtual_path: source_text}`` modules.
 
@@ -325,15 +304,14 @@ def lint_sources(
     real ``repro.net`` package.
     """
     files = [SourceFile.from_text(text, path) for path, text in sources.items()]
-    return lint_files(files, select=select, ignore=ignore, baseline=baseline)
+    return lint_files(files, select=select, ignore=ignore)
 
 
 def lint_paths(
     paths: Sequence["str | os.PathLike[str]"],
     select: "set[str] | None" = None,
     ignore: "set[str] | None" = None,
-    baseline: "Baseline | None" = None,
 ) -> LintReport:
     """Lint files and directory trees on disk."""
     files = [SourceFile.from_disk(p) for p in walk_paths(paths)]
-    return lint_files(files, select=select, ignore=ignore, baseline=baseline)
+    return lint_files(files, select=select, ignore=ignore)

@@ -14,8 +14,8 @@ from typing import Any
 __all__ = ["Finding", "JSON_SCHEMA_VERSION"]
 
 #: Bump when the ``--json`` report layout changes shape.
-#: v2: added ``baselined`` and ``stale_baseline`` to the report payload.
-JSON_SCHEMA_VERSION = 2
+#: v3: dropped ``baselined`` and ``stale_baseline`` (the baseline layer is gone).
+JSON_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

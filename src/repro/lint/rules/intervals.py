@@ -4,9 +4,9 @@ The figure tables depend on quantities that must stay inside known
 ranges — loss-event rates and drop probabilities in ``[0, 1]``, rates
 non-negative, scheduling delays non-negative — and on divisions whose
 denominators legitimately approach zero (the TCP response function
-divides by ``p``; Bansal et al., SIGCOMM 2001).  These rules run the
-interval abstract interpreter in
-:mod:`repro.lint.analysis.intervals`, seeded from the
+divides by ``p``; Bansal et al., SIGCOMM 2001).  These rules read the
+interval half of the abstract interpretation in
+:mod:`repro.lint.analysis.contracts`, seeded from the
 :mod:`repro.contracts` ``Annotated`` range aliases, over the protocol
 packages:
 
@@ -22,19 +22,17 @@ I004  contract drift: a signature declares a range the body's clamps
       provably escape (``return min(x, 1.5)`` under ``Probability``)
 ====  ==================================================================
 
-All four are project rules sharing one analysis build through the
-engine's :class:`~repro.lint.engine.LintContext`.  Unknown intervals
+All four are project rules sharing one analysis build — the same one
+the U-rules read — through the engine's
+:class:`~repro.lint.engine.LintContext`.  Unknown intervals
 stay silent — only *provable* facts are reported, so unannotated code
 can never produce noise.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
-from repro.lint.engine import LintContext, SourceFile
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, rule
+from repro.lint.registry import rule
+from repro.lint.rules.units import ContractRule
 
 __all__ = [
     "INTERVAL_SCOPE",
@@ -54,24 +52,8 @@ INTERVAL_SCOPE = (
 )
 
 
-class _IntervalRule(Rule):
-    """Shared plumbing: pull this rule's event kind from the context."""
-
-    kind = ""
+class _IntervalRule(ContractRule):
     scope = INTERVAL_SCOPE
-    project = True
-
-    def check_project(
-        self, files: Sequence[SourceFile], context: LintContext
-    ) -> Iterator[Finding]:
-        by_path = {src.path: src for src in files}
-        for event in context.interval_events(INTERVAL_SCOPE):
-            if event.kind != self.kind:
-                continue
-            src = by_path.get(event.path)
-            if src is None:
-                continue
-            yield self.finding(src, event.node, event.message)
 
 
 @rule

@@ -5,10 +5,9 @@ what code-scanning UIs ingest — GitHub's security tab, VS Code's SARIF
 viewer, most CI annotators.  ``python -m repro.lint --format sarif``
 emits one run with simlint as the tool driver, every registered rule
 described in ``tool.driver.rules``, and one ``result`` per finding with
-a physical location (URI + region).  Baselined and inline-suppressed
-findings are *absent* (the report reflects what fails the run), but the
-counts are preserved in the run's ``properties`` bag, as are stale
-baseline entries.
+a physical location (URI + region).  Inline-suppressed findings are
+*absent* (the report reflects what fails the run), but their count is
+preserved in the run's ``properties`` bag.
 
 :func:`validate_sarif` is a hand-rolled structural validator for the
 subset of the SARIF 2.1.0 schema this module emits: the test suite
@@ -102,8 +101,6 @@ def to_sarif(
                 "properties": {
                     "filesChecked": report.files_checked,
                     "suppressed": report.suppressed,
-                    "baselined": report.baselined,
-                    "staleBaselineEntries": list(report.stale_baseline),
                 },
             }
         ],

@@ -15,3 +15,19 @@ def caller() -> float:
 def bad_return() -> Probability:
     # -0.25 is provably outside the declared [0, 1] return contract.
     return -0.25
+
+
+class Dropper:
+    def set_p(self, p: Probability) -> None:
+        self.p = p
+
+
+def typed_receiver(d: Dropper) -> None:
+    # The receiver's class comes from the parameter annotation.
+    d.set_p(1.5)
+
+
+def constructed_receiver() -> None:
+    # The receiver's class comes from the constructor call.
+    d = Dropper()
+    d.set_p(1.5)

@@ -1,8 +1,8 @@
 """Tests for the declarative contracts layer (``repro.contracts``).
 
-Covers the :class:`Range` semantics the I-rules depend on, consistency
-between the ``Annotated`` aliases and the name-based lookup tables that
-simlint consumes, and the ``@checked`` debug-enforcement gate.
+Covers the :class:`Range` semantics the I-rules depend on, the shape of
+the ``Annotated`` aliases and the name-keyed table simlint derives from
+them, and the ``@checked`` debug-enforcement gate.
 """
 
 import math
@@ -15,12 +15,18 @@ import pytest
 
 from repro import contracts
 from repro.contracts import (
-    ALIAS_RANGES,
-    ALIAS_UNITS,
     ContractViolation,
     Range,
     checked,
     contracts_enabled,
+)
+from repro.lint.analysis.contracts import ALIASES
+
+#: The contract aliases, found the way a reader would: by their type.
+CONTRACT_ALIASES = sorted(
+    name
+    for name, value in vars(contracts).items()
+    if typing.get_origin(value) is typing.Annotated
 )
 
 
@@ -76,14 +82,19 @@ class TestRange:
 
 
 class TestAliasTables:
-    """The name-based tables must mirror the ``Annotated`` metadata —
-    simlint resolves aliases by leaf name and must never disagree with
-    what ``typing.get_type_hints`` would see."""
+    """simlint resolves aliases by name through a table it derives from
+    the alias definitions — it must cover every alias and never disagree
+    with what ``typing.get_type_hints`` would see."""
 
     def test_tables_cover_the_same_aliases(self):
-        assert set(ALIAS_UNITS) == set(ALIAS_RANGES)
+        derived = {n for n, a in ALIASES.items() if a.module == "repro.contracts"}
+        assert derived == set(CONTRACT_ALIASES)
+        assert len(CONTRACT_ALIASES) == 10
+        # The plain unit aliases ride the same table, without a range.
+        assert ALIASES["Seconds"].module == "repro.units"
+        assert ALIASES["Seconds"].declared.range is None
 
-    @pytest.mark.parametrize("name", sorted(ALIAS_RANGES))
+    @pytest.mark.parametrize("name", CONTRACT_ALIASES)
     def test_alias_metadata_matches_tables(self, name):
         alias = getattr(contracts, name)
         metadata = typing.get_args(alias)[1:]
@@ -91,16 +102,15 @@ class TestAliasTables:
         ranges = [m for m in metadata if isinstance(m, Range)]
         assert len(units) == 1, f"{name} must carry exactly one Unit"
         assert len(ranges) == 1, f"{name} must carry exactly one Range"
-        assert units[0] == ALIAS_UNITS[name]
-        assert ranges[0] == ALIAS_RANGES[name]
+        assert ALIASES[name].declared == (units[0], ranges[0])
 
-    @pytest.mark.parametrize("name", sorted(ALIAS_RANGES))
+    @pytest.mark.parametrize("name", CONTRACT_ALIASES)
     def test_aliases_are_float_based(self, name):
         alias = getattr(contracts, name)
         assert typing.get_args(alias)[0] is float
 
     def test_all_aliases_exported(self):
-        for name in ALIAS_RANGES:
+        for name in CONTRACT_ALIASES:
             assert name in contracts.__all__
 
 

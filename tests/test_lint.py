@@ -337,12 +337,10 @@ class TestEngine:
             "ok",
             "files_checked",
             "suppressed",
-            "baselined",
-            "stale_baseline",
             "counts",
             "findings",
         }
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["ok"] is False
         assert payload["counts"] == {"D001": 3}
         for entry in payload["findings"]:
@@ -407,7 +405,7 @@ class TestCli:
         rc = main([str(self._bad_tree(tmp_path)), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 1
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["ok"] is False
         assert payload["counts"] == {"E001": 3}
         assert len(payload["findings"]) == 3

@@ -1,19 +1,11 @@
-"""Tests for SARIF export and the finding-baseline mechanism."""
+"""Tests for SARIF export."""
 
 import json
 import pathlib
 
 import pytest
 
-from repro.lint import (
-    RULES,
-    Baseline,
-    fingerprint,
-    lint_sources,
-    main,
-    to_sarif,
-    validate_sarif,
-)
+from repro.lint import RULES, lint_sources, main, to_sarif, validate_sarif
 from repro.lint.sarif import SARIF_SCHEMA_URI, SARIF_VERSION
 
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
@@ -93,131 +85,3 @@ class TestSarif:
         assert validate_sarif(doc) == []
         assert len(doc["runs"][0]["results"]) == 4
 
-
-# ---------------------------------------------------------------------------
-# Baselines
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_fingerprint_ignores_line_numbers(self):
-        report = u001_report()
-        first = report.findings[0]
-        moved = type(first)(
-            first.rule, first.path, first.line + 10, 1, first.message
-        )
-        assert fingerprint(first) == fingerprint(moved)
-        assert fingerprint(first) != fingerprint(report.findings[1])
-
-    def test_baselined_findings_are_suppressed(self):
-        report = u001_report()
-        baseline = Baseline.from_findings(report.findings)
-        again = lint_sources(
-            {NET: fixture_text("u001_bad")}, select={"U001"}, baseline=baseline
-        )
-        assert again.ok
-        assert again.baselined == 4
-        assert again.stale_baseline == []
-
-    def test_new_findings_still_fail(self):
-        report = u001_report()
-        baseline = Baseline.from_findings(report.findings[:2])
-        again = lint_sources(
-            {NET: fixture_text("u001_bad")}, select={"U001"}, baseline=baseline
-        )
-        assert not again.ok
-        assert again.baselined == 2
-        assert len(again.findings) == 2
-
-    def test_stale_entries_reported_but_never_fail(self):
-        baseline = Baseline.from_findings(u001_report().findings)
-        clean = lint_sources({NET: "x = 1\n"}, baseline=baseline)
-        assert clean.ok
-        assert clean.baselined == 0
-        assert len(clean.stale_baseline) == 4
-
-    def test_occurrences_are_counted_not_set_matched(self):
-        # Two identical findings admitted; a third identical one is new.
-        src = (
-            "from repro.units import Bytes, Seconds\n"
-            "def f(a_s: Seconds, b_bytes: Bytes):\n"
-            "    x = a_s + b_bytes\n"
-            "    y = a_s + b_bytes\n"
-        )
-        report = lint_sources({NET: src}, select={"U001"})
-        assert len(report.findings) == 2
-        baseline = Baseline.from_findings(report.findings)
-        three = src + "    z = a_s + b_bytes\n"
-        again = lint_sources({NET: three}, select={"U001"}, baseline=baseline)
-        assert again.baselined == 2
-        assert len(again.findings) == 1
-
-    def test_round_trip_through_disk(self, tmp_path):
-        report = u001_report()
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(report.findings).dump(path)
-        loaded = Baseline.load(path)
-        kept, baselined, stale = loaded.apply(report.findings)
-        assert (kept, baselined, stale) == ([], 4, [])
-
-    def test_malformed_baseline_raises_value_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json")
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-        path.write_text('{"no_fingerprints": true}')
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-    def test_report_dict_counts_baseline_activity(self):
-        baseline = Baseline.from_findings(u001_report().findings[:1])
-        report = lint_sources(
-            {NET: fixture_text("u001_bad")}, select={"U001"}, baseline=baseline
-        )
-        payload = report.as_dict()
-        assert payload["baselined"] == 1
-        assert payload["stale_baseline"] == []
-
-
-class TestBaselineCli:
-    def _tree(self, tmp_path):
-        target = tmp_path / "repro" / "net"
-        target.mkdir(parents=True)
-        (target / "example.py").write_text(fixture_text("u001_bad"))
-        return tmp_path
-
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
-        tree = self._tree(tmp_path)
-        baseline_file = tmp_path / "lint-baseline.json"
-        rc = main(
-            [str(tree), "--select", "U001", "--write-baseline", str(baseline_file)]
-        )
-        assert rc == 0
-        assert "wrote 4 finding(s)" in capsys.readouterr().out
-        rc = main(
-            [str(tree), "--select", "U001", "--baseline", str(baseline_file)]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "clean" in out and "4 baselined" in out
-
-    def test_stale_entries_go_to_stderr(self, tmp_path, capsys):
-        tree = self._tree(tmp_path)
-        baseline_file = tmp_path / "lint-baseline.json"
-        assert main(
-            [str(tree), "--select", "U001", "--write-baseline", str(baseline_file)]
-        ) == 0
-        (tree / "repro" / "net" / "example.py").write_text("x = 1\n")
-        capsys.readouterr()
-        rc = main(
-            [str(tree), "--select", "U001", "--baseline", str(baseline_file)]
-        )
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert captured.err.count("stale baseline entry") == 4
-
-    def test_missing_baseline_file_is_usage_error(self, tmp_path, capsys):
-        rc = main(
-            [str(self._tree(tmp_path)), "--baseline", str(tmp_path / "nope.json")]
-        )
-        assert rc == 2

@@ -131,6 +131,30 @@ class TestU003:
     def test_good_fixture_is_clean(self):
         assert lint_fixture("u003_good", NET, "U003").ok
 
+    def test_staticmethod_through_its_class_binds_every_parameter(self):
+        # A @staticmethod has no self/cls to skip: 1.5 lands on ``p``
+        # (I002) and size_bytes on ``d_s`` (U003).  A classmethod still
+        # has its ``cls`` skipped, so the same arguments line up too.
+        src = (
+            "from repro.contracts import Probability\n"
+            "from repro.units import Bytes, Seconds\n"
+            "class K:\n"
+            "    @staticmethod\n"
+            "    def s(p: Probability, d_s: Seconds) -> None: ...\n"
+            "    @classmethod\n"
+            "    def c(cls, p: Probability, d_s: Seconds) -> None: ...\n"
+            "def caller(size_bytes: Bytes) -> None:\n"
+            "    K.s(1.5, size_bytes)\n"
+            "    K.c(1.5, size_bytes)\n"
+        )
+        report = lint_sources({NET: src}, select={"U003", "I002"})
+        assert [(f.rule, f.line, f.col) for f in report.findings] == [
+            ("I002", 9, 9),
+            ("U003", 9, 14),
+            ("I002", 10, 9),
+            ("U003", 10, 14),
+        ]
+
 
 # ---------------------------------------------------------------------------
 # U004: name suffix contradicting the declared annotation
@@ -210,7 +234,7 @@ class TestF002:
 
 
 # ---------------------------------------------------------------------------
-# The real repository must need no baseline for the new rule families
+# The real repository must be clean under the whole-program rule families
 # ---------------------------------------------------------------------------
 
 
