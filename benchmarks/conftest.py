@@ -1,17 +1,19 @@
 """Shared fixtures for the per-figure benchmark harness.
 
-Each benchmark regenerates one paper figure's data at the "fast" scale,
-prints the table, writes it under ``results/`` and asserts the figure's
-qualitative shape (who wins, where the knees are).  Figures 4/5 and 14/15
-are different projections of the same sweep, so those sweeps are cached in
-a session-scoped store and only run once.
+Each benchmark regenerates one paper figure's data at the "fast" scale
+through :func:`repro.experiments.run_figure` — the same road ``repro
+run`` takes — prints the table, writes it under ``results/`` and asserts
+the figure's qualitative shape (who wins, where the knees are) on the
+table's rows.  Figures 4/5 and 14/15 are different projections of the
+same jobs (the content hash excludes the figure label), so the second
+of each pair is served entirely from the session ``result_cache``.
 
 Set ``REPRO_SCALE=paper`` in the environment to run the paper-scale
 configurations instead (slow: tens of minutes).  ``REPRO_PARALLEL=N``
-fans the declarative job sweeps out over N worker processes, and
+fans every figure's jobs out over N worker processes, and
 ``REPRO_CACHE_DIR=/path`` reuses the on-disk result cache across
 benchmark sessions (by default an in-memory cache shares work only
-within one session, e.g. between Figures 7-9's identical sweeps).
+within one session).
 
 Fault tolerance and telemetry are configured the same way:
 ``REPRO_RUN_LOG=/path/run.jsonl`` appends one JSONL provenance record
@@ -36,12 +38,6 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 @pytest.fixture(scope="session")
 def scale() -> str:
     return os.environ.get("REPRO_SCALE", "fast")
-
-
-@pytest.fixture(scope="session")
-def sweep_cache() -> dict:
-    """Cross-benchmark cache for shared parameter sweeps."""
-    return {}
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import ext_queue_dynamics
+from repro.experiments import run_figure
 
 
 def test_ext_queue_dynamics(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: ext_queue_dynamics.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("queue_dynamics", scale, executor=executor, cache=result_cache))
     report("ext_queue_dynamics", table)
 
     rows = {

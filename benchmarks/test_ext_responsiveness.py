@@ -4,11 +4,11 @@ import math
 
 from conftest import run_once
 
-from repro.experiments import ext_responsiveness
+from repro.experiments import ext_responsiveness, run_figure
 
 
 def test_ext_responsiveness(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: ext_responsiveness.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("responsiveness", scale, executor=executor, cache=result_cache))
     report("ext_responsiveness", table)
 
     measured = dict(zip(table.column("protocol"), table.column("measured_rtts")))

@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig03_cbr_restart
+from repro.experiments import run_figure
 
 
 def test_fig03_cbr_restart(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig03_cbr_restart.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig03", scale, executor=executor, cache=result_cache))
     report("fig03_cbr_restart", table)
 
     protocols = set(table.column("protocol"))

@@ -2,7 +2,7 @@
 
 from conftest import run_once
 
-from repro.experiments import fig06_flash_crowd
+from repro.experiments import run_figure
 
 
 def crowd_peak(table, background: str) -> float:
@@ -11,7 +11,7 @@ def crowd_peak(table, background: str) -> float:
 
 
 def test_fig06_flash_crowd(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig06_flash_crowd.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig06", scale, executor=executor, cache=result_cache))
     report("fig06_flash_crowd", table)
 
     backgrounds = set(table.column("background"))

@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig07_tcp_vs_tfrc
+from repro.experiments import run_figure
 
 
 def test_fig07_tcp_vs_tfrc(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig07_tcp_vs_tfrc.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig07", scale, executor=executor, cache=result_cache))
     report("fig07_tcp_vs_tfrc", table)
 
     tcp_means = table.column("tcp_mean_share")

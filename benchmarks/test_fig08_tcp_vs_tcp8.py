@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig08_tcp_vs_tcp8
+from repro.experiments import run_figure
 
 
 def test_fig08_tcp_vs_tcp8(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig08_tcp_vs_tcp8.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig08", scale, executor=executor, cache=result_cache))
     report("fig08_tcp_vs_tcp8", table)
 
     tcp_means = table.column("tcp_mean_share")

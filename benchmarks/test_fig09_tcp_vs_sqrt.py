@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig09_tcp_vs_sqrt
+from repro.experiments import run_figure
 
 
 def test_fig09_tcp_vs_sqrt(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig09_tcp_vs_sqrt.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig09", scale, executor=executor, cache=result_cache))
     report("fig09_tcp_vs_sqrt", table)
 
     tcp_means = table.column("tcp_mean_share")

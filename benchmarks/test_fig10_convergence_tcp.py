@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig10_convergence_tcp
+from repro.experiments import run_figure
 
 
 def test_fig10_convergence_tcp(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig10_convergence_tcp.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig10", scale, executor=executor, cache=result_cache))
     report("fig10_convergence_tcp", table)
 
     bs = table.column("b")

@@ -5,11 +5,11 @@ import math
 from conftest import run_once
 
 from repro.analysis import acks_to_fairness
-from repro.experiments import fig11_convergence_analysis
+from repro.experiments import run_figure
 
 
 def test_fig11_convergence_analysis(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig11_convergence_analysis.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig11", scale, executor=executor, cache=result_cache))
     report("fig11_convergence_analysis", table)
 
     bs = table.column("b")

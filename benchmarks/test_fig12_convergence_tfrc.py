@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig12_convergence_tfrc
+from repro.experiments import run_figure
 
 
 def test_fig12_convergence_tfrc(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig12_convergence_tfrc.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig12", scale, executor=executor, cache=result_cache))
     report("fig12_convergence_tfrc", table)
 
     ks = table.column("k")

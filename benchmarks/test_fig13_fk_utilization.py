@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig13_fk_utilization
+from repro.experiments import run_figure
 
 
 def test_fig13_fk_utilization(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig13_fk_utilization.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig13", scale, executor=executor, cache=result_cache))
     report("fig13_fk_utilization", table)
 
     def f20(family, b):

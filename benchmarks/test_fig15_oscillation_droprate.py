@@ -1,22 +1,16 @@
-"""Benchmark: regenerate Figure 15 (drop rates for the Figure 14 runs)."""
+"""Benchmark: regenerate Figure 15 (drop rates for the Figure 14 runs).
+
+Same jobs as Figure 14 (the content hash excludes the figure label), so
+after Figure 14's benchmark every job here is a cache hit.
+"""
 
 from conftest import run_once
 
-from test_fig14_oscillation_utilization import oscillation_sweep
-from repro.experiments import fig15_oscillation_droprate
-from repro.experiments.oscillation_utilization import table_from_sweep
+from repro.experiments import run_figure
 
 
-def test_fig15_oscillation_droprate(benchmark, scale, sweep_cache, report):
-    results = run_once(
-        benchmark, lambda: oscillation_sweep(sweep_cache, scale, 2.0 / 3.0)
-    )
-    table = table_from_sweep(
-        results,
-        metric="drop_rate",
-        title=fig15_oscillation_droprate.TITLE,
-        notes=fig15_oscillation_droprate.NOTES,
-    )
+def test_fig15_oscillation_droprate(benchmark, scale, report, executor, result_cache):
+    table = run_once(benchmark, lambda: run_figure("fig15", scale, executor=executor, cache=result_cache))
     report("fig15_oscillation_droprate", table)
 
     rates = table.column("value")

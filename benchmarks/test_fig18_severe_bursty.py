@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig18_severe_bursty
+from repro.experiments import run_figure
 
 
 def test_fig18_severe_bursty(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig18_severe_bursty.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig18", scale, executor=executor, cache=result_cache))
     report("fig18_severe_bursty", table)
 
     rows = {name: (thpt, cov, ratio) for name, thpt, cov, ratio, _, _ in table.rows}

@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.experiments import fig19_iiad_sqrt
+from repro.experiments import run_figure
 
 
 def test_fig19_iiad_sqrt(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig19_iiad_sqrt.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig19", scale, executor=executor, cache=result_cache))
     report("fig19_iiad_sqrt", table)
 
     rows = {

@@ -4,11 +4,11 @@ import math
 
 from conftest import run_once
 
-from repro.experiments import fig20_timeout_models
+from repro.experiments import fig20_timeout_models, run_figure
 
 
 def test_fig20_timeout_models(benchmark, scale, report, executor, result_cache):
-    table = run_once(benchmark, lambda: fig20_timeout_models.run(scale, executor=executor, cache=result_cache))
+    table = run_once(benchmark, lambda: run_figure("fig20", scale, executor=executor, cache=result_cache))
     report("fig20_timeout_models", table)
 
     for p, pure, with_to, reno in table.rows:

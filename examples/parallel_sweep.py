@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Parallel, cached figure regeneration with the declarative job API.
+"""Parallel, cached figure regeneration through ``run_figure``.
 
-Every figure module describes its work as ``jobs(scale)`` — pure,
-picklable simulation points — and formats results with
-``reduce(results)``.  That split lets one executor fan the work out over
-a process pool and a content-addressed cache replay previous results,
-without changing a single number in the output table.
+``run_figure(name, scale, executor=..., cache=...)`` is the one road from
+a figure name to its table: the figure module describes its work as
+``jobs(scale)`` — pure, picklable simulation points — and formats results
+with ``reduce(results)``; the executor fans the work out over a process
+pool and the content-addressed cache replays previous results, without
+changing a single number in the output table.
 
 This example regenerates Figure 10 (convergence time for two TCP(b)
 flows) three ways and shows they agree exactly:
@@ -19,31 +20,34 @@ Runs in well under a minute at the fast scale.
 
 import tempfile
 
-from repro.experiments import fig10_convergence_tcp as fig10
-from repro.experiments.cache import ResultCache
-from repro.experiments.executor import ParallelExecutor, SerialExecutor
+from repro.experiments import ParallelExecutor, ResultCache, SerialExecutor, run_figure
+
+OVERRIDES = dict(bs=[0.5, 0.25, 0.125])
 
 
 def main() -> None:
-    jobs = fig10.jobs("fast", bs=[0.5, 0.25, 0.125])
-    print(f"Figure 10 sweep: {len(jobs)} jobs "
-          f"(one per (b, seed) pair, each with a stable content hash)")
-
     with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
         cache = ResultCache(cache_dir)
 
         serial = SerialExecutor()
-        table_serial = fig10.reduce(serial.map(jobs, cache=None))
+        table_serial = run_figure("fig10", executor=serial, **OVERRIDES)
+        print(f"Figure 10 sweep: {serial.last_report.jobs} jobs "
+              f"(one per (b, seed) pair, each with a stable content hash)")
         print("\n--- serial, no cache ---")
         print(table_serial.format())
 
         parallel = ParallelExecutor(workers=2)
-        table_parallel = fig10.reduce(parallel.map(jobs, cache))
+        try:
+            table_parallel = run_figure(
+                "fig10", executor=parallel, cache=cache, **OVERRIDES
+            )
+        finally:
+            parallel.close()
         report = parallel.last_report
         print("\n--- parallel (2 workers), populating the cache ---")
         print(f"computed {report.computed} of {report.jobs} jobs in parallel")
 
-        warm = fig10.reduce(serial.map(jobs, cache))
+        warm = run_figure("fig10", executor=serial, cache=cache, **OVERRIDES)
         report = serial.last_report
         print("\n--- serial again, warm cache ---")
         print(f"cache hits: {report.cache_hits}/{report.jobs} "

@@ -12,7 +12,7 @@ The library has five layers:
 * :mod:`repro.traffic` / :mod:`repro.metrics` / :mod:`repro.analysis` —
   workloads, measurement machinery and closed-form models;
 * :mod:`repro.experiments` — one module per paper figure
-  (``fig03`` ... ``fig20``), each with a ``run(scale)`` entry point.
+  (``fig03`` ... ``fig20``), all reached through ``run_figure(name, scale)``.
 
 Quickstart::
 

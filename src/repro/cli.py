@@ -50,13 +50,12 @@ it appears; see ``docs/performance.md``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import pathlib
 import sys
 import time
 from typing import Optional, Sequence
 
-from repro.experiments import ALL_FIGURES, EXTENSIONS
+from repro.experiments import ALL_FIGURES, EXTENSIONS, TRACE_NEEDS_CACHE, run_figure
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.executor import JobResult, make_executor
 from repro.experiments.runner import Table
@@ -272,11 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _trace_command(args, runnable)
 
     if args.trace and not args.cache:
-        print(
-            "--trace requires the cache: trace artifacts are stored beside "
-            "cached results (drop --no-cache)",
-            file=sys.stderr,
-        )
+        print(TRACE_NEEDS_CACHE, file=sys.stderr)
         return 2
 
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
@@ -294,12 +289,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         for name in names:
             started = time.time()
-            module = runnable[name]
-            jobs = module.jobs(args.scale)
-            if args.trace:
-                jobs = [dataclasses.replace(jb, trace=True) for jb in jobs]
-            results = executor.map(jobs, cache)
-            table = module.reduce(results)
+            table = run_figure(
+                name, args.scale, executor=executor, cache=cache, trace=args.trace
+            )
             elapsed = time.time() - started
             report = executor.last_report
             total_jobs += report.jobs

@@ -1,15 +1,20 @@
 """One experiment module per paper figure, plus shared scenario machinery.
 
-``repro.experiments.figXX_*.run(scale)`` regenerates the data behind paper
-figure XX as a :class:`~repro.experiments.runner.Table`; ``scale="fast"``
-uses the CI-sized configuration, ``scale="paper"`` the paper's parameters.
+:func:`run_figure` is the one road from a figure name to its
+:class:`~repro.experiments.runner.Table`: ``run_figure("fig05")``
+regenerates the data behind paper figure 5 (``scale="fast"`` is the
+CI-sized configuration, ``scale="paper"`` the paper's parameters).  The
+CLI, the benchmark harness and the tests all go through it.
 
-Every figure module also exposes the declarative pipeline underneath:
+Every figure module is the declarative pair underneath:
 ``jobs(scale) -> list[Job]`` describes the simulation points and
 ``reduce(results) -> Table`` formats them, so work can be executed
 serially, across a process pool (:class:`ParallelExecutor`) and/or
 against the content-addressed :class:`ResultCache`.
 """
+
+import dataclasses
+from typing import Optional
 
 from repro.experiments import (
     ext_queue_dynamics,
@@ -106,6 +111,43 @@ ALL_FIGURES = {
     "fig20": fig20_timeout_models,
 }
 
+#: Why tracing needs a cache; shared by :func:`run_figure` and the CLI.
+TRACE_NEEDS_CACHE = (
+    "--trace requires the cache: trace artifacts are stored beside "
+    "cached results (drop --no-cache)"
+)
+
+
+def run_figure(
+    name: str,
+    scale: str = "fast",
+    *,
+    executor: Optional[Executor] = None,
+    cache: Optional[ResultCache] = None,
+    trace: bool = False,
+    **overrides,
+) -> Table:
+    """Regenerate one figure (or extension) table, by registry name.
+
+    ``module.jobs(scale, **overrides)`` -> ``executor.map`` (serial when
+    ``executor`` is None) -> ``module.reduce``.  ``trace=True`` also
+    records a telemetry trace per job, stored beside its cached result.
+    ``executor.last_report`` holds the run's accounting afterwards.
+    """
+    runnable = {**ALL_FIGURES, **EXTENSIONS}
+    module = runnable.get(name)
+    if module is None:
+        raise KeyError(
+            f"unknown figure {name!r}; available: {', '.join(runnable)}"
+        )
+    if trace and cache is None:
+        raise ValueError(TRACE_NEEDS_CACHE)
+    job_list = module.jobs(scale, **overrides)
+    if trace:
+        job_list = [dataclasses.replace(jb, trace=True) for jb in job_list]
+    return module.reduce(execute(job_list, executor, cache))
+
+
 __all__ = [
     "ALL_FIGURES",
     "EXTENSIONS",
@@ -135,6 +177,7 @@ __all__ = [
     "ResultCache",
     "RunLog",
     "SerialExecutor",
+    "TRACE_NEEDS_CACHE",
     "Table",
     "default_cache_dir",
     "execute",
@@ -148,6 +191,7 @@ __all__ = [
     "run_cbr_restart",
     "run_convergence",
     "run_doubling",
+    "run_figure",
     "run_flash_crowd",
     "run_loss_pattern",
     "run_oscillation",

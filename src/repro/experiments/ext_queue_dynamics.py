@@ -28,7 +28,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.traffic.bulk import add_flows
 
-__all__ = ["QueueDynamicsConfig", "jobs", "measure_queue_dynamics", "reduce", "run"]
+__all__ = ["QueueDynamicsConfig", "jobs", "measure_queue_dynamics", "reduce"]
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,3 @@ def reduce(results) -> Table:
             payload["loss_rate"],
         )
     return table
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **overrides) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **overrides), executor, cache))

@@ -31,7 +31,6 @@ __all__ = [
     "measure_aggressiveness_pkts_per_rtt",
     "measure_responsiveness_rtts",
     "reduce",
-    "run",
     "run_aggressiveness",
 ]
 
@@ -159,12 +158,6 @@ def reduce(results) -> Table:
             result.job.tag("reference"),
         )
     return table
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **overrides) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **overrides), executor, cache))
 
 
 def measure_aggressiveness_pkts_per_rtt(

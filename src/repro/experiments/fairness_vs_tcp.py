@@ -7,8 +7,7 @@ period; the series are the per-flow throughputs normalized by the fair
 share, plus the per-type means.
 
 ``fairness_jobs`` / ``fairness_reduce`` are the declarative halves the
-figure modules delegate to; ``fairness_table`` is the one-call legacy
-convenience built on top of them.
+figure modules delegate to.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.experiments.protocols import Protocol, spec_of, tcp
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import OscillationConfig
 
-__all__ = ["default_periods", "fairness_jobs", "fairness_reduce", "fairness_table"]
+__all__ = ["default_periods", "fairness_jobs", "fairness_reduce"]
 
 
 def default_periods(scale: str) -> list[float]:
@@ -77,24 +76,3 @@ def fairness_reduce(
             value["drop_rate"],
         )
     return table
-
-
-def fairness_table(
-    figure: str,
-    competitor: Protocol,
-    paper_claim: str,
-    scale: str = "fast",
-    periods: Sequence[float] | None = None,
-    *,
-    executor=None,
-    cache=None,
-    **overrides,
-) -> Table:
-    from repro.experiments.executor import execute
-
-    results = execute(
-        fairness_jobs(figure, competitor, scale, periods, **overrides),
-        executor,
-        cache,
-    )
-    return fairness_reduce(results, figure, competitor.name, paper_claim)

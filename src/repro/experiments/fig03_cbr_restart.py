@@ -16,7 +16,7 @@ from repro.experiments.protocols import Protocol, tcp, tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import CbrRestartConfig
 
-__all__ = ["default_protocols", "jobs", "reduce", "run"]
+__all__ = ["default_protocols", "jobs", "reduce"]
 
 
 def default_protocols() -> list[Protocol]:
@@ -59,18 +59,3 @@ def reduce(results) -> Table:
             if t >= cfg.cbr_restart - 2.0:
                 table.add(result.value["protocol"], t, rate)
     return table
-
-
-def run(
-    scale: str = "fast",
-    protocols: Sequence[Protocol] | None = None,
-    *,
-    executor=None,
-    cache=None,
-    **overrides,
-) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(
-        execute(jobs(scale, protocols=protocols, **overrides), executor, cache)
-    )

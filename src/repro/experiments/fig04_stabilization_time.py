@@ -18,17 +18,9 @@ from typing import Callable, Sequence
 from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.protocols import Protocol, rap, sqrt, tcp, tfrc
 from repro.experiments.runner import Table, pick_config
-from repro.experiments.scenarios import CbrRestartConfig, CbrRestartResult, run_cbr_restart
+from repro.experiments.scenarios import CbrRestartConfig
 
-__all__ = [
-    "FAMILIES",
-    "default_gammas",
-    "jobs",
-    "reduce",
-    "run",
-    "sweep",
-    "table_from_sweep",
-]
+__all__ = ["FAMILIES", "default_gammas", "jobs", "reduce"]
 
 # Family name -> factory(gamma) -> Protocol.
 FAMILIES: dict[str, Callable[[int], Protocol]] = {
@@ -98,50 +90,5 @@ def reduce(results, metric: str = "time") -> Table:
         (r.job.tag("family"), r.job.tag("gamma")): r.value[field] for r in results
     }
     for (family, gamma), value in sorted(keyed.items()):
-        table.add(family, gamma, value)
-    return table
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache), metric="time")
-
-
-# ---------------------------------------------------------------------------
-# Legacy in-process sweep API (kept for the benchmark harness and tests
-# that inspect the rich CbrRestartResult objects directly).
-# ---------------------------------------------------------------------------
-
-
-def sweep(
-    scale: str = "fast",
-    gammas: Sequence[int] | None = None,
-    families: dict[str, Callable[[int], Protocol]] | None = None,
-    **overrides,
-) -> dict[tuple[str, int], CbrRestartResult]:
-    """Run the CBR-restart scenario across families x gammas, serially."""
-    cfg = pick_config(CbrRestartConfig, scale, **overrides)
-    gammas = list(gammas) if gammas is not None else default_gammas(scale)
-    families = families if families is not None else FAMILIES
-    results: dict[tuple[str, int], CbrRestartResult] = {}
-    for family, factory in families.items():
-        for gamma in gammas:
-            results[(family, gamma)] = run_cbr_restart(factory(gamma), cfg)
-    return results
-
-
-def table_from_sweep(
-    results: dict[tuple[str, int], CbrRestartResult], metric: str
-) -> Table:
-    """Build the Figure 4 (time) or Figure 5 (cost) table from a sweep."""
-    field, title, note = _metric_table(metric)
-    table = Table(title=title, columns=["family", "gamma", "value"], notes=note)
-    for (family, gamma), result in sorted(results.items()):
-        value = (
-            result.stabilization.time_rtts
-            if metric == "time"
-            else result.stabilization.cost
-        )
         table.add(family, gamma, value)
     return table

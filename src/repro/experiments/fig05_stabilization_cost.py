@@ -17,7 +17,7 @@ from repro.experiments import fig04_stabilization_time as fig04
 from repro.experiments.jobs import Job
 from repro.experiments.runner import Table
 
-__all__ = ["jobs", "reduce", "run"]
+__all__ = ["jobs", "reduce"]
 
 
 def jobs(scale: str = "fast", **kwargs) -> list[Job]:
@@ -27,9 +27,3 @@ def jobs(scale: str = "fast", **kwargs) -> list[Job]:
 
 def reduce(results) -> Table:
     return fig04.reduce(results, metric="cost")
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache))

@@ -16,7 +16,7 @@ from repro.experiments.protocols import Protocol, tcp, tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import FlashCrowdConfig
 
-__all__ = ["default_protocols", "jobs", "reduce", "run"]
+__all__ = ["default_protocols", "jobs", "reduce"]
 
 
 def default_protocols() -> list[Protocol]:
@@ -52,18 +52,3 @@ def reduce(results) -> Table:
         for t, bg in result.value["background"]:
             table.add(result.value["protocol"], t, bg / 1e6, crowd.get(t, 0.0) / 1e6)
     return table
-
-
-def run(
-    scale: str = "fast",
-    protocols: Sequence[Protocol] | None = None,
-    *,
-    executor=None,
-    cache=None,
-    **overrides,
-) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(
-        execute(jobs(scale, protocols=protocols, **overrides), executor, cache)
-    )

@@ -12,7 +12,7 @@ from repro.experiments.jobs import Job
 from repro.experiments.protocols import tcp
 from repro.experiments.runner import Table
 
-__all__ = ["jobs", "reduce", "run"]
+__all__ = ["jobs", "reduce"]
 
 COMPETITOR = tcp(8)
 PAPER_CLAIM = (
@@ -28,9 +28,3 @@ def jobs(scale: str = "fast", **kwargs) -> list[Job]:
 
 def reduce(results) -> Table:
     return fairness_reduce(results, "Figure 8", COMPETITOR.name, PAPER_CLAIM)
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache))

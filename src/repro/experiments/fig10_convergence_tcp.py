@@ -20,7 +20,7 @@ from repro.experiments.protocols import tcp_b
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import ConvergenceConfig
 
-__all__ = ["default_bs", "jobs", "reduce", "run"]
+__all__ = ["default_bs", "jobs", "reduce"]
 
 
 def default_bs(scale: str) -> list[float]:
@@ -65,9 +65,3 @@ def reduce(results) -> Table:
     for b, times in by_b.items():
         table.add(b, sum(times) / len(times))
     return table
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache))

@@ -13,7 +13,7 @@ from typing import Sequence
 from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.runner import Table
 
-__all__ = ["default_bs", "jobs", "measure_acks_to_fairness", "reduce", "run"]
+__all__ = ["default_bs", "jobs", "measure_acks_to_fairness", "reduce"]
 
 
 def default_bs(scale: str = "fast") -> list[float]:
@@ -52,20 +52,6 @@ def reduce(results) -> Table:
     for result in results:
         table.add(result.job.param("b"), result.value)
     return table
-
-
-def run(
-    scale: str = "fast",
-    bs: Sequence[float] | None = None,
-    p: float = 0.1,
-    delta: float = 0.1,
-    *,
-    executor=None,
-    cache=None,
-) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, bs, p, delta), executor, cache))
 
 
 def measure_acks_to_fairness(

@@ -16,7 +16,7 @@ from repro.experiments.protocols import tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import ConvergenceConfig
 
-__all__ = ["default_ks", "jobs", "reduce", "run"]
+__all__ = ["default_ks", "jobs", "reduce"]
 
 
 def default_ks(scale: str) -> list[int]:
@@ -59,9 +59,3 @@ def reduce(results) -> Table:
     for k, times in by_k.items():
         table.add(k, sum(times) / len(times))
     return table
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache))

@@ -16,7 +16,7 @@ from repro.experiments.protocols import Protocol, sqrt, tcp, tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import DoublingConfig
 
-__all__ = ["FAMILIES", "default_gammas", "jobs", "reduce", "run"]
+__all__ = ["FAMILIES", "default_gammas", "jobs", "reduce"]
 
 FAMILIES: dict[str, Callable[[int], Protocol]] = {
     "TCP(1/b)": lambda g: tcp(g),
@@ -73,9 +73,3 @@ def reduce(results) -> Table:
             f_of_k[200],
         )
     return table
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache))

@@ -6,7 +6,7 @@ from repro.experiments.jobs import Job
 from repro.experiments.oscillation_utilization import reduce_sweep, sweep_jobs
 from repro.experiments.runner import Table
 
-__all__ = ["jobs", "reduce", "run"]
+__all__ = ["jobs", "reduce"]
 
 CBR_FRACTION = 2.0 / 3.0
 TITLE = "Figure 15: drop rate vs CBR ON/OFF time (3:1 oscillation)"
@@ -20,9 +20,3 @@ def jobs(scale: str = "fast", **kwargs) -> list[Job]:
 
 def reduce(results) -> Table:
     return reduce_sweep(results, metric="drop_rate", title=TITLE, notes=NOTES)
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache))

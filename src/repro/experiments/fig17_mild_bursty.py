@@ -14,7 +14,7 @@ from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import LossPatternConfig
 from repro.net.droppers import mild_bursty_pattern
 
-__all__ = ["default_protocols", "jobs", "loss_pattern_table", "reduce", "run"]
+__all__ = ["default_protocols", "jobs", "loss_pattern_table", "reduce"]
 
 LOSS_COLUMNS = [
     "protocol",
@@ -79,9 +79,3 @@ def reduce(results) -> Table:
             "worst_ratio is the paper's consecutive-bin metric (1 = smooth)."
         ),
     )
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache))

@@ -24,7 +24,7 @@ from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import LossPatternConfig
 from repro.net.droppers import severe_bursty_phases
 
-__all__ = ["default_protocols", "default_phases", "jobs", "reduce", "run"]
+__all__ = ["default_protocols", "default_phases", "jobs", "reduce"]
 
 
 def default_protocols() -> list[Protocol]:
@@ -70,9 +70,3 @@ def reduce(results) -> Table:
             "pattern exploits the loss-interval averaging."
         ),
     )
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache))

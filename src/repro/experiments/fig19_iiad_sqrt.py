@@ -13,7 +13,7 @@ from repro.experiments.jobs import Job
 from repro.experiments.protocols import iiad, sqrt
 from repro.experiments.runner import Table
 
-__all__ = ["jobs", "reduce", "run"]
+__all__ = ["jobs", "reduce"]
 
 
 def jobs(scale: str = "fast", **kwargs) -> list[Job]:
@@ -30,9 +30,3 @@ def reduce(results) -> Table:
             "throughput."
         ),
     )
-
-
-def run(scale: str = "fast", *, executor=None, cache=None, **kwargs) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, **kwargs), executor, cache))

@@ -17,7 +17,6 @@ __all__ = [
     "default_drop_rates",
     "jobs",
     "reduce",
-    "run",
     "run_simulated",
     "measure_tcp_rate_per_rtt",
 ]
@@ -50,18 +49,6 @@ def reduce(results) -> Table:
         pure_aimd, aimd_with_timeouts, reno = result.value
         table.add(result.job.param("p"), pure_aimd, aimd_with_timeouts, reno)
     return table
-
-
-def run(
-    scale: str = "fast",
-    p_values: Sequence[float] | None = None,
-    *,
-    executor=None,
-    cache=None,
-) -> Table:
-    from repro.experiments.executor import execute
-
-    return reduce(execute(jobs(scale, p_values), executor, cache))
 
 
 def measure_tcp_rate_per_rtt(

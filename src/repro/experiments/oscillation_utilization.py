@@ -5,9 +5,10 @@ ON/OFF CBR source.  The x-axis is the CBR ON(=OFF) time; the y-axis either
 the flows' aggregate throughput as a fraction of the mean available
 bandwidth (Figures 14/16) or the packet drop rate (Figure 15).
 
-``sweep_jobs``/``reduce_sweep`` are the declarative pipeline used by the
-figure modules; ``sweep``/``table_from_sweep`` remain for callers (such as
-the benchmark suite) that want the rich :class:`OscillationResult` objects.
+``sweep_jobs``/``reduce_sweep`` are the declarative halves the three
+figure modules delegate to.  Figures 14 and 15 differ only in the
+``figure`` label, which the content hash excludes, so with a result
+cache they simulate once.
 """
 
 from __future__ import annotations
@@ -18,16 +19,9 @@ from typing import Sequence
 from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.protocols import Protocol, tcp, tfrc
 from repro.experiments.runner import Table, pick_config
-from repro.experiments.scenarios import OscillationConfig, OscillationResult, run_oscillation
+from repro.experiments.scenarios import OscillationConfig
 
-__all__ = [
-    "default_protocols",
-    "default_on_times",
-    "reduce_sweep",
-    "sweep",
-    "sweep_jobs",
-    "table_from_sweep",
-]
+__all__ = ["default_protocols", "default_on_times", "reduce_sweep", "sweep_jobs"]
 
 
 def default_protocols() -> list[Protocol]:
@@ -88,42 +82,5 @@ def reduce_sweep(results, metric: str, title: str, notes: str) -> Table:
     }
     for (name, on_s), payload in sorted(keyed.items()):
         value = payload["utilization"] if metric == "utilization" else payload["drop_rate"]
-        table.add(name, on_s, value)
-    return table
-
-
-def sweep(
-    scale: str = "fast",
-    cbr_fraction: float = 2.0 / 3.0,
-    on_times: Sequence[float] | None = None,
-    protocols: list[Protocol] | None = None,
-    n_flows: int | None = None,
-    **overrides,
-) -> dict[tuple[str, float], OscillationResult]:
-    """Identical-flow oscillation runs across protocols x ON times.
-
-    Legacy serial entry point returning the rich result objects; the
-    figure modules themselves go through ``sweep_jobs``/``reduce_sweep``.
-    """
-    cfg = _sweep_config(scale, cbr_fraction, n_flows, **overrides)
-    results: dict[tuple[str, float], OscillationResult] = {}
-    for protocol in protocols if protocols is not None else default_protocols():
-        for on_s in on_times if on_times is not None else default_on_times(scale):
-            # ON time == OFF time; the square-wave period is twice that.
-            results[(protocol.name, on_s)] = run_oscillation(
-                protocol, None, 2.0 * on_s, cfg
-            )
-    return results
-
-
-def table_from_sweep(
-    results: dict[tuple[str, float], OscillationResult],
-    metric: str,
-    title: str,
-    notes: str,
-) -> Table:
-    table = Table(title=title, columns=["protocol", "on_off_s", "value"], notes=notes)
-    for (name, on_s), result in sorted(results.items()):
-        value = result.utilization if metric == "utilization" else result.drop_rate
         table.add(name, on_s, value)
     return table

@@ -7,7 +7,7 @@ tables and the modules on disk fails at *runtime*, usually deep inside
 a sweep.  R001 checks, across the whole tree at once:
 
 * every ``figNN_*.py`` / ``ext_*.py`` module exposes the declarative
-  trio ``jobs`` / ``reduce`` / ``run``;
+  pair ``jobs`` / ``reduce`` that ``run_figure`` drives;
 * every ``ALL_FIGURES`` entry ``figNN`` maps to a module named
   ``figNN_...`` that exists, and every figure module on disk has an
   entry (same for ``EXTENSIONS`` and ``ext_*`` modules);
@@ -30,7 +30,7 @@ __all__ = ["RegistryConsistencyRule"]
 
 _FIGURE_MODULE = re.compile(r"^(fig\d+)_\w+$")
 _EXT_MODULE = re.compile(r"^ext_(\w+)$")
-_REQUIRED_API = ("jobs", "reduce", "run")
+_REQUIRED_API = ("jobs", "reduce")
 
 
 def _module_level_names(tree: ast.AST) -> set[str]:
@@ -66,7 +66,7 @@ class RegistryConsistencyRule(Rule):
     code = "R001"
     summary = (
         "experiment registry consistency: figure modules expose "
-        "jobs/reduce/run, ALL_FIGURES/EXTENSIONS match the modules on "
+        "jobs/reduce, ALL_FIGURES/EXTENSIONS match the modules on "
         "disk, and every used scenario name is registered"
     )
     project = True
@@ -91,7 +91,7 @@ class RegistryConsistencyRule(Rule):
             yield from self._check_tables(init, figure_modules)
         yield from self._check_scenarios(package)
 
-    # -- jobs / reduce / run -------------------------------------------------
+    # -- jobs / reduce -------------------------------------------------------
 
     def _check_module_api(
         self, figure_modules: "dict[str, SourceFile]"
@@ -109,8 +109,7 @@ class RegistryConsistencyRule(Rule):
                     1,
                     f"experiment module {name!r} does not define "
                     f"{', '.join(missing)} at module level; every figure "
-                    "module must expose the declarative jobs/reduce/run "
-                    "trio",
+                    "module must expose the declarative jobs/reduce pair",
                 )
 
     # -- ALL_FIGURES / EXTENSIONS tables -------------------------------------

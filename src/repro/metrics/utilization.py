@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
-from repro.sim.tracing import TimeSeries
+from repro.telemetry.series import TimeSeries
 from repro.contracts import PositiveSeconds
 from repro.units import Ratio, Seconds
 

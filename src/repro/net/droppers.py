@@ -60,10 +60,6 @@ class Dropper:
         raise NotImplementedError
 
     @property
-    def drop_times(self) -> Sequence[float]:
-        return self.dropped.event_times
-
-    @property
     def drops(self) -> int:
         return self.dropped.count
 

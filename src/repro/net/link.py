@@ -98,7 +98,6 @@ class Link:
             and queue.bypass_idle
             and not queue._buffer
             and queue.telemetry is None
-            and queue.observer is None
         ):
             # Idle-link fast path: a packet arriving at an idle link with
             # an empty passive queue would be enqueued and immediately
@@ -107,7 +106,6 @@ class Link:
             # Only unobserved queues that declare themselves side-effect
             # free take it (RED must see every arrival for its average
             # estimator; monitored queues must count every arrival).
-            packet.enqueued_at = self.sim.now
             self._busy = True
             self.in_service = packet
             self.sim.call_in(

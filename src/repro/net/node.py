@@ -58,8 +58,13 @@ class Node:
         self._flow_handlers.pop(flow_id, None)
 
     def send(self, packet: Packet) -> None:
-        """Inject a locally generated packet into the network."""
-        self._forward(packet)
+        """Forward a packet (locally generated or in transit) by destination."""
+        link = self._routes.get(packet.dst, self._default_route)
+        if link is None:
+            raise RuntimeError(
+                f"{self.name}: no route for packet to {packet.dst}"
+            )
+        link.send(packet)
 
     def receive(self, packet: Packet) -> None:
         """Entry point for packets arriving from a link."""
@@ -70,19 +75,4 @@ class Node:
             # Packets for unbound flows (e.g. a stopped agent) are dropped
             # silently, as a real host would discard them.
             return
-        # _forward, inlined: receive is on the per-packet hot path for
-        # every router hop, and the extra call shows up in profiles.
-        link = self._routes.get(packet.dst, self._default_route)
-        if link is None:
-            raise RuntimeError(
-                f"{self.name}: no route for packet to {packet.dst}"
-            )
-        link.send(packet)
-
-    def _forward(self, packet: Packet) -> None:
-        link = self._routes.get(packet.dst, self._default_route)
-        if link is None:
-            raise RuntimeError(
-                f"{self.name}: no route for packet to {packet.dst}"
-            )
-        link.send(packet)
+        self.send(packet)

@@ -8,7 +8,6 @@ keeps the per-packet cost low — the simulator creates millions of these.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from repro.units import Bytes, Seconds
@@ -18,8 +17,6 @@ __all__ = ["Packet", "DATA", "ACK", "FEEDBACK"]
 DATA = "data"
 ACK = "ack"
 FEEDBACK = "feedback"
-
-_uid_counter = itertools.count()
 
 
 class Packet:
@@ -50,7 +47,6 @@ class Packet:
     """
 
     __slots__ = (
-        "uid",
         "flow_id",
         "kind",
         "seq",
@@ -61,7 +57,6 @@ class Packet:
         "ack_seq",
         "echo",
         "info",
-        "enqueued_at",
         "ect",
         "ce",
         "ece",
@@ -81,7 +76,6 @@ class Packet:
         info: Optional[Any] = None,
         ect: bool = False,
     ):
-        self.uid = next(_uid_counter)
         self.flow_id = flow_id
         self.kind = kind
         self.seq = seq
@@ -92,7 +86,6 @@ class Packet:
         self.ack_seq = ack_seq
         self.echo = echo
         self.info = info
-        self.enqueued_at = -1.0
         # Explicit Congestion Notification (RFC 2481) codepoints:
         # ect  - sender is ECN-capable (ECT set on data packets);
         # ce   - Congestion Experienced, set by an ECN-marking queue;

@@ -5,29 +5,20 @@ owning :class:`~repro.net.link.Link` dequeues packets for transmission.
 Queues emit arrivals, drops and ECN marks into telemetry probes (a
 :class:`QueueProbes` bundle wired up by the per-link
 :class:`~repro.net.monitor.LinkMonitor`), which is how loss rates are
-measured.  An optional :class:`DropObserver` callback interface is kept
-for ad-hoc per-packet hooks in tests and experiments.
+measured; per-packet hooks go on the link (:meth:`Link.add_tap`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from repro.net.packet import Packet
 from repro.telemetry.probes import CounterProbe
 from repro.units import Bytes
 
-__all__ = ["QueueDiscipline", "DropTailQueue", "DropObserver", "QueueProbes"]
-
-
-class DropObserver(Protocol):
-    """Callbacks a queue invokes on packet arrival and drop."""
-
-    def on_arrival(self, packet: Packet) -> None: ...
-
-    def on_drop(self, packet: Packet) -> None: ...
+__all__ = ["QueueDiscipline", "DropTailQueue", "QueueProbes"]
 
 
 @dataclasses.dataclass
@@ -70,7 +61,6 @@ class QueueDiscipline:
         self.capacity_pkts = capacity_pkts
         self._buffer: deque[Packet] = deque()
         self._bytes = 0
-        self.observer: Optional[DropObserver] = None
         self.telemetry: Optional[QueueProbes] = None
         self._clock: Callable[[], float] = lambda: 0.0
 
@@ -93,19 +83,12 @@ class QueueDiscipline:
     def enqueue(self, packet: Packet) -> bool:
         """Offer a packet; returns True if enqueued, False if dropped."""
         telemetry = self.telemetry
-        observer = self.observer
-        now = self._clock()
         if telemetry is not None:
-            telemetry.arrivals.increment(now)
-        if observer is not None:
-            observer.on_arrival(packet)
+            telemetry.arrivals.increment(self._clock())
         if not self.admit(packet):
             if telemetry is not None:
-                telemetry.drops.increment(now)
-            if observer is not None:
-                observer.on_drop(packet)
+                telemetry.drops.increment(self._clock())
             return False
-        packet.enqueued_at = now
         self._buffer.append(packet)
         self._bytes += packet.size
         return True

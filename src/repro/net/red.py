@@ -139,9 +139,6 @@ class REDQueue(QueueDiscipline):
             self.marks += 1
             if self.telemetry is not None and self.telemetry.marks is not None:
                 self.telemetry.marks.increment(self._clock())
-            on_mark = getattr(self.observer, "on_mark", None)
-            if on_mark is not None:
-                on_mark(packet)
             return False
         return True
 

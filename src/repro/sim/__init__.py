@@ -1,9 +1,8 @@
-"""Discrete-event simulation kernel: clock, events, timers, RNG, tracing."""
+"""Discrete-event simulation kernel: clock, events, timers, RNG."""
 
 from repro.sim.engine import Event, SimulationError, Simulator, Timer
 from repro.sim.process import PeriodicTask
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import Counter, TimeSeries, interval_average
 
 __all__ = [
     "Event",
@@ -12,7 +11,4 @@ __all__ = [
     "Timer",
     "PeriodicTask",
     "RngRegistry",
-    "Counter",
-    "TimeSeries",
-    "interval_average",
 ]

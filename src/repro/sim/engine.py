@@ -16,15 +16,13 @@ The calendar stores ``(time, seq, ...)`` tuples rather than bare
 instead of dispatching to a Python ``Event.__lt__`` per comparison — on a
 calendar of a few hundred events that removes five to ten Python calls
 from every push and pop, which is most of what the kernel does per
-packet.  Three further fast paths, all checked for firing order against
-the frozen pre-overhaul kernel in ``tests/reference_kernel.py``:
+packet.  The heap is the only container: ``(time, seq)`` is a total
+order, so one calendar fixes the firing order, same-time events
+included (real figure jobs schedule at most one event per job at
+exactly ``now`` — see the traffic audit in ``docs/performance.md``).
+Two further fast paths, both checked for firing order against the
+frozen pre-overhaul kernel in ``tests/reference_kernel.py``:
 
-* Events scheduled at exactly the current time (``at(now, ...)`` or
-  ``schedule(0, ...)``) skip the heap entirely and land in a FIFO
-  ``ready`` deque: same-time events fire in insertion order anyway, so
-  an O(1) append replaces an O(log n) sift, and the run loop interleaves
-  the two structures by ``(time, seq)`` so the global order is exactly
-  what a single heap would produce.
 * :meth:`Simulator.call_at` / :meth:`Simulator.call_in` are
   fire-and-forget variants of :meth:`at` / :meth:`schedule` for callers
   that never cancel (per-packet link events, which dominate every
@@ -43,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.contracts import NonNegSeconds
@@ -131,10 +128,6 @@ class Simulator:
         # entries.  seq is unique, so sifts compare floats and ints only
         # and never reach the third element.
         self._heap: list[tuple] = []
-        # Entries scheduled at exactly the current time, in seq order.
-        # Invariant: every entry's time equals ``now`` and the deque is
-        # drained before the clock advances.
-        self._ready: deque[tuple] = deque()
         #: Current simulated time in seconds (kernel-written; read-only
         #: for everyone else).
         self.now = 0.0
@@ -151,7 +144,7 @@ class Simulator:
         O(1): the kernel tracks how many calendar entries are cancelled-
         but-not-yet-popped instead of scanning the calendar.
         """
-        return len(self._heap) + len(self._ready) - self._cancelled
+        return len(self._heap) - self._cancelled
 
     def _note_cancelled(self) -> None:
         """Bookkeeping hook called by :meth:`Event.cancel`.
@@ -160,9 +153,8 @@ class Simulator:
         least :data:`COMPACT_MIN_CANCELLED` entries) is dead weight, sweeps
         the calendar: filtering preserves correctness because ``(time, seq)``
         is a total order, so ``heapify`` rebuilds the exact same event
-        ordering without the tombstones (and the ready deque keeps its FIFO
-        order under filtering by construction).  Fire-and-forget 4-tuple
-        entries cannot be cancelled and always survive the sweep.
+        ordering without the tombstones.  Fire-and-forget 4-tuple entries
+        cannot be cancelled and always survive the sweep.
 
         One exception: when the entry at the heap *top* is itself a
         tombstone, the sweep is skipped.  The run loop pops and discards
@@ -175,32 +167,24 @@ class Simulator:
         heap = self._heap
         if (
             self._cancelled > self.COMPACT_MIN_CANCELLED
-            and self._cancelled > (len(heap) + len(self._ready)) // 2
+            and self._cancelled > len(heap) // 2
         ):
             if heap and len(heap[0]) == 3 and heap[0][2].cancelled:
                 return
-            # The sweeps are in place (slice-assign / clear+extend): the
-            # run loop holds direct references to these containers, and a
-            # cancellation storm inside a callback must compact the very
-            # calendar the loop is draining.  Swept tombstones keep their
-            # ``_in_heap`` flag: the only reader is ``Event.cancel``,
-            # which early-returns on ``cancelled`` before ever looking at
-            # the flag, so clearing it here would be a second full pass
-            # of pure dead work.
+            # The sweep is in place (slice-assign): the run loop holds a
+            # direct reference to the heap, and a cancellation storm
+            # inside a callback must compact the very calendar the loop
+            # is draining.  Swept tombstones keep their ``_in_heap``
+            # flag: the only reader is ``Event.cancel``, which
+            # early-returns on ``cancelled`` before ever looking at the
+            # flag, so clearing it here would be a second full pass of
+            # pure dead work.
             heap[:] = [
                 entry
                 for entry in heap
                 if len(entry) == 4 or not entry[2].cancelled
             ]
             heapq.heapify(heap)
-            if self._ready:
-                live = [
-                    entry
-                    for entry in self._ready
-                    if len(entry) == 4 or not entry[2].cancelled
-                ]
-                self._ready.clear()
-                self._ready.extend(live)
             self._cancelled = 0
 
     def schedule(self, delay: NonNegSeconds, fn: Callable[..., Any], *args: Any) -> Event:
@@ -215,10 +199,7 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time, seq, fn, args, sim=self)
         event._in_heap = True
-        if time == now:
-            self._ready.append((time, seq, event))
-        else:
-            _heappush(self._heap, (time, seq, event))
+        _heappush(self._heap, (time, seq, event))
         return event
 
     def at(self, time: NonNegSeconds, fn: Callable[..., Any], *args: Any) -> Event:
@@ -235,12 +216,7 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time, seq, fn, args, sim=self)
         event._in_heap = True
-        if time == now:
-            # Same-time fast path: seq order is FIFO order, so the deque
-            # append replaces a heap sift.
-            self._ready.append((time, seq, event))
-        else:
-            _heappush(self._heap, (time, seq, event))
+        _heappush(self._heap, (time, seq, event))
         return event
 
     def call_in(self, delay: NonNegSeconds, fn: Callable[..., Any], *args: Any) -> None:
@@ -258,10 +234,7 @@ class Simulator:
             raise SimulationError("cannot schedule at time NaN")
         seq = self._seq
         self._seq = seq + 1
-        if time == now:
-            self._ready.append((time, seq, fn, args))
-        else:
-            _heappush(self._heap, (time, seq, fn, args))
+        _heappush(self._heap, (time, seq, fn, args))
 
     def call_at(self, time: NonNegSeconds, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`at` (see :meth:`call_in`)."""
@@ -274,10 +247,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        if time == now:
-            self._ready.append((time, seq, fn, args))
-        else:
-            _heappush(self._heap, (time, seq, fn, args))
+        _heappush(self._heap, (time, seq, fn, args))
 
     def run(self, until: Optional[float] = None) -> None:
         """Run events in order until the calendar drains or ``until`` is hit.
@@ -292,32 +262,13 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
-        ready = self._ready
         heappop = _heappop
         fired = 0
         try:
-            while not self._stopped:
-                if ready:
-                    # Ready entries sit at the current time; a heap entry
-                    # can only precede them via a smaller seq at that
-                    # same time.
-                    head = ready[0]
-                    if heap and heap[0][0] == head[0] and heap[0][1] < head[1]:
-                        entry = heappop(heap)
-                    else:
-                        entry = ready.popleft()
-                    if until is not None and entry[0] > until:
-                        # Only reachable when until < now (a clock that
-                        # was clamped forward past ``until`` by an
-                        # earlier run); put the entry back untouched.
-                        ready.appendleft(entry)
-                        break
-                elif heap:
-                    if until is not None and heap[0][0] > until:
-                        break
-                    entry = heappop(heap)
-                else:
+            while heap and not self._stopped:
+                if until is not None and heap[0][0] > until:
                     break
+                entry = heappop(heap)
                 if len(entry) == 4:
                     # Fire-and-forget entry: nothing to cancel, no Event.
                     self.now = entry[0]

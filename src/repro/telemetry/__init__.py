@@ -12,11 +12,10 @@ from repro.telemetry.context import active_recorder, capture
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
 from repro.telemetry.probes import CounterProbe, GaugeProbe, Probe, SeriesProbe
 from repro.telemetry.recorder import Recorder, TRACE_SCHEMA_VERSION
-from repro.telemetry.series import Counter, TimeSeries, interval_average
+from repro.telemetry.series import TimeSeries
 from repro.telemetry.trace import TraceReader
 
 __all__ = [
-    "Counter",
     "CounterProbe",
     "FlowMetrics",
     "GaugeProbe",
@@ -29,5 +28,4 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "active_recorder",
     "capture",
-    "interval_average",
 ]

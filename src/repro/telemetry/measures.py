@@ -13,7 +13,7 @@ replayed metric is bit-identical to the live one.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.telemetry.probes import CounterProbe, GaugeProbe, SeriesProbe
 from repro.telemetry.series import TimeSeries
@@ -38,22 +38,6 @@ class LinkMetrics:
         self.marks = CounterProbe("marks")  # ECN CE marks (RED marking mode)
         self.departures = SeriesProbe("departed_bytes")
         self.queue_depth: Optional[GaugeProbe] = None
-
-    # Back-compat views of the raw event timestamps ---------------------------
-
-    @property
-    def arrival_times(self) -> Sequence[float]:
-        return self.arrivals.event_times
-
-    @property
-    def drop_times(self) -> Sequence[float]:
-        return self.drops.event_times
-
-    @property
-    def mark_times(self) -> Sequence[float]:
-        return self.marks.event_times
-
-    # Derived measurements ----------------------------------------------------
 
     def arrivals_in(self, start: Seconds, end: Seconds) -> int:
         return self.arrivals.count_in(start, end)
@@ -165,20 +149,3 @@ class FlowMetrics:
         if duration <= 0:
             return 0.0
         return self.delivered_bytes(flow_id, start, end) * 8.0 / duration
-
-    def rate_series_bps(
-        self, flow_id: int, window_s: Seconds, start: Seconds, end: Seconds
-    ) -> TimeSeries:
-        """Delivered rate sampled over consecutive windows, bits/s.
-
-        Window edges are computed by integer index to avoid float drift.
-        """
-        series = TimeSeries(f"flow{flow_id}_rate")
-        i = 0
-        while True:
-            t = start + window_s + i * window_s
-            if t > end:
-                break
-            series.append(t, self.throughput_bps(flow_id, t - window_s, t))
-            i += 1
-        return series

@@ -9,7 +9,7 @@ hierarchical channel name, which is what makes them exportable.
 Three kinds:
 
 ``CounterProbe``
-    Timestamped cumulative event counts (arrivals, drops, timeouts).
+    Timestamped event counts (arrivals, drops, timeouts).
 ``SeriesProbe``
     Explicit (time, value) samples (cwnd trace, cumulative bytes).
 ``GaugeProbe``
@@ -59,12 +59,12 @@ class Probe:
 
 
 class CounterProbe(Probe):
-    """Cumulative event counter with per-event timestamps.
+    """Event counter with per-event timestamps.
 
     Stores event times and the running total in parallel ``array('d')``
     buffers, so windowed counts are two bisects — no per-event tuple
-    objects, and half-open ``[start, end)`` semantics to match
-    :class:`~repro.telemetry.series.Counter`.
+    objects — over half-open ``[start, end)`` windows, the one interval
+    convention of this package.
     """
 
     kind = "counter"
@@ -76,9 +76,8 @@ class CounterProbe(Probe):
         # Hot-path caches: increment() fires once per packet event, so the
         # running total and last timestamp live in plain attributes rather
         # than being re-read from the array tails on every call.
-        self._total = 0.0
+        self._total = 0
         self._last_time = -math.inf
-        self._integral = True  # every increment so far was a whole number
 
     @property
     def times(self) -> Sequence[float]:
@@ -89,58 +88,37 @@ class CounterProbe(Probe):
         return self._totals
 
     @property
-    def event_times(self) -> Sequence[float]:
-        return self._times
+    def count(self) -> int:
+        return self._total
 
-    @property
-    def count(self) -> "int | float":
-        total = self._total
-        if self._integral:
-            return int(total)
-        return total
-
-    def increment(self, time: Seconds, amount: "int | float" = 1) -> None:
+    def increment(self, time: Seconds) -> None:
+        """Count one event at ``time`` (times must not go backwards)."""
         if time < self._last_time:
             raise ValueError(
                 f"events must be time-ordered: {time} < {self._last_time}"
             )
-        if amount.__class__ is not int:
-            # Fractional (byte-weighted) increments demote count_in() to
-            # exact float differences; the common amount=1 path pays one
-            # class check only.
-            if self._integral and not float(amount).is_integer():
-                self._integral = False
         self._last_time = time
-        total = self._total + amount
+        total = self._total + 1
         self._total = total
         self._times.append(time)
         self._totals.append(total)
 
-    def count_in(self, start: Seconds, end: Seconds) -> "int | float":
-        """Total amount incremented over the half-open window [start, end).
-
-        Returns an ``int`` only when every increment was integral; a
-        counter fed fractional amounts gets the exact float difference
-        (the old implementation silently floored it through ``int()``).
-        """
+    def count_in(self, start: Seconds, end: Seconds) -> int:
+        """Events counted over the half-open window [start, end)."""
         times = self._times
         totals = self._totals
         idx = bisect.bisect_left(times, end) - 1
         after = totals[idx] if idx >= 0 else 0.0
         idx = bisect.bisect_left(times, start) - 1
         before = totals[idx] if idx >= 0 else 0.0
-        diff = after - before
-        return int(diff) if self._integral else diff
+        return int(after - before)
 
     def load(self, times: Sequence[float], totals: Sequence[float]) -> None:
         """Replace contents from an exported snapshot (trace replay)."""
         self._times = array("d", times)
         self._totals = array("d", totals)
-        self._total = self._totals[-1] if self._totals else 0.0
+        self._total = int(self._totals[-1]) if self._totals else 0
         self._last_time = self._times[-1] if self._times else -math.inf
-        # Integral running totals imply integral increments (totals start
-        # from zero), so replayed counters keep the int/float contract.
-        self._integral = all(v.is_integer() for v in self._totals)
 
 
 class SeriesProbe(Probe):

@@ -9,11 +9,9 @@ stabilization, f(k) utilization, smoothness...).
 
 Interval conventions
 --------------------
-Every windowed operation in this module uses the half-open convention
-``start <= t < end``.  Historically :class:`Counter.count_in` used
-``start < t <= end`` while the link monitor used ``[start, end)``; the
-half-open-left convention now applies uniformly so adjacent windows
-tile the timeline without double-counting boundary events.
+Every windowed operation in this package uses the half-open convention
+``start <= t < end``, so adjacent windows tile the timeline without
+double-counting boundary events.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.units import Seconds
 
-__all__ = ["TimeSeries", "interval_average", "Counter"]
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:
@@ -140,73 +138,3 @@ class TimeSeries:
                 out.append(t, value)
             i += 1
         return out
-
-
-def interval_average(
-    samples: "TimeSeries | Iterable[tuple[float, float]]",
-    start: Seconds,
-    end: Seconds,
-) -> float:
-    """Average value of samples with start <= t < end; NaN when none.
-
-    A :class:`TimeSeries` (time-sorted by construction) is windowed with
-    two bisects and a C-level slice sum instead of scanning every sample;
-    arbitrary iterables fall back to the linear scan.
-    """
-    if isinstance(samples, TimeSeries):
-        times = samples._times
-        lo = bisect.bisect_left(times, start)
-        hi = bisect.bisect_left(times, end)
-        if hi <= lo:
-            return math.nan
-        window = samples._values[lo:hi]
-        return sum(window) / len(window)
-    total = 0.0
-    count = 0
-    for t, v in samples:
-        if start <= t < end:
-            total += v
-            count += 1
-    return total / count if count else math.nan
-
-
-class Counter:
-    """A cumulative event counter with timestamped checkpoints.
-
-    Used by monitors to turn raw counts (packets forwarded, packets dropped)
-    into rates over arbitrary windows.
-    """
-
-    __slots__ = ("_series", "_count", "_integral")
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._series = TimeSeries()
-        self._integral = True  # every increment so far was a whole number
-
-    @property
-    def count(self) -> "int | float":
-        return self._count
-
-    def increment(self, time: Seconds, amount: "int | float" = 1) -> None:
-        if amount.__class__ is not int:
-            if self._integral and not float(amount).is_integer():
-                self._integral = False
-        self._count += amount
-        self._series.append(time, self._count)
-
-    def count_in(self, start: Seconds, end: Seconds) -> "int | float":
-        """Total amount incremented over the half-open window [start, end).
-
-        Returns an ``int`` only when every increment was integral;
-        fractional (e.g. byte-weighted) counters get the exact float
-        difference instead of a silent ``int()`` floor.
-        """
-        times = self._series.times
-        values = self._series.values
-        idx = bisect.bisect_left(times, end) - 1
-        after = values[idx] if idx >= 0 else 0.0
-        idx = bisect.bisect_left(times, start) - 1
-        before = values[idx] if idx >= 0 else 0.0
-        diff = after - before
-        return int(diff) if self._integral else diff

@@ -7,7 +7,3 @@ def jobs(scale="fast"):
 
 def reduce(results):
     return results
-
-
-def run(scale="fast"):
-    return reduce(jobs(scale))

@@ -28,21 +28,20 @@ TINY_SWEEP = """
 from repro.contracts import contracts_enabled
 assert contracts_enabled(), "harness must arm REPRO_CONTRACTS=1"
 
-from repro.experiments import fig04_stabilization_time, fig14_oscillation_utilization
+from repro.experiments import run_figure
 from repro.experiments.protocols import tcp
 
-results = fig04_stabilization_time.sweep(
-    "fast",
+t4 = run_figure(
+    "fig04",
     gammas=[2],
     families={"TCP(1/g)": lambda g: tcp(g)},
     bandwidth_bps=1e6, n_flows=2, warmup_s=2.0, cbr_stop=8.0,
     cbr_restart=10.0, end=14.0,
 )
-t4 = fig04_stabilization_time.table_from_sweep(results, "time")
 assert t4.rows
 
-t14 = fig14_oscillation_utilization.run(
-    "fast",
+t14 = run_figure(
+    "fig14",
     protocols=[tcp(2)],
     bandwidth_bps=1.5e6, n_flows_a=1, n_flows_b=1,
     min_duration_s=10.0, periods_to_run=3, max_duration_s=12.0, warmup_s=2.0,

@@ -1,8 +1,11 @@
 """Plumbing tests for every figure module.
 
-Each module's ``run()`` is exercised with miniature parameter overrides so
-the table-building paths stay covered without the benchmark-scale cost.
-Shape assertions on the real configurations live in benchmarks/.
+Every registry name is driven through ``run_figure`` — the one road the
+CLI and the benchmark harness take — with miniature parameter overrides,
+so the jobs/reduce paths stay covered without the benchmark-scale cost.
+The tests share one in-memory cache: a figure simulated by the registry
+sweep is a cache hit for its own shape test.  Shape assertions on the
+real configurations live in benchmarks/.
 """
 
 import math
@@ -11,23 +14,12 @@ import pytest
 
 from repro.experiments import (
     ALL_FIGURES,
-    fig03_cbr_restart,
+    EXTENSIONS,
+    ResultCache,
+    SerialExecutor,
+    Table,
     fig04_stabilization_time,
-    fig06_flash_crowd,
-    fig07_tcp_vs_tfrc,
-    fig08_tcp_vs_tcp8,
-    fig09_tcp_vs_sqrt,
-    fig10_convergence_tcp,
-    fig11_convergence_analysis,
-    fig12_convergence_tfrc,
-    fig13_fk_utilization,
-    fig14_oscillation_utilization,
-    fig15_oscillation_droprate,
-    fig16_extreme_oscillation,
-    fig17_mild_bursty,
-    fig18_severe_bursty,
-    fig19_iiad_sqrt,
-    fig20_timeout_models,
+    run_figure,
 )
 from repro.experiments.protocols import tcp
 
@@ -40,6 +32,64 @@ TINY_OSC = dict(
     min_duration_s=10.0, periods_to_run=3, max_duration_s=12.0, warmup_s=2.0,
 )
 TINY_LOSS = dict(bandwidth_bps=3e6, duration_s=10.0, warmup_s=2.0)
+TINY_STABILIZATION = dict(
+    gammas=[2], families={"TCP(1/g)": lambda g: tcp(g)}, **TINY_CBR
+)
+TINY_CONVERGENCE = dict(bandwidth_bps=1e6, second_start=4.0, end=30.0, seeds=(1,))
+TINY_OSC_SWEEP = dict(on_times=[0.5], protocols=[tcp(2)], n_flows=2, **TINY_OSC)
+
+RUNNABLE = {**ALL_FIGURES, **EXTENSIONS}
+
+#: Miniature overrides for every registry name.
+TINY = {
+    "fig03": dict(protocols=[tcp(2)], **TINY_CBR),
+    "fig04": TINY_STABILIZATION,
+    "fig05": TINY_STABILIZATION,
+    "fig06": dict(
+        protocols=[tcp(2)],
+        bandwidth_bps=2e6,
+        n_background=2,
+        crowd_rate_per_s=30.0,
+        crowd_duration_s=1.0,
+        crowd_start=3.0,
+        end=8.0,
+    ),
+    "fig07": dict(periods=[1.0], **TINY_OSC),
+    "fig08": dict(periods=[1.0], **TINY_OSC),
+    "fig09": dict(periods=[1.0], **TINY_OSC),
+    "fig10": dict(bs=[0.5], **TINY_CONVERGENCE),
+    "fig11": {},
+    "fig12": dict(ks=[2], **TINY_CONVERGENCE),
+    "fig13": dict(
+        gammas=[2],
+        families={"TCP(1/b)": lambda g: tcp(g)},
+        bandwidth_bps=2e6,
+        n_flows=4,
+        n_stopped=2,
+        stop_at=10.0,
+    ),
+    "fig14": TINY_OSC_SWEEP,
+    "fig15": TINY_OSC_SWEEP,
+    "fig16": TINY_OSC_SWEEP,
+    "fig17": dict(protocols=[tcp(2)], **TINY_LOSS),
+    "fig18": dict(protocols=[tcp(2)], phases=[(2.0, 100), (0.5, 4)], **TINY_LOSS),
+    "fig19": TINY_LOSS,
+    "fig20": {},
+    "responsiveness": dict(observe_rtts=60),
+    "queue_dynamics": dict(
+        bandwidth_bps=2e6, n_flows=4, duration_s=25.0, warmup_s=10.0
+    ),
+}
+
+CACHE = ResultCache()
+
+
+def tiny(name: str) -> Table:
+    return run_figure(name, "fast", cache=CACHE, **TINY[name])
+
+
+def module_name(name: str) -> str:
+    return RUNNABLE[name].__name__
 
 
 class TestRegistry:
@@ -47,46 +97,51 @@ class TestRegistry:
         assert len(ALL_FIGURES) == 18
         assert sorted(ALL_FIGURES) == [f"fig{n:02d}" for n in range(3, 21)]
 
-    def test_every_module_has_run(self):
-        for module in ALL_FIGURES.values():
-            assert callable(module.run)
+    @pytest.mark.parametrize("name", list(RUNNABLE))
+    def test_every_name_runs_through_run_figure(self, name):
+        table = tiny(name)
+        assert isinstance(table, Table)
+        assert table.rows
+        assert all(len(row) == len(table.columns) for row in table.rows)
+
+    def test_unknown_name_lists_the_available_figures(self):
+        with pytest.raises(KeyError) as excinfo:
+            run_figure("nope")
+        message = excinfo.value.args[0]
+        assert "'nope'" in message
+        assert all(name in message for name in RUNNABLE)
+
+    def test_trace_without_a_cache_is_rejected(self):
+        with pytest.raises(ValueError, match="--trace requires the cache"):
+            run_figure("fig11", trace=True)
 
 
 class TestSimulationFigures:
     def test_fig03(self):
-        table = fig03_cbr_restart.run("fast", protocols=[tcp(2)], **TINY_CBR)
+        table = tiny("fig03")
         assert table.rows
         assert set(table.column("protocol")) == {"TCP(0.5)"}
 
     def test_fig04_and_05_share_sweep(self):
-        results = fig04_stabilization_time.sweep(
-            "fast", gammas=[2], families={"TCP(1/g)": lambda g: tcp(g)}, **TINY_CBR
-        )
-        t4 = fig04_stabilization_time.table_from_sweep(results, "time")
-        t5 = fig04_stabilization_time.table_from_sweep(results, "cost")
+        cache = ResultCache()
+        executor = SerialExecutor()
+        t4 = run_figure("fig04", executor=executor, cache=cache, **TINY["fig04"])
+        assert executor.last_report.computed == 1
+        t5 = run_figure("fig05", executor=executor, cache=cache, **TINY["fig05"])
+        assert executor.last_report.computed == 0
+        assert executor.last_report.cache_hits == 1
         assert t4.rows and t5.rows
         assert t4.rows[0][2] > 0
+        assert t4.title != t5.title
         with pytest.raises(ValueError):
-            fig04_stabilization_time.table_from_sweep(results, "bogus")
+            fig04_stabilization_time.reduce([], metric="bogus")
 
     def test_fig06(self):
-        table = fig06_flash_crowd.run(
-            "fast",
-            protocols=[tcp(2)],
-            bandwidth_bps=2e6,
-            n_background=2,
-            crowd_rate_per_s=30.0,
-            crowd_duration_s=1.0,
-            crowd_start=3.0,
-            end=8.0,
-        )
-        assert len(table.rows) == 8  # one row per 1 s bin
+        assert len(tiny("fig06").rows) == 8  # one row per 1 s bin
 
-    @pytest.mark.parametrize(
-        "module", [fig07_tcp_vs_tfrc, fig08_tcp_vs_tcp8, fig09_tcp_vs_sqrt]
-    )
-    def test_fairness_figures(self, module):
-        table = module.run("fast", periods=[1.0], **TINY_OSC)
+    @pytest.mark.parametrize("name", ["fig07", "fig08", "fig09"], ids=module_name)
+    def test_fairness_figures(self, name):
+        table = tiny(name)
         assert len(table.rows) == 1
         period, tcp_share, other_share, util, drop = table.rows[0]
         assert period == 1.0
@@ -94,73 +149,44 @@ class TestSimulationFigures:
         assert 0 < util <= 1.5
 
     def test_fig10(self):
-        table = fig10_convergence_tcp.run(
-            "fast", bs=[0.5], bandwidth_bps=1e6, second_start=4.0, end=30.0,
-            seeds=(1,),
-        )
+        table = tiny("fig10")
         assert len(table.rows) == 1
         assert table.rows[0][1] > 0
 
     def test_fig12(self):
-        table = fig12_convergence_tfrc.run(
-            "fast", ks=[2], bandwidth_bps=1e6, second_start=4.0, end=30.0,
-            seeds=(1,),
-        )
-        assert len(table.rows) == 1
+        assert len(tiny("fig12").rows) == 1
 
     def test_fig13(self):
-        table = fig13_fk_utilization.run(
-            "fast",
-            gammas=[2],
-            families={"TCP(1/b)": lambda g: tcp(g)},
-            bandwidth_bps=2e6,
-            n_flows=4,
-            n_stopped=2,
-            stop_at=10.0,
-        )
+        table = tiny("fig13")
         assert len(table.rows) == 1
         _, _, f20, f200 = table.rows[0]
         assert 0 < f20 <= 1.1 and 0 < f200 <= 1.1
 
-    @pytest.mark.parametrize(
-        "module",
-        [
-            fig14_oscillation_utilization,
-            fig15_oscillation_droprate,
-            fig16_extreme_oscillation,
-        ],
-    )
-    def test_oscillation_figures(self, module):
-        table = module.run(
-            "fast", on_times=[0.5], protocols=[tcp(2)], n_flows=2, **TINY_OSC
-        )
+    @pytest.mark.parametrize("name", ["fig14", "fig15", "fig16"], ids=module_name)
+    def test_oscillation_figures(self, name):
+        table = tiny(name)
         assert len(table.rows) == 1
         assert table.rows[0][2] >= 0
 
     def test_fig17(self):
-        table = fig17_mild_bursty.run("fast", protocols=[tcp(2)], **TINY_LOSS)
+        table = tiny("fig17")
         assert len(table.rows) == 1
         assert table.rows[0][1] > 0  # throughput
 
     def test_fig18(self):
-        table = fig18_severe_bursty.run(
-            "fast", protocols=[tcp(2)], phases=[(2.0, 100), (0.5, 4)], **TINY_LOSS
-        )
-        assert len(table.rows) == 1
+        assert len(tiny("fig18").rows) == 1
 
     def test_fig19(self):
-        table = fig19_iiad_sqrt.run("fast", **TINY_LOSS)
-        names = set(table.column("protocol"))
+        names = set(tiny("fig19").column("protocol"))
         assert names == {"IIAD", "SQRT(0.5)"}
 
 
 class TestAnalyticFigures:
     def test_fig11(self):
-        table = fig11_convergence_analysis.run()
-        acks = table.column("expected_acks")
+        acks = tiny("fig11").column("expected_acks")
         assert all(a > 0 for a in acks)
 
     def test_fig20(self):
-        table = fig20_timeout_models.run()
+        table = tiny("fig20")
         assert any(math.isnan(row[1]) for row in table.rows)  # pure AIMD cut off
         assert all(row[3] > 0 for row in table.rows)

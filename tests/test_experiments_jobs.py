@@ -147,7 +147,6 @@ class TestJobsContract:
     def test_every_module_defines_the_pipeline(self, name, module):
         assert callable(module.jobs), name
         assert callable(module.reduce), name
-        assert callable(module.run), name
 
     def test_every_figure_has_one_cost_class(self):
         # The executor runs jobs in submission order because every map is

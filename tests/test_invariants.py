@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from repro.cc import establish, new_rap_flow, new_tcp_flow, new_tfrc_flow
 from repro.cc.binomial import sqrt_rule, tcp_rule
-from repro.net import DropTailQueue, Dumbbell, Link, Packet, PeriodicDropper
+from repro.net import DropTailQueue, Dumbbell, Link, Packet, PeriodicDropper, QueueProbes
 from repro.net.packet import DATA
 from repro.sim import Simulator
+from repro.telemetry import CounterProbe
 
 from tests.helpers import loopback
 
@@ -33,20 +34,16 @@ class TestNetworkConservation:
         link = Link(sim, bandwidth, 0.001, DropTailQueue(capacity))
         delivered = []
         link.connect(delivered.append)
-        dropped = {"n": 0}
-
-        class Obs:
-            def on_arrival(self, p):
-                pass
-
-            def on_drop(self, p):
-                dropped["n"] += 1
-
-        link.queue.observer = Obs()
+        probes = QueueProbes(arrivals=CounterProbe(), drops=CounterProbe())
+        link.queue.telemetry = probes
+        departed = []
+        link.add_tap(departed.append)
         for seq in range(sends):
             link.send(Packet(0, DATA, seq, 1000, 0, 1))
         sim.run()
-        assert len(delivered) + dropped["n"] == sends
+        assert probes.arrivals.count == sends
+        assert len(delivered) + probes.drops.count == sends
+        assert departed == delivered
         # No duplication: each seq at most once.
         seqs = [p.seq for p in delivered]
         assert len(seqs) == len(set(seqs))

@@ -224,8 +224,8 @@ class TestR001:
             assert len(hits) == 1, (substring, messages)
             return hits[0]
 
-        # fig02 lacks reduce/run
-        assert "reduce, run" in one("'fig02_missing_api' does not define")
+        # fig02 lacks reduce
+        assert "define reduce at" in one("'fig02_missing_api' does not define")
         # ALL_FIGURES points at a module that does not exist
         assert "fig03_ghost" in one("no such module exists")
         # key "fig9" maps to a module whose name disagrees

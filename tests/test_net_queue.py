@@ -6,24 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net import DropTailQueue, Packet, REDQueue, red_for_bdp
+from repro.net import DropTailQueue, Packet, QueueProbes, REDQueue, red_for_bdp
 from repro.net.packet import DATA
+from repro.telemetry import CounterProbe
 
 
 def make_packet(seq=0, size=1000):
     return Packet(flow_id=0, kind=DATA, seq=seq, size=size, src=0, dst=1)
 
 
-class RecordingObserver:
-    def __init__(self):
-        self.arrivals = 0
-        self.drops = 0
-
-    def on_arrival(self, packet):
-        self.arrivals += 1
-
-    def on_drop(self, packet):
-        self.drops += 1
+def observe(queue):
+    """Attach arrival/drop counters, the way a LinkMonitor does."""
+    probes = QueueProbes(arrivals=CounterProbe(), drops=CounterProbe())
+    queue.telemetry = probes
+    return probes
 
 
 class TestDropTail:
@@ -53,12 +49,11 @@ class TestDropTail:
 
     def test_observer_sees_arrivals_and_drops(self):
         q = DropTailQueue(1)
-        obs = RecordingObserver()
-        q.observer = obs
+        obs = observe(q)
         q.enqueue(make_packet())
         q.enqueue(make_packet())
-        assert obs.arrivals == 2
-        assert obs.drops == 1
+        assert obs.arrivals.count == 2
+        assert obs.drops.count == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -241,25 +236,17 @@ class TestIdleBypass:
         assert [p.seq for p in delivered] == [0, 1, 2]
 
     def test_observed_queue_never_bypasses(self):
-        # An attached observer must see every arrival, so the fast path
-        # is disabled and counts match the packets offered.
+        # Attached probes must see every arrival, so the fast path is
+        # disabled and counts match the packets offered.
         sim, link, delivered = self._link(DropTailQueue(10))
-        obs = RecordingObserver()
-        link.queue.observer = obs
+        obs = observe(link.queue)
         for seq in range(3):
             link.send(make_packet(seq))
         sim.run()
-        assert obs.arrivals == 3
+        assert obs.arrivals.count == 3
         assert len(delivered) == 3
 
     def test_red_opts_out_of_bypass(self):
         q = red_for_bdp(10e6, 0.05)
         assert q.bypass_idle is False
         assert DropTailQueue(1).bypass_idle is True
-
-    def test_bypassed_packet_gets_enqueued_at_stamp(self):
-        sim, link, delivered = self._link(DropTailQueue(10))
-        packet = make_packet(0)
-        sim.at(2.0, link.send, packet)
-        sim.run()
-        assert packet.enqueued_at == 2.0

@@ -1,12 +1,12 @@
 """The fast-path kernel fires in exactly the pre-overhaul order.
 
-The tuple-keyed calendar, the same-time ready deque and the
-fire-and-forget ``call_in``/``call_at`` entries are pure performance
-work: the observable contract — events fire in ``(time, seq)`` order,
-cancelled events never fire, compaction is invisible — must match the
-frozen pre-overhaul kernel in ``tests/reference_kernel.py`` exactly.
-These tests drive random schedule / cancel / compaction churn through
-both kernels and compare the full firing transcripts.
+The tuple-keyed calendar and the fire-and-forget
+``call_in``/``call_at`` entries are pure performance work: the
+observable contract — events fire in ``(time, seq)`` order, cancelled
+events never fire, compaction is invisible — must match the frozen
+pre-overhaul kernel in ``tests/reference_kernel.py`` exactly.  These
+tests drive random schedule / cancel / compaction churn through both
+kernels and compare the full firing transcripts.
 """
 
 import pytest
@@ -68,8 +68,8 @@ class TestOrderingOracle:
     @settings(max_examples=60, deadline=None)
     def test_transcripts_match_under_aggressive_compaction(self, program):
         # Force the sweep on nearly every cancellation so the in-place
-        # compaction of both the heap and the ready deque is exercised
-        # while the run loop may be holding references to them.
+        # compaction of the heap is exercised while the run loop may be
+        # holding a reference to it.
         live_sim, ref_sim = Simulator(), ReferenceSimulator()
         live_sim.COMPACT_MIN_CANCELLED = 0
         ref_sim.COMPACT_MIN_CANCELLED = 0
@@ -131,7 +131,7 @@ class TestCallInContract:
         with pytest.raises(SimulationError):
             sim.call_at(0.5, lambda: None)
 
-    def test_call_in_same_time_uses_ready_fifo(self):
+    def test_call_in_same_time_fires_in_fifo_order(self):
         sim = Simulator()
         order = []
         sim.call_at(1.0, lambda: (order.append("a"), sim.call_in(0.0, order.append, "c")))

@@ -1,4 +1,4 @@
-"""Unit tests for RNG streams and time-series tracing."""
+"""Unit tests for RNG streams, time series and counter window edges."""
 
 import math
 
@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import Counter, RngRegistry, TimeSeries, interval_average
+from repro.sim import RngRegistry
+from repro.telemetry import CounterProbe, TimeSeries
 
 
 class TestRngRegistry:
@@ -152,25 +153,15 @@ class TestTimeSeries:
         assert len(win) == sum(1 for t in times if 10.0 <= t < 60.0)
 
 
-class TestIntervalAverage:
-    def test_basic_average(self):
-        samples = [(0.0, 2.0), (1.0, 4.0), (2.0, 100.0)]
-        assert interval_average(samples, 0.0, 2.0) == 3.0
-
-    def test_empty_interval_is_nan(self):
-        assert math.isnan(interval_average([], 0.0, 1.0))
-
-
 class TestCounter:
     """Counter windows are half-open ``[start, end)``.
 
-    Historically ``Counter.count_in`` used ``start < t <= end`` while the
-    link monitor used ``[start, end)``; one convention now applies
-    everywhere, and these tests pin both boundary edges.
+    One convention applies everywhere (probes, link monitor, series
+    windows), and these tests pin both boundary edges.
     """
 
     def test_count_in_window(self):
-        c = Counter()
+        c = CounterProbe()
         c.increment(1.0)
         c.increment(2.0)
         c.increment(3.0)
@@ -180,36 +171,18 @@ class TestCounter:
         assert c.count_in(1.5, 3.5) == 2
 
     def test_start_boundary_included(self):
-        c = Counter()
+        c = CounterProbe()
         c.increment(1.0)
         assert c.count_in(1.0, 2.0) == 1  # closed-left: t=start counts
 
     def test_end_boundary_excluded(self):
-        c = Counter()
+        c = CounterProbe()
         c.increment(2.0)
         assert c.count_in(1.0, 2.0) == 0  # open-right: t=end does not
 
     def test_adjacent_windows_tile_without_double_count(self):
-        c = Counter()
+        c = CounterProbe()
         for t in (0.0, 1.0, 1.5, 2.0, 3.0):
             c.increment(t)
         total = c.count_in(0.0, 2.0) + c.count_in(2.0, 4.0)
         assert total == c.count_in(0.0, 4.0) == 5
-
-    def test_amount_parameter(self):
-        c = Counter()
-        c.increment(1.0, amount=5)
-        assert c.count_in(0.0, 2.0) == 5
-
-    def test_matches_counter_probe_convention(self):
-        # The event-level CounterProbe and the cumulative Counter must
-        # agree on every window, boundaries included.
-        from repro.telemetry import CounterProbe
-
-        counter = Counter()
-        probe = CounterProbe()
-        for t in (0.5, 1.0, 1.0, 2.5, 4.0):
-            counter.increment(t)
-            probe.increment(t)
-        for start, end in [(0.0, 1.0), (1.0, 2.5), (2.5, 4.0), (1.0, 4.0)]:
-            assert counter.count_in(start, end) == probe.count_in(start, end)
