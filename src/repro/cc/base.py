@@ -78,22 +78,24 @@ class Endpoint:
         ect: bool = False,
         ece: bool = False,
     ) -> Packet:
-        assert self.node is not None, "endpoint is not attached"
+        node = self.node
+        assert node is not None, "endpoint is not attached"
+        # Positional: one of these per packet.
         packet = Packet(
-            flow_id=self.flow_id,
-            kind=kind,
-            seq=seq,
-            size=size,
-            src=self.node.address,
-            dst=self.peer_address,
-            sent_at=self.sim.now,
-            ack_seq=ack_seq,
-            echo=echo,
-            info=info,
-            ect=ect,
+            self.flow_id,
+            kind,
+            seq,
+            size,
+            node.address,
+            self.peer_address,
+            self.sim.now,
+            ack_seq,
+            echo,
+            info,
+            ect,
         )
         packet.ece = ece
-        self.node.send(packet)
+        node.send(packet)
         return packet
 
     def receive(self, packet: Packet) -> None:  # pragma: no cover - abstract

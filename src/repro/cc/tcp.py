@@ -140,13 +140,19 @@ class TcpSender(Sender):
     def _try_send(self) -> None:
         if not self.running:
             return
-        limit = int(self.window())
-        while self.inflight() < limit:
-            if self.max_packets is not None and self.snd_nxt >= self.max_packets:
+        # Once per ACK: window() only when it can differ from cwnd, and
+        # inflight() written out.
+        if self._in_recovery or self._dupacks:
+            limit = int(self.window())
+        else:
+            limit = int(self.cwnd)
+        max_packets = self.max_packets
+        while self.snd_nxt - self.snd_una < limit:
+            if max_packets is not None and self.snd_nxt >= max_packets:
                 break
             self._send_data(self.snd_nxt)
             self.snd_nxt += 1
-        if self.inflight() > 0 and not self._rto_timer.pending:
+        if self.snd_nxt > self.snd_una and not self._rto_timer.pending:
             self._arm_timer()
 
     def _send_data(self, seq: int) -> None:
@@ -165,7 +171,7 @@ class TcpSender(Sender):
             self._handle_ecn_echo()
         if packet.ack_seq > self.snd_una:
             self._handle_new_ack(packet)
-        elif self.inflight() > 0:
+        elif self.snd_nxt > self.snd_una:
             self._handle_dupack()
         self._try_send()
 
@@ -175,7 +181,8 @@ class TcpSender(Sender):
         # After a go-back-N rollback the cumulative ACK can jump past the
         # retransmission point (receiver-buffered data); never resend below
         # the highest acknowledged sequence.
-        self.snd_nxt = max(self.snd_nxt, self.snd_una)
+        if self.snd_nxt < self.snd_una:
+            self.snd_nxt = self.snd_una
         self._backoff = 1
         if packet.echo > 0 and not self._in_recovery:
             self._sample_rtt(self.sim.now - packet.echo)
@@ -196,7 +203,7 @@ class TcpSender(Sender):
             self._rto_timer.cancel()
             self._complete()
             return
-        if self.inflight() > 0:
+        if self.snd_nxt > self.snd_una:
             self._arm_timer()
         else:
             self._rto_timer.cancel()
@@ -357,7 +364,8 @@ class TcpSink(Receiver):
         self._flush_ack()
 
     def _flush_ack(self) -> None:
-        self._delack_timer.cancel()
+        if self.delayed_acks:
+            self._delack_timer.cancel()
         self._unacked_arrivals = 0
         self._transmit(
             ACK,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Sequence
 
-from repro.net.packet import Packet
+from repro.net.packet import DATA, Packet
 from repro.sim.rng import deterministic_default_rng
 from repro.telemetry.probes import CounterProbe
 from repro.contracts import NonNegSeconds, PositiveSeconds, Probability
@@ -50,7 +50,7 @@ class Dropper:
     def receive(self, packet: Packet) -> None:
         if self._downstream is None:
             raise RuntimeError("dropper is not connected")
-        if packet.is_data and self.should_drop(packet):
+        if packet.kind == DATA and self.should_drop(packet):
             self.dropped.increment(self._clock())
             return
         self.passed += 1

@@ -4,7 +4,9 @@ The link is the only place in the simulator where packets take time:
 serialization at ``bandwidth_bps`` plus a fixed propagation ``delay_s``.
 Packets that arrive while the transmitter is busy wait in the attached
 :class:`~repro.net.queue.QueueDiscipline`, which is where all congestion
-losses happen.
+losses happen.  A serialization ends at a *time*, not at an event: its
+start schedules the delivery, so an uncontended crossing is one calendar
+event; one at the end exists only for a tap or a waiting packet.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from typing import Callable, Optional
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, QueueDiscipline
 from repro.sim.engine import Simulator
-from repro.contracts import NonNegRatio, NonNegSeconds, PositiveRate
-from repro.units import Bytes, Seconds
+from repro.contracts import NonNegSeconds, PositiveRate
 
 __all__ = ["Link"]
 
@@ -36,16 +37,12 @@ class Link:
     name:
         Label used in monitors and debugging output.
 
-    Notes
-    -----
-    The packet being serialized is *dequeued* from the queue for the
-    duration of its transmission and exposed as :attr:`in_service`
-    (``None`` while the link is idle).  Total occupancy behind a busy
-    link is therefore ``len(link.queue) + 1``: ``capacity_pkts`` waiting
-    packets plus the one in service.  See
-    :class:`~repro.net.queue.QueueDiscipline` for the accounting
-    contract.
+    The packet being serialized is out of the queue (:attr:`in_service`), so
+    a busy link holds ``len(link.queue) + 1`` packets.
     """
+
+    __slots__ = ("sim", "bandwidth_bps", "delay_s", "queue", "name", "_receiver", "_taps",
+                 "_tx_per_byte", "_busy_until", "_wake", "_last", "_pkts", "_bytes")
 
     def __init__(
         self,
@@ -63,16 +60,32 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
         self.queue = queue if queue is not None else DropTailQueue(1000)
-        self.queue.bind_clock(lambda: sim.now)
+        self.queue.bind_clock(sim)
         self.name = name
         self._receiver: Optional[Callable[[Packet], None]] = None
-        self._busy = False
-        self.in_service: Optional[Packet] = None
-        self.bytes_sent = 0
-        self.packets_sent = 0
         self._taps: list[Callable[[Packet], None]] = []
-        # Per-packet constants, hoisted off the transmission fast path.
         self._tx_per_byte = 8.0 / bandwidth_bps
+        self._busy_until = 0.0  # when the serialization in progress ends
+        # _departed is pending at _busy_until: arrivals queue until it fires, even at that instant.
+        self._wake = False
+        self._last: Optional[Packet] = None  # latest packet put on the wire
+        self._pkts = self._bytes = 0  # serializations started, and their bytes
+
+    @property
+    def in_service(self) -> Optional[Packet]:
+        """The packet being serialized now, or None while the link is idle."""
+        return self._last if self.sim.now < self._busy_until else None
+
+    @property
+    def packets_sent(self) -> int:
+        """Packets whose serialization has ended."""
+        return self._pkts - (self.sim.now < self._busy_until)
+
+    @property
+    def bytes_sent(self) -> int:
+        """Bytes of the packets whose serialization has ended."""
+        packet = self.in_service
+        return self._bytes - (packet.size if packet is not None else 0)
 
     def connect(self, receiver: Callable[[Packet], None]) -> None:
         """Set the downstream receiver (a node's or agent's receive)."""
@@ -81,65 +94,51 @@ class Link:
     def add_tap(self, tap: Callable[[Packet], None]) -> None:
         """Register a departure tap, called once per transmitted packet.
 
-        Taps fire after ``bytes_sent``/``packets_sent`` are updated and
-        before the packet is scheduled for propagation.  This is the
-        sanctioned hook for monitors; it replaces the old practice of
-        monkey-patching ``_transmission_done``.
+        Taps (the monitors' hook) fire the instant a serialization ends, the packet
+        counted and its delivery scheduled; one added mid-serialization sees it too.
         """
         self._taps.append(tap)
+        if not self._wake and self.sim.now < self._busy_until:
+            self._wake = True
+            self.sim.call_at(self._busy_until, self._departed)
 
     def send(self, packet: Packet) -> None:
         """Offer a packet to the link; it queues, serializes, propagates."""
         if self._receiver is None:
             raise RuntimeError(f"link {self.name!r} is not connected")
         queue = self.queue
-        if (
-            not self._busy
-            and queue.bypass_idle
-            and not queue._buffer
-            and queue.telemetry is None
-        ):
-            # Idle-link fast path: a packet arriving at an idle link with
-            # an empty passive queue would be enqueued and immediately
-            # dequeued by _start_transmission.  Skip the round trip; this
-            # is the common case on over-provisioned access links.
-            # Only unobserved queues that declare themselves side-effect
-            # free take it (RED must see every arrival for its average
-            # estimator; monitored queues must count every arrival).
-            self._busy = True
-            self.in_service = packet
-            self.sim.call_in(
-                packet.size * self._tx_per_byte, self._transmission_done, packet
-            )
+        now = self.sim.now
+        if self._wake or now < self._busy_until:
+            if queue.enqueue(packet) and not self._wake:
+                self._wake = True
+                self.sim.call_at(self._busy_until, self._departed)
             return
-        if queue.enqueue(packet) and not self._busy:
-            self._start_transmission()
+        if not queue.bypass_idle or queue.telemetry is not None:
+            # RED sees every arrival, a monitored queue counts it; a passive one skips the trip.
+            if not queue.enqueue(packet):
+                return
+            queue.dequeue()  # the packet itself: nothing was waiting
+        self._transmit(packet, now)
 
-    def _start_transmission(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            self._busy = False
-            self.in_service = None
-            return
-        self._busy = True
-        self.in_service = packet
-        # Fire-and-forget: per-packet link events are never cancelled.
-        self.sim.call_in(
-            packet.size * self._tx_per_byte, self._transmission_done, packet
-        )
+    def _transmit(self, packet: Packet, now: float) -> None:
+        """Put ``packet`` on the wire at ``now``; the link is idle."""
+        done = now + packet.size * self._tx_per_byte
+        self._busy_until = done
+        self._last = packet
+        self._pkts += 1
+        self._bytes += packet.size
+        self.sim.call_at(done + self.delay_s, self._receiver, packet)
+        if self._taps or self.queue._buffer:
+            self._wake = True
+            self.sim.call_at(done, self._departed)
 
-    def _transmission_done(self, packet: Packet) -> None:
-        self.bytes_sent += packet.size
-        self.packets_sent += 1
-        if self._taps:
-            for tap in self._taps:
-                tap(packet)
-        self.sim.call_in(self.delay_s, self._receiver, packet)
-        self._start_transmission()
-
-    def utilization(
-        self, start: Seconds, end: Seconds, bytes_in_window: Bytes
-    ) -> NonNegRatio:
-        """Fraction of capacity used by ``bytes_in_window`` over [start, end)."""
-        capacity_bytes = self.bandwidth_bps * (end - start) / 8.0
-        return bytes_in_window / capacity_bytes if capacity_bytes > 0 else 0.0
+    def _departed(self) -> None:
+        """The serialization of ``_last`` ended now: taps, then the next."""
+        self._wake = False
+        departed = self._last
+        assert departed is not None
+        for tap in self._taps:
+            tap(departed)
+        packet = self.queue.dequeue() if self.queue._buffer else None
+        if packet is not None:
+            self._transmit(packet, self.sim.now)

@@ -140,7 +140,9 @@ class FlowAccountant(FlowMetrics):
 
     def on_deliver(self, packet: Packet) -> None:
         """Record a data packet that reached its receiver."""
-        probe = self._flow_probe(packet.flow_id)
-        values = probe.series.values
+        probe = self._probes.get(packet.flow_id)
+        if probe is None:
+            probe = self._flow_probe(packet.flow_id)
+        values = probe.series._values
         total = (values[-1] if values else 0.0) + packet.size
         probe.record(self.sim.now, total)

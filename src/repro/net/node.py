@@ -32,6 +32,8 @@ class Node:
         Debugging label.
     """
 
+    __slots__ = ("sim", "address", "name", "_routes", "_default_route", "_flow_handlers")
+
     def __init__(self, sim: "Simulator", address: int, name: str = ""):
         self.sim = sim
         self.address = address
@@ -68,11 +70,16 @@ class Node:
 
     def receive(self, packet: Packet) -> None:
         """Entry point for packets arriving from a link."""
-        if packet.dst == self.address:
+        dst = packet.dst
+        if dst == self.address:
             handler = self._flow_handlers.get(packet.flow_id)
             if handler is not None:
                 handler(packet)
             # Packets for unbound flows (e.g. a stopped agent) are dropped
             # silently, as a real host would discard them.
             return
-        self.send(packet)
+        # Transit: the body of send(), without the extra frame per hop.
+        link = self._routes[dst] if dst in self._routes else self._default_route
+        if link is None:
+            raise RuntimeError(f"{self.name}: no route for packet to {dst}")
+        link.send(packet)

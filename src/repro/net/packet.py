@@ -94,10 +94,6 @@ class Packet:
         self.ce = False
         self.ece = False
 
-    @property
-    def is_data(self) -> bool:
-        return self.kind == DATA
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Packet flow={self.flow_id} {self.kind} seq={self.seq} "

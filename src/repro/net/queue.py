@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Any, Optional
 
 from repro.net.packet import Packet
 from repro.telemetry.probes import CounterProbe
 from repro.units import Bytes
 
 __all__ = ["QueueDiscipline", "DropTailQueue", "QueueProbes"]
+
+
+#: The clock of a queue no link has bound yet: it stands at zero.
+_EPOCH = SimpleNamespace(now=0.0)
 
 
 @dataclasses.dataclass
@@ -55,6 +60,8 @@ class QueueDiscipline:
     #: must override this to False.
     bypass_idle = True
 
+    __slots__ = ("capacity_pkts", "_buffer", "_bytes", "telemetry", "_clock")
+
     def __init__(self, capacity_pkts: int):
         if capacity_pkts < 1:
             raise ValueError("queue capacity must be at least 1 packet")
@@ -62,10 +69,10 @@ class QueueDiscipline:
         self._buffer: deque[Packet] = deque()
         self._bytes = 0
         self.telemetry: Optional[QueueProbes] = None
-        self._clock: Callable[[], float] = lambda: 0.0
+        self._clock: Any = _EPOCH
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulation clock (done by the owning link)."""
+    def bind_clock(self, clock: Any) -> None:
+        """Attach the clock, read as ``clock.now`` (the owning link passes the simulator)."""
         self._clock = clock
 
     def __len__(self) -> int:
@@ -84,10 +91,10 @@ class QueueDiscipline:
         """Offer a packet; returns True if enqueued, False if dropped."""
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.arrivals.increment(self._clock())
+            telemetry.arrivals.increment(self._clock.now)
         if not self.admit(packet):
             if telemetry is not None:
-                telemetry.drops.increment(self._clock())
+                telemetry.drops.increment(self._clock.now)
             return False
         self._buffer.append(packet)
         self._bytes += packet.size
@@ -104,3 +111,5 @@ class QueueDiscipline:
 
 class DropTailQueue(QueueDiscipline):
     """Plain FIFO tail-drop queue."""
+
+    __slots__ = ()

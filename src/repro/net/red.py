@@ -20,7 +20,6 @@ from repro.net.packet import Packet
 from repro.net.queue import QueueDiscipline
 from repro.sim.rng import deterministic_default_rng
 from repro.contracts import (
-    NonNegSeconds,
     PositiveBytes,
     PositiveRate,
     PositiveRatio,
@@ -59,6 +58,13 @@ class REDQueue(QueueDiscipline):
         during an idle period, for the idle-time estimator correction.
     """
 
+    bypass_idle = False  # estimator needs every arrival/drain
+
+    __slots__ = (
+        "min_thresh", "max_thresh", "max_p", "weight", "gentle", "ecn_marking",
+        "marks", "avg", "_rng", "_mean_pkt_time", "_count", "_idle_since",
+    )
+
     def __init__(
         self,
         capacity_pkts: int,
@@ -73,7 +79,6 @@ class REDQueue(QueueDiscipline):
         ecn_marking: bool = False,
     ):
         super().__init__(capacity_pkts)
-        self.bypass_idle = False  # estimator needs every arrival/drain
         if not 0 < min_thresh < max_thresh:
             raise ValueError("need 0 < min_thresh < max_thresh")
         if not 0 < max_p <= 1:
@@ -96,16 +101,6 @@ class REDQueue(QueueDiscipline):
         self.avg = 0.0
         self._count = 0  # packets since the last early drop
         self._idle_since: Optional[float] = None
-
-    def _update_average(self) -> None:
-        """EWMA update, with the idle-period correction from the RED paper."""
-        q = len(self)
-        if q == 0 and self._idle_since is not None:
-            idle = self._clock() - self._idle_since
-            missed = int(idle / self._mean_pkt_time)
-            self.avg *= (1.0 - self.weight) ** missed
-            self._idle_since = None
-        self.avg += self.weight * (q - self.avg)
 
     def _drop_probability(self) -> Probability:
         """Early-drop probability for the current average queue size."""
@@ -138,35 +133,51 @@ class REDQueue(QueueDiscipline):
             packet.ce = True
             self.marks += 1
             if self.telemetry is not None and self.telemetry.marks is not None:
-                self.telemetry.marks.increment(self._clock())
+                self.telemetry.marks.increment(self._clock.now)
             return False
         return True
 
     def admit(self, packet: Packet) -> bool:
-        self._update_average()
-        if len(self) >= self.capacity_pkts:
+        # EWMA update with the RED paper's idle-period correction, on locals (once per packet).
+        q = len(self._buffer)
+        avg = self.avg
+        weight = self.weight
+        if q == 0 and self._idle_since is not None:
+            idle = self._clock.now - self._idle_since
+            missed = int(idle / self._mean_pkt_time)
+            avg *= (1.0 - weight) ** missed
+            self._idle_since = None
+        avg += weight * (q - avg)
+        self.avg = avg
+        if q >= self.capacity_pkts:
             self._count = 0
             return False  # physical overflow always drops, even with ECN
-        p_b = self._drop_probability()
-        if p_b <= 0.0:
+        if avg <= self.min_thresh:  # the ramp starts above it: p_b is zero
             self._count = -1
             return True
+        p_b = self._drop_probability()
         if p_b >= 1.0:
             self._count = 0
             return not self._congested(packet)
-        self._count += 1
+        count = self._count + 1
+        self._count = count
         # Spread drops uniformly: p_a = p_b / (1 - count * p_b).
-        denominator = 1.0 - self._count * p_b
-        p_a = 1.0 if denominator <= 0 else min(1.0, p_b / denominator)
+        # (p_a above 1 is as certain as 1: random() stays below both.)
+        denominator = 1.0 - count * p_b
+        p_a = p_b / denominator if denominator > 0 else 1.0
         if self._rng.random() < p_a:
             self._count = 0
             return not self._congested(packet)
         return True
 
     def dequeue(self) -> Optional[Packet]:
-        packet = super().dequeue()
-        if packet is not None and len(self) == 0:
-            self._idle_since = self._clock()
+        buffer = self._buffer
+        if not buffer:
+            return None
+        packet = buffer.popleft()
+        self._bytes -= packet.size
+        if not buffer:
+            self._idle_since = self._clock.now
         return packet
 
 

@@ -11,30 +11,30 @@ time forward and invokes callbacks.
 
 Fast path
 ---------
-The calendar stores ``(time, seq, ...)`` tuples rather than bare
-:class:`Event` objects.  Heap sifts then compare C-level floats and ints
-instead of dispatching to a Python ``Event.__lt__`` per comparison — on a
-calendar of a few hundred events that removes five to ten Python calls
-from every push and pop, which is most of what the kernel does per
-packet.  The heap is the only container: ``(time, seq)`` is a total
-order, so one calendar fixes the firing order, same-time events
-included (real figure jobs schedule at most one event per job at
-exactly ``now`` — see the traffic audit in ``docs/performance.md``).
-Two further fast paths, both checked for firing order against the
-frozen pre-overhaul kernel in ``tests/reference_kernel.py``:
+The calendar stores uniform ``(time, seq, fn, args)`` tuples rather than
+bare :class:`Event` objects.  Heap sifts then compare C-level floats and
+ints instead of dispatching to a Python ``__lt__`` per comparison, and
+the run loop unpacks every entry the same way.  The heap is the only
+container: ``(time, seq)`` is a total order, so one calendar fixes the
+firing order, same-time events included.  Three further fast paths,
+checked for firing order against the frozen pre-overhaul kernel in
+``tests/reference_kernel.py``:
 
 * :meth:`Simulator.call_at` / :meth:`Simulator.call_in` are
   fire-and-forget variants of :meth:`at` / :meth:`schedule` for callers
   that never cancel (per-packet link events, which dominate every
-  simulation): they push a bare ``(time, seq, fn, args)`` entry and skip
-  the :class:`Event` allocation and the cancellation bookkeeping
-  entirely.  Sequence numbers come from the same counter, so mixing the
+  simulation): they push ``(time, seq, fn, args)`` and skip the
+  :class:`Event` allocation and the cancellation bookkeeping entirely.
+  A cancellable event rides the same shape as ``(time, seq, None,
+  event)``.  Sequence numbers come from the same counter, so mixing the
   two APIs preserves the global FIFO tie-break.
 * ``now`` is a plain attribute, not a property: the clock is read on
   every queue arrival, packet construction and probe sample, and an
   attribute load is several times cheaper than a descriptor call.  It
   is written by the kernel only; assigning it from outside the kernel
   is not supported (tests that need a fake clock may do so explicitly).
+* :class:`Timer` pushes its deadline back with a field write (a TCP
+  sender restarts its RTO on every ACK) instead of a cancel and a push.
 """
 
 from __future__ import annotations
@@ -60,12 +60,10 @@ class Event:
 
     Events are created through :meth:`Simulator.schedule` /
     :meth:`Simulator.at` and can be cancelled before they fire.  Cancellation
-    is lazy: the calendar entry stays in place and is discarded when popped
-    (or swept out wholesale when cancelled entries dominate the calendar —
-    see :meth:`Simulator._note_cancelled`).
+    is lazy: the calendar entry stays in place and is discarded when popped.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim", "_in_heap")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
 
     def __init__(
         self,
@@ -80,23 +78,18 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
+        # The calendar this event sits in; None once it has been popped,
+        # so a late cancel() cannot count a tombstone that is not there.
         self._sim = sim
-        self._in_heap = False
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
         if self.cancelled:
             return
         self.cancelled = True
-        if self._sim is not None and self._in_heap:
-            self._sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        # Kept for callers that sort events; the calendar itself compares
-        # (time, seq) tuples and never reaches this method.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        sim = self._sim
+        if sim is not None:
+            sim._cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -116,17 +109,11 @@ class Simulator:
     (1.5, ['hello'])
     """
 
-    #: Compaction only kicks in above this many cancelled entries, so tiny
-    #: calendars never pay the heapify cost.  128 (not 64) because the
-    #: sweep is O(calendar): below ~a hundred tombstones, lazy pop-time
-    #: discard is measurably cheaper than even one rebuild.
-    COMPACT_MIN_CANCELLED = 128
-
     def __init__(self) -> None:
-        # Calendar entries are (time, seq, event) for cancellable events
-        # and (time, seq, fn, args) for fire-and-forget call_at/call_in
-        # entries.  seq is unique, so sifts compare floats and ints only
-        # and never reach the third element.
+        # Calendar entries are (time, seq, fn, args) for fire-and-forget
+        # call_at/call_in entries and (time, seq, None, event) for
+        # cancellable events.  seq is unique, so sifts compare floats and
+        # ints only and never reach the third element.
         self._heap: list[tuple] = []
         #: Current simulated time in seconds (kernel-written; read-only
         #: for everyone else).
@@ -141,51 +128,10 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (not-yet-fired, not-cancelled) events.
 
-        O(1): the kernel tracks how many calendar entries are cancelled-
-        but-not-yet-popped instead of scanning the calendar.
+        O(1): :meth:`Event.cancel` counts the tombstones it leaves in the
+        calendar and the run loop uncounts them as it discards them.
         """
         return len(self._heap) - self._cancelled
-
-    def _note_cancelled(self) -> None:
-        """Bookkeeping hook called by :meth:`Event.cancel`.
-
-        Counts the tombstone and, when more than half the calendar (and at
-        least :data:`COMPACT_MIN_CANCELLED` entries) is dead weight, sweeps
-        the calendar: filtering preserves correctness because ``(time, seq)``
-        is a total order, so ``heapify`` rebuilds the exact same event
-        ordering without the tombstones.  Fire-and-forget 4-tuple entries
-        cannot be cancelled and always survive the sweep.
-
-        One exception: when the entry at the heap *top* is itself a
-        tombstone, the sweep is skipped.  The run loop pops and discards
-        top tombstones for free (no callback, counter decrement only), so
-        a cancellation storm aimed at the earliest events drains lazily
-        at pop time instead of paying an O(calendar) rebuild — the sweep
-        then fires on the first cancellation after the top turns live.
-        """
-        self._cancelled += 1
-        heap = self._heap
-        if (
-            self._cancelled > self.COMPACT_MIN_CANCELLED
-            and self._cancelled > len(heap) // 2
-        ):
-            if heap and len(heap[0]) == 3 and heap[0][2].cancelled:
-                return
-            # The sweep is in place (slice-assign): the run loop holds a
-            # direct reference to the heap, and a cancellation storm
-            # inside a callback must compact the very calendar the loop
-            # is draining.  Swept tombstones keep their ``_in_heap``
-            # flag: the only reader is ``Event.cancel``, which
-            # early-returns on ``cancelled`` before ever looking at the
-            # flag, so clearing it here would be a second full pass of
-            # pure dead work.
-            heap[:] = [
-                entry
-                for entry in heap
-                if len(entry) == 4 or not entry[2].cancelled
-            ]
-            heapq.heapify(heap)
-            self._cancelled = 0
 
     def schedule(self, delay: NonNegSeconds, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -197,9 +143,8 @@ class Simulator:
             raise SimulationError("cannot schedule at time NaN")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, fn, args, sim=self)
-        event._in_heap = True
-        _heappush(self._heap, (time, seq, event))
+        event = Event(time, seq, fn, args, self)
+        _heappush(self._heap, (time, seq, None, event))
         return event
 
     def at(self, time: NonNegSeconds, fn: Callable[..., Any], *args: Any) -> Event:
@@ -214,9 +159,8 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, fn, args, sim=self)
-        event._in_heap = True
-        _heappush(self._heap, (time, seq, event))
+        event = Event(time, seq, fn, args, self)
+        _heappush(self._heap, (time, seq, None, event))
         return event
 
     def call_in(self, delay: NonNegSeconds, fn: Callable[..., Any], *args: Any) -> None:
@@ -263,26 +207,24 @@ class Simulator:
         self._stopped = False
         heap = self._heap
         heappop = _heappop
+        horizon = math.inf if until is None else until
         fired = 0
         try:
             while heap and not self._stopped:
-                if until is not None and heap[0][0] > until:
+                if heap[0][0] > horizon:
                     break
-                entry = heappop(heap)
-                if len(entry) == 4:
-                    # Fire-and-forget entry: nothing to cancel, no Event.
-                    self.now = entry[0]
-                    fired += 1
-                    entry[2](*entry[3])
-                    continue
-                event = entry[2]
-                event._in_heap = False
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                self.now = entry[0]
+                time, _, fn, args = heappop(heap)
+                if fn is None:
+                    # Cancellable entry: ``args`` is the Event itself.
+                    if args.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    args._sim = None
+                    fn = args.fn
+                    args = args.args
+                self.now = time
                 fired += 1
-                event.fn(*event.args)
+                fn(*args)
             if until is not None and not self._stopped and self.now < until:
                 self.now = until
         finally:
@@ -297,39 +239,62 @@ class Simulator:
 class Timer:
     """A restartable one-shot timer, e.g. a TCP retransmission timer.
 
-    A timer wraps a callback and manages the single outstanding event for it:
-    (re)scheduling cancels any previous schedule.
+    A timer wraps a callback and manages the single outstanding deadline
+    for it: (re)scheduling replaces any previous one.  Pushing the
+    deadline *back* — what a retransmission timer does on every ACK —
+    writes a field: the calendar entry already in place fires at the old
+    time, finds the later deadline and re-arms once.  Pulling it forward
+    and :meth:`cancel` cancel the entry for real, so a cancelled timer
+    never keeps a draining calendar alive.
     """
+
+    __slots__ = ("_sim", "_fn", "_event", "_at", "_deadline")
 
     def __init__(self, sim: Simulator, fn: Callable[[], Any]):
         self._sim = sim
         self._fn = fn
-        self._event: Optional[Event] = None
+        self._event: Optional[Event] = None  # calendar entry; None = disarmed
+        self._at = 0.0  # when that entry fires
+        self._deadline = 0.0  # when the callback is due: >= _at
 
     @property
     def pending(self) -> bool:
         """Whether the timer is armed."""
-        return self._event is not None and not self._event.cancelled
+        return self._event is not None
 
     @property
     def expiry(self) -> Optional[float]:
         """Absolute time the timer will fire, or None if not armed."""
-        if self.pending:
-            assert self._event is not None
-            return self._event.time
-        return None
+        return self._deadline if self._event is not None else None
 
     def schedule(self, delay: NonNegSeconds) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
+        sim = self._sim
+        deadline = sim.now + delay
+        event = self._event
+        if event is not None:
+            if deadline >= self._at:
+                self._deadline = deadline
+                return
+            event.cancel()
+            self._event = None
+        # ``at`` rejects a negative delay (deadline before now) and NaN.
+        self._event = sim.at(deadline, self._fire)
+        self._at = self._deadline = deadline
 
     def cancel(self) -> None:
         """Disarm the timer if armed."""
-        if self._event is not None:
-            self._event.cancel()
+        event = self._event
+        if event is not None:
+            event.cancel()
             self._event = None
 
     def _fire(self) -> None:
+        deadline = self._deadline
+        if deadline > self._at:
+            # Pushed back since this entry was made: re-arm at the deadline.
+            self._event = self._sim.at(deadline, self._fire)
+            self._at = deadline
+            return
         self._event = None
         self._fn()

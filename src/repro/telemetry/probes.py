@@ -35,6 +35,8 @@ class Probe:
 
     kind: str = ""
 
+    __slots__ = ("name",)
+
     def __init__(self, name: str = ""):
         self.name = name
 
@@ -68,6 +70,8 @@ class CounterProbe(Probe):
     """
 
     kind = "counter"
+
+    __slots__ = ("_times", "_totals", "_total", "_last_time")
 
     def __init__(self, name: str = ""):
         super().__init__(name)
@@ -130,6 +134,8 @@ class SeriesProbe(Probe):
 
     kind = "series"
 
+    __slots__ = ("series",)
+
     def __init__(self, name: str = "", series: Optional[TimeSeries] = None):
         super().__init__(name)
         self.series = series if series is not None else TimeSeries(name)
@@ -146,7 +152,15 @@ class SeriesProbe(Probe):
         return iter(self.series)
 
     def record(self, time: Seconds, value: float) -> None:
-        self.series.append(time, value)
+        # TimeSeries.append, without the extra frame per sample.
+        series = self.series
+        times = series._times
+        if times and time < times[-1]:
+            raise ValueError(
+                f"samples must be time-ordered: {time} < {times[-1]}"
+            )
+        times.append(time)
+        series._values.append(value)
 
     def load(self, times: Sequence[float], values: Sequence[float]) -> None:
         """Replace contents from an exported snapshot (trace replay)."""
@@ -163,6 +177,8 @@ class GaugeProbe(SeriesProbe):
     """
 
     kind = "gauge"
+
+    __slots__ = ("read",)
 
     def __init__(
         self, name: str = "", read: Optional[Callable[[], float]] = None

@@ -4,8 +4,10 @@ A faithful snapshot of the event calendar as it stood *before* the
 fast-path overhaul — object-keyed heap, per-sift ``Event.__lt__``
 dispatch, an Event allocation for every schedule.  The property tests in
 ``tests/test_sim_engine_fastpath.py`` drive random schedule / cancel /
-compaction churn through both kernels and assert the live kernel fires
+timer churn through both kernels and assert the live kernel fires
 events in exactly the reference ``(time, seq)`` order.
+:class:`ReferenceTimer` is the timer of the same vintage: every
+re-schedule cancels the old event and pushes a new one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import heapq
 import math
 from typing import Any, Callable, Optional
 
-__all__ = ["ReferenceEvent", "ReferenceSimulator"]
+__all__ = ["ReferenceEvent", "ReferenceSimulator", "ReferenceTimer"]
 
 
 class ReferenceEvent:
@@ -134,3 +136,36 @@ class ReferenceSimulator:
 
     def stop(self) -> None:
         self._stopped = True
+
+
+class ReferenceTimer:
+    """Pre-overhaul one-shot timer: (re)scheduling is cancel + push."""
+
+    def __init__(self, sim: ReferenceSimulator, fn: Callable[[], Any]):
+        self._sim = sim
+        self._fn = fn
+        self._event: Optional[ReferenceEvent] = None
+
+    @property
+    def pending(self) -> bool:
+        return self._event is not None and not self._event.cancelled
+
+    @property
+    def expiry(self) -> Optional[float]:
+        if self.pending:
+            assert self._event is not None
+            return self._event.time
+        return None
+
+    def schedule(self, delay: float) -> None:
+        self.cancel()
+        self._event = self._sim.schedule(delay, self._fire)
+
+    def cancel(self) -> None:
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _fire(self) -> None:
+        self._event = None
+        self._fn()

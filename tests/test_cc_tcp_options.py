@@ -95,7 +95,6 @@ class TestEcnQueue:
             q.enqueue(self.data(ect=True))
         assert len(q) <= q.capacity_pkts
         packet = self.data(ect=True)
-        q._update_average()
         if len(q) >= q.capacity_pkts:
             assert not q.enqueue(packet)
 

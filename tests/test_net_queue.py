@@ -1,6 +1,7 @@
 """Unit tests for DropTail and RED queue disciplines."""
 
 import random
+import types
 
 import pytest
 from hypothesis import given
@@ -136,15 +137,15 @@ class TestRED:
         assert q._drop_probability() == 1.0
 
     def test_idle_period_decays_average(self):
-        clock = {"t": 0.0}
+        clock = types.SimpleNamespace(now=0.0)
         q = self.make_red(weight=0.25)
-        q.bind_clock(lambda: clock["t"])
+        q.bind_clock(clock)
         for _ in range(10):
             q.enqueue(make_packet())
         while q.dequeue() is not None:
             pass
         avg_before = q.avg
-        clock["t"] = 10.0  # long idle: many packet-times pass
+        clock.now = 10.0  # long idle: many packet-times pass
         q.enqueue(make_packet())
         assert q.avg < avg_before
 

@@ -140,35 +140,13 @@ class TestCancellation:
         assert fired == ["live"]
         assert sim.pending == 0
 
-    def test_mass_cancellation_compacts_the_heap(self):
+    def test_cancel_after_firing_does_not_drift_the_counter(self):
         sim = Simulator()
-        events = [sim.schedule(1.0 + i * 1e-3, lambda: None) for i in range(500)]
-        # Cancel the *latest* 400: the heap top stays live, so the sweep
-        # must actually run.  The calendar was mostly tombstones, so it
-        # must have been swept: without compaction all 500 entries would
-        # still be in the heap.
-        for event in events[100:]:
-            event.cancel()
-        assert sim.pending == 100
-        assert len(sim._heap) < 250
-
-    def test_cancellations_at_the_heap_top_skip_the_sweep(self):
-        sim = Simulator()
-        events = [sim.schedule(1.0 + i * 1e-3, lambda: None) for i in range(500)]
-        # Cancel the *earliest* 400: the heap top is a tombstone the whole
-        # storm, so compaction is skipped — the run loop discards top
-        # tombstones for free — while the O(1) pending counter stays exact.
-        for event in events[:400]:
-            event.cancel()
-        assert len(sim._heap) == 500
-        assert sim.pending == 100
-        fired = []
-        for event in events[400:]:
-            event.fn = fired.append
-            event.args = (event.time,)
-        sim.run()
-        assert len(fired) == 100
-        assert sim.pending == 0
+        fired = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        fired.cancel()  # no tombstone is left behind: it already popped
+        assert sim.pending == 1
 
     def test_cancel_after_compaction_does_not_drift_the_counter(self):
         sim = Simulator()
@@ -176,7 +154,7 @@ class TestCancellation:
         for event in events[100:]:
             event.cancel()
         for event in events[100:]:
-            event.cancel()  # double-cancel swept tombstones: harmless
+            event.cancel()  # double-cancel tombstones: harmless
         assert sim.pending == 100
         fired = []
         for event in events[:100]:
@@ -262,6 +240,87 @@ class TestTimer:
         timer.schedule(1.0)
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
+
+
+    def test_push_back_is_a_field_write(self, monkeypatch):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.schedule(2.0)
+        calls = []
+        for name in ("at", "schedule", "call_at", "call_in"):
+            plain = getattr(sim, name)
+            monkeypatch.setattr(
+                sim, name, lambda *a, _plain=plain, _name=name: (calls.append(_name), _plain(*a))[1]
+            )
+        timer.schedule(5.0)
+        timer.schedule(5.0)  # equal deadline: also no calendar work
+        timer.schedule(7.0)
+        assert calls == []
+        assert sim.pending == 1
+        assert timer.pending and timer.expiry == 7.0
+        sim.run()
+        assert fired == [7.0]
+        assert calls == ["at"]  # the stale entry re-armed, once
+        assert not timer.pending and timer.expiry is None
+
+    def test_earlier_rearm_fires_at_the_earlier_time(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.schedule(5.0)
+        timer.schedule(2.0)
+        assert timer.expiry == 2.0
+        assert sim.pending == 1  # the 5.0 entry was cancelled for real
+        sim.run()
+        assert fired == [2.0]
+        assert sim.now == 2.0  # nothing live was left at 5.0
+
+    def test_push_back_then_pull_forward_between_the_two(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.schedule(2.0)
+        timer.schedule(9.0)
+        timer.schedule(4.0)  # later than the entry at 2.0: still a field write
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [4.0]
+
+    def test_cancel_after_push_back_leaves_no_live_entry(self):
+        from tests.reference_kernel import ReferenceSimulator, ReferenceTimer
+
+        def drive(sim, timer_cls):
+            timer = timer_cls(sim, lambda: None)
+            sim.schedule(1.0, lambda: None)
+            timer.schedule(2.0)
+            timer.schedule(5.0)
+            timer.cancel()
+            assert not timer.pending and timer.expiry is None
+            assert sim.pending == 1
+            sim.run()
+            return sim.now
+
+        assert drive(Simulator(), Timer) == drive(ReferenceSimulator(), ReferenceTimer) == 1.0
+
+    def test_pending_is_false_inside_the_callback(self):
+        sim = Simulator()
+        seen = []
+        timer = Timer(sim, lambda: seen.append((timer.pending, timer.expiry)))
+        timer.schedule(1.0)
+        timer.schedule(3.0)
+        sim.run()
+        assert seen == [(False, None)]
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_negative_and_nan_delays_rejected(self, armed, delay):
+        sim = Simulator()
+        timer = Timer(sim, lambda: None)
+        if armed:
+            timer.schedule(1.0)
+        with pytest.raises(SimulationError):
+            timer.schedule(delay)
 
 
 class TestOrderingProperty:

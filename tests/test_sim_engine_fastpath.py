@@ -1,38 +1,60 @@
 """The fast-path kernel fires in exactly the pre-overhaul order.
 
-The tuple-keyed calendar and the fire-and-forget
-``call_in``/``call_at`` entries are pure performance work: the
-observable contract — events fire in ``(time, seq)`` order, cancelled
-events never fire, compaction is invisible — must match the frozen
-pre-overhaul kernel in ``tests/reference_kernel.py`` exactly.  These
-tests drive random schedule / cancel / compaction churn through both
-kernels and compare the full firing transcripts.
+The tuple-keyed calendar, the fire-and-forget ``call_in``/``call_at``
+entries and the lazily pushed-back ``Timer`` are pure performance work:
+the observable contract — events fire in ``(time, seq)`` order,
+cancelled events never fire, a timer fires at its latest deadline —
+must match the frozen pre-overhaul kernel in
+``tests/reference_kernel.py`` exactly.  These tests drive random
+schedule / cancel / timer churn through both kernels and compare the
+full firing transcripts.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
-from tests.reference_kernel import ReferenceSimulator
+from repro.sim.engine import Simulator, Timer
+from tests.reference_kernel import ReferenceSimulator, ReferenceTimer
 
 # One churn program = a list of instructions interpreted against a kernel:
 #   ("at", time_fraction)        schedule at now + fraction * horizon
 #   ("now", 0)                   schedule at exactly the current time
 #   ("cancel", k)                cancel the k-th not-yet-cancelled event
 #   ("nested", time_fraction)    the scheduled callback schedules another
+#   ("timer", (k, at, delay))    at at * horizon, (re)arm timer k for
+#                                delay * horizon / 4 — pushes back, pulls
+#                                forward or re-arms, as the numbers fall
+#   ("disarm", (k, at))          at at * horizon, cancel timer k
+_FRACTION = st.floats(0.0, 1.0, allow_nan=False)
+_TIMERS = 3
 _INSTRUCTION = st.one_of(
-    st.tuples(st.just("at"), st.floats(0.0, 1.0, allow_nan=False)),
+    st.tuples(st.just("at"), _FRACTION),
     st.tuples(st.just("now"), st.just(0.0)),
     st.tuples(st.just("cancel"), st.integers(0, 1000)),
-    st.tuples(st.just("nested"), st.floats(0.0, 1.0, allow_nan=False)),
+    st.tuples(st.just("nested"), _FRACTION),
+    st.tuples(st.just("timer"), st.tuples(st.integers(0, _TIMERS - 1), _FRACTION, _FRACTION)),
+    st.tuples(st.just("disarm"), st.tuples(st.integers(0, _TIMERS - 1), _FRACTION)),
 )
 
 
 def _run_program(sim, program, horizon=100.0):
-    """Interpret a churn program; returns the firing transcript."""
+    """Interpret a churn program; returns ``(events, timers, end)``.
+
+    ``events`` is the firing transcript of the plain events, in order.
+    Timer expiries are kept apart, as a sorted list: a pushed-back timer
+    fires at the same *time* as the reference one, but among events of
+    that very instant it goes by when its entry was last re-made, so only
+    its time is part of the contract.  ``end`` is where the drained
+    calendar left the clock.
+    """
     transcript = []
+    expiries = []
     events = []
+    timer_cls = Timer if isinstance(sim, Simulator) else ReferenceTimer
+    timers = [
+        timer_cls(sim, lambda k=k: expiries.append((sim.now, k))) for k in range(_TIMERS)
+    ]
 
     def fire(tag):
         transcript.append((sim.now, tag))
@@ -40,6 +62,14 @@ def _run_program(sim, program, horizon=100.0):
     def nested(tag, offset):
         transcript.append((sim.now, tag))
         events.append(sim.at(sim.now + offset, fire, f"{tag}.child"))
+
+    def arm(k, delay):
+        timers[k].schedule(delay)
+        assert timers[k].pending and timers[k].expiry == sim.now + delay
+
+    def disarm(k):
+        timers[k].cancel()
+        assert not timers[k].pending and timers[k].expiry is None
 
     for i, (op, arg) in enumerate(program):
         if op == "at":
@@ -52,8 +82,14 @@ def _run_program(sim, program, horizon=100.0):
                 live[int(arg) % len(live)].cancel()
         elif op == "nested":
             events.append(sim.at(arg * horizon, nested, f"e{i}", arg * 0.5))
+        elif op == "timer":
+            k, at, delay = arg
+            sim.at(at * horizon, arm, k, delay * horizon / 4)
+        elif op == "disarm":
+            k, at = arg
+            sim.at(at * horizon, disarm, k)
     sim.run()
-    return transcript
+    return transcript, sorted(expiries), sim.now
 
 
 class TestOrderingOracle:
@@ -63,17 +99,6 @@ class TestOrderingOracle:
         live = _run_program(Simulator(), program)
         ref = _run_program(ReferenceSimulator(), program)
         assert live == ref
-
-    @given(program=st.lists(_INSTRUCTION, min_size=10, max_size=60))
-    @settings(max_examples=60, deadline=None)
-    def test_transcripts_match_under_aggressive_compaction(self, program):
-        # Force the sweep on nearly every cancellation so the in-place
-        # compaction of the heap is exercised while the run loop may be
-        # holding a reference to it.
-        live_sim, ref_sim = Simulator(), ReferenceSimulator()
-        live_sim.COMPACT_MIN_CANCELLED = 0
-        ref_sim.COMPACT_MIN_CANCELLED = 0
-        assert _run_program(live_sim, program) == _run_program(ref_sim, program)
 
     @given(
         deltas=st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=40),
@@ -155,17 +180,3 @@ class TestCallInContract:
         cancelled.cancel()
         sim.run()
         assert sim.events_fired == 2
-
-    def test_compaction_never_drops_fire_and_forget_entries(self):
-        # 4-tuple entries cannot be cancelled; a sweep triggered by a
-        # storm of cancelled Events must leave them all in place.
-        sim = Simulator()
-        sim.COMPACT_MIN_CANCELLED = 0
-        fired = []
-        for i in range(20):
-            sim.call_in(float(i + 1), fired.append, i)
-        doomed = [sim.schedule(50.0 + i, lambda: None) for i in range(40)]
-        for event in doomed:
-            event.cancel()  # each cancel can trigger a sweep
-        sim.run()
-        assert fired == list(range(20))
