@@ -42,8 +42,8 @@ figure — see ``docs/experiments.md``.
 
 Jobs run in submission order; on a parallel run those cheaper than a
 pool round-trip run inline in the coordinator, worker pools fork from a
-warm preloaded fork-server template, and results travel as packed
-canonical-JSON frames.  None of this can change a table — only how fast
+warm preloaded fork-server template, and results travel as
+canonical-JSON text.  None of this can change a table — only how fast
 it appears; see ``docs/performance.md``.
 """
 

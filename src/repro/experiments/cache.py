@@ -235,13 +235,13 @@ class ResultCache:
         """Persist a payload already in canonical-JSON text form.
 
         ``value_text`` must be ``json.dumps(value, allow_nan=True,
-        sort_keys=True)`` output — exactly what the packed result
-        transport ships (:mod:`repro.experiments.transport`).  The record
-        is spliced around it without re-serializing the payload, and the
-        resulting bytes are identical to what :meth:`store` would have
-        written: the record keys ``job`` < ``salt`` < ``value`` are
-        already in sorted order, and ``json.dumps`` default separators
-        (``", "``/``": "``) match the splice below.
+        sort_keys=True)`` output — exactly what a pool worker ships
+        (``executor._pool_run``).  The record is spliced around it
+        without re-serializing the payload, and the resulting bytes are
+        identical to what :meth:`store` would have written: the record
+        keys ``job`` < ``salt`` < ``value`` are already in sorted order,
+        and ``json.dumps`` default separators (``", "``/``": "``) match
+        the splice below.
         """
         job_text = json.dumps(jb.describe(), allow_nan=True, sort_keys=True)
         salt_text = json.dumps(self.salt, sort_keys=True)

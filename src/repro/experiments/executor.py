@@ -35,12 +35,11 @@ order — see ``docs/performance.md`` for the ablation that left these):
   interpreter+import startup; the pools persist across ``map`` calls
   (until :meth:`ParallelExecutor.close`) so a 20-figure sweep builds
   its slots once.  Platforms without fork fall back to ``spawn``.
-* **packed result transport** — workers return results as
-  length-prefixed binary frames carrying the *canonical JSON bytes* the
-  cache stores (:mod:`repro.experiments.transport`), so the coordinator
-  splices them into cache records instead of re-serializing a
-  re-pickled dict; with a disk cache the map's small records flush as
-  batched per-shard pack appends
+* **results ship as text** — a worker dumps its payload once, to the
+  *canonical JSON text* the cache stores, and returns ``(value_text,
+  trace_text, pid)``, so the coordinator splices the text into the
+  cache record instead of re-serializing a re-pickled dict; with a disk
+  cache the map's small records flush as batched per-shard pack appends
   (:meth:`~repro.experiments.cache.ResultCache.flush_batch`).
 
 Fault tolerance (the parallel executor, unchanged semantics):
@@ -88,7 +87,6 @@ from repro.experiments.costmodel import CostModel
 from repro.experiments.faults import FaultSpec
 from repro.experiments.jobs import Job, execute_job
 from repro.experiments.runlog import RunLog
-from repro.experiments.transport import PackedResult, pack_result, unpack_result
 
 __all__ = [
     "ExecutionError",
@@ -185,7 +183,7 @@ class ExecutionReport:
     store_s: float = 0.0  # portion of execute_s spent persisting results
     startup_s: float = 0.0  # building / reviving worker pools
     dispatch_s: float = 0.0  # cost prediction + inline/pool partition
-    transport_s: float = 0.0  # decoding packed result frames
+    transport_s: float = 0.0  # decoding shipped result text
     compute_s: float = 0.0  # sum of successful attempts' wall seconds
 
     def as_dict(self) -> dict:
@@ -226,26 +224,39 @@ class ExecutionError(RuntimeError):
         self.attempts = attempts
 
 
+def _split_trace(jb: Job, value: Any) -> tuple[Any, Optional[str]]:
+    """``(payload, trace_text or None)`` from what ``execute_job`` returned.
+
+    A traced execution returns ``{"__trace__": jsonl, "value": ...}``;
+    the wrapper never reaches the result cache or the caller.
+    """
+    if jb.trace and isinstance(value, dict) and "__trace__" in value:
+        return value["value"], value["__trace__"]
+    return value, None
+
+
 def _pool_run(
     jb: Job, position: int, attempt: int, fault_text: Optional[str]
-) -> tuple[PackedResult, int]:
-    """Worker-side entry point: run one job, report the worker pid.
+) -> tuple[str, Optional[str], int]:
+    """Worker-side entry point: ``(value_text, trace_text, worker pid)``.
 
     Fault injection (:mod:`repro.experiments.faults`) is bound here —
     inside the worker process — so a ``crash`` fault can only ever kill a
     worker, never the coordinating process.
 
     The worker serializes the payload *once*, to the canonical JSON the
-    cache would store anyway, so the pool ships one bytes frame instead
-    of pickling a nested dict the coordinator must re-serialize.
+    cache would store anyway (``store()`` dumps with the same arguments),
+    so the pool ships text instead of pickling a nested dict the
+    coordinator must re-serialize.  ``trace_text`` is None when no trace
+    was recorded, so "no trace" and "empty trace" stay distinct.
     """
     fault = None
     if fault_text:
         spec = FaultSpec.parse(fault_text)
         if spec is not None:
             fault = spec.bind(position, attempt)
-    value = execute_job(jb, fault=fault)
-    return pack_result(value, traced=jb.trace), os.getpid()
+    value, trace_text = _split_trace(jb, execute_job(jb, fault=fault))
+    return json.dumps(value, allow_nan=True, sort_keys=True), trace_text, os.getpid()
 
 
 class Executor:
@@ -276,6 +287,11 @@ class Executor:
             if job_timeout is not None
             else _env_number("REPRO_JOB_TIMEOUT", float)
         )
+        # ``not > 0`` rather than ``<= 0``: NaN would never fire, and a
+        # zero or negative timeout expires every job as it is submitted.
+        if self.job_timeout is not None and not self.job_timeout > 0:
+            source = "job_timeout" if job_timeout is not None else "REPRO_JOB_TIMEOUT"
+            raise ValueError(f"{source} must be > 0 seconds, got {self.job_timeout}")
         env_retries = _env_number("REPRO_MAX_RETRIES", int)
         self.max_retries = (
             max_retries
@@ -343,29 +359,22 @@ class Executor:
             wall_s: float,
             degraded: bool = False,
             timed_out: bool = False,
+            shipped: bool = False,
         ) -> None:
             # Store immediately — salvage: a later failure cannot discard
             # this result, and a rerun will answer it from the cache.
             _, jb = unique[pos]
-            trace_text: Optional[str] = None
-            if isinstance(value, PackedResult):
-                # From a pool worker: the frame carries the canonical
-                # JSON bytes; splice them straight into the cache record.
-                transport_started = time.monotonic()
-                value_text, trace_text = unpack_result(value)
-                report.transport_s += time.monotonic() - transport_started
+            if shipped:
+                # From a pool worker: ``value`` is ``_pool_run``'s
+                # (canonical JSON text, trace text) pair; the value text
+                # is spliced straight into the cache record.
+                value_text, trace_text = value
             else:
-                value_text = None
-                # A traced execution returns {"__trace__": jsonl,
-                # "value": ...}; the wrapper never reaches the result
-                # cache or the caller.
-                if jb.trace and isinstance(value, dict) and "__trace__" in value:
-                    trace_text = value["__trace__"]
-                    value = value["value"]
+                value, trace_text = _split_trace(jb, value)
             trace_path: Optional[str] = None
             if cache is not None:
                 store_started = time.monotonic()
-                if value_text is not None:
+                if shipped:
                     value = cache.store_text(jb, value_text)
                 else:
                     value = cache.store(jb, value)
@@ -374,7 +383,7 @@ class Executor:
                     stored_at = cache.trace_path(jb)
                     trace_path = str(stored_at) if stored_at is not None else None
                 report.store_s += time.monotonic() - store_started
-            elif value_text is not None:
+            elif shipped:
                 transport_started = time.monotonic()
                 value = json.loads(value_text)
                 report.transport_s += time.monotonic() - transport_started
@@ -790,7 +799,7 @@ class ParallelExecutor(Executor):
         wall_s = now - slot.started
         future, slot.item, slot.future = slot.future, None, None
         try:
-            value, worker_pid = future.result()
+            value_text, trace_text, worker_pid = future.result()
         except BrokenProcessPool:
             # Exactly this slot's job was lost; rebuild the slot (within
             # budget) and retry the job.  Crash retries are bounded by the
@@ -804,7 +813,12 @@ class ParallelExecutor(Executor):
         else:
             slot.busy_s += wall_s
             complete(
-                pos, value, attempts=attempt, worker_pid=worker_pid, wall_s=wall_s
+                pos,
+                (value_text, trace_text),
+                attempts=attempt,
+                worker_pid=worker_pid,
+                wall_s=wall_s,
+                shipped=True,
             )
 
     def _drain(self, slots: Sequence[_Slot], complete: Callable) -> None:
@@ -832,12 +846,17 @@ class ParallelExecutor(Executor):
             slot.item = None
             slot.future = None
             try:
-                value, worker_pid = future.result()
+                value_text, trace_text, worker_pid = future.result()
             except Exception:  # simlint: disable=E001(salvage-only drain; the primary ExecutionError is already propagating)
                 continue
             slot.busy_s += wall_s
             complete(
-                pos, value, attempts=attempt, worker_pid=worker_pid, wall_s=wall_s
+                pos,
+                (value_text, trace_text),
+                attempts=attempt,
+                worker_pid=worker_pid,
+                wall_s=wall_s,
+                shipped=True,
             )
 
     def _expire(self, slot: _Slot, queue: deque) -> None:

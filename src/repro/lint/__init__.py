@@ -27,9 +27,6 @@ U002  bits and bytes mixed in one product without the factor-8
 U003  call argument unit conflicts with the parameter's declared unit
 U004  a name's unit suffix (``_s``, ``_bps``, ...) contradicts its
       annotation
-F001  file I/O or process-state reads reachable from a ``@scenario``
-      runner, ``jobs()`` or ``reduce()`` (cache-key purity)
-F002  module-global mutation reachable from the same entry points
 I001  division by a value whose interval includes 0 with no dominating
       guard (interval analysis over ``cc``/``net``/``sim``/``metrics``/
       ``analysis``; see :mod:`repro.contracts`)
@@ -40,14 +37,16 @@ I004  a declared ``Range`` contract the body's clamps drift outside
 T001  measurements kept in bare lists instead of telemetry probes
 ====  ====================================================================
 
-The U-, I- and F-families are whole-program analyses built once per run
-and shared through :class:`~repro.lint.engine.LintContext`: one
+The U- and I-families are whole-program analyses built once per run and
+shared through :class:`~repro.lint.engine.LintContext`: one
 abstract-interpretation pass over the unit × range product domain
-serves all eight U/I rules, one call-graph reachability pass the two
-F-rules.  The earlier families are single-pass AST pattern rules.
+serves all eight rules.  The earlier families are single-pass AST
+pattern rules.  Cache purity — a job's payload is a function of the
+:class:`~repro.experiments.jobs.Job` alone — is not a lint rule but a
+property the suite runs (``tests/test_job_purity.py``).
 
-Run ``python -m repro.lint src tests``; ``--format sarif`` emits SARIF
-2.1.0 for CI upload.  See ``docs/linting.md``, ``docs/units.md`` and
+Run ``python -m repro.lint src tests``; ``--json`` prints the
+machine-readable report.  See ``docs/linting.md``, ``docs/units.md`` and
 ``docs/contracts.md``.
 """
 
@@ -63,7 +62,6 @@ from repro.lint.engine import (
 )
 from repro.lint.findings import JSON_SCHEMA_VERSION, Finding
 from repro.lint.registry import RULES, all_codes, resolve_codes
-from repro.lint.sarif import to_sarif, validate_sarif
 from repro.lint.suppress import Suppression, SuppressionIndex, parse_suppressions
 
 __all__ = [
@@ -81,7 +79,5 @@ __all__ = [
     "main",
     "parse_suppressions",
     "resolve_codes",
-    "to_sarif",
-    "validate_sarif",
     "walk_paths",
 ]

@@ -1,12 +1,10 @@
-"""Whole-program analysis layer behind simlint's U-, I- and F-rule families.
+"""Whole-program analysis layer behind simlint's U- and I-rule families.
 
 PR 3's rules are single-pass AST pattern matchers: they look at one node
 at a time and need no idea what a name refers to.  The units-of-measure
-rules (U001-U004), the interval rules (I001-I004) and the cache-purity
-rules (F001-F002) cannot work that way — "this expression is in bits/s",
-"this divisor may be zero" and "this scenario runner reaches file I/O
-three calls down" are *whole-program* facts.  This package supplies the
-shared machinery:
+rules (U001-U004) and the interval rules (I001-I004) cannot work that
+way — "this expression is in bits/s" and "this divisor may be zero" are
+*whole-program* facts.  This package supplies the shared machinery:
 
 * :mod:`repro.lint.analysis.symbols` — per-module symbol tables (imports,
   functions, classes, module-level bindings) plus cross-module name
@@ -16,10 +14,7 @@ shared machinery:
   product of value ranges and :class:`repro.units.Unit` units;
 * :mod:`repro.lint.analysis.contracts` — the alias table, the
   whole-program signature index and the driver that turns one
-  interpretation pass into the events behind all eight U/I rules;
-* :mod:`repro.lint.analysis.purity` — interprocedural reachability from
-  cache-relevant entry points (``@scenario`` runners, ``jobs()``,
-  ``reduce()``) to impure operations.
+  interpretation pass into the events behind all eight U/I rules.
 
 Analyses are built once per lint run and shared between rules through
 the engine's :class:`repro.lint.engine.LintContext`.
@@ -27,7 +22,6 @@ the engine's :class:`repro.lint.engine.LintContext`.
 
 from repro.lint.analysis.contracts import analyze_contracts
 from repro.lint.analysis.intervals import Event
-from repro.lint.analysis.purity import PurityAnalysis, analyze_purity
 from repro.lint.analysis.symbols import (
     ClassInfo,
     FunctionInfo,
@@ -42,8 +36,6 @@ __all__ = [
     "FunctionInfo",
     "ModuleTable",
     "Program",
-    "PurityAnalysis",
     "analyze_contracts",
-    "analyze_purity",
     "build_program",
 ]

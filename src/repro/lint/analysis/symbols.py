@@ -2,11 +2,11 @@
 
 A :class:`Program` is built from every parseable file in one lint run.
 Each file gets a :class:`ModuleTable` recording what the module *binds*:
-imports (with aliases), top-level functions, classes with their methods,
-and module-level data names.  Resolution then answers the question the
-pattern rules never had to ask — "the name ``run_cbr_restart`` used in
-this module: which function is that, in which file?" — across the whole
-set of linted files, without importing anything.
+imports (with aliases), top-level functions and classes with their
+methods.  Resolution then answers the question the pattern rules never
+had to ask — "the name ``run_cbr_restart`` used in this module: which
+function is that, in which file?" — across the whole set of linted
+files, without importing anything.
 
 Paths are mapped to dotted module names structurally (the ``repro``
 package root is located inside the path), so the same resolution works
@@ -111,25 +111,12 @@ class ModuleTable:
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    #: Names assigned at module level (data bindings, not defs/imports).
-    module_names: set[str] = field(default_factory=set)
-    #: Subset of ``module_names`` bound to a mutable container literal or
-    #: constructor (list/dict/set), i.e. mutable module-global state.
-    mutable_globals: set[str] = field(default_factory=set)
 
     def all_functions(self) -> list[FunctionInfo]:
         out = list(self.functions.values())
         for cls in self.classes.values():
             out.extend(cls.methods.values())
         return out
-
-
-def _is_mutable_container(value: ast.expr) -> bool:
-    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-        return value.func.id in ("list", "dict", "set", "defaultdict", "deque", "OrderedDict")
-    return False
 
 
 def _collect_imports(table: ModuleTable) -> None:
@@ -178,13 +165,6 @@ def _build_table(path: str, tree: ast.AST) -> ModuleTable:
                         table, f"{stmt.name}.{sub.name}", sub, cls=cls
                     )
             table.classes[stmt.name] = cls
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    table.module_names.add(target.id)
-                    if stmt.value is not None and _is_mutable_container(stmt.value):
-                        table.mutable_globals.add(target.id)
     return table
 
 

@@ -8,10 +8,9 @@ suppression machinery — they report everything, and the engine decides
 what the developer has justified away.
 
 Project rules share one :class:`LintContext` per run: the whole-program
-analyses (symbol tables, the unit/interval contract events, purity
-reachability) are built lazily on first request and cached there, so
-the eight U/I-rules cost one abstract-interpretation pass and the two
-F-rules one reachability pass.
+analyses (symbol tables, the unit/interval contract events) are built
+lazily on first request and cached there, so the eight U/I-rules cost
+one abstract-interpretation pass.
 
 Two entry points matter to callers:
 
@@ -36,7 +35,6 @@ from repro.lint.suppress import SuppressionIndex, parse_suppressions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.analysis.intervals import Event
-    from repro.lint.analysis.purity import PurityAnalysis
     from repro.lint.analysis.symbols import Program
 
 __all__ = [
@@ -105,16 +103,15 @@ class LintContext:
     """Per-run shared state for project rules.
 
     Whole-program analyses are expensive (symbol tables over every file,
-    abstract interpretation, call-graph reachability); the engine builds
-    one context per run and hands it to every project rule, which
-    memoizes each analysis on first use.
+    abstract interpretation); the engine builds one context per run and
+    hands it to every project rule, which memoizes each analysis on
+    first use.
     """
 
     def __init__(self, files: Sequence["SourceFile"]):
         self.files = list(files)
         self._program: Optional["Program"] = None
         self._contract_events: dict[tuple[str, ...], list["Event"]] = {}
-        self._purity: Optional["PurityAnalysis"] = None
 
     @property
     def program(self) -> "Program":
@@ -139,15 +136,6 @@ class LintContext:
                 self.program, self.files, key
             )
         return self._contract_events[key]
-
-    @property
-    def purity(self) -> "PurityAnalysis":
-        """Cache-purity reachability, built once."""
-        if self._purity is None:
-            from repro.lint.analysis.purity import analyze_purity
-
-            self._purity = analyze_purity(self.program, self.files)
-        return self._purity
 
 
 @dataclass

@@ -53,12 +53,6 @@ class Rule:
     requires_reason: bool = False
     #: Project rules see every file at once instead of one at a time.
     project: bool = False
-    #: Optional ``--explain`` metadata: why the rule exists, plus a
-    #: minimal failing example and its corrected counterpart.  Rules
-    #: without explicit metadata fall back to their class docstring.
-    rationale: str = ""
-    bad_example: str = ""
-    good_example: str = ""
 
     def applies(self, path: str) -> bool:
         if self.allowlist and in_package(path, *self.allowlist):
@@ -78,8 +72,8 @@ class Rule:
 
         ``context`` is the run's shared :class:`~repro.lint.engine.
         LintContext`: project rules that need the whole-program analyses
-        (symbol tables, unit events, purity reachability) pull them from
-        there, so six rules share one expensive build instead of each
+        (symbol tables, unit and interval events) pull them from there,
+        so eight rules share one expensive build instead of each
         re-deriving it.
         """
         return ()

@@ -6,7 +6,6 @@ from repro.lint.rules import (  # noqa: F401  (import-for-registration)
     hashing,
     intervals,
     picklability,
-    purity,
     registry_consistency,
     telemetry,
     units,
@@ -18,7 +17,6 @@ __all__ = [
     "hashing",
     "intervals",
     "picklability",
-    "purity",
     "registry_consistency",
     "telemetry",
     "units",

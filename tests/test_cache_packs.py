@@ -1,64 +1,16 @@
-"""Unit tests for the packed result transport and cache splicing."""
+"""Unit tests for the cache's text splicing and batched pack writes."""
 
 import json
 
-import pytest
-
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import MISS, ResultCache
-from repro.experiments.transport import (
-    MAGIC,
-    PackedResult,
-    TransportError,
-    pack_result,
-    unpack_result,
-)
 
 JOBS = lambda: fig20.jobs("fast")  # noqa: E731 - tiny factory
 
 
-class TestFrames:
-    def test_round_trip_without_trace(self):
-        value = {"xs": [1, 2.5], "label": "ok", "none": None}
-        frame = pack_result(value)
-        assert isinstance(frame, PackedResult)
-        assert bytes(frame).startswith(MAGIC)
-        value_text, trace_text = unpack_result(frame)
-        assert json.loads(value_text) == value
-        assert trace_text is None
-
-    def test_round_trip_with_trace(self):
-        wrapped = {"__trace__": '{"ch": 1}\n{"ch": 2}\n', "value": {"y": 3}}
-        value_text, trace_text = unpack_result(pack_result(wrapped, traced=True))
-        assert json.loads(value_text) == {"y": 3}
-        assert trace_text == '{"ch": 1}\n{"ch": 2}\n'
-
-    def test_value_text_is_canonical_json(self):
-        # The frame's payload must be byte-identical to what the cache
-        # would have serialized itself: sorted keys, default separators.
-        value = {"b": 1, "a": {"z": 2, "y": 3}}
-        value_text, _ = unpack_result(pack_result(value))
-        assert value_text == json.dumps(value, allow_nan=True, sort_keys=True)
-
-    @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda raw: raw[:-1],  # truncated payload
-            lambda raw: raw[: len(MAGIC)],  # header cut short
-            lambda raw: b"NOPE" + raw[4:],  # wrong magic
-            lambda raw: b"",  # empty
-        ],
-    )
-    def test_mangled_frames_raise_transport_errors(self, mangle):
-        raw = bytes(pack_result({"x": 1}))
-        with pytest.raises(TransportError):
-            unpack_result(PackedResult(mangle(raw)))
-
-    def test_non_utf8_payload_rejected(self):
-        raw = bytearray(pack_result({"x": 1}))
-        raw[-2] = 0xFF  # stomp a payload byte with an invalid sequence
-        with pytest.raises(TransportError):
-            unpack_result(PackedResult(bytes(raw)))
+def shipped_text(value):
+    """The canonical-JSON text a pool worker ships (``_pool_run``)."""
+    return json.dumps(value, allow_nan=True, sort_keys=True)
 
 
 class TestCacheSplicing:
@@ -68,7 +20,7 @@ class TestCacheSplicing:
         via_store = ResultCache(tmp_path / "a")
         via_store.store(jb, value)
         via_splice = ResultCache(tmp_path / "b")
-        value_text, _ = unpack_result(pack_result(value))
+        value_text = shipped_text(value)
         returned = via_splice.store_text(jb, value_text)
         assert returned == value
         key = via_store.key(jb)
@@ -80,7 +32,7 @@ class TestCacheSplicing:
         cache = ResultCache(tmp_path)
         jb = JOBS()[0]
         value = {"x": [1, 2, 3]}
-        value_text, _ = unpack_result(pack_result(value))
+        value_text = shipped_text(value)
         cache.store_text(jb, value_text)
         assert ResultCache(tmp_path).lookup(jb) == value
 
@@ -89,7 +41,7 @@ class TestCacheSplicing:
         cache = ResultCache()
         jb = JOBS()[0]
         value = {"t": (1, 2)}  # tuples become lists through JSON
-        value_text, _ = unpack_result(pack_result(value))
+        value_text = shipped_text(value)
         assert cache.store_text(jb, value_text) == {"t": [1, 2]}
 
 

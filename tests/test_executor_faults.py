@@ -313,12 +313,30 @@ class TestRunLog:
         assert log.exists() and read_log(log)
 
     @pytest.mark.parametrize(
-        "name,raw", [("REPRO_JOB_TIMEOUT", "ten"), ("REPRO_MAX_RETRIES", "2.5")]
+        "name,raw",
+        [
+            ("REPRO_JOB_TIMEOUT", "ten"),
+            ("REPRO_MAX_RETRIES", "2.5"),
+            # These parse, but a timeout that is not > 0 expires every
+            # job the instant it is submitted (and NaN never fires).
+            ("REPRO_JOB_TIMEOUT", "0"),
+            ("REPRO_JOB_TIMEOUT", "-1"),
+            ("REPRO_JOB_TIMEOUT", "nan"),
+        ],
     )
     def test_malformed_env_value_names_the_variable(self, monkeypatch, name, raw):
         monkeypatch.setenv(name, raw)
-        with pytest.raises(ValueError, match=f"{name}='{raw}'"):
+        with pytest.raises(ValueError, match=f"{name}.*{raw}"):
             make_executor(0)
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "nan"])
+    def test_job_timeout_argument_and_flag_must_be_positive(self, raw):
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match=f"job_timeout.*{raw}"):
+            ParallelExecutor(2, job_timeout=float(raw))
+        with pytest.raises(ValueError, match=f"job_timeout.*{raw}"):
+            main(["run", "fig20", "--no-cache", f"--job-timeout={raw}"])
 
 
 class TestWorkerCountValidation:

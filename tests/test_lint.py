@@ -366,8 +366,6 @@ class TestEngine:
             "U002",
             "U003",
             "U004",
-            "F001",
-            "F002",
             "I001",
             "I002",
             "I003",
@@ -427,23 +425,6 @@ class TestCli:
         out = capsys.readouterr().out
         for code in RULES:
             assert code in out
-
-    def test_explain_prints_rationale_and_examples(self, capsys):
-        assert main(["--explain", "I001"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("I001: ")
-        assert "Bad:" in out
-        assert "Good:" in out
-
-    def test_explain_is_case_insensitive(self, capsys):
-        assert main(["--explain", "i002"]) == 0
-        assert capsys.readouterr().out.startswith("I002: ")
-
-    def test_explain_unknown_code_is_usage_error(self, capsys):
-        assert main(["--explain", "Z999"]) == 2
-        err = capsys.readouterr().err
-        assert "Z999" in err
-        assert "available" in err
 
     def test_stats_reports_per_rule_wall_time(self, tmp_path, capsys):
         # The bad tree sits in E001's scope, so both a per-file rule

@@ -1,9 +1,8 @@
-"""Tests for the whole-program U- (units) and F- (cache purity) rules.
+"""Tests for the whole-program U- (units) rules.
 
 Fixtures live under ``tests/lint_fixtures/`` and are linted under
 *virtual* paths (see ``tests/test_lint.py``): U-rules only fire inside
-the unit-annotated packages (net/cc/metrics/telemetry), F-rules only on
-cache-relevant entry points in ``repro.experiments`` modules.
+the unit-annotated packages (net/cc/metrics/telemetry).
 """
 
 import pathlib
@@ -23,7 +22,6 @@ FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 
 NET = "src/repro/net/example.py"
 SIM = "src/repro/sim/example.py"
-EXPERIMENTS = "src/repro/experiments/example.py"
 
 
 def fixture_text(name):
@@ -173,78 +171,17 @@ class TestU004:
 
 
 # ---------------------------------------------------------------------------
-# F001: file I/O and environment reads on cache-relevant paths
-# ---------------------------------------------------------------------------
-
-
-class TestF001:
-    def test_bad_fixture_flags_runner_helper_and_jobs(self):
-        report = lint_fixture("f001_bad", EXPERIMENTS, "F001")
-        assert all(f.rule == "F001" for f in report.findings)
-        assert lines(report) == [9, 14, 19]
-
-    def test_findings_carry_the_call_chain(self):
-        report = lint_fixture("f001_bad", EXPERIMENTS, "F001")
-        chains = {f.line: f.message for f in report.findings}
-        # the helper's open() is anchored at the impure site, with the
-        # interprocedural route from the entry point spelled out
-        assert "via run -> _load_config" in chains[9]
-        assert "via jobs" in chains[19]
-
-    def test_good_fixture_is_clean_including_unreachable_io(self):
-        # helper_outside_cache_scope does I/O but nothing cache-relevant
-        # reaches it; the analysis is rooted, not module-wide.
-        assert lint_fixture("f001_good", EXPERIMENTS, "F001").ok
-
-    def test_bare_jobs_roots_only_in_experiments_modules(self):
-        # An ``@scenario`` runner registers itself wherever it lives, so
-        # those roots follow the decorator; a *bare* ``jobs()`` function
-        # is an entry point only inside repro.experiments modules.  The
-        # same text under net/ keeps the runner findings but drops the
-        # jobs() one.
-        report = lint_fixture("f001_bad", NET, "F001")
-        assert lines(report) == [9, 14]
-
-    def test_suppression_requires_a_reason(self):
-        src = fixture_text("f001_bad").replace(
-            'os.getenv("HOME")',
-            'os.getenv("HOME")  # simlint: disable=F001',
-        )
-        report = lint_sources({EXPERIMENTS: src}, select={"F001"})
-        bare = [f for f in report.findings if f.line == 14]
-        assert len(bare) == 1
-        assert "requires a justification" in bare[0].message
-
-
-# ---------------------------------------------------------------------------
-# F002: module-global mutation on cache-relevant paths
-# ---------------------------------------------------------------------------
-
-
-class TestF002:
-    def test_bad_fixture_flags_store_and_mutating_method(self):
-        report = lint_fixture("f002_bad", EXPERIMENTS, "F002")
-        assert all(f.rule == "F002" for f in report.findings)
-        assert lines(report) == [10, 15]
-        messages = " ".join(f.message for f in report.findings)
-        assert "'_TOTALS'" in messages and "'_CACHE'" in messages
-
-    def test_global_reads_and_local_mutation_pass(self):
-        assert lint_fixture("f002_good", EXPERIMENTS, "F002").ok
-
-
-# ---------------------------------------------------------------------------
 # The real repository must be clean under the whole-program rule families
 # ---------------------------------------------------------------------------
 
 
 class TestRepoIsUnitClean:
-    def test_src_has_no_unit_or_purity_findings(self):
+    def test_src_has_no_unit_findings(self):
         repo_root = pathlib.Path(__file__).resolve().parent.parent
         from repro.lint import lint_paths
 
         report = lint_paths(
             [str(repo_root / "src")],
-            select={"U001", "U002", "U003", "U004", "F001", "F002"},
+            select={"U001", "U002", "U003", "U004"},
         )
         assert report.ok, "\n".join(f.format() for f in report.findings)

@@ -1,4 +1,4 @@
-"""Unit tests for DropTail and RED queue disciplines."""
+"""Unit tests for DropTail and RED queue disciplines, and depth sampling."""
 
 import random
 import types
@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net import DropTailQueue, Packet, QueueProbes, REDQueue, red_for_bdp
+from repro.cc import establish, new_tcp_flow
+from repro.net import (
+    DropTailQueue,
+    Dumbbell,
+    LinkMonitor,
+    Packet,
+    QueueProbes,
+    REDQueue,
+    red_for_bdp,
+)
 from repro.net.packet import DATA
+from repro.sim import Simulator
 from repro.telemetry import CounterProbe
 
 
@@ -251,3 +261,23 @@ class TestIdleBypass:
         q = red_for_bdp(10e6, 0.05)
         assert q.bypass_idle is False
         assert DropTailQueue(1).bypass_idle is True
+
+
+class TestQueueSampling:
+    def test_standing_queue_visible(self):
+        sim = Simulator()
+        net = Dumbbell(sim, bandwidth_bps=1e6, rtt_s=0.05)
+        series = net.monitor.sample_queue(0.1)
+        sender, sink = new_tcp_flow(sim)
+        establish(net, sender, sink)
+        sender.start()
+        sim.run(until=20.0)
+        assert len(series) > 100
+        # A long-lived TCP keeps a standing queue at the RED bottleneck.
+        tail = series.window(10.0, 20.0)
+        assert tail.mean() > 0.5
+
+    def test_requires_attachment(self):
+        sim = Simulator()
+        with pytest.raises(RuntimeError):
+            LinkMonitor(sim).sample_queue(0.1)

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.executor import SerialExecutor
+from repro.experiments.executor import ParallelExecutor, SerialExecutor
 from repro.experiments.jobs import execute_job, indexed, job
 from repro.experiments.protocols import spec_of, tcp, tfrc
 from repro.experiments.replay import REPLAYERS, replay_job
@@ -130,6 +130,17 @@ class TestExecutorTracing:
         assert "__trace__" not in cache.lookup(jb)
         assert cache.has_trace(jb)
         TraceReader.loads(cache.load_trace(jb))  # parses
+
+    def test_pool_worker_ships_the_same_result_and_trace(self, tmp_path):
+        # job_timeout forces the job across the pool: the worker splits
+        # the wrapper and ships (value_text, trace_text, pid).
+        jb = tiny_cbr_restart_job()
+        serial, pooled = ResultCache(tmp_path / "s"), ResultCache(tmp_path / "p")
+        in_process = SerialExecutor().map([jb], serial)
+        with ParallelExecutor(workers=2, job_timeout=120.0) as ex:
+            from_worker = ex.map([jb], pooled)
+        assert canonical(from_worker[0].value) == canonical(in_process[0].value)
+        assert pooled.load_trace(jb) == serial.load_trace(jb)
 
     def test_warm_cache_hit_when_trace_exists(self, tmp_path):
         cache = ResultCache(tmp_path)
