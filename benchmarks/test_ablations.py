@@ -7,258 +7,57 @@
    (the paper turns it off in Figure 13; discounting should help).
 4. Packet conservation applied to RAP (the paper demonstrates the
    principle on TFRC; the same clamp repairs RAP's stabilization cost).
+5. TFRC's optional oscillation prevention (RFC 3448 4.5, not in the paper).
+
+Each is a registry entry (``repro run ablation_...``); rows at the paper's
+setting are Figure 4 / 13 / queue_dynamics jobs from the session cache.
 """
 
 from conftest import run_once
 
-from repro.experiments.protocols import Protocol, rap, tfrc
-from repro.experiments.runner import Table, pick_config
-from repro.experiments.scenarios import (
-    CbrRestartConfig,
-    DoublingConfig,
-    run_cbr_restart,
-    run_doubling,
-)
-from repro.cc.rap import RapSender, RapSink
-from repro.cc.tfrc import new_tfrc_flow
+from repro.experiments import run_figure
 
 
-def tfrc_with_c(c: float) -> Protocol:
-    return Protocol(
-        name=f"TFRC(256)+SC(C={c:g})",
-        make=lambda sim: new_tfrc_flow(
-            sim, n_intervals=256, conservative=True, conservative_c=c
-        ),
-        rate_based=True,
-        self_clocked=True,
-    )
-
-
-def conservative_rap(gamma: float) -> Protocol:
-    b = 1.0 / gamma
-
-    def make(sim):
-        return RapSender(sim, b=b, conservative=True), RapSink(sim)
-
-    return Protocol(
-        name=f"RAP({b:g})+SC", make=make, rate_based=True, self_clocked=True
-    )
-
-
-def test_ablation_tfrc_conservative_c(benchmark, scale, report):
+def test_ablation_tfrc_conservative_c(benchmark, scale, report, executor, result_cache):
     """The cap constant barely matters next to having the cap at all."""
-    cfg = pick_config(CbrRestartConfig, scale)
-
-    def work():
-        out = {}
-        for protocol in (tfrc(256), tfrc_with_c(1.1), tfrc_with_c(1.5)):
-            out[protocol.name] = run_cbr_restart(protocol, cfg)
-        return out
-
-    results = run_once(benchmark, work)
-    table = Table(
-        title="Ablation: TFRC(256) conservative cap constant C",
-        columns=["variant", "stab_rtts", "stab_cost"],
-        notes="Paper used C=1.1; the ns-2 default was 1.5.",
-    )
-    for name, result in results.items():
-        table.add(name, result.stabilization.time_rtts, result.stabilization.cost)
-    report("ablation_tfrc_conservative_c", table)
-
-    uncapped = results["TFRC(256)"].stabilization.cost
+    table = run_once(benchmark, lambda: run_figure("ablation_tfrc_conservative_c", scale, executor=executor, cache=result_cache))
+    report("ext_ablation_tfrc_conservative_c", table)
+    cost = dict(zip(table.column("variant"), table.column("stab_cost")))
     for c_name in ("TFRC(256)+SC(C=1.1)", "TFRC(256)+SC(C=1.5)"):
-        assert results[c_name].stabilization.cost < uncapped / 3
+        assert cost[c_name] < cost["TFRC(256)"] / 3
 
 
-def test_ablation_red_vs_droptail(benchmark, scale, report):
+def test_ablation_red_vs_droptail(benchmark, scale, report, executor, result_cache):
     """Self-clocking's benefit is not a RED artifact (paper Sec 4.1.1)."""
-    from repro.net.queue import DropTailQueue
-
-    cfg = pick_config(CbrRestartConfig, scale)
-
-    def work():
-        out = {}
-        for queue in ("red", "droptail"):
-            for protocol in (tfrc(256), tfrc(256, conservative=True)):
-                run_cfg = cfg
-                if queue == "droptail":
-                    # Same buffer depth as the RED configuration (2.5 BDP).
-                    bdp = cfg.bandwidth_bps * cfg.rtt_s / 8000.0
-                    capacity = max(4, int(2.5 * bdp))
-                    out[(queue, protocol.name)] = _run_with_droptail(
-                        protocol, run_cfg, capacity
-                    )
-                else:
-                    out[(queue, protocol.name)] = run_cbr_restart(protocol, run_cfg)
-        return out
-
-    results = run_once(benchmark, work)
-    table = Table(
-        title="Ablation: RED vs DropTail bottleneck (CBR restart)",
-        columns=["queue", "variant", "stab_rtts", "stab_cost"],
-        notes="Paper: the self-clocking benefit was seen with both AQMs.",
-    )
-    for (queue, name), result in results.items():
-        table.add(queue, name, result.stabilization.time_rtts, result.stabilization.cost)
-    report("ablation_red_vs_droptail", table)
-
+    table = run_once(benchmark, lambda: run_figure("ablation_red_vs_droptail", scale, executor=executor, cache=result_cache))
+    report("ext_ablation_red_vs_droptail", table)
+    cost = {(queue, variant): value for queue, variant, _, value in table.rows}
     for queue in ("red", "droptail"):
-        plain = results[(queue, "TFRC(256)")].stabilization.cost
-        clocked = results[(queue, "TFRC(256)+SC")].stabilization.cost
-        assert clocked < plain
+        assert cost[queue, "TFRC(256)+SC"] < cost[queue, "TFRC(256)"]
 
 
-def _run_with_droptail(protocol, cfg, capacity):
-    """run_cbr_restart against a DropTail bottleneck of the same depth."""
-    import math
-    import random
-
-    from repro.cc.base import establish
-    from repro.cc.tcp import new_tcp_flow
-    from repro.experiments.scenarios import CbrRestartResult
-    from repro.metrics.stabilization import measure_stabilization
-    from repro.net.dumbbell import Dumbbell
-    from repro.net.queue import DropTailQueue
-    from repro.sim import RngRegistry, Simulator
-    from repro.traffic.bulk import add_flows
-    from repro.traffic.cbr import CbrSink, CbrSource, on_off_schedule
-
-    sim = Simulator()
-    net = Dumbbell(
-        sim,
-        bandwidth_bps=cfg.bandwidth_bps,
-        rtt_s=cfg.rtt_s,
-        queue_factory=lambda: DropTailQueue(capacity),
-        rng=RngRegistry(cfg.seed),
-    )
-    if cfg.reverse_flows:
-        add_flows(
-            sim, net, lambda s: new_tcp_flow(s), count=cfg.reverse_flows,
-            forward=False, rng=random.Random(cfg.seed + 1),
-        )
-    cbr = CbrSource(sim, rate_bps=cfg.cbr_fraction * cfg.bandwidth_bps)
-    establish(net, cbr, CbrSink(sim))
-    on_off_schedule(
-        sim, cbr, [(0.0, True), (cfg.cbr_stop, False), (cfg.cbr_restart, True)]
-    )
-    add_flows(
-        sim, net, protocol.make, count=cfg.n_flows,
-        start_jitter_s=2.0, rng=random.Random(cfg.seed),
-    )
-    sim.run(until=cfg.end)
-    steady = net.monitor.loss_rate(cfg.warmup_s, cfg.cbr_stop)
-    steady = 0.0 if math.isnan(steady) else steady
-    stab = measure_stabilization(
-        net.monitor, cfg.cbr_restart, steady, cfg.rtt_s, cfg.end
-    )
-    series = net.monitor.loss_rate_series(10 * cfg.rtt_s, 0.0, cfg.end)
-    spike = net.monitor.loss_rate(cfg.cbr_restart, cfg.cbr_restart + 10 * cfg.rtt_s)
-    return CbrRestartResult(
-        protocol=protocol.name,
-        steady_loss_rate=steady,
-        stabilization=stab,
-        loss_series=series,
-        spike_loss_rate=0.0 if math.isnan(spike) else spike,
-    )
-
-
-def test_ablation_history_discounting(benchmark, scale, report):
+def test_ablation_history_discounting(benchmark, scale, report, executor, result_cache):
     """Discounting lets TFRC exploit a time of plenty faster (f(200))."""
-    cfg = pick_config(DoublingConfig, scale)
-
-    def work():
-        return {
-            "TFRC(8) no discounting": run_doubling(
-                tfrc(8, history_discounting=False), cfg
-            ),
-            "TFRC(8) discounting": run_doubling(
-                tfrc(8, history_discounting=True), cfg
-            ),
-        }
-
-    results = run_once(benchmark, work)
-    table = Table(
-        title="Ablation: TFRC history discounting and f(k)",
-        columns=["variant", "f20", "f200"],
-        notes="Paper disabled discounting in Figure 13 to isolate the "
-        "loss-rate response; enabling it should only help.",
-    )
-    for name, result in results.items():
-        table.add(name, result.f_of_k[20], result.f_of_k[200])
-    report("ablation_history_discounting", table)
-
-    plain = results["TFRC(8) no discounting"].f_of_k[200]
-    discounted = results["TFRC(8) discounting"].f_of_k[200]
-    assert discounted > plain - 0.05  # never meaningfully worse
+    table = run_once(benchmark, lambda: run_figure("ablation_history_discounting", scale, executor=executor, cache=result_cache))
+    report("ext_ablation_history_discounting", table)
+    f200 = dict(zip(table.column("variant"), table.column("f200")))
+    # never meaningfully worse
+    assert f200["TFRC(8) discounting"] > f200["TFRC(8) no discounting"] - 0.05
 
 
-def test_ablation_rap_packet_conservation(benchmark, scale, report):
+def test_ablation_rap_packet_conservation(benchmark, scale, report, executor, result_cache):
     """The paper's principle generalizes: clamping RAP's virtual window to
     the delivered ACK rate repairs its stabilization cost too."""
-    cfg = pick_config(CbrRestartConfig, scale)
-
-    def work():
-        return {
-            "RAP(1/256)": run_cbr_restart(rap(256), cfg),
-            "RAP(1/256)+SC": run_cbr_restart(conservative_rap(256), cfg),
-        }
-
-    results = run_once(benchmark, work)
-    table = Table(
-        title="Ablation: packet conservation applied to RAP(1/256)",
-        columns=["variant", "stab_rtts", "stab_cost"],
-        notes="Mirrors the TFRC conservative_ option on the other "
-        "rate-based algorithm.",
-    )
-    for name, result in results.items():
-        table.add(name, result.stabilization.time_rtts, result.stabilization.cost)
-    report("ablation_rap_packet_conservation", table)
-
-    assert (
-        results["RAP(1/256)+SC"].stabilization.cost
-        < results["RAP(1/256)"].stabilization.cost / 2
-    )
+    table = run_once(benchmark, lambda: run_figure("ablation_rap_packet_conservation", scale, executor=executor, cache=result_cache))
+    report("ext_ablation_rap_packet_conservation", table)
+    cost = dict(zip(table.column("variant"), table.column("stab_cost")))
+    assert cost["RAP(1/256)+SC"] < cost["RAP(1/256)"] / 2
 
 
-def test_ablation_tfrc_oscillation_prevention(benchmark, scale, report):
+def test_ablation_tfrc_oscillation_prevention(benchmark, scale, report, executor, result_cache):
     """RFC 3448 4.5 (not used by the paper): scaling the instantaneous rate
     by R_sqmean/sqrt(R_sample) damps TFRC's queue oscillations."""
-    from repro.cc.tfrc import new_tfrc_flow
-    from repro.experiments.ext_queue_dynamics import (
-        QueueDynamicsConfig,
-        measure_queue_dynamics,
-    )
-
-    def work():
-        cfg = (
-            QueueDynamicsConfig.fast()
-            if scale == "fast"
-            else QueueDynamicsConfig()
-        )
-        plain = Protocol(
-            "TFRC(6)", lambda sim: new_tfrc_flow(sim, n_intervals=6),
-            rate_based=True,
-        )
-        damped = Protocol(
-            "TFRC(6)+OP",
-            lambda sim: new_tfrc_flow(
-                sim, n_intervals=6, oscillation_prevention=True
-            ),
-            rate_based=True,
-        )
-        return {
-            proto.name: measure_queue_dynamics(proto, "red", cfg)
-            for proto in (plain, damped)
-        }
-
-    results = run_once(benchmark, work)
-    table = Table(
-        title="Ablation: TFRC oscillation prevention (RFC 3448 4.5)",
-        columns=["variant", "mean_queue_pkts", "queue_cov", "loss_rate"],
-        notes="The paper runs TFRC without this optional damping.",
-    )
-    for name, (mean_q, cov, loss) in results.items():
-        table.add(name, mean_q, cov, loss)
-    report("ablation_tfrc_oscillation_prevention", table)
-
-    assert results["TFRC(6)+OP"][1] < results["TFRC(6)"][1] * 0.7
+    table = run_once(benchmark, lambda: run_figure("ablation_tfrc_oscillation_prevention", scale, executor=executor, cache=result_cache))
+    report("ext_ablation_tfrc_oscillation_prevention", table)
+    queue_cov = dict(zip(table.column("variant"), table.column("queue_cov")))
+    assert queue_cov["TFRC(6)+OP"] < queue_cov["TFRC(6)"] * 0.7

@@ -2,9 +2,10 @@
 
 import math
 
+import pytest
 from conftest import run_once
 
-from repro.experiments import ext_responsiveness, run_figure
+from repro.experiments import run_figure
 
 
 def test_ext_responsiveness(benchmark, scale, report, executor, result_cache):
@@ -22,23 +23,17 @@ def test_ext_responsiveness(benchmark, scale, report, executor, result_cache):
     assert math.isnan(tfrc256) or tfrc256 > 50
 
 
-def test_ext_aggressiveness(benchmark, scale, report):
+def test_ext_aggressiveness(benchmark, scale, report, executor, result_cache):
     """AIMD's measured per-RTT increase equals the analytic a(b); TFRC's is
     far smaller and grows with history discounting."""
-    table = run_once(benchmark, lambda: ext_responsiveness.run_aggressiveness(scale))
+    table = run_once(benchmark, lambda: run_figure("aggressiveness", scale, executor=executor, cache=result_cache))
     report("ext_aggressiveness", table)
 
     rows = {name: (measured, analytic) for name, measured, analytic in table.rows}
     for name in ("TCP(1/2)", "TCP(1/8)"):
         measured, analytic = rows[name]
-        assert measured == pytest_approx(analytic, rel=0.2)
+        assert measured == pytest.approx(analytic, rel=0.2)
     tfrc_plain = rows["TFRC(6) no-disc"][0]
     tfrc_disc = rows["TFRC(6) disc"][0]
     assert tfrc_plain < rows["TCP(1/2)"][0]
     assert tfrc_disc > tfrc_plain
-
-
-def pytest_approx(value, rel):
-    import pytest
-
-    return pytest.approx(value, rel=rel)

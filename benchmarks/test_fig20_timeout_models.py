@@ -4,7 +4,7 @@ import math
 
 from conftest import run_once
 
-from repro.experiments import fig20_timeout_models, run_figure
+from repro.experiments import run_figure
 
 
 def test_fig20_timeout_models(benchmark, scale, report, executor, result_cache):
@@ -27,11 +27,11 @@ def test_fig20_timeout_models(benchmark, scale, report, executor, result_cache):
     assert math.isclose(by_p[0.5], 2.0 / 3.0, rel_tol=1e-9)
 
 
-def test_fig20_simulated_validation(benchmark, scale, report):
+def test_fig20_simulated_validation(benchmark, scale, report, executor, result_cache):
     """Appendix A cross-check: drive this library's real TCP through
     Bernoulli loss and verify it lands in the predicted analytic band."""
-    table = run_once(benchmark, lambda: fig20_timeout_models.run_simulated(scale))
-    report("fig20_simulated_validation", table)
+    table = run_once(benchmark, lambda: run_figure("fig20_simulated_validation", scale, executor=executor, cache=result_cache))
+    report("ext_fig20_simulated_validation", table)
 
     for p, measured, reno_lower, upper in table.rows:
         # The simulated flow tracks Reno from above (SACK-less NewReno with

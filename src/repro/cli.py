@@ -5,7 +5,7 @@ Usage::
     python -m repro list
     python -m repro run fig05                 # fast scale, print the table
     python -m repro run fig05 --scale paper   # the paper's parameters
-    python -m repro run all --out results/    # everything, persisted
+    python -m repro run all --out results/    # everything, as results/<module>.txt
     python -m repro run fig04 --chart         # ASCII rendering of the shape
     python -m repro run all --parallel 4      # fan jobs out over 4 processes
     python -m repro run all --no-cache        # force fresh simulations
@@ -55,7 +55,8 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.experiments import ALL_FIGURES, EXTENSIONS, TRACE_NEEDS_CACHE, run_figure
+from repro.experiments import ALL_FIGURES, EXTENSIONS, TRACE_NEEDS_CACHE
+from repro.experiments import run_figure, table_filename
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.executor import JobResult, make_executor
 from repro.experiments.runner import Table
@@ -119,7 +120,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="scenario scale (default: fast)",
     )
     run_parser.add_argument(
-        "--out", type=pathlib.Path, help="directory to persist tables into"
+        "--out", type=pathlib.Path, help="directory to persist tables into, as <module>.txt"
     )
     run_parser.add_argument(
         "--chart", action="store_true", help="also render an ASCII chart"
@@ -316,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(chart)
             if args.out:
                 args.out.mkdir(parents=True, exist_ok=True)
-                (args.out / f"{name}.txt").write_text(table.format() + "\n")
+                (args.out / table_filename(name)).write_text(table.format() + "\n")
             print()
     finally:
         executor.close()  # release warm worker pools
@@ -408,7 +409,7 @@ def _trace_command(args, runnable) -> int:
         print(table.format())
         if args.out:
             args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / f"{args.figure}.txt").write_text(table.format() + "\n")
+            (args.out / table_filename(args.figure)).write_text(table.format() + "\n")
         return 0
 
     if args.job is not None:

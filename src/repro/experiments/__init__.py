@@ -17,6 +17,14 @@ import dataclasses
 from typing import Optional
 
 from repro.experiments import (
+    ext_ablation_history_discounting,
+    ext_ablation_rap_packet_conservation,
+    ext_ablation_red_vs_droptail,
+    ext_ablation_tfrc_conservative_c,
+    ext_ablation_tfrc_oscillation_prevention,
+    ext_aggressiveness,
+    ext_fig11_simulated_validation,
+    ext_fig20_simulated_validation,
     ext_queue_dynamics,
     ext_responsiveness,
     fig03_cbr_restart,
@@ -54,10 +62,8 @@ from repro.experiments.jobs import DropperSpec, Job, execute_job, job
 from repro.experiments.runlog import RunLog
 from repro.experiments.protocols import (
     Protocol,
-    ProtocolSpec,
     iiad,
     rap,
-    spec_of,
     sqrt,
     tcp,
     tcp_b,
@@ -88,6 +94,14 @@ from repro.experiments.scenarios import (
 EXTENSIONS = {
     "responsiveness": ext_responsiveness,
     "queue_dynamics": ext_queue_dynamics,
+    "aggressiveness": ext_aggressiveness,
+    "fig11_simulated_validation": ext_fig11_simulated_validation,
+    "fig20_simulated_validation": ext_fig20_simulated_validation,
+    "ablation_tfrc_conservative_c": ext_ablation_tfrc_conservative_c,
+    "ablation_red_vs_droptail": ext_ablation_red_vs_droptail,
+    "ablation_history_discounting": ext_ablation_history_discounting,
+    "ablation_rap_packet_conservation": ext_ablation_rap_packet_conservation,
+    "ablation_tfrc_oscillation_prevention": ext_ablation_tfrc_oscillation_prevention,
 }
 
 ALL_FIGURES = {
@@ -110,6 +124,15 @@ ALL_FIGURES = {
     "fig19": fig19_iiad_sqrt,
     "fig20": fig20_timeout_models,
 }
+
+
+
+def table_filename(name: str) -> str:
+    """Where a registry entry's table lives under ``results/`` or ``--out``:
+    its module's name, so a run into ``results/`` regenerates it in place."""
+    module = {**ALL_FIGURES, **EXTENSIONS}[name]
+    return module.__name__.rpartition(".")[2] + ".txt"
+
 
 #: Why tracing needs a cache; shared by :func:`run_figure` and the CLI.
 TRACE_NEEDS_CACHE = (
@@ -173,7 +196,6 @@ __all__ = [
     "OscillationResult",
     "ParallelExecutor",
     "Protocol",
-    "ProtocolSpec",
     "ResultCache",
     "RunLog",
     "SerialExecutor",
@@ -187,7 +209,6 @@ __all__ = [
     "make_executor",
     "pick_config",
     "rap",
-    "spec_of",
     "run_cbr_restart",
     "run_convergence",
     "run_doubling",
@@ -196,6 +217,7 @@ __all__ = [
     "run_loss_pattern",
     "run_oscillation",
     "sqrt",
+    "table_filename",
     "tcp",
     "tcp_b",
     "tear",

@@ -20,12 +20,9 @@ import random
 from dataclasses import dataclass, replace
 
 from repro.experiments.protocols import Protocol, tcp, tfrc
-from repro.experiments.runner import Table
+from repro.experiments.runner import Table, pick_config
+from repro.experiments.scenarios import build_net
 from repro.metrics.smoothness import coefficient_of_variation
-from repro.net.dumbbell import Dumbbell
-from repro.net.queue import DropTailQueue
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
 from repro.traffic.bulk import add_flows
 
 __all__ = ["QueueDynamicsConfig", "jobs", "measure_queue_dynamics", "reduce"]
@@ -51,23 +48,7 @@ def measure_queue_dynamics(
     protocol: Protocol, aqm: str, cfg: QueueDynamicsConfig
 ) -> tuple[float, float, float]:
     """Returns (mean queue pkts, queue CoV, loss rate) for one population."""
-    sim = Simulator()
-    if aqm == "red":
-        net = Dumbbell(
-            sim, cfg.bandwidth_bps, cfg.rtt_s, rng=RngRegistry(cfg.seed)
-        )
-    elif aqm == "droptail":
-        bdp = cfg.bandwidth_bps * cfg.rtt_s / 8000.0
-        capacity = max(4, int(2.5 * bdp))
-        net = Dumbbell(
-            sim,
-            cfg.bandwidth_bps,
-            cfg.rtt_s,
-            queue_factory=lambda: DropTailQueue(capacity),
-            rng=RngRegistry(cfg.seed),
-        )
-    else:
-        raise ValueError(f"unknown AQM {aqm!r}")
+    sim, net = build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, 0, aqm=aqm)
     series = net.monitor.sample_queue(cfg.sample_period_s)
     add_flows(
         sim, net, protocol.make, count=cfg.n_flows,
@@ -87,11 +68,7 @@ def default_protocols() -> tuple[Protocol, ...]:
 def jobs(scale: str = "fast", **overrides) -> list:
     from repro.experiments.jobs import indexed, job
 
-    cfg = (
-        QueueDynamicsConfig.fast(**overrides)
-        if scale == "fast"
-        else QueueDynamicsConfig(**overrides)
-    )
+    cfg = pick_config(QueueDynamicsConfig, scale, **overrides)
     return indexed(
         job(
             "ext_queue_dynamics",

@@ -31,7 +31,6 @@ __all__ = [
     "measure_aggressiveness_pkts_per_rtt",
     "measure_responsiveness_rtts",
     "reduce",
-    "run_aggressiveness",
 ]
 
 
@@ -210,28 +209,3 @@ def measure_aggressiveness_pkts_per_rtt(
         sim.at(warmup_s + k * rtt_s, sample)
     sim.run(until=warmup_s + (observe_rtts + 1) * rtt_s)
     return max(b - a for a, b in zip(samples, samples[1:]))
-
-
-def run_aggressiveness(scale: str = "fast", **overrides) -> Table:
-    """Aggressiveness table: measured vs the analytic a(b) values."""
-    from repro.cc.aimd import tcp_compatible_a
-
-    protocols = [
-        ("TCP(1/2)", tcp(2), tcp_compatible_a(0.5)),
-        ("TCP(1/8)", tcp(8), tcp_compatible_a(0.125)),
-        ("TFRC(6) no-disc", tfrc(6, history_discounting=False), math.nan),
-        ("TFRC(6) disc", tfrc(6, history_discounting=True), math.nan),
-    ]
-    table = Table(
-        title="Aggressiveness: max control increase per RTT absent congestion",
-        columns=["protocol", "measured_pkts_per_rtt", "analytic_a"],
-        notes=(
-            "AIMD(a, b) increases by exactly a packets/RTT; TFRC's increase "
-            "is far smaller and grows with history discounting (paper: "
-            "0.14-0.28 packets/sec, i.e. ~0.007-0.014 packets/RTT at 50 ms)."
-        ),
-    )
-    for name, protocol, analytic in protocols:
-        measured = measure_aggressiveness_pkts_per_rtt(protocol)
-        table.add(name, measured, analytic)
-    return table

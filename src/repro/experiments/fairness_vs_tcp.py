@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.jobs import Job, indexed, job
-from repro.experiments.protocols import Protocol, spec_of, tcp
+from repro.experiments.protocols import Protocol, tcp
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import OscillationConfig
 
@@ -46,7 +46,7 @@ def fairness_jobs(
             config=cfg,
             protocol=reference,
             scale=scale,
-            params={"period_s": float(period), "protocol_b": spec_of(competitor)},
+            params={"period_s": float(period), "protocol_b": competitor},
         )
         for period in periods
     )

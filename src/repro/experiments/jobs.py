@@ -4,7 +4,7 @@ The experiment layer is split into three stages:
 
 1. **Define** — each figure module exposes ``jobs(scale) -> list[Job]``.
    A :class:`Job` is a pure, picklable description of one simulation
-   point: ``(scenario, scenario_config, protocol_spec, params, seed,
+   point: ``(scenario, scenario_config, protocol, params, seed,
    scale)``.  Jobs carry a stable content hash so identical work is
    recognized across figures, runs and processes.
 2. **Execute** — an executor from :mod:`repro.experiments.executor` maps
@@ -27,9 +27,9 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.experiments.protocols import Protocol, ProtocolSpec, spec_of
+from repro.experiments.protocols import Protocol
 
 __all__ = [
     "DropperSpec",
@@ -120,17 +120,13 @@ def canonical(obj: Any) -> Any:
     """Reduce ``obj`` to a canonical JSON-able form for content hashing.
 
     Handles the vocabulary jobs are built from: primitives, lists/tuples,
-    dicts with string keys, :class:`ProtocolSpec`, :class:`DropperSpec`
+    dicts with string keys, :class:`Protocol`, :class:`DropperSpec`
     and frozen config dataclasses (encoded with their class name so two
     different config types never collide).
     """
-    if obj is None or isinstance(obj, (str, bool, int)):
+    if obj is None or isinstance(obj, (str, bool, int, float)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, ProtocolSpec):
-        return obj.describe()
-    if isinstance(obj, DropperSpec):
+    if isinstance(obj, (Protocol, DropperSpec)):
         return obj.describe()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         desc: dict[str, Any] = {"__config__": type(obj).__qualname__}
@@ -144,7 +140,7 @@ def canonical(obj: Any) -> Any:
     raise TypeError(
         f"cannot canonicalize {type(obj).__name__!r} for job hashing; "
         "jobs must be built from primitives, dataclass configs, "
-        "ProtocolSpec and DropperSpec values"
+        "Protocol and DropperSpec values"
     )
 
 
@@ -178,7 +174,7 @@ class Job:
     figure: str  # simlint: disable=H001(figure routes results to reduce() but is deliberately outside the hash so fig04/fig05 share cache entries)
     scenario: str
     config: Any = None
-    protocol: Optional[ProtocolSpec] = None
+    protocol: Optional[Protocol] = None
     params: tuple[tuple[str, Any], ...] = ()
     seed: Optional[int] = None
     scale: str = "fast"
@@ -230,18 +226,18 @@ def job(
     scenario_name: str,
     *,
     config: Any = None,
-    protocol: Union[Protocol, ProtocolSpec, None] = None,
+    protocol: Optional[Protocol] = None,
     seed: Optional[int] = None,
     scale: str = "fast",
     params: Optional[dict[str, Any]] = None,
     tags: Optional[dict[str, Any]] = None,
 ) -> Job:
-    """Build a :class:`Job`, normalizing protocols to specs."""
+    """Build a :class:`Job` from plain dicts of params and tags."""
     return Job(
         figure=figure,
         scenario=scenario_name,
         config=config,
-        protocol=spec_of(protocol) if protocol is not None else None,
+        protocol=protocol,
         params=tuple(sorted((params or {}).items())),
         seed=seed,
         scale=scale,
@@ -339,10 +335,10 @@ def oscillation_payload(result) -> dict:
 
 @scenario("cbr_restart")
 def _cbr_restart(jb: Job) -> dict:
-    """Figures 3-5: stabilization after a CBR restart."""
+    """Figures 3-5: stabilization after a CBR restart (RED unless ``aqm``)."""
     from repro.experiments.scenarios import run_cbr_restart
 
-    result = run_cbr_restart(jb.protocol.build(), jb.config)
+    result = run_cbr_restart(jb.protocol, jb.config, jb.param("aqm", "red"))
     return cbr_restart_payload(result)
 
 
@@ -351,7 +347,7 @@ def _flash_crowd(jb: Job) -> dict:
     """Figure 6: a web flash crowd against SlowCC background traffic."""
     from repro.experiments.scenarios import run_flash_crowd
 
-    result = run_flash_crowd(jb.protocol.build(), jb.config)
+    result = run_flash_crowd(jb.protocol, jb.config)
     return {
         "protocol": result.protocol,
         "background": _series(result.background_series),
@@ -367,10 +363,8 @@ def _oscillation(jb: Job) -> dict:
     """Figures 7-9 and 14-16: square-wave available bandwidth."""
     from repro.experiments.scenarios import run_oscillation
 
-    spec_b = jb.param("protocol_b")
-    protocol_b = spec_b.build() if spec_b is not None else None
     result = run_oscillation(
-        jb.protocol.build(), protocol_b, jb.param("period_s"), jb.config
+        jb.protocol, jb.param("protocol_b"), jb.param("period_s"), jb.config
     )
     return oscillation_payload(result)
 
@@ -385,7 +379,7 @@ def _convergence(jb: Job) -> float:
     """
     from repro.experiments.scenarios import run_convergence
 
-    return run_convergence(jb.protocol.build(), jb.config)
+    return run_convergence(jb.protocol, jb.config)
 
 
 @scenario("doubling")
@@ -393,7 +387,7 @@ def _doubling(jb: Job) -> dict:
     """Figure 13: f(k) utilization after the available bandwidth doubles."""
     from repro.experiments.scenarios import run_doubling
 
-    result = run_doubling(jb.protocol.build(), jb.config)
+    result = run_doubling(jb.protocol, jb.config)
     return {
         "protocol": result.protocol,
         "f_of_k": [[k, result.f_of_k[k]] for k in jb.config.ks],
@@ -406,9 +400,7 @@ def _loss_pattern(jb: Job) -> dict:
     from repro.experiments.scenarios import run_loss_pattern
 
     dropper: DropperSpec = jb.param("dropper")
-    result = run_loss_pattern(
-        jb.protocol.build(), lambda sim: dropper.build(sim), jb.config
-    )
+    result = run_loss_pattern(jb.protocol, dropper.build, jb.config)
     return {
         "protocol": result.protocol,
         "throughput_bps": result.throughput_bps,
@@ -441,9 +433,7 @@ def _responsiveness(jb: Job) -> Optional[float]:
     """Extension: RTTs of persistent congestion until the rate halves."""
     from repro.experiments.ext_responsiveness import measure_responsiveness_rtts
 
-    return measure_responsiveness_rtts(
-        jb.protocol.build(), observe_rtts=jb.param("observe_rtts")
-    )
+    return measure_responsiveness_rtts(jb.protocol, observe_rtts=jb.param("observe_rtts"))
 
 
 @scenario("queue_dynamics")
@@ -451,11 +441,30 @@ def _queue_dynamics(jb: Job) -> dict:
     """Extension: queue occupancy and oscillation for one population."""
     from repro.experiments.ext_queue_dynamics import measure_queue_dynamics
 
-    protocol = jb.protocol.build()
-    mean_q, cov, loss = measure_queue_dynamics(protocol, jb.param("aqm"), jb.config)
+    mean_q, cov, loss = measure_queue_dynamics(jb.protocol, jb.param("aqm"), jb.config)
     return {
-        "protocol": protocol.name,
+        "protocol": jb.protocol.name,
         "mean_queue_pkts": mean_q,
         "queue_cov": cov,
         "loss_rate": loss,
     }
+
+
+@scenario("aggressiveness")
+def _aggressiveness(jb: Job) -> float:
+    """Extension: largest per-RTT control increase once congestion ends."""
+    from repro.experiments.ext_responsiveness import (
+        measure_aggressiveness_pkts_per_rtt,
+    )
+
+    return measure_aggressiveness_pkts_per_rtt(jb.protocol, **dict(jb.params))
+
+
+@scenario("acks_to_fairness")
+def _acks_to_fairness(jb: Job) -> list[float]:
+    """Figure 11 validation: simulated (ACKs to δ-fairness, mark rate)."""
+    from repro.experiments.ext_fig11_simulated_validation import (
+        measure_acks_to_fairness,
+    )
+
+    return list(measure_acks_to_fairness(jb.protocol, jb.config))

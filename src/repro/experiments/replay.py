@@ -55,7 +55,7 @@ def _replay_cbr_restart(jb: Job, reader: TraceReader) -> dict:
     from repro.experiments.scenarios import measure_cbr_restart
 
     monitor = reader.link("bottleneck")
-    result = measure_cbr_restart(monitor, jb.config, jb.protocol.build().name)
+    result = measure_cbr_restart(monitor, jb.config, jb.protocol.name)
     return cbr_restart_payload(result)
 
 
@@ -67,14 +67,14 @@ def _replay_oscillation(jb: Job, reader: TraceReader) -> dict:
     ids_a = [int(i) for i in reader.meta["oscillation.flows_a"]]
     ids_b = [int(i) for i in reader.meta["oscillation.flows_b"]]
     period_s = jb.param("period_s")
-    spec_b = jb.param("protocol_b")
+    protocol_b = jb.param("protocol_b")
     result = measure_oscillation(
         reader.link("bottleneck"),
         reader.flows(),
         ids_a,
         ids_b,
-        jb.protocol.build().name,
-        spec_b.build().name if spec_b is not None else None,
+        jb.protocol.name,
+        protocol_b.name if protocol_b is not None else None,
         period_s,
         jb.config.duration(period_s),
         jb.config,

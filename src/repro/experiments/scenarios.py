@@ -34,6 +34,7 @@ from repro.metrics.utilization import flows_f_of_k
 from repro.net.droppers import Dropper
 from repro.net.dumbbell import Dumbbell
 from repro.net.paths import single_path
+from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.telemetry import active_recorder
@@ -56,6 +57,8 @@ __all__ = [
     "LossPatternResult",
     "OscillationConfig",
     "OscillationResult",
+    "build_net",
+    "converge",
     "measure_cbr_restart",
     "measure_oscillation",
     "run_cbr_restart",
@@ -67,14 +70,28 @@ __all__ = [
 ]
 
 
-def _build_net(
+def build_net(
     bandwidth_bps: BitsPerSecond,
     rtt_s: Seconds,
     seed: int,
     reverse_flows: int,
     packet_size: Bytes = 1000,
+    aqm: str = "red",
 ) -> tuple[Simulator, Dumbbell]:
-    """Dumbbell plus the paper's bidirectional background TCP traffic."""
+    """Dumbbell plus the paper's bidirectional background TCP traffic.
+
+    ``aqm`` is the bottleneck queue: the paper's ``"red"``, the same RED
+    marking ECN-capable packets (``"red+ecn"``), or a ``"droptail"`` of the
+    same 2.5 x BDP depth.
+    """
+    bdp_pkts = bandwidth_bps * rtt_s / (8.0 * packet_size)
+    bottlenecks: dict[str, dict] = {
+        "red": {},  # Dumbbell's default
+        "red+ecn": {"ecn_marking": True},
+        "droptail": {"queue_factory": lambda: DropTailQueue(max(4, int(2.5 * bdp_pkts)))},
+    }
+    if aqm not in bottlenecks:
+        raise ValueError(f"unknown AQM {aqm!r}; use {' or '.join(bottlenecks)}")
     sim = Simulator()
     net = Dumbbell(
         sim,
@@ -82,6 +99,7 @@ def _build_net(
         rtt_s=rtt_s,
         packet_size=packet_size,
         rng=RngRegistry(seed),
+        **bottlenecks[aqm],
     )
     if reverse_flows > 0:
         add_flows(
@@ -192,8 +210,12 @@ def measure_cbr_restart(
     )
 
 
-def run_cbr_restart(protocol: Protocol, cfg: CbrRestartConfig) -> CbrRestartResult:
-    sim, net = _build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
+def run_cbr_restart(
+    protocol: Protocol, cfg: CbrRestartConfig, aqm: str = "red"
+) -> CbrRestartResult:
+    sim, net = build_net(
+        cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows, aqm=aqm
+    )
     cbr, _ = _attach_cbr(sim, net, cfg.cbr_fraction * cfg.bandwidth_bps)
     on_off_schedule(
         sim, cbr, [(0.0, True), (cfg.cbr_stop, False), (cfg.cbr_restart, True)]
@@ -256,7 +278,7 @@ class FlashCrowdResult:
 
 
 def run_flash_crowd(protocol: Protocol, cfg: FlashCrowdConfig) -> FlashCrowdResult:
-    sim, net = _build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
+    sim, net = build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
     background = add_flows(
         sim,
         net,
@@ -432,7 +454,7 @@ def run_oscillation(
     """
     if period_s <= 0:
         raise ValueError("period must be positive")
-    sim, net = _build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
+    sim, net = build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
     cbr, _ = _attach_cbr(sim, net, cfg.cbr_fraction * cfg.bandwidth_bps)
     end = cfg.duration(period_s)
     square_wave(sim, cbr, on_s=period_s / 2.0, off_s=period_s / 2.0, until=end)
@@ -507,40 +529,44 @@ class ConvergenceConfig:
         return replace(base, **overrides)
 
 
-def run_convergence(protocol: Protocol, cfg: ConvergenceConfig) -> float:
-    """Mean δ-fair convergence time (seconds) over the config's seeds.
+def converge(
+    protocol: Protocol, cfg: ConvergenceConfig, seed: int, aqm: str = "red"
+) -> tuple[float, Dumbbell, tuple[int, int]]:
+    """One seed: δ-fair convergence time (seconds), the network, the flow ids.
 
-    Runs that never converge contribute the full observation window, so a
-    protocol that cannot converge saturates rather than biasing the mean
-    low.
+    A run that never converges reports the full observation window, so a
+    protocol that cannot converge saturates rather than biasing a mean low.
     """
-    times = []
-    for seed in cfg.seeds:
-        sim, net = _build_net(cfg.bandwidth_bps, cfg.rtt_s, seed, cfg.reverse_flows)
-        from repro.cc.base import establish
+    sim, net = build_net(cfg.bandwidth_bps, cfg.rtt_s, seed, cfg.reverse_flows, aqm=aqm)
+    from repro.cc.base import establish
 
-        sender_a, receiver_a = protocol.make(sim)
-        flow_a = establish(net, sender_a, receiver_a)
-        sender_b, receiver_b = protocol.make(sim)
-        flow_b = establish(net, sender_b, receiver_b)
-        if cfg.disable_slow_start:
-            for sender in (sender_a, sender_b):
-                if hasattr(sender, "ssthresh"):
-                    sender.ssthresh = 1.0
-        sender_a.start_at(cfg.first_start)
-        sender_b.start_at(cfg.second_start)
-        sim.run(until=cfg.end)
-        t = delta_fair_convergence_time(
-            net.accountant,
-            flow_a,
-            flow_b,
-            start=cfg.second_start,
-            end=cfg.end,
-            delta=cfg.delta,
-            window_s=cfg.window_s,
-            sustain_windows=cfg.sustain_windows,
-        )
-        times.append(t if t is not None else cfg.end - cfg.second_start)
+    sender_a, receiver_a = protocol.make(sim)
+    flow_a = establish(net, sender_a, receiver_a)
+    sender_b, receiver_b = protocol.make(sim)
+    flow_b = establish(net, sender_b, receiver_b)
+    if cfg.disable_slow_start:
+        for sender in (sender_a, sender_b):
+            if hasattr(sender, "ssthresh"):
+                sender.ssthresh = 1.0
+    sender_a.start_at(cfg.first_start)
+    sender_b.start_at(cfg.second_start)
+    sim.run(until=cfg.end)
+    t = delta_fair_convergence_time(
+        net.accountant,
+        flow_a,
+        flow_b,
+        start=cfg.second_start,
+        end=cfg.end,
+        delta=cfg.delta,
+        window_s=cfg.window_s,
+        sustain_windows=cfg.sustain_windows,
+    )
+    return (t if t is not None else cfg.end - cfg.second_start), net, (flow_a, flow_b)
+
+
+def run_convergence(protocol: Protocol, cfg: ConvergenceConfig) -> float:
+    """Mean δ-fair convergence time (seconds) over the config's seeds."""
+    times = [converge(protocol, cfg, seed)[0] for seed in cfg.seeds]
     return sum(times) / len(times)
 
 
@@ -577,7 +603,7 @@ class DoublingResult:
 
 
 def run_doubling(protocol: Protocol, cfg: DoublingConfig) -> DoublingResult:
-    sim, net = _build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
+    sim, net = build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
     flows = add_flows(
         sim, net, protocol.make, count=cfg.n_flows,
         start_at=0.0, start_jitter_s=2.0, rng=random.Random(cfg.seed),

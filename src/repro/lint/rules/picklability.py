@@ -90,5 +90,5 @@ class PicklabilityRule(Rule):
                             "lambda passed into a Job description; job "
                             "fields cross process boundaries by pickle and "
                             "must be module-level values (use a DropperSpec/"
-                            "ProtocolSpec or a named module-level function)",
+                            "Protocol value or a named module-level function)",
                         )

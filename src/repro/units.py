@@ -61,9 +61,7 @@ __all__ = [
     "SecondsPerByte",
     "Unit",
     "bits_to_bytes",
-    "bps_to_bytes_per_s",
     "bytes_to_bits",
-    "bytes_per_s_to_bps",
 ]
 
 
@@ -214,10 +212,3 @@ def bits_to_bytes(value: Bits) -> Bytes:
     """``bits / 8``: the other direction."""
     return value / 8.0
 
-
-def bps_to_bytes_per_s(rate: BitsPerSecond) -> BytesPerSecond:
-    return rate / 8.0
-
-
-def bytes_per_s_to_bps(rate: BytesPerSecond) -> BitsPerSecond:
-    return rate * 8.0

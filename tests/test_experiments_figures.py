@@ -9,6 +9,7 @@ real configurations live in benchmarks/.
 """
 
 import math
+import pathlib
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.experiments import (
     Table,
     fig04_stabilization_time,
     run_figure,
+    table_filename,
 )
 from repro.experiments.protocols import tcp
 
@@ -37,6 +39,7 @@ TINY_STABILIZATION = dict(
 )
 TINY_CONVERGENCE = dict(bandwidth_bps=1e6, second_start=4.0, end=30.0, seeds=(1,))
 TINY_OSC_SWEEP = dict(on_times=[0.5], protocols=[tcp(2)], n_flows=2, **TINY_OSC)
+TINY_QUEUE = dict(bandwidth_bps=2e6, n_flows=4, duration_s=25.0, warmup_s=10.0)
 
 RUNNABLE = {**ALL_FIGURES, **EXTENSIONS}
 
@@ -76,9 +79,17 @@ TINY = {
     "fig19": TINY_LOSS,
     "fig20": {},
     "responsiveness": dict(observe_rtts=60),
-    "queue_dynamics": dict(
-        bandwidth_bps=2e6, n_flows=4, duration_s=25.0, warmup_s=10.0
+    "queue_dynamics": TINY_QUEUE,
+    "aggressiveness": dict(warmup_s=5.0, observe_rtts=10),
+    "fig11_simulated_validation": dict(bandwidth_bps=1e6, second_start=4.0, end=20.0),
+    "fig20_simulated_validation": dict(p_values=[0.1], duration_s=10.0, warmup_s=2.0),
+    "ablation_tfrc_conservative_c": TINY_CBR,
+    "ablation_red_vs_droptail": TINY_CBR,
+    "ablation_history_discounting": dict(
+        bandwidth_bps=2e6, n_flows=4, n_stopped=2, stop_at=10.0
     ),
+    "ablation_rap_packet_conservation": TINY_CBR,
+    "ablation_tfrc_oscillation_prevention": TINY_QUEUE,
 }
 
 CACHE = ResultCache()
@@ -96,6 +107,14 @@ class TestRegistry:
     def test_all_18_figures_registered(self):
         assert len(ALL_FIGURES) == 18
         assert sorted(ALL_FIGURES) == [f"fig{n:02d}" for n in range(3, 21)]
+
+    def test_results_holds_exactly_one_table_per_registry_entry(self):
+        # A committed table that `repro run all --out results/` cannot
+        # regenerate (or a registry entry with no golden) fails here.
+        results = pathlib.Path(__file__).resolve().parent.parent / "results"
+        assert {path.name for path in results.glob("*.txt")} == {
+            table_filename(name) for name in RUNNABLE
+        }
 
     @pytest.mark.parametrize("name", list(RUNNABLE))
     def test_every_name_runs_through_run_figure(self, name):

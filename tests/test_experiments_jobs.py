@@ -14,6 +14,7 @@ that make that split safe:
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import subprocess
 import sys
@@ -37,7 +38,7 @@ from repro.experiments.executor import (
     make_executor,
 )
 from repro.experiments.jobs import DropperSpec, canonical, content_hash, job
-from repro.experiments.protocols import ProtocolSpec, spec_of, tcp, tfrc
+from repro.experiments.protocols import tcp, tfrc
 from repro.sim.rng import RngRegistry
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -96,6 +97,26 @@ class TestContentHash:
             )
             assert out.stdout.strip() == expected
 
+    @pytest.mark.parametrize(
+        "scale, n_jobs, digest",
+        [
+            ("fast", 168, "d44d69d8b70620223d731d7026e4a35d134b7e9fefd1c27a033bd734e4a8b285"),
+            ("paper", 298, "85e08c73b4fde83b528d61efbbf77d39ccf8a1bd3fc0c163659b83d8fbb403b3"),
+        ],
+    )
+    def test_the_twenty_original_tables_keep_their_job_hashes(self, scale, n_jobs, digest):
+        """Values from the commit before ``Protocol`` became the job field:
+        every cache key and trace header of the 18 figures and the first
+        two extensions is what it was."""
+        original = [*ALL_FIGURES, "responsiveness", "queue_dynamics"]
+        lines = [
+            f"{name}#{jb.index} {jb.content_hash}"
+            for name in original
+            for jb in {**ALL_FIGURES, **EXTENSIONS}[name].jobs(scale)
+        ]
+        assert len(lines) == n_jobs
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
     def test_display_fields_do_not_affect_hash(self):
         jb = tiny_fig04_jobs()[0]
         relabelled = replace(jb, figure="zzz", index=99, tags=(("other", 1),))
@@ -110,7 +131,7 @@ class TestContentHash:
             != jb.content_hash
         )
         assert (
-            replace(jb, protocol=spec_of(tfrc(6))).content_hash != jb.content_hash
+            replace(jb, protocol=tfrc(6)).content_hash != jb.content_hash
         )
 
     def test_fig04_and_fig05_share_the_sweep(self):
@@ -130,7 +151,7 @@ class TestContentHash:
     def test_canonical_encodes_specs_and_configs(self):
         desc = canonical(
             {
-                "proto": spec_of(tcp(8)),
+                "proto": tcp(8),
                 "dropper": DropperSpec.count([50, 400]),
                 "seq": (1, 2.5, None, True),
             }
@@ -353,17 +374,3 @@ class TestRngRegistryPickling:
         assert clone.stream("new").random() == registry.stream("new").random()
 
 
-class TestProtocolSpec:
-    def test_factories_attach_specs(self):
-        spec = spec_of(tfrc(6, conservative=True))
-        assert isinstance(spec, ProtocolSpec)
-        rebuilt = spec.build()
-        assert rebuilt.name == tfrc(6, conservative=True).name
-
-    def test_spec_round_trips_through_pickle(self):
-        spec = spec_of(tcp(8))
-        assert pickle.loads(pickle.dumps(spec)) == spec
-
-    def test_unknown_family_raises(self):
-        with pytest.raises(KeyError, match="available"):
-            ProtocolSpec.of("quic").build()

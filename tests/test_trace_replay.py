@@ -14,7 +14,7 @@ import pytest
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import ParallelExecutor, SerialExecutor
 from repro.experiments.jobs import execute_job, indexed, job
-from repro.experiments.protocols import spec_of, tcp, tfrc
+from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.replay import REPLAYERS, replay_job
 from repro.experiments.runner import Table
 from repro.experiments.scenarios import CbrRestartConfig, OscillationConfig
@@ -38,7 +38,7 @@ def tiny_oscillation_job(trace=True):
                 config=OscillationConfig.fast(),
                 protocol=tcp(),
                 seed=1,
-                params={"period_s": 2.0, "protocol_b": spec_of(tfrc())},
+                params={"period_s": 2.0, "protocol_b": tfrc()},
             )
         ]
     )[0]
@@ -246,7 +246,7 @@ class TestCli:
         rc = main(["trace", figure, "--replay", "--cache-dir", cache_dir])
         assert rc == 0
         replayed = capsys.readouterr().out
-        assert replayed == (out_dir / f"{figure}.txt").read_text()
+        assert replayed == (out_dir / "_FakeFigure.txt").read_text()  # <module>.txt
 
     def test_trace_listing_and_channel_dump(self, figure, tmp_path, capsys):
         from repro.cli import main

@@ -115,7 +115,7 @@ class TestCli:
 
     def test_run_persists_output(self, tmp_path, capsys):
         assert main(["run", "fig11", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "fig11.txt").exists()
+        assert (tmp_path / "fig11_convergence_analysis.txt").exists()  # results/'s name
 
     def test_profile_reports_hot_functions(self, capsys):
         assert main(["profile", "fig11", "--jobs", "1", "--top", "5"]) == 0
