@@ -21,6 +21,9 @@ def main() -> None:
     tfrc_sender, tfrc_receiver = new_tfrc_flow(sim, n_intervals=6)
     tfrc_flow = establish(net, tfrc_sender, tfrc_receiver)
 
+    # Telemetry is pay-for-use: utilization reads the link's departures,
+    # which are recorded only on request (or under telemetry.capture()).
+    net.monitor.record_departures()
     tcp_sender.start_at(0.0)
     tfrc_sender.start_at(0.1)
     sim.run(until=60.0)

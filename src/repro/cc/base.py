@@ -22,7 +22,7 @@ from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.telemetry import active_recorder
-from repro.telemetry.probes import Probe
+from repro.telemetry.probes import Probe, SeriesProbe
 from repro.contracts import CwndPackets, NonNegSeconds, PositiveBytes
 from repro.units import Packets, Seconds
 
@@ -127,6 +127,23 @@ class Sender(Endpoint):
         # Subclasses register probes here; establish() adopts them into
         # the active recorder as flow.<id>.<key>.
         self.probes: dict[str, Probe] = {}
+        # Pay-for-use: the cwnd / rate series have no reader but a trace,
+        # so they are written only when attach() finds a recorder active.
+        self.recorded = False
+
+    def attach(self, node: Node, peer_address: int, flow_id: int) -> None:
+        """Bind to a node; under a recorder, start writing the series."""
+        super().attach(node, peer_address, flow_id)
+        self.recorded = active_recorder() is not None
+
+    def _samples(self, probe: SeriesProbe) -> list[tuple[float, float]]:
+        """(time, value) samples of one of this sender's series; raises if unrecorded."""
+        if not self.recorded:
+            raise RuntimeError(
+                f"{probe.name} was not recorded: attach the sender inside "
+                "telemetry.capture() to have its series written"
+            )
+        return list(probe)
 
     def start(self) -> None:
         """Begin transmitting now."""

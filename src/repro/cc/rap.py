@@ -89,11 +89,12 @@ class RapSender(Sender):
         return self.w / self.srtt
 
     def _record_rate(self) -> None:
-        self._rate_probe.record(self.sim.now, self.rate_pps)
+        if self.recorded:
+            self._rate_probe.record(self.sim.now, self.rate_pps)
 
     @property
     def rate_trace(self) -> list[tuple[float, float]]:
-        return list(self._rate_probe)
+        return self._samples(self._rate_probe)
 
     # Lifecycle ---------------------------------------------------------------------
 

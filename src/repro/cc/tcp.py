@@ -216,7 +216,8 @@ class TcpSender(Sender):
                 self.cwnd += self.rule.increase_per_ack(self.cwnd)
         if self.max_cwnd is not None:
             self.cwnd = min(self.cwnd, self.max_cwnd)
-        self._cwnd_probe.record(self.sim.now, self.cwnd)
+        if self.recorded:
+            self._cwnd_probe.record(self.sim.now, self.cwnd)
 
     def _handle_ecn_echo(self) -> None:
         """RFC 2481 response: decrease once per window of data, without a
@@ -228,7 +229,8 @@ class TcpSender(Sender):
         self.cwnd = max(self.rule.decrease(self.cwnd), 1.0)
         self.ssthresh = self.cwnd
         self._ecn_reacted_until = self.snd_nxt - 1
-        self._cwnd_probe.record(self.sim.now, self.cwnd)
+        if self.recorded:
+            self._cwnd_probe.record(self.sim.now, self.cwnd)
 
     def _handle_dupack(self) -> None:
         self._dupacks += 1
@@ -250,7 +252,8 @@ class TcpSender(Sender):
         self._recover = self.snd_nxt - 1
         self._send_data(self.snd_una)  # fast retransmit
         self._arm_timer()
-        self._cwnd_probe.record(self.sim.now, self.ssthresh)
+        if self.recorded:
+            self._cwnd_probe.record(self.sim.now, self.ssthresh)
 
     # Timeout ---------------------------------------------------------------------
 
@@ -273,7 +276,8 @@ class TcpSender(Sender):
         self.snd_nxt = self.snd_una + 1
         self._send_data(self.snd_una)
         self._arm_timer()
-        self._cwnd_probe.record(self.sim.now, self.cwnd)
+        if self.recorded:
+            self._cwnd_probe.record(self.sim.now, self.cwnd)
 
     # RTT estimation ----------------------------------------------------------------
 
@@ -298,7 +302,7 @@ class TcpSender(Sender):
     @property
     def cwnd_trace(self) -> list[tuple[float, float]]:
         """(time, window) samples taken at every window change."""
-        return list(self._cwnd_probe)
+        return self._samples(self._cwnd_probe)
 
 
 class TcpSink(Receiver):

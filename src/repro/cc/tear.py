@@ -142,10 +142,11 @@ class TearSender(Sender):
 
     @property
     def rate_trace(self) -> list[tuple[float, float]]:
-        return list(self._rate_probe)
+        return self._samples(self._rate_probe)
 
     def _begin(self) -> None:
-        self._rate_probe.record(self.sim.now, self.rate_bps)
+        if self.recorded:
+            self._rate_probe.record(self.sim.now, self.rate_bps)
         self._send_next()
 
     def _halt(self) -> None:
@@ -172,7 +173,8 @@ class TearSender(Sender):
                 )
         if isinstance(packet.info, float) and packet.info > 0:
             self.rate_bps = packet.info
-            self._rate_probe.record(self.sim.now, self.rate_bps)
+            if self.recorded:
+                self._rate_probe.record(self.sim.now, self.rate_bps)
 
 
 def new_tear_flow(

@@ -316,11 +316,12 @@ class TfrcSender(Sender):
         return self.packet_size * 8.0 / T_MBI
 
     def _record_rate(self) -> None:
-        self._rate_probe.record(self.sim.now, self.rate_bps)
+        if self.recorded:
+            self._rate_probe.record(self.sim.now, self.rate_bps)
 
     @property
     def rate_trace(self) -> list[tuple[float, float]]:
-        return list(self._rate_probe)
+        return self._samples(self._rate_probe)
 
     def _send_next(self) -> None:
         if not self.running:

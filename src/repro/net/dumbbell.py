@@ -117,10 +117,11 @@ class Dumbbell:
         self.telemetry = active_recorder()
         self.monitor = LinkMonitor(sim, "bottleneck", recorder=self.telemetry)
         self.monitor.attach(self.bottleneck)
-        self.reverse_monitor = LinkMonitor(
-            sim, "bottleneck_rev", recorder=self.telemetry
-        )
-        self.reverse_monitor.attach(self.reverse_bottleneck)
+        # Only a trace reads the reverse bottleneck's channels.
+        self.reverse_monitor: Optional[LinkMonitor] = None
+        if self.telemetry is not None:
+            self.reverse_monitor = LinkMonitor(sim, "bottleneck_rev", self.telemetry)
+            self.reverse_monitor.attach(self.reverse_bottleneck)
         self.accountant = FlowAccountant(sim, recorder=self.telemetry)
 
     # Internals ----------------------------------------------------------------

@@ -6,7 +6,9 @@ Packets that arrive while the transmitter is busy wait in the attached
 :class:`~repro.net.queue.QueueDiscipline`, which is where all congestion
 losses happen.  A serialization ends at a *time*, not at an event: its
 start schedules the delivery, so an uncontended crossing is one calendar
-event; one at the end exists only for a tap or a waiting packet.
+event; one at the end exists only for a tap or a waiting packet.  A tap
+only watches: its events ride beside the link's own and never decide
+anything, so a tapped link sends, queues and drops exactly like a bare one.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class Link:
         self._taps: list[Callable[[Packet], None]] = []
         self._tx_per_byte = 8.0 / bandwidth_bps
         self._busy_until = 0.0  # when the serialization in progress ends
-        # _departed is pending at _busy_until: arrivals queue until it fires, even at that instant.
+        # _departed is pending at _busy_until, for waiting packets: arrivals queue until it
+        # fires, even at that instant.
         self._wake = False
         self._last: Optional[Packet] = None  # latest packet put on the wire
         self._pkts = self._bytes = 0  # serializations started, and their bytes
@@ -98,9 +101,10 @@ class Link:
         counted and its delivery scheduled; one added mid-serialization sees it too.
         """
         self._taps.append(tap)
-        if not self._wake and self.sim.now < self._busy_until:
-            self._wake = True
-            self.sim.call_at(self._busy_until, self._departed)
+        # With a tap on, one pending event carries the packet in service to the taps:
+        # the first tap starts that here, later ones find it made.
+        if len(self._taps) == 1 and self.sim.now < self._busy_until:
+            self.sim.call_at(self._busy_until, self._tapped, self._last)
 
     def send(self, packet: Packet) -> None:
         """Offer a packet to the link; it queues, serializes, propagates."""
@@ -128,17 +132,27 @@ class Link:
         self._pkts += 1
         self._bytes += packet.size
         self.sim.call_at(done + self.delay_s, self._receiver, packet)
-        if self._taps or self.queue._buffer:
+        if self.queue._buffer:
             self._wake = True
-            self.sim.call_at(done, self._departed)
+            if self._taps:
+                # The taps ride the wake-up a bare link schedules right here.
+                self.sim.call_at(done, self._departed, packet)
+            else:
+                self.sim.call_at(done, self._departed)
+        elif self._taps:
+            self.sim.call_at(done, self._tapped, packet)
 
-    def _departed(self) -> None:
-        """The serialization of ``_last`` ended now: taps, then the next."""
-        self._wake = False
-        departed = self._last
-        assert departed is not None
+    def _tapped(self, departed: Packet) -> None:
+        """The serialization of ``departed`` ended now: show it to the taps."""
         for tap in self._taps:
             tap(departed)
+
+    def _departed(self, departed: Optional[Packet] = None) -> None:
+        """A serialization ended now and packets wait: taps, then the next."""
+        if departed is not None:
+            for tap in self._taps:
+                tap(departed)
+        self._wake = False
         packet = self.queue.dequeue() if self.queue._buffer else None
         if packet is not None:
             self._transmit(packet, self.sim.now)

@@ -12,7 +12,8 @@ over a trace replayed offline.
 When a :class:`~repro.telemetry.recorder.Recorder` is passed (or active
 via :func:`~repro.telemetry.context.capture`), all channels are adopted
 under hierarchical names (``link.<name>.drops``, ``flow.<id>.bytes``)
-and end up in the exported trace.
+and end up in the exported trace.  Without one, a link's departures are
+pay-for-use: recorded only after :meth:`LinkMonitor.record_departures`.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class LinkMonitor(LinkMetrics):
     """Observes arrivals, drops, marks and departures on one link.
 
     Attach with :meth:`attach`; the monitor hands the queue a probe
-    bundle and registers a departure tap on the link (no monkey-patching
-    of link internals).
+    bundle and, when departures are recorded, registers a departure tap
+    on the link (no monkey-patching of link internals).
     """
 
     def __init__(
@@ -48,7 +49,6 @@ class LinkMonitor(LinkMetrics):
     ):
         super().__init__(name=name or "link")
         self.sim = sim
-        self._departed_bytes = 0
         self._link: Optional[Link] = None
         self._queue_sampler = None  # PeriodicTask once sampling starts
         self._recorder = recorder
@@ -57,11 +57,6 @@ class LinkMonitor(LinkMetrics):
             recorder.adopt(f"{prefix}.arrivals", self.arrivals)
             recorder.adopt(f"{prefix}.drops", self.drops)
             recorder.adopt(f"{prefix}.marks", self.marks)
-            recorder.adopt(f"{prefix}.departed_bytes", self.departures)
-
-    @property
-    def attached(self) -> bool:
-        return self._link is not None
 
     def attach(self, link: Link) -> None:
         if self._link is not None:
@@ -71,15 +66,35 @@ class LinkMonitor(LinkMetrics):
         link.queue.telemetry = QueueProbes(
             arrivals=self.arrivals, drops=self.drops, marks=self.marks
         )
-        link.add_tap(self._on_departure)
         if self._recorder is not None:
             self._recorder.annotate(
                 f"link.{self.name}.bandwidth_bps", link.bandwidth_bps
             )
+            self.record_departures()
 
-    def _on_departure(self, packet: Packet) -> None:
-        self._departed_bytes += packet.size
-        self.departures.record(self.sim.now, self._departed_bytes)
+    def record_departures(self) -> None:
+        """Record ``departed_bytes`` from now on: what ``utilization`` reads.
+
+        The tap costs a calendar event for every packet nothing waits
+        behind, so only a recorder or this request (made before
+        ``sim.run()``) turns it on.
+        """
+        if self._link is None:
+            raise RuntimeError("monitor is not attached to a link")
+        if self.departures is not None:
+            return
+        probe = self.departures = SeriesProbe("departed_bytes")
+        if self._recorder is not None:
+            self._recorder.adopt(f"link.{self.name}.departed_bytes", probe)
+        sim = self.sim
+        departed = 0
+
+        def on_departure(packet: Packet) -> None:
+            nonlocal departed
+            departed += packet.size
+            probe.record(sim.now, departed)
+
+        self._link.add_tap(on_departure)
 
     def sample_queue(self, period_s: Optional[Seconds] = None) -> TimeSeries:
         """Start periodic queue-occupancy sampling; returns the series.
@@ -133,16 +148,17 @@ class FlowAccountant(FlowMetrics):
         super().__init__()
         self.sim = sim
         self._recorder = recorder
-
-    def _on_new_flow(self, flow_id: int, probe: SeriesProbe) -> None:
-        if self._recorder is not None:
-            self._recorder.adopt(f"flow.{flow_id}.bytes", probe)
+        self._delivered: dict[int, float] = {}  # running total per flow
 
     def on_deliver(self, packet: Packet) -> None:
         """Record a data packet that reached its receiver."""
-        probe = self._probes.get(packet.flow_id)
+        flow_id = packet.flow_id
+        probe = self._probes.get(flow_id)
         if probe is None:
-            probe = self._flow_probe(packet.flow_id)
-        values = probe.series._values
-        total = (values[-1] if values else 0.0) + packet.size
+            probe = self._probes[flow_id] = SeriesProbe(f"flow{flow_id}_bytes")
+            if self._recorder is not None:
+                self._recorder.adopt(f"flow.{flow_id}.bytes", probe)
+            self._delivered[flow_id] = 0.0
+        delivered = self._delivered
+        delivered[flow_id] = total = delivered[flow_id] + packet.size
         probe.record(self.sim.now, total)

@@ -211,9 +211,12 @@ class Simulator:
         fired = 0
         try:
             while heap and not self._stopped:
-                if heap[0][0] > horizon:
+                entry = heappop(heap)
+                time, _, fn, args = entry
+                if time > horizon:
+                    # The one event past ``until``: same (time, seq), same place.
+                    _heappush(heap, entry)
                     break
-                time, _, fn, args = heappop(heap)
                 if fn is None:
                     # Cancellable entry: ``args`` is the Event itself.
                     if args.cancelled:

@@ -22,6 +22,11 @@ from repro.units import BitsPerSecond, Bytes, Ratio, Seconds
 __all__ = ["LinkMetrics", "FlowMetrics"]
 
 
+def _growth(series: TimeSeries, start: Seconds, end: Seconds) -> float:
+    """Growth of a cumulative series over [start, end); 0 before its first sample."""
+    return (series.last_before(end) or 0.0) - (series.last_before(start) or 0.0)
+
+
 class LinkMetrics:
     """Arrival/drop/mark/departure channels of one link, plus derived rates.
 
@@ -36,7 +41,7 @@ class LinkMetrics:
         self.arrivals = CounterProbe("arrivals")
         self.drops = CounterProbe("drops")
         self.marks = CounterProbe("marks")  # ECN CE marks (RED marking mode)
-        self.departures = SeriesProbe("departed_bytes")
+        self.departures: Optional[SeriesProbe] = None  # pay-for-use: None = not recorded
         self.queue_depth: Optional[GaugeProbe] = None
 
     def arrivals_in(self, start: Seconds, end: Seconds) -> int:
@@ -92,11 +97,12 @@ class LinkMetrics:
         return series
 
     def departed_bytes_in(self, start: Seconds, end: Seconds) -> Bytes:
-        def cumulative(t: float) -> float:
-            value = self.departures.series.last_before(t)
-            return value if value is not None else 0.0
-
-        return cumulative(end) - cumulative(start)
+        if self.departures is None:
+            raise RuntimeError(
+                f"departures of link {self.name!r} were not recorded: call its monitor's "
+                "record_departures() before sim.run(), or build it under telemetry.capture()"
+            )
+        return _growth(self.departures.series, start, end)
 
     def utilization(self, start: Seconds, end: Seconds) -> Ratio:
         """Fraction of the link's capacity used over [start, end)."""
@@ -114,17 +120,6 @@ class FlowMetrics:
     def __init__(self) -> None:
         self._probes: dict[int, SeriesProbe] = {}
 
-    def _flow_probe(self, flow_id: int) -> SeriesProbe:
-        probe = self._probes.get(flow_id)
-        if probe is None:
-            probe = SeriesProbe(f"flow{flow_id}_bytes")
-            self._probes[flow_id] = probe
-            self._on_new_flow(flow_id, probe)
-        return probe
-
-    def _on_new_flow(self, flow_id: int, probe: SeriesProbe) -> None:
-        """Hook: live accountants adopt the probe into a recorder here."""
-
     @property
     def flows(self) -> list[int]:
         return sorted(self._probes)
@@ -133,13 +128,7 @@ class FlowMetrics:
         probe = self._probes.get(flow_id)
         if probe is None:
             return 0.0
-        series = probe.series
-
-        def cumulative(t: float) -> float:
-            value = series.last_before(t)
-            return value if value is not None else 0.0
-
-        return cumulative(end) - cumulative(start)
+        return _growth(probe.series, start, end)
 
     def throughput_bps(
         self, flow_id: int, start: Seconds, end: Seconds

@@ -63,24 +63,21 @@ class Probe:
 class CounterProbe(Probe):
     """Event counter with per-event timestamps.
 
-    Stores event times and the running total in parallel ``array('d')``
-    buffers, so windowed counts are two bisects — no per-event tuple
-    objects — over half-open ``[start, end)`` windows, the one interval
-    convention of this package.
+    Stores event times in one ``array('d')``: every event counts one, so
+    the running total after ``times[i]`` is ``i + 1`` and a windowed count
+    is two bisects — no per-event tuple objects — over half-open
+    ``[start, end)`` windows, the one interval convention of this package.
     """
 
     kind = "counter"
 
-    __slots__ = ("_times", "_totals", "_total", "_last_time")
+    __slots__ = ("_times", "_last_time")
 
     def __init__(self, name: str = ""):
         super().__init__(name)
         self._times: array = array("d")
-        self._totals: array = array("d")
-        # Hot-path caches: increment() fires once per packet event, so the
-        # running total and last timestamp live in plain attributes rather
-        # than being re-read from the array tails on every call.
-        self._total = 0
+        # Hot-path cache: increment() fires once per packet event, so the
+        # last timestamp is a plain attribute, not a read of the array tail.
         self._last_time = -math.inf
 
     @property
@@ -89,11 +86,12 @@ class CounterProbe(Probe):
 
     @property
     def values(self) -> Sequence[float]:
-        return self._totals
+        """The running totals ``1.0 .. n``, synthesised (the export column)."""
+        return array("d", range(1, len(self._times) + 1))
 
     @property
     def count(self) -> int:
-        return self._total
+        return len(self._times)
 
     def increment(self, time: Seconds) -> None:
         """Count one event at ``time`` (times must not go backwards)."""
@@ -102,26 +100,18 @@ class CounterProbe(Probe):
                 f"events must be time-ordered: {time} < {self._last_time}"
             )
         self._last_time = time
-        total = self._total + 1
-        self._total = total
         self._times.append(time)
-        self._totals.append(total)
 
     def count_in(self, start: Seconds, end: Seconds) -> int:
         """Events counted over the half-open window [start, end)."""
         times = self._times
-        totals = self._totals
-        idx = bisect.bisect_left(times, end) - 1
-        after = totals[idx] if idx >= 0 else 0.0
-        idx = bisect.bisect_left(times, start) - 1
-        before = totals[idx] if idx >= 0 else 0.0
-        return int(after - before)
+        return bisect.bisect_left(times, end) - bisect.bisect_left(times, start)
 
     def load(self, times: Sequence[float], totals: Sequence[float]) -> None:
         """Replace contents from an exported snapshot (trace replay)."""
+        if list(totals) != list(range(1, len(times) + 1)):
+            raise ValueError("counter totals must be 1..n, one per event time")
         self._times = array("d", times)
-        self._totals = array("d", totals)
-        self._total = int(self._totals[-1]) if self._totals else 0
         self._last_time = self._times[-1] if self._times else -math.inf
 
 

@@ -60,7 +60,10 @@ class TraceReader:
             if probe_cls is None:
                 raise ValueError(f"unknown channel kind {kind!r} for {name!r}")
             probe = probe_cls(name)
-            probe.load(record["times"], record["values"])
+            try:
+                probe.load(record["times"], record["values"])
+            except ValueError as exc:
+                raise ValueError(f"channel {name!r}: {exc}") from None
             channels[name] = probe
         return cls(meta, channels)
 

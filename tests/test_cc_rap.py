@@ -6,6 +6,7 @@ from repro.cc import new_rap_flow
 from repro.cc.rap import RapSender
 from repro.net import CutoffDropper, PeriodicDropper
 from repro.sim import Simulator
+from repro.telemetry import capture
 
 from tests.helpers import loopback
 
@@ -35,9 +36,11 @@ class TestRateAdaptation:
         for b in (0.5, 1 / 64):
             sim = Simulator()
             sender, sink = new_rap_flow(sim, b=b)
-            loopback(sim, sender, sink, dropper=PeriodicDropper(60))
+            with capture():  # the rate series is written only for a recorder
+                loopback(sim, sender, sink, dropper=PeriodicDropper(60))
             sender.start()
             sim.run(until=30.0)
+            assert len(sender.rate_trace) > 100  # a sample per RTT and per loss event
             rates = [r for _, r in sender.rate_trace[len(sender.rate_trace) // 2 :]]
             trace[b] = min(rates) / max(rates)
         # RAP(1/64) has a much narrower rate band than RAP(1/2).

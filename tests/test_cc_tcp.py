@@ -6,6 +6,7 @@ from repro.cc import establish, new_tcp_flow, sqrt_rule, tcp_rule
 from repro.cc.tcp import TcpSink
 from repro.net import CountBasedDropper, CutoffDropper, Dumbbell, PeriodicDropper
 from repro.sim import Simulator
+from repro.telemetry import capture
 
 from tests.helpers import loopback
 
@@ -81,10 +82,12 @@ class TestLossRecovery:
         for b in (0.5, 0.125):
             sim = Simulator()
             sender, sink = new_tcp_flow(sim, rule=tcp_rule(b))
-            loopback(sim, sender, sink, dropper=PeriodicDropper(100))
+            with capture():  # cwnd is written only for a recorder
+                loopback(sim, sender, sink, dropper=PeriodicDropper(100))
             sender.start()
             sim.run(until=30.0)
             trace = sender.cwnd_trace
+            assert len(trace) > 1000  # about one sample per ACK
             values = [w for _, w in trace[len(trace) // 2 :]]
             results[b] = (min(values), max(values))
         # TCP(1/8) oscillates in a much narrower relative band than TCP(1/2).
@@ -209,6 +212,7 @@ class TestBinomialOnTcpMachinery:
         f1 = establish(net, s1, k1)
         s2, k2 = new_tcp_flow(sim, rule=tcp_rule(0.5))
         f2 = establish(net, s2, k2)
+        net.monitor.record_departures()  # utilization reads them
         s1.start_at(0.0)
         s2.start_at(0.1)
         sim.run(until=60.0)

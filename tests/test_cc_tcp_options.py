@@ -114,6 +114,7 @@ class TestEcnFlow:
         net = Dumbbell(sim, bandwidth_bps=1e6, rtt_s=0.05, ecn_marking=True)
         sender, sink = new_tcp_flow(sim, ecn=ecn)
         flow = establish(net, sender, sink)
+        net.monitor.record_departures()  # utilization reads them
         sender.start()
         sim.run(until=40.0)
         return sender, net, flow

@@ -8,6 +8,8 @@ sweep is a cache hit for its own shape test.  Shape assertions on the
 real configurations live in benchmarks/.
 """
 
+import dataclasses
+import json
 import math
 import pathlib
 
@@ -19,6 +21,7 @@ from repro.experiments import (
     ResultCache,
     SerialExecutor,
     Table,
+    execute_job,
     fig04_stabilization_time,
     run_figure,
     table_filename,
@@ -122,6 +125,17 @@ class TestRegistry:
         assert isinstance(table, Table)
         assert table.rows
         assert all(len(row) == len(table.columns) for row in table.rows)
+
+    @pytest.mark.parametrize("name", list(RUNNABLE))
+    def test_a_recorder_does_not_change_the_payload(self, name):
+        # Telemetry is pay-for-use: under a recorder a job writes channels,
+        # and fires reverse-bottleneck tap events, that it otherwise skips.
+        job = RUNNABLE[name].jobs("fast", **TINY[name])[0]
+        traced = execute_job(dataclasses.replace(job, trace=True))
+        assert traced["__trace__"].startswith('{"__telemetry__"')
+        assert json.dumps(traced["value"], sort_keys=True) == json.dumps(
+            execute_job(job), sort_keys=True
+        )
 
     def test_unknown_name_lists_the_available_figures(self):
         with pytest.raises(KeyError) as excinfo:

@@ -16,7 +16,7 @@ from repro.cc.binomial import sqrt_rule, tcp_rule
 from repro.net import DropTailQueue, Dumbbell, Link, Packet, PeriodicDropper, QueueProbes
 from repro.net.packet import DATA
 from repro.sim import Simulator
-from repro.telemetry import CounterProbe
+from repro.telemetry import CounterProbe, capture
 
 from tests.helpers import loopback
 
@@ -55,6 +55,7 @@ class TestNetworkConservation:
         net = Dumbbell(sim, bandwidth_bps=bandwidth, rtt_s=0.05)
         sender, sink = new_tcp_flow(sim)
         flow = establish(net, sender, sink)
+        net.monitor.record_departures()  # utilization reads them
         sender.start()
         sim.run(until=20.0)
         throughput = net.accountant.throughput_bps(flow, 5.0, 20.0)
@@ -82,7 +83,8 @@ class TestSenderStateInvariants:
     def run_flow(self, maker, dropper_period, until=30.0):
         sim = Simulator()
         sender, receiver = maker(sim)
-        loopback(sim, sender, receiver, dropper=PeriodicDropper(dropper_period))
+        with capture():  # the cwnd / rate series are written only for a recorder
+            loopback(sim, sender, receiver, dropper=PeriodicDropper(dropper_period))
         sender.start()
         sim.run(until=until)
         return sender
@@ -91,6 +93,7 @@ class TestSenderStateInvariants:
     def test_tcp_window_bounds(self, period):
         sender = self.run_flow(lambda s: new_tcp_flow(s, tcp_rule(0.5)), period)
         assert sender.cwnd >= 1.0
+        assert len(sender.cwnd_trace) > 200  # about one sample per ACK
         for _, w in sender.cwnd_trace:
             assert w >= 1.0
 
@@ -104,6 +107,7 @@ class TestSenderStateInvariants:
         sender = self.run_flow(lambda s: new_rap_flow(s, b=0.5), period)
         assert sender.w >= 1.0
         assert sender.srtt > 0
+        assert len(sender.rate_trace) > 100  # a sample per RTT and per loss event
         for _, rate in sender.rate_trace:
             assert rate > 0
 

@@ -153,6 +153,7 @@ class TestFofK:
         link = Link(sim, 8000.0, 0.0)
         monitor = LinkMonitor(sim)
         monitor.attach(link)
+        monitor.record_departures()
         link.connect(lambda p: None)
         for seq in range(10):
             link.send(Packet(0, DATA, seq, 1000, 0, 1))

@@ -87,7 +87,7 @@ class TestTopology:
         )
         sim.run()
         assert len(got) == 1
-        assert net.reverse_monitor.arrivals_in(0.0, 1.0) == 1
+        assert net.reverse_bottleneck.packets_sent == 1
         assert net.monitor.arrivals_in(0.0, 1.0) == 0
 
     def test_bottleneck_saturation_drops(self):

@@ -7,12 +7,13 @@ performance work: for any arrival program the two must agree on every
 delivery ``(time, packet)``, every drop, every tap firing, RED's average
 and the public counters.
 
-One case is outside the contract, and only on a link without a tap: two
-or more packets offered in the very instant a serialization ends.  The
-reference link still holds the finished packet until its event fires, so
-whether the second arrival finds a full queue depends on event sequence
-numbers; the time-based link has already freed the transmitter for the
-first.  A tapped link keeps a departure event and agrees there too.
+One case is outside the contract: two or more packets offered in the very
+instant a serialization ends.  The reference link still holds the finished
+packet until its event fires, so whether the second arrival finds a full
+queue depends on event sequence numbers; the time-based link has already
+freed the transmitter for the first.  A tap only watches — telemetry is
+pay-for-use, and what a run pays for must not change what it simulates —
+so a tapped link frees the transmitter at that instant too.
 
 Ties are forced rather than hoped for.  One byte serializes in one tick
 of 2**-20 s and every gap is a whole number of ticks, so all times are
@@ -162,9 +163,8 @@ class TestLinkOracle:
         # the counters can be sampled at exactly those instants.
         scout = _run(ReferenceLink, program, queue_spec, delay_s, chained, 0.0, probes, [])
         ends = [when for when, _ in scout["tapped"]]
-        if tapped != "before":
-            offered = [ticks * TICK for ticks in _arrival_ticks(program)]
-            assume(all(offered.count(when) < 2 for when in set(ends)))
+        offered = [ticks * TICK for ticks in _arrival_ticks(program)]
+        assume(all(offered.count(when) < 2 for when in set(ends)))
         horizon_ticks = int(scout["end"] / TICK) + 1
         samples = data.draw(
             st.lists(
@@ -188,6 +188,24 @@ class TestLinkOracle:
         ref = _run(ReferenceLink, program, queue_spec, delay_s, chained, tap_at, probes, samples)
         assert live == ref
 
+    @given(
+        program=_PROGRAMS,
+        queue_spec=_QUEUES,
+        delay_s=st.sampled_from([0.0, 2.0**-9, 0.003]),
+        chained=st.booleans(),
+        probes=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_tap_only_watches(self, program, queue_spec, delay_s, chained, probes):
+        # Ties included: a tapped link (a recorder's, or one whose departures
+        # were requested) delivers, drops and averages exactly like a bare one.
+        bare = _run(Link, program, queue_spec, delay_s, chained, None, probes, [])
+        tapped = _run(Link, program, queue_spec, delay_s, chained, 0.0, probes, [])
+        seen = tapped.pop("tapped")
+        assert bare.pop("tapped") == []
+        assert tapped == bare
+        assert sorted((when + delay_s, seq) for when, seq in seen) == sorted(tapped["delivered"])
+
     @pytest.mark.parametrize("link_cls", [Link, ReferenceLink])
     def test_arrival_at_the_instant_a_serialization_ends_starts_right_then(self, link_cls):
         # 1000 bytes take 1000 ticks; the second packet arrives on the tick
@@ -204,24 +222,28 @@ class TestLinkOracle:
     @pytest.mark.parametrize("tapped", [False, True])
     def test_two_arrivals_at_the_instant_a_serialization_ends(self, tapped):
         # The case outside the oracle: capacity 1, two packets on the tick
-        # the first serialization ends.  Untapped, the transmitter is free
-        # by then (one starts, one waits); tapped, the departure event has
-        # yet to fire and both queue behind it, as in the reference link.
+        # the first serialization ends.  The transmitter is free by then
+        # (one starts, one waits), tapped or not: the tap's departure event
+        # has yet to fire, but a tap only watches.  In the reference link
+        # both queue behind that event and the second is dropped.
         def drive(link_cls):
             sim = Simulator()
             link = link_cls(sim, BANDWIDTH_BPS, 0.0, DropTailQueue(1))
-            arrived = []
+            arrived, seen = [], []
             link.connect(lambda p: arrived.append(p.seq))
             if tapped:
-                link.add_tap(lambda p: None)
+                link.add_tap(lambda p: seen.append((sim.now / TICK, p.seq)))
             sim.at(0.0, link.send, Packet(0, DATA, 0, 1000, 0, 1))
             sim.at(1000 * TICK, link.send, Packet(0, DATA, 1, 1000, 0, 1))
             sim.at(1000 * TICK, link.send, Packet(0, DATA, 2, 1000, 0, 1))
             sim.run()
-            return arrived
+            return arrived, seen
 
-        assert drive(ReferenceLink) == [0, 1]
-        assert drive(Link) == ([0, 1] if tapped else [0, 1, 2])
+        assert drive(ReferenceLink)[0] == [0, 1]
+        arrived, seen = drive(Link)
+        assert arrived == [0, 1, 2]
+        # Every packet is tapped once, at the tick its own serialization ends.
+        assert seen == ([(1000, 0), (2000, 1), (3000, 2)] if tapped else [])
 
 
 class TestTimeBasedCounters:
@@ -252,6 +274,18 @@ class TestTimeBasedCounters:
         sim.run()
         assert seen == [(1.0, 0, 1), (2.0, 1, 2)]
 
+    def test_taps_added_mid_serialization_each_see_the_packet_once(self):
+        sim, link = self._link()
+        first, second = [], []
+        link.send(Packet(0, DATA, 0, 1000, 0, 1))
+        sim.run(until=0.25)
+        link.add_tap(lambda p: first.append((sim.now, p.seq)))
+        link.send(Packet(0, DATA, 1, 1000, 0, 1))  # waits: a wake-up is pending too
+        sim.run(until=0.5)
+        link.add_tap(lambda p: second.append((sim.now, p.seq)))
+        sim.run()
+        assert first == second == [(1.0, 0), (2.0, 1)]
+
     def test_monitor_attached_mid_serialization_counts_departures_from_then_on(self):
         from repro.net.monitor import LinkMonitor
 
@@ -260,6 +294,7 @@ class TestTimeBasedCounters:
         sim.run(until=0.5)
         monitor = LinkMonitor(sim, "late")
         monitor.attach(link)
+        monitor.record_departures()
         link.send(Packet(0, DATA, 1, 500, 0, 1))
         sim.run()
         assert list(monitor.departures.series) == [(1.0, 1000.0), (1.5, 1500.0)]

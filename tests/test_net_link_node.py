@@ -134,6 +134,7 @@ class TestLinkMonitor:
         link = Link(sim, 8000.0, 0.0, DropTailQueue(2))
         monitor = LinkMonitor(sim)
         monitor.attach(link)
+        monitor.record_departures()
         link.connect(lambda p: None)
         for seq in range(5):
             link.send(make_packet(seq=seq))
@@ -167,6 +168,7 @@ class TestLinkMonitor:
         link = Link(sim, 8000.0, 0.0)
         monitor = LinkMonitor(sim)
         monitor.attach(link)
+        monitor.record_departures()
         link.connect(lambda p: None)
         # 4 packets x 1000 B at 8 kbps = 4 s of transmission.
         for seq in range(4):

@@ -126,6 +126,63 @@ class TestOrderingOracle:
         assert drive(Simulator(), True) == drive(ReferenceSimulator(), False)
 
 
+class TestHorizon:
+    """``run(until=…)`` pops, then checks the horizon: the one entry past it
+    goes back with its own ``(time, seq)``, so nothing can tell."""
+
+    @staticmethod
+    def _drive(sim, times, cancel, horizons):
+        transcript = []
+        events = [
+            sim.at(t, lambda i=i: transcript.append((sim.now, i)))
+            for i, t in enumerate(times)
+        ]
+        for k in cancel:
+            events[k % len(events)].cancel()
+        for until in horizons:
+            sim.run(until=until)
+            transcript.append(("ran", until, sim.now, sim.pending))
+        sim.run()
+        return transcript, sim.now, sim.pending
+
+    @given(
+        times=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=30),
+        cancel=st.lists(st.integers(0, 1000), max_size=10),
+        horizons=st.lists(st.floats(0.0, 12.0, allow_nan=False), max_size=4).map(sorted),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_back_to_back_runs_match_reference_kernel(self, times, cancel, horizons, data):
+        if data.draw(st.booleans()):
+            horizons = sorted(horizons + [data.draw(st.sampled_from(times))])  # exactly at an event
+        live = self._drive(Simulator(), times, cancel, horizons)
+        assert live == self._drive(ReferenceSimulator(), times, cancel, horizons)
+
+    def test_cancelled_entry_past_the_horizon_stays_counted(self):
+        sim = Simulator()
+        fired = []
+        sim.call_at(1.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "dead").cancel()
+        sim.call_at(3.0, fired.append, "b")
+        sim.run(until=1.5)
+        # The tombstone at 2.0 was popped, found past 1.5 and pushed back.
+        assert (fired, sim.now, sim.pending, len(sim._heap)) == (["a"], 1.5, 1, 2)
+        sim.run()
+        assert (fired, sim.now, sim.pending, sim.events_fired) == (["a", "b"], 3.0, 0, 2)
+
+    def test_event_past_the_horizon_keeps_its_place_among_equals(self):
+        sim = Simulator()
+        order = []
+        for tag in "abc":
+            sim.call_at(2.0, order.append, tag)
+        sim.run(until=1.0)  # pops "a", pushes it back
+        sim.call_at(2.0, order.append, "d")
+        sim.run(until=2.0)  # events at exactly ``until`` fire
+        assert order == ["a", "b", "c", "d"] and sim.now == 2.0
+        sim.run(until=2.0)
+        assert sim.now == 2.0 and sim.events_fired == 4
+
+
 class TestCallInContract:
     def test_call_at_fires_at_absolute_time(self):
         sim = Simulator()

@@ -64,6 +64,15 @@ class TestCounterProbe:
         assert clone.count == probe.count
         assert clone.count_in(0.0, 2.0) == probe.count_in(0.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "totals", [[1.0, 3.0, 4.0], [2.0, 3.0, 4.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]]
+    )
+    def test_load_rejects_totals_that_are_not_one_per_event(self, totals):
+        # The column is not stored: a weighted or hand-edited counter must
+        # not be re-read silently as unit events.
+        with pytest.raises(ValueError, match="1..n"):
+            CounterProbe("drops").load([0.5, 1.0, 1.0], totals)
+
 
 class TestSeriesProbe:
     def test_record_and_iterate(self):
@@ -232,6 +241,133 @@ class TestEventLoopEmission:
 
 
 # ---------------------------------------------------------------------------
+# Pay-for-use: a channel is written for a recorder or a request, never idly
+# ---------------------------------------------------------------------------
+
+
+def _census_run(request_departures=False):
+    """TCP and TFRC forward, TCP reverse, 12 s on a 500 kbps dumbbell."""
+    from repro.cc import establish, new_tcp_flow, new_tfrc_flow
+    from repro.sim import RngRegistry
+
+    sim = Simulator()
+    net = Dumbbell(sim, bandwidth_bps=5e5, rtt_s=0.05, rng=RngRegistry(7))
+    senders = []
+    for make, forward in (
+        (new_tcp_flow, True),
+        (lambda s: new_tfrc_flow(s, n_intervals=6), True),
+        (new_tcp_flow, False),
+    ):
+        sender, receiver = make(sim)
+        establish(net, sender, receiver, forward=forward)
+        sender.start_at(0.01 * len(senders))
+        senders.append(sender)
+    if request_departures:
+        net.monitor.record_departures()
+        net.monitor.record_departures()  # idempotent: one tap, one channel
+        assert len(net.bottleneck._taps) == 1
+    sim.run(until=12.0)
+    return net, senders
+
+
+class TestPayForUse:
+    #: Every channel of ``_census_run`` and its length, as the commit before
+    #: pay-for-use wrote them under a recorder.  A recorder still gets all.
+    RECORDED = {
+        "link.bottleneck.arrivals": 1042,
+        "link.bottleneck.drops": 81,
+        "link.bottleneck.marks": 0,
+        "link.bottleneck.departed_bytes": 955,
+        "link.bottleneck_rev.arrivals": 1035,
+        "link.bottleneck_rev.drops": 72,
+        "link.bottleneck_rev.marks": 0,
+        "link.bottleneck_rev.departed_bytes": 958,
+        "flow.0.cwnd": 293,
+        "flow.0.timeouts": 6,
+        "flow.1.rate": 9,
+        "flow.2.cwnd": 212,
+        "flow.2.timeouts": 4,
+        "flow.0.bytes": 490,
+        "flow.1.bytes": 7,
+        "flow.2.bytes": 403,
+    }
+    #: What something reads after every dumbbell run: the always-on channels.
+    ALWAYS_ON = (
+        "link.bottleneck.arrivals",
+        "link.bottleneck.drops",
+        "flow.0.timeouts",
+        "flow.2.timeouts",
+        "flow.0.bytes",
+        "flow.1.bytes",
+        "flow.2.bytes",
+    )
+
+    def test_a_recorder_gets_every_channel_as_before(self):
+        with capture() as rec:
+            net, _ = _census_run()
+        assert {name: len(probe) for name, probe in rec.channels.items()} == self.RECORDED
+        assert list(rec.channels) == list(self.RECORDED)  # export order too
+
+    def test_without_a_recorder_only_the_read_channels_are_written(self):
+        net, senders = _census_run()
+        assert net.monitor.departures is None
+        written = {
+            "link.bottleneck.arrivals": net.monitor.arrivals,
+            "link.bottleneck.drops": net.monitor.drops,
+            "link.bottleneck.marks": net.monitor.marks,
+        }
+        for flow_id, sender in enumerate(senders):
+            for key, probe in sender.probes.items():
+                written[f"flow.{flow_id}.{key}"] = probe
+            written[f"flow.{flow_id}.bytes"] = net.accountant._probes[flow_id]
+        lengths = {name: len(probe) for name, probe in written.items() if len(probe)}
+        assert lengths == {name: self.RECORDED[name] for name in self.ALWAYS_ON}
+        # The same simulation without the taps' events: that commit, which
+        # tapped both bottlenecks for every run, fired 8681.
+        assert net.sim.events_fired == 8064
+
+    def test_no_reverse_monitor_without_a_recorder_and_the_link_still_delivers(self):
+        net, senders = _census_run()
+        assert net.reverse_monitor is None
+        assert net.reverse_bottleneck.queue.telemetry is None
+        assert net.reverse_bottleneck.packets_sent > 900  # flow 2's data, the others' ACKs
+        assert senders[0].packets_sent > 400  # its ACKs came back over it
+        with capture():
+            traced = Dumbbell(Simulator(), bandwidth_bps=5e5, rtt_s=0.05)
+        assert traced.reverse_monitor is not None
+        assert traced.reverse_monitor.departures is not None
+
+    def test_reading_unrecorded_departures_raises_and_names_the_request(self):
+        net, _ = _census_run()
+        for read in (net.monitor.utilization, net.monitor.departed_bytes_in):
+            with pytest.raises(RuntimeError, match=r"record_departures\(\).*capture\(\)"):
+                read(0.0, 12.0)
+
+    def test_requested_departures_equal_the_recorded_ones(self):
+        with capture():
+            recorded, _ = _census_run()
+        requested, _ = _census_run(request_departures=True)
+        assert len(requested.monitor.departures) == 955
+        assert list(requested.monitor.departures) == list(recorded.monitor.departures)
+        assert requested.monitor.utilization(2.0, 12.0) == recorded.monitor.utilization(2.0, 12.0)
+        assert requested.reverse_monitor is None  # a request is for one channel
+
+    def test_record_departures_requires_attachment(self):
+        from repro.net.monitor import LinkMonitor
+
+        with pytest.raises(RuntimeError, match="not attached"):
+            LinkMonitor(Simulator()).record_departures()
+
+    def test_reading_an_unrecorded_sender_series_raises(self):
+        _, senders = _census_run()
+        with pytest.raises(RuntimeError, match=r"cwnd was not recorded.*capture\(\)"):
+            senders[0].cwnd_trace
+        with pytest.raises(RuntimeError, match=r"rate was not recorded.*capture\(\)"):
+            senders[1].rate_trace
+        assert senders[0].timeouts == 6  # the counter is always on
+
+
+# ---------------------------------------------------------------------------
 # Trace export -> TraceReader round trip
 # ---------------------------------------------------------------------------
 
@@ -305,6 +441,11 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError):
             TraceReader.loads('{"not": "a trace"}\n')
 
+    def test_a_counter_that_is_not_unit_steps_names_its_channel(self):
+        text = self._recorder().export_text().replace("[1.0, 2.0, 3.0]", "[1.0, 2.0, 5.0]")
+        with pytest.raises(ValueError, match="'link.b.drops'.*1..n"):
+            TraceReader.loads(text)
+
     def test_kind_accessors_check_types(self):
         reader = TraceReader.loads(self._recorder().export_text())
         with pytest.raises(TypeError):
@@ -357,6 +498,8 @@ class TestCountInProperties:
         got = counter.count_in(start, end)
         assert isinstance(got, int)
         assert got == sum(1 for t in times if start <= t < end)
+        # The totals column is synthesised, not stored: 1.0 .. n.
+        assert counter.snapshot()["values"] == [float(i + 1) for i in range(len(times))]
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,9 @@ class TestAddFlows:
             sim, net, lambda s: new_tcp_flow(s), count=1, forward=False
         )
         sim.run(until=5.0)
-        assert net.reverse_monitor.arrivals_in(0.0, 5.0) > 0
+        # Data (1000 B) crosses the reverse bottleneck, ACKs (40 B) the forward one.
+        assert net.reverse_bottleneck.packets_sent > 0
+        assert net.reverse_bottleneck.bytes_sent > net.bottleneck.bytes_sent
 
     def test_count_validation(self):
         sim, net = build()
