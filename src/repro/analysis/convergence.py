@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from repro.contracts import Probability
+from repro.contracts import Probability, checked
 
 __all__ = [
     "acks_to_fairness",
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 
+@checked
 def contraction_factor(b: Probability, p: Probability) -> Probability:
     """Per-ACK contraction of the expected window difference: 1 - bp."""
     if not 0 < b < 1:
@@ -35,6 +36,7 @@ def contraction_factor(b: Probability, p: Probability) -> Probability:
     return 1.0 - b * p
 
 
+@checked
 def acks_to_fairness(b: Probability, p: Probability, delta: Probability = 0.1) -> float:
     """Expected ACK count for δ-fair convergence: log_{1-bp}(δ).
 
@@ -44,7 +46,10 @@ def acks_to_fairness(b: Probability, p: Probability, delta: Probability = 0.1) -
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     factor = contraction_factor(b, p)
-    return math.log(delta) / math.log(factor)
+    try:
+        return math.log(delta) / math.log(factor)
+    except ZeroDivisionError:
+        return math.inf  # the bp -> 0 limit: 1 - bp rounded to 1
 
 
 def iterate_expected_windows(

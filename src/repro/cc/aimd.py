@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.contracts import Probability
+from repro.contracts import Probability, checked
 
 __all__ = [
     "tcp_compatible_a",
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 
+@checked
 def tcp_compatible_a(b: Probability) -> float:
     """Paper's (Yang & Lam) TCP-compatible increase for decrease factor b."""
     if not 0 < b < 1:
@@ -37,6 +38,7 @@ def tcp_compatible_a(b: Probability) -> float:
     return 4.0 * (2.0 * b - b * b) / 3.0
 
 
+@checked
 def deterministic_a(b: Probability) -> float:
     """Deterministic-sawtooth TCP-compatible increase: a = 3b / (2 - b)."""
     if not 0 < b < 1:
@@ -44,6 +46,7 @@ def deterministic_a(b: Probability) -> float:
     return 3.0 * b / (2.0 - b)
 
 
+@checked
 def gamma_to_b(gamma: float) -> Probability:
     """Map the paper's slowness parameter gamma to a decrease factor."""
     if gamma < 1:
@@ -65,6 +68,7 @@ class AimdParams:
             raise ValueError("b must be in (0, 1)")
 
     @property
+    @checked
     def decrease_ratio(self) -> Probability:
         """Window multiplier applied on a loss event: 1 - b."""
         return 1.0 - self.b
@@ -75,11 +79,13 @@ class AimdParams:
         return self.b < 0.5
 
     @property
+    @checked
     def smoothness(self) -> Probability:
         """Paper's steady-state smoothness metric for AIMD: 1 - b."""
         return 1.0 - self.b
 
 
+@checked
 def aimd_params(b: Probability, relation: str = "yang-lam") -> AimdParams:
     """TCP-compatible AIMD parameters for decrease factor ``b``.
 

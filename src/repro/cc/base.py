@@ -23,7 +23,7 @@ from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.telemetry import active_recorder
 from repro.telemetry.probes import Probe, SeriesProbe
-from repro.contracts import CwndPackets, NonNegSeconds, PositiveBytes
+from repro.contracts import CwndPackets, NonNegSeconds, PositiveBytes, checked
 from repro.units import Packets, Seconds
 
 __all__ = ["WindowRule", "Endpoint", "Sender", "Receiver", "establish"]
@@ -42,10 +42,12 @@ class WindowRule(abc.ABC):
     name = "abstract"
 
     @abc.abstractmethod
+    @checked
     def increase_per_ack(self, w: CwndPackets) -> Packets:
         """Additive window increment applied for one new ACK."""
 
     @abc.abstractmethod
+    @checked
     def decrease(self, w: CwndPackets) -> CwndPackets:
         """New window after a loss event (>= 1)."""
 
@@ -53,6 +55,7 @@ class WindowRule(abc.ABC):
 class Endpoint:
     """One end of a flow: owns the node binding and packet construction."""
 
+    @checked
     def __init__(self, sim: Simulator, packet_size: PositiveBytes = 1000):
         self.sim = sim
         self.packet_size = packet_size
@@ -110,6 +113,7 @@ class Sender(Endpoint):
     the transfer (for flash-crowd style short flows); None means long-lived.
     """
 
+    @checked
     def __init__(
         self,
         sim: Simulator,
@@ -153,6 +157,7 @@ class Sender(Endpoint):
         self.started_at = self.sim.now
         self._begin()
 
+    @checked
     def start_at(self, time: NonNegSeconds) -> None:
         """Schedule :meth:`start` at an absolute simulation time."""
         self.sim.at(time, self.start)
@@ -165,6 +170,7 @@ class Sender(Endpoint):
         self.stopped_at = self.sim.now
         self._halt()
 
+    @checked
     def stop_at(self, time: NonNegSeconds) -> None:
         self.sim.at(time, self.stop)
 
@@ -188,6 +194,7 @@ class Receiver(Endpoint):
     dumbbell's :class:`~repro.net.monitor.FlowAccountant` subscribes here.
     """
 
+    @checked
     def __init__(self, sim: Simulator, packet_size: PositiveBytes = 1000):
         super().__init__(sim, packet_size)
         self.on_data: list[Callable[[Packet], None]] = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.cc.aimd import tcp_compatible_a
 from repro.cc.base import WindowRule
-from repro.contracts import CwndPackets, PositiveRatio, Probability
+from repro.contracts import CwndPackets, PositiveRatio, Probability, checked
 from repro.units import Packets
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
 _MIN_WINDOW = 1.0
 
 
+@checked
 def binomial_compatible_a(k: float, l: float, b: PositiveRatio) -> float:
     """Leading-order TCP-compatible increase constant for k + l = 1."""
     if abs(k + l - 1.0) > 1e-9:
@@ -48,6 +49,7 @@ def binomial_compatible_a(k: float, l: float, b: PositiveRatio) -> float:
 class BinomialRule(WindowRule):
     """General binomial window rule with parameters (k, l, a, b)."""
 
+    @checked
     def __init__(self, k: float, l: float, a: float, b: PositiveRatio, name: str = ""):
         if a <= 0 or b <= 0:
             raise ValueError("a and b must be positive")
@@ -70,10 +72,12 @@ class BinomialRule(WindowRule):
             return True
         return self.b < 0.5
 
+    @checked
     def increase_per_ack(self, w: CwndPackets) -> Packets:
         # a / W^k per RTT spread over the ~W ACKs of that RTT.
         return self.a / (w ** (self.k + 1.0))
 
+    @checked
     def decrease(self, w: CwndPackets) -> CwndPackets:
         return max(w - self.b * (w ** self.l), _MIN_WINDOW)
 
@@ -84,17 +88,20 @@ class BinomialRule(WindowRule):
 class AimdRule(BinomialRule):
     """AIMD(a, b): the k=0, l=1 binomial."""
 
+    @checked
     def __init__(self, a: float, b: Probability, name: str = ""):
         if not 0 < b < 1:
             raise ValueError("AIMD decrease factor b must be in (0, 1)")
         super().__init__(0.0, 1.0, a, b, name or f"aimd(a={a:.3g},b={b:.3g})")
 
 
+@checked
 def tcp_rule(b: Probability = 0.5) -> AimdRule:
     """TCP-compatible AIMD rule for decrease factor ``b`` (paper's a(b))."""
     return AimdRule(tcp_compatible_a(b), b, name=f"tcp({b:.4g})")
 
 
+@checked
 def sqrt_rule(b: Probability = 0.5) -> BinomialRule:
     """TCP-compatible SQRT rule: k = l = 1/2, decrease factor ``b``.
 
@@ -103,6 +110,7 @@ def sqrt_rule(b: Probability = 0.5) -> BinomialRule:
     return BinomialRule(0.5, 0.5, binomial_compatible_a(0.5, 0.5, b), b, name=f"sqrt({b:.4g})")
 
 
+@checked
 def iiad_rule(b: PositiveRatio = 1.0, a: float | None = None) -> BinomialRule:
     """IIAD rule: k = 1, l = 0, additive decrease ``b`` packets.
 

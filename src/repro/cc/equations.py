@@ -19,6 +19,7 @@ otherwise; converting to packets or bits per second is the caller's job.
 from __future__ import annotations
 
 import math
+import sys
 
 from repro.contracts import (
     NonNegPps,
@@ -66,7 +67,10 @@ def aimd_response_rate(p: Probability, a: float, b: float) -> PositiveRatio:
         raise ValueError("p must be in (0, 1]")
     if not 0 < b < 1 or a <= 0:
         raise ValueError("need a > 0 and 0 < b < 1")
-    w_max = math.sqrt(2.0 * a / (b * (2.0 - b) * p))
+    try:
+        w_max = math.sqrt(2.0 * a / (b * (2.0 - b) * p))
+    except ZeroDivisionError:
+        return math.inf  # the p -> 0 limit, reached early by underflow
     return (1.0 - b / 2.0) * w_max
 
 
@@ -94,12 +98,16 @@ def padhye_rate_pps(
     if p == 0:
         return math.inf
     if rto_s is None:
-        rto_s = 4.0 * rtt_s
+        # Kept finite: an overflowed inf times an underflowed loss term is nan.
+        rto_s = min(4.0 * rtt_s, sys.float_info.max)
     sqrt_term = math.sqrt(2.0 * p / 3.0)
     timeout_term = rto_s * min(1.0, max_burst_ratio * math.sqrt(3.0 * p / 8.0)) * p * (
         1.0 + 32.0 * p * p
     )
-    return 1.0 / (rtt_s * sqrt_term + timeout_term)
+    try:
+        return 1.0 / (rtt_s * sqrt_term + timeout_term)
+    except ZeroDivisionError:
+        return math.inf  # the p -> 0 limit, reached early by underflow
 
 
 @checked
@@ -145,4 +153,7 @@ def invert_simple_response(rate_per_rtt: PositiveRatio) -> Ratio:
     """Loss rate that yields ``rate_per_rtt`` under the sqrt(1.5/p) model."""
     if rate_per_rtt <= 0:
         raise ValueError("rate must be positive")
-    return 1.5 / (rate_per_rtt * rate_per_rtt)
+    try:
+        return 1.5 / (rate_per_rtt * rate_per_rtt)
+    except ZeroDivisionError:
+        return math.inf  # the rate -> 0 limit, reached early by underflow

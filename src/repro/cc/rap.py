@@ -26,7 +26,7 @@ from repro.cc.base import ACK_SIZE, Receiver, Sender
 from repro.net.packet import ACK, DATA, Packet
 from repro.sim.engine import Simulator, Timer
 from repro.telemetry.probes import SeriesProbe
-from repro.contracts import NonNegPps, PositiveBytes, PositiveSeconds, Probability
+from repro.contracts import NonNegPps, PositiveBytes, PositiveSeconds, Probability, checked
 from repro.units import Seconds
 
 __all__ = ["RapSender", "RapSink", "new_rap_flow"]
@@ -48,6 +48,7 @@ class RapSender(Sender):
 
     LOSS_REORDER_DEPTH = 3
 
+    @checked
     def __init__(
         self,
         sim: Simulator,
@@ -85,6 +86,7 @@ class RapSender(Sender):
     # Rate bookkeeping -----------------------------------------------------------
 
     @property
+    @checked
     def rate_pps(self) -> NonNegPps:
         return self.w / self.srtt
 
@@ -200,6 +202,7 @@ class RapSink(Receiver):
         self._transmit(ACK, packet.seq, ACK_SIZE, ack_seq=packet.seq, echo=packet.sent_at)
 
 
+@checked
 def new_rap_flow(
     sim: Simulator,
     b: Probability = 0.5,

@@ -28,7 +28,7 @@ from repro.cc.binomial import tcp_rule
 from repro.net.packet import ACK, DATA, Packet
 from repro.sim.engine import Simulator, Timer
 from repro.telemetry.probes import CounterProbe, SeriesProbe
-from repro.contracts import PositiveBytes, PositiveSeconds
+from repro.contracts import PositiveBytes, PositiveSeconds, checked
 from repro.units import Seconds
 
 __all__ = ["TcpSender", "TcpSink", "new_tcp_flow"]
@@ -68,6 +68,7 @@ class TcpSender(Sender):
     DUPACK_THRESHOLD = 3
     MAX_BACKOFF = 64
 
+    @checked
     def __init__(
         self,
         sim: Simulator,
@@ -321,6 +322,7 @@ class TcpSink(Receiver):
 
     DELAYED_ACK_TIMEOUT = 0.2
 
+    @checked
     def __init__(
         self,
         sim: Simulator,
@@ -383,6 +385,7 @@ class TcpSink(Receiver):
         self.acks_sent += 1
 
 
+@checked
 def new_tcp_flow(
     sim: Simulator,
     rule: Optional[WindowRule] = None,

@@ -21,7 +21,8 @@ from repro.cc.base import ACK_SIZE, Receiver, Sender
 from repro.net.packet import DATA, FEEDBACK, Packet
 from repro.sim.engine import Simulator, Timer
 from repro.telemetry.probes import SeriesProbe
-from repro.contracts import NonNegRate, PositiveBytes, PositiveSeconds, Probability
+from repro.contracts import NonNegRate, PositiveBytes, PositiveSeconds, Probability, checked
+from repro.units import Seconds
 
 __all__ = ["TearReceiver", "TearSender", "new_tear_flow"]
 
@@ -39,6 +40,7 @@ class TearReceiver(Receiver):
         loss event (TCP-equivalent: 0.5).
     """
 
+    @checked
     def __init__(
         self,
         sim: Simulator,
@@ -110,6 +112,7 @@ class TearReceiver(Receiver):
         )
         self._round_timer.schedule(self.rtt_estimate)
 
+    @checked
     def smoothed_rate_bps(self) -> NonNegRate:
         if not self._epoch_windows:
             return self.packet_size * 8.0 / self.rtt_estimate
@@ -120,6 +123,7 @@ class TearReceiver(Receiver):
 class TearSender(Sender):
     """Transmits at the rate dictated by the TEAR receiver."""
 
+    @checked
     def __init__(
         self,
         sim: Simulator,
@@ -177,6 +181,7 @@ class TearSender(Sender):
                 self._rate_probe.record(self.sim.now, self.rate_bps)
 
 
+@checked
 def new_tear_flow(
     sim: Simulator,
     epochs: int = 8,

@@ -36,6 +36,7 @@ from repro.contracts import (
     PositiveBytes,
     PositiveSeconds,
     Probability,
+    checked,
 )
 from repro.net.packet import DATA, FEEDBACK, Packet
 from repro.sim.engine import Simulator, Timer
@@ -71,6 +72,7 @@ class TfrcReport:
 
     __slots__ = ("p", "recv_rate_bps", "loss_reported", "echo", "hold")
 
+    @checked
     def __init__(
         self,
         p: Probability,
@@ -155,6 +157,7 @@ class LossHistory:
         avg_with_open = self._weighted_average(with_open, multipliers)
         return max(avg_closed, avg_with_open)
 
+    @checked
     def loss_event_rate(self) -> Probability:
         avg = self.average_interval()
         if avg <= 0:
@@ -165,6 +168,7 @@ class LossHistory:
 class TfrcReceiver(Receiver):
     """TFRC receiver: loss detection, interval averaging, per-RTT feedback."""
 
+    @checked
     def __init__(
         self,
         sim: Simulator,
@@ -257,6 +261,7 @@ class TfrcSender(Sender):
         (paper: 1.1; the ns-2 default was 1.5).
     """
 
+    @checked
     def __init__(
         self,
         sim: Simulator,
@@ -309,9 +314,11 @@ class TfrcSender(Sender):
     # Transmission ----------------------------------------------------------------
 
     @property
+    @checked
     def rtt(self) -> PositiveSeconds:
         return self.srtt if self.srtt is not None else self._initial_rtt
 
+    @checked
     def _min_rate_bps(self) -> NonNegRate:
         return self.packet_size * 8.0 / T_MBI
 
@@ -399,6 +406,7 @@ class TfrcSender(Sender):
             allowed *= self._rtt_sqmean / math.sqrt(self._last_rtt_sample)
         self.rate_bps = max(allowed, self._min_rate_bps())
 
+    @checked
     def _equation_rate_bps(self, p: Probability) -> NonNegRate:
         pps = padhye_rate_pps(p, self.rtt, rto_s=4.0 * self.rtt)
         return pps * self.packet_size * 8.0
@@ -413,6 +421,7 @@ class TfrcSender(Sender):
         self._no_feedback_timer.schedule(timeout)
 
 
+@checked
 def new_tfrc_flow(
     sim: Simulator,
     n_intervals: int = 6,

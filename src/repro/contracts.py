@@ -9,29 +9,30 @@ This module gives those ranges first-class names:
 * :class:`Range` — a closed/open interval with a ``contains`` check;
 * ``Annotated`` aliases (:data:`Probability`, :data:`NonNegRate`,
   :data:`PositiveSeconds`, ...) that compose a :class:`repro.units.Unit`
-  with a :class:`Range`, so one annotation feeds both the U-rules
-  (units of measure) and the I-rules (interval analysis) of simlint;
-* :func:`checked` — optional *debug* enforcement of the contracts at
-  runtime, gated by ``REPRO_CONTRACTS=1``.
+  with a :class:`Range`, so one annotation feeds both simlint's U-rules
+  (the unit, statically) and :func:`checked` (the range, on the floats);
+* :func:`checked` — enforcement of the ranges at run time, gated by
+  ``REPRO_CONTRACTS=1``.
 
 Like the unit aliases, the contract aliases are plain ``float`` at
 runtime (``Annotated`` metadata is erased), so annotating a signature
-can never change behavior.  Their static value is what matters:
-simlint's interval abstract interpreter (see
-``repro/lint/analysis/intervals.py`` and ``docs/contracts.md``) seeds
-parameter intervals from these ranges, proves division safety (I001),
-flags values that provably escape a contract (I002), and detects
-clamp/annotation drift (I004).
+can never change behavior.  Every ``Range``-annotated signature in
+``cc``/``net``/``metrics``/``analysis`` carries ``@checked``
+(``tests/test_contracts.py`` pins the census); the kernel's scheduling
+entry points reject negative and NaN times themselves, always.
 
-Debug enforcement
------------------
+Enforcement
+-----------
 ``@checked`` wraps a function so every ``Range``-annotated argument and
 the return value are validated, raising :class:`ContractViolation` on
 escape.  The gate is evaluated **at decoration time**: when
 ``REPRO_CONTRACTS`` is unset the original function object is returned
 unchanged, so the disabled mode costs literally nothing — not even an
-extra frame.  CI runs fig04 and fig14 under ``REPRO_CONTRACTS=1`` and
-asserts the tables stay byte-identical to the default mode.
+extra frame.  When it is set, a signature whose hints cannot be
+resolved fails at import rather than going unchecked.  CI runs the
+whole tier-1 suite, plus full-size fig04 and fig14, under
+``REPRO_CONTRACTS=1``; the tables stay byte-identical to the default
+mode (see ``docs/contracts.md``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import functools
 import inspect
 import math
 import os
+import types
 import typing
 from dataclasses import dataclass
 from typing import Annotated
@@ -111,9 +113,9 @@ class Range:
 
 # -- The contract aliases used on public signatures --------------------------
 #
-# Each alias carries a Unit (consumed by the U-rules) and a Range
-# (consumed by the I-rules and by @checked).  All are float-based, so
-# mypy sees plain floats and integer arguments annotate cleanly.
+# Each alias carries a Unit (consumed by simlint's U-rules) and a Range
+# (consumed by @checked).  All are float-based, so mypy sees plain
+# floats and integer arguments annotate cleanly.
 
 #: A probability or loss-event rate: ``[0, 1]``, dimensionless.
 Probability = Annotated[float, RATIO, Range(0.0, 1.0)]
@@ -136,20 +138,33 @@ PositiveRatio = Annotated[float, RATIO, Range(0.0, math.inf, lo_open=True)]
 #: A non-negative dimensionless factor (rates that may underflow to 0).
 NonNegRatio = Annotated[float, RATIO, Range(0.0, math.inf)]
 
+#: ``@checked`` hands back the signature it was given, so type checkers
+#: keep seeing the decorated constructors, methods and properties.
+_F = typing.TypeVar("_F", bound=typing.Callable[..., object])
+
+
 class ContractViolation(ValueError):
     """A runtime value escaped its declared :class:`Range` contract."""
 
 
 def contracts_enabled() -> bool:
-    """True when ``REPRO_CONTRACTS=1`` requests debug enforcement."""
+    """True when ``REPRO_CONTRACTS=1`` requests enforcement."""
     return os.environ.get("REPRO_CONTRACTS", "") == "1"
 
 
 def _annotation_range(annotation: object) -> "Range | None":
-    """The :class:`Range` carried by an ``Annotated`` alias, if any."""
-    for meta in getattr(annotation, "__metadata__", ()):
-        if isinstance(meta, Range):
-            return meta
+    """The :class:`Range` carried by an ``Annotated`` alias, if any.
+
+    ``Alias | None`` carries the alias's range: ``None`` is skipped at
+    call time like every other non-number.
+    """
+    members = [annotation]
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        members = list(typing.get_args(annotation))
+    for member in members:
+        for meta in getattr(member, "__metadata__", ()):
+            if isinstance(meta, Range):
+                return meta
     return None
 
 
@@ -157,8 +172,12 @@ def _contract_table(fn: "typing.Callable") -> "dict[str, Range]":
     """Parameter/return name -> Range for every contracted annotation."""
     try:
         hints = typing.get_type_hints(fn, include_extras=True)
-    except Exception:  # unresolvable forward refs: nothing to enforce
-        return {}
+    except NameError as exc:
+        # Returning fn unwrapped here would switch the check off silently.
+        raise TypeError(
+            f"@checked cannot resolve the annotations of {fn.__qualname__}(): "
+            f"{exc} (import it at run time, not under TYPE_CHECKING)"
+        ) from exc
     table: dict[str, Range] = {}
     for name, annotation in hints.items():
         rng = _annotation_range(annotation)
@@ -167,8 +186,8 @@ def _contract_table(fn: "typing.Callable") -> "dict[str, Range]":
     return table
 
 
-def checked(fn: "typing.Callable") -> "typing.Callable":
-    """Enforce this function's :class:`Range` contracts in debug mode.
+def checked(fn: _F) -> _F:
+    """Enforce this function's :class:`Range` contracts when armed.
 
     With ``REPRO_CONTRACTS`` unset (the default), returns ``fn``
     unchanged — zero overhead, decided once at import time.  With
@@ -206,4 +225,4 @@ def checked(fn: "typing.Callable") -> "typing.Callable":
                 )
         return result
 
-    return wrapper
+    return typing.cast(_F, wrapper)

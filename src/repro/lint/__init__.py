@@ -27,23 +27,18 @@ U002  bits and bytes mixed in one product without the factor-8
 U003  call argument unit conflicts with the parameter's declared unit
 U004  a name's unit suffix (``_s``, ``_bps``, ...) contradicts its
       annotation
-I001  division by a value whose interval includes 0 with no dominating
-      guard (interval analysis over ``cc``/``net``/``sim``/``metrics``/
-      ``analysis``; see :mod:`repro.contracts`)
-I002  a value provably outside a ``Range`` contract flows into an
-      annotated parameter, return or declaration
-I003  a provably negative time reaches the scheduling APIs
-I004  a declared ``Range`` contract the body's clamps drift outside
 T001  measurements kept in bare lists instead of telemetry probes
 ====  ====================================================================
 
-The U- and I-families are whole-program analyses built once per run and
-shared through :class:`~repro.lint.engine.LintContext`: one
-abstract-interpretation pass over the unit × range product domain
-serves all eight rules.  The earlier families are single-pass AST
-pattern rules.  Cache purity — a job's payload is a function of the
-:class:`~repro.experiments.jobs.Job` alone — is not a lint rule but a
-property the suite runs (``tests/test_job_purity.py``).
+The U-family is a whole-program analysis built once per run and shared
+through :class:`~repro.lint.engine.LintContext`: one flow-sensitive
+walk serves all four rules.  The other families are single-pass AST
+pattern rules.  Two properties are run rather than linted: cache purity
+— a job's payload is a function of the
+:class:`~repro.experiments.jobs.Job` alone
+(``tests/test_job_purity.py``) — and the ``Range`` contracts of
+:mod:`repro.contracts`, which ``@checked`` enforces on the floats
+themselves under ``REPRO_CONTRACTS=1`` (``docs/contracts.md``).
 
 Run ``python -m repro.lint src tests``; ``--json`` prints the
 machine-readable report.  See ``docs/linting.md``, ``docs/units.md`` and

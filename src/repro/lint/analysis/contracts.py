@@ -1,38 +1,28 @@
-"""Quantity contracts: the bridge from annotations to U/I-rule events.
+"""Unit declarations: the bridge from annotations to U-rule events.
 
-One ``Annotated[float, Unit, Range]`` alias on a signature declares two
-things about a quantity — its unit of measure and the range it must stay
-in — and this module turns both into findings in one pass.  It layers
-:mod:`repro.lint.analysis.intervals` (the abstract interpreter over the
-unit × range product domain) onto the whole-program symbol tables:
+An ``Annotated[float, Unit, ...]`` alias on a signature declares the
+unit of measure of a quantity, and this module turns those declarations
+into findings in one pass.  It layers :mod:`repro.lint.analysis.walker`
+(the flow-sensitive unit walker) onto the whole-program symbol tables:
 
 * the alias table is read off :mod:`repro.units` and
   :mod:`repro.contracts` themselves (``typing.get_args``), and an alias
   is honoured only when the annotation's name resolves to its defining
   module through the importing module's import table — a homonymous
-  user-defined ``Probability`` stays uninterpreted;
+  user-defined ``Seconds`` stays uninterpreted;
 * :class:`World` indexes every function's declared parameter/return
-  ``(unit, range)`` pairs, plus attribute and return units by name;
-* :func:`analyze_contracts` interprets every scope of the in-scope files
+  units, plus attribute and return units by name;
+* :func:`analyze_contracts` walks every scope of the in-scope files
   once, seeding parameters from the signature, and collects one
-  :class:`~repro.lint.analysis.intervals.Event` per finding.
+  :class:`~repro.lint.analysis.walker.Event` per finding.
 
-Eight event kinds come out, one per rule:
+Four event kinds come out, one per rule:
 
 * ``arith`` (U001) — incompatible units added, subtracted, compared,
   assigned or returned;
 * ``mix`` (U002) — bit/byte mixing without the factor-8 conversion;
 * ``arg`` (U003) — argument unit conflicts with the parameter's;
-* ``suffix`` (U004) — a name's suffix conflicts with its annotation;
-* ``div`` (I001) — a division whose divisor interval is *known* (has a
-  finite lower bound) and still contains zero;
-* ``range`` (I002) — a value whose inferred interval is provably
-  disjoint from the contract of the parameter/return it flows into;
-* ``time`` (I003) — a provably negative delay/time reaching the
-  simulator scheduling APIs (``schedule``/``call_in``/``call_at``/
-  ``at``/``Timer.schedule``);
-* ``drift`` (I004) — a function contracted to return some range whose
-  body clamps or computes values with a finite bound outside it.
+* ``suffix`` (U004) — a name's suffix conflicts with its annotation.
 
 Inference is intraprocedural (one scope at a time) but the *anchors* are
 whole-program: a call's arguments are checked against the callee's
@@ -41,11 +31,10 @@ by name, through ``self``, or through a receiver typed by a parameter
 annotation or a constructor call — and an attribute like ``cfg.rtt_s``
 carries its unit into any module that touches it.
 
-False-positive discipline: unknowns (a ``None`` unit, a TOP interval)
-never fire anything, unit mismatches need *both* sides known, range
-violations require provable disjointness, and the ``div`` criterion
-demands a known lower bound so half-refined comparisons cannot
-manufacture noise.
+False-positive discipline: an unknown (``None``) unit never fires
+anything, and a mismatch needs *both* sides known.  The ``Range`` half
+of the ``repro.contracts`` aliases is not read here: ranges are enforced
+at run time by ``@checked`` (``docs/contracts.md``).
 """
 
 from __future__ import annotations
@@ -57,14 +46,11 @@ from typing import TYPE_CHECKING, Final, NamedTuple, Optional, Sequence
 
 import repro.contracts
 import repro.units
-from repro.contracts import Range
-from repro.lint.analysis.intervals import (
-    TOP,
+from repro.lint.analysis.walker import (
     UNKNOWN,
     Env,
     Event,
     Interpreter,
-    Interval,
     Value,
     conversion_hint,
     suffix_unit,
@@ -81,14 +67,7 @@ from repro.units import Unit
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.lint.engine import SourceFile
 
-__all__ = ["ALIASES", "Alias", "Declared", "analyze_contracts", "interval_of"]
-
-#: Scheduling APIs whose first argument is a (relative or absolute)
-#: simulation time that must never be negative.  ``at`` is ambiguous as
-#: a bare name, so it only counts on a receiver that looks like the
-#: simulator (``sim.at`` / ``self.sim.at``).
-_TIME_METHODS = {"schedule", "call_in", "call_at"}
-_TIME_KEYWORDS = {"delay", "time", "when"}
+__all__ = ["ALIASES", "Alias", "analyze_contracts"]
 
 #: Method names that collide with builtin container methods; attribute
 #: calls on *untyped* receivers never resolve through these (a bare
@@ -101,74 +80,40 @@ _AMBIGUOUS_METHOD_NAMES = {
 }
 
 
-class Declared(NamedTuple):
-    """What one annotation (or name suffix) declares about a quantity."""
-
-    unit: Optional[Unit] = None
-    range: Optional[Range] = None
-
-
 class Alias(NamedTuple):
-    """One ``Annotated`` alias: its metadata and the module defining it."""
+    """One ``Annotated`` alias: the unit it declares and its defining module."""
 
-    declared: Declared
+    unit: Optional[Unit]
     module: str
 
 
 def _alias_table() -> dict[str, Alias]:
-    """Alias name -> metadata, read off the alias definitions themselves."""
+    """Alias name -> unit, read off the alias definitions themselves."""
     table: dict[str, Alias] = {}
     for module in (repro.units, repro.contracts):
         for name, alias in vars(module).items():
             if typing.get_origin(alias) is not typing.Annotated:
                 continue
             metadata = typing.get_args(alias)[1:]
-            declared = Declared(
-                next((m for m in metadata if isinstance(m, Unit)), None),
-                next((m for m in metadata if isinstance(m, Range)), None),
-            )
-            table.setdefault(name, Alias(declared, module.__name__))
+            unit = next((m for m in metadata if isinstance(m, Unit)), None)
+            table.setdefault(name, Alias(unit, module.__name__))
     return table
 
 
 #: Every alias simlint interprets, by the name it is defined under.
 ALIASES: Final = _alias_table()
 
-_NOTHING: Final = Declared()
-
-
-def interval_of(rng: Range) -> Interval:
-    """The abstract interval a :class:`repro.contracts.Range` denotes."""
-    return Interval.make(rng.lo, rng.hi, rng.lo_open, rng.hi_open)
-
-
-def _admits(declared: Range, value: Interval) -> bool:
-    """True when every value in ``value`` provably satisfies ``declared``.
-
-    Checked with :meth:`Range.contains` rather than interval inclusion
-    because a closed infinite endpoint admits ``inf`` itself (TCP
-    equations legitimately return ``math.inf`` as loss goes to zero),
-    which Interval normalization cannot express.
-    """
-    return declared.contains(value.lo) and declared.contains(value.hi)
-
-
-def _seeded(declared: Declared, cls: Optional[ClassInfo] = None) -> Value:
-    """The abstract value a declaration promises."""
-    interval = interval_of(declared.range) if declared.range is not None else TOP
-    return Value(interval, declared.unit, cls)
-
 
 @dataclass
 class Signature:
-    """Declared units and ranges of one function's parameters and return."""
+    """Declared units of one function's parameters and return."""
 
     info: FunctionInfo
     #: Positional parameters in order (what call arguments bind to).
     param_names: list[str]
     #: Every named parameter, keyword-only ones included.
-    params: dict[str, Declared]
-    returns: Declared
+    params: dict[str, Optional[Unit]]
+    returns: Optional[Unit]
 
 
 class World:
@@ -194,15 +139,15 @@ class World:
 
     def annotation(
         self, module: ModuleTable, annotation: Optional[ast.expr]
-    ) -> Declared:
-        """The unit and range an annotation expression declares, if any.
+    ) -> Optional[Unit]:
+        """The unit an annotation expression declares, if any.
 
         Aliases are honoured only when the name resolves to the alias's
         defining module through ``module``'s import table (or is used
         inside that module itself).
         """
         if annotation is None:
-            return _NOTHING
+            return None
         if isinstance(annotation, ast.Subscript):
             # Optional[Seconds] / Annotated[Seconds, ...] wrappers: look
             # through one level when the head is a typing construct.
@@ -212,35 +157,32 @@ class World:
                 if isinstance(inner, ast.Tuple) and inner.elts:
                     inner = inner.elts[0]
                 return self.annotation(module, inner)
-            return _NOTHING
+            return None
         if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
             left = self.annotation(module, annotation.left)
-            return left if left != _NOTHING else self.annotation(
+            return left if left is not None else self.annotation(
                 module, annotation.right
             )
         name = dotted_name(annotation)
         if name is None:
-            return _NOTHING
+            return None
         head, _, rest = name.partition(".")
         alias = ALIASES.get(name.rsplit(".", 1)[-1])
         if alias is None:
-            return _NOTHING
+            return None
         target = module.imports.get(head)
         if target is None:
             resolved = module.dotted == alias.module
         else:
             resolved = (target + ("." + rest if rest else "")).startswith(alias.module)
-        return alias.declared if resolved else _NOTHING
+        return alias.unit if resolved else None
 
     def declared(
         self, module: ModuleTable, name: Optional[str], annotation: Optional[ast.expr]
-    ) -> Declared:
-        """The annotation's declaration, its unit defaulting to the
-        name-suffix unit."""
-        declared = self.annotation(module, annotation)
-        if declared.unit is None:
-            declared = declared._replace(unit=suffix_unit(name))
-        return declared
+    ) -> Optional[Unit]:
+        """The annotation's unit, defaulting to the name-suffix unit."""
+        unit = self.annotation(module, annotation)
+        return unit if unit is not None else suffix_unit(name)
 
     def _index_function(self, info: FunctionInfo) -> None:
         args = info.node.args
@@ -270,7 +212,7 @@ class World:
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                 record(
                     stmt.target.id,
-                    self.declared(cls.module, stmt.target.id, stmt.annotation).unit,
+                    self.declared(cls.module, stmt.target.id, stmt.annotation),
                 )
         for method in cls.methods.values():
             sig = self.signatures[id(method)]
@@ -287,9 +229,9 @@ class World:
                     and isinstance(target.value, ast.Name)
                     and target.value.id == "self"
                 ):
-                    unit = self.declared(cls.module, target.attr, annotation).unit
+                    unit = self.declared(cls.module, target.attr, annotation)
                     if unit is None and isinstance(value, ast.Name):
-                        unit = sig.params.get(value.id, _NOTHING).unit
+                        unit = sig.params.get(value.id)
                     record(target.attr, unit)
         self.class_attrs[id(cls)] = attrs
 
@@ -305,8 +247,8 @@ class World:
                 if unit is not None:
                     merge(self.attr_units, name, unit)
         for sig in self.signatures.values():
-            if sig.returns.unit is not None:
-                merge(self.return_units, sig.info.name, sig.returns.unit)
+            if sig.returns is not None:
+                merge(self.return_units, sig.info.name, sig.returns)
 
     # -- queries -------------------------------------------------------------
 
@@ -354,7 +296,7 @@ class _ScopeAnalyzer(Interpreter):
         self, node: ast.AST, name: str, annotation: Optional[ast.expr]
     ) -> None:
         from_suffix = suffix_unit(name)
-        from_annotation = self.world.annotation(self.module, annotation).unit
+        from_annotation = self.world.annotation(self.module, annotation)
         if (
             from_suffix is not None
             and from_annotation is not None
@@ -367,7 +309,7 @@ class _ScopeAnalyzer(Interpreter):
                 f"says {from_annotation}; rename or fix the annotation",
             )
 
-    # -- interpreter hooks ---------------------------------------------------
+    # -- walker hooks --------------------------------------------------------
 
     def attribute_value(self, node: ast.Attribute, env: Env) -> Value:
         unit = suffix_unit(node.attr)
@@ -383,8 +325,7 @@ class _ScopeAnalyzer(Interpreter):
         self, target: ast.expr, value: Value, stmt: ast.stmt, env: Env
     ) -> Value:
         annotation = stmt.annotation if isinstance(stmt, ast.AnnAssign) else None
-        declared = self.world.annotation(self.module, annotation)
-        unit = declared.unit
+        unit = self.world.annotation(self.module, annotation)
         if isinstance(target, ast.Attribute):
             if unit is None:
                 unit = self.attribute_value(target, env).unit
@@ -406,71 +347,23 @@ class _ScopeAnalyzer(Interpreter):
                 f"assigns {value.unit} to {label}, which is declared {unit}"
                 + conversion_hint(value.unit, unit),
             )
-        interval = value.interval
-        if declared.range is not None and isinstance(target, ast.Name):
-            contract = interval_of(declared.range)
-            if not interval.is_empty and interval.disjoint(contract):
-                self.emit(
-                    "range",
-                    stmt,
-                    f"assigns a value in {interval} to {target.id!r}, which is "
-                    f"contracted to {declared.range}",
-                )
-            elif not _admits(declared.range, interval):
-                # The declaration is an extra assumption: narrow the local.
-                interval = interval.meet(contract)
-        return Value(interval, unit if unit is not None else value.unit, value.cls)
+        return Value(unit if unit is not None else value.unit, value.cls)
 
     def handle_return(self, stmt: ast.Return, value: Value) -> None:
         if self.signature is None:
             return
         declared = self.signature.returns
-        qualname = self.signature.info.qualname
         if (
-            declared.unit is not None
+            declared is not None
             and value.unit is not None
-            and not value.unit.compatible(declared.unit)
+            and not value.unit.compatible(declared)
         ):
             self.emit(
                 "arith",
                 stmt,
-                f"returns {value.unit} from {qualname}(), which is declared "
-                f"to return {declared.unit}"
-                + conversion_hint(value.unit, declared.unit),
-            )
-        interval = value.interval
-        if (
-            declared.range is None
-            or interval.is_empty
-            or _admits(declared.range, interval)
-        ):
-            return
-        contract = interval_of(declared.range)
-        if interval.disjoint(contract):
-            self.emit(
-                "range",
-                stmt,
-                f"returns a value in {interval} from {qualname}(), which is "
-                f"contracted to return {declared.range}",
-            )
-            return
-        lo_escapes = (
-            interval.lo > float("-inf")
-            and not contract.contains(interval.lo)
-            and (interval.lo < contract.lo or not interval.lo_open)
-        )
-        hi_escapes = (
-            interval.hi < float("inf")
-            and not contract.contains(interval.hi)
-            and (interval.hi > contract.hi or not interval.hi_open)
-        )
-        if lo_escapes or hi_escapes:
-            self.emit(
-                "drift",
-                stmt,
-                f"{qualname}() is contracted to return {declared.range} but "
-                f"this return admits values in {interval}: the body's clamps/"
-                "assignments drift outside the declared range",
+                f"returns {value.unit} from {self.signature.info.qualname}(), "
+                f"which is declared to return {declared}"
+                + conversion_hint(value.unit, declared),
             )
 
     def handle_call(
@@ -491,9 +384,8 @@ class _ScopeAnalyzer(Interpreter):
             )
         if callee is not None:
             self._check_arguments(call, arguments, callee, bound)
-        self._check_time_argument(call, arguments, callee)
         if isinstance(target, FunctionInfo):
-            return _seeded(self.world.signatures[id(target)].returns)
+            return Value(self.world.signatures[id(target)].returns)
         if isinstance(target, ClassInfo):
             return Value(cls=target)
         # Unresolved: fall back to the callee name's own suffix, then to
@@ -533,7 +425,7 @@ class _ScopeAnalyzer(Interpreter):
         resolved = self.world.program.resolve(self.module, name)
         return resolved if isinstance(resolved, (FunctionInfo, ClassInfo)) else None
 
-    # -- argument checks (U003, I002, I003) ----------------------------------
+    # -- argument checks (U003) ----------------------------------------------
 
     def _check_arguments(
         self,
@@ -557,89 +449,17 @@ class _ScopeAnalyzer(Interpreter):
     ) -> None:
         declared = sig.params[param]
         if (
-            declared.unit is not None
+            declared is not None
             and actual.unit is not None
-            and not actual.unit.compatible(declared.unit)
+            and not actual.unit.compatible(declared)
         ):
             self.emit(
                 "arg",
                 arg,
                 f"passes {actual.unit} where parameter {param!r} of "
-                f"{sig.info.qualname}() expects {declared.unit}"
-                + conversion_hint(actual.unit, declared.unit),
+                f"{sig.info.qualname}() expects {declared}"
+                + conversion_hint(actual.unit, declared),
             )
-        interval = actual.interval
-        if (
-            declared.range is None
-            or interval.is_empty
-            or interval.is_top
-            or _admits(declared.range, interval)
-        ):
-            return
-        if interval.disjoint(interval_of(declared.range)):
-            self.emit(
-                "range",
-                arg,
-                f"passes a value in {interval} where parameter {param!r} of "
-                f"{sig.info.qualname}() is contracted to {declared.range}",
-            )
-
-    def _check_time_argument(
-        self,
-        call: ast.Call,
-        arguments: "dict[ast.expr, Value]",
-        callee: Optional[FunctionInfo],
-    ) -> None:
-        api = self._time_api_name(call, callee)
-        if api is None:
-            return
-        delay: Optional[ast.expr] = None
-        if call.args and not isinstance(call.args[0], ast.Starred):
-            delay = call.args[0]
-        else:
-            for kw in call.keywords:
-                if kw.arg in _TIME_KEYWORDS:
-                    delay = kw.value
-                    break
-        if delay is None:
-            return
-        interval = arguments[delay].interval
-        if interval.is_empty:
-            return
-        provably_negative = interval.hi < 0 or (interval.hi == 0 and interval.hi_open)
-        if provably_negative:
-            self.emit(
-                "time",
-                delay,
-                f"passes a provably negative time (interval {interval}) to "
-                f"{api}(); the simulator rejects negative delays at runtime",
-            )
-
-    def _time_api_name(
-        self, call: ast.Call, callee: Optional[FunctionInfo]
-    ) -> Optional[str]:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return None
-        if callee is not None and callee.cls is not None:
-            if callee.cls.name in ("Simulator", "Timer") and callee.name in (
-                *_TIME_METHODS,
-                "at",
-            ):
-                return f"{callee.cls.name}.{callee.name}"
-        if func.attr in _TIME_METHODS:
-            return func.attr
-        if func.attr == "at" and self._looks_like_sim(func.value):
-            return "at"
-        return None
-
-    @staticmethod
-    def _looks_like_sim(receiver: ast.expr) -> bool:
-        if isinstance(receiver, ast.Name):
-            return receiver.id in ("sim", "simulator")
-        if isinstance(receiver, ast.Attribute):
-            return receiver.attr in ("sim", "simulator")
-        return False
 
 
 def _analyze_function(
@@ -652,7 +472,7 @@ def _analyze_function(
     for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
         scope.check_declaration(arg, arg.arg, arg.annotation)
         cls = world.annotation_class(info.module, arg.annotation)
-        env.set(arg.arg, _seeded(sig.params[arg.arg], cls))
+        env.set(arg.arg, Value(sig.params[arg.arg], cls))
     if info.cls is not None:
         env.set("self", Value(cls=info.cls))
     scope.check_declaration(info.node, info.name, info.node.returns)
@@ -664,10 +484,10 @@ def analyze_contracts(
     files: Sequence["SourceFile"],
     scope_paths: Sequence[str],
 ) -> list[Event]:
-    """Run the unit/interval analysis over the in-scope files.
+    """Run the unit analysis over the in-scope files.
 
     Anchors (signatures, attribute units) come from the whole program;
-    bodies are interpreted — and events reported — only for files whose
+    bodies are walked — and events reported — only for files whose
     paths sit inside ``scope_paths``.
     """
     from repro.lint.registry import in_package

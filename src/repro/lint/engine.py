@@ -8,9 +8,8 @@ suppression machinery — they report everything, and the engine decides
 what the developer has justified away.
 
 Project rules share one :class:`LintContext` per run: the whole-program
-analyses (symbol tables, the unit/interval contract events) are built
-lazily on first request and cached there, so the eight U/I-rules cost
-one abstract-interpretation pass.
+analyses (symbol tables, the unit events) are built lazily on first
+request and cached there, so the four U-rules cost one walk.
 
 Two entry points matter to callers:
 
@@ -34,7 +33,7 @@ from repro.lint.registry import RULES, Rule
 from repro.lint.suppress import SuppressionIndex, parse_suppressions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.analysis.intervals import Event
+    from repro.lint.analysis.walker import Event
     from repro.lint.analysis.symbols import Program
 
 __all__ = [
@@ -103,7 +102,7 @@ class LintContext:
     """Per-run shared state for project rules.
 
     Whole-program analyses are expensive (symbol tables over every file,
-    abstract interpretation); the engine builds one context per run and
+    the unit walk); the engine builds one context per run and
     hands it to every project rule, which memoizes each analysis on
     first use.
     """
@@ -123,10 +122,10 @@ class LintContext:
         return self._program
 
     def contract_events(self, scope: Sequence[str]) -> list["Event"]:
-        """Unit and interval events for files inside ``scope`` packages.
+        """Unit events for files inside ``scope`` packages.
 
-        One abstract-interpretation pass serves all eight U/I rules;
-        each rule picks its own event kind out of the result.
+        One flow-sensitive walk serves all four U-rules; each rule picks
+        its own event kind out of the result.
         """
         key = tuple(scope)
         if key not in self._contract_events:

@@ -72,9 +72,8 @@ class Rule:
 
         ``context`` is the run's shared :class:`~repro.lint.engine.
         LintContext`: project rules that need the whole-program analyses
-        (symbol tables, unit and interval events) pull them from there,
-        so eight rules share one expensive build instead of each
-        re-deriving it.
+        (symbol tables, unit events) pull them from there, so four
+        rules share one expensive build instead of each re-deriving it.
         """
         return ()
 

@@ -4,7 +4,6 @@ from repro.lint.rules import (  # noqa: F401  (import-for-registration)
     determinism,
     exceptions,
     hashing,
-    intervals,
     picklability,
     registry_consistency,
     telemetry,
@@ -15,7 +14,6 @@ __all__ = [
     "determinism",
     "exceptions",
     "hashing",
-    "intervals",
     "picklability",
     "registry_consistency",
     "telemetry",

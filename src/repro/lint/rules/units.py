@@ -3,9 +3,9 @@
 The quantity packages (``net``, ``cc``, ``metrics``, ``telemetry``) mix
 seconds, bits, bytes, packets and ratios in nearly every expression; a
 silent bits/bytes or time/rate confusion produces plausible-looking but
-wrong figure tables.  These rules read the unit half of the abstract
-interpretation in :mod:`repro.lint.analysis.contracts` — seeded from the
-:mod:`repro.units` ``Annotated`` aliases and the ``_s``/``_bps``/
+wrong figure tables.  These rules read the flow-sensitive unit walk in
+:mod:`repro.lint.analysis.contracts` — seeded from the :mod:`repro.units`
+and :mod:`repro.contracts` ``Annotated`` aliases and the ``_s``/``_bps``/
 ``_bytes``/``_pkts`` suffix convention — over those packages:
 
 ====  ==================================================================
@@ -19,11 +19,10 @@ U004  a name's unit suffix contradicts its annotation
       (``rtt_s: Bytes``)
 ====  ==================================================================
 
-All four are project rules sharing one analysis build — the same one
-the I-rules read — through the engine's
-:class:`~repro.lint.engine.LintContext`.  Inference only reports when
-*both* sides of an operation have known units, so unannotated code stays
-silent rather than noisy.
+All four are project rules sharing one analysis build through the
+engine's :class:`~repro.lint.engine.LintContext`.  Inference only
+reports when *both* sides of an operation have known units, so
+unannotated code stays silent rather than noisy.
 """
 
 from __future__ import annotations
@@ -32,10 +31,9 @@ from typing import Iterator, Sequence
 
 from repro.lint.engine import LintContext, SourceFile
 from repro.lint.findings import Finding
-from repro.lint.registry import RULES, Rule, rule
+from repro.lint.registry import Rule, rule
 
 __all__ = [
-    "ContractRule",
     "UnitArithmeticRule",
     "UnitArgumentRule",
     "UnitBitsBytesRule",
@@ -51,35 +49,21 @@ UNIT_SCOPE = (
 )
 
 
-class ContractRule(Rule):
-    """Adapter shared by the U- and I-rules: each is one event kind of
-    the single contract analysis, filtered to the rule's own scope."""
+class _UnitRule(Rule):
+    """Each U-rule is one event kind of the single memoised unit walk."""
 
     kind = ""
     project = True
+    scope = UNIT_SCOPE
 
     def check_project(
         self, files: Sequence[SourceFile], context: LintContext
     ) -> Iterator[Finding]:
-        # One pass over the union of every U/I rule's packages, so the
-        # eight rules share a single memoised build.
-        union = sorted(
-            {
-                package
-                for r in RULES.values()
-                if isinstance(r, ContractRule)
-                for package in r.scope
-            }
-        )
         by_path = {src.path: src for src in files}
-        for event in context.contract_events(union):
+        for event in context.contract_events(UNIT_SCOPE):
             src = by_path.get(event.path)
-            if event.kind == self.kind and src is not None and self.applies(src.path):
+            if event.kind == self.kind and src is not None:
                 yield self.finding(src, event.node, event.message)
-
-
-class _UnitRule(ContractRule):
-    scope = UNIT_SCOPE
 
 
 @rule

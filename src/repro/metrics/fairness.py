@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.telemetry.measures import FlowMetrics
-from repro.contracts import PositiveRate, PositiveSeconds, Probability
+from repro.contracts import PositiveRate, PositiveSeconds, Probability, checked
 from repro.units import Seconds
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 
+@checked
 def jain_index(rates: Sequence[float]) -> Probability:
     """Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1]."""
     if not rates:
@@ -31,9 +32,11 @@ def jain_index(rates: Sequence[float]) -> Probability:
     squares = sum(r * r for r in rates)
     if squares == 0:
         return 1.0  # all-zero allocation is (vacuously) even
-    return total * total / (len(rates) * squares)
+    # Cauchy-Schwarz bounds the quotient by 1; rounding can overshoot it.
+    return min(1.0, total * total / (len(rates) * squares))
 
 
+@checked
 def normalized_shares(
     accountant: FlowMetrics,
     flow_ids: Sequence[int],
@@ -50,6 +53,7 @@ def normalized_shares(
     ]
 
 
+@checked
 def delta_fair_convergence_time(
     accountant: FlowMetrics,
     flow_a: int,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.telemetry.measures import FlowMetrics
-from repro.contracts import NonNegRatio, PositiveSeconds
+from repro.contracts import NonNegRatio, PositiveSeconds, checked
 from repro.units import Seconds
 
 __all__ = ["SmoothnessResult", "rate_bins", "smoothness", "coefficient_of_variation"]
@@ -30,6 +30,7 @@ class SmoothnessResult:
     cov: float  # coefficient of variation of the bin rates
 
 
+@checked
 def rate_bins(
     accountant: FlowMetrics,
     flow_id: int,
@@ -74,6 +75,7 @@ def smoothness(rates: Sequence[float]) -> SmoothnessResult:
     )
 
 
+@checked
 def coefficient_of_variation(rates: Sequence[float]) -> NonNegRatio:
     """Std-dev over mean of the rate sequence (0 = perfectly smooth)."""
     if not rates:

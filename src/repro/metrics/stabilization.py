@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from repro.telemetry.measures import LinkMetrics
-from repro.contracts import NonNegSeconds, PositiveSeconds, Probability
+from repro.contracts import NonNegSeconds, PositiveSeconds, Probability, checked
 from repro.units import Ratio, Seconds
 
 __all__ = ["StabilizationResult", "measure_stabilization"]
@@ -32,6 +32,7 @@ class StabilizationResult:
     stabilized: bool  # False if the loss rate never came down in the run
 
 
+@checked
 def measure_stabilization(
     monitor: LinkMetrics,
     congestion_start: NonNegSeconds,

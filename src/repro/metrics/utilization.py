@@ -11,12 +11,13 @@ from typing import Sequence
 
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
 from repro.telemetry.series import TimeSeries
-from repro.contracts import PositiveSeconds
+from repro.contracts import PositiveSeconds, checked
 from repro.units import Ratio, Seconds
 
 __all__ = ["f_of_k", "flows_f_of_k", "utilization_series"]
 
 
+@checked
 def f_of_k(
     monitor: LinkMetrics,
     event_time: Seconds,
@@ -54,6 +55,7 @@ def flows_f_of_k(
     return delivered / capacity_bytes
 
 
+@checked
 def utilization_series(
     monitor: LinkMetrics, window_s: PositiveSeconds, start: Seconds, end: Seconds
 ) -> TimeSeries:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from repro.net.packet import DATA, Packet
 from repro.sim.rng import deterministic_default_rng
 from repro.telemetry.probes import CounterProbe
-from repro.contracts import NonNegSeconds, PositiveSeconds, Probability
+from repro.contracts import NonNegSeconds, PositiveSeconds, Probability, checked
 from repro.units import Seconds
 
 __all__ = [
@@ -171,6 +171,7 @@ class TimedDropper(Dropper):
     ``start_at`` delays the onset so a flow can reach steady state first.
     """
 
+    @checked
     def __init__(
         self,
         interval_s: PositiveSeconds,
@@ -196,6 +197,7 @@ class TimedDropper(Dropper):
 class BernoulliDropper(Dropper):
     """Drop each data packet independently with probability ``p``."""
 
+    @checked
     def __init__(
         self,
         p: Probability,

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, QueueDiscipline
 from repro.sim.engine import Simulator
-from repro.contracts import NonNegSeconds, PositiveRate
+from repro.contracts import NonNegSeconds, PositiveRate, checked
 
 __all__ = ["Link"]
 
@@ -46,6 +46,7 @@ class Link:
     __slots__ = ("sim", "bandwidth_bps", "delay_s", "queue", "name", "_receiver", "_taps",
                  "_tx_per_byte", "_busy_until", "_wake", "_last", "_pkts", "_bytes")
 
+    @checked
     def __init__(
         self,
         sim: Simulator,

@@ -25,6 +25,7 @@ from repro.contracts import (
     PositiveRatio,
     PositiveSeconds,
     Probability,
+    checked,
 )
 from repro.units import Packets
 
@@ -65,6 +66,7 @@ class REDQueue(QueueDiscipline):
         "marks", "avg", "_rng", "_mean_pkt_time", "_count", "_idle_since",
     )
 
+    @checked
     def __init__(
         self,
         capacity_pkts: int,
@@ -102,6 +104,7 @@ class REDQueue(QueueDiscipline):
         self._count = 0  # packets since the last early drop
         self._idle_since: Optional[float] = None
 
+    @checked
     def _drop_probability(self) -> Probability:
         """Early-drop probability for the current average queue size."""
         if self.avg < self.min_thresh:
@@ -181,6 +184,7 @@ class REDQueue(QueueDiscipline):
         return packet
 
 
+@checked
 def red_for_bdp(
     bandwidth_bps: PositiveRate,
     rtt_s: PositiveSeconds,

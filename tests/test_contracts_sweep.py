@@ -9,8 +9,8 @@ Two layers:
 * full-figure byte-identity tests for fig04 and fig14 (plain vs enforced,
   and plain vs the committed ``results/`` table), gated behind
   ``REPRO_SWEEP_TESTS=1`` because each figure runs twice (~3 minutes
-  total).  CI's static-analysis workflow sets the gate; see
-  ``.github/workflows/ci.yml``.
+  total).  CI's ``contracts-sweep`` job sets the gate while it runs the
+  whole suite under ``REPRO_CONTRACTS=1``; see ``.github/workflows/ci.yml``.
 """
 
 import os
@@ -83,7 +83,8 @@ def test_full_figure_byte_identical_under_enforcement(figure, tmp_path):
     )
     assert enforced.returncode == 0, enforced.stderr
 
-    table = f"{figure}.txt"
+    # --out writes the committed name, results/<module>.txt.
+    table = ALL_FIGURES[figure].__name__.rsplit(".", 1)[-1] + ".txt"
     plain_bytes = (plain_dir / table).read_bytes()
     checked_bytes = (checked_dir / table).read_bytes()
     assert plain_bytes == checked_bytes, (
@@ -91,8 +92,7 @@ def test_full_figure_byte_identical_under_enforcement(figure, tmp_path):
         "observation-only"
     )
 
-    module_name = ALL_FIGURES[figure].__name__.rsplit(".", 1)[-1]
-    committed = REPO / "results" / f"{module_name}.txt"
+    committed = REPO / "results" / table
     assert plain_bytes == committed.read_bytes(), (
         f"{committed.name} is stale: regenerate it with "
         f"'repro run {figure} --no-cache --out DIR'"

@@ -15,6 +15,8 @@ test executes it instead, for one tiny job of every registered scenario:
   different cwd, ``PYTHONHASHSEED``, ``argv``, ``HOME``, ``TZ`` and decoy
   ``REPRO_SCALE`` / ``REPRO_CACHE_DIR`` in an otherwise empty
   environment (anything read from process state changes a payload).
+  The child also arms ``REPRO_CONTRACTS=1``, so one job of every
+  scenario runs with all its ``Range`` contracts enforced.
 
 ``tests/purity_controls.py`` holds the child entry point and the two
 negative controls that prove each comparison has teeth.
@@ -48,7 +50,12 @@ def one_tiny_job_per_scenario() -> "list[Job]":
 
 
 def fresh_process_texts(jobs: "list[Job]", tmp_path: pathlib.Path) -> "list[str]":
-    """Payload texts from an interpreter that shares only the jobs."""
+    """Payload texts from an interpreter that shares only the jobs.
+
+    It runs them with ``REPRO_CONTRACTS=1``, so equality with the
+    unenforced payloads computed here also proves that contracts are
+    observation-only on every scenario — and that none is violated.
+    """
     home = tmp_path / "home"
     home.mkdir()
     env = {
@@ -59,6 +66,7 @@ def fresh_process_texts(jobs: "list[Job]", tmp_path: pathlib.Path) -> "list[str]
         "TZ": "Pacific/Kiritimati",
         "REPRO_SCALE": "paper",
         "REPRO_CACHE_DIR": str(tmp_path / "decoy-cache"),
+        "REPRO_CONTRACTS": "1",
     }
     done = subprocess.run(
         [sys.executable, "-m", "tests.purity_controls", "--scale", "paper"],

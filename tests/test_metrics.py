@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.metrics import (
@@ -101,10 +101,22 @@ class TestJainIndex:
         with pytest.raises(ValueError):
             jain_index([-1.0])
 
-    @given(st.lists(st.floats(0.001, 100), min_size=1, max_size=20))
+    @given(
+        st.one_of(
+            st.lists(st.floats(0.001, 100), min_size=1, max_size=20),
+            st.lists(
+                st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                min_size=1,
+                max_size=20,
+            ),
+        )
+    )
+    @example([1.6221031064129439] * 3)  # rounds to 1.0000000000000002 unclamped
     def test_bounds(self, rates):
         index = jain_index(rates)
-        assert 1.0 / len(rates) - 1e-9 <= index <= 1.0 + 1e-9
+        assert 0.0 <= index <= 1.0  # the Probability contract, exactly
+        if all(0.001 <= r <= 100 for r in rates):  # nothing over- or underflows
+            assert index >= 1.0 / len(rates) - 1e-9
 
 
 class TestShares:
