@@ -12,7 +12,7 @@ Usage::
     python -m repro run all --cache-dir /tmp/repro-cache
     python -m repro run all --run-log run.jsonl --job-timeout 600
     python -m repro run fig04 --trace         # also record telemetry traces
-    python -m repro trace fig04               # list the stored traces
+    python -m repro trace fig04               # stored traces: channels, samples, bytes
     python -m repro trace fig04 --job 0       # channels of one job's trace
     python -m repro trace fig04 --replay      # recompute the table from traces
     python -m repro profile fig04 --top 15    # cProfile hot-function report
@@ -445,15 +445,18 @@ def _trace_command(args, runnable) -> int:
 
     stored = 0
     for jb in jobs:
-        if cache.has_trace(jb):
-            stored += 1
-            reader = TraceReader.loads(cache.load_trace(jb))
-            print(
-                f"job {jb.index}: {len(reader.channels)} channels  "
-                f"{cache.trace_path(jb)}"
-            )
-        else:
+        text = cache.load_trace(jb)
+        if text is None:
             print(f"job {jb.index}: no trace")
+            continue
+        stored += 1
+        reader = TraceReader.loads(text)
+        samples = sum(len(probe) for probe in reader.channels.values())
+        path = cache.trace_path(jb)
+        print(
+            f"job {jb.index}: {len(reader.channels)} channels  "
+            f"{samples} samples  {path.stat().st_size} bytes  {path}"
+        )
     if stored == 0:
         print(
             f"(no traces stored; record them with "

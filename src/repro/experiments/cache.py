@@ -47,6 +47,7 @@ from typing import Any, Optional, Union
 
 from repro import __version__
 from repro.experiments.jobs import JOBS_SCHEMA_VERSION, Job
+from repro.telemetry.trace import parse_header
 
 __all__ = ["CacheStats", "ResultCache", "default_cache_dir", "default_salt"]
 
@@ -121,6 +122,15 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _is_current_trace(header_line: str) -> bool:
+    """True when a trace opening with ``header_line`` can be loaded."""
+    try:
+        parse_header(header_line)
+    except ValueError:
+        return False
+    return True
 
 
 class ResultCache:
@@ -360,6 +370,12 @@ class ResultCache:
     # simulation emitted while computing a result.  It is stored *beside*
     # the result blob — same shard, same key, ``.trace.jsonl`` suffix — and
     # never read by lookup(), so trace artifacts cannot perturb results.
+    #
+    # Only a trace TraceReader can load counts as stored: a file whose
+    # header declares another schema (left by an older version under the
+    # same salt) is absent to has_trace()/load_trace(), so the next traced
+    # run re-records over it and no second reader is kept for it.  The
+    # orphan sweeps below still match on the suffix alone.
 
     def store_trace(self, jb: Job, text: str) -> None:
         """Persist the JSONL trace for ``jb`` next to its result blob."""
@@ -370,21 +386,29 @@ class ResultCache:
         _atomic_write_text(self._trace_path(key), text)
 
     def load_trace(self, jb: Job) -> Optional[str]:
-        """The stored JSONL trace for ``jb``, or None."""
+        """The stored current-schema JSONL trace for ``jb``, or None."""
         key = self.key(jb)
         if self.root is None:
-            return self._memory_traces.get(key)
-        try:
-            return self._trace_path(key).read_text()
-        except OSError:
+            text = self._memory_traces.get(key)
+        else:
+            try:
+                text = self._trace_path(key).read_text(encoding="utf-8")
+            except (OSError, ValueError):  # unreadable or not text
+                text = None
+        # The header is the first line; slicing it off copies no samples.
+        if text is None or not _is_current_trace(text[: text.find("\n") + 1]):
             return None
+        return text
 
     def has_trace(self, jb: Job) -> bool:
-        """True when a trace artifact exists for ``jb``."""
-        key = self.key(jb)
+        """True when a current-schema trace artifact exists for ``jb``."""
         if self.root is None:
-            return key in self._memory_traces
-        return self._trace_path(key).exists()
+            return self.load_trace(jb) is not None
+        try:
+            with open(self.trace_path(jb), encoding="utf-8") as handle:
+                return _is_current_trace(handle.readline())
+        except (OSError, ValueError):
+            return False
 
     # -- maintenance --------------------------------------------------------
 

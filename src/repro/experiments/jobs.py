@@ -24,6 +24,7 @@ parallel execution cannot perturb output formatting.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -208,9 +209,15 @@ class Job:
             "scale": self.scale,
         }
 
-    @property
+    @functools.cached_property
     def content_hash(self) -> str:
-        """Stable across processes and platforms for identical work."""
+        """Stable across processes and platforms for identical work.
+
+        Computed once per ``Job`` object (the cache key, dedup, the run
+        log and fault matching all ask): the instance is frozen, so the
+        memo cannot go stale; ``dataclasses.replace`` builds a new object
+        and hashes again, and a pickled job carries its hash along.
+        """
         return content_hash(self.describe())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -6,8 +6,8 @@ got there.  Live monitors (:class:`repro.net.monitor.LinkMonitor`,
 :class:`repro.net.monitor.FlowAccountant`) subclass them and fill the
 probes during simulation; :class:`repro.telemetry.trace.TraceReader`
 builds bare instances from a saved trace.  Because both paths run the
-same code over the same floats (JSON round-trips doubles exactly), a
-replayed metric is bit-identical to the live one.
+same code over the same floats (a trace column is the live buffer,
+packed), a replayed metric is bit-identical to the live one.
 """
 
 from __future__ import annotations

@@ -19,21 +19,65 @@ Three kinds:
 
 from __future__ import annotations
 
+import base64
 import bisect
 import math
+import sys
 from array import array
 from typing import Callable, Iterator, Optional, Sequence
 
-from repro.telemetry.series import TimeSeries
+from repro.telemetry.series import TimeSeries, check_time_ordered
 from repro.units import Seconds
 
-__all__ = ["Probe", "CounterProbe", "SeriesProbe", "GaugeProbe"]
+__all__ = [
+    "Probe",
+    "CounterProbe",
+    "SeriesProbe",
+    "GaugeProbe",
+    "pack_column",
+    "unpack_column",
+]
+
+#: A column is little-endian float64 on disk whatever the host is.
+_SWAP = sys.byteorder == "big"
+
+
+def pack_column(column: array) -> str:
+    """Base64 of ``column``'s little-endian float64 buffer (the trace form).
+
+    The buffer *is* the doubles, so every bit pattern — NaN payloads,
+    ``-0.0``, subnormals, infinities — survives the round trip.
+    """
+    if _SWAP:
+        column = array("d", column)
+        column.byteswap()
+    return base64.b64encode(column).decode("ascii")
+
+
+def unpack_column(text: object, n: int) -> array:
+    """The ``n`` doubles :func:`pack_column` packed; ``ValueError`` otherwise."""
+    if not isinstance(text, str):
+        raise ValueError(
+            f"a column is a base64 string, not {type(text).__name__}"
+        )
+    raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
+    column = array("d")
+    if len(raw) != n * column.itemsize:
+        raise ValueError(
+            f"column holds {len(raw)} bytes, n = {n} needs {n * column.itemsize}"
+        )
+    column.frombytes(raw)
+    if _SWAP:
+        column.byteswap()
+    return column
 
 
 class Probe:
     """Base class for telemetry channels; defines the export surface."""
 
     kind: str = ""
+    #: The exported columns, in :meth:`load` argument order.
+    columns: tuple[str, ...] = ("times", "values")
 
     __slots__ = ("name",)
 
@@ -52,12 +96,11 @@ class Probe:
         return len(self.times)
 
     def snapshot(self) -> dict:
-        """Channel payload for trace export (JSON-compatible)."""
-        return {
-            "kind": self.kind,
-            "times": list(self.times),
-            "values": list(self.values),
-        }
+        """Channel payload for trace export: kind, sample count, packed columns."""
+        record = {"kind": self.kind, "n": len(self)}
+        for column in self.columns:
+            record[column] = pack_column(getattr(self, column))
+        return record
 
 
 class CounterProbe(Probe):
@@ -70,6 +113,7 @@ class CounterProbe(Probe):
     """
 
     kind = "counter"
+    columns = ("times",)
 
     __slots__ = ("_times", "_last_time")
 
@@ -86,7 +130,7 @@ class CounterProbe(Probe):
 
     @property
     def values(self) -> Sequence[float]:
-        """The running totals ``1.0 .. n``, synthesised (the export column)."""
+        """The running totals ``1.0 .. n``, synthesised on read (never stored)."""
         return array("d", range(1, len(self._times) + 1))
 
     @property
@@ -107,12 +151,11 @@ class CounterProbe(Probe):
         times = self._times
         return bisect.bisect_left(times, end) - bisect.bisect_left(times, start)
 
-    def load(self, times: Sequence[float], totals: Sequence[float]) -> None:
-        """Replace contents from an exported snapshot (trace replay)."""
-        if list(totals) != list(range(1, len(times) + 1)):
-            raise ValueError("counter totals must be 1..n, one per event time")
-        self._times = array("d", times)
-        self._last_time = self._times[-1] if self._times else -math.inf
+    def load(self, times: array) -> None:
+        """Replace contents from an unpacked trace column (trace replay)."""
+        check_time_ordered(times)  # count_in() bisects
+        self._times = times
+        self._last_time = times[-1] if times else -math.inf
 
 
 class SeriesProbe(Probe):
@@ -152,8 +195,8 @@ class SeriesProbe(Probe):
         times.append(time)
         series._values.append(value)
 
-    def load(self, times: Sequence[float], values: Sequence[float]) -> None:
-        """Replace contents from an exported snapshot (trace replay)."""
+    def load(self, times: array, values: array) -> None:
+        """Replace contents from unpacked trace columns (trace replay)."""
         fresh = TimeSeries(self.series.name)
         fresh.extend(times, values)
         self.series = fresh

@@ -9,8 +9,12 @@ over with :meth:`adopt` — adoption is how pre-existing instrumentation
 knowing about recording at all.
 
 Traces are exported as JSONL: a header line carrying schema version and
-run metadata, then one line per channel.  The format is deliberately
-line-oriented so traces can be grepped and streamed; see
+run metadata, then one line per channel — its name, kind, sample count
+``n`` and each column as the base64 of its little-endian float64 buffer
+(:func:`~repro.telemetry.probes.pack_column`), so exporting costs a copy
+of the samples, not a ``repr`` per double.  The format stays
+line-oriented, so channel names can be grepped and lines streamed; the
+samples are read with ``repro trace FIG --job N --channel NAME``.  See
 ``docs/telemetry.md``.
 """
 
@@ -25,7 +29,7 @@ from repro.units import Seconds
 
 __all__ = ["Recorder", "TRACE_SCHEMA_VERSION"]
 
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: Default sampling period for gauges when the caller does not specify one.
 DEFAULT_CADENCE_S = 0.1

@@ -23,7 +23,22 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.units import Seconds
 
-__all__ = ["TimeSeries"]
+__all__ = ["TimeSeries", "check_time_ordered"]
+
+
+def check_time_ordered(times: array) -> None:
+    """Raise ``ValueError`` unless ``times`` never goes backwards.
+
+    One C-level sort of an already-sorted list; the Python loop runs only
+    to name the offending pair.
+    """
+    ordered = times.tolist()
+    if ordered != sorted(ordered):
+        for i in range(1, len(ordered)):
+            if ordered[i] < ordered[i - 1]:
+                raise ValueError(
+                    f"samples must be time-ordered: {ordered[i]} < {ordered[i - 1]}"
+                )
 
 
 class TimeSeries:
@@ -80,18 +95,11 @@ class TimeSeries:
         del new_times[n:], new_values[n:]
         if not n:
             return
-        ordered = new_times.tolist()
-        if self._times and ordered[0] < self._times[-1]:
+        if self._times and new_times[0] < self._times[-1]:
             raise ValueError(
-                f"samples must be time-ordered: {ordered[0]} < {self._times[-1]}"
+                f"samples must be time-ordered: {new_times[0]} < {self._times[-1]}"
             )
-        if ordered != sorted(ordered):
-            for i in range(1, n):
-                if ordered[i] < ordered[i - 1]:
-                    raise ValueError(
-                        "samples must be time-ordered: "
-                        f"{ordered[i]} < {ordered[i - 1]}"
-                    )
+        check_time_ordered(new_times)
         self._times.extend(new_times)
         self._values.extend(new_values)
 

@@ -7,8 +7,13 @@ stabilization time...) can be recomputed from the artifact alone.
 ``link(name)`` and ``flows()`` reassemble the standard channel layouts
 into :class:`~repro.telemetry.measures.LinkMetrics` /
 :class:`~repro.telemetry.measures.FlowMetrics`, which run the exact same
-arithmetic as the live monitors — JSON round-trips IEEE doubles exactly,
-so replayed numbers are bit-identical.
+arithmetic as the live monitors — a column on disk is the live
+``array('d')`` buffer itself (base64 of little-endian float64), so
+replayed numbers are bit-identical by construction.
+
+Only the current schema is read: a trace written under another
+``TRACE_SCHEMA_VERSION`` is re-recorded, not converted (the result cache
+treats it as absent, see ``ResultCache.has_trace``).
 """
 
 from __future__ import annotations
@@ -19,10 +24,17 @@ import re
 from typing import Any, Union
 
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
-from repro.telemetry.probes import CounterProbe, GaugeProbe, Probe, SeriesProbe
+from repro.telemetry.probes import (
+    CounterProbe,
+    GaugeProbe,
+    Probe,
+    SeriesProbe,
+    unpack_column,
+)
+from repro.telemetry.recorder import TRACE_SCHEMA_VERSION
 from repro.telemetry.series import TimeSeries
 
-__all__ = ["TraceReader"]
+__all__ = ["TraceReader", "parse_header"]
 
 _PROBE_KINDS = {
     "counter": CounterProbe,
@@ -31,6 +43,55 @@ _PROBE_KINDS = {
 }
 
 _FLOW_BYTES = re.compile(r"^flow\.(\d+)\.bytes$")
+
+
+def parse_header(line: str) -> dict[str, Any]:
+    """The ``meta`` of a trace whose first line is ``line``.
+
+    ``ValueError`` when the line is not a trace header or declares a
+    schema other than :data:`TRACE_SCHEMA_VERSION`.
+    """
+    try:
+        header = json.loads(line)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or "__telemetry__" not in header:
+        raise ValueError("not a telemetry trace (missing header line)")
+    found = header["__telemetry__"]
+    if found != TRACE_SCHEMA_VERSION:
+        raise ValueError(
+            f"trace schema {found!r} found, {TRACE_SCHEMA_VERSION} expected: "
+            "re-record it with 'repro run FIG --trace'"
+        )
+    return header.get("meta", {})
+
+
+def _load_channel(line: str, channels: dict[str, Probe]) -> None:
+    """Add the probe one channel line describes; ``ValueError`` otherwise."""
+    record = json.loads(line)
+    if not isinstance(record, dict) or not isinstance(record.get("channel"), str):
+        raise ValueError("not a channel record (no 'channel' name)")
+    name = record["channel"]
+    try:
+        if name in channels:
+            raise ValueError("an earlier line already holds it")
+        kind = record.get("kind")
+        probe_cls = _PROBE_KINDS.get(kind) if isinstance(kind, str) else None
+        if probe_cls is None:
+            raise ValueError(f"unknown channel kind {kind!r}")
+        expected = {"channel", "kind", "n", *probe_cls.columns}
+        if set(record) != expected:
+            raise ValueError(
+                f"a {kind} line has keys {sorted(expected)}, not {sorted(record)}"
+            )
+        n = record["n"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be a sample count, not {n!r}")
+        probe = probe_cls(name)
+        probe.load(*(unpack_column(record[col], n) for col in probe_cls.columns))
+    except ValueError as exc:
+        raise ValueError(f"channel {name!r}: {exc}") from None
+    channels[name] = probe
 
 
 class TraceReader:
@@ -44,27 +105,20 @@ class TraceReader:
 
     @classmethod
     def loads(cls, text: str) -> "TraceReader":
-        lines = [line for line in text.splitlines() if line.strip()]
+        lines = [
+            (number, line)
+            for number, line in enumerate(text.splitlines(), 1)
+            if line and not line.isspace()
+        ]
         if not lines:
             raise ValueError("empty trace")
-        header = json.loads(lines[0])
-        if "__telemetry__" not in header:
-            raise ValueError("not a telemetry trace (missing header line)")
-        meta = header.get("meta", {})
+        meta = parse_header(lines[0][1])
         channels: dict[str, Probe] = {}
-        for line in lines[1:]:
-            record = json.loads(line)
-            name = record["channel"]
-            kind = record["kind"]
-            probe_cls = _PROBE_KINDS.get(kind)
-            if probe_cls is None:
-                raise ValueError(f"unknown channel kind {kind!r} for {name!r}")
-            probe = probe_cls(name)
+        for number, line in lines[1:]:
             try:
-                probe.load(record["times"], record["values"])
+                _load_channel(line, channels)
             except ValueError as exc:
-                raise ValueError(f"channel {name!r}: {exc}") from None
-            channels[name] = probe
+                raise ValueError(f"trace line {number}: {exc}") from None
         return cls(meta, channels)
 
     @classmethod

@@ -36,6 +36,7 @@ from repro.experiments.executor import (
 from repro.experiments.faults import FaultSpec, InjectedFault
 from repro.experiments.jobs import execute_job
 from repro.experiments.runlog import RunLog
+from repro.telemetry import Recorder
 
 # Figure 20 is the cheapest real sweep (12 closed-form analysis jobs):
 # heavy enough to exercise every scheduler path, light enough for CI.
@@ -400,7 +401,7 @@ class TestCacheHygiene:
         keep, lose = (dataclasses.replace(jb, trace=True) for jb in JOBS()[:2])
         for jb in (keep, lose):
             cache.store(jb, {"ok": True})
-            cache.store_trace(jb, '{"channel": "x"}\n')
+            cache.store_trace(jb, Recorder().export_text())
         assert cache.has_trace(keep) and cache.has_trace(lose)
         # Orphan one trace by deleting its result blob out from under it.
         (tmp_path / cache.key(lose)[:2] / f"{cache.key(lose)}.json").unlink()

@@ -71,6 +71,20 @@ def tiny_fig19_jobs():
     return fig19.jobs("fast", **TINY_LOSS)
 
 
+def _count_hashes(monkeypatch):
+    """Record every run of the canonical() -> dumps -> SHA-256 pipeline."""
+    import repro.experiments.jobs as jobs_module
+
+    hashed = []
+
+    def counting(description):
+        hashed.append(description)
+        return content_hash(description)
+
+    monkeypatch.setattr(jobs_module, "content_hash", counting)
+    return hashed
+
+
 class TestContentHash:
     def test_stable_within_process(self):
         a = fig20.jobs("fast")
@@ -133,6 +147,33 @@ class TestContentHash:
         assert (
             replace(jb, protocol=tfrc(6)).content_hash != jb.content_hash
         )
+
+    def test_the_hash_is_computed_once_and_travels_with_a_pickled_job(self, monkeypatch):
+        hashed = _count_hashes(monkeypatch)
+        jb = tiny_fig04_jobs()[0]
+        digest = jb.content_hash
+        assert jb.content_hash == digest and len(hashed) == 1
+        clone = pickle.loads(pickle.dumps(jb))  # what a pool worker receives
+        assert clone == jb and clone.content_hash == digest
+        assert len(hashed) == 1
+        assert digest == content_hash(jb.describe())  # a fresh computation
+        # replace() builds a new object, so a new identity is a new hash
+        assert replace(jb, seed=77).content_hash != digest
+        assert replace(jb, trace=True).content_hash == digest
+        assert replace(jb, tags=(("other", 1),)).content_hash == digest
+        assert len(hashed) == 4
+
+    def test_two_maps_hash_each_job_once(self, tmp_path, monkeypatch):
+        hashed = _count_hashes(monkeypatch)
+        jobs = fig20.jobs("fast")
+        jobs.append(replace(jobs[0], index=len(jobs)))  # a duplicate to dedup
+        cache = ResultCache(tmp_path / "cache")
+        with make_executor(0, run_log=tmp_path / "run.jsonl") as ex:
+            ex.map(jobs, cache)  # key, dedup, store and run log all ask
+            assert ex.last_report.deduplicated == 1
+            ex.map(jobs, cache)
+            assert ex.last_report.cache_hits == len(jobs)
+        assert len(hashed) == len(jobs)
 
     def test_fig04_and_fig05_share_the_sweep(self):
         h4 = [j.content_hash for j in fig04.jobs("fast")]

@@ -5,7 +5,10 @@ contexts, probe emission ordering under the event loop, and the JSONL
 trace export / :class:`TraceReader` round trip.
 """
 
+import json
 import math
+import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from repro.net import Dumbbell
 from repro.sim import Simulator
 from repro.telemetry import (
+    TRACE_SCHEMA_VERSION,
     CounterProbe,
     GaugeProbe,
     Recorder,
@@ -21,7 +25,13 @@ from repro.telemetry import (
     TraceReader,
     active_recorder,
     capture,
+    probes,
 )
+from repro.telemetry.probes import pack_column, unpack_column
+
+
+def _packed(*values):
+    return pack_column(array("d", values))
 
 
 # ---------------------------------------------------------------------------
@@ -59,19 +69,33 @@ class TestCounterProbe:
         probe.increment(4.0)
         probe.increment(4.0)
         snap = probe.snapshot()
+        assert sorted(snap) == ["kind", "n", "times"]  # one column on disk
         clone = CounterProbe("drops")
-        clone.load(snap["times"], snap["values"])
-        assert clone.count == probe.count
+        clone.load(unpack_column(snap["times"], snap["n"]))
+        assert clone.count == probe.count == snap["n"]
         assert clone.count_in(0.0, 2.0) == probe.count_in(0.0, 2.0)
+        assert list(clone.values) == [1.0, 2.0, 3.0]
+        clone.increment(4.0)
+        with pytest.raises(ValueError):
+            clone.increment(3.0)  # the loaded tail still guards the order
 
     @pytest.mark.parametrize(
-        "totals", [[1.0, 3.0, 4.0], [2.0, 3.0, 4.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]]
+        "totals",
+        [
+            # (the line's total n, the event times its column packs)
+            (2, [0.5, 1.0, 1.0]),
+            (4, [0.5, 1.0, 1.0]),
+            (3, [1.0, 0.5, 1.0]),
+            (3, [0.5, 1.0, 0.75]),
+        ],
     )
     def test_load_rejects_totals_that_are_not_one_per_event(self, totals):
-        # The column is not stored: a weighted or hand-edited counter must
-        # not be re-read silently as unit events.
-        with pytest.raises(ValueError, match="1..n"):
-            CounterProbe("drops").load([0.5, 1.0, 1.0], totals)
+        # The totals are not stored, only their last value n: a column that
+        # does not hold exactly one time per event, in event order, must not
+        # be re-read as a counter (count_in bisects it).
+        n, times = totals
+        with pytest.raises(ValueError, match="bytes, n = |time-ordered"):
+            CounterProbe("drops").load(unpack_column(pack_column(array("d", times)), n))
 
 
 class TestSeriesProbe:
@@ -441,9 +465,51 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError):
             TraceReader.loads('{"not": "a trace"}\n')
 
+    @pytest.mark.parametrize("version", [1, 99, "2", None])
+    def test_another_schema_says_found_expected_and_how_to_re_record(self, version):
+        text = self._recorder().export_text().replace(
+            f'"__telemetry__": {TRACE_SCHEMA_VERSION}',
+            f'"__telemetry__": {json.dumps(version)}',
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"schema {version!r} found, {TRACE_SCHEMA_VERSION} expected"
+            r".*repro run FIG --trace",
+        ):
+            TraceReader.loads(text)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"channel": "flow.0.rate", ', "", r"line 3: not a channel record"),
+            ('"kind": "series", ', "", r"line 3: channel 'flow.0.rate': unknown channel kind None"),
+            ('"kind": "series"', '"kind": "histogram"', r"line 3: channel 'flow.0.rate': unknown"),
+            ('"kind": "series"', '"kind": ["series"]', r"line 3: channel 'flow.0.rate': unknown"),
+            ('"n": 2, "times"', '"n": 2, "time"', r"line 3: channel 'flow.0.rate'.*keys"),
+            ('"n": 2, ', "", r"line 3: channel 'flow.0.rate'.*keys"),
+            ('"n": 2', '"n": 2.0', r"line 3: channel 'flow.0.rate': n must be"),
+            ('"n": 2', '"n": true', r"line 3: channel 'flow.0.rate': n must be"),
+            ('"n": 1', '"n": -1', r"line 4: channel 'link.b.queue_pkts': n must be"),
+            ('"kind": "gauge"', '"kind": "gauge"}{', r"line 4: "),
+            ("flow.0.rate", "link.b.drops", r"line 3: channel 'link.b.drops': an earlier line"),
+        ],
+    )
+    def test_a_malformed_or_duplicate_line_is_a_value_error_with_its_line_number(
+        self, old, new, message
+    ):
+        text = self._recorder().export_text()
+        assert text.count(old) == 1
+        with pytest.raises(ValueError, match=message):
+            TraceReader.loads(text.replace(old, new))
+
     def test_a_counter_that_is_not_unit_steps_names_its_channel(self):
-        text = self._recorder().export_text().replace("[1.0, 2.0, 3.0]", "[1.0, 2.0, 5.0]")
-        with pytest.raises(ValueError, match="'link.b.drops'.*1..n"):
+        # Schema 1 carried the totals as a second column; a counter line
+        # that still has one (weighted steps or not) is refused by name.
+        text = self._recorder().export_text().replace(
+            '"kind": "counter", "n": 3,',
+            f'"kind": "counter", "n": 3, "values": "{_packed(1.0, 2.0, 5.0)}",',
+        )
+        with pytest.raises(ValueError, match="line 2: channel 'link.b.drops'.*keys"):
             TraceReader.loads(text)
 
     def test_kind_accessors_check_types(self):
@@ -452,6 +518,117 @@ class TestTraceRoundTrip:
             reader.counter("flow.0.rate")
         with pytest.raises(TypeError):
             reader.series("link.b.drops")
+
+
+# ---------------------------------------------------------------------------
+# The packed column: base64 of little-endian float64, the doubles themselves
+# ---------------------------------------------------------------------------
+
+
+def _bits(column):
+    """The IEEE-754 bit patterns of ``column`` (NaN payloads compare)."""
+    return struct.pack(f"<{len(column)}d", *column)
+
+
+_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda word: struct.unpack("<d", struct.pack("<Q", word))[0]
+)
+_TIMES = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), max_size=30
+).map(sorted)
+
+
+class TestPackedColumns:
+    @given(times=_TIMES, patterns=st.lists(_PATTERNS, min_size=30, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_every_bit_pattern_survives_export_and_load(self, times, patterns):
+        rec = Recorder()
+        for t, v in zip(times, patterns):
+            rec.counter("c").increment(t)
+            rec.series("s").record(t, v)
+            rec.gauge("g", read=lambda v=v: v).sample(t)
+        rec.counter("c"), rec.series("s"), rec.gauge("g")  # present when empty
+        text = rec.export_text()
+        assert rec.export_text() == text  # two exports of one run
+        reader = TraceReader.loads(text)
+        for name, probe in rec.channels.items():
+            clone = reader.channel(name)
+            assert type(clone) is type(probe)
+            assert _bits(clone.times) == _bits(probe.times) == _bits(times)
+            assert _bits(clone.values) == _bits(probe.values)
+        assert _bits(reader.series("s").values) == _bits(patterns[: len(times)])
+
+    def _trace(self):
+        return TestTraceRoundTrip()._recorder().export_text()
+
+    @pytest.mark.parametrize(
+        "channel, old, new, message",
+        [
+            # truncated base64: a character short, then a whole quantum short
+            ("flow.0.rate", _packed(10.0, 12.5), _packed(10.0, 12.5)[:-1], "padding"),
+            ("flow.0.rate", _packed(10.0, 12.5), _packed(10.0, 12.5)[:-4], "bytes, n = 2"),
+            # a flipped character: outside the alphabet, or a valid one that
+            # moves a time behind its predecessor
+            ("link.b.drops", _packed(0.5, 1.25, 1.25), "*" + _packed(0.5, 1.25, 1.25)[1:], "base64"),
+            ("flow.0.rate", _packed(0.0, 1.0), _packed(0.0, -1.0), "time-ordered"),
+            ("flow.0.rate", '"times": "AAAA', '"times": "AA\\nAA', "base64"),
+            ("flow.0.rate", '"times": "AAAA', '"times": "\\u00e9AAA', "ASCII"),
+            ("flow.0.rate", f'"times": "{_packed(0.0, 1.0)}"', '"times": [0.0, 1.0]', "not list"),
+            # n off by one, either way, on either kind
+            ("link.b.drops", '"n": 3', '"n": 2', "bytes, n = 2"),
+            ("link.b.drops", '"n": 3', '"n": 4', "bytes, n = 4"),
+            ("flow.0.rate", '"n": 2', '"n": 3', "bytes, n = 3"),
+            # unordered counter times (schema 1 never checked; count_in bisects)
+            ("link.b.drops", _packed(0.5, 1.25, 1.25), _packed(0.5, 1.25, 1.0), "time-ordered"),
+            # a counter has one column, a series two
+            ("link.b.drops", '"n": 3,', f'"n": 3, "values": "{_packed(1.0, 2.0, 3.0)}",', "keys"),
+            ("flow.0.rate", f', "values": "{_packed(10.0, 12.5)}"', "", "keys"),
+        ],
+    )
+    def test_a_corrupt_column_is_a_value_error_naming_its_channel(
+        self, channel, old, new, message
+    ):
+        text = self._trace()
+        line = next(ln for ln in text.splitlines() if f'"{channel}"' in ln)
+        assert line.count(old) == 1
+        with pytest.raises(ValueError, match=f"channel '{channel}': .*{message}"):
+            TraceReader.loads(text.replace(line, line.replace(old, new)))
+
+    def test_a_big_endian_host_writes_and_reads_the_same_text(self, monkeypatch):
+        little = self._trace()
+        # What a big-endian host holds in memory for the same doubles.
+        host = TraceReader.loads(little)
+        for probe in host.channels.values():
+            for column in probe.columns:
+                getattr(probe, column).byteswap()
+        monkeypatch.setattr(probes, "_SWAP", not probes._SWAP)
+        rec = Recorder()
+        rec.meta = host.meta
+        for name, probe in host.channels.items():
+            rec.adopt(name, probe)
+        assert rec.export_text() == little
+        # ... and reads back from it (column by column: the order check
+        # would read the swapped doubles with this host's eyes).
+        for line in little.splitlines()[1:]:
+            record = json.loads(line)
+            probe = host.channel(record["channel"])
+            for column in probe.columns:
+                got = unpack_column(record[column], record["n"])
+                assert got.tobytes() == getattr(probe, column).tobytes()
+
+    def test_bytes_per_value_are_packed_not_printed(self):
+        # Per number a reader gets back (a sample is a time and a value):
+        # 4/3 x 8 bytes for a packed double plus the line's names, and a
+        # counter's totals cost nothing.  Printed floats are ~18 bytes each,
+        # so a regression fails here without a stopwatch.
+        n = 3000
+        rec = Recorder()
+        for i in range(n):
+            rec.counter("link.bottleneck.arrivals").increment(i / 7)
+            rec.series("flow.12.cwnd").record(i / 7, 1e6 / (i + 1))
+        counter, series = rec.export_text().splitlines()[1:]
+        assert len(series) / (2 * n) <= 11.5
+        assert len(counter) / (2 * n) <= 6
 
 
 class TestSimulationTraceRoundTrip:
@@ -498,8 +675,9 @@ class TestCountInProperties:
         got = counter.count_in(start, end)
         assert isinstance(got, int)
         assert got == sum(1 for t in times if start <= t < end)
-        # The totals column is synthesised, not stored: 1.0 .. n.
-        assert counter.snapshot()["values"] == [float(i + 1) for i in range(len(times))]
+        # The totals column is synthesised on read, not stored: 1.0 .. n.
+        assert list(counter.values) == [float(i + 1) for i in range(len(times))]
+        assert "values" not in counter.snapshot()
 
 
 # ---------------------------------------------------------------------------

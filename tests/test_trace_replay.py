@@ -18,7 +18,18 @@ from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.replay import REPLAYERS, replay_job
 from repro.experiments.runner import Table
 from repro.experiments.scenarios import CbrRestartConfig, OscillationConfig
+from repro.telemetry import Recorder
 from repro.telemetry.trace import TraceReader
+
+#: The smallest stored trace: a current-schema header and no channels.
+EMPTY_TRACE = Recorder().export_text()
+
+#: What a pre-schema-2 version left beside a result under the same salt.
+V1_TRACE = (
+    '{"__telemetry__": 1, "meta": {}}\n'
+    '{"channel": "link.bottleneck.drops", "kind": "counter", '
+    '"times": [0.5, 1.25], "values": [1.0, 2.0]}\n'
+)
 
 
 def tiny_cbr_restart_job(trace=True):
@@ -87,9 +98,9 @@ class TestCacheTraceArtifacts:
         jb = tiny_cbr_restart_job()
         assert not cache.has_trace(jb)
         assert cache.load_trace(jb) is None
-        cache.store_trace(jb, "header\nline\n")
+        cache.store_trace(jb, EMPTY_TRACE)
         assert cache.has_trace(jb)
-        assert cache.load_trace(jb) == "header\nline\n"
+        assert cache.load_trace(jb) == EMPTY_TRACE
         path = cache.trace_path(jb)
         assert path is not None and path.suffixes == [".trace", ".jsonl"]
         assert path.exists()
@@ -97,9 +108,9 @@ class TestCacheTraceArtifacts:
     def test_memory_mode(self):
         cache = ResultCache(None)
         jb = tiny_cbr_restart_job()
-        cache.store_trace(jb, "t\n")
+        cache.store_trace(jb, EMPTY_TRACE)
         assert cache.has_trace(jb)
-        assert cache.load_trace(jb) == "t\n"
+        assert cache.load_trace(jb) == EMPTY_TRACE
         assert cache.trace_path(jb) is None
         cache.clear()
         assert not cache.has_trace(jb)
@@ -107,12 +118,31 @@ class TestCacheTraceArtifacts:
     def test_traces_are_not_cache_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         jb = tiny_cbr_restart_job()
-        cache.store_trace(jb, "t\n")
+        cache.store_trace(jb, EMPTY_TRACE)
         assert len(cache) == 0  # __len__ counts result blobs only
         cache.store(jb, {"x": 1})
         assert len(cache) == 1
         assert cache.clear() == 1  # the blob; the trace is swept uncounted
         assert not cache.has_trace(jb)
+
+    @pytest.mark.parametrize(
+        "stale", [V1_TRACE, "header\nline\n", "", "\xff\xfe not text", "[1, 2]\n"]
+    )
+    @pytest.mark.parametrize("on_disk", [True, False])
+    def test_a_trace_of_another_schema_is_absent(self, tmp_path, stale, on_disk):
+        cache = ResultCache(tmp_path if on_disk else None)
+        jb = tiny_cbr_restart_job()
+        cache.store(jb, {"x": 1})
+        if on_disk:
+            cache.trace_path(jb).write_bytes(stale.encode("latin-1"))
+        else:
+            cache.store_trace(jb, stale)
+        assert not cache.has_trace(jb)
+        assert cache.load_trace(jb) is None
+        if on_disk:  # still swept with its entry, by suffix
+            assert cache.prune() == 0 and cache.trace_path(jb).exists()
+            cache.clear()
+            assert not cache.trace_path(jb).exists()
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +195,26 @@ class TestExecutorTracing:
         # and the recomputed payload matches the cached one exactly
         assert canonical(results[0].value) == canonical(plain[0].value)
 
+    def test_a_stale_trace_is_re_recorded_and_never_parsed(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        ex = SerialExecutor()
+        plain = ex.map([tiny_cbr_restart_job(trace=False)], cache)
+        jb = tiny_cbr_restart_job(trace=True)
+        cache.trace_path(jb).write_text(V1_TRACE)
+        # an untraced map still hits: the result beside it is valid
+        ex.map([tiny_cbr_restart_job(trace=False)], cache)
+        assert (ex.last_report.cache_hits, ex.last_report.computed) == (1, 0)
+        assert cache.trace_path(jb).read_text() == V1_TRACE
+        # a traced map recomputes and overwrites it with a current trace
+        results = ex.map([jb], cache)
+        assert (ex.last_report.cache_hits, ex.last_report.computed) == (0, 1)
+        assert canonical(results[0].value) == canonical(plain[0].value)
+        assert cache.has_trace(jb)
+        reader = TraceReader.loads(cache.load_trace(jb))
+        assert canonical(replay_job(jb, reader)) == canonical(plain[0].value)
+        ex.map([jb], cache)
+        assert (ex.last_report.cache_hits, ex.last_report.computed) == (1, 0)
+
     def test_untraced_jobs_never_touch_traces(self, tmp_path):
         cache = ResultCache(tmp_path)
         jb = tiny_cbr_restart_job(trace=False)
@@ -187,6 +237,22 @@ class TestReplay:
         results = SerialExecutor().map([jb], cache)
         reader = TraceReader.loads(cache.load_trace(jb))
         replayed = replay_job(jb, reader)
+        assert canonical(replayed) == canonical(results[0].value)
+
+    @pytest.mark.parametrize(
+        "make_job", [tiny_cbr_restart_job, tiny_oscillation_job]
+    )
+    def test_replay_from_the_memory_cache_and_a_second_export_agree(
+        self, tmp_path, make_job
+    ):
+        jb = make_job()
+        memory, disk = ResultCache(None), ResultCache(tmp_path)
+        results = SerialExecutor().map([jb], memory)
+        SerialExecutor().map([jb], disk)
+        text = memory.load_trace(jb)
+        assert text == disk.load_trace(jb)  # two exports of one run
+        assert text.encode("utf-8") == disk.trace_path(jb).read_bytes()
+        replayed = replay_job(jb, TraceReader.loads(text))
         assert canonical(replayed) == canonical(results[0].value)
 
     def test_every_simulation_family_used_by_fig04_fig14_is_replayable(self):
@@ -269,6 +335,55 @@ class TestCli:
         )
         dump = capsys.readouterr().out
         assert len(dump.strip().splitlines()) > 0
+
+    def test_listing_shows_size_and_the_sample_views_are_unchanged(
+        self, figure, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        rec = Recorder()
+        for t in (0.5, 1.25, 1.25):
+            rec.counter("link.bottleneck.drops").increment(t)
+        rec.series("flow.0.cwnd").record(0.1, 2.0)
+        rec.series("flow.0.cwnd").record(0.30000000000000004, float("inf"))
+        rec.annotate("scenario", "cbr_restart")
+        text = rec.export_text()
+        cache = ResultCache(tmp_path)
+        (jb,) = _FakeFigure.jobs("fast")
+        cache.store(jb, {"protocol": "TCP", "cost": 1.0})
+        cache.store_trace(jb, text)
+        base = ["trace", figure, "--cache-dir", str(tmp_path)]
+
+        assert main(base) == 0
+        assert capsys.readouterr().out == (
+            f"job 0: 2 channels  5 samples  {len(text)} bytes  {cache.trace_path(jb)}\n"
+        )
+        assert main(base + ["--job", "0"]) == 0
+        assert capsys.readouterr().out == (
+            f"figtest job 0: {cache.trace_path(jb)}\n"
+            "  meta scenario = 'cbr_restart'\n"
+            "  series  flow.0.cwnd  (2 samples)\n"
+            "  counter link.bottleneck.drops  (3 samples)\n"
+        )
+        assert main(base + ["--job", "0", "--channel", "link.bottleneck.drops"]) == 0
+        assert capsys.readouterr().out == "0.5 1.0\n1.25 2.0\n1.25 3.0\n"
+        assert main(base + ["--job", "0", "--channel", "flow.0.cwnd"]) == 0
+        assert capsys.readouterr().out == "0.1 2.0\n0.30000000000000004 inf\n"
+
+    def test_a_stale_trace_reads_as_no_trace(self, figure, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = ResultCache(tmp_path)
+        (jb,) = _FakeFigure.jobs("fast")
+        cache.store(jb, {"protocol": "TCP", "cost": 1.0})
+        cache.trace_path(jb).write_text(V1_TRACE)
+        base = ["trace", figure, "--cache-dir", str(tmp_path)]
+        for mode in (["--replay"], ["--job", "0"]):
+            assert main(base + mode) == 1
+            err = capsys.readouterr().err
+            assert "no trace for figtest job 0" in err and "record one with" in err
+        assert main(base) == 0
+        assert "job 0: no trace" in capsys.readouterr().out
 
     def test_trace_without_artifacts_fails_cleanly(self, figure, tmp_path, capsys):
         from repro.cli import main
