@@ -17,12 +17,10 @@ within one session).
 
 Fault tolerance and telemetry are configured the same way:
 ``REPRO_RUN_LOG=/path/run.jsonl`` appends one JSONL provenance record
-per job plus a summary per sweep, ``REPRO_JOB_TIMEOUT=S`` bounds each
-job's wall clock (a stuck worker is killed and the job retried),
-``REPRO_MAX_RETRIES=N`` sets the retry budget, and ``REPRO_FAULT_SPEC``
-injects deterministic faults for smoke-testing the recovery paths (see
-``repro.experiments.faults``).  All of them change wall-clock only —
-never a table.
+per job plus a summary per sweep, and ``REPRO_FAULT_SPEC`` injects
+deterministic faults for smoke-testing the recovery paths (see
+``repro.experiments.faults``).  Both change wall-clock only — never a
+table.
 """
 
 from __future__ import annotations
@@ -44,10 +42,9 @@ def scale() -> str:
 def executor():
     """Job executor: serial unless ``REPRO_PARALLEL=N`` asks for a pool.
 
-    ``make_executor`` also reads ``REPRO_RUN_LOG``, ``REPRO_JOB_TIMEOUT``,
-    ``REPRO_MAX_RETRIES`` and ``REPRO_FAULT_SPEC`` from the environment,
-    so benchmark sessions get run telemetry and fault tolerance without
-    any per-test plumbing.
+    ``make_executor`` also reads ``REPRO_RUN_LOG`` and
+    ``REPRO_FAULT_SPEC`` from the environment, so benchmark sessions get
+    run telemetry and fault injection without any per-test plumbing.
     """
     from repro.experiments.executor import make_executor
 

@@ -9,8 +9,9 @@ and without the paper's self-clocking (conservative_) option, and print how
 much of the link the crowd obtains while it is active.
 """
 
+from repro.experiments import execute_job, job
 from repro.experiments.protocols import tcp, tfrc
-from repro.experiments.scenarios import FlashCrowdConfig, run_flash_crowd
+from repro.experiments.scenarios import FlashCrowdConfig
 
 
 def main() -> None:
@@ -22,10 +23,12 @@ def main() -> None:
     )
     print(f"{'background':<14} {'crowd share':>12} {'crowd done':>11}")
     for protocol in (tcp(2), tfrc(256), tfrc(256, conservative=True)):
-        result = run_flash_crowd(protocol, cfg)
+        payload = execute_job(
+            job("flash_crowd_safety", "flash_crowd", config=cfg, protocol=protocol)
+        )
         print(
-            f"{result.protocol:<14} {result.crowd_share_during:12.2f} "
-            f"{result.crowd_completed:6d}/{result.crowd_spawned}"
+            f"{payload['protocol']:<14} {payload['crowd_share_during']:12.2f} "
+            f"{payload['crowd_completed']:6d}/{payload['crowd_spawned']}"
         )
     print()
     print("The crowd's slow-starting flows grab bandwidth against any")

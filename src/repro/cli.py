@@ -158,15 +158,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="SECONDS",
         help="per-job wall-clock timeout for parallel runs; a stuck worker "
-        "is killed and the job retried (also honors REPRO_JOB_TIMEOUT)",
+        "is killed and the job retried",
     )
     run_parser.add_argument(
         "--max-retries",
         type=int,
         default=None,
         metavar="N",
-        help="bounded retry budget for failing jobs (default: 2; also "
-        "honors REPRO_MAX_RETRIES)",
+        help="bounded retry budget for failing jobs (default: 2)",
     )
     run_parser.add_argument(
         "--trace",
@@ -277,12 +276,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
     cache = ResultCache(cache_dir) if args.cache else None
-    executor = make_executor(
-        args.parallel,
-        job_timeout=args.job_timeout,
-        max_retries=args.max_retries,
-        run_log=args.run_log,
-    )
+    try:
+        executor = make_executor(
+            args.parallel,
+            job_timeout=args.job_timeout,
+            max_retries=args.max_retries,
+            run_log=args.run_log,
+        )
+    except ValueError as exc:  # a flag out of range, or a malformed REPRO_FAULT_SPEC
+        print(exc, file=sys.stderr)
+        return 2
 
     total_jobs = total_computed = total_hits = total_dedup = 0
     total_retries = total_timeouts = total_rebuilds = 0

@@ -10,7 +10,9 @@ Every figure module is the declarative pair underneath:
 ``jobs(scale) -> list[Job]`` describes the simulation points and
 ``reduce(results) -> Table`` formats them, so work can be executed
 serially, across a process pool (:class:`ParallelExecutor`) and/or
-against the content-addressed :class:`ResultCache`.
+against the content-addressed :class:`ResultCache`.  Importing this
+package imports every module that registers a ``@scenario``, so a worker
+that unpickles a :class:`Job` has the whole registry.
 """
 
 import dataclasses
@@ -73,22 +75,11 @@ from repro.experiments.protocols import (
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import (
     CbrRestartConfig,
-    CbrRestartResult,
     ConvergenceConfig,
     DoublingConfig,
-    DoublingResult,
     FlashCrowdConfig,
-    FlashCrowdResult,
     LossPatternConfig,
-    LossPatternResult,
     OscillationConfig,
-    OscillationResult,
-    run_cbr_restart,
-    run_convergence,
-    run_doubling,
-    run_flash_crowd,
-    run_loss_pattern,
-    run_oscillation,
 )
 
 EXTENSIONS = {
@@ -176,10 +167,8 @@ __all__ = [
     "EXTENSIONS",
     "CacheStats",
     "CbrRestartConfig",
-    "CbrRestartResult",
     "ConvergenceConfig",
     "DoublingConfig",
-    "DoublingResult",
     "DropperSpec",
     "ExecutionError",
     "ExecutionReport",
@@ -187,13 +176,10 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "FlashCrowdConfig",
-    "FlashCrowdResult",
     "Job",
     "JobResult",
     "LossPatternConfig",
-    "LossPatternResult",
     "OscillationConfig",
-    "OscillationResult",
     "ParallelExecutor",
     "Protocol",
     "ResultCache",
@@ -209,13 +195,7 @@ __all__ = [
     "make_executor",
     "pick_config",
     "rap",
-    "run_cbr_restart",
-    "run_convergence",
-    "run_doubling",
     "run_figure",
-    "run_flash_crowd",
-    "run_loss_pattern",
-    "run_oscillation",
     "sqrt",
     "table_filename",
     "tcp",

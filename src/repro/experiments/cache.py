@@ -17,8 +17,8 @@ benchmark harness to share sweeps between figures within one session.
 Two storage layouts coexist under one key space:
 
 * **Blob files** — ``root/ab/abcdef....json``, one atomic file per
-  entry.  Written by plain :meth:`ResultCache.store` calls and for
-  payloads above :data:`PACK_SMALL_LIMIT`.
+  entry.  Written by stores outside a batch and for payloads above
+  :data:`PACK_SMALL_LIMIT`.
 * **Pack files** — ``root/ab/ab.pack``, an append-only sequence of
   length-prefixed canonical-JSON frames plus an atomically-replaced
   ``ab.pack.idx`` JSON index mapping key to ``[offset, length]``.
@@ -226,32 +226,26 @@ class ResultCache:
     def store(self, jb: Job, value: Any) -> Any:
         """Persist ``value`` for ``jb``; returns the JSON round-trip of it.
 
-        Returning the round-tripped value guarantees cold runs see exactly
-        what warm runs will read back, keeping output byte-identical
-        whether or not the cache was already populated.
+        sort_keys keeps the on-disk byte layout independent of dict
+        construction order, so identical payloads are identical blobs.
         """
-        record = {
-            "salt": self.salt,
-            "job": jb.describe(),
-            "value": value,
-        }
-        # sort_keys keeps the on-disk byte layout independent of dict
-        # construction order, so identical payloads are identical blobs.
-        text = json.dumps(record, allow_nan=True, sort_keys=True)
-        self._put_text(self.key(jb), text)
-        return json.loads(text)["value"]
+        return self.store_text(jb, json.dumps(value, allow_nan=True, sort_keys=True))
 
     def store_text(self, jb: Job, value_text: str) -> Any:
-        """Persist a payload already in canonical-JSON text form.
+        """Persist a payload already in canonical-JSON text form; returns
+        the ``json.loads`` of it.
 
         ``value_text`` must be ``json.dumps(value, allow_nan=True,
-        sort_keys=True)`` output — exactly what a pool worker ships
-        (``executor._pool_run``).  The record is spliced around it
-        without re-serializing the payload, and the resulting bytes are
-        identical to what :meth:`store` would have written: the record
-        keys ``job`` < ``salt`` < ``value`` are already in sorted order,
-        and ``json.dumps`` default separators (``", "``/``": "``) match
-        the splice below.
+        sort_keys=True)`` output — exactly what
+        :func:`~repro.experiments.jobs.run_job` returns.  The record is
+        spliced around it without re-serializing the payload, and the
+        resulting bytes are what dumping the whole record with
+        ``sort_keys`` would write: the record keys ``job`` < ``salt`` <
+        ``value`` are already in sorted order, and ``json.dumps`` default
+        separators (``", "``/``": "``) match the splice below.  Returning
+        the parsed text guarantees cold runs see exactly what warm runs
+        will read back, keeping output byte-identical whether or not the
+        cache was already populated.
         """
         job_text = json.dumps(jb.describe(), allow_nan=True, sort_keys=True)
         salt_text = json.dumps(self.salt, sort_keys=True)

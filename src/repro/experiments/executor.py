@@ -35,11 +35,13 @@ order — see ``docs/performance.md`` for the ablation that left these):
   interpreter+import startup; the pools persist across ``map`` calls
   (until :meth:`ParallelExecutor.close`) so a 20-figure sweep builds
   its slots once.  Platforms without fork fall back to ``spawn``.
-* **results ship as text** — a worker dumps its payload once, to the
-  *canonical JSON text* the cache stores, and returns ``(value_text,
-  trace_text, pid)``, so the coordinator splices the text into the
-  cache record instead of re-serializing a re-pickled dict; with a disk
-  cache the map's small records flush as batched per-shard pack appends
+* **a result is text** — :func:`~repro.experiments.jobs.run_job` dumps a
+  payload once, to the *canonical JSON text* the cache stores, in a
+  worker (which returns ``(value_text, trace_text, pid)``) and in-process
+  alike, so the coordinator splices the text into the cache record
+  instead of re-serializing a dict, and every ``reduce`` reads a
+  ``json.loads`` of that text; with a disk cache the map's small records
+  flush as batched per-shard pack appends
   (:meth:`~repro.experiments.cache.ResultCache.flush_batch`).
 
 Fault tolerance (the parallel executor, unchanged semantics):
@@ -85,7 +87,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.costmodel import CostModel
 from repro.experiments.faults import FaultSpec
-from repro.experiments.jobs import Job, execute_job
+from repro.experiments.jobs import Job, run_job
 from repro.experiments.runlog import RunLog
 
 __all__ = [
@@ -107,13 +109,11 @@ DEFAULT_BACKOFF_S = 0.05
 #: coordinator instead of paying a pool round-trip (~ms each).
 INLINE_THRESHOLD_S = 0.01
 
-#: Modules the warm fork-server template imports before the first fork,
-#: so every worker (and every crash-rebuild) starts with the scenario
-#: registry and the execution stack already loaded.
-_WARM_PRELOAD = [
-    "repro.experiments.executor",
-    "repro.experiments.scenarios",
-]
+#: What the warm fork-server template imports before the first fork, so
+#: every worker (and every crash-rebuild) starts with the execution stack
+#: and the scenario registry (the package imports every registering
+#: module) already loaded.
+_WARM_PRELOAD = ["repro.experiments"]
 
 _warm_ctx: Optional[multiprocessing.context.BaseContext] = None
 
@@ -135,19 +135,6 @@ def _warm_context() -> multiprocessing.context.BaseContext:
             ctx = multiprocessing.get_context("spawn")
         _warm_ctx = ctx
     return _warm_ctx
-
-
-def _env_number(name: str, convert: type) -> Any:
-    """``convert($name)``, or None when unset; a bad value names ``name``."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name}={raw!r} is not a valid {convert.__name__}"
-        ) from None
 
 
 @dataclass
@@ -183,7 +170,7 @@ class ExecutionReport:
     store_s: float = 0.0  # portion of execute_s spent persisting results
     startup_s: float = 0.0  # building / reviving worker pools
     dispatch_s: float = 0.0  # cost prediction + inline/pool partition
-    transport_s: float = 0.0  # decoding shipped result text
+    transport_s: float = 0.0  # decoding result text when no cache does it
     compute_s: float = 0.0  # sum of successful attempts' wall seconds
 
     def as_dict(self) -> dict:
@@ -224,39 +211,21 @@ class ExecutionError(RuntimeError):
         self.attempts = attempts
 
 
-def _split_trace(jb: Job, value: Any) -> tuple[Any, Optional[str]]:
-    """``(payload, trace_text or None)`` from what ``execute_job`` returned.
-
-    A traced execution returns ``{"__trace__": jsonl, "value": ...}``;
-    the wrapper never reaches the result cache or the caller.
-    """
-    if jb.trace and isinstance(value, dict) and "__trace__" in value:
-        return value["value"], value["__trace__"]
-    return value, None
-
-
 def _pool_run(
     jb: Job, position: int, attempt: int, fault_text: Optional[str]
 ) -> tuple[str, Optional[str], int]:
-    """Worker-side entry point: ``(value_text, trace_text, worker pid)``.
+    """Worker-side entry point: ``run_job``'s pair plus the worker pid.
 
     Fault injection (:mod:`repro.experiments.faults`) is bound here —
     inside the worker process — so a ``crash`` fault can only ever kill a
     worker, never the coordinating process.
-
-    The worker serializes the payload *once*, to the canonical JSON the
-    cache would store anyway (``store()`` dumps with the same arguments),
-    so the pool ships text instead of pickling a nested dict the
-    coordinator must re-serialize.  ``trace_text`` is None when no trace
-    was recorded, so "no trace" and "empty trace" stay distinct.
     """
     fault = None
     if fault_text:
         spec = FaultSpec.parse(fault_text)
         if spec is not None:
             fault = spec.bind(position, attempt)
-    value, trace_text = _split_trace(jb, execute_job(jb, fault=fault))
-    return json.dumps(value, allow_nan=True, sort_keys=True), trace_text, os.getpid()
+    return (*run_job(jb, fault), os.getpid())
 
 
 class Executor:
@@ -282,22 +251,12 @@ class Executor:
         fault: Optional[str] = None,
         cost_model: Optional[CostModel] = None,
     ):
-        self.job_timeout = (
-            job_timeout
-            if job_timeout is not None
-            else _env_number("REPRO_JOB_TIMEOUT", float)
-        )
         # ``not > 0`` rather than ``<= 0``: NaN would never fire, and a
         # zero or negative timeout expires every job as it is submitted.
-        if self.job_timeout is not None and not self.job_timeout > 0:
-            source = "job_timeout" if job_timeout is not None else "REPRO_JOB_TIMEOUT"
-            raise ValueError(f"{source} must be > 0 seconds, got {self.job_timeout}")
-        env_retries = _env_number("REPRO_MAX_RETRIES", int)
-        self.max_retries = (
-            max_retries
-            if max_retries is not None
-            else (env_retries if env_retries is not None else DEFAULT_MAX_RETRIES)
-        )
+        if job_timeout is not None and not job_timeout > 0:
+            raise ValueError(f"job_timeout must be > 0 seconds, got {job_timeout}")
+        self.job_timeout = job_timeout
+        self.max_retries = max_retries if max_retries is not None else DEFAULT_MAX_RETRIES
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         self.backoff_s = backoff_s if backoff_s is not None else DEFAULT_BACKOFF_S
@@ -352,38 +311,30 @@ class Executor:
 
         def complete(
             pos: int,
-            value: Any,
+            value_text: str,
+            trace_text: Optional[str],
             *,
             attempts: int,
             worker_pid: Optional[int],
             wall_s: float,
             degraded: bool = False,
             timed_out: bool = False,
-            shipped: bool = False,
         ) -> None:
+            # ``run_job``'s pair, from a worker or from this process.
             # Store immediately — salvage: a later failure cannot discard
-            # this result, and a rerun will answer it from the cache.
+            # this result, and a rerun will answer it from the cache.  The
+            # value text is spliced straight into the cache record.
             _, jb = unique[pos]
-            if shipped:
-                # From a pool worker: ``value`` is ``_pool_run``'s
-                # (canonical JSON text, trace text) pair; the value text
-                # is spliced straight into the cache record.
-                value_text, trace_text = value
-            else:
-                value, trace_text = _split_trace(jb, value)
             trace_path: Optional[str] = None
             if cache is not None:
                 store_started = time.monotonic()
-                if shipped:
-                    value = cache.store_text(jb, value_text)
-                else:
-                    value = cache.store(jb, value)
+                value = cache.store_text(jb, value_text)
                 if trace_text is not None:
                     cache.store_trace(jb, trace_text)
                     stored_at = cache.trace_path(jb)
                     trace_path = str(stored_at) if stored_at is not None else None
                 report.store_s += time.monotonic() - store_started
-            elif shipped:
+            else:
                 transport_started = time.monotonic()
                 value = json.loads(value_text)
                 report.transport_s += time.monotonic() - transport_started
@@ -440,8 +391,9 @@ class Executor:
         ]
 
     def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
-        """Run the deduplicated batch; call ``complete(pos, value, ...)``
-        for each job as it finishes.  Subclass responsibility."""
+        """Run the deduplicated batch; call ``complete(pos, value_text,
+        trace_text, ...)`` for each job as it finishes.  Subclass
+        responsibility."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -474,7 +426,7 @@ class Executor:
         while True:
             started = time.monotonic()
             try:
-                value = execute_job(jb)
+                value_text, trace_text = run_job(jb)
             except Exception as exc:  # simlint: disable=E001(bounded retry loop; exhausting the budget raises ExecutionError from exc)
                 if attempt - start_attempt < self.max_retries:
                     self.last_report.retries += 1
@@ -496,7 +448,8 @@ class Executor:
                 ) from exc
             complete(
                 pos,
-                value,
+                value_text,
+                trace_text,
                 attempts=attempt,
                 worker_pid=os.getpid(),
                 wall_s=time.monotonic() - started,
@@ -814,11 +767,11 @@ class ParallelExecutor(Executor):
             slot.busy_s += wall_s
             complete(
                 pos,
-                (value_text, trace_text),
+                value_text,
+                trace_text,
                 attempts=attempt,
                 worker_pid=worker_pid,
                 wall_s=wall_s,
-                shipped=True,
             )
 
     def _drain(self, slots: Sequence[_Slot], complete: Callable) -> None:
@@ -852,11 +805,11 @@ class ParallelExecutor(Executor):
             slot.busy_s += wall_s
             complete(
                 pos,
-                (value_text, trace_text),
+                value_text,
+                trace_text,
                 attempts=attempt,
                 worker_pid=worker_pid,
                 wall_s=wall_s,
-                shipped=True,
             )
 
     def _expire(self, slot: _Slot, queue: deque) -> None:
@@ -929,12 +882,12 @@ def make_executor(
     fault: Optional[str] = None,
     cost_model: Optional[CostModel] = None,
 ) -> Executor:
-    """``parallel <= 1`` gives the serial executor, else a process pool.
+    """``parallel`` 0 or 1 gives the serial executor, more a process pool.
 
-    Keyword arguments default from the environment (``REPRO_JOB_TIMEOUT``,
-    ``REPRO_MAX_RETRIES``, ``REPRO_RUN_LOG``, ``REPRO_FAULT_SPEC``) so the
-    benchmark harness and CI smoke jobs can configure fault tolerance and
-    telemetry without touching call sites.
+    ``run_log`` and ``fault`` default from the environment
+    (``REPRO_RUN_LOG``, ``REPRO_FAULT_SPEC``) so the benchmark harness and
+    CI smoke jobs can configure telemetry and fault injection without
+    touching call sites.
     """
     kwargs = dict(
         job_timeout=job_timeout,
@@ -944,7 +897,9 @@ def make_executor(
         fault=fault,
         cost_model=cost_model,
     )
-    if parallel and parallel > 1:
+    if parallel < 0:
+        raise ValueError(f"parallel must be >= 0 workers, got {parallel}")
+    if parallel > 1:
         return ParallelExecutor(parallel, **kwargs)
     return SerialExecutor(**kwargs)
 

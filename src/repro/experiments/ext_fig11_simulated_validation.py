@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 
 from repro.analysis.convergence import acks_to_fairness
-from repro.experiments.jobs import Job, indexed, job
+from repro.experiments.jobs import Job, indexed, job, scenario
 from repro.experiments.protocols import Protocol, tcp_b
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import ConvergenceConfig, converge
 
-__all__ = ["jobs", "measure_acks_to_fairness", "reduce"]
+__all__ = ["jobs", "measure_acks_to_fairness", "reduce", "simulated_acks_to_fairness"]
 
 
 def measure_acks_to_fairness(protocol: Protocol, cfg: ConvergenceConfig) -> tuple[float, float]:
@@ -36,6 +36,12 @@ def measure_acks_to_fairness(protocol: Protocol, cfg: ConvergenceConfig) -> tupl
     )
     mark_rate = net.monitor.mark_rate(cfg.second_start, horizon)
     return acked_packets, 0.0 if math.isnan(mark_rate) else mark_rate
+
+
+@scenario("acks_to_fairness")
+def simulated_acks_to_fairness(jb: Job) -> list[float]:
+    """This module's table: simulated ``[ACKs to δ-fairness, mark rate]``."""
+    return list(measure_acks_to_fairness(jb.protocol, jb.config))
 
 
 def jobs(scale: str = "fast", **overrides) -> list[Job]:

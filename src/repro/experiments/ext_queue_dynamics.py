@@ -19,13 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
+from repro.experiments.jobs import Job, indexed, job, scenario
 from repro.experiments.protocols import Protocol, tcp, tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import build_net
 from repro.metrics.smoothness import coefficient_of_variation
 from repro.traffic.bulk import add_flows
 
-__all__ = ["QueueDynamicsConfig", "jobs", "measure_queue_dynamics", "reduce"]
+__all__ = ["QueueDynamicsConfig", "jobs", "measure_queue_dynamics", "queue_dynamics", "reduce"]
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,24 @@ def measure_queue_dynamics(
     return window.mean(), coefficient_of_variation(values), loss
 
 
+@scenario("queue_dynamics")
+def queue_dynamics(jb: Job) -> dict:
+    """One population behind the ``aqm`` param's queue; this module's table
+    and the TFRC oscillation-prevention ablation read every key."""
+    mean_q, cov, loss = measure_queue_dynamics(jb.protocol, jb.param("aqm"), jb.config)
+    return {
+        "protocol": jb.protocol.name,
+        "mean_queue_pkts": mean_q,
+        "queue_cov": cov,
+        "loss_rate": loss,
+    }
+
+
 def default_protocols() -> tuple[Protocol, ...]:
     return (tcp(2), tcp(8), tfrc(6))
 
 
-def jobs(scale: str = "fast", **overrides) -> list:
-    from repro.experiments.jobs import indexed, job
-
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
     cfg = pick_config(QueueDynamicsConfig, scale, **overrides)
     return indexed(
         job(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from repro.experiments.jobs import Job, indexed, job, scenario
 from repro.experiments.protocols import Protocol, sqrt, tcp, tfrc
 from repro.experiments.runner import Table
 from repro.net.droppers import Dropper, PeriodicDropper, TimedDropper
@@ -27,10 +28,12 @@ from repro.sim.engine import Simulator
 
 __all__ = [
     "SwitchDropper",
+    "aggressiveness",
     "jobs",
     "measure_aggressiveness_pkts_per_rtt",
     "measure_responsiveness_rtts",
     "reduce",
+    "responsiveness",
 ]
 
 
@@ -105,6 +108,13 @@ def measure_responsiveness_rtts(
     return None
 
 
+@scenario("responsiveness")
+def responsiveness(jb: Job) -> Optional[float]:
+    """This module's table: RTTs of persistent congestion until the rate
+    halves, or None when it never does within ``observe_rtts``."""
+    return measure_responsiveness_rtts(jb.protocol, observe_rtts=jb.param("observe_rtts"))
+
+
 def default_protocols() -> list[tuple[str, Protocol, float]]:
     return [
         ("TCP(1/2)", tcp(2), 1.0),
@@ -115,9 +125,7 @@ def default_protocols() -> list[tuple[str, Protocol, float]]:
     ]
 
 
-def jobs(scale: str = "fast", observe_rtts: Optional[int] = None) -> list:
-    from repro.experiments.jobs import indexed, job
-
+def jobs(scale: str = "fast", observe_rtts: Optional[int] = None) -> list[Job]:
     observe = (
         observe_rtts
         if observe_rtts is not None
@@ -209,3 +217,11 @@ def measure_aggressiveness_pkts_per_rtt(
         sim.at(warmup_s + k * rtt_s, sample)
     sim.run(until=warmup_s + (observe_rtts + 1) * rtt_s)
     return max(b - a for a, b in zip(samples, samples[1:]))
+
+
+@scenario("aggressiveness")
+def aggressiveness(jb: Job) -> float:
+    """:mod:`~repro.experiments.ext_aggressiveness`'s table: largest per-RTT
+    control increase once congestion ends; the job's params are keyword
+    arguments of the measurement."""
+    return measure_aggressiveness_pkts_per_rtt(jb.protocol, **dict(jb.params))

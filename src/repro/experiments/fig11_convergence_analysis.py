@@ -10,14 +10,21 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.jobs import Job, indexed, job
+from repro.analysis.convergence import acks_to_fairness
+from repro.experiments.jobs import Job, indexed, job, scenario
 from repro.experiments.runner import Table
 
-__all__ = ["default_bs", "jobs", "reduce"]
+__all__ = ["analysis_acks", "default_bs", "jobs", "reduce"]
 
 
 def default_bs(scale: str = "fast") -> list[float]:
     return [0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 1 / 32, 1 / 64, 1 / 128, 1 / 256]
+
+
+@scenario("analysis_acks")
+def analysis_acks(jb: Job) -> float:
+    """Figure 11: closed-form E[#ACKs] to δ-fair convergence at one ``b``."""
+    return acks_to_fairness(jb.param("b"), jb.param("p"), jb.param("delta"))
 
 
 def jobs(

@@ -10,14 +10,23 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.jobs import Job, indexed, job
+from repro.analysis.timeouts import figure20_series
+from repro.experiments.jobs import Job, indexed, job, scenario
 from repro.experiments.runner import Table
 
-__all__ = ["default_drop_rates", "jobs", "reduce"]
+__all__ = ["default_drop_rates", "jobs", "reduce", "timeout_models"]
 
 
 def default_drop_rates(scale: str = "fast") -> list[float]:
     return [0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.33, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+
+@scenario("timeout_models")
+def timeout_models(jb: Job) -> list[float]:
+    """Figure 20: ``[pure AIMD, AIMD with timeouts, Reno]`` packets/RTT, the
+    three Appendix A response models at one drop rate."""
+    row = figure20_series([jb.param("p")])[0]
+    return [row.pure_aimd, row.aimd_with_timeouts, row.reno]
 
 
 def jobs(scale: str = "fast", p_values: Sequence[float] | None = None) -> list[Job]:

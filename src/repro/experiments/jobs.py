@@ -8,17 +8,25 @@ The experiment layer is split into three stages:
    scale)``.  Jobs carry a stable content hash so identical work is
    recognized across figures, runs and processes.
 2. **Execute** — an executor from :mod:`repro.experiments.executor` maps
-   :func:`execute_job` over the jobs (serially or across a process pool)
+   :func:`run_job` over the jobs (serially or across a process pool)
    and returns results in job order, optionally consulting the
    content-addressed cache in :mod:`repro.experiments.cache`.
 3. **Reduce** — each figure module exposes ``reduce(results) -> Table``
    which folds the per-job payloads into the figure's table.  Reduction
    is pure formatting: it never runs simulations.
 
+A scenario is ``fn(jb: Job) -> payload``, registered with
+``@scenario("name")`` in the module that writes it (the simulated
+families in :mod:`repro.experiments.scenarios`, the closed forms and
+extensions beside the functions they call); this module holds only the
+registry and imports no scenario or figure module, so nothing here is
+part of an import cycle.
+
 Job payloads are restricted to JSON-native values (dicts with string
-keys, lists, strings, floats, ints, bools, None) so that a result read
-back from the cache is byte-identical to one computed in process, and so
-parallel execution cannot perturb output formatting.
+keys, lists, strings, floats, ints, bools, None) and are canonical JSON
+text from the moment :func:`run_job` returns, so a result read back from
+the cache is byte-identical to one computed in process, and parallel
+execution cannot perturb output formatting.
 """
 
 from __future__ import annotations
@@ -31,18 +39,18 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.experiments.protocols import Protocol
+from repro.telemetry import capture
 
 __all__ = [
     "DropperSpec",
     "Job",
     "SCENARIOS",
     "canonical",
-    "cbr_restart_payload",
     "content_hash",
     "execute_job",
     "indexed",
     "job",
-    "oscillation_payload",
+    "run_job",
     "scenario",
 ]
 
@@ -265,9 +273,23 @@ SCENARIOS: dict[str, Callable[[Job], Any]] = {}
 
 
 def scenario(name: str) -> Callable:
-    """Register a scenario runner under ``name`` (decorator)."""
+    """Register a scenario runner under ``name`` (decorator).
+
+    Registrations are spread over the modules that write the scenarios,
+    so a second function claiming a taken name is an import-time error
+    naming both — otherwise the later import would silently win, in the
+    parent and in every worker.  The same definition registering again (a
+    reloaded module) replaces itself.
+    """
 
     def register(fn: Callable[[Job], Any]) -> Callable[[Job], Any]:
+        taken = SCENARIOS.get(name, fn)
+        if (taken.__module__, taken.__qualname__) != (fn.__module__, fn.__qualname__):
+            raise ValueError(
+                f"scenario {name!r} is already registered by "
+                f"{taken.__module__}.{taken.__qualname__}; "
+                f"{fn.__module__}.{fn.__qualname__} cannot register it too"
+            )
         SCENARIOS[name] = fn
         return fn
 
@@ -277,8 +299,7 @@ def scenario(name: str) -> Callable:
 def execute_job(jb: Job, fault: Optional[Callable[[Job], None]] = None) -> Any:
     """Run one job and return its JSON-native payload.
 
-    This is the function worker processes execute; it is importable at
-    module top level so jobs can be dispatched through a process pool.
+    ``jb.trace`` is not read here: recording is :func:`run_job`'s concern.
 
     ``fault`` is an optional deterministic fault-injection hook (see
     :mod:`repro.experiments.faults`): it is called with the job before
@@ -295,183 +316,30 @@ def execute_job(jb: Job, fault: Optional[Callable[[Job], None]] = None) -> Any:
         raise KeyError(
             f"unknown scenario {jb.scenario!r}; available: {', '.join(sorted(SCENARIOS))}"
         ) from None
-    if not jb.trace:
-        return fn(jb)
-    from repro.telemetry import Recorder, capture
-
-    recorder = Recorder()
-    recorder.annotate("job", jb.describe())
-    recorder.annotate("scenario", jb.scenario)
-    with capture(recorder):
-        value = fn(jb)
-    return {"__trace__": recorder.export_text(), "value": value}
+    return fn(jb)
 
 
-def _series(timeseries) -> list[list[float]]:
-    return [[t, v] for t, v in timeseries]
+def run_job(
+    jb: Job, fault: Optional[Callable[[Job], None]] = None
+) -> tuple[str, Optional[str]]:
+    """``(value_text, trace_text or None)``: what an executor calls.
 
-
-def cbr_restart_payload(result) -> dict:
-    """JSON payload for one cbr_restart point (shared with trace replay)."""
-    return {
-        "protocol": result.protocol,
-        "steady_loss_rate": result.steady_loss_rate,
-        "spike_loss_rate": result.spike_loss_rate,
-        "time_rtts": result.stabilization.time_rtts,
-        "time_s": result.stabilization.time_s,
-        "cost": result.stabilization.cost,
-        "stabilized": result.stabilization.stabilized,
-        "series": _series(result.loss_series),
-    }
-
-
-def oscillation_payload(result) -> dict:
-    """JSON payload for one oscillation point (shared with trace replay)."""
-    return {
-        "protocol_a": result.protocol_a,
-        "protocol_b": result.protocol_b,
-        "period_s": result.period_s,
-        "mean_a": result.mean_a,
-        "mean_b": result.mean_b,
-        "shares_a": list(result.shares_a),
-        "shares_b": list(result.shares_b),
-        "utilization": result.utilization,
-        "drop_rate": result.drop_rate,
-    }
-
-
-@scenario("cbr_restart")
-def _cbr_restart(jb: Job) -> dict:
-    """Figures 3-5: stabilization after a CBR restart (RED unless ``aqm``)."""
-    from repro.experiments.scenarios import run_cbr_restart
-
-    result = run_cbr_restart(jb.protocol, jb.config, jb.param("aqm", "red"))
-    return cbr_restart_payload(result)
-
-
-@scenario("flash_crowd")
-def _flash_crowd(jb: Job) -> dict:
-    """Figure 6: a web flash crowd against SlowCC background traffic."""
-    from repro.experiments.scenarios import run_flash_crowd
-
-    result = run_flash_crowd(jb.protocol, jb.config)
-    return {
-        "protocol": result.protocol,
-        "background": _series(result.background_series),
-        "crowd": _series(result.crowd_series),
-        "crowd_completed": result.crowd_completed,
-        "crowd_spawned": result.crowd_spawned,
-        "crowd_share_during": result.crowd_share_during,
-    }
-
-
-@scenario("oscillation")
-def _oscillation(jb: Job) -> dict:
-    """Figures 7-9 and 14-16: square-wave available bandwidth."""
-    from repro.experiments.scenarios import run_oscillation
-
-    result = run_oscillation(
-        jb.protocol, jb.param("protocol_b"), jb.param("period_s"), jb.config
-    )
-    return oscillation_payload(result)
-
-
-@scenario("convergence")
-def _convergence(jb: Job) -> float:
-    """Figures 10 and 12: one seed of the two-flow convergence scenario.
-
-    The job's config carries exactly one seed (the figure's ``jobs()``
-    fans the config's seed tuple out into one job per seed), so the
-    payload is that seed's δ-fair convergence time in seconds.
+    The one entry point for a pool worker *and* for in-process execution
+    (importable at module top level, so a pool can dispatch it).  The
+    payload is serialized once, to the canonical JSON text the cache
+    record holds, so a result is the same text — and a ``reduce`` reads
+    the same ``json.loads`` of it — whichever way it was computed.  A
+    ``trace=True`` job runs under a recorder and its JSONL export travels
+    *beside* the payload; ``trace_text`` is None when no trace was asked
+    for, so "no trace" and "empty trace" stay distinct.
     """
-    from repro.experiments.scenarios import run_convergence
-
-    return run_convergence(jb.protocol, jb.config)
-
-
-@scenario("doubling")
-def _doubling(jb: Job) -> dict:
-    """Figure 13: f(k) utilization after the available bandwidth doubles."""
-    from repro.experiments.scenarios import run_doubling
-
-    result = run_doubling(jb.protocol, jb.config)
-    return {
-        "protocol": result.protocol,
-        "f_of_k": [[k, result.f_of_k[k]] for k in jb.config.ks],
-    }
-
-
-@scenario("loss_pattern")
-def _loss_pattern(jb: Job) -> dict:
-    """Figures 17-19: a single flow under a crafted loss pattern."""
-    from repro.experiments.scenarios import run_loss_pattern
-
-    dropper: DropperSpec = jb.param("dropper")
-    result = run_loss_pattern(jb.protocol, dropper.build, jb.config)
-    return {
-        "protocol": result.protocol,
-        "throughput_bps": result.throughput_bps,
-        "smoothness_cov": result.smoothness.cov,
-        "worst_ratio": result.smoothness.min_ratio,
-        "rate_band": result.rate_band,
-        "drops": result.drops,
-    }
-
-
-@scenario("analysis_acks")
-def _analysis_acks(jb: Job) -> float:
-    """Figure 11: closed-form E[#ACKs] to delta-fair convergence."""
-    from repro.analysis.convergence import acks_to_fairness
-
-    return acks_to_fairness(jb.param("b"), jb.param("p"), jb.param("delta"))
-
-
-@scenario("timeout_models")
-def _timeout_models(jb: Job) -> list[float]:
-    """Figure 20: the three Appendix A response models at one drop rate."""
-    from repro.analysis.timeouts import figure20_series
-
-    row = figure20_series([jb.param("p")])[0]
-    return [row.pure_aimd, row.aimd_with_timeouts, row.reno]
-
-
-@scenario("responsiveness")
-def _responsiveness(jb: Job) -> Optional[float]:
-    """Extension: RTTs of persistent congestion until the rate halves."""
-    from repro.experiments.ext_responsiveness import measure_responsiveness_rtts
-
-    return measure_responsiveness_rtts(jb.protocol, observe_rtts=jb.param("observe_rtts"))
-
-
-@scenario("queue_dynamics")
-def _queue_dynamics(jb: Job) -> dict:
-    """Extension: queue occupancy and oscillation for one population."""
-    from repro.experiments.ext_queue_dynamics import measure_queue_dynamics
-
-    mean_q, cov, loss = measure_queue_dynamics(jb.protocol, jb.param("aqm"), jb.config)
-    return {
-        "protocol": jb.protocol.name,
-        "mean_queue_pkts": mean_q,
-        "queue_cov": cov,
-        "loss_rate": loss,
-    }
-
-
-@scenario("aggressiveness")
-def _aggressiveness(jb: Job) -> float:
-    """Extension: largest per-RTT control increase once congestion ends."""
-    from repro.experiments.ext_responsiveness import (
-        measure_aggressiveness_pkts_per_rtt,
-    )
-
-    return measure_aggressiveness_pkts_per_rtt(jb.protocol, **dict(jb.params))
-
-
-@scenario("acks_to_fairness")
-def _acks_to_fairness(jb: Job) -> list[float]:
-    """Figure 11 validation: simulated (ACKs to δ-fairness, mark rate)."""
-    from repro.experiments.ext_fig11_simulated_validation import (
-        measure_acks_to_fairness,
-    )
-
-    return list(measure_acks_to_fairness(jb.protocol, jb.config))
+    trace_text = None
+    if jb.trace:
+        with capture() as recorder:
+            recorder.annotate("job", jb.describe())
+            recorder.annotate("scenario", jb.scenario)
+            value = execute_job(jb, fault)
+        trace_text = recorder.export_text()
+    else:
+        value = execute_job(jb, fault)
+    return json.dumps(value, allow_nan=True, sort_keys=True), trace_text

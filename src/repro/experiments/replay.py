@@ -5,10 +5,11 @@ its cached result (see :mod:`repro.experiments.cache`).  This module
 closes the loop: given the job and a
 :class:`~repro.telemetry.trace.TraceReader` over that artifact, a
 *replayer* rebuilds the job's JSON payload from the recorded channels
-alone.  Because the replayer calls the **same** measurement functions as
-the live path (``measure_cbr_restart``, ``measure_oscillation``) over
-the **same** probe data, the replayed payload is bit-identical to the
-cached one — which is exactly what the trace-replay CI smoke asserts.
+alone.  The replayer calls the **same** measurement function as the live
+scenario (``measure_cbr_restart``, ``measure_oscillation`` — each returns
+the payload itself) over the **same** probe data, so the replayed payload
+is bit-identical to the cached one — which is exactly what the
+trace-replay CI smoke asserts.
 
 Replayers are registered per scenario name; scenarios whose payloads are
 not pure functions of the recorded channels (e.g. the closed-form
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.experiments.jobs import Job, cbr_restart_payload, oscillation_payload
+from repro.experiments.jobs import Job
+from repro.experiments.scenarios import measure_cbr_restart, measure_oscillation
 from repro.telemetry.trace import TraceReader
 
 __all__ = ["REPLAYERS", "replay_job", "replayer"]
@@ -52,31 +54,12 @@ def replay_job(jb: Job, reader: TraceReader) -> Any:
 @replayer("cbr_restart")
 def _replay_cbr_restart(jb: Job, reader: TraceReader) -> dict:
     """Figures 3-5 from the bottleneck's recorded arrival/drop channels."""
-    from repro.experiments.scenarios import measure_cbr_restart
-
-    monitor = reader.link("bottleneck")
-    result = measure_cbr_restart(monitor, jb.config, jb.protocol.name)
-    return cbr_restart_payload(result)
+    return measure_cbr_restart(jb, reader.link("bottleneck"))
 
 
 @replayer("oscillation")
 def _replay_oscillation(jb: Job, reader: TraceReader) -> dict:
     """Figures 7-9/14-16 from per-flow byte channels plus group metadata."""
-    from repro.experiments.scenarios import measure_oscillation
-
     ids_a = [int(i) for i in reader.meta["oscillation.flows_a"]]
     ids_b = [int(i) for i in reader.meta["oscillation.flows_b"]]
-    period_s = jb.param("period_s")
-    protocol_b = jb.param("protocol_b")
-    result = measure_oscillation(
-        reader.link("bottleneck"),
-        reader.flows(),
-        ids_a,
-        ids_b,
-        jb.protocol.name,
-        protocol_b.name if protocol_b is not None else None,
-        period_s,
-        jb.config.duration(period_s),
-        jb.config,
-    )
-    return oscillation_payload(result)
+    return measure_oscillation(jb, reader.link("bottleneck"), reader.flows(), ids_a, ids_b)

@@ -1,15 +1,22 @@
-"""Reusable simulation scenarios behind the paper's figures.
+"""The simulated scenarios behind the paper's figures.
 
-Five scenario families cover all sixteen simulated figures:
+Six scenario families cover all sixteen simulated figures.  Each is a
+function of one :class:`~repro.experiments.jobs.Job` that returns the
+job's JSON-native payload, registered under its name right here:
 
-* :func:`run_cbr_restart`      — Figures 3, 4, 5 (stabilization after a CBR
+* :func:`cbr_restart`      — Figures 3, 4, 5 (stabilization after a CBR
   source restarts into a quiet network);
-* :func:`run_flash_crowd`     — Figure 6;
-* :func:`run_oscillation`     — Figures 7, 8, 9 (mixed flows) and 14, 15,
+* :func:`flash_crowd`     — Figure 6;
+* :func:`oscillation`     — Figures 7, 8, 9 (mixed flows) and 14, 15,
   16 (identical flows) under square-wave available bandwidth;
-* :func:`run_convergence`     — Figures 10, 12 (δ-fair convergence);
-* :func:`run_doubling`        — Figure 13 (f(k) after a bandwidth doubling);
-* :func:`run_loss_pattern`    — Figures 17, 18, 19 (crafted loss patterns).
+* :func:`convergence`     — Figures 10, 12 (δ-fair convergence);
+* :func:`doubling`        — Figure 13 (f(k) after a bandwidth doubling);
+* :func:`loss_pattern`    — Figures 17, 18, 19 (crafted loss patterns).
+
+To run one point outside a figure, build the job and execute it — the
+road ``repro run`` takes: ``execute_job(job("adhoc", "oscillation",
+config=cfg, protocol=tcp(2), params={"period_s": 2.0, "protocol_b":
+tfrc(6)}))["mean_a"]``.
 
 Every config dataclass carries the paper's parameters as defaults and a
 ``fast()`` alternative tuned for CI: smaller bandwidth and shorter runs
@@ -23,23 +30,24 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
+from repro.cc.base import establish
 from repro.cc.tcp import new_tcp_flow
+from repro.experiments.jobs import Job, scenario
 from repro.experiments.protocols import Protocol
 from repro.metrics.fairness import delta_fair_convergence_time
-from repro.metrics.smoothness import SmoothnessResult, rate_bins, smoothness
-from repro.metrics.stabilization import StabilizationResult, measure_stabilization
+from repro.metrics.smoothness import rate_bins, smoothness
+from repro.metrics.stabilization import measure_stabilization
 from repro.metrics.utilization import flows_f_of_k
-from repro.net.droppers import Dropper
 from repro.net.dumbbell import Dumbbell
+from repro.net.monitor import FlowAccountant
 from repro.net.paths import single_path
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.telemetry import active_recorder
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
-from repro.telemetry.series import TimeSeries
 from repro.traffic.bulk import Flow, add_flows
 from repro.traffic.cbr import CbrSink, CbrSource, on_off_schedule, square_wave
 from repro.traffic.flash_crowd import FlashCrowd
@@ -47,26 +55,22 @@ from repro.units import BitsPerSecond, Bytes, Seconds
 
 __all__ = [
     "CbrRestartConfig",
-    "CbrRestartResult",
     "ConvergenceConfig",
     "DoublingConfig",
-    "DoublingResult",
     "FlashCrowdConfig",
-    "FlashCrowdResult",
     "LossPatternConfig",
-    "LossPatternResult",
     "OscillationConfig",
-    "OscillationResult",
     "build_net",
+    "cbr_restart",
     "converge",
+    "convergence",
+    "doubling",
+    "flash_crowd",
+    "loss_pattern",
     "measure_cbr_restart",
     "measure_oscillation",
-    "run_cbr_restart",
-    "run_convergence",
-    "run_doubling",
-    "run_flash_crowd",
-    "run_loss_pattern",
-    "run_oscillation",
+    "oscillation",
+    "percentile_band",
 ]
 
 
@@ -115,15 +119,10 @@ def build_net(
     return sim, net
 
 
-def _attach_cbr(
-    sim: Simulator, net: Dumbbell, rate_bps: BitsPerSecond
-) -> tuple[CbrSource, int]:
+def _attach_cbr(sim: Simulator, net: Dumbbell, rate_bps: BitsPerSecond) -> CbrSource:
     source = CbrSource(sim, rate_bps=rate_bps)
-    sink = CbrSink(sim)
-    from repro.cc.base import establish
-
-    flow_id = establish(net, source, sink)
-    return source, flow_id
+    establish(net, source, CbrSink(sim))
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +167,15 @@ class CbrRestartConfig:
         return replace(base, **overrides)
 
 
-@dataclass(frozen=True)
-class CbrRestartResult:
-    protocol: str
-    steady_loss_rate: float
-    stabilization: StabilizationResult
-    loss_series: TimeSeries  # loss rate averaged over 10-RTT windows
-    spike_loss_rate: float  # first 10 RTTs after the restart
-
-
-def measure_cbr_restart(
-    monitor: LinkMetrics, cfg: CbrRestartConfig, protocol_name: str
-) -> CbrRestartResult:
-    """Derive the CBR-restart result from the bottleneck's channels.
+def measure_cbr_restart(jb: Job, monitor: LinkMetrics) -> dict:
+    """The CBR-restart payload from the bottleneck's channels.
 
     Runs over any :class:`LinkMetrics` — the live monitor right after the
     simulation, or one rebuilt from a trace by
     :class:`~repro.telemetry.trace.TraceReader` — producing bit-identical
-    results either way.
+    payloads either way.
     """
+    cfg = jb.config
     steady = monitor.loss_rate(cfg.warmup_s, cfg.cbr_stop)
     steady = 0.0 if math.isnan(steady) else steady
     stabilization = measure_stabilization(
@@ -201,22 +190,33 @@ def measure_cbr_restart(
         window_s=window, start=0.0, end=cfg.end, stride_s=window / 2
     )
     spike = monitor.loss_rate(cfg.cbr_restart, cfg.cbr_restart + window)
-    return CbrRestartResult(
-        protocol=protocol_name,
-        steady_loss_rate=steady,
-        stabilization=stabilization,
-        loss_series=series,
-        spike_loss_rate=0.0 if math.isnan(spike) else spike,
-    )
+    return {
+        "protocol": jb.protocol.name,
+        "steady_loss_rate": steady,  # drop rate over the first ON period
+        "spike_loss_rate": 0.0 if math.isnan(spike) else spike,  # first 10 RTTs after the restart
+        "time_rtts": stabilization.time_rtts,
+        "time_s": stabilization.time_s,
+        "cost": stabilization.cost,
+        "stabilized": stabilization.stabilized,
+        "series": [[t, v] for t, v in series],  # loss rate averaged over 10-RTT windows
+    }
 
 
-def run_cbr_restart(
-    protocol: Protocol, cfg: CbrRestartConfig, aqm: str = "red"
-) -> CbrRestartResult:
+@scenario("cbr_restart")
+def cbr_restart(jb: Job) -> dict:
+    """Figures 3-5 and three ablations: stabilization after a CBR restart,
+    behind the bottleneck queue the ``aqm`` param names (RED if absent).
+
+    Fig 3 reads ``series``, Fig 4 ``time_rtts``, Fig 5 ``cost``; the
+    conservative-C, RAP packet-conservation and RED-vs-DropTail ablations
+    read ``time_rtts`` and ``cost``.
+    """
+    protocol, cfg = jb.protocol, jb.config
     sim, net = build_net(
-        cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows, aqm=aqm
+        cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows,
+        aqm=jb.param("aqm", "red"),
     )
-    cbr, _ = _attach_cbr(sim, net, cfg.cbr_fraction * cfg.bandwidth_bps)
+    cbr = _attach_cbr(sim, net, cfg.cbr_fraction * cfg.bandwidth_bps)
     on_off_schedule(
         sim, cbr, [(0.0, True), (cfg.cbr_stop, False), (cfg.cbr_restart, True)]
     )
@@ -230,7 +230,7 @@ def run_cbr_restart(
         rng=random.Random(cfg.seed),
     )
     sim.run(until=cfg.end)
-    return measure_cbr_restart(net.monitor, cfg, protocol.name)
+    return measure_cbr_restart(jb, net.monitor)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +267,11 @@ class FlashCrowdConfig:
         return replace(base, **overrides)
 
 
-@dataclass(frozen=True)
-class FlashCrowdResult:
-    protocol: str
-    background_series: TimeSeries  # aggregate background throughput, bps
-    crowd_series: TimeSeries  # aggregate crowd throughput, bps
-    crowd_completed: int
-    crowd_spawned: int
-    crowd_share_during: float  # crowd fraction of the link while active
-
-
-def run_flash_crowd(protocol: Protocol, cfg: FlashCrowdConfig) -> FlashCrowdResult:
+@scenario("flash_crowd")
+def flash_crowd(jb: Job) -> dict:
+    """Figure 6: a web flash crowd against SlowCC background traffic.
+    Fig 6 reads ``background`` and ``crowd``, bin by bin."""
+    protocol, cfg = jb.protocol, jb.config
     sim, net = build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
     background = add_flows(
         sim,
@@ -299,32 +293,28 @@ def run_flash_crowd(protocol: Protocol, cfg: FlashCrowdConfig) -> FlashCrowdResu
     )
     sim.run(until=cfg.end)
 
-    def aggregate_series(flow_ids: Sequence[int]) -> TimeSeries:
-        series = TimeSeries("aggregate_bps")
+    def aggregate_bps(flow_ids: Sequence[int]) -> list[list[float]]:
+        """``[bin end, the flows' aggregate throughput over the bin]`` per ``bin_s``."""
+        pairs = []
         t = cfg.bin_s
         while t <= cfg.end:
-            total = sum(
-                net.accountant.throughput_bps(fid, t - cfg.bin_s, t)
-                for fid in flow_ids
-            )
-            series.append(t, total)
+            rates = (net.accountant.throughput_bps(fid, t - cfg.bin_s, t) for fid in flow_ids)
+            pairs.append([t, sum(rates, 0.0)])
             t += cfg.bin_s
-        return series
+        return pairs
 
-    bg_series = aggregate_series([f.flow_id for f in background])
-    crowd_series = aggregate_series(crowd.flow_ids)
     active_end = cfg.crowd_start + cfg.crowd_duration_s
     crowd_share = crowd.aggregate_throughput_bps(cfg.crowd_start, active_end) / (
         cfg.bandwidth_bps
     )
-    return FlashCrowdResult(
-        protocol=protocol.name,
-        background_series=bg_series,
-        crowd_series=crowd_series,
-        crowd_completed=crowd.completed,
-        crowd_spawned=crowd.spawned,
-        crowd_share_during=crowd_share,
-    )
+    return {
+        "protocol": protocol.name,
+        "background": aggregate_bps([f.flow_id for f in background]),
+        "crowd": aggregate_bps(crowd.flow_ids),
+        "crowd_completed": crowd.completed,
+        "crowd_spawned": crowd.spawned,
+        "crowd_share_during": crowd_share,  # crowd fraction of the link while active
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -382,35 +372,20 @@ class OscillationConfig:
         return self.bandwidth_bps * (1.0 - self.cbr_fraction / 2.0)
 
 
-@dataclass(frozen=True)
-class OscillationResult:
-    protocol_a: str
-    protocol_b: Optional[str]
-    period_s: float
-    shares_a: list[float]  # per-flow throughput normalized by fair share
-    shares_b: list[float]
-    mean_a: float
-    mean_b: float
-    utilization: float  # aggregate flow throughput / mean available
-    drop_rate: float
-
-
 def measure_oscillation(
+    jb: Job,
     monitor: LinkMetrics,
     accountant: FlowMetrics,
     flow_ids_a: Sequence[int],
     flow_ids_b: Sequence[int],
-    name_a: str,
-    name_b: Optional[str],
-    period_s: float,
-    end: float,
-    cfg: OscillationConfig,
-) -> OscillationResult:
-    """Derive the oscillation result from link + flow channels.
+) -> dict:
+    """The oscillation payload from link + flow channels.
 
     Shared by the live path and trace replay (the flow-id groupings are
-    stored as trace metadata), so both produce bit-identical results.
+    stored as trace metadata), so both produce bit-identical payloads.
     """
+    cfg, period_s, protocol_b = jb.config, jb.param("period_s"), jb.param("protocol_b")
+    end = cfg.duration(period_s)
     n_total = len(flow_ids_a) + len(flow_ids_b)
     fair_share = cfg.mean_available_bps / n_total
 
@@ -427,35 +402,35 @@ def measure_oscillation(
         for fid in list(flow_ids_a) + list(flow_ids_b)
     )
     drop = monitor.loss_rate(cfg.warmup_s, end)
-    return OscillationResult(
-        protocol_a=name_a,
-        protocol_b=name_b,
-        period_s=period_s,
-        shares_a=shares_a,
-        shares_b=shares_b,
-        mean_a=sum(shares_a) / len(shares_a),
-        mean_b=sum(shares_b) / len(shares_b) if shares_b else math.nan,
-        utilization=aggregate / cfg.mean_available_bps,
-        drop_rate=0.0 if math.isnan(drop) else drop,
-    )
+    return {
+        "protocol_a": jb.protocol.name,
+        "protocol_b": protocol_b.name if protocol_b is not None else None,
+        "period_s": period_s,
+        "shares_a": shares_a,  # per-flow throughput normalized by fair share
+        "shares_b": shares_b,
+        "mean_a": sum(shares_a) / len(shares_a),
+        "mean_b": sum(shares_b) / len(shares_b) if shares_b else math.nan,
+        "utilization": aggregate / cfg.mean_available_bps,  # aggregate flow throughput / mean available
+        "drop_rate": 0.0 if math.isnan(drop) else drop,
+    }
 
 
-def run_oscillation(
-    protocol_a: Protocol,
-    protocol_b: Optional[Protocol],
-    period_s: float,
-    cfg: OscillationConfig,
-) -> OscillationResult:
-    """Run one square-wave period point.
+@scenario("oscillation")
+def oscillation(jb: Job) -> dict:
+    """Figures 7-9 and 14-16: one square-wave period point.
 
-    With ``protocol_b`` None the scenario has ``n_flows_a`` identical flows
-    (the Section 4.2.4 utilization experiments); otherwise it mixes
-    ``n_flows_a`` of A against ``n_flows_b`` of B (Section 4.2.1 fairness).
+    Without a ``protocol_b`` param the scenario has ``n_flows_a`` identical
+    flows (the Section 4.2.4 utilization experiments: Figs 14 and 16 read
+    ``utilization``, Fig 15 ``drop_rate``); otherwise it mixes ``n_flows_a``
+    of A against ``n_flows_b`` of B (Section 4.2.1 fairness: Figs 7-9 read
+    the two means beside ``utilization`` and ``drop_rate``).
     """
+    protocol_a, protocol_b = jb.protocol, jb.param("protocol_b")
+    period_s, cfg = jb.param("period_s"), jb.config
     if period_s <= 0:
         raise ValueError("period must be positive")
     sim, net = build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
-    cbr, _ = _attach_cbr(sim, net, cfg.cbr_fraction * cfg.bandwidth_bps)
+    cbr = _attach_cbr(sim, net, cfg.cbr_fraction * cfg.bandwidth_bps)
     end = cfg.duration(period_s)
     square_wave(sim, cbr, on_s=period_s / 2.0, off_s=period_s / 2.0, until=end)
 
@@ -477,17 +452,7 @@ def run_oscillation(
         recorder.annotate("oscillation.flows_a", ids_a)
         recorder.annotate("oscillation.flows_b", ids_b)
     sim.run(until=end)
-    return measure_oscillation(
-        net.monitor,
-        net.accountant,
-        ids_a,
-        ids_b,
-        protocol_a.name,
-        protocol_b.name if protocol_b else None,
-        period_s,
-        end,
-        cfg,
-    )
+    return measure_oscillation(jb, net.monitor, net.accountant, ids_a, ids_b)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +503,6 @@ def converge(
     protocol that cannot converge saturates rather than biasing a mean low.
     """
     sim, net = build_net(cfg.bandwidth_bps, cfg.rtt_s, seed, cfg.reverse_flows, aqm=aqm)
-    from repro.cc.base import establish
-
     sender_a, receiver_a = protocol.make(sim)
     flow_a = establish(net, sender_a, receiver_a)
     sender_b, receiver_b = protocol.make(sim)
@@ -564,9 +527,16 @@ def converge(
     return (t if t is not None else cfg.end - cfg.second_start), net, (flow_a, flow_b)
 
 
-def run_convergence(protocol: Protocol, cfg: ConvergenceConfig) -> float:
-    """Mean δ-fair convergence time (seconds) over the config's seeds."""
-    times = [converge(protocol, cfg, seed)[0] for seed in cfg.seeds]
+@scenario("convergence")
+def convergence(jb: Job) -> float:
+    """Figures 10 and 12: mean δ-fair convergence time in seconds over the
+    config's seeds.
+
+    A figure's ``jobs()`` fans its seed tuple out into one job per seed,
+    so the config arriving here carries one and the payload is that
+    seed's time; ``reduce`` averages the jobs.
+    """
+    times = [converge(jb.protocol, jb.config, seed)[0] for seed in jb.config.seeds]
     return sum(times) / len(times)
 
 
@@ -596,13 +566,12 @@ class DoublingConfig:
         return replace(base, **overrides)
 
 
-@dataclass(frozen=True)
-class DoublingResult:
-    protocol: str
-    f_of_k: dict[int, float]
-
-
-def run_doubling(protocol: Protocol, cfg: DoublingConfig) -> DoublingResult:
+@scenario("doubling")
+def doubling(jb: Job) -> dict:
+    """Figure 13 and the history-discounting ablation: ``f_of_k`` holds
+    ``[k, f(k)]`` for each of the config's ``ks`` — the utilization k RTTs
+    after the available bandwidth doubles."""
+    protocol, cfg = jb.protocol, jb.config
     sim, net = build_net(cfg.bandwidth_bps, cfg.rtt_s, cfg.seed, cfg.reverse_flows)
     flows = add_flows(
         sim, net, protocol.make, count=cfg.n_flows,
@@ -613,8 +582,9 @@ def run_doubling(protocol: Protocol, cfg: DoublingConfig) -> DoublingResult:
     end = cfg.stop_at + max(cfg.ks) * cfg.rtt_s + 1.0
     sim.run(until=end)
     survivors = [f.flow_id for f in flows[cfg.n_stopped :]]
-    f_values = {
-        k: flows_f_of_k(
+
+    def f(k: int) -> float:
+        return flows_f_of_k(
             net.accountant,
             survivors,
             available_bps=cfg.bandwidth_bps,
@@ -622,9 +592,8 @@ def run_doubling(protocol: Protocol, cfg: DoublingConfig) -> DoublingResult:
             k=k,
             rtt_s=cfg.rtt_s,
         )
-        for k in cfg.ks
-    }
-    return DoublingResult(protocol=protocol.name, f_of_k=f_values)
+
+    return {"protocol": protocol.name, "f_of_k": [[k, f(k)] for k in cfg.ks]}
 
 
 # ---------------------------------------------------------------------------
@@ -649,41 +618,30 @@ class LossPatternConfig:
         return replace(base, **overrides)
 
 
-@dataclass(frozen=True)
-class LossPatternResult:
-    protocol: str
-    fine_rates_bps: list[float]  # 0.2 s bins (the figures' solid line)
-    coarse_rates_bps: list[float]  # 1 s bins (the dashed line)
-    throughput_bps: float
-    smoothness: SmoothnessResult
-    drops: int
-    rate_band: float  # p5/p95 of the fine rates (1 = perfectly steady)
-
-    @staticmethod
-    def percentile_band(rates: list[float]) -> float:
-        """5th-to-95th percentile ratio of a rate series: a smoothness
-        measure robust to a single timeout dip, unlike the worst-case
-        consecutive ratio."""
-        if not rates:
-            return 0.0
-        ordered = sorted(rates)
-        p5 = ordered[int(0.05 * (len(ordered) - 1))]
-        p95 = ordered[int(0.95 * (len(ordered) - 1))]
-        return p5 / p95 if p95 > 0 else 0.0
+def percentile_band(rates: list[float]) -> float:
+    """5th-to-95th percentile ratio of a rate series: a smoothness
+    measure robust to a single timeout dip, unlike the worst-case
+    consecutive ratio."""
+    if not rates:
+        return 0.0
+    ordered = sorted(rates)
+    p5 = ordered[int(0.05 * (len(ordered) - 1))]
+    p95 = ordered[int(0.95 * (len(ordered) - 1))]
+    return p5 / p95 if p95 > 0 else 0.0
 
 
-def run_loss_pattern(
-    protocol: Protocol,
-    dropper_factory: Callable[[Simulator], Dropper],
-    cfg: LossPatternConfig,
-) -> LossPatternResult:
+@scenario("loss_pattern")
+def loss_pattern(jb: Job) -> dict:
+    """Figures 17-19 and the Figure 20 validation: a single flow under the
+    loss pattern the ``dropper`` param (a
+    :class:`~repro.experiments.jobs.DropperSpec`) describes.  Figs 17-19
+    read every key; the validation reads ``throughput_bps``."""
+    protocol, cfg = jb.protocol, jb.config
     sim = Simulator()
-    from repro.net.monitor import FlowAccountant
-
     accountant = FlowAccountant(sim)
     sender, receiver = protocol.make(sim)
     receiver.on_data.append(accountant.on_deliver)
-    dropper = dropper_factory(sim)
+    dropper = jb.param("dropper").build(sim)
     single_path(
         sim,
         sender,
@@ -694,16 +652,17 @@ def run_loss_pattern(
     )
     sender.start()
     sim.run(until=cfg.duration_s)
+    # 0.2 s bins (the figures' solid line) and 1 s bins (the dashed line).
     fine = rate_bins(accountant, 0, cfg.fine_bin_s, cfg.warmup_s, cfg.duration_s)
     coarse = rate_bins(accountant, 0, cfg.coarse_bin_s, cfg.warmup_s, cfg.duration_s)
     # Smoothness judged on RTT-scale bins per the paper's metric; the fine
     # bins are several RTTs, a reasonable stand-in for plotting.
-    return LossPatternResult(
-        protocol=protocol.name,
-        fine_rates_bps=fine,
-        coarse_rates_bps=coarse,
-        throughput_bps=accountant.throughput_bps(0, cfg.warmup_s, cfg.duration_s),
-        smoothness=smoothness(coarse),
-        drops=dropper.drops,
-        rate_band=LossPatternResult.percentile_band(fine),
-    )
+    smooth = smoothness(coarse)
+    return {
+        "protocol": protocol.name,
+        "throughput_bps": accountant.throughput_bps(0, cfg.warmup_s, cfg.duration_s),
+        "smoothness_cov": smooth.cov,
+        "worst_ratio": smooth.min_ratio,
+        "rate_band": percentile_band(fine),  # p5/p95 of the fine rates (1 = perfectly steady)
+        "drops": dropper.drops,
+    }

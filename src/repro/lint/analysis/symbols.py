@@ -4,7 +4,7 @@ A :class:`Program` is built from every parseable file in one lint run.
 Each file gets a :class:`ModuleTable` recording what the module *binds*:
 imports (with aliases), top-level functions and classes with their
 methods.  Resolution then answers the question the pattern rules never
-had to ask — "the name ``run_cbr_restart`` used in this module: which
+had to ask — "the name ``measure_cbr_restart`` used in this module: which
 function is that, in which file?" — across the whole set of linted
 files, without importing anything.
 

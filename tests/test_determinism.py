@@ -7,8 +7,9 @@ component does not perturb others.  These tests pin that down.
 
 
 from repro.cc import establish, new_tcp_flow, new_tfrc_flow
+from repro.experiments.jobs import execute_job, job
 from repro.experiments.protocols import tcp, tfrc
-from repro.experiments.scenarios import OscillationConfig, run_oscillation
+from repro.experiments.scenarios import OscillationConfig
 from repro.net import Dumbbell
 from repro.sim import RngRegistry, Simulator
 
@@ -50,11 +51,17 @@ class TestDeterminism:
             warmup_s=3.0,
             seed=7,
         )
-        r1 = run_oscillation(tcp(2), tfrc(6), 1.0, cfg)
-        r2 = run_oscillation(tcp(2), tfrc(6), 1.0, cfg)
-        assert r1.shares_a == r2.shares_a
-        assert r1.shares_b == r2.shares_b
-        assert r1.drop_rate == r2.drop_rate
+        jb = job(
+            "adhoc",
+            "oscillation",
+            config=cfg,
+            protocol=tcp(2),
+            params={"period_s": 1.0, "protocol_b": tfrc(6)},
+        )
+        r1, r2 = execute_job(jb), execute_job(jb)
+        assert r1["shares_a"] == r2["shares_a"]
+        assert r1["shares_b"] == r2["shares_b"]
+        assert r1["drop_rate"] == r2["drop_rate"]
 
     def test_adding_unrelated_stream_does_not_perturb(self):
         """Drawing from a new named stream must not change existing ones."""

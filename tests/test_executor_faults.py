@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -205,7 +206,7 @@ class TestRetriesAndFailure:
         import repro.experiments.executor as executor_module
 
         calls = {"n": 0}
-        real = executor_module.execute_job
+        real = executor_module.run_job
 
         def flaky(jb, fault=None):
             calls["n"] += 1
@@ -213,7 +214,7 @@ class TestRetriesAndFailure:
                 raise RuntimeError("transient")
             return real(jb, fault)
 
-        monkeypatch.setattr(executor_module, "execute_job", flaky)
+        monkeypatch.setattr(executor_module, "run_job", flaky)
         executor = SerialExecutor(max_retries=2, backoff_s=0.0)
         results = executor.map(JOBS()[:2])
         assert len(results) == 2
@@ -225,7 +226,7 @@ class TestRetriesAndFailure:
         def always_broken(jb, fault=None):
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(executor_module, "execute_job", always_broken)
+        monkeypatch.setattr(executor_module, "run_job", always_broken)
         executor = SerialExecutor(max_retries=1, backoff_s=0.0)
         with pytest.raises(ExecutionError, match="after 2 attempt"):
             executor.map(JOBS()[:1])
@@ -303,41 +304,37 @@ class TestRunLog:
     def test_env_configuration(self, tmp_path, monkeypatch):
         log = tmp_path / "env.jsonl"
         monkeypatch.setenv("REPRO_RUN_LOG", str(log))
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "123.5")
         executor = make_executor(0)
         assert isinstance(executor.run_log, RunLog)
         assert executor.run_log.path == log
-        assert executor.max_retries == 7
-        assert executor.job_timeout == 123.5
         executor.map(JOBS()[:1])
         assert log.exists() and read_log(log)
 
-    @pytest.mark.parametrize(
-        "name,raw",
-        [
-            ("REPRO_JOB_TIMEOUT", "ten"),
-            ("REPRO_MAX_RETRIES", "2.5"),
-            # These parse, but a timeout that is not > 0 expires every
-            # job the instant it is submitted (and NaN never fires).
-            ("REPRO_JOB_TIMEOUT", "0"),
-            ("REPRO_JOB_TIMEOUT", "-1"),
-            ("REPRO_JOB_TIMEOUT", "nan"),
-        ],
-    )
-    def test_malformed_env_value_names_the_variable(self, monkeypatch, name, raw):
-        monkeypatch.setenv(name, raw)
-        with pytest.raises(ValueError, match=f"{name}.*{raw}"):
-            make_executor(0)
-
     @pytest.mark.parametrize("raw", ["0", "-1", "nan"])
-    def test_job_timeout_argument_and_flag_must_be_positive(self, raw):
-        from repro.cli import main
-
+    def test_job_timeout_argument_and_flag_must_be_positive(self, raw, capsys):
+        # A timeout that is not > 0 expires every job the instant it is
+        # submitted (and NaN never fires).
         with pytest.raises(ValueError, match=f"job_timeout.*{raw}"):
             ParallelExecutor(2, job_timeout=float(raw))
-        with pytest.raises(ValueError, match=f"job_timeout.*{raw}"):
-            main(["run", "fig20", "--no-cache", f"--job-timeout={raw}"])
+        assert_usage_error(capsys, f"--job-timeout={raw}", f"job_timeout.*{raw}")
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--max-retries=-1", "max_retries.*-1"), ("--parallel=-3", "parallel.*-3")],
+    )
+    def test_a_bad_executor_flag_is_a_usage_error(self, flag, message, capsys):
+        assert_usage_error(capsys, flag, message)
+
+
+def assert_usage_error(capsys, flag, message):
+    """``repro run`` with ``flag``: exit 2 and one line on stderr, like
+    every other usage error — not a traceback out of ``Executor``."""
+    from repro.cli import main
+
+    assert main(["run", "fig20", "--no-cache", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f".*{message}.*\n", captured.err)
 
 
 class TestWorkerCountValidation:

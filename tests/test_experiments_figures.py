@@ -9,7 +9,6 @@ real configurations live in benchmarks/.
 """
 
 import dataclasses
-import json
 import math
 import pathlib
 
@@ -21,11 +20,11 @@ from repro.experiments import (
     ResultCache,
     SerialExecutor,
     Table,
-    execute_job,
     fig04_stabilization_time,
     run_figure,
     table_filename,
 )
+from repro.experiments.jobs import run_job
 from repro.experiments.protocols import tcp
 
 TINY_CBR = dict(
@@ -131,11 +130,9 @@ class TestRegistry:
         # Telemetry is pay-for-use: under a recorder a job writes channels,
         # and fires reverse-bottleneck tap events, that it otherwise skips.
         job = RUNNABLE[name].jobs("fast", **TINY[name])[0]
-        traced = execute_job(dataclasses.replace(job, trace=True))
-        assert traced["__trace__"].startswith('{"__telemetry__"')
-        assert json.dumps(traced["value"], sort_keys=True) == json.dumps(
-            execute_job(job), sort_keys=True
-        )
+        traced_text, trace_text = run_job(dataclasses.replace(job, trace=True))
+        assert trace_text.startswith('{"__telemetry__"')
+        assert traced_text == run_job(job)[0]
 
     def test_unknown_name_lists_the_available_figures(self):
         with pytest.raises(KeyError) as excinfo:

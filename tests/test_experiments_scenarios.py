@@ -1,15 +1,17 @@
 """Scenario-level tests on miniature configurations.
 
-These run the real scenario machinery end to end, but on tiny links and
+These run the real scenario machinery end to end — ``execute_job`` of a
+hand-built job, the road ``repro run`` takes — but on tiny links and
 short horizons so the whole file stays fast.  Shape-level assertions on the
 paper's results live in benchmarks/; here we verify the plumbing: phases
-happen, metrics are computed, results are well-formed.
+happen, metrics are computed, payloads are well-formed.
 """
 
 import math
 
 import pytest
 
+from repro.experiments.jobs import DropperSpec, execute_job, job
 from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.scenarios import (
     CbrRestartConfig,
@@ -18,14 +20,14 @@ from repro.experiments.scenarios import (
     FlashCrowdConfig,
     LossPatternConfig,
     OscillationConfig,
-    run_cbr_restart,
-    run_convergence,
-    run_doubling,
-    run_flash_crowd,
-    run_loss_pattern,
-    run_oscillation,
 )
-from repro.net.droppers import PeriodicDropper
+
+
+def run(scenario_name, cfg, protocol=tcp(2), **params):
+    """The payload of one ad-hoc job."""
+    return execute_job(
+        job("adhoc", scenario_name, config=cfg, protocol=protocol, params=params)
+    )
 
 
 class TestCbrRestart:
@@ -39,19 +41,17 @@ class TestCbrRestart:
     )
 
     def test_result_well_formed(self):
-        result = run_cbr_restart(tcp(2), self.CFG)
-        assert result.protocol == "TCP(0.5)"
-        assert 0.0 <= result.steady_loss_rate < 0.5
-        assert result.stabilization.time_s > 0
-        assert len(result.loss_series) > 0
+        payload = run("cbr_restart", self.CFG)
+        assert payload["protocol"] == "TCP(0.5)"
+        assert 0.0 <= payload["steady_loss_rate"] < 0.5
+        assert payload["time_s"] > 0
+        assert len(payload["series"]) > 0
 
     def test_congestion_exists_during_cbr(self):
-        result = run_cbr_restart(tcp(2), self.CFG)
-        assert result.steady_loss_rate > 0.001
+        assert run("cbr_restart", self.CFG)["steady_loss_rate"] > 0.001
 
     def test_spike_at_restart(self):
-        result = run_cbr_restart(tcp(2), self.CFG)
-        assert result.spike_loss_rate >= 0.0
+        assert run("cbr_restart", self.CFG)["spike_loss_rate"] >= 0.0
 
 
 class TestOscillation:
@@ -66,16 +66,16 @@ class TestOscillation:
     )
 
     def test_mixed_flows(self):
-        result = run_oscillation(tcp(2), tfrc(6), 1.0, self.CFG)
-        assert len(result.shares_a) == 2 and len(result.shares_b) == 2
-        assert result.mean_a > 0 and result.mean_b > 0
-        assert 0 < result.utilization <= 1.5
+        payload = run("oscillation", self.CFG, period_s=1.0, protocol_b=tfrc(6))
+        assert len(payload["shares_a"]) == 2 and len(payload["shares_b"]) == 2
+        assert payload["mean_a"] > 0 and payload["mean_b"] > 0
+        assert 0 < payload["utilization"] <= 1.5
 
     def test_identical_flows(self):
-        result = run_oscillation(tcp(2), None, 1.0, self.CFG)
-        assert result.protocol_b is None
-        assert result.shares_b == []
-        assert math.isnan(result.mean_b)
+        payload = run("oscillation", self.CFG, period_s=1.0)
+        assert payload["protocol_b"] is None
+        assert payload["shares_b"] == []
+        assert math.isnan(payload["mean_b"])
 
     def test_duration_respects_bounds(self):
         assert self.CFG.duration(1.0) == 20.0  # min wins
@@ -88,7 +88,7 @@ class TestOscillation:
 
     def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):
-            run_oscillation(tcp(2), None, 0.0, self.CFG)
+            run("oscillation", self.CFG, period_s=0.0)
 
 
 class TestConvergence:
@@ -100,8 +100,7 @@ class TestConvergence:
     )
 
     def test_returns_positive_time(self):
-        t = run_convergence(tcp(2), self.CFG)
-        assert 0 < t <= 52.0
+        assert 0 < run("convergence", self.CFG) <= 52.0
 
     def test_slow_start_disabled_by_default(self):
         assert self.CFG.disable_slow_start
@@ -117,15 +116,14 @@ class TestDoubling:
     )
 
     def test_f_values_in_range(self):
-        result = run_doubling(tcp(2), self.CFG)
-        assert set(result.f_of_k) == {20, 100}
-        for value in result.f_of_k.values():
+        f_of_k = dict(run("doubling", self.CFG)["f_of_k"])
+        assert set(f_of_k) == {20, 100}
+        for value in f_of_k.values():
             assert 0.3 <= value <= 1.1
 
     def test_survivors_pick_up_bandwidth(self):
-        result = run_doubling(tcp(2), self.CFG)
         # TCP reclaims most of the doubled bandwidth within 100 RTTs.
-        assert result.f_of_k[100] > 0.7
+        assert dict(run("doubling", self.CFG)["f_of_k"])[100] > 0.7
 
 
 class TestFlashCrowd:
@@ -139,15 +137,15 @@ class TestFlashCrowd:
     )
 
     def test_series_and_counts(self):
-        result = run_flash_crowd(tcp(2), self.CFG)
-        assert result.crowd_spawned > 20
-        assert result.crowd_completed <= result.crowd_spawned
-        assert len(result.background_series) == len(result.crowd_series)
-        assert 0 <= result.crowd_share_during <= 1.0
+        payload = run("flash_crowd", self.CFG)
+        assert payload["crowd_spawned"] > 20
+        assert payload["crowd_completed"] <= payload["crowd_spawned"]
+        assert len(payload["background"]) == len(payload["crowd"])
+        assert 0 <= payload["crowd_share_during"] <= 1.0
 
     def test_crowd_quiet_before_start(self):
-        result = run_flash_crowd(tcp(2), self.CFG)
-        before = [v for t, v in result.crowd_series if t <= self.CFG.crowd_start]
+        crowd = run("flash_crowd", self.CFG)["crowd"]
+        before = [v for t, v in crowd if t <= self.CFG.crowd_start]
         assert all(v == 0.0 for v in before)
 
 
@@ -159,18 +157,13 @@ class TestLossPattern:
     )
 
     def test_result_well_formed(self):
-        result = run_loss_pattern(
-            tcp(2), lambda sim: PeriodicDropper(100), self.CFG
-        )
-        assert result.throughput_bps > 0
-        assert result.drops > 0
-        assert len(result.fine_rates_bps) > len(result.coarse_rates_bps)
-        assert 0 <= result.smoothness.cov
+        payload = run("loss_pattern", self.CFG, dropper=DropperSpec("periodic", (100,)))
+        assert payload["throughput_bps"] > 0
+        assert payload["drops"] > 0
+        assert 0 <= payload["smoothness_cov"]
 
     def test_loss_free_flow_is_smooth(self):
         # A dropper that never fires: the flow saturates and stays flat.
-        result = run_loss_pattern(
-            tcp(2), lambda sim: PeriodicDropper(10**9), self.CFG
-        )
-        assert result.drops == 0
-        assert result.smoothness.cov < 0.25
+        payload = run("loss_pattern", self.CFG, dropper=DropperSpec("periodic", (10**9,)))
+        assert payload["drops"] == 0
+        assert payload["smoothness_cov"] < 0.25

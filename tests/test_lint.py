@@ -238,11 +238,15 @@ class TestR001:
         one("scenario 'alpha' is registered more than once")
 
     def test_clean_subset_is_clean(self):
-        # A well-formed module plus its registry: nothing to report.
+        # A well-formed module plus its registry, and a module-level
+        # @scenario beside the jobs() that uses it: nothing to report.
         report = lint_sources(
             {
                 "src/repro/experiments/fig01_good.py": fixture_text(
                     "r001/fig01_good"
+                ),
+                "src/repro/experiments/fig04_own_scenario.py": fixture_text(
+                    "r001/fig04_own_scenario"
                 ),
                 "src/repro/experiments/jobs_registry.py": fixture_text(
                     "r001/jobs_registry"

@@ -86,6 +86,36 @@ STAY_DELETED = [
         "simlint's I-rules and the interval domain (PR 21); ranges are "
         "enforced at run time by @checked",
     ),
+    (
+        r"(CbrRestart|FlashCrowd|Oscillation|Doubling|LossPattern)Result"
+        r"|run_(cbr_restart|flash_crowd|oscillation|convergence|doubling|loss_pattern)"
+        r"|cbr_restart_payload|oscillation_payload|_split_trace|__trace__|shipped=",
+        ("src", "examples"),
+        (),
+        "the *Result classes, run_*, the jobs.py adapters and the traced-result "
+        "wrapper (PR 23); a @scenario returns the payload and run_job its text",
+    ),
+    (
+        r"^\s+from repro\.experiments",
+        (
+            "src/repro/experiments/jobs.py",
+            "src/repro/experiments/replay.py",
+            *sorted(
+                path.relative_to(REPO).as_posix()
+                for path in (REPO / "src/repro/experiments").glob("ext_*.py")
+            ),
+        ),
+        (),
+        "function-level imports dodging the jobs <-> scenarios cycle (PR 23); "
+        "jobs.py imports no scenario module, so there is no cycle",
+    ),
+    (
+        r"REPRO_JOB_TIMEOUT|REPRO_MAX_RETRIES|_env_number",
+        ("src", "benchmarks", "examples", "bench", "tests", "docs", "README.md", ".github"),
+        (),
+        "the environment twins of --job-timeout / --max-retries (PR 23); "
+        "the flags and the constructor arguments are the two ways in",
+    ),
 ]
 
 

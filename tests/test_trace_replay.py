@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import ParallelExecutor, SerialExecutor
-from repro.experiments.jobs import execute_job, indexed, job
+from repro.experiments.jobs import execute_job, indexed, job, run_job
 from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.replay import REPLAYERS, replay_job
 from repro.experiments.runner import Table
@@ -61,24 +61,28 @@ def canonical(payload):
 
 
 # ---------------------------------------------------------------------------
-# execute_job wrapping
+# run_job: the trace travels beside the payload
 # ---------------------------------------------------------------------------
 
 
 class TestExecuteJobTracing:
-    def test_traced_execution_wraps_value_and_trace(self):
+    def test_run_job_returns_the_trace_beside_the_payload(self):
         jb = tiny_cbr_restart_job()
-        wrapped = execute_job(jb)
-        assert set(wrapped) == {"__trace__", "value"}
-        reader = TraceReader.loads(wrapped["__trace__"])
+        value_text, trace_text = run_job(jb)
+        reader = TraceReader.loads(trace_text)
         assert "link.bottleneck.arrivals" in reader.channels
         assert reader.meta["scenario"] == "cbr_restart"
         assert reader.meta["job"] == jb.describe()
+        # execute_job has one return shape: the bare payload, traced or not
+        payload = execute_job(jb)
+        assert "__trace__" not in payload
+        assert canonical(payload) == value_text
 
     def test_traced_value_equals_untraced_value(self):
-        traced = execute_job(tiny_cbr_restart_job(trace=True))
-        plain = execute_job(tiny_cbr_restart_job(trace=False))
-        assert canonical(traced["value"]) == canonical(plain)
+        traced_text, _ = run_job(tiny_cbr_restart_job(trace=True))
+        plain_text, no_trace = run_job(tiny_cbr_restart_job(trace=False))
+        assert traced_text == plain_text
+        assert no_trace is None
 
     def test_trace_flag_does_not_change_the_content_hash(self):
         assert (
@@ -155,15 +159,15 @@ class TestExecutorTracing:
         cache = ResultCache(tmp_path)
         jb = tiny_cbr_restart_job()
         results = SerialExecutor().map([jb], cache)
-        # the wrapper never leaks into results or the cache
+        # only the payload reaches results and the cache
         assert "__trace__" not in results[0].value
         assert "__trace__" not in cache.lookup(jb)
         assert cache.has_trace(jb)
         TraceReader.loads(cache.load_trace(jb))  # parses
 
     def test_pool_worker_ships_the_same_result_and_trace(self, tmp_path):
-        # job_timeout forces the job across the pool: the worker splits
-        # the wrapper and ships (value_text, trace_text, pid).
+        # job_timeout forces the job across the pool: the worker ships
+        # run_job's (value_text, trace_text) plus its pid.
         jb = tiny_cbr_restart_job()
         serial, pooled = ResultCache(tmp_path / "s"), ResultCache(tmp_path / "p")
         in_process = SerialExecutor().map([jb], serial)
