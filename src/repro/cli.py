@@ -32,17 +32,18 @@ simulating anything.  Parallel runs produce byte-identical tables to
 serial runs: every job carries its own seed and results are re-ordered
 by job index before reduction.
 
-Parallel runs are fault-tolerant: a crashed worker breaks only its own
-slot (the job is retried on a rebuilt pool), stuck jobs can be bounded
+Parallel runs are fault-tolerant: a crashed worker loses only the job it
+was running (retried on a respawned worker), stuck jobs can be bounded
 with ``--job-timeout``, failing jobs retry up to ``--max-retries`` times,
 and completed results always reach the cache before any failure
 propagates.  ``--run-log PATH`` appends one JSONL provenance record per
-job (content hash, attempts, worker pid, wall time) plus a summary per
-figure — see ``docs/experiments.md``.
+job (content hash, attempts, worker pid, wall time, ``worker_exit`` — the
+exit status of a worker lost on it) plus a summary per figure — see
+``docs/experiments.md``.
 
 Jobs run in submission order; on a parallel run those cheaper than a
-pool round-trip run inline in the coordinator, worker pools fork from a
-warm preloaded fork-server template, and results travel as
+pool round-trip run inline in the coordinator, each worker is a fork of
+the coordinator at the end of a pipe, and results travel as
 canonical-JSON text.  None of this can change a table — only how fast
 it appears; see ``docs/performance.md``.
 """
@@ -323,7 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 (args.out / table_filename(name)).write_text(table.format() + "\n")
             print()
     finally:
-        executor.close()  # release warm worker pools
+        executor.close()  # kill and join the workers
     if len(names) > 1:
         where = "off" if cache is None else str(cache.root or "memory")
         extras = ""

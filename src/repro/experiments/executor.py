@@ -9,8 +9,8 @@ The execution pipeline, shared by all executors:
 1. answer what it can from the (optional) content-addressed cache;
 2. deduplicate the remaining jobs by content hash (two figures asking for
    the same simulation point compute it once);
-3. run the unique misses — serially, or across isolated single-worker
-   process pools — storing each result into the cache *the moment it
+3. run the unique misses — serially, or across isolated worker
+   processes — storing each result into the cache *the moment it
    completes*;
 4. fan results out to every position that asked for them.
 
@@ -29,12 +29,14 @@ order — see ``docs/performance.md`` for the ablation that left these):
   figures: microseconds) run in the coordinating process instead of
   paying a pool round-trip, when no fault injection or per-job timeout
   needs worker isolation.
-* **warm fork-server pools** — worker pools come from a preloaded
-  ``multiprocessing.forkserver`` context that imports ``repro`` once, so
-  pool builds and crash-rebuilds fork a warm template instead of paying
-  interpreter+import startup; the pools persist across ``map`` calls
-  (until :meth:`ParallelExecutor.close`) so a 20-figure sweep builds
-  its slots once.  Platforms without fork fall back to ``spawn``.
+* **a worker is a fork of the coordinator and a pipe** — a slot is one
+  ``multiprocessing.Process`` in :func:`_worker_main` plus this end of
+  one duplex pipe.  A fork has ``repro`` and the scenario registry
+  imported already, so a slot (or a crash respawn) costs milliseconds,
+  and the coordinator starts no thread: it waits on the busy slots'
+  pipes and sentinels.  Slots persist across ``map`` calls until
+  :meth:`ParallelExecutor.close` kills *and joins* them.  Platforms
+  without fork run the same code on ``spawn``.
 * **a result is text** — :func:`~repro.experiments.jobs.run_job` dumps a
   payload once, to the *canonical JSON text* the cache stores, in a
   worker (which returns ``(value_text, trace_text, pid)``) and in-process
@@ -46,13 +48,14 @@ order — see ``docs/performance.md`` for the ablation that left these):
 
 Fault tolerance (the parallel executor, unchanged semantics):
 
-* each worker is its **own** single-process pool, so one crashed worker
-  (``BrokenProcessPool``) takes down exactly one in-flight job — the
-  slot's pool is rebuilt (with backoff) and the job retried, while every
-  other worker keeps computing;
+* each slot has **one** job in flight, so one crashed worker (EOF on
+  its pipe, or its sentinel, before a reply) takes down exactly that
+  job — the worker is respawned (with backoff) and the job retried
+  while every other worker keeps computing, and the run log keeps the
+  lost worker's exit status (``worker_exit``);
 * ordinary exceptions and per-job timeouts (``job_timeout``) are retried
   up to ``max_retries`` times with exponential backoff; a stuck worker is
-  terminated and its slot respawned;
+  killed, joined and its slot respawned;
 * when the pool is irrecoverable (the rebuild budget is exhausted), the
   executor **degrades to in-process serial execution** for the remaining
   jobs rather than failing the run;
@@ -66,22 +69,23 @@ the last ``map`` call (retries, failures, timeouts, salvaged results,
 pool rebuilds, degradation, per-stage wall-clock, inline count,
 load-balance efficiency), and an optional
 :class:`~repro.experiments.runlog.RunLog` records one JSONL event per
-job (content hash, status, attempts, worker pid, wall time) plus a
-summary per batch.  Deterministic fault injection for all of the above
-lives in :mod:`repro.experiments.faults`.
+job (content hash, status, attempts, worker pid, wall time, the exit
+status of a worker lost on it) plus a summary per batch.  Deterministic
+fault injection for all of the above lives in
+:mod:`repro.experiments.faults`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.experiments.cache import MISS, ResultCache
@@ -109,32 +113,14 @@ DEFAULT_BACKOFF_S = 0.05
 #: coordinator instead of paying a pool round-trip (~ms each).
 INLINE_THRESHOLD_S = 0.01
 
-#: What the warm fork-server template imports before the first fork, so
-#: every worker (and every crash-rebuild) starts with the execution stack
-#: and the scenario registry (the package imports every registering
-#: module) already loaded.
-_WARM_PRELOAD = ["repro.experiments"]
 
-_warm_ctx: Optional[multiprocessing.context.BaseContext] = None
-
-
-def _warm_context() -> multiprocessing.context.BaseContext:
-    """The shared preloaded fork-server context (spawn fallback).
-
-    Built lazily — the fork server itself only starts when the first
-    pool is created — and shared process-wide so every warm pool forks
-    from the same preloaded template.
-    """
-    global _warm_ctx
-    if _warm_ctx is None:
-        methods = multiprocessing.get_all_start_methods()
-        if "forkserver" in methods:
-            ctx = multiprocessing.get_context("forkserver")
-            ctx.set_forkserver_preload(_WARM_PRELOAD)
-        else:  # pragma: no cover - platforms without fork
-            ctx = multiprocessing.get_context("spawn")
-        _warm_ctx = ctx
-    return _warm_ctx
+def _context() -> multiprocessing.context.BaseContext:
+    """How a worker starts: ``fork`` where the platform has it — the
+    worker is a copy of the coordinator, ``repro`` and the scenario
+    registry already imported — else ``spawn``.  Chosen by the platform;
+    deliberately not an argument, environment variable or flag."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 @dataclass
@@ -174,26 +160,10 @@ class ExecutionReport:
     compute_s: float = 0.0  # sum of successful attempts' wall seconds
 
     def as_dict(self) -> dict:
+        """Every field, in declaration order; seconds and ratios rounded."""
         return {
-            "jobs": self.jobs,
-            "computed": self.computed,
-            "cache_hits": self.cache_hits,
-            "deduplicated": self.deduplicated,
-            "inlined": self.inlined,
-            "load_balance": round(self.load_balance, 6),
-            "retries": self.retries,
-            "failures": self.failures,
-            "timeouts": self.timeouts,
-            "salvaged": self.salvaged,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degraded": self.degraded,
-            "lookup_s": round(self.lookup_s, 6),
-            "execute_s": round(self.execute_s, 6),
-            "store_s": round(self.store_s, 6),
-            "startup_s": round(self.startup_s, 6),
-            "dispatch_s": round(self.dispatch_s, 6),
-            "transport_s": round(self.transport_s, 6),
-            "compute_s": round(self.compute_s, 6),
+            name: round(value, 6) if isinstance(value, float) else value
+            for name, value in dataclasses.asdict(self).items()
         }
 
 
@@ -226,6 +196,36 @@ def _pool_run(
         if spec is not None:
             fault = spec.bind(position, attempt)
     return (*run_job(jb, fault), os.getpid())
+
+
+def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
+    """A worker's whole life: answer ``(job, position, attempt,
+    fault_text)`` requests with ``(ok, reply)`` until ``conn`` closes.
+
+    ``inherited`` is what a fork copied that is not this worker's — the
+    coordinator's ends of the slots' pipes, its own included — closed
+    first, so EOF on a pipe means its other end is gone and a coordinator
+    that dies takes its workers with it.  A fork also copies the cache
+    batch and the run-log handle: a worker touches neither, and leaves
+    through ``Process``'s own exit, which runs no inherited ``atexit``.
+    """
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return  # the coordinator closed its end, or is gone
+        try:
+            reply = (True, _pool_run(*request))
+        except Exception as exc:  # simlint: disable=E001(the coordinator receives the exception and retries within its budget)
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # nobody is listening any more
+        except Exception:  # simlint: disable=E001(an exception that does not pickle travels as its repr and stays an ordinary retry, not a crash)
+            conn.send((False, RuntimeError(repr(reply[1]))))
 
 
 class Executor:
@@ -271,7 +271,10 @@ class Executor:
         self._fault_text = (fault_text or "").strip() or None
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.last_report = ExecutionReport()
-        self._completed_count = 0  # per-map scratch, read by degrade/salvage
+        # Per-map scratch: results so far (read by degrade/salvage) and,
+        # by position, the exit status of the last worker lost on a job.
+        self._completed_count = 0
+        self._worker_exits: dict[int, Optional[int]] = {}
 
     # -- the pipeline -------------------------------------------------------
 
@@ -282,6 +285,7 @@ class Executor:
         jobs = list(jobs)
         report = self.last_report = ExecutionReport(jobs=len(jobs))
         self._completed_count = 0
+        self._worker_exits = {}
         values: list[Any] = [MISS] * len(jobs)
         cached = [False] * len(jobs)
 
@@ -318,7 +322,6 @@ class Executor:
             worker_pid: Optional[int],
             wall_s: float,
             degraded: bool = False,
-            timed_out: bool = False,
         ) -> None:
             # ``run_job``'s pair, from a worker or from this process.
             # Store immediately — salvage: a later failure cannot discard
@@ -350,8 +353,8 @@ class Executor:
                 wall_s=wall_s,
                 retried=attempts > 1,
                 degraded=degraded,
-                timed_out=timed_out,
                 trace_path=trace_path,
+                worker_exit=self._worker_exits.get(pos),
             )
 
         batching = cache is not None and cache.begin_batch()
@@ -433,19 +436,7 @@ class Executor:
                     time.sleep(self.backoff_s * (2 ** (attempt - start_attempt)))
                     attempt += 1
                     continue
-                self.last_report.failures += 1
-                self._log_job(
-                    jb,
-                    status="failed",
-                    attempts=attempt,
-                    degraded=degraded,
-                    error=repr(exc),
-                )
-                raise ExecutionError(
-                    f"job {jb!r} failed after {attempt} attempt(s): {exc!r}",
-                    job=jb,
-                    attempts=attempt,
-                ) from exc
+                self._fail(pos, jb, attempt, exc, degraded=degraded)
             complete(
                 pos,
                 value_text,
@@ -456,6 +447,28 @@ class Executor:
                 degraded=degraded,
             )
             return
+
+    def _fail(
+        self, pos: int, jb: Job, attempt: int, exc: BaseException, **flags: bool
+    ) -> None:
+        """A job is out of retries: count it, log it (``flags`` are
+        ``degraded`` / ``timed_out``) and raise, naming a lost worker."""
+        worker_exit = self._worker_exits.get(pos)
+        self.last_report.failures += 1
+        self._log_job(
+            jb,
+            status="failed",
+            attempts=attempt,
+            error=repr(exc),
+            worker_exit=worker_exit,
+            **flags,
+        )
+        lost = "" if worker_exit is None else f" (lost a worker, exit {worker_exit})"
+        raise ExecutionError(
+            f"job {jb!r} failed after {attempt} attempt(s){lost}: {exc!r}",
+            job=jb,
+            attempts=attempt,
+        ) from exc
 
     # -- telemetry ----------------------------------------------------------
 
@@ -470,9 +483,10 @@ class Executor:
         retried: bool = False,
         degraded: bool = False,
         timed_out: bool = False,
-        error: Optional[str] = None,
-        trace_path: Optional[str] = None,
+        **optional: Any,
     ) -> None:
+        """One ``job`` record; an ``optional`` field (``error``,
+        ``trace_path``, ``worker_exit``) is written only when it is set."""
         if self.run_log is None:
             return
         record = {
@@ -488,22 +502,16 @@ class Executor:
             "worker_pid": worker_pid,
             "wall_s": round(wall_s, 6),
         }
-        if error is not None:
-            record["error"] = error
-        if trace_path is not None:
-            record["trace_path"] = trace_path
+        record.update((k, v) for k, v in optional.items() if v is not None)
         self.run_log.record(**record)
 
     def _log_map(self, report: ExecutionReport) -> None:
-        if self.run_log is None:
-            return
-        self.run_log.record(event="map", workers=self.workers, **report.as_dict())
+        if self.run_log is not None:
+            self.run_log.record(event="map", workers=self.workers, **report.as_dict())
 
 
 class SerialExecutor(Executor):
     """Run jobs one after another in this process (the default)."""
-
-    workers = 1
 
     def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
         for pos, jb in enumerate(jobs):
@@ -511,29 +519,32 @@ class SerialExecutor(Executor):
 
 
 class _Slot:
-    """One isolated worker: a single-process pool plus its in-flight job.
+    """One isolated worker: a process, the coordinator's end of its pipe
+    and the one job it has in flight.
 
-    Worker isolation is what makes failure attribution exact: a crashed
-    process breaks only its own pool, so exactly the job it was running
-    is retried — every other worker keeps its work.  Slots outlive
-    individual ``map`` calls; ``busy_s`` accumulates the wall
-    time this slot spent on successful harvests within the current map,
-    feeding the load-balance efficiency metric.
+    One job per worker is what makes failure attribution exact: a dead
+    process loses exactly the job it was running, and every other worker
+    keeps its work.  Slots outlive individual ``map`` calls; ``busy_s``
+    accumulates the wall time this slot spent on successful harvests
+    within the current map, feeding the load-balance efficiency metric.
     """
 
-    __slots__ = ("pool", "item", "future", "started", "alive", "busy_s")
+    __slots__ = ("proc", "conn", "item", "started", "busy_s")
 
-    def __init__(self, pool: Optional[ProcessPoolExecutor]):
-        self.pool = pool
+    def __init__(self) -> None:
+        self.proc: Optional[multiprocessing.process.BaseProcess] = None
+        self.conn: Optional[Connection] = None
         self.item: Optional[tuple[int, Job, int]] = None  # (pos, job, attempt)
-        self.future: Optional[Future] = None
         self.started = 0.0
-        self.alive = pool is not None
         self.busy_s = 0.0
+
+    @property
+    def alive(self) -> bool:
+        return self.proc is not None
 
 
 class ParallelExecutor(Executor):
-    """Run jobs across isolated single-process worker pools.
+    """Run jobs across isolated worker processes, one job each at a time.
 
     Jobs and payloads are picklable by contract, and every job carries
     its own seed, so distributing (or retrying) work cannot change any
@@ -569,83 +580,83 @@ class ParallelExecutor(Executor):
 
     # -- pool plumbing ------------------------------------------------------
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=1, mp_context=_warm_context())
-
-    def _kill_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
-        """Tear a pool down without waiting on a possibly-stuck worker."""
-        if pool is None:
-            return
+    def _spawn(self, slot: _Slot) -> None:
+        """Start ``slot``'s worker.  Where the host refuses (no pids, no
+        descriptors) the slot stays dead and the scheduler degrades."""
+        ctx = _context()
         try:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.terminate()
-                except Exception:  # simlint: disable=E001(best-effort kill of a possibly already-dead worker)
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # simlint: disable=E001(best-effort teardown of a broken pool; nothing to salvage from it)
-            pass
+            ours, theirs = ctx.Pipe()
+            # What a fork copies and the worker must close: see _worker_main.
+            forked = ctx.get_start_method() == "fork"
+            inherited = [s.conn for s in self._slots if s.alive] + [ours]
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(theirs, inherited if forked else []),
+                daemon=True,
+            )
+            proc.start()
+        except OSError:
+            return
+        theirs.close()
+        slot.proc, slot.conn = proc, ours
+
+    def _reap(self, slot: _Slot, *, kill: bool) -> Optional[int]:
+        """Close ``slot``'s pipe and collect its worker (a kill is always
+        followed by a join: nothing stays unreaped); returns its exit
+        status.  ``kill=False``: it is dying already, let its status stand."""
+        proc, conn = slot.proc, slot.conn
+        slot.proc = slot.conn = None
+        conn.close()
+        if not kill:
+            proc.join(1.0)
+        if proc.exitcode is None:
+            proc.kill()
+        proc.join()
+        return proc.exitcode
 
     def _ensure_slots(self, count: int) -> list[_Slot]:
-        """The first ``count`` slots, built or revived, reset for one map.
+        """The first ``count`` slots, started or revived, reset for one map.
 
-        Live pools are reused across maps; dead or missing slots
-        get fresh pools (forked from the warm template, so a revival is
-        cheap) without charging the per-map rebuild budget — that budget
-        meters *crash* recovery, not startup.
+        Live workers are reused across maps; dead or missing ones are
+        started (a fork: milliseconds) without charging the per-map
+        rebuild budget — that budget meters *crash* recovery, not startup.
         """
         while len(self._slots) < count:
-            self._slots.append(_Slot(None))
+            self._slots.append(_Slot())
         slots = self._slots[:count]
         for slot in slots:
-            slot.item = None
-            slot.future = None
             slot.busy_s = 0.0
-            if slot.pool is None or not slot.alive:
-                try:
-                    slot.pool = self._new_pool()
-                    slot.alive = True
-                except Exception:  # simlint: disable=E001(pool creation may fail on a sick host; the slot stays dead and the scheduler degrades)
-                    slot.pool = None
-                    slot.alive = False
+            if not slot.alive:
+                self._spawn(slot)
         return slots
 
     def close(self) -> None:
-        """Tear down every held worker pool (idempotent)."""
+        """Kill and join every held worker (idempotent)."""
         slots, self._slots = self._slots, []
         for slot in slots:
-            self._kill_pool(slot.pool)
-            slot.pool = None
-            slot.alive = False
+            if slot.alive:
+                self._reap(slot, kill=True)
 
     def __del__(self):
-        # Warm pools outlive maps by design; don't leak worker processes
-        # when the executor itself is garbage-collected.
+        # Workers outlive maps by design; don't leak them when the
+        # executor itself is garbage-collected.
         if getattr(self, "_slots", None):
             self.close()
 
-    def _respawn_or_retire(self, slot: _Slot) -> None:
-        """Rebuild a slot's pool after a crash/stall, within budget."""
-        self._kill_pool(slot.pool)
-        slot.pool = None
-        slot.alive = False
-        if self._rebuilds_used >= self.max_pool_rebuilds:
-            return  # budget exhausted: the slot stays dead
-        self._rebuilds_used += 1
-        self.last_report.pool_rebuilds += 1
-        time.sleep(self.backoff_s)
-        try:
-            slot.pool = self._new_pool()
-            slot.alive = True
-        except Exception:  # simlint: disable=E001(pool respawn may fail on a sick host; the slot retires and the scheduler degrades)
-            slot.pool = None
-            slot.alive = False
+    def _respawn_or_retire(self, slot: _Slot, *, kill: bool) -> Optional[int]:
+        """Collect a slot's dead or stuck worker and, within budget,
+        start another; returns the old worker's exit status."""
+        worker_exit = self._reap(slot, kill=kill)
+        if self._rebuilds_used < self.max_pool_rebuilds:
+            self._rebuilds_used += 1
+            self.last_report.pool_rebuilds += 1
+            time.sleep(self.backoff_s)
+            self._spawn(slot)
+        return worker_exit
 
     # -- the scheduler loop -------------------------------------------------
 
     def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
-        if not jobs:
-            return
         report = self.last_report
         plain = self._fault_text is None and self.job_timeout is None
         if plain and (self.workers == 1 or len(jobs) <= 1):
@@ -691,13 +702,15 @@ class ParallelExecutor(Executor):
                         self._degrade(queue, complete)
                         return
                     continue  # a submit just failed; loop re-fills
-                waitmap = {slot.future: slot for slot in busy}
                 timeout = None
                 if self.job_timeout is not None:
                     deadline = min(slot.started for slot in busy) + self.job_timeout
                     timeout = max(0.0, deadline - time.monotonic())
-                done, _ = wait(
-                    list(waitmap), timeout=timeout, return_when=FIRST_COMPLETED
+                # A reply makes a pipe readable; so does EOF, which — like
+                # a fired sentinel — before a reply *is* the crash.
+                ready = wait(
+                    [w for slot in busy for w in (slot.conn, slot.proc.sentinel)],
+                    timeout,
                 )
                 now = time.monotonic()
                 # Harvest in slot order (not set order), and harvest the
@@ -706,7 +719,7 @@ class ParallelExecutor(Executor):
                 # are salvaged into the cache, not dropped.
                 error: Optional[ExecutionError] = None
                 for slot in busy:
-                    if slot.future is None or slot.future not in done:
+                    if slot.conn not in ready and slot.proc.sentinel not in ready:
                         continue
                     try:
                         self._harvest(slot, queue, complete, now)
@@ -720,12 +733,17 @@ class ParallelExecutor(Executor):
                     for slot in busy:
                         if (
                             slot.item is not None
-                            and slot.future is not None
-                            and not slot.future.done()
                             and now - slot.started >= self.job_timeout
+                            and not slot.conn.poll()
                         ):
                             self._expire(slot, queue)
         finally:
+            for slot in slots:
+                if slot.item is not None:
+                    # Left mid-job by a failure or an interrupt: its late
+                    # reply must not answer a later map's request.
+                    slot.item = None
+                    self._reap(slot, kill=True)
             busy_times = [slot.busy_s for slot in slots]
             if any(busy_times):
                 mean = sum(busy_times) / len(busy_times)
@@ -734,45 +752,65 @@ class ParallelExecutor(Executor):
     def _submit(self, slot: _Slot, queue: deque) -> None:
         pos, jb, attempt = queue.popleft()
         try:
-            future = slot.pool.submit(_pool_run, jb, pos, attempt, self._fault_text)
-        except Exception:  # simlint: disable=E001(the pool can die between harvest and submit; the job is requeued untouched)
-            # The pool died between harvest and submit: put the job back
-            # untouched (it never ran) and rebuild or retire the slot.
+            slot.conn.send((jb, pos, attempt, self._fault_text))
+        except OSError:
+            # The worker died idle, between harvest and submit: put the
+            # job back untouched (it never ran) and respawn or retire.
             queue.appendleft((pos, jb, attempt))
-            self._respawn_or_retire(slot)
+            self._respawn_or_retire(slot, kill=False)
             return
         slot.item = (pos, jb, attempt)
-        slot.future = future
         slot.started = time.monotonic()
+
+    def _receive(self, slot: _Slot) -> Optional[tuple[bool, Any]]:
+        """The ``(ok, reply)`` waiting on ``slot``'s pipe, or ``None`` when
+        there is nothing to read but EOF: the worker died under its job."""
+        try:
+            if slot.conn.poll():
+                return slot.conn.recv()
+        except (EOFError, OSError):
+            pass
+        except Exception as exc:  # simlint: disable=E001(a reply that does not unpickle enters the bounded retry path like any worker exception)
+            return False, exc
+        return None
 
     def _harvest(
         self, slot: _Slot, queue: deque, complete: Callable, now: float
     ) -> None:
         pos, jb, attempt = slot.item
-        wall_s = now - slot.started
-        future, slot.item, slot.future = slot.future, None, None
-        try:
-            value_text, trace_text, worker_pid = future.result()
-        except BrokenProcessPool:
-            # Exactly this slot's job was lost; rebuild the slot (within
+        answer = self._receive(slot)
+        if answer is not None and answer[0]:
+            self._deliver(slot, answer[1], now, complete)
+            return
+        slot.item = None
+        if answer is None:
+            # Exactly this slot's job was lost; respawn the worker (within
             # budget) and retry the job.  Crash retries are bounded by the
             # rebuild budget, not max_retries: when the budget runs out
             # every slot dies and the scheduler degrades to serial.
             self.last_report.retries += 1
             queue.appendleft((pos, jb, attempt + 1))
-            self._respawn_or_retire(slot)
-        except Exception as exc:  # simlint: disable=E001(worker exception enters the bounded retry path; exhaustion raises ExecutionError)
-            self._retry_or_fail(queue, pos, jb, attempt, exc)
+            self._worker_exits[pos] = self._respawn_or_retire(slot, kill=False)
         else:
-            slot.busy_s += wall_s
-            complete(
-                pos,
-                value_text,
-                trace_text,
-                attempts=attempt,
-                worker_pid=worker_pid,
-                wall_s=wall_s,
-            )
+            self._retry_or_fail(queue, pos, jb, attempt, answer[1])
+
+    def _deliver(
+        self, slot: _Slot, reply: tuple, now: float, complete: Callable
+    ) -> None:
+        """``slot``'s job succeeded: free the slot, complete the job."""
+        pos, _, attempt = slot.item
+        slot.item = None
+        value_text, trace_text, worker_pid = reply
+        wall_s = now - slot.started
+        slot.busy_s += wall_s
+        complete(
+            pos,
+            value_text,
+            trace_text,
+            attempts=attempt,
+            worker_pid=worker_pid,
+            wall_s=wall_s,
+        )
 
     def _drain(self, slots: Sequence[_Slot], complete: Callable) -> None:
         """A terminal failure is about to propagate: give in-flight
@@ -782,80 +820,42 @@ class ParallelExecutor(Executor):
         slot in the same scheduler tick as the fatal failure would be
         discarded — and recomputed on the next run — purely by race.
         Worker errors here are ignored: the primary failure already owns
-        the traceback.
+        the traceback (``_execute`` kills whatever is still busy after).
         """
-        busy = [slot for slot in slots if slot.future is not None]
-        if not busy:
-            return
-        timeout = self.job_timeout if self.job_timeout is not None else 5.0
-        wait([slot.future for slot in busy], timeout=timeout)
+        busy = [slot for slot in slots if slot.item is not None]
+        waiting = [slot.conn for slot in busy]
+        deadline = time.monotonic() + (
+            self.job_timeout if self.job_timeout is not None else 5.0
+        )
+        while waiting:
+            ready = wait(waiting, max(0.0, deadline - time.monotonic()))
+            if not ready:
+                break
+            waiting = [conn for conn in waiting if conn not in ready]
         now = time.monotonic()
         for slot in busy:
-            future = slot.future
-            if future is None or not future.done():
-                continue
-            pos, jb, attempt = slot.item
-            wall_s = now - slot.started
-            slot.item = None
-            slot.future = None
-            try:
-                value_text, trace_text, worker_pid = future.result()
-            except Exception:  # simlint: disable=E001(salvage-only drain; the primary ExecutionError is already propagating)
-                continue
-            slot.busy_s += wall_s
-            complete(
-                pos,
-                value_text,
-                trace_text,
-                attempts=attempt,
-                worker_pid=worker_pid,
-                wall_s=wall_s,
-            )
+            answer = None if slot.conn in waiting else self._receive(slot)
+            if answer is not None and answer[0]:
+                self._deliver(slot, answer[1], now, complete)
 
     def _expire(self, slot: _Slot, queue: deque) -> None:
         """A job outlived ``job_timeout``: kill its worker, retry or fail."""
         pos, jb, attempt = slot.item
         slot.item = None
-        slot.future = None
         self.last_report.timeouts += 1
-        self._respawn_or_retire(slot)
-        self._retry_or_fail(
-            queue,
-            pos,
-            jb,
-            attempt,
-            TimeoutError(f"job exceeded --job-timeout={self.job_timeout}s"),
-            timed_out=True,
-        )
+        self._worker_exits[pos] = self._respawn_or_retire(slot, kill=True)
+        exc = TimeoutError(f"job exceeded --job-timeout={self.job_timeout}s")
+        self._retry_or_fail(queue, pos, jb, attempt, exc, timed_out=True)
 
     def _retry_or_fail(
-        self,
-        queue: deque,
-        pos: int,
-        jb: Job,
-        attempt: int,
-        exc: BaseException,
-        *,
-        timed_out: bool = False,
+        self, queue: deque, pos: int, jb: Job, attempt: int, exc: BaseException, **flags
     ) -> None:
         if attempt <= self.max_retries:
             self.last_report.retries += 1
             time.sleep(self.backoff_s * (2 ** (attempt - 1)))
             queue.append((pos, jb, attempt + 1))
             return
-        self.last_report.failures += 1
-        self._log_job(
-            jb,
-            status="failed",
-            attempts=attempt,
-            timed_out=timed_out,
-            error=repr(exc),
-        )
-        raise ExecutionError(
-            f"job {jb!r} failed after {attempt} attempt(s): {exc!r}",
-            job=jb,
-            attempts=attempt,
-        ) from exc
+        self._fail(pos, jb, attempt, exc, **flags)
 
     def _degrade(self, queue: deque, complete: Callable) -> None:
         """Pool irrecoverable: finish the remaining jobs in-process.

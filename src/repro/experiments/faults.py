@@ -12,8 +12,9 @@ the ``REPRO_FAULT_SPEC`` environment variable::
     <action>[=seconds]:<selector>[:<when>]
 
 ``action``
-    * ``crash`` — hard-kill the worker process (``os._exit``), which the
-      parent observes as a ``BrokenProcessPool``;
+    * ``crash`` — hard-kill the worker process (``os._exit`` with
+      :data:`CRASH_EXIT_STATUS`), which the coordinator observes as EOF on
+      the worker's pipe and records as ``"worker_exit": 70``;
     * ``error`` — raise :class:`InjectedFault` (an ordinary exception,
       exercising the plain retry path);
     * ``hang[=S]`` — sleep ``S`` seconds (default 30), exercising the
@@ -55,7 +56,8 @@ from typing import Callable, Optional
 __all__ = ["FaultSpec", "InjectedFault"]
 
 #: Exit status used by ``crash`` faults; chosen from sysexits (EX_SOFTWARE)
-#: so a killed worker is distinguishable from an ordinary interpreter exit.
+#: so that in the run log's ``worker_exit`` an injected crash (70) reads
+#: apart from a ``--job-timeout`` or out-of-memory kill (-9).
 CRASH_EXIT_STATUS = 70
 
 

@@ -16,7 +16,10 @@ Record schema (``event="job"``, one per submitted job)::
      "timed_out": false,        # a per-job timeout fired for this job
      "degraded": false,         # computed in-process after pool degradation
      "worker_pid": 4242,        # pid that produced the payload (null if none)
-     "wall_s": 1.234}           # wall-clock of the successful attempt
+     "wall_s": 1.234,           # wall-clock of the successful attempt
+     "worker_exit": -9}         # only on a job that lost a worker: exit status
+                                # of the last one lost (70 injected crash,
+                                # -9 --job-timeout kill or an outside SIGKILL)
 
 Plus one summary record per ``Executor.map`` call (``event="map"``) with
 the full :class:`~repro.experiments.executor.ExecutionReport` accounting

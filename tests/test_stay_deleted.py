@@ -110,6 +110,14 @@ STAY_DELETED = [
         "jobs.py imports no scenario module, so there is no cycle",
     ),
     (
+        r"forkserver|set_forkserver_preload|ProcessPoolExecutor|BrokenProcessPool"
+        r"|_WARM_PRELOAD|_warm_context|_kill_pool",
+        ("src",),
+        (),
+        "the fork server, the per-slot pool object and their threads (PR 24); "
+        "a worker is a fork of the coordinator and a pipe",
+    ),
+    (
         r"REPRO_JOB_TIMEOUT|REPRO_MAX_RETRIES|_env_number",
         ("src", "benchmarks", "examples", "bench", "tests", "docs", "README.md", ".github"),
         (),
