@@ -42,7 +42,7 @@ order — see ``docs/performance.md`` for the ablation that left these):
   worker (which returns ``(value_text, trace_text, pid)``) and in-process
   alike, so the coordinator splices the text into the cache record
   instead of re-serializing a dict, and every ``reduce`` reads a
-  ``json.loads`` of that text; with a disk cache the map's small records
+  ``json.loads`` of that text; with a disk cache the map's records
   flush as batched per-shard pack appends
   (:meth:`~repro.experiments.cache.ResultCache.flush_batch`).
 

@@ -56,7 +56,7 @@ __all__ = [
 
 #: Bump when the meaning of job payloads changes; combined with the
 #: library version it salts the on-disk result cache (see
-#: :mod:`repro.experiments.cache`), so stale blobs are never reused.
+#: :mod:`repro.experiments.cache`), so stale records are never reused.
 JOBS_SCHEMA_VERSION = 1
 
 

@@ -389,9 +389,9 @@ class TestCacheHygiene:
         assert len(cache) == 1  # real entries untouched
 
     def test_prune_removes_orphaned_traces(self, tmp_path):
-        # Regression: a trace whose result blob is gone (pruned by hand,
-        # lost to a partial clear...) lingered forever — prune() now
-        # removes it, while traces with a live result are untouched.
+        # Regression: a trace whose result entry is gone (dropped from its
+        # index, lost to a partial clear...) lingered forever — prune()
+        # now removes it, while traces with a live result are untouched.
         import dataclasses
 
         cache = ResultCache(tmp_path)
@@ -400,13 +400,35 @@ class TestCacheHygiene:
             cache.store(jb, {"ok": True})
             cache.store_trace(jb, Recorder().export_text())
         assert cache.has_trace(keep) and cache.has_trace(lose)
-        # Orphan one trace by deleting its result blob out from under it.
-        (tmp_path / cache.key(lose)[:2] / f"{cache.key(lose)}.json").unlink()
+        # Orphan one trace by dropping its key from the shard's index.
+        shard = cache.key(lose)[:2]
+        index_path = tmp_path / shard / f"{shard}.pack.idx"
+        doc = json.loads(index_path.read_text())
+        del doc["entries"][cache.key(lose)]
+        index_path.write_text(json.dumps(doc))
         fresh = ResultCache(tmp_path)
         assert fresh.prune() == 1
         assert not fresh.has_trace(lose)
         assert fresh.has_trace(keep)  # live trace untouched
         assert fresh.lookup(keep) is not MISS  # live result untouched
+
+    def test_prune_asks_the_index_on_disk(self, tmp_path):
+        # Regression: an instance that had read a shard's index before
+        # another instance flushed into it judged the other's live trace
+        # an orphan, and lookup() kept hitting a result whose trace was
+        # gone.
+        import dataclasses
+
+        jb = dataclasses.replace(JOBS()[0], trace=True)
+        stale = ResultCache(tmp_path)
+        assert stale.lookup(jb) is MISS  # reads "this shard has no entries"
+        writer = ResultCache(tmp_path)
+        writer.begin_batch()
+        writer.store(jb, {"ok": True})
+        writer.flush_batch()
+        writer.store_trace(jb, Recorder().export_text())
+        assert stale.prune() == 0
+        assert stale.has_trace(jb)
 
     def test_prune_is_noop_in_memory(self):
         assert ResultCache().prune() == 0

@@ -9,7 +9,7 @@ that make that split safe:
   fields, so Figures 4/5 (and 14/15) share cache entries;
 * parallel execution produces byte-identical tables to serial execution;
 * the cache hits on identical work, misses when the config *or* the
-  code-version salt changes, and survives corrupt blobs.
+  code-version salt changes, and survives corrupt entries.
 """
 
 from __future__ import annotations
@@ -327,9 +327,12 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         js = fig20.jobs("fast", p_values=[0.1])
         cache.store(js[0], {"ok": True})
-        blob = tmp_path / cache.key(js[0])[:2] / f"{cache.key(js[0])}.json"
-        assert blob.exists()
-        blob.write_text("{ not json !")
+        shard = cache.key(js[0])[:2]
+        pack = tmp_path / shard / f"{shard}.pack"
+        frame = pack.read_bytes()
+        # Same length, same key stamp (32 bytes + u32 length): only the
+        # record's bytes are garbage.
+        pack.write_bytes(frame[:36] + b"{ not json !".ljust(len(frame) - 36))
         assert cache.lookup(js[0]) is MISS
         executor = SerialExecutor()
         executor.map(js, cache)

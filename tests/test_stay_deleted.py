@@ -118,6 +118,13 @@ STAY_DELETED = [
         "a worker is a fork of the coordinator and a pipe",
     ),
     (
+        r"PACK_SMALL_LIMIT|def _path\(|_has_entry|_pack_read|\{key\}\.json",
+        ("src",),
+        (),
+        "the per-record blob layout, its size threshold and path helper; "
+        "every record is a key-stamped frame in its shard's pack",
+    ),
+    (
         r"REPRO_JOB_TIMEOUT|REPRO_MAX_RETRIES|_env_number",
         ("src", "benchmarks", "examples", "bench", "tests", "docs", "README.md", ".github"),
         (),

@@ -123,10 +123,10 @@ class TestCacheTraceArtifacts:
         cache = ResultCache(tmp_path)
         jb = tiny_cbr_restart_job()
         cache.store_trace(jb, EMPTY_TRACE)
-        assert len(cache) == 0  # __len__ counts result blobs only
+        assert len(cache) == 0  # __len__ counts result entries only
         cache.store(jb, {"x": 1})
         assert len(cache) == 1
-        assert cache.clear() == 1  # the blob; the trace is swept uncounted
+        assert cache.clear() == 1  # the entry; the trace is swept uncounted
         assert not cache.has_trace(jb)
 
     @pytest.mark.parametrize(
@@ -188,7 +188,7 @@ class TestExecutorTracing:
     def test_recomputes_when_trace_is_missing(self, tmp_path):
         cache = ResultCache(tmp_path)
         ex = SerialExecutor()
-        # seed the cache via an untraced run: result blob, no trace
+        # seed the cache via an untraced run: result record, no trace
         plain = ex.map([tiny_cbr_restart_job(trace=False)], cache)
         jb = tiny_cbr_restart_job(trace=True)
         assert not cache.has_trace(jb)
