@@ -9,8 +9,8 @@ This module gives those ranges first-class names:
 * :class:`Range` — a closed/open interval with a ``contains`` check;
 * ``Annotated`` aliases (:data:`Probability`, :data:`NonNegRate`,
   :data:`PositiveSeconds`, ...) that compose a :class:`repro.units.Unit`
-  with a :class:`Range`, so one annotation feeds both simlint's U-rules
-  (the unit, statically) and :func:`checked` (the range, on the floats);
+  label with a :class:`Range`, so one annotation tells a reader the unit
+  and :func:`checked` the range, which it enforces on the floats;
 * :func:`checked` — enforcement of the ranges at run time, gated by
   ``REPRO_CONTRACTS=1``.
 
@@ -113,8 +113,8 @@ class Range:
 
 # -- The contract aliases used on public signatures --------------------------
 #
-# Each alias carries a Unit (consumed by simlint's U-rules) and a Range
-# (consumed by @checked).  All are float-based, so mypy sees plain
+# Each alias carries a Unit (a label for readers) and a Range (consumed
+# by @checked).  All are float-based, so mypy sees plain
 # floats and integer arguments annotate cleanly.
 
 #: A probability or loss-event rate: ``[0, 1]``, dimensionless.

@@ -19,36 +19,26 @@ H001  content-hash stability: canonical JSON, no builtin ``hash()``,
 R001  experiment-registry consistency (modules ↔ tables ↔ scenarios)
 E001  no blind ``except`` on worker execution paths without a
       ``# simlint: disable=E001(reason)`` justification
-U001  incompatible units added, subtracted, compared, assigned or
-      returned (unit inference over ``net``/``cc``/``metrics``/
-      ``telemetry``; see :mod:`repro.units`)
-U002  bits and bytes mixed in one product without the factor-8
-      conversion
-U003  call argument unit conflicts with the parameter's declared unit
-U004  a name's unit suffix (``_s``, ``_bps``, ...) contradicts its
-      annotation
 T001  measurements kept in bare lists instead of telemetry probes
 ====  ====================================================================
 
-The U-family is a whole-program analysis built once per run and shared
-through :class:`~repro.lint.engine.LintContext`: one flow-sensitive
-walk serves all four rules.  The other families are single-pass AST
-pattern rules.  Two properties are run rather than linted: cache purity
-— a job's payload is a function of the
-:class:`~repro.experiments.jobs.Job` alone
-(``tests/test_job_purity.py``) — and the ``Range`` contracts of
+Every rule is a single-pass AST pattern rule.  Three properties are
+run rather than linted: cache purity — a job's payload is a function of
+the :class:`~repro.experiments.jobs.Job` alone
+(``tests/test_job_purity.py``); the ``Range`` contracts of
 :mod:`repro.contracts`, which ``@checked`` enforces on the floats
-themselves under ``REPRO_CONTRACTS=1`` (``docs/contracts.md``).
+themselves under ``REPRO_CONTRACTS=1`` (``docs/contracts.md``); and
+units, which the golden tables and ``tests/test_invariants.py``'s
+pacing check catch on the wire.
 
 Run ``python -m repro.lint src tests``; ``--json`` prints the
-machine-readable report.  See ``docs/linting.md``, ``docs/units.md`` and
+machine-readable report.  See ``docs/linting.md`` and
 ``docs/contracts.md``.
 """
 
 import repro.lint.rules  # noqa: F401  (importing registers every rule)
 from repro.lint.cli import main
 from repro.lint.engine import (
-    LintContext,
     LintReport,
     SourceFile,
     lint_paths,
@@ -62,7 +52,6 @@ from repro.lint.suppress import Suppression, SuppressionIndex, parse_suppression
 __all__ = [
     "Finding",
     "JSON_SCHEMA_VERSION",
-    "LintContext",
     "LintReport",
     "RULES",
     "SourceFile",

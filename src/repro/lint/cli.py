@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.lint src tests            # lint, human output
     python -m repro.lint src --json           # machine-readable report
-    python -m repro.lint src --select U001,U002
+    python -m repro.lint src --select D001,D002
     python -m repro.lint src --ignore E001
     python -m repro.lint --list-rules
     python -m repro.lint src --stats          # per-rule wall time
@@ -34,10 +34,6 @@ def _format_stats(timings: "dict[str, float]") -> str:
     for code, seconds in sorted(timings.items(), key=lambda kv: -kv[1]):
         lines.append(f"  {code}  {seconds * 1000.0:8.1f} ms")
     lines.append(f"  all  {total * 1000.0:8.1f} ms")
-    lines.append(
-        "  (a project rule that triggers a shared analysis build pays "
-        "for it; later rules reuse the cache)"
-    )
     return "\n".join(lines)
 
 
@@ -56,8 +52,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Simulator-aware static analysis: determinism, "
-        "picklability, hash stability, registry consistency, units of "
-        "measure and numeric range contracts.",
+        "picklability, hash stability, registry consistency, blind "
+        "excepts and telemetry storage.",
     )
     parser.add_argument(
         "paths",

@@ -7,10 +7,6 @@ findings through the inline-suppression index.  Rules never see the
 suppression machinery — they report everything, and the engine decides
 what the developer has justified away.
 
-Project rules share one :class:`LintContext` per run: the whole-program
-analyses (symbol tables, the unit events) are built lazily on first
-request and cached there, so the four U-rules cost one walk.
-
 Two entry points matter to callers:
 
 * :func:`lint_paths` — lint files/directories on disk (the CLI);
@@ -26,18 +22,13 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.lint.findings import Finding
 from repro.lint.registry import RULES, Rule
 from repro.lint.suppress import SuppressionIndex, parse_suppressions
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.analysis.walker import Event
-    from repro.lint.analysis.symbols import Program
-
 __all__ = [
-    "LintContext",
     "LintReport",
     "SourceFile",
     "lint_paths",
@@ -98,45 +89,6 @@ class SourceFile:
         return pathlib.PurePosixPath(self.path).stem
 
 
-class LintContext:
-    """Per-run shared state for project rules.
-
-    Whole-program analyses are expensive (symbol tables over every file,
-    the unit walk); the engine builds one context per run and
-    hands it to every project rule, which memoizes each analysis on
-    first use.
-    """
-
-    def __init__(self, files: Sequence["SourceFile"]):
-        self.files = list(files)
-        self._program: Optional["Program"] = None
-        self._contract_events: dict[tuple[str, ...], list["Event"]] = {}
-
-    @property
-    def program(self) -> "Program":
-        """The whole-program symbol index, built once."""
-        if self._program is None:
-            from repro.lint.analysis.symbols import build_program
-
-            self._program = build_program(self.files)
-        return self._program
-
-    def contract_events(self, scope: Sequence[str]) -> list["Event"]:
-        """Unit events for files inside ``scope`` packages.
-
-        One flow-sensitive walk serves all four U-rules; each rule picks
-        its own event kind out of the result.
-        """
-        key = tuple(scope)
-        if key not in self._contract_events:
-            from repro.lint.analysis.contracts import analyze_contracts
-
-            self._contract_events[key] = analyze_contracts(
-                self.program, self.files, key
-            )
-        return self._contract_events[key]
-
-
 @dataclass
 class LintReport:
     """Everything one lint run produced."""
@@ -144,9 +96,7 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Wall time spent per rule code, in seconds (``--stats``).  A
-    #: project rule that triggers a shared LintContext analysis build
-    #: pays for that build; later rules reusing the cache read ~0.
+    #: Wall time spent per rule code, in seconds (``--stats``).
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -260,12 +210,11 @@ def lint_files(
                 time.perf_counter() - started
             )
     parseable = [src for src in files if src.parse_error is None]
-    context = LintContext(parseable)
     for r in rules:
         if not r.project:
             continue
         started = time.perf_counter()
-        for finding in r.check_project(parseable, context):
+        for finding in r.check_project(parseable):
             raw.append((r, finding))
         timings[r.code] = timings.get(r.code, 0.0) + (
             time.perf_counter() - started

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from repro.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.lint.engine import LintContext, SourceFile
+    from repro.lint.engine import SourceFile
 
 __all__ = ["Rule", "RULES", "all_codes", "in_package", "resolve_codes", "rule"]
 
@@ -65,16 +65,8 @@ class Rule:
         """Per-file hook; yield findings.  Default: nothing."""
         return ()
 
-    def check_project(
-        self, files: "Sequence[SourceFile]", context: "LintContext"
-    ) -> Iterable[Finding]:
-        """Whole-tree hook for ``project = True`` rules.
-
-        ``context`` is the run's shared :class:`~repro.lint.engine.
-        LintContext`: project rules that need the whole-program analyses
-        (symbol tables, unit events) pull them from there, so four
-        rules share one expensive build instead of each re-deriving it.
-        """
+    def check_project(self, files: "Sequence[SourceFile]") -> Iterable[Finding]:
+        """Whole-tree hook for ``project = True`` rules; yield findings."""
         return ()
 
     def finding(self, src: "SourceFile", node: object, message: str) -> Finding:

@@ -7,7 +7,6 @@ from repro.lint.rules import (  # noqa: F401  (import-for-registration)
     picklability,
     registry_consistency,
     telemetry,
-    units,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "picklability",
     "registry_consistency",
     "telemetry",
-    "units",
 ]

@@ -22,7 +22,7 @@ import re
 from typing import Iterator, Optional, Sequence
 
 from repro.lint.astutil import call_name, str_const
-from repro.lint.engine import LintContext, SourceFile
+from repro.lint.engine import SourceFile
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, in_package, rule
 
@@ -71,9 +71,7 @@ class RegistryConsistencyRule(Rule):
     )
     project = True
 
-    def check_project(
-        self, files: Sequence[SourceFile], context: LintContext
-    ) -> Iterator[Finding]:
+    def check_project(self, files: Sequence[SourceFile]) -> Iterator[Finding]:
         package = [
             src for src in files if in_package(src.path, "repro/experiments")
         ]

@@ -1,9 +1,8 @@
 """Tests for the declarative contracts layer (``repro.contracts``).
 
 Covers the :class:`Range` semantics, the shape of the ``Annotated``
-aliases and the name-keyed unit table simlint derives from them, the
-``@checked`` enforcement gate, and the two properties that make run-time
-enforcement the only guard the ranges need: a census (every
+aliases, the ``@checked`` enforcement gate, and the two properties that
+make run-time enforcement the only guard the ranges need: a census (every
 ``Range``-annotated signature is wrapped when the gate is on) and a
 sweep (every closed-form function honours its ranges over all of them).
 """
@@ -24,14 +23,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro import contracts
+from repro import contracts, units
 from repro.contracts import (
     ContractViolation,
     Range,
     checked,
     contracts_enabled,
 )
-from repro.lint.analysis.contracts import ALIASES
 from tests import test_sim_engine, test_sim_engine_fastpath
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -96,26 +94,30 @@ class TestRange:
 
 
 class TestAliasTables:
-    """simlint resolves aliases by name through a table it derives from
-    the alias definitions — it must cover every alias and never disagree
-    with what ``typing.get_type_hints`` would see."""
+    """Every contract alias is a float labelled with one unit and one
+    ``Range``; the plain unit aliases carry a unit and nothing else."""
 
     def test_tables_cover_the_same_aliases(self):
-        derived = {n for n, a in ALIASES.items() if a.module == "repro.contracts"}
-        assert derived == set(CONTRACT_ALIASES)
         assert len(CONTRACT_ALIASES) == 10
-        # The plain unit aliases ride the same table.
-        assert ALIASES["Seconds"].module == "repro.units"
+        plain = [
+            name
+            for name in units.__all__
+            if typing.get_origin(getattr(units, name)) is typing.Annotated
+        ]
+        assert "Seconds" in plain
+        for name in plain:
+            metadata = typing.get_args(getattr(units, name))[1:]
+            assert [type(m) for m in metadata] == [units.Unit], name
 
     @pytest.mark.parametrize("name", CONTRACT_ALIASES)
     def test_alias_metadata_matches_tables(self, name):
         alias = getattr(contracts, name)
         metadata = typing.get_args(alias)[1:]
-        units = [m for m in metadata if type(m).__name__ == "Unit"]
+        labels = [m for m in metadata if isinstance(m, units.Unit)]
         ranges = [m for m in metadata if isinstance(m, Range)]
-        assert len(units) == 1, f"{name} must carry exactly one Unit"
+        assert len(labels) == 1, f"{name} must carry exactly one Unit"
         assert len(ranges) == 1, f"{name} must carry exactly one Range"
-        assert ALIASES[name].unit == units[0]
+        assert len(metadata) == 2, f"{name} carries more than a Unit and a Range"
 
     @pytest.mark.parametrize("name", CONTRACT_ALIASES)
     def test_aliases_are_float_based(self, name):

@@ -5,7 +5,8 @@ respawn, degrade, salvage); this file pins what the plumbing under it
 leaves behind and says — no thread in the coordinator, no live or
 unreaped child after ``close()``, no worker after a dead coordinator, the
 lost worker's exit status in the run log, an exception that does not
-pickle still an ordinary retry — and that the ``spawn`` arm is live code.
+pickle still an ordinary retry — that the ``spawn`` arm is live code, and
+that the recovery arms no fault spec can reach still recover.
 
 Whatever counts children or threads runs in a subprocess of its own, so
 pytest's other children (and executors earlier tests left to the garbage
@@ -15,6 +16,7 @@ only bound how long a failing run may take.
 
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
@@ -30,9 +32,9 @@ import pytest
 import repro
 import repro.experiments.executor as executor_module
 from repro.experiments import fig20_timeout_models as fig20
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.executor import ExecutionError, ParallelExecutor, SerialExecutor
-from repro.experiments.faults import CRASH_EXIT_STATUS, FaultSpec
+from repro.experiments.faults import CRASH_EXIT_STATUS, FaultSpec, InjectedFault
 from tests.test_scheduler_determinism import POOL_FORCING_TIMEOUT_S, _fingerprint
 
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -325,3 +327,69 @@ class TestTheSpawnArm:
         report = executor.last_report
         assert report.retries == 1 and report.pool_rebuilds == 1
         assert not report.degraded
+
+
+class TestArmsNoFaultSpecReaches:
+    """Recovery arms a ``faults.py`` spec cannot reach, because a spec
+    fires only inside a job: a worker that dies while idle, a host that
+    refuses a process, and a terminal failure while another worker is
+    still busy.  Each is reached here from outside the job, and each must
+    leave the table (or the salvage) as a clean run would."""
+
+    def test_a_worker_that_died_idle_is_replaced_before_its_job(self, serial_table):
+        executor = ParallelExecutor(2, job_timeout=POOL_FORCING_TIMEOUT_S, backoff_s=0.01)
+        try:
+            executor.map(JOBS())
+            idle = executor._slots[0].proc
+            os.kill(idle.pid, signal.SIGKILL)
+            idle.join(10.0)
+            assert idle.exitcode == -signal.SIGKILL
+            table = fig20.reduce(executor.map(JOBS())).format()
+        finally:
+            executor.close()
+        assert table == serial_table
+        report = executor.last_report
+        # The send to the dead worker failed, so its job never ran: it is
+        # put back, not retried, and the worker is replaced.
+        assert report.retries == 0 and report.pool_rebuilds == 1
+        assert not report.degraded
+
+    def test_a_host_that_refuses_a_process_degrades_to_serial(
+        self, monkeypatch, serial_table
+    ):
+        def refuse(self):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        executor = ParallelExecutor(2, job_timeout=POOL_FORCING_TIMEOUT_S)
+        try:
+            table = fig20.reduce(executor.map(JOBS())).format()
+        finally:
+            executor.close()
+        assert table == serial_table
+        report = executor.last_report
+        assert report.degraded and report.salvaged == 0
+        assert report.computed == len(JOBS())
+
+    @needs_fork
+    def test_a_terminal_failure_keeps_what_a_busy_worker_finishes(
+        self, monkeypatch, tmp_path
+    ):
+        def bind(self, position, attempt):
+            def fault(jb):
+                if position == 0:
+                    raise InjectedFault("job 0 fails for good")
+                time.sleep(1.0)  # still running when job 0's failure is read
+
+            return fault
+
+        monkeypatch.setattr(FaultSpec, "bind", bind)  # inherited by the fork
+        cache = ResultCache(tmp_path)
+        executor = ParallelExecutor(2, fault="error:*", max_retries=0, backoff_s=0.0)
+        try:
+            with pytest.raises(ExecutionError, match="fails for good"):
+                executor.map(JOBS()[:2], cache)
+        finally:
+            executor.close()
+        assert executor.last_report.salvaged == 1
+        assert cache.lookup(JOBS()[1]) is not MISS

@@ -2,23 +2,43 @@
 
 These pin down conservation laws the simulator must obey regardless of
 workload: packets are never created or duplicated by the network, link
-throughput never exceeds capacity, queues respect their bounds, and the
-congestion-control senders keep their state in legal ranges.
+throughput never exceeds capacity, queues respect their bounds, the
+congestion-control senders keep their state in legal ranges, and a
+rate-paced sender puts on the wire the rate it computed.
+
+Run as ``python -m tests.test_invariants SENDER`` this module prints that
+sender's pacing ratio; the pacing controls run it in a fresh interpreter
+on a deliberately broken copy of ``repro``.
 """
 
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc import establish, new_rap_flow, new_tcp_flow, new_tfrc_flow
+import repro
+from repro.cc import (
+    establish,
+    new_rap_flow,
+    new_tcp_flow,
+    new_tear_flow,
+    new_tfrc_flow,
+)
 from repro.cc.binomial import sqrt_rule, tcp_rule
 from repro.net import DropTailQueue, Dumbbell, Link, Packet, PeriodicDropper, QueueProbes
 from repro.net.packet import DATA
 from repro.sim import Simulator
 from repro.telemetry import CounterProbe, capture
+from repro.traffic import CbrSink, CbrSource
 
 from tests.helpers import loopback
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestNetworkConservation:
@@ -141,3 +161,98 @@ class TestConservativeRap:
             sim.run(until=40.0)
             sent[conservative] = sender.packets_sent - before
         assert sent[True] < sent[False]
+
+
+#: Sender -> (flow factory, what one 1000-byte packet counts for in the
+#: units of the sender's rate).  RAP paces in packets per second; the
+#: others in bit/s.  CBR has no rate series: its rate is the constant.
+PACED = {
+    "tfrc": (new_tfrc_flow, 8000.0),
+    "tear": (new_tear_flow, 8000.0),
+    "rap": (new_rap_flow, 1.0),
+    "cbr": (lambda sim: (CbrSource(sim, 2e6), CbrSink(sim)), 8000.0),
+}
+PACING_WINDOW = (10.0, 40.0)
+
+
+def step_integral(samples, start, end):
+    """The integral over [start, end) of a series held from each sample
+    to the next."""
+    total = 0.0
+    for (t, value), (t_next, _) in zip(samples, [*samples[1:], (end, 0.0)]):
+        lo, hi = max(t, start), min(t_next, end)
+        if hi > lo:
+            total += value * (hi - lo)
+    return total
+
+
+def pacing_ratio(name):
+    """What ``name`` put on the wire over PACING_WINDOW, over the integral
+    of its own rate across the same window (1.0 when it sends what it
+    computed)."""
+    maker, per_packet = PACED[name]
+    sim = Simulator()
+    sender, receiver = maker(sim)
+    with capture():  # the rate series is written only for a recorder
+        loopback(sim, sender, receiver, bandwidth_bps=1e8, dropper=PeriodicDropper(50))
+    start, end = PACING_WINDOW
+    sent = {}
+
+    def snapshot(t):
+        sent[t] = sender.packets_sent
+
+    for t in PACING_WINDOW:
+        sim.call_at(t, snapshot, t)
+    sender.start()
+    sim.run(until=end)
+    if isinstance(sender, CbrSource):
+        samples = [(0.0, sender.current_rate())]
+    else:
+        samples = sender.rate_trace
+    return (sent[end] - sent[start]) * per_packet / step_integral(samples, start, end)
+
+
+#: The send gap of a bit/s pacer with its bytes -> bits factor dropped.
+SEND_GAP = "self._send_timer.schedule(self.packet_size * 8.0 / self.rate_bps)"
+DROPPED_FACTOR = "self._send_timer.schedule(self.packet_size / self.rate_bps)"
+
+
+class TestPacing:
+    """A rate-paced sender's packets on the wire over a window equal the
+    integral of its own rate over that window.  This is the unit check
+    that matters for the paper's slowly-responsive senders: a bits/bytes
+    slip in the send gap moves the ratio by 8."""
+
+    @pytest.mark.parametrize("name", sorted(PACED))
+    def test_sender_puts_its_rate_on_the_wire(self, name):
+        assert pacing_ratio(name) == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("name, module", [("tfrc", "cc/tfrc.py"), ("tear", "cc/tear.py")])
+    def test_a_dropped_bit_byte_factor_in_the_send_gap_is_caught(
+        self, name, module, tmp_path
+    ):
+        broken = tmp_path / "repro"
+        shutil.copytree(
+            pathlib.Path(repro.__file__).parent,
+            broken,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        path = broken / module
+        text = path.read_text(encoding="utf-8")
+        assert text.count(SEND_GAP) == 1
+        path.write_text(text.replace(SEND_GAP, DROPPED_FACTOR), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "tests.test_invariants", name],
+            cwd=REPO,
+            env={**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{REPO}"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        # Eight times the rate it computed: far outside the 1 % bound.
+        assert float(done.stdout) == pytest.approx(8.0, rel=0.01)
+
+
+if __name__ == "__main__":
+    print(pacing_ratio(sys.argv[1]))

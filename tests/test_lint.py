@@ -366,10 +366,6 @@ class TestEngine:
             "R001",
             "E001",
             "T001",
-            "U001",
-            "U002",
-            "U003",
-            "U004",
         }
 
 
@@ -428,13 +424,13 @@ class TestCli:
 
     def test_stats_reports_per_rule_wall_time(self, tmp_path, capsys):
         # The bad tree sits in E001's scope, so both a per-file rule
-        # (E001) and a project rule (U001) accumulate wall time.
+        # (E001) and a project rule (R001) accumulate wall time.
         rc = main([str(self._bad_tree(tmp_path)), "--stats"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "per-rule wall time:" in out
         assert " ms" in out
-        for code in ("U001", "E001"):
+        for code in ("R001", "E001"):
             assert code in out
 
 

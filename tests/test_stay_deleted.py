@@ -87,6 +87,14 @@ STAY_DELETED = [
         "enforced at run time by @checked",
     ),
     (
+        r"lint[/.]analysis|contract_events|LintContext|SUFFIX_UNITS|bytes_to_bits"
+        r"|UnitArithmeticRule",
+        EVERYWHERE,
+        (),
+        "simlint's U-rules, their whole-program analysis and the unit algebra "
+        "only they read (PR 26); units are checked on the wire by TestPacing",
+    ),
+    (
         r"(CbrRestart|FlashCrowd|Oscillation|Doubling|LossPattern)Result"
         r"|run_(cbr_restart|flash_crowd|oscillation|convergence|doubling|loss_pattern)"
         r"|cbr_restart_payload|oscillation_payload|_split_trace|__trace__|shipped=",
@@ -170,5 +178,6 @@ def test_deleted_names_do_not_come_back(pattern, roots, exempt, reason):
 
 
 def test_a_deleted_rule_code_is_an_unknown_code(capsys):
-    assert main(["--select", "I001", "src"]) == 2
-    assert "unknown rule code" in capsys.readouterr().err
+    for code in ("I001", "U001"):
+        assert main(["--select", code, "src"]) == 2
+        assert "unknown rule code" in capsys.readouterr().err
