@@ -52,16 +52,16 @@ def executor():
 
 
 @pytest.fixture(scope="session")
-def result_cache():
+def result_cache(tmp_path_factory):
     """Content-addressed job-result cache shared across the session.
 
-    In-memory by default; point ``REPRO_CACHE_DIR`` at a directory to
-    persist results across benchmark runs.
+    A fresh session directory by default; point ``REPRO_CACHE_DIR`` at a
+    directory to persist results across benchmark runs.
     """
     from repro.experiments.cache import ResultCache
 
     cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    return ResultCache(pathlib.Path(cache_dir)) if cache_dir else ResultCache()
+    return ResultCache(cache_dir or tmp_path_factory.mktemp("result-cache"))
 
 
 @pytest.fixture(scope="session")

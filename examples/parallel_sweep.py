@@ -11,16 +11,16 @@ changing a single number in the output table.
 This example regenerates Figure 10 (convergence time for two TCP(b)
 flows) three ways and shows they agree exactly:
 
-1. serially, cold;
+1. in this process, cold;
 2. in parallel across worker processes, cold (byte-identical table);
-3. serially again against the warm cache (zero simulations run).
+3. in this process again against the warm cache (zero simulations run).
 
 Runs in well under a minute at the fast scale.
 """
 
 import tempfile
 
-from repro.experiments import ParallelExecutor, ResultCache, SerialExecutor, run_figure
+from repro.experiments import Executor, ResultCache, run_figure
 
 OVERRIDES = dict(bs=[0.5, 0.25, 0.125])
 
@@ -29,20 +29,17 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
         cache = ResultCache(cache_dir)
 
-        serial = SerialExecutor()
+        serial = Executor()  # zero workers: every job runs here
         table_serial = run_figure("fig10", executor=serial, **OVERRIDES)
         print(f"Figure 10 sweep: {serial.last_report.jobs} jobs "
               f"(one per (b, seed) pair, each with a stable content hash)")
         print("\n--- serial, no cache ---")
         print(table_serial.format())
 
-        parallel = ParallelExecutor(workers=2)
-        try:
+        with Executor(2) as parallel:
             table_parallel = run_figure(
                 "fig10", executor=parallel, cache=cache, **OVERRIDES
             )
-        finally:
-            parallel.close()
         report = parallel.last_report
         print("\n--- parallel (2 workers), populating the cache ---")
         print(f"computed {report.computed} of {report.jobs} jobs in parallel")

@@ -326,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         executor.close()  # kill and join the workers
     if len(names) > 1:
-        where = "off" if cache is None else str(cache.root or "memory")
+        where = "off" if cache is None else str(cache.root)
         extras = ""
         if total_retries:
             extras += f", {total_retries} retried"
@@ -382,6 +382,12 @@ def _trace_command(args, runnable) -> int:
     from repro.experiments.replay import replay_job
     from repro.telemetry.trace import TraceReader
 
+    if args.channel is not None and args.job is None:
+        print("trace: --channel needs --job", file=sys.stderr)
+        return 2
+    if args.out is not None and not args.replay:
+        print("trace: --out needs --replay", file=sys.stderr)
+        return 2
     module = runnable[args.figure]
     cache = ResultCache(args.cache_dir if args.cache_dir else default_cache_dir())
     jobs = module.jobs(args.scale)

@@ -8,9 +8,9 @@ CLI, the benchmark harness and the tests all go through it.
 
 Every figure module is the declarative pair underneath:
 ``jobs(scale) -> list[Job]`` describes the simulation points and
-``reduce(results) -> Table`` formats them, so work can be executed
-serially, across a process pool (:class:`ParallelExecutor`) and/or
-against the content-addressed :class:`ResultCache`.  Importing this
+``reduce(results) -> Table`` formats them, so work can be executed in
+process or across worker processes (:class:`Executor`) and/or against
+the content-addressed :class:`ResultCache`.  Importing this
 package imports every module that registers a ``@scenario``, so a worker
 that unpickles a :class:`Job` has the whole registry.
 """
@@ -54,9 +54,6 @@ from repro.experiments.executor import (
     ExecutionReport,
     Executor,
     JobResult,
-    ParallelExecutor,
-    SerialExecutor,
-    execute,
     make_executor,
 )
 from repro.experiments.faults import FaultSpec, InjectedFault
@@ -143,8 +140,8 @@ def run_figure(
 ) -> Table:
     """Regenerate one figure (or extension) table, by registry name.
 
-    ``module.jobs(scale, **overrides)`` -> ``executor.map`` (serial when
-    ``executor`` is None) -> ``module.reduce``.  ``trace=True`` also
+    ``module.jobs(scale, **overrides)`` -> ``executor.map`` (in process
+    when ``executor`` is None) -> ``module.reduce``.  ``trace=True`` also
     records a telemetry trace per job, stored beside its cached result.
     ``executor.last_report`` holds the run's accounting afterwards.
     """
@@ -159,7 +156,7 @@ def run_figure(
     job_list = module.jobs(scale, **overrides)
     if trace:
         job_list = [dataclasses.replace(jb, trace=True) for jb in job_list]
-    return module.reduce(execute(job_list, executor, cache))
+    return module.reduce((executor or Executor()).map(job_list, cache))
 
 
 __all__ = [
@@ -180,15 +177,12 @@ __all__ = [
     "JobResult",
     "LossPatternConfig",
     "OscillationConfig",
-    "ParallelExecutor",
     "Protocol",
     "ResultCache",
     "RunLog",
-    "SerialExecutor",
     "TRACE_NEEDS_CACHE",
     "Table",
     "default_cache_dir",
-    "execute",
     "execute_job",
     "iiad",
     "job",

@@ -12,9 +12,6 @@ simulations: every job is answered from disk and only the (cheap) reduce
 stage runs.  Hit/miss/store accounting is kept on :attr:`ResultCache.stats`
 and surfaced by the CLI.
 
-The cache also runs in memory-only mode (``root=None``) — used by the
-benchmark harness to share sweeps between figures within one session.
-
 There is one layout on disk.  Key ``ab…`` belongs to shard ``ab``, and
 every record of a shard is a *frame* in the shard's pack
 ``root/ab/ab.pack``::
@@ -37,7 +34,9 @@ the index as it is on disk at that moment.  Processes sharing a cache
 directory therefore never read each other's payloads; an entry lost to a
 simultaneous index replace is a miss.  Bytes no index references (a
 flush killed between its write and its index) are inert: the next flush
-appends after them.
+appends after them.  So is every other file in a shard — ``*.tmp`` left
+by an interrupted write, a ``<key>.json`` of an older layout — because
+nothing ever reads it.
 """
 
 from __future__ import annotations
@@ -46,10 +45,8 @@ import hashlib
 import json
 import os
 import pathlib
-import shutil
 import struct
 import tempfile
-import time
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -94,16 +91,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
 
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.stores)
-
-    def since(self, earlier: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            self.hits - earlier.hits,
-            self.misses - earlier.misses,
-            self.stores - earlier.stores,
-        )
-
     def __str__(self) -> str:
         return f"{self.hits} hits, {self.misses} misses, {self.stores} stores"
 
@@ -113,8 +100,8 @@ def _atomic_write_text(path: str, text: str) -> None:
 
     The text goes to a ``<name>*.tmp`` sibling first and is renamed over
     ``path``; a failed write removes its tmp file before re-raising, and
-    a killed process leaves only ``*.tmp`` litter for ``prune()`` and
-    ``clear()`` to sweep — never a torn file.  The folder must exist.
+    a killed process leaves only inert ``*.tmp`` litter — never a torn
+    file.  The folder must exist.
     """
     folder, name = os.path.split(path)
     fd, tmp = tempfile.mkstemp(dir=folder, prefix=name, suffix=".tmp")
@@ -140,25 +127,17 @@ def _is_current_trace(header_line: str) -> bool:
 
 
 class ResultCache:
-    """Content-addressed store of JSON job payloads.
-
-    ``root=None`` keeps everything in memory (no files touched); a path
-    persists records as frames of per-shard packs under ``root`` (see the
-    module docstring for the layout and what concurrent runs may see).
+    """Content-addressed store of JSON job payloads under ``root``, as
+    frames of per-shard packs (see the module docstring for the layout
+    and what concurrent runs may see).
     """
 
-    def __init__(
-        self,
-        root: Union[str, os.PathLike, None] = None,
-        salt: Optional[str] = None,
-    ):
-        self.root = pathlib.Path(root) if root is not None else None
+    def __init__(self, root: Union[str, os.PathLike], salt: Optional[str] = None):
+        self.root = pathlib.Path(root)
         #: ``root`` as a plain string: the per-job paths are built from it.
-        self._dir = str(self.root) if self.root is not None else None
+        self._dir = str(self.root)
         self.salt = salt if salt is not None else default_salt()
         self.stats = CacheStats()
-        self._memory: dict[str, str] = {}
-        self._memory_traces: dict[str, str] = {}
         #: Active batch buffer (key -> record text), or None outside a batch.
         self._batch: Optional[dict[str, str]] = None
         #: Pack indexes read so far, one dict (key -> [frame offset,
@@ -179,12 +158,9 @@ class ResultCache:
     def _trace_file(self, key: str) -> str:
         return self._file(key[:2], key + _TRACE_SUFFIX)
 
-    def trace_path(self, jb: Job) -> Optional[pathlib.Path]:
-        """Where ``jb``'s trace artifact lives on disk (None in memory mode)."""
-        if self._dir is None:
-            return None
-        key = self.key(jb)
-        return pathlib.Path(self._trace_file(key))
+    def trace_path(self, jb: Job) -> pathlib.Path:
+        """Where ``jb``'s trace artifact lives on disk."""
+        return pathlib.Path(self._trace_file(self.key(jb)))
 
     # -- lookup / store -----------------------------------------------------
 
@@ -208,8 +184,6 @@ class ResultCache:
 
     def _record(self, key: str) -> Optional[str]:
         """The stored record text for ``key``, or None."""
-        if self._dir is None:
-            return self._memory.get(key)
         if self._batch:
             text = self._batch.get(key)
             if text is not None:
@@ -266,9 +240,7 @@ class ResultCache:
         salt_text = json.dumps(self.salt, sort_keys=True)
         text = f'{{"job": {job_text}, "salt": {salt_text}, "value": {value_text}}}'
         key = self.key(jb)
-        if self._dir is None:
-            self._memory[key] = text
-        elif self._batch is not None:
+        if self._batch is not None:
             self._batch[key] = text
         else:
             self._append(key[:2], [(key, text)])
@@ -281,18 +253,10 @@ class ResultCache:
     # buffers them and flushes each shard's records as one append to its
     # pack plus one index replace, instead of one write per record.
 
-    def begin_batch(self) -> bool:
-        """Start buffering stores; True when batching is active.
-
-        No-op (returns False) for in-memory caches, where a store is
-        already just a dict insert.  Re-entrant calls keep the current
-        buffer.
-        """
-        if self._dir is None:
-            return False
+    def begin_batch(self) -> None:
+        """Start buffering stores; a re-entrant call keeps the buffer."""
         if self._batch is None:
             self._batch = {}
-        return True
 
     def flush_batch(self) -> int:
         """Write buffered records to their shards' packs; returns the count."""
@@ -357,131 +321,42 @@ class ResultCache:
     # Only a trace TraceReader can load counts as stored: a file whose
     # header declares another schema (left by an older version under the
     # same salt) is absent to has_trace()/load_trace(), so the next traced
-    # run re-records over it and no second reader is kept for it.  The
-    # orphan sweep in prune() still matches on the suffix alone.
+    # run re-records over it and no second reader is kept for it.
 
     def store_trace(self, jb: Job, text: str) -> None:
         """Persist the JSONL trace for ``jb`` next to its result record."""
         key = self.key(jb)
-        if self._dir is None:
-            self._memory_traces[key] = text
-            return
         os.makedirs(f"{self._dir}/{key[:2]}", exist_ok=True)
         _atomic_write_text(self._trace_file(key), text)
 
     def load_trace(self, jb: Job) -> Optional[str]:
         """The stored current-schema JSONL trace for ``jb``, or None."""
-        key = self.key(jb)
-        if self._dir is None:
-            text = self._memory_traces.get(key)
-        else:
-            try:
-                with open(self._trace_file(key), encoding="utf-8") as handle:
-                    text = handle.read()
-            except (OSError, ValueError):  # unreadable or not text
-                text = None
-        # The header is the first line; slicing it off copies no samples.
-        if text is None or not _is_current_trace(text[: text.find("\n") + 1]):
+        try:
+            with open(self._trace_file(self.key(jb)), encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, ValueError):  # unreadable or not text
             return None
-        return text
+        # The header is the first line; slicing it off copies no samples.
+        return text if _is_current_trace(text[: text.find("\n") + 1]) else None
 
     def has_trace(self, jb: Job) -> bool:
         """True when a current-schema trace artifact exists for ``jb``."""
-        if self._dir is None:
-            return self.load_trace(jb) is not None
-        key = self.key(jb)
         try:
-            with open(self._trace_file(key), encoding="utf-8") as handle:
+            with open(self._trace_file(self.key(jb)), encoding="utf-8") as handle:
                 return _is_current_trace(handle.readline())
         except (OSError, ValueError):
             return False
 
-    # -- maintenance --------------------------------------------------------
-
-    def _shards(self) -> list[str]:
-        """The shard directories under ``root`` (none when it is absent)."""
-        try:
-            with os.scandir(self._dir) as entries:
-                return [e.name for e in entries if len(e.name) == 2 and e.is_dir()]
-        except OSError:
-            return []
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many entries were removed.
-
-        Each shard directory goes whole — pack, index, traces, ``*.tmp``
-        litter of interrupted writes, files of older layouts — so litter
-        never accumulates.  Only indexed entries are counted.
-        """
-        if self._dir is None:
-            count = len(self._memory)
-            self._memory.clear()
-            self._memory_traces.clear()
-            return count
-        self._batch = None
-        self._indexes = {}
-        count = 0
-        for shard in self._shards():
-            count += len(self._read_index(shard))
-            shutil.rmtree(f"{self._dir}/{shard}", ignore_errors=True)
-        return count
-
-    def prune(self, max_age_s: float = 86400.0) -> int:
-        """Remove litter; returns the number of files deleted.
-
-        Litter is three kinds of file, judged against each shard's index
-        as it is on disk now (another instance may have flushed since
-        this one read it):
-
-        * a ``*.tmp`` file older than ``max_age_s`` seconds, stranded by
-          an interrupted write (a recent one may belong to a concurrent
-          writer mid-store, so it stays);
-        * a ``<key>.trace.jsonl`` whose key is in neither the index nor
-          the active batch — ``lookup`` will recompute that job anyway,
-          re-storing both artifacts;
-        * a ``<key>.json`` blob, the per-record file of an older layout,
-          which nothing reads.
-
-        Empty shard directories are removed too.  No-op for in-memory
-        caches.
-        """
-        if self._dir is None:
-            return 0
-        cutoff = time.time() - max_age_s  # simlint: disable=D002(tmp-file ages are wall-clock by nature; never feeds a table)
-        removed = 0
-        for shard in self._shards():
-            folder = f"{self._dir}/{shard}"
-            live = self._read_index(shard).keys() | (self._batch or {}).keys()
-            try:
-                names = os.listdir(folder)
-            except OSError:  # removed by a concurrent clear()
-                continue
-            for name in names:
-                path = f"{folder}/{name}"
-                try:
-                    if name.endswith(_TRACE_SUFFIX):
-                        litter = name[: -len(_TRACE_SUFFIX)] not in live
-                    elif name.endswith(".tmp"):
-                        litter = os.stat(path).st_mtime <= cutoff
-                    else:
-                        litter = name.endswith(".json")
-                    if litter:
-                        os.unlink(path)
-                        removed += 1
-                except OSError:  # gone already: renamed or swept by another process
-                    pass
-            try:
-                os.rmdir(folder)  # only succeeds when empty
-            except OSError:
-                pass
-        return removed
+    # -- counting -----------------------------------------------------------
 
     def __len__(self) -> int:
         """Number of indexed entries; litter is never counted."""
-        if self._dir is None:
-            return len(self._memory)
-        return sum(len(self._read_index(shard)) for shard in self._shards())
+        try:
+            with os.scandir(self._dir) as entries:
+                shards = [e.name for e in entries if len(e.name) == 2 and e.is_dir()]
+        except OSError:  # no root yet
+            return 0
+        return sum(len(self._read_index(shard)) for shard in shards)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = self._dir if self._dir is not None else "memory"
-        return f"<ResultCache {where} [{self.stats}]>"
+        return f"<ResultCache {self._dir} [{self.stats}]>"

@@ -1,15 +1,17 @@
-"""Fault-tolerant, throughput-oriented job executors: serial and parallel.
+"""The fault-tolerant, throughput-oriented job executor.
 
-Executors take a list of :class:`~repro.experiments.jobs.Job` and return
-:class:`JobResult` objects **in job order**, regardless of completion
-order, so a parallel run's tables are byte-identical to a serial run's.
+:class:`Executor` takes a list of :class:`~repro.experiments.jobs.Job` and
+returns :class:`JobResult` objects **in job order**, regardless of
+completion order, so a parallel run's tables are byte-identical to a
+serial run's.  ``Executor(0)`` runs every job in this process;
+``Executor(n)`` has ``n`` worker processes.
 
-The execution pipeline, shared by all executors:
+The execution pipeline:
 
 1. answer what it can from the (optional) content-addressed cache;
 2. deduplicate the remaining jobs by content hash (two figures asking for
    the same simulation point compute it once);
-3. run the unique misses — serially, or across isolated worker
+3. run the unique misses — in this process, or across isolated worker
    processes — storing each result into the cache *the moment it
    completes*;
 4. fan results out to every position that asked for them.
@@ -22,20 +24,17 @@ retries safe — re-running a job can only reproduce the identical payload.
 Throughput (one configuration, no modes; jobs execute in submission
 order — see ``docs/performance.md`` for the ablation that left these):
 
-* **inline fast path** — a :class:`~repro.experiments.costmodel.
-  CostModel` predicts each job's wall seconds (static seeds, refined by
-  an in-memory EWMA of what this executor has observed) and jobs
-  predicted at or under :data:`INLINE_THRESHOLD_S` (closed-form analysis
-  figures: microseconds) run in the coordinating process instead of
-  paying a pool round-trip, when no fault injection or per-job timeout
-  needs worker isolation.
+* **one in-process loop** — :meth:`Executor._run_here` runs every job
+  the coordinator runs itself: all of them with zero workers, the jobs a
+  worker would buy nothing for (the inline fast path, which asks a
+  :class:`~repro.experiments.costmodel.CostModel`) and a degraded pool's.
 * **a worker is a fork of the coordinator and a pipe** — a slot is one
   ``multiprocessing.Process`` in :func:`_worker_main` plus this end of
   one duplex pipe.  A fork has ``repro`` and the scenario registry
   imported already, so a slot (or a crash respawn) costs milliseconds,
   and the coordinator starts no thread: it waits on the busy slots'
   pipes and sentinels.  Slots persist across ``map`` calls until
-  :meth:`ParallelExecutor.close` kills *and joins* them.  Platforms
+  :meth:`Executor.close` kills *and joins* them.  Platforms
   without fork run the same code on ``spawn``.
 * **a result is text** — :func:`~repro.experiments.jobs.run_job` dumps a
   payload once, to the *canonical JSON text* the cache stores, in a
@@ -46,7 +45,7 @@ order — see ``docs/performance.md`` for the ablation that left these):
   flush as batched per-shard pack appends
   (:meth:`~repro.experiments.cache.ResultCache.flush_batch`).
 
-Fault tolerance (the parallel executor, unchanged semantics):
+Fault tolerance:
 
 * each slot has **one** job in flight, so one crashed worker (EOF on
   its pipe, or its sentinel, before a reply) takes down exactly that
@@ -54,11 +53,12 @@ Fault tolerance (the parallel executor, unchanged semantics):
   while every other worker keeps computing, and the run log keeps the
   lost worker's exit status (``worker_exit``);
 * ordinary exceptions and per-job timeouts (``job_timeout``) are retried
-  up to ``max_retries`` times with exponential backoff; a stuck worker is
-  killed, joined and its slot respawned;
-* when the pool is irrecoverable (the rebuild budget is exhausted), the
-  executor **degrades to in-process serial execution** for the remaining
-  jobs rather than failing the run;
+  with exponential backoff while a job's attempt number is at most
+  ``max_retries``, in a worker and in this process alike; a stuck worker
+  is killed, joined and its slot respawned;
+* when the pool is irrecoverable (its rebuild budget, ``workers + 2``
+  per map, is spent), the executor **degrades to in-process execution**
+  for the remaining jobs rather than failing the run;
 * completed results always flow into the cache *before* any failure
   propagates, so no simulation is ever computed twice — a rerun after a
   hard failure answers the salvaged jobs from the cache.  Batched pack
@@ -86,7 +86,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.costmodel import CostModel
@@ -99,9 +99,6 @@ __all__ = [
     "ExecutionReport",
     "Executor",
     "JobResult",
-    "ParallelExecutor",
-    "SerialExecutor",
-    "execute",
     "make_executor",
 ]
 
@@ -190,11 +187,8 @@ def _pool_run(
     inside the worker process — so a ``crash`` fault can only ever kill a
     worker, never the coordinating process.
     """
-    fault = None
-    if fault_text:
-        spec = FaultSpec.parse(fault_text)
-        if spec is not None:
-            fault = spec.bind(position, attempt)
+    spec = FaultSpec.parse(fault_text)
+    fault = spec.bind(position, attempt) if spec is not None else None
     return (*run_job(jb, fault), os.getpid())
 
 
@@ -228,21 +222,41 @@ def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
             conn.send((False, RuntimeError(repr(reply[1]))))
 
 
-class Executor:
-    """Base executor: caching, dedup, ordering, retries and telemetry.
+class _Slot:
+    """One isolated worker: a process, the coordinator's end of its pipe
+    and the one job it has in flight.
 
-    Subclasses implement :meth:`_execute`, which runs the deduplicated
-    batch and reports each completion through a callback — streaming, so
-    completed results reach the cache even if a later job fails.
+    One job per worker is what makes failure attribution exact: a dead
+    process loses exactly the job it was running, and every other worker
+    keeps its work.  Slots outlive individual ``map`` calls; ``busy_s``
+    accumulates the wall time this slot spent on successful harvests
+    within the current map, feeding the load-balance efficiency metric.
     """
 
-    workers: int = 1
-    #: Declared on the class and initialized in ``__init__`` so it is
-    #: always readable, even before the first ``map`` call.
-    last_report: ExecutionReport
+    __slots__ = ("proc", "conn", "item", "started", "busy_s")
+
+    def __init__(self) -> None:
+        self.proc: Optional[multiprocessing.process.BaseProcess] = None
+        self.conn: Optional[Connection] = None
+        self.item: Optional[tuple[int, Job, int]] = None  # (pos, job, attempt)
+        self.started = 0.0
+        self.busy_s = 0.0
+
+    @property
+    def alive(self) -> bool:
+        return self.proc is not None
+
+
+class Executor:
+    """Caching, dedup, ordering, retries and telemetry around ``run_job``.
+
+    ``workers=0`` runs every job in this process; ``workers >= 1`` keeps
+    that many isolated worker processes, one job each at a time.
+    """
 
     def __init__(
         self,
+        workers: int = 0,
         *,
         job_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
@@ -251,6 +265,11 @@ class Executor:
         fault: Optional[str] = None,
         cost_model: Optional[CostModel] = None,
     ):
+        self._slots: list[_Slot] = []
+        self._owned_log: Optional[RunLog] = None
+        if workers < 0:
+            raise ValueError(f"need zero or more workers, got {workers}")
+        self.workers = workers
         # ``not > 0`` rather than ``<= 0``: NaN would never fire, and a
         # zero or negative timeout expires every job as it is submitted.
         if job_timeout is not None and not job_timeout > 0:
@@ -260,21 +279,23 @@ class Executor:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         self.backoff_s = backoff_s if backoff_s is not None else DEFAULT_BACKOFF_S
-        if run_log is None:
-            env_log = os.environ.get("REPRO_RUN_LOG", "").strip()
-            run_log = env_log or None
-        self.run_log = (
-            run_log if isinstance(run_log, RunLog) or run_log is None else RunLog(run_log)
-        )
         fault_text = fault if fault is not None else os.environ.get("REPRO_FAULT_SPEC")
         FaultSpec.parse(fault_text)  # validate eagerly: fail fast on typos
         self._fault_text = (fault_text or "").strip() or None
         self.cost_model = cost_model if cost_model is not None else CostModel()
+        if run_log is None:
+            run_log = os.environ.get("REPRO_RUN_LOG", "").strip() or None
+        if run_log is not None and not isinstance(run_log, RunLog):
+            # Built here from a path, so closed here too: see close().
+            run_log = self._owned_log = RunLog(run_log)
+        self.run_log = run_log
+        #: Accounting for the last ``map``; readable before the first one.
         self.last_report = ExecutionReport()
         # Per-map scratch: results so far (read by degrade/salvage) and,
         # by position, the exit status of the last worker lost on a job.
         self._completed_count = 0
         self._worker_exits: dict[int, Optional[int]] = {}
+        self._rebuilds_used = 0
 
     # -- the pipeline -------------------------------------------------------
 
@@ -334,8 +355,7 @@ class Executor:
                 value = cache.store_text(jb, value_text)
                 if trace_text is not None:
                     cache.store_trace(jb, trace_text)
-                    stored_at = cache.trace_path(jb)
-                    trace_path = str(stored_at) if stored_at is not None else None
+                    trace_path = str(cache.trace_path(jb))
                 report.store_s += time.monotonic() - store_started
             else:
                 transport_started = time.monotonic()
@@ -357,7 +377,8 @@ class Executor:
                 worker_exit=self._worker_exits.get(pos),
             )
 
-        batching = cache is not None and cache.begin_batch()
+        if cache is not None:
+            cache.begin_batch()
         execute_started = time.monotonic()
         try:
             self._execute([jb for _, jb in unique], complete)
@@ -365,7 +386,7 @@ class Executor:
             report.salvaged = len(outcomes)
             raise
         finally:
-            if batching:
+            if cache is not None:
                 # Flush *before* any failure propagates: salvage means the
                 # packed records of everything that completed are durable.
                 flush_started = time.monotonic()
@@ -394,49 +415,49 @@ class Executor:
         ]
 
     def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
-        """Run the deduplicated batch; call ``complete(pos, value_text,
-        trace_text, ...)`` for each job as it finishes.  Subclass
-        responsibility."""
-        raise NotImplementedError
+        """Run the deduplicated batch, calling ``complete(pos, value_text,
+        trace_text, ...)`` for each job as it finishes.
 
-    def close(self) -> None:
-        """Release held resources (worker pools).  Base: nothing to do."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- shared in-process execution with bounded retries --------------------
-
-    def _run_in_process(
-        self,
-        pos: int,
-        jb: Job,
-        complete: Callable,
-        *,
-        start_attempt: int = 1,
-        degraded: bool = False,
-    ) -> None:
-        """Execute one job here, retrying ordinary exceptions with backoff.
-
-        Fault injection never applies in-process (a ``crash`` fault must
-        not be able to kill the coordinating process), so this is also
-        the safe fallback used after pool degradation.
+        A job runs here when there are no workers, or when nothing needs
+        a worker's isolation (no fault to inject, no timeout to enforce —
+        an injected crash must kill a worker, never the coordinator) and
+        a worker would buy nothing: one worker, one job, or a job the cost
+        model predicts cheaper than a pool round-trip (the inline path).
         """
-        attempt = start_attempt
-        while True:
+        report = self.last_report
+        plain = self._fault_text is None and self.job_timeout is None
+        dispatch_started = time.monotonic()
+        every = self.workers == 0 or plain and (self.workers == 1 or len(jobs) == 1)
+        here: deque[tuple[int, Job, int]] = deque()
+        pooled: deque[tuple[int, Job, int]] = deque()
+        for pos, jb in enumerate(jobs):
+            inline = every or plain and self.cost_model.predict(jb) <= INLINE_THRESHOLD_S
+            (here if inline else pooled).append((pos, jb, 1))
+        if self.workers:
+            report.dispatch_s += time.monotonic() - dispatch_started
+            report.inlined += len(here)
+        self._run_here(here, complete)
+        if pooled:
+            self._run_pool(pooled, complete)
+
+    def _run_here(
+        self, queue: deque, complete: Callable, *, degraded: bool = False
+    ) -> None:
+        """The one in-process loop: run ``(pos, job, attempt)`` items from
+        ``queue`` until it is empty, retrying through :meth:`_retry_or_fail`.
+
+        Fault injection never applies here (a ``crash`` fault must not be
+        able to kill the coordinating process), so this is also where the
+        jobs of an irrecoverable pool finish.
+        """
+        while queue:
+            pos, jb, attempt = queue.popleft()
             started = time.monotonic()
             try:
                 value_text, trace_text = run_job(jb)
-            except Exception as exc:  # simlint: disable=E001(bounded retry loop; exhausting the budget raises ExecutionError from exc)
-                if attempt - start_attempt < self.max_retries:
-                    self.last_report.retries += 1
-                    time.sleep(self.backoff_s * (2 ** (attempt - start_attempt)))
-                    attempt += 1
-                    continue
-                self._fail(pos, jb, attempt, exc, degraded=degraded)
+            except Exception as exc:  # simlint: disable=E001(bounded retry; exhausting the budget raises ExecutionError from exc)
+                self._retry_or_fail(queue, pos, jb, attempt, exc, degraded=degraded)
+                continue
             complete(
                 pos,
                 value_text,
@@ -446,7 +467,18 @@ class Executor:
                 wall_s=time.monotonic() - started,
                 degraded=degraded,
             )
+
+    def _retry_or_fail(
+        self, queue: deque, pos: int, jb: Job, attempt: int, exc: BaseException, **flags
+    ) -> None:
+        """Requeue a failed attempt while ``attempt <= max_retries``, after
+        exponential backoff; past that, fail the job."""
+        if attempt <= self.max_retries:
+            self.last_report.retries += 1
+            time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+            queue.append((pos, jb, attempt + 1))
             return
+        self._fail(pos, jb, attempt, exc, **flags)
 
     def _fail(
         self, pos: int, jb: Job, attempt: int, exc: BaseException, **flags: bool
@@ -470,113 +502,16 @@ class Executor:
             attempts=attempt,
         ) from exc
 
-    # -- telemetry ----------------------------------------------------------
+    def _degrade(self, queue: deque, complete: Callable) -> None:
+        """Pool irrecoverable: finish the remaining jobs in-process, each
+        keeping the attempt count the pool gave it.
 
-    def _log_job(
-        self,
-        jb: Job,
-        *,
-        status: str,
-        attempts: int,
-        worker_pid: Optional[int] = None,
-        wall_s: float = 0.0,
-        retried: bool = False,
-        degraded: bool = False,
-        timed_out: bool = False,
-        **optional: Any,
-    ) -> None:
-        """One ``job`` record; an ``optional`` field (``error``,
-        ``trace_path``, ``worker_exit``) is written only when it is set."""
-        if self.run_log is None:
-            return
-        record = {
-            "event": "job",
-            "figure": jb.figure,
-            "index": jb.index,
-            "hash": jb.content_hash,
-            "status": status,
-            "attempts": attempts,
-            "retried": retried,
-            "timed_out": timed_out,
-            "degraded": degraded,
-            "worker_pid": worker_pid,
-            "wall_s": round(wall_s, 6),
-        }
-        record.update((k, v) for k, v in optional.items() if v is not None)
-        self.run_log.record(**record)
-
-    def _log_map(self, report: ExecutionReport) -> None:
-        if self.run_log is not None:
-            self.run_log.record(event="map", workers=self.workers, **report.as_dict())
-
-
-class SerialExecutor(Executor):
-    """Run jobs one after another in this process (the default)."""
-
-    def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
-        for pos, jb in enumerate(jobs):
-            self._run_in_process(pos, jb, complete)
-
-
-class _Slot:
-    """One isolated worker: a process, the coordinator's end of its pipe
-    and the one job it has in flight.
-
-    One job per worker is what makes failure attribution exact: a dead
-    process loses exactly the job it was running, and every other worker
-    keeps its work.  Slots outlive individual ``map`` calls; ``busy_s``
-    accumulates the wall time this slot spent on successful harvests
-    within the current map, feeding the load-balance efficiency metric.
-    """
-
-    __slots__ = ("proc", "conn", "item", "started", "busy_s")
-
-    def __init__(self) -> None:
-        self.proc: Optional[multiprocessing.process.BaseProcess] = None
-        self.conn: Optional[Connection] = None
-        self.item: Optional[tuple[int, Job, int]] = None  # (pos, job, attempt)
-        self.started = 0.0
-        self.busy_s = 0.0
-
-    @property
-    def alive(self) -> bool:
-        return self.proc is not None
-
-
-class ParallelExecutor(Executor):
-    """Run jobs across isolated worker processes, one job each at a time.
-
-    Jobs and payloads are picklable by contract, and every job carries
-    its own seed, so distributing (or retrying) work cannot change any
-    result — only the wall-clock time.  Results are keyed by submission
-    position, so ordering is deterministic too.
-
-    ``workers=0`` is rejected: zero explicitly means "serial" at the
-    :func:`make_executor` level, and silently promoting it to a
-    cpu-count-sized pool (as older versions did) contradicted both.
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        max_pool_rebuilds: Optional[int] = None,
-        **kwargs,
-    ):
-        super().__init__(**kwargs)
-        if workers is None:
-            workers = os.cpu_count() or 2
-        if workers < 1:
-            raise ValueError(
-                f"need at least one worker, got {workers}; "
-                "use make_executor(0) or SerialExecutor() for serial execution"
-            )
-        self.workers = workers
-        self.max_pool_rebuilds = (
-            max_pool_rebuilds if max_pool_rebuilds is not None else workers + 2
-        )
-        self._rebuilds_used = 0
-        self._slots: list[_Slot] = []
+        Results completed by the pool before degradation are counted as
+        salvaged — they are already in the cache and are not recomputed.
+        """
+        self.last_report.degraded = True
+        self.last_report.salvaged = self._completed_count
+        self._run_here(queue, complete, degraded=True)
 
     # -- pool plumbing ------------------------------------------------------
 
@@ -630,65 +565,47 @@ class ParallelExecutor(Executor):
                 self._spawn(slot)
         return slots
 
-    def close(self) -> None:
-        """Kill and join every held worker (idempotent)."""
-        slots, self._slots = self._slots, []
-        for slot in slots:
-            if slot.alive:
-                self._reap(slot, kill=True)
-
-    def __del__(self):
-        # Workers outlive maps by design; don't leak them when the
-        # executor itself is garbage-collected.
-        if getattr(self, "_slots", None):
-            self.close()
-
     def _respawn_or_retire(self, slot: _Slot, *, kill: bool) -> Optional[int]:
-        """Collect a slot's dead or stuck worker and, within budget,
-        start another; returns the old worker's exit status."""
+        """Collect a slot's dead or stuck worker and, within the map's
+        budget of ``workers + 2`` rebuilds, start another; returns the old
+        worker's exit status."""
         worker_exit = self._reap(slot, kill=kill)
-        if self._rebuilds_used < self.max_pool_rebuilds:
+        if self._rebuilds_used < self.workers + 2:
             self._rebuilds_used += 1
             self.last_report.pool_rebuilds += 1
             time.sleep(self.backoff_s)
             self._spawn(slot)
         return worker_exit
 
+    def close(self) -> None:
+        """Kill and join every held worker, and close a run log this
+        executor opened from a path (idempotent).  A :class:`RunLog`
+        passed in stays open for its owner."""
+        slots, self._slots = self._slots, []
+        for slot in slots:
+            if slot.alive:
+                self._reap(slot, kill=True)
+        if self._owned_log is not None:
+            self._owned_log.close()
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self):
+        # Workers outlive maps by design; don't leak them (or an opened
+        # run log) when the executor itself is garbage-collected.
+        self.close()
+
     # -- the scheduler loop -------------------------------------------------
 
-    def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
+    def _run_pool(self, queue: deque, complete: Callable) -> None:
         report = self.last_report
-        plain = self._fault_text is None and self.job_timeout is None
-        if plain and (self.workers == 1 or len(jobs) <= 1):
-            # Nothing to inject or time out, and no real parallelism to
-            # gain: the pool buys no isolation worth its startup cost.
-            for pos, jb in enumerate(jobs):
-                self._run_in_process(pos, jb, complete)
-            return
-
-        # Inline fast path: jobs predicted cheaper than a pool round-trip
-        # run right here.  Only when no fault spec or timeout needs the
-        # worker-isolation boundary (injected faults must be able to kill
-        # a worker, never the coordinator).
-        dispatch_started = time.monotonic()
-        inline: list[int] = []
-        pooled: list[int] = []
-        for pos, jb in enumerate(jobs):
-            cheap = plain and self.cost_model.predict(jb) <= INLINE_THRESHOLD_S
-            (inline if cheap else pooled).append(pos)
-        report.dispatch_s += time.monotonic() - dispatch_started
-        report.inlined += len(inline)
-        for pos in inline:
-            self._run_in_process(pos, jobs[pos], complete)
-        if not pooled:
-            return
-
         self._rebuilds_used = 0
-        queue: deque[tuple[int, Job, int]] = deque(
-            (pos, jobs[pos], 1) for pos in pooled
-        )
         startup_started = time.monotonic()
-        slots = self._ensure_slots(min(self.workers, len(pooled)))
+        slots = self._ensure_slots(min(self.workers, len(queue)))
         report.startup_s += time.monotonic() - startup_started
         try:
             while queue or any(slot.item is not None for slot in slots):
@@ -698,7 +615,7 @@ class ParallelExecutor(Executor):
                 busy = [slot for slot in slots if slot.item is not None]
                 if not busy:
                     if queue and not any(slot.alive for slot in slots):
-                        # Pool irrecoverable: degrade to in-process serial.
+                        # Pool irrecoverable: degrade to in-process.
                         self._degrade(queue, complete)
                         return
                     continue  # a submit just failed; loop re-fills
@@ -847,29 +764,44 @@ class ParallelExecutor(Executor):
         exc = TimeoutError(f"job exceeded --job-timeout={self.job_timeout}s")
         self._retry_or_fail(queue, pos, jb, attempt, exc, timed_out=True)
 
-    def _retry_or_fail(
-        self, queue: deque, pos: int, jb: Job, attempt: int, exc: BaseException, **flags
+    # -- telemetry ----------------------------------------------------------
+
+    def _log_job(
+        self,
+        jb: Job,
+        *,
+        status: str,
+        attempts: int,
+        worker_pid: Optional[int] = None,
+        wall_s: float = 0.0,
+        retried: bool = False,
+        degraded: bool = False,
+        timed_out: bool = False,
+        **optional: Any,
     ) -> None:
-        if attempt <= self.max_retries:
-            self.last_report.retries += 1
-            time.sleep(self.backoff_s * (2 ** (attempt - 1)))
-            queue.append((pos, jb, attempt + 1))
+        """One ``job`` record; an ``optional`` field (``error``,
+        ``trace_path``, ``worker_exit``) is written only when it is set."""
+        if self.run_log is None:
             return
-        self._fail(pos, jb, attempt, exc, **flags)
+        record = {
+            "event": "job",
+            "figure": jb.figure,
+            "index": jb.index,
+            "hash": jb.content_hash,
+            "status": status,
+            "attempts": attempts,
+            "retried": retried,
+            "timed_out": timed_out,
+            "degraded": degraded,
+            "worker_pid": worker_pid,
+            "wall_s": round(wall_s, 6),
+        }
+        record.update((k, v) for k, v in optional.items() if v is not None)
+        self.run_log.record(**record)
 
-    def _degrade(self, queue: deque, complete: Callable) -> None:
-        """Pool irrecoverable: finish the remaining jobs in-process.
-
-        Results completed by the pool before degradation are counted as
-        salvaged — they are already in the cache and are not recomputed.
-        """
-        self.last_report.degraded = True
-        self.last_report.salvaged = self._completed_count
-        while queue:
-            pos, jb, attempt = queue.popleft()
-            self._run_in_process(
-                pos, jb, complete, start_attempt=attempt, degraded=True
-            )
+    def _log_map(self, report: ExecutionReport) -> None:
+        if self.run_log is not None:
+            self.run_log.record(event="map", workers=self.workers, **report.as_dict())
 
 
 def make_executor(
@@ -882,14 +814,17 @@ def make_executor(
     fault: Optional[str] = None,
     cost_model: Optional[CostModel] = None,
 ) -> Executor:
-    """``parallel`` 0 or 1 gives the serial executor, more a process pool.
+    """``parallel`` 0 or 1 runs in this process, more across that many workers.
 
     ``run_log`` and ``fault`` default from the environment
     (``REPRO_RUN_LOG``, ``REPRO_FAULT_SPEC``) so the benchmark harness and
     CI smoke jobs can configure telemetry and fault injection without
     touching call sites.
     """
-    kwargs = dict(
+    if parallel < 0:
+        raise ValueError(f"parallel must be >= 0 workers, got {parallel}")
+    return Executor(
+        parallel if parallel > 1 else 0,
         job_timeout=job_timeout,
         max_retries=max_retries,
         backoff_s=backoff_s,
@@ -897,17 +832,3 @@ def make_executor(
         fault=fault,
         cost_model=cost_model,
     )
-    if parallel < 0:
-        raise ValueError(f"parallel must be >= 0 workers, got {parallel}")
-    if parallel > 1:
-        return ParallelExecutor(parallel, **kwargs)
-    return SerialExecutor(**kwargs)
-
-
-def execute(
-    jobs: Iterable[Job],
-    executor: Optional[Executor] = None,
-    cache: Optional[ResultCache] = None,
-) -> list[JobResult]:
-    """Convenience wrapper: run ``jobs`` on ``executor`` (default serial)."""
-    return (executor or SerialExecutor()).map(list(jobs), cache=cache)

@@ -1,7 +1,7 @@
 """P001: jobs and scenario runners must survive a process boundary.
 
-``ParallelExecutor`` pickles every :class:`~repro.experiments.jobs.Job`
-into a worker, and workers resolve the job's scenario name against the
+An ``Executor`` with workers pickles every
+:class:`~repro.experiments.jobs.Job` into a worker, and workers resolve the job's scenario name against the
 module-level ``SCENARIOS`` registry.  Both legs break quietly if a
 scenario runner is registered from inside a function (the worker's
 import never executes it) or a job field smuggles a lambda / local

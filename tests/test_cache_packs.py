@@ -6,6 +6,7 @@ maps each path to the test here (or in ``test_experiments_jobs.py`` /
 ``test_executor_faults.py``) that reaches it.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -15,8 +16,9 @@ import pytest
 
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import MISS, ResultCache
-from repro.experiments.executor import SerialExecutor
+from repro.experiments.executor import Executor
 from repro.experiments.jobs import job
+from repro.telemetry import Recorder
 
 JOBS = lambda: fig20.jobs("fast")  # noqa: E731 - tiny factory
 
@@ -38,12 +40,12 @@ def payload(jb):
 
 
 @pytest.fixture(scope="module")
-def shard_jobs():
+def shard_jobs(tmp_path_factory):
     """Sixteen jobs whose keys share shard ``SHARD``, with equal-length
     records — so an offset off by whole frames lands on a parsable record
     of another job."""
     found, i = [], 100_000
-    cache = ResultCache()
+    cache = ResultCache(tmp_path_factory.mktemp("keys"))
     while len(found) < WRITERS * RECORDS_PER_WRITER:
         jb = job("race", "timeout_models", params={"i": i})
         if cache.key(jb).startswith(SHARD):
@@ -71,7 +73,7 @@ def assert_recomputed(root, jb):
     """A fresh lookup misses; the executor recomputes and re-stores it."""
     fresh = ResultCache(root)
     assert fresh.lookup(jb) is MISS
-    executor = SerialExecutor()
+    executor = Executor()
     executor.map([jb], fresh)
     assert executor.last_report.computed == 1
     assert ResultCache(root).lookup(jb) is not MISS
@@ -100,9 +102,9 @@ class TestCacheSplicing:
         cache.store_text(jb, value_text)
         assert ResultCache(tmp_path).lookup(jb) == value
 
-    def test_store_text_returns_the_json_round_trip(self):
+    def test_store_text_returns_the_json_round_trip(self, tmp_path):
         # Same contract as store(): callers get what a reader would see.
-        cache = ResultCache()
+        cache = ResultCache(tmp_path)
         jb = JOBS()[0]
         value = {"t": (1, 2)}  # tuples become lists through JSON
         value_text = shipped_text(value)
@@ -113,7 +115,7 @@ class TestBatchedPacks:
     def test_batch_flush_packs_and_reads_back(self, tmp_path):
         cache = ResultCache(tmp_path)
         jobs = JOBS()[:4]
-        assert cache.begin_batch() is True
+        cache.begin_batch()
         for i, jb in enumerate(jobs):
             cache.store(jb, {"i": i})
         cache.flush_batch()
@@ -133,21 +135,6 @@ class TestBatchedPacks:
         assert cache.lookup(jb) == {"ok": 1}  # buffered, still a hit
         cache.flush_batch()
         assert cache.lookup(jb) == {"ok": 1}
-
-    def test_clear_removes_packs(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        jobs = JOBS()[:3]
-        cache.begin_batch()
-        for jb in jobs:
-            cache.store(jb, {"v": 1})
-        cache.flush_batch()
-        assert cache.clear() == 3
-        assert not list(tmp_path.glob("*/*.pack"))
-        assert not list(tmp_path.glob("*/*.pack.idx"))
-        assert ResultCache(tmp_path).lookup(jobs[0]) is MISS
-
-    def test_memory_cache_declines_batching(self):
-        assert ResultCache().begin_batch() is False
 
     def test_a_frame_is_the_key_then_the_length_then_the_record(self, tmp_path, shard_jobs):
         jb = shard_jobs[0]
@@ -235,13 +222,31 @@ def test_concurrent_flushes_never_serve_another_jobs_payload(tmp_path, shard_job
 class TestRecoveryPaths:
     """Damage one cached fig20 entry; the next run recomputes it."""
 
+    def test_litter_is_inert(self, tmp_path):
+        # A tmp file stranded by an interrupted write and a trace whose
+        # entry is gone: nothing reads or counts either, and the traced
+        # job is recomputed with both of its artifacts re-stored.
+        kept, orphaned = JOBS()[0], dataclasses.replace(JOBS()[1], trace=True)
+        Executor().map([kept], ResultCache(tmp_path))
+        stale = shard_file(tmp_path, kept, ".pack.idx.1234.tmp")
+        stale.write_text("{ torn")
+        ResultCache(tmp_path).store_trace(orphaned, Recorder().export_text())
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 1 and cache.lookup(kept) is not MISS
+        assert cache.lookup(orphaned) is MISS
+        executor = Executor()
+        executor.map([orphaned], cache)
+        assert executor.last_report.computed == 1
+        assert stale.exists() and len(ResultCache(tmp_path)) == 2
+        assert ResultCache(tmp_path).has_trace(orphaned)
+
     @pytest.mark.parametrize(
         "damage",
         ["missing index", "unreadable index", "missing pack", "short frame", "not UTF-8"],
     )
     def test_damage_is_a_miss_and_recomputed(self, tmp_path, damage):
         jb = JOBS()[0]
-        SerialExecutor().map([jb], ResultCache(tmp_path))
+        Executor().map([jb], ResultCache(tmp_path))
         index_path = shard_file(tmp_path, jb, ".pack.idx")
         pack = shard_file(tmp_path, jb, ".pack")
         frame = pack.read_bytes()
@@ -278,12 +283,8 @@ class TestRecoveryPaths:
         for jb in (packed, blobbed):
             assert_recomputed(tmp_path, jb)
         blob = tmp_path / cache.key(blobbed)[:2] / f"{cache.key(blobbed)}.json"
-        assert ResultCache(tmp_path).prune() == 1  # the blob is litter
-        assert not blob.exists()
+        assert blob.exists()  # inert: never read, never counted
         assert len(ResultCache(tmp_path)) == 2
-        blob.write_text("{}")
-        assert ResultCache(tmp_path).clear() == 2  # a blob goes with its shard
-        assert not list(tmp_path.iterdir())
 
     def test_a_torn_tail_is_inert_and_the_next_flush_appends_after_it(
         self, tmp_path, shard_jobs, monkeypatch
@@ -292,7 +293,7 @@ class TestRecoveryPaths:
         # leaves bytes no index references: the frames that landed whole
         # are indexed, the torn one is a miss, and the next flush appends
         # after the torn bytes.
-        first, torn = sorted(shard_jobs[:2], key=ResultCache().key)  # frame order
+        first, torn = sorted(shard_jobs[:2], key=ResultCache(tmp_path).key)  # frame order
         later = shard_jobs[2]
         real_write = os.write
         frame_size = []

@@ -8,8 +8,9 @@ exceptions, stalls — see ``repro.experiments.faults``) and pin:
 * a worker crash on a job's first attempt is retried on a rebuilt pool
   and the final tables are byte-identical to a clean serial run, with
   exactly one retry in the run log;
-* an irrecoverably broken pool degrades to in-process serial execution,
-  salvaging (not recomputing) everything that already finished;
+* an irrecoverably broken pool degrades to in-process execution,
+  salvaging (not recomputing) everything that already finished, and a
+  degraded job keeps the one retry budget it had in the pool;
 * per-job timeouts kill the stuck worker, retry the job, and are
   reported;
 * a job that exhausts its retry budget raises ``ExecutionError`` — but
@@ -21,23 +22,22 @@ exceptions, stalls — see ``repro.experiments.faults``) and pin:
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
 
 import pytest
 
 from repro.experiments import fig20_timeout_models as fig20
-from repro.experiments.cache import MISS, ResultCache
+from repro.experiments.cache import ResultCache
 from repro.experiments.executor import (
     ExecutionError,
-    ParallelExecutor,
-    SerialExecutor,
+    Executor,
     make_executor,
 )
 from repro.experiments.faults import FaultSpec, InjectedFault
 from repro.experiments.jobs import execute_job
 from repro.experiments.runlog import RunLog
-from repro.telemetry import Recorder
 
 # Figure 20 is the cheapest real sweep (12 closed-form analysis jobs):
 # heavy enough to exercise every scheduler path, light enough for CI.
@@ -46,7 +46,7 @@ JOBS = lambda: fig20.jobs("fast")  # noqa: E731 - tiny factory
 
 @pytest.fixture(scope="module")
 def serial_table():
-    return fig20.reduce(SerialExecutor().map(JOBS())).format()
+    return fig20.reduce(Executor().map(JOBS())).format()
 
 
 def read_log(path: pathlib.Path) -> list[dict]:
@@ -91,7 +91,7 @@ class TestFaultSpec:
 
     def test_executor_validates_spec_eagerly(self):
         with pytest.raises(ValueError):
-            ParallelExecutor(workers=2, fault="explode:index=0")
+            Executor(2, fault="explode:index=0")
 
 
 class TestCrashRecovery:
@@ -101,7 +101,7 @@ class TestCrashRecovery:
         """The acceptance path: one worker dies, nothing changes."""
         log = tmp_path / "run.jsonl"
         cache = ResultCache(tmp_path / "cache")
-        executor = ParallelExecutor(
+        executor = Executor(
             workers=3, fault="crash:index=0", run_log=log, backoff_s=0.01
         )
         table = fig20.reduce(executor.map(JOBS(), cache))
@@ -122,7 +122,7 @@ class TestCrashRecovery:
 
     def test_crash_by_content_hash(self, serial_table):
         target = JOBS()[4].content_hash[:12]
-        executor = ParallelExecutor(
+        executor = Executor(
             workers=2, fault=f"crash:hash={target}", backoff_s=0.01
         )
         table = fig20.reduce(executor.map(JOBS()))
@@ -133,13 +133,14 @@ class TestCrashRecovery:
 class TestDegradation:
     def test_hard_broken_pool_degrades_to_serial(self, serial_table):
         """Every worker dies on every attempt: the run still succeeds."""
-        executor = ParallelExecutor(
-            workers=2, fault="crash:*:always", max_pool_rebuilds=1, backoff_s=0.01
+        executor = Executor(
+            workers=2, fault="crash:*:always", backoff_s=0.01
         )
         table = fig20.reduce(executor.map(JOBS()))
         assert table.format() == serial_table
         report = executor.last_report
         assert report.degraded
+        assert report.pool_rebuilds == 4  # the budget: workers + 2
         assert report.computed == len(JOBS())
 
     def test_degradation_salvages_completed_results(self, tmp_path, serial_table):
@@ -147,10 +148,9 @@ class TestDegradation:
         target = JOBS()[5].content_hash[:12]
         log = tmp_path / "run.jsonl"
         cache = ResultCache(tmp_path / "cache")
-        executor = ParallelExecutor(
+        executor = Executor(
             workers=2,
             fault=f"crash:hash={target}:always",
-            max_pool_rebuilds=1,
             backoff_s=0.01,
             run_log=log,
         )
@@ -165,12 +165,44 @@ class TestDegradation:
             r for r in read_log(log) if r["event"] == "job" and r["degraded"]
         ]
         assert degraded  # the crashy job finished in-process
-        assert all(r["worker_pid"] is not None for r in degraded)
+        assert all(r["worker_pid"] == os.getpid() for r in degraded)
+
+    def test_a_degraded_job_keeps_its_retry_budget(self, monkeypatch, tmp_path):
+        """A job that reaches the in-process loop at attempt k is retried
+        there only while ``attempt <= max_retries`` — one budget, not a
+        fresh ``max_retries`` on top of what the pool spent."""
+        import repro.experiments.executor as executor_module
+
+        real = executor_module.run_job
+
+        def broken_here(jb, fault=None):
+            # In a worker the crash fault is bound and fires; here (no
+            # fault is ever bound in-process) the job raises.
+            if fault is None:
+                raise RuntimeError("fails in process")
+            return real(jb, fault)
+
+        monkeypatch.setattr(executor_module, "run_job", broken_here)
+        log = tmp_path / "run.jsonl"
+        # One worker, budget 3 rebuilds: four crashes, then the job
+        # reaches the in-process loop at attempt 5.
+        executor = Executor(
+            1, fault="crash:*:always", max_retries=6, backoff_s=0.001, run_log=log
+        )
+        with pytest.raises(ExecutionError) as excinfo:
+            executor.map(JOBS()[:1])
+        assert excinfo.value.attempts == 7  # 5 and 6 retried, 7 > max_retries
+        report = executor.last_report
+        assert report.degraded and report.pool_rebuilds == 3
+        assert report.retries == 4 + 2
+        executor.close()
+        (failed,) = [r for r in read_log(log) if r.get("status") == "failed"]
+        assert failed["degraded"] and failed["attempts"] == 7
 
 
 class TestRetriesAndFailure:
     def test_error_fault_retried_then_succeeds(self, serial_table):
-        executor = ParallelExecutor(
+        executor = Executor(
             workers=2, fault="error:index=2", max_retries=2, backoff_s=0.01
         )
         table = fig20.reduce(executor.map(JOBS()))
@@ -181,7 +213,7 @@ class TestRetriesAndFailure:
     def test_exhausted_retries_raise_after_salvage(self, tmp_path):
         target = JOBS()[3].content_hash[:12]
         cache = ResultCache(tmp_path)
-        executor = ParallelExecutor(
+        executor = Executor(
             workers=2,
             fault=f"error:hash={target}:always",
             max_retries=1,
@@ -196,7 +228,7 @@ class TestRetriesAndFailure:
         assert report.salvaged == len(JOBS()) - 1
         assert cache.stats.stores == len(JOBS()) - 1
         # A rerun without the fault answers the salvage from the cache.
-        clean = SerialExecutor()
+        clean = Executor()
         clean.map(JOBS(), cache)
         assert clean.last_report.computed == 1
         assert clean.last_report.cache_hits == len(JOBS()) - 1
@@ -215,7 +247,7 @@ class TestRetriesAndFailure:
             return real(jb, fault)
 
         monkeypatch.setattr(executor_module, "run_job", flaky)
-        executor = SerialExecutor(max_retries=2, backoff_s=0.0)
+        executor = Executor(max_retries=2, backoff_s=0.0)
         results = executor.map(JOBS()[:2])
         assert len(results) == 2
         assert executor.last_report.retries == 1
@@ -227,7 +259,7 @@ class TestRetriesAndFailure:
             raise RuntimeError("permanent")
 
         monkeypatch.setattr(executor_module, "run_job", always_broken)
-        executor = SerialExecutor(max_retries=1, backoff_s=0.0)
+        executor = Executor(max_retries=1, backoff_s=0.0)
         with pytest.raises(ExecutionError, match="after 2 attempt"):
             executor.map(JOBS()[:1])
         assert executor.last_report.failures == 1
@@ -236,7 +268,7 @@ class TestRetriesAndFailure:
 class TestTimeouts:
     def test_stuck_job_times_out_and_is_retried(self, tmp_path, serial_table):
         log = tmp_path / "run.jsonl"
-        executor = ParallelExecutor(
+        executor = Executor(
             workers=2,
             fault="hang=3:index=1",  # attempt 1 stalls 3s
             job_timeout=0.75,
@@ -253,7 +285,7 @@ class TestTimeouts:
         assert summary["timeouts"] == 1
 
     def test_persistent_hang_exhausts_budget(self):
-        executor = ParallelExecutor(
+        executor = Executor(
             workers=2,
             fault="hang=3:index=0:always",
             job_timeout=0.3,
@@ -270,7 +302,7 @@ class TestRunLog:
     def test_one_record_per_job_plus_summary(self, tmp_path):
         log = tmp_path / "run.jsonl"
         cache = ResultCache(tmp_path / "cache")
-        executor = SerialExecutor(run_log=log)
+        executor = Executor(run_log=log)
         js = JOBS()
         executor.map(js, cache)
         executor.map(js, cache)  # warm: all cached
@@ -295,11 +327,25 @@ class TestRunLog:
     def test_deduplicated_jobs_are_logged(self, tmp_path):
         log = tmp_path / "run.jsonl"
         js = fig20.jobs("fast", p_values=[0.1, 0.1, 0.3])
-        executor = SerialExecutor(run_log=log)
+        executor = Executor(run_log=log)
         executor.map(js)
         statuses = [r["status"] for r in read_log(log) if r["event"] == "job"]
         assert statuses.count("computed") == 2
         assert statuses.count("deduplicated") == 1
+
+    def test_close_closes_only_a_run_log_it_opened(self, tmp_path, monkeypatch):
+        from_path = make_executor(0, run_log=tmp_path / "path.jsonl")
+        monkeypatch.setenv("REPRO_RUN_LOG", str(tmp_path / "env.jsonl"))
+        from_env = make_executor(0)
+        theirs = RunLog(tmp_path / "theirs.jsonl")
+        passed_in = make_executor(0, run_log=theirs)
+        for executor in (from_path, from_env, passed_in):
+            executor.map(JOBS()[:1])
+            executor.close()
+        assert from_path.run_log._handle is None
+        assert from_env.run_log._handle is None
+        assert theirs._handle is not None  # its owner closes it
+        theirs.close()
 
     def test_env_configuration(self, tmp_path, monkeypatch):
         log = tmp_path / "env.jsonl"
@@ -315,7 +361,7 @@ class TestRunLog:
         # A timeout that is not > 0 expires every job the instant it is
         # submitted (and NaN never fires).
         with pytest.raises(ValueError, match=f"job_timeout.*{raw}"):
-            ParallelExecutor(2, job_timeout=float(raw))
+            Executor(2, job_timeout=float(raw))
         assert_usage_error(capsys, f"--job-timeout={raw}", f"job_timeout.*{raw}")
 
     @pytest.mark.parametrize(
@@ -338,97 +384,24 @@ def assert_usage_error(capsys, flag, message):
 
 
 class TestWorkerCountValidation:
-    def test_zero_workers_rejected(self):
-        """``ParallelExecutor(0)`` used to silently become a cpu-count
-        pool; zero means serial and only ``make_executor`` maps it."""
-        with pytest.raises(ValueError, match="serial"):
-            ParallelExecutor(0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(workers=-1)
-        # make_executor keeps the documented mapping: 0 -> serial.
-        assert isinstance(make_executor(0), SerialExecutor)
+    def test_zero_workers_run_in_process(self, tmp_path, serial_table):
+        """``Executor(0)`` runs every job here; a negative count is
+        rejected.  ``make_executor`` maps 0 and 1 to zero workers."""
+        log = tmp_path / "run.jsonl"
+        with Executor(0, run_log=log) as executor:
+            assert fig20.reduce(executor.map(JOBS())).format() == serial_table
+            assert not executor._slots
+        computed = [r for r in read_log(log) if r.get("status") == "computed"]
+        assert {r["worker_pid"] for r in computed} == {os.getpid()}
+        with pytest.raises(ValueError, match="-1"):
+            Executor(-1)
+        assert make_executor(0).workers == make_executor(1).workers == 0
 
     def test_last_report_exists_before_first_map(self):
         """``executor.last_report`` must be readable on a figure that
         short-circuits before mapping (as the CLI does)."""
-        for executor in (SerialExecutor(), ParallelExecutor(workers=2)):
+        for executor in (Executor(), Executor(2)):
             report = executor.last_report
             assert report.jobs == 0 and report.computed == 0
             assert not report.degraded
 
-
-class TestCacheHygiene:
-    def test_clear_sweeps_tmp_litter_and_empty_shards(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        js = JOBS()[:2]
-        SerialExecutor().map(js, cache)
-        shard = next(d for d in tmp_path.iterdir() if d.is_dir())
-        orphan = shard / "deadbeef.json.12345.tmp"
-        orphan.write_text("{ torn write")
-        assert len(cache) == 2  # tmp litter never counts as an entry
-        removed = cache.clear()
-        assert removed == 2
-        assert not orphan.exists()
-        assert not any(d.is_dir() for d in tmp_path.iterdir())
-
-    def test_prune_removes_only_stale_tmp_files(self, tmp_path):
-        import os
-
-        cache = ResultCache(tmp_path)
-        SerialExecutor().map(JOBS()[:1], cache)
-        shard = next(d for d in tmp_path.iterdir() if d.is_dir())
-        stale = shard / "stale.json.1.tmp"
-        fresh = shard / "fresh.json.2.tmp"
-        stale.write_text("x")
-        fresh.write_text("x")
-        old = 10_000
-        os.utime(stale, (stale.stat().st_atime, stale.stat().st_mtime - old))
-        assert cache.prune(max_age_s=old / 2) == 1
-        assert not stale.exists()
-        assert fresh.exists()  # may belong to a concurrent writer
-        assert len(cache) == 1  # real entries untouched
-
-    def test_prune_removes_orphaned_traces(self, tmp_path):
-        # Regression: a trace whose result entry is gone (dropped from its
-        # index, lost to a partial clear...) lingered forever — prune()
-        # now removes it, while traces with a live result are untouched.
-        import dataclasses
-
-        cache = ResultCache(tmp_path)
-        keep, lose = (dataclasses.replace(jb, trace=True) for jb in JOBS()[:2])
-        for jb in (keep, lose):
-            cache.store(jb, {"ok": True})
-            cache.store_trace(jb, Recorder().export_text())
-        assert cache.has_trace(keep) and cache.has_trace(lose)
-        # Orphan one trace by dropping its key from the shard's index.
-        shard = cache.key(lose)[:2]
-        index_path = tmp_path / shard / f"{shard}.pack.idx"
-        doc = json.loads(index_path.read_text())
-        del doc["entries"][cache.key(lose)]
-        index_path.write_text(json.dumps(doc))
-        fresh = ResultCache(tmp_path)
-        assert fresh.prune() == 1
-        assert not fresh.has_trace(lose)
-        assert fresh.has_trace(keep)  # live trace untouched
-        assert fresh.lookup(keep) is not MISS  # live result untouched
-
-    def test_prune_asks_the_index_on_disk(self, tmp_path):
-        # Regression: an instance that had read a shard's index before
-        # another instance flushed into it judged the other's live trace
-        # an orphan, and lookup() kept hitting a result whose trace was
-        # gone.
-        import dataclasses
-
-        jb = dataclasses.replace(JOBS()[0], trace=True)
-        stale = ResultCache(tmp_path)
-        assert stale.lookup(jb) is MISS  # reads "this shard has no entries"
-        writer = ResultCache(tmp_path)
-        writer.begin_batch()
-        writer.store(jb, {"ok": True})
-        writer.flush_batch()
-        writer.store_trace(jb, Recorder().export_text())
-        assert stale.prune() == 0
-        assert stale.has_trace(jb)
-
-    def test_prune_is_noop_in_memory(self):
-        assert ResultCache().prune() == 0

@@ -33,7 +33,7 @@ import repro
 import repro.experiments.executor as executor_module
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import MISS, ResultCache
-from repro.experiments.executor import ExecutionError, ParallelExecutor, SerialExecutor
+from repro.experiments.executor import ExecutionError, Executor
 from repro.experiments.faults import CRASH_EXIT_STATUS, FaultSpec, InjectedFault
 from tests.test_scheduler_determinism import POOL_FORCING_TIMEOUT_S, _fingerprint
 
@@ -50,10 +50,10 @@ needs_fork = pytest.mark.skipif(
 DRIVER = """
 import json, multiprocessing, os, sys, threading
 from repro.experiments import fig20_timeout_models as fig20
-from repro.experiments.executor import ParallelExecutor
+from repro.experiments.executor import Executor
 
 threads = threading.active_count()
-executor = ParallelExecutor(2, **{"backoff_s": 0.01, **json.loads(sys.argv[1])})
+executor = Executor(2, **{"backoff_s": 0.01, **json.loads(sys.argv[1])})
 table = fig20.reduce(executor.map(fig20.jobs("fast"))).format()
 out = {
     "table": table,
@@ -125,7 +125,7 @@ def wait_for_records(log: pathlib.Path, count: int, process: subprocess.Popen):
 
 @pytest.fixture(scope="module")
 def serial_table():
-    return fig20.reduce(SerialExecutor().map(JOBS())).format()
+    return fig20.reduce(Executor().map(JOBS())).format()
 
 
 class TestNothingLeftRunning:
@@ -193,7 +193,7 @@ class TestNothingLeftRunning:
 class TestALostWorkerIsNamed:
     def test_an_injected_crash_is_exit_70(self, tmp_path, serial_table):
         log = tmp_path / "run.jsonl"
-        executor = ParallelExecutor(
+        executor = Executor(
             2, fault="crash:index=0", backoff_s=0.01, run_log=log
         )
         try:
@@ -209,7 +209,7 @@ class TestALostWorkerIsNamed:
 
     def test_a_timeout_kill_is_exit_minus_9_and_the_error_says_so(self, tmp_path):
         log = tmp_path / "run.jsonl"
-        executor = ParallelExecutor(
+        executor = Executor(
             2,
             fault="hang=30:index=0:always",
             job_timeout=0.3,
@@ -261,7 +261,7 @@ class TestWhatAWorkerSendsBack:
             raise Local("not picklable")
 
         monkeypatch.setattr(FaultSpec, "fire", fire)  # inherited by the fork
-        executor = ParallelExecutor(
+        executor = Executor(
             2, fault="error:index=0:always", max_retries=2, backoff_s=0.0
         )
         try:
@@ -280,7 +280,7 @@ class TestWhatAWorkerSendsBack:
             def store_text(self, jb, text):
                 raise OSError("no space left on device")
 
-        executor = ParallelExecutor(2, job_timeout=POOL_FORCING_TIMEOUT_S)
+        executor = Executor(2, job_timeout=POOL_FORCING_TIMEOUT_S)
         try:
             with pytest.raises(OSError, match="no space"):
                 executor.map(JOBS(), FullDisk(tmp_path / "full"))
@@ -294,9 +294,9 @@ class TestWhatAWorkerSendsBack:
         # A forked worker holds a copy of the coordinator's cache batch
         # and run-log handle; one that flushed either would duplicate a
         # record or change the tree.
-        SerialExecutor().map(JOBS(), ResultCache(tmp_path / "serial"))
+        Executor().map(JOBS(), ResultCache(tmp_path / "serial"))
         log = tmp_path / "run.jsonl"
-        executor = ParallelExecutor(
+        executor = Executor(
             2, job_timeout=POOL_FORCING_TIMEOUT_S, run_log=log
         )
         try:
@@ -319,7 +319,7 @@ class TestTheSpawnArm:
         monkeypatch.setattr(
             executor_module, "_context", lambda: multiprocessing.get_context("spawn")
         )
-        executor = ParallelExecutor(2, fault="crash:index=0", backoff_s=0.01)
+        executor = Executor(2, fault="crash:index=0", backoff_s=0.01)
         try:
             assert fig20.reduce(executor.map(JOBS())).format() == serial_table
         finally:
@@ -337,7 +337,7 @@ class TestArmsNoFaultSpecReaches:
     leave the table (or the salvage) as a clean run would."""
 
     def test_a_worker_that_died_idle_is_replaced_before_its_job(self, serial_table):
-        executor = ParallelExecutor(2, job_timeout=POOL_FORCING_TIMEOUT_S, backoff_s=0.01)
+        executor = Executor(2, job_timeout=POOL_FORCING_TIMEOUT_S, backoff_s=0.01)
         try:
             executor.map(JOBS())
             idle = executor._slots[0].proc
@@ -361,7 +361,7 @@ class TestArmsNoFaultSpecReaches:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-        executor = ParallelExecutor(2, job_timeout=POOL_FORCING_TIMEOUT_S)
+        executor = Executor(2, job_timeout=POOL_FORCING_TIMEOUT_S)
         try:
             table = fig20.reduce(executor.map(JOBS())).format()
         finally:
@@ -385,7 +385,7 @@ class TestArmsNoFaultSpecReaches:
 
         monkeypatch.setattr(FaultSpec, "bind", bind)  # inherited by the fork
         cache = ResultCache(tmp_path)
-        executor = ParallelExecutor(2, fault="error:*", max_retries=0, backoff_s=0.0)
+        executor = Executor(2, fault="error:*", max_retries=0, backoff_s=0.0)
         try:
             with pytest.raises(ExecutionError, match="fails for good"):
                 executor.map(JOBS()[:2], cache)

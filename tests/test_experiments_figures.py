@@ -3,7 +3,7 @@
 Every registry name is driven through ``run_figure`` — the one road the
 CLI and the benchmark harness take — with miniature parameter overrides,
 so the jobs/reduce paths stay covered without the benchmark-scale cost.
-The tests share one in-memory cache: a figure simulated by the registry
+The tests share one temporary-directory cache: a figure simulated by the registry
 sweep is a cache hit for its own shape test.  Shape assertions on the
 real configurations live in benchmarks/.
 """
@@ -17,8 +17,8 @@ import pytest
 from repro.experiments import (
     ALL_FIGURES,
     EXTENSIONS,
+    Executor,
     ResultCache,
-    SerialExecutor,
     Table,
     fig04_stabilization_time,
     run_figure,
@@ -94,7 +94,13 @@ TINY = {
     "ablation_tfrc_oscillation_prevention": TINY_QUEUE,
 }
 
-CACHE = ResultCache()
+CACHE: ResultCache
+
+
+@pytest.fixture(scope="module", autouse=True)
+def shared_cache(tmp_path_factory):
+    global CACHE
+    CACHE = ResultCache(tmp_path_factory.mktemp("tiny-figures"))
 
 
 def tiny(name: str) -> Table:
@@ -152,9 +158,9 @@ class TestSimulationFigures:
         assert table.rows
         assert set(table.column("protocol")) == {"TCP(0.5)"}
 
-    def test_fig04_and_05_share_sweep(self):
-        cache = ResultCache()
-        executor = SerialExecutor()
+    def test_fig04_and_05_share_sweep(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        executor = Executor()
         t4 = run_figure("fig04", executor=executor, cache=cache, **TINY["fig04"])
         assert executor.last_report.computed == 1
         t5 = run_figure("fig05", executor=executor, cache=cache, **TINY["fig05"])

@@ -31,12 +31,7 @@ from repro.experiments import fig15_oscillation_droprate as fig15
 from repro.experiments import fig19_iiad_sqrt as fig19
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import MISS, ResultCache, default_salt
-from repro.experiments.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    execute,
-    make_executor,
-)
+from repro.experiments.executor import Executor, make_executor
 from repro.experiments.jobs import DropperSpec, canonical, content_hash, job
 from repro.experiments.protocols import tcp, tfrc
 from repro.sim.rng import RngRegistry
@@ -251,28 +246,26 @@ class TestParallelMatchesSerial:
         ],
     )
     def test_tables_byte_identical(self, label, make_jobs, module):
-        serial = module.reduce(SerialExecutor().map(make_jobs()))
-        parallel = module.reduce(ParallelExecutor(workers=2).map(make_jobs()))
+        serial = module.reduce(Executor().map(make_jobs()))
+        parallel = module.reduce(Executor(2).map(make_jobs()))
         assert parallel.format() == serial.format()
         assert parallel.rows == serial.rows  # exact floats, not just text
 
     def test_results_come_back_in_submission_order(self):
         js = fig20.jobs("fast")
-        results = ParallelExecutor(workers=3).map(js)
+        results = Executor(3).map(js)
         assert [r.job.index for r in results] == [j.index for j in js]
 
     def test_make_executor(self):
-        assert isinstance(make_executor(0), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        pool = make_executor(3)
-        assert isinstance(pool, ParallelExecutor)
-        assert pool.workers == 3
+        assert make_executor(0).workers == 0
+        assert make_executor(1).workers == 0
+        assert make_executor(3).workers == 3
         with pytest.raises(ValueError):
-            ParallelExecutor(workers=-1)
+            make_executor(-1)
 
     def test_identical_jobs_deduplicated(self):
         js = fig20.jobs("fast", p_values=[0.1, 0.1, 0.3])
-        executor = SerialExecutor()
+        executor = Executor()
         results = executor.map(js)
         report = executor.last_report
         assert report.jobs == 3
@@ -285,7 +278,7 @@ class TestResultCache:
     def test_miss_then_hit_on_disk(self, tmp_path):
         cache = ResultCache(tmp_path)
         js = fig20.jobs("fast")
-        executor = SerialExecutor()
+        executor = Executor()
 
         executor.map(js, cache)
         cold = executor.last_report
@@ -298,7 +291,7 @@ class TestResultCache:
 
     def test_warm_cache_reproduces_table_exactly(self, tmp_path):
         cache = ResultCache(tmp_path)
-        executor = SerialExecutor()
+        executor = Executor()
         cold = fig19.reduce(executor.map(tiny_fig19_jobs(), cache))
         warm = fig19.reduce(executor.map(tiny_fig19_jobs(), cache))
         assert executor.last_report.computed == 0
@@ -307,7 +300,7 @@ class TestResultCache:
 
     def test_config_change_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path)
-        executor = SerialExecutor()
+        executor = Executor()
         executor.map(fig20.jobs("fast", p_values=[0.1]), cache)
         executor.map(fig20.jobs("fast", p_values=[0.2]), cache)
         assert executor.last_report.cache_hits == 0
@@ -316,7 +309,7 @@ class TestResultCache:
     def test_salt_change_invalidates(self, tmp_path):
         js = fig20.jobs("fast", p_values=[0.1])
         old = ResultCache(tmp_path)  # default code-version salt
-        SerialExecutor().map(js, old)
+        Executor().map(js, old)
         assert old.lookup(js[0]) is not MISS
 
         upgraded = ResultCache(tmp_path, salt=default_salt() + "-next")
@@ -334,36 +327,34 @@ class TestResultCache:
         # record's bytes are garbage.
         pack.write_bytes(frame[:36] + b"{ not json !".ljust(len(frame) - 36))
         assert cache.lookup(js[0]) is MISS
-        executor = SerialExecutor()
+        executor = Executor()
         executor.map(js, cache)
         assert executor.last_report.computed == 1
 
     def test_corrupt_pack_is_a_miss_and_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path)
         js = fig20.jobs("fast", p_values=[0.1])
-        SerialExecutor().map(js, cache)
+        Executor().map(js, cache)
         shard = cache.key(js[0])[:2]
         pack = tmp_path / shard / f"{shard}.pack"
         assert pack.exists()
         pack.write_bytes(b"\x00" * 4)  # truncate: index offsets now dangle
         fresh = ResultCache(tmp_path)
         assert fresh.lookup(js[0]) is MISS
-        executor = SerialExecutor()
+        executor = Executor()
         executor.map(js, fresh)
         assert executor.last_report.computed == 1
 
-    def test_memory_cache_default(self):
-        cache = ResultCache()
-        assert cache.root is None
+    def test_a_fresh_root_holds_what_a_map_stores(self, tmp_path):
+        cache = ResultCache(tmp_path / "fresh")
+        assert cache.root == tmp_path / "fresh" and len(cache) == 0
         js = fig20.jobs("fast", p_values=[0.3])
-        SerialExecutor().map(js, cache)
+        Executor().map(js, cache)
         assert cache.lookup(js[0]) is not MISS
         assert len(cache) == 1
-        cache.clear()
-        assert cache.lookup(js[0]) is MISS
 
-    def test_store_returns_json_round_trip(self):
-        cache = ResultCache()
+    def test_store_returns_json_round_trip(self, tmp_path):
+        cache = ResultCache(tmp_path)
         jb = fig20.jobs("fast", p_values=[0.1])[0]
         value = {"xs": [1, 2.5], "label": "ok", "none": None}
         assert cache.store(jb, value) == value
@@ -371,15 +362,16 @@ class TestResultCache:
 
 class TestExecuteHelper:
     def test_execute_defaults_to_serial(self):
-        js = fig20.jobs("fast", p_values=[0.1])
-        results = execute(js)
+        executor = Executor()
+        results = executor.map(fig20.jobs("fast", p_values=[0.1]))
+        assert executor.workers == 0 and not executor._slots
         assert len(results) == 1 and not results[0].cached
 
-    def test_execute_with_cache_marks_cached(self):
-        cache = ResultCache()
+    def test_execute_with_cache_marks_cached(self, tmp_path):
+        cache = ResultCache(tmp_path)
         js = fig20.jobs("fast", p_values=[0.1])
-        execute(js, None, cache)
-        results = execute(js, None, cache)
+        Executor().map(js, cache)
+        results = Executor().map(js, cache)
         assert results[0].cached
 
 

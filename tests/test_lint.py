@@ -447,14 +447,14 @@ class TestSelfCheck:
         assert report.ok, "\n".join(f.format() for f in report.findings)
         # Every suppression in tree carries a justification; the count
         # is pinned so new waivers are a conscious, reviewed decision.
-        # 10: three D001 in sim/rng.py, H001 on Job.figure, D002 on the
-        # cache's tmp-file ages, and five E001 in the executor — the
-        # salvage accounting, the in-process retry loop, and the three
-        # places an exception crosses a worker's pipe (a job that raises,
-        # an exception that does not pickle, a reply that does not
-        # unpickle).  The pool plumbing's seven best-effort waivers went
-        # with the pools.
-        assert report.suppressed == 10
+        # 9: three D001 in sim/rng.py, H001 on Job.figure, and five E001
+        # in the executor — the salvage accounting, the in-process retry
+        # loop, and the three places an exception crosses a worker's pipe
+        # (a job that raises, an exception that does not pickle, a reply
+        # that does not unpickle).  The pool plumbing's seven best-effort
+        # waivers went with the pools, the D002 on tmp-file ages with
+        # the cache's sweeper.
+        assert report.suppressed == 9
 
     def test_fixtures_are_skipped_by_the_walker(self):
         report = lint_paths([str(REPO_ROOT / "tests")])

@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments import fig20_timeout_models
 from repro.experiments.cache import ResultCache
-from repro.experiments.executor import ParallelExecutor, SerialExecutor
+from repro.experiments.executor import Executor
 from repro.experiments.jobs import SCENARIOS, scenario
 from tests import purity_controls
 from tests.test_job_purity import one_tiny_job_per_scenario
@@ -71,14 +71,14 @@ def test_a_value_is_the_same_object_shape_in_every_mode(tmp_path):
     assert len(jobs) == len(wanted)
     disk = ResultCache(tmp_path)
     modes = {
-        "serial": SerialExecutor().map(jobs),
-        "serial, cold disk cache": SerialExecutor().map(jobs, disk),
-        "serial, warm disk cache": SerialExecutor().map(jobs, disk),
+        "serial": Executor().map(jobs),
+        "serial, cold disk cache": Executor().map(jobs, disk),
+        "serial, warm disk cache": Executor().map(jobs, disk),
     }
-    with ParallelExecutor(2) as pool:
+    with Executor(2) as pool:
         modes["pool"] = pool.map(jobs)
         assert pool.last_report.inlined < len(jobs)  # some crossed the pool
-        modes["pool, memory cache"] = pool.map(jobs, ResultCache())
+        modes["pool, cold disk cache"] = pool.map(jobs, ResultCache(tmp_path / "pool"))
     assert all(result.cached for result in modes["serial, warm disk cache"])
     reference = [result.value for result in modes.pop("serial")]
     for mode, results in modes.items():

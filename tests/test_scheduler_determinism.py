@@ -26,7 +26,7 @@ from repro.experiments import fig11_convergence_analysis as fig11
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import ResultCache
 from repro.experiments.costmodel import CostModel
-from repro.experiments.executor import ParallelExecutor, SerialExecutor
+from repro.experiments.executor import Executor
 
 N_JOBS = len(fig20.jobs("fast"))
 #: Generous: it only has to be set, never to fire.
@@ -37,7 +37,7 @@ def _run_with_order(order, tmp_root, executor=None):
     """One map of fig20 (serial by default) executed in ``order``."""
     jobs = fig20.jobs("fast")
     cache = ResultCache(tmp_root)
-    permuted = (executor or SerialExecutor()).map([jobs[i] for i in order], cache)
+    permuted = (executor or Executor()).map([jobs[i] for i in order], cache)
     results = [None] * len(jobs)
     for rank, i in enumerate(order):
         results[i] = permuted[rank]
@@ -76,7 +76,7 @@ class TestPermutationProperty:
         # Same property through real worker pools: every job takes the
         # pool round-trip, submitted in the permuted order.
         reference = _run_with_order(range(N_JOBS), tmp_path / "ref")
-        executor = ParallelExecutor(workers=2, job_timeout=POOL_FORCING_TIMEOUT_S)
+        executor = Executor(2, job_timeout=POOL_FORCING_TIMEOUT_S)
         try:
             pooled = _run_with_order(order, tmp_path / "pooled", executor)
             assert executor.last_report.inlined == 0
@@ -91,8 +91,8 @@ class TestConfigurationMatrix:
     def test_two_worker_pooled_map_matches_serial(self, tmp_path):
         jobs = fig11.jobs("fast")
         serial_cache = ResultCache(tmp_path / "serial")
-        serial = fig11.reduce(SerialExecutor().map(jobs, serial_cache)).format()
-        executor = ParallelExecutor(workers=2, job_timeout=POOL_FORCING_TIMEOUT_S)
+        serial = fig11.reduce(Executor().map(jobs, serial_cache)).format()
+        executor = Executor(2, job_timeout=POOL_FORCING_TIMEOUT_S)
         try:
             parallel_cache = ResultCache(tmp_path / "parallel")
             parallel = fig11.reduce(executor.map(jobs, parallel_cache)).format()
@@ -106,8 +106,8 @@ class TestConfigurationMatrix:
 
     def test_inline_fast_path_matches_pooled(self, tmp_path):
         jobs = fig20.jobs("fast")
-        inline_exec = ParallelExecutor(workers=2)  # analysis jobs inline
-        pooled_exec = ParallelExecutor(
+        inline_exec = Executor(2)  # analysis jobs inline
+        pooled_exec = Executor(
             workers=2, job_timeout=POOL_FORCING_TIMEOUT_S
         )
         try:
@@ -129,7 +129,7 @@ class TestConfigurationMatrix:
         model = CostModel()
         jobs = fig20.jobs("fast") + fig11.jobs("fast")[:1]
         model.observe(jobs[-1], 100.0)  # fig11's scenario measured huge
-        executor = ParallelExecutor(workers=2, cost_model=model)
+        executor = Executor(2, cost_model=model)
         try:
             executor.map(jobs)
             assert executor.last_report.inlined == len(jobs) - 1

@@ -134,3 +134,20 @@ class TestCli:
         streams = capsys.readouterr()
         assert "one figure at a time" in streams.err
         assert streams.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--channel", "x"], "--channel needs --job"),
+            (["--out", "unused"], "--out needs --replay"),
+        ],
+        ids=["channel without job", "out without replay"],
+    )
+    def test_trace_rejects_a_flag_without_the_one_it_needs(
+        self, flags, message, tmp_path, capsys
+    ):
+        argv = ["trace", "fig20", "--cache-dir", str(tmp_path), *flags]
+        assert main(argv) == 2
+        streams = capsys.readouterr()
+        assert message in streams.err
+        assert streams.out == ""
