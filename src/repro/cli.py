@@ -158,8 +158,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-job wall-clock timeout for parallel runs; a stuck worker "
-        "is killed and the job retried",
+        help="per-job wall-clock timeout (needs --parallel N >= 2); a stuck "
+        "worker is killed and the job retried",
     )
     run_parser.add_argument(
         "--max-retries",
@@ -274,6 +274,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.trace and not args.cache:
         print(TRACE_NEEDS_CACHE, file=sys.stderr)
         return 2
+    if args.cache_dir is not None and not args.cache:
+        print("--cache-dir needs the cache (drop --no-cache)", file=sys.stderr)
+        return 2
 
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
     cache = ResultCache(cache_dir) if args.cache else None
@@ -356,7 +359,10 @@ def _profile_command(args, runnable) -> int:
 
     from repro.experiments.jobs import execute_job
 
-    job_list = runnable[args.figure].jobs(args.scale)[: max(1, args.jobs)]
+    if args.jobs < 1 or args.top < 1:
+        print("profile: --jobs and --top must be >= 1", file=sys.stderr)
+        return 2
+    job_list = runnable[args.figure].jobs(args.scale)[: args.jobs]
 
     profiler = cProfile.Profile()
     profiler.enable()

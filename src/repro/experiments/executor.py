@@ -212,13 +212,13 @@ def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
             return  # the coordinator closed its end, or is gone
         try:
             reply = (True, _pool_run(*request))
-        except Exception as exc:  # simlint: disable=E001(the coordinator receives the exception and retries within its budget)
+        except Exception as exc:  # the coordinator receives it and retries within its budget
             reply = (False, exc)
         try:
             conn.send(reply)
         except OSError:
             return  # nobody is listening any more
-        except Exception:  # simlint: disable=E001(an exception that does not pickle travels as its repr and stays an ordinary retry, not a crash)
+        except Exception:  # an unpicklable exception travels as its repr: a retry, not a crash
             conn.send((False, RuntimeError(repr(reply[1]))))
 
 
@@ -274,6 +274,8 @@ class Executor:
         # zero or negative timeout expires every job as it is submitted.
         if job_timeout is not None and not job_timeout > 0:
             raise ValueError(f"job_timeout must be > 0 seconds, got {job_timeout}")
+        if job_timeout is not None and workers == 0:  # nothing kills an in-process job
+            raise ValueError("job_timeout needs worker processes: --parallel N with N >= 2")
         self.job_timeout = job_timeout
         self.max_retries = max_retries if max_retries is not None else DEFAULT_MAX_RETRIES
         if self.max_retries < 0:
@@ -382,7 +384,7 @@ class Executor:
         execute_started = time.monotonic()
         try:
             self._execute([jb for _, jb in unique], complete)
-        except Exception:  # simlint: disable=E001(salvage accounting only; the failure is re-raised untouched)
+        except Exception:  # salvage accounting only; the failure is re-raised untouched
             report.salvaged = len(outcomes)
             raise
         finally:
@@ -455,7 +457,7 @@ class Executor:
             started = time.monotonic()
             try:
                 value_text, trace_text = run_job(jb)
-            except Exception as exc:  # simlint: disable=E001(bounded retry; exhausting the budget raises ExecutionError from exc)
+            except Exception as exc:  # bounded retry; exhausting it raises ExecutionError from exc
                 self._retry_or_fail(queue, pos, jb, attempt, exc, degraded=degraded)
                 continue
             complete(
@@ -687,7 +689,7 @@ class Executor:
                 return slot.conn.recv()
         except (EOFError, OSError):
             pass
-        except Exception as exc:  # simlint: disable=E001(a reply that does not unpickle enters the bounded retry path like any worker exception)
+        except Exception as exc:  # a reply that does not unpickle is retried like a worker exception
             return False, exc
         return None
 

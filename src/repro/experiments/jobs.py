@@ -180,7 +180,7 @@ class Job:
     entries too.
     """
 
-    figure: str  # simlint: disable=H001(figure routes results to reduce() but is deliberately outside the hash so fig04/fig05 share cache entries)
+    figure: str  # routes results to reduce(); unhashed so fig04/fig05 share cache entries
     scenario: str
     config: Any = None
     protocol: Optional[Protocol] = None

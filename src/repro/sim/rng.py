@@ -31,12 +31,13 @@ def deterministic_default_rng() -> random.Random:
     sequence, and no experiment seed controls it.  Simulations must
     pass a named stream — ``registry.stream("red.bottleneck")`` — from
     the run's :class:`RngRegistry` instead.  The loud name exists so a
-    grep (and rule D001 of ``repro.lint``) can keep the silent
+    grep (and ``tests/test_source_rules.py``, which exempts this module
+    alone) can keep the silent
     ``random.Random(0)`` pattern from creeping back in.
     """
     # The one sanctioned bare-Random construction site outside the
     # registry itself; seed 0 preserves the historical fallback streams.
-    return random.Random(0)  # simlint: disable=D001(the sanctioned fallback constructor itself)
+    return random.Random(0)
 
 
 class RngRegistry:
@@ -61,7 +62,7 @@ class RngRegistry:
                 f"{self._master_seed}:{name}".encode()
             ).digest()
             seed = int.from_bytes(digest[:8], "big")
-            rng = random.Random(seed)  # simlint: disable=D001(the registry is where streams are born)
+            rng = random.Random(seed)  # the registry is where streams are born
             self._streams[name] = rng
         return rng
 
@@ -98,7 +99,7 @@ class RngRegistry:
         self._master_seed = int(state["master_seed"])
         self._streams = {}
         for name, rng_state in state["streams"].items():
-            rng = random.Random()  # simlint: disable=D001(unpickling restores an existing stream's state)
+            rng = random.Random()  # unpickling restores an existing stream's state
             rng.setstate(rng_state)
             self._streams[name] = rng
 

@@ -23,14 +23,15 @@ __all__ = ["LinkMetrics", "FlowMetrics"]
 
 
 def _growth(series: TimeSeries, start: Seconds, end: Seconds) -> float:
-    """Growth of a cumulative series over [start, end); 0 before its first sample."""
+    """Growth of a cumulative series over (start, end]; 0 before its first sample."""
     return (series.last_before(end) or 0.0) - (series.last_before(start) or 0.0)
 
 
 class LinkMetrics:
     """Arrival/drop/mark/departure channels of one link, plus derived rates.
 
-    All windowed counts use the half-open convention ``[start, end)``.
+    Counters count events in ``[start, end)``; departed bytes grow over
+    ``(start, end]``: a packet belongs to the window its serialization ends in.
     """
 
     def __init__(
@@ -105,7 +106,7 @@ class LinkMetrics:
         return _growth(self.departures.series, start, end)
 
     def utilization(self, start: Seconds, end: Seconds) -> Ratio:
-        """Fraction of the link's capacity used over [start, end)."""
+        """Fraction of the link's capacity used over (start, end]."""
         if self.bandwidth_bps is None:
             raise RuntimeError("link bandwidth unknown (monitor not attached?)")
         capacity_bytes = self.bandwidth_bps * (end - start) / 8.0
@@ -133,7 +134,7 @@ class FlowMetrics:
     def throughput_bps(
         self, flow_id: int, start: Seconds, end: Seconds
     ) -> BitsPerSecond:
-        """Average delivered rate of one flow over [start, end), bits/s."""
+        """Average delivered rate of one flow over (start, end], bits/s."""
         duration = end - start
         if duration <= 0:
             return 0.0

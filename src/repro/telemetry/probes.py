@@ -109,7 +109,7 @@ class CounterProbe(Probe):
     Stores event times in one ``array('d')``: every event counts one, so
     the running total after ``times[i]`` is ``i + 1`` and a windowed count
     is two bisects — no per-event tuple objects — over half-open
-    ``[start, end)`` windows, the one interval convention of this package.
+    ``[start, end)`` windows, the convention of every counter here.
     """
 
     kind = "counter"

@@ -9,9 +9,10 @@ stabilization, f(k) utilization, smoothness...).
 
 Interval conventions
 --------------------
-Every windowed operation in this package uses the half-open convention
-``start <= t < end``, so adjacent windows tile the timeline without
-double-counting boundary events.
+Counting events (``CounterProbe.count_in``, :meth:`TimeSeries.window`)
+uses ``start <= t < end``; a cumulative series is read "as of" a time
+(:meth:`TimeSeries.last_before`), so its growth covers ``start < t <= end``.
+Either way adjacent windows tile the timeline without double counting.
 """
 
 from __future__ import annotations

@@ -371,13 +371,26 @@ class TestRunLog:
     def test_a_bad_executor_flag_is_a_usage_error(self, flag, message, capsys):
         assert_usage_error(capsys, flag, message)
 
+    @pytest.mark.parametrize("parallel", ["0", "1"])
+    def test_a_timeout_without_workers_is_a_usage_error(self, parallel, capsys):
+        # In process, nothing could kill a stuck job: the bound would be a no-op.
+        with pytest.raises(ValueError, match="--parallel N with N >= 2"):
+            Executor(0, job_timeout=1.0)
+        assert_usage_error(
+            capsys, "--job-timeout=0.000001", "--parallel N with N >= 2", "--parallel", parallel
+        )
 
-def assert_usage_error(capsys, flag, message):
-    """``repro run`` with ``flag``: exit 2 and one line on stderr, like
-    every other usage error — not a traceback out of ``Executor``."""
+    def test_a_cache_dir_without_the_cache_is_a_usage_error(self, tmp_path, capsys):
+        assert_usage_error(capsys, f"--cache-dir={tmp_path}", "--cache-dir.*--no-cache")
+        assert not any(tmp_path.iterdir())
+
+
+def assert_usage_error(capsys, flag, message, *more):
+    """``repro run`` with ``flag`` (and ``more``): exit 2 and one line on
+    stderr, like every other usage error — not a traceback out of ``Executor``."""
     from repro.cli import main
 
-    assert main(["run", "fig20", "--no-cache", flag]) == 2
+    assert main(["run", "fig20", "--no-cache", flag, *more]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(f".*{message}.*\n", captured.err)

@@ -18,7 +18,7 @@ import hashlib
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,7 @@ from repro.experiments import fig19_iiad_sqrt as fig19
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import MISS, ResultCache, default_salt
 from repro.experiments.executor import Executor, make_executor
-from repro.experiments.jobs import DropperSpec, canonical, content_hash, job
+from repro.experiments.jobs import DropperSpec, Job, canonical, content_hash, job
 from repro.experiments.protocols import tcp, tfrc
 from repro.sim.rng import RngRegistry
 
@@ -130,6 +130,13 @@ class TestContentHash:
         jb = tiny_fig04_jobs()[0]
         relabelled = replace(jb, figure="zzz", index=99, tags=(("other", 1),))
         assert relabelled.content_hash == jb.content_hash
+
+    def test_every_compared_field_but_figure_is_hashed(self):
+        """A field that makes two jobs unequal without reaching describe()
+        lets them share one cache entry.  ``figure`` is compared but
+        deliberately unhashed, so Figures 4 and 5 share cache entries."""
+        compared = {f.name for f in fields(Job) if f.compare}
+        assert compared - {"figure"} == set(tiny_fig04_jobs()[0].describe())
 
     def test_inputs_do_affect_hash(self):
         jb = tiny_fig04_jobs()[0]

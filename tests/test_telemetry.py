@@ -20,6 +20,7 @@ from repro.telemetry import (
     TRACE_SCHEMA_VERSION,
     CounterProbe,
     GaugeProbe,
+    LinkMetrics,
     Recorder,
     SeriesProbe,
     TraceReader,
@@ -120,6 +121,22 @@ class TestSeriesProbe:
         probe = SeriesProbe("legacy", series=ts)
         probe.record(1.0, 8.0)
         assert list(ts) == [(0.0, 7.0), (1.0, 8.0)]
+
+
+class TestWindowConventions:
+    def test_counters_count_start_to_end_and_bytes_grow_after_start_to_end(self):
+        """A counter counts [start, end); a cumulative channel is read as of
+        a time, so its growth covers (start, end]: a byte recorded when its
+        serialization ends belongs to the window that ends then."""
+        link = LinkMetrics("link", bandwidth_bps=8000.0)
+        link.departures = SeriesProbe("departed_bytes")
+        link.arrivals.increment(1.0)
+        link.arrivals.increment(2.0)  # at exactly end: outside
+        link.departures.record(1.0, 100.0)  # at exactly start: outside
+        link.departures.record(2.0, 300.0)  # at exactly end: inside
+        assert link.arrivals_in(1.0, 2.0) == 1
+        assert link.departed_bytes_in(1.0, 2.0) == 200.0
+        assert link.utilization(1.0, 2.0) == 0.2  # 200 of the 1000 bytes a second
 
 
 class TestGaugeProbe:

@@ -135,6 +135,13 @@ class TestCli:
         assert "one figure at a time" in streams.err
         assert streams.out == ""
 
+    @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--top", "0"], ["--jobs", "-1"]])
+    def test_profile_rejects_a_count_below_one(self, flags, capsys):
+        assert main(["profile", "fig20", *flags]) == 2
+        streams = capsys.readouterr()
+        assert "must be >= 1" in streams.err
+        assert streams.out == ""
+
     @pytest.mark.parametrize(
         "flags, message",
         [
