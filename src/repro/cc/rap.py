@@ -19,6 +19,7 @@ or when its ACK is overdue by an RTO-like timeout.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional
 
 from repro.cc.aimd import tcp_compatible_a
@@ -73,7 +74,9 @@ class RapSender(Sender):
         self.w = 1.0  # virtual window, packets per RTT
         self.srtt = initial_rtt
         self._seq = 0
-        self._outstanding: dict[int, float] = {}  # seq -> send time
+        # seq -> send time, in send order: sequence numbers and send times
+        # both rise along it, so the stale and the lost packets are prefixes.
+        self._outstanding: OrderedDict[int, float] = OrderedDict()
         self._highest_acked = -1
         self._loss_in_round = False
         self._round_end = 0.0
@@ -126,10 +129,11 @@ class RapSender(Sender):
     def _expire_stale(self) -> None:
         """Timeout-based loss detection: no ACK within several RTTs."""
         deadline = self.sim.now - 6.0 * self.srtt
-        stale = [seq for seq, sent in self._outstanding.items() if sent < deadline]
-        if stale:
-            for seq in stale:
-                del self._outstanding[seq]
+        outstanding, expired = self._outstanding, False
+        while outstanding and outstanding[next(iter(outstanding))] < deadline:
+            outstanding.popitem(last=False)
+            expired = True
+        if expired:
             self._on_loss_event()
 
     # Per-RTT additive increase ----------------------------------------------------------
@@ -158,10 +162,11 @@ class RapSender(Sender):
         # RAP gap detection: an ACK for packet k means anything more than
         # LOSS_REORDER_DEPTH behind k that is still unACKed was lost.
         horizon = self._highest_acked - self.LOSS_REORDER_DEPTH
-        lost = [s for s in self._outstanding if s < horizon]
+        outstanding, lost = self._outstanding, False
+        while outstanding and next(iter(outstanding)) < horizon:
+            outstanding.popitem(last=False)
+            lost = True
         if lost:
-            for s in lost:
-                del self._outstanding[s]
             self._on_loss_event()
         if self.max_packets is not None and not self._outstanding and (
             self._seq >= self.max_packets

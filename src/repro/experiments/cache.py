@@ -1,8 +1,8 @@
 """Content-addressed on-disk cache for experiment job results.
 
 Every :class:`~repro.experiments.jobs.Job` has a stable content hash over
-its full declarative description.  The cache keys canonical-JSON result
-records by ``sha256(job_hash : salt)`` where the salt folds in the
+its full declarative description.  The cache keys canonical-JSON
+payloads by ``sha256(job_hash : salt)`` where the salt folds in the
 library version and the job-schema version, so a code upgrade (or an
 explicit salt override) invalidates every stale entry without deleting
 anything.
@@ -16,15 +16,17 @@ There is one layout on disk.  Key ``ab…`` belongs to shard ``ab``, and
 every record of a shard is a *frame* in the shard's pack
 ``root/ab/ab.pack``::
 
-    key (32 raw bytes) | record length (<I) | canonical record (UTF-8 JSON)
+    key (32 raw bytes) | record length (<I) | canonical payload (UTF-8 JSON)
 
-``root/ab/ab.pack.idx`` — ``{"entries": {key: [frame offset, record
-length]}, "version": 2}``, replaced atomically — says where each frame
-starts.  A lookup is one probe of that index (read once per shard per
-instance) and one ``pread`` of the frame; a frame that is short, is
-stamped with another key or holds a record that does not parse is a
-miss, recomputed and re-stored like any other.  An index of another
-version reads as empty, so an older cache is one miss per entry.
+The record is :func:`~repro.experiments.jobs.run_job`'s payload text as
+it is; the key stamp binds it to its job and salt.  ``root/ab/ab.pack.idx``
+— ``{"entries": {key: [frame offset, record length]}, "version": 3}``,
+replaced atomically — says where each frame starts.  A lookup is one
+probe of that index (read once per shard per instance) and one ``pread``
+of the frame; a frame that is short, is stamped with another key or holds
+a record that does not parse (or nests too deep to) is a miss, recomputed
+and re-stored like any other.  An index of another version reads as
+empty, so an older cache is one miss per entry.
 
 A flush — :meth:`ResultCache.flush_batch`, or a store outside a batch —
 is one ``O_APPEND`` write per shard, frames sorted by key so the pack
@@ -62,8 +64,8 @@ MISS = object()
 #: A frame's head: the key's 32 raw bytes, then the record's byte count.
 _FRAME_HEAD = struct.Struct("<32sI")
 
-#: Pack index format version.
-_INDEX_VERSION = 2
+#: Pack index format version: bump it whenever the record layout changes.
+_INDEX_VERSION = 3
 
 _TRACE_SUFFIX = ".trace.jsonl"
 
@@ -121,7 +123,7 @@ def _is_current_trace(header_line: str) -> bool:
     """True when a trace opening with ``header_line`` can be loaded."""
     try:
         parse_header(header_line)
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     return True
 
@@ -143,14 +145,18 @@ class ResultCache:
         #: Pack indexes read so far, one dict (key -> [frame offset,
         #: record length]) per shard; ``{}`` for a shard with no index.
         self._indexes: dict[str, dict[str, list]] = {}
+        #: Job content hash -> cache key, for every job this instance saw.
+        self._keys: dict[str, str] = {}
 
     # -- keys and paths -----------------------------------------------------
 
     def key(self, jb: Job) -> str:
-        """Cache key: job content hash + code-version salt."""
-        return hashlib.sha256(
-            f"{jb.content_hash}:{self.salt}".encode("utf-8")
-        ).hexdigest()
+        """Cache key: job content hash + code-version salt, once per job."""
+        key = self._keys.get(jb.content_hash)
+        if key is None:
+            text = f"{jb.content_hash}:{self.salt}"
+            key = self._keys[jb.content_hash] = hashlib.sha256(text.encode()).hexdigest()
+        return key
 
     def _file(self, shard: str, name: str) -> str:
         return f"{self._dir}/{shard}/{name}"
@@ -173,8 +179,8 @@ class ResultCache:
         record = self._record(self.key(jb))
         if record is not None:
             try:
-                value = json.loads(record)["value"]
-            except (ValueError, KeyError, TypeError):
+                value = json.loads(record)
+            except (ValueError, RecursionError):
                 pass
             else:
                 self.stats.hits += 1
@@ -226,24 +232,18 @@ class ResultCache:
 
         ``value_text`` must be ``json.dumps(value, allow_nan=True,
         sort_keys=True)`` output — exactly what
-        :func:`~repro.experiments.jobs.run_job` returns.  The record is
-        spliced around it without re-serializing the payload, and the
-        resulting bytes are what dumping the whole record with
-        ``sort_keys`` would write: the record keys ``job`` < ``salt`` <
-        ``value`` are already in sorted order, and ``json.dumps`` default
-        separators (``", "``/``": "``) match the splice below.  Returning
-        the parsed text guarantees cold runs see exactly what warm runs
-        will read back, keeping output byte-identical whether or not the
-        cache was already populated.
+        :func:`~repro.experiments.jobs.run_job` returns — and becomes the
+        record as it is: the frame's key stamp names the job and salt, so
+        nothing is wrapped around the payload.  Returning the parsed text
+        guarantees cold runs see exactly what warm runs will read back,
+        keeping output byte-identical whether or not the cache was
+        already populated.
         """
-        job_text = json.dumps(jb.describe(), allow_nan=True, sort_keys=True)
-        salt_text = json.dumps(self.salt, sort_keys=True)
-        text = f'{{"job": {job_text}, "salt": {salt_text}, "value": {value_text}}}'
         key = self.key(jb)
         if self._batch is not None:
-            self._batch[key] = text
+            self._batch[key] = value_text
         else:
-            self._append(key[:2], [(key, text)])
+            self._append(key[:2], [(key, value_text)])
         self.stats.stores += 1
         return json.loads(value_text)
 
@@ -307,7 +307,7 @@ class ResultCache:
                 doc = json.loads(handle.read())
             if doc["version"] == _INDEX_VERSION:
                 return dict(doc["entries"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             pass
         return {}
 

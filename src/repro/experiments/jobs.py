@@ -131,12 +131,13 @@ def canonical(obj: Any) -> Any:
     Handles the vocabulary jobs are built from: primitives, lists/tuples,
     dicts with string keys, :class:`Protocol`, :class:`DropperSpec`
     and frozen config dataclasses (encoded with their class name so two
-    different config types never collide).
+    different config types never collide).  The result is canonical all
+    the way down: a spec's description is walked too.
     """
     if obj is None or isinstance(obj, (str, bool, int, float)):
         return obj
     if isinstance(obj, (Protocol, DropperSpec)):
-        return obj.describe()
+        return canonical(obj.describe())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         desc: dict[str, Any] = {"__config__": type(obj).__qualname__}
         for fld in dataclasses.fields(obj):
@@ -154,10 +155,9 @@ def canonical(obj: Any) -> Any:
 
 
 def content_hash(description: Any) -> str:
-    """Stable SHA-256 over a canonical JSON encoding of ``description``."""
-    text = json.dumps(
-        canonical(description), sort_keys=True, separators=(",", ":"), allow_nan=True
-    )
+    """Stable SHA-256 over the compact sorted-key JSON of ``description``,
+    which must already be canonical (:meth:`Job.describe` is)."""
+    text = json.dumps(description, sort_keys=True, separators=(",", ":"), allow_nan=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -207,7 +207,8 @@ class Job:
         return default
 
     def describe(self) -> dict:
-        """The hashed identity of this job (figure/tags/index excluded)."""
+        """The hashed identity of this job (figure/tags/index excluded),
+        canonical as it stands."""
         return {
             "scenario": self.scenario,
             "config": canonical(self.config),

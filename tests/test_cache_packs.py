@@ -1,4 +1,4 @@
-"""Unit tests for the cache's text splicing, pack frames and recovery paths.
+"""Unit tests for the cache's payload records, pack frames and recovery paths.
 
 Every recovery path of a disk lookup is a MISS that the executor
 recomputes and re-stores; ``docs/experiments.md`` ("The result cache")
@@ -8,6 +8,7 @@ maps each path to the test here (or in ``test_experiments_jobs.py`` /
 
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import struct
@@ -17,7 +18,7 @@ import pytest
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.executor import Executor
-from repro.experiments.jobs import job
+from repro.experiments.jobs import job, run_job
 from repro.telemetry import Recorder
 
 JOBS = lambda: fig20.jobs("fast")  # noqa: E731 - tiny factory
@@ -110,6 +111,16 @@ class TestCacheSplicing:
         value_text = shipped_text(value)
         assert cache.store_text(jb, value_text) == {"t": [1, 2]}
 
+    def test_a_nan_payload_is_the_same_cold_and_warm(self, tmp_path):
+        # allow_nan: NaN and the infinities are stored as JSON's
+        # NaN/Infinity tokens and parse back to the same floats.
+        jb = JOBS()[0]
+        value = {"nan": math.nan, "inf": [math.inf, -math.inf], "x": 0.1}
+        cold = ResultCache(tmp_path).store_text(jb, shipped_text(value))
+        warm = ResultCache(tmp_path).lookup(jb)
+        assert math.isnan(warm["nan"])
+        assert shipped_text(cold) == shipped_text(warm) == shipped_text(value)
+
 
 class TestBatchedPacks:
     def test_batch_flush_packs_and_reads_back(self, tmp_path):
@@ -136,16 +147,19 @@ class TestBatchedPacks:
         cache.flush_batch()
         assert cache.lookup(jb) == {"ok": 1}
 
-    def test_a_frame_is_the_key_then_the_length_then_the_record(self, tmp_path, shard_jobs):
-        jb = shard_jobs[0]
-        cache = flushed(tmp_path, [jb])
+    def test_a_frame_is_the_key_then_the_length_then_the_record(self, tmp_path):
+        # The record is the payload text run_job returned, byte for byte:
+        # the stamp, not an envelope, names the job and the salt.
+        jb = JOBS()[0]
+        cache = ResultCache(tmp_path)
+        Executor().map([jb], cache)
         frame = shard_file(tmp_path, jb, ".pack").read_bytes()
         key = cache.key(jb)
         (length,) = struct.unpack_from("<I", frame, 32)
         assert frame[:32] == bytes.fromhex(key) and len(frame) == 36 + length
-        assert json.loads(frame[36:])["value"] == payload(jb)
+        assert frame[36:] == run_job(jb)[0].encode("utf-8")
         index = json.loads(shard_file(tmp_path, jb, ".pack.idx").read_text())
-        assert index == {"version": 2, "entries": {key: [0, length]}}
+        assert index == {"version": 3, "entries": {key: [0, length]}}
 
 
 class TestAFrameNamesItsKey:
@@ -242,14 +256,25 @@ class TestRecoveryPaths:
 
     @pytest.mark.parametrize(
         "damage",
-        ["missing index", "unreadable index", "missing pack", "short frame", "not UTF-8"],
+        [
+            "missing index",
+            "unreadable index",
+            "missing pack",
+            "short frame",
+            "not UTF-8",
+            "nested record",
+            "nested index",
+            "nested trace header",
+        ],
     )
     def test_damage_is_a_miss_and_recomputed(self, tmp_path, damage):
-        jb = JOBS()[0]
+        # A traced job, so that a trace header is on disk to damage too.
+        jb = dataclasses.replace(JOBS()[0], trace=True)
         Executor().map([jb], ResultCache(tmp_path))
         index_path = shard_file(tmp_path, jb, ".pack.idx")
         pack = shard_file(tmp_path, jb, ".pack")
         frame = pack.read_bytes()
+        nested = b"[" * 100_000  # deeper than the JSON parser recurses
         if damage == "missing index":
             index_path.unlink()
         elif damage == "unreadable index":
@@ -258,33 +283,62 @@ class TestRecoveryPaths:
             pack.unlink()
         elif damage == "short frame":
             pack.write_bytes(frame[:-1])
+        elif damage == "nested record":  # stamped and indexed as the job's own
+            key = ResultCache(tmp_path).key(jb)
+            pack.write_bytes(frame[:32] + struct.pack("<I", len(nested)) + nested)
+            doc = json.loads(index_path.read_text())
+            doc["entries"][key] = [0, len(nested)]
+            index_path.write_text(json.dumps(doc))
+        elif damage == "nested index":
+            index_path.write_bytes(nested)
+        elif damage == "nested trace header":
+            ResultCache(tmp_path).trace_path(jb).write_bytes(nested + b"\n")
         else:  # same length, same stamp
             pack.write_bytes(frame[:-1] + b"\xff")
-        assert_recomputed(tmp_path, jb)
+        if damage == "nested trace header":  # the record is intact; its trace is not
+            fresh = ResultCache(tmp_path)
+            assert not fresh.has_trace(jb) and fresh.load_trace(jb) is None
+            executor = Executor()
+            executor.map([jb], fresh)
+            assert executor.last_report.computed == 1
+        else:
+            assert_recomputed(tmp_path, jb)
+        assert ResultCache(tmp_path).has_trace(jb)
 
     def test_a_parent_written_cache_reads_as_misses_once_then_hits(self, tmp_path):
-        # The layout before frames carried their key: an index of
-        # version 1 pointing at bare length-prefixed records, and a
-        # record in its own <key>.json blob.
-        packed, blobbed = JOBS()[:2]
+        # Every older layout, each holding a {"job", "salt", "value"}
+        # envelope: before frames carried their key, an index of version 1
+        # pointing at bare length-prefixed records, or a record in its own
+        # <key>.json blob; before the record was the payload, an index of
+        # version 2 over key-stamped frames.  A reader of either would
+        # serve the whole envelope as the payload.
+        packed, blobbed, enveloped = JOBS()[:3]
         cache = ResultCache(tmp_path)
-        for jb, where in ((packed, "pack"), (blobbed, "blob")):
+        for jb, where in ((packed, "pack"), (blobbed, "blob"), (enveloped, "frame")):
             key = cache.key(jb)
             record = json.dumps({"job": jb.describe(), "salt": cache.salt, "value": 1})
-            (tmp_path / key[:2]).mkdir(exist_ok=True)
+            shard = tmp_path / key[:2]
+            shard.mkdir(exist_ok=True)
+            if where == "blob":
+                (shard / f"{key}.json").write_text(record)
+                continue
             if where == "pack":
-                with open(tmp_path / key[:2] / f"{key[:2]}.pack", "ab") as handle:
-                    handle.write(struct.pack("<I", len(record)) + record.encode())
-                (tmp_path / key[:2] / f"{key[:2]}.pack.idx").write_text(
-                    json.dumps({"version": 1, "entries": {key: [4, len(record)]}})
-                )
+                head, version, offset = struct.pack("<I", len(record)), 1, 4
             else:
-                (tmp_path / key[:2] / f"{key}.json").write_text(record)
-        for jb in (packed, blobbed):
+                head, version, offset = bytes.fromhex(key) + struct.pack("<I", len(record)), 2, 0
+            (shard / f"{key[:2]}.pack").write_bytes(head + record.encode())
+            (shard / f"{key[:2]}.pack.idx").write_text(
+                json.dumps({"version": version, "entries": {key: [offset, len(record)]}})
+            )
+        for jb in (packed, blobbed, enveloped):
             assert_recomputed(tmp_path, jb)
+        fresh = ResultCache(tmp_path)
+        assert [fresh.lookup(jb) for jb in (packed, blobbed, enveloped)] == [
+            json.loads(run_job(jb)[0]) for jb in (packed, blobbed, enveloped)
+        ]
         blob = tmp_path / cache.key(blobbed)[:2] / f"{cache.key(blobbed)}.json"
         assert blob.exists()  # inert: never read, never counted
-        assert len(ResultCache(tmp_path)) == 2
+        assert len(ResultCache(tmp_path)) == 3
 
     def test_a_torn_tail_is_inert_and_the_next_flush_appends_after_it(
         self, tmp_path, shard_jobs, monkeypatch

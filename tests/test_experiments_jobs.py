@@ -189,7 +189,7 @@ class TestContentHash:
 
     def test_canonical_rejects_foreign_objects(self):
         with pytest.raises(TypeError, match="canonicalize"):
-            content_hash({"bad": object()})
+            canonical({"bad": object()})
 
     def test_canonical_encodes_specs_and_configs(self):
         desc = canonical(
