@@ -13,7 +13,7 @@ The naming follows the paper: for a slowness parameter gamma,
   (:func:`repro.cc.tfrc.new_tfrc_flow` with ``n_intervals = gamma``).
 """
 
-from repro.cc.aimd import AimdParams, aimd_params, deterministic_a, gamma_to_b, tcp_compatible_a
+from repro.cc.aimd import tcp_compatible_a
 from repro.cc.base import Receiver, Sender, WindowRule, establish
 from repro.cc.binomial import (
     AimdRule,
@@ -43,7 +43,6 @@ from repro.cc.tfrc import (
 )
 
 __all__ = [
-    "AimdParams",
     "AimdRule",
     "BinomialRule",
     "RapSender",
@@ -58,13 +57,10 @@ __all__ = [
     "TfrcReport",
     "TfrcSender",
     "WindowRule",
-    "aimd_params",
     "aimd_response_rate",
     "aimd_with_timeouts_rate",
     "binomial_compatible_a",
-    "deterministic_a",
     "establish",
-    "gamma_to_b",
     "iiad_rule",
     "interval_weights",
     "invert_simple_response",

@@ -29,6 +29,8 @@ from repro.units import Packets, Seconds
 __all__ = ["WindowRule", "Endpoint", "Sender", "Receiver", "establish"]
 
 ACK_SIZE = 40
+#: RTT estimate (seconds) a rate-based agent uses before its first sample.
+INITIAL_RTT = 0.5
 
 
 class WindowRule(abc.ABC):
@@ -109,24 +111,16 @@ class Sender(Endpoint):
     """Base class for sending agents (the congestion-controlled side).
 
     Subclasses implement :meth:`_begin` (kick off transmission) and
-    :meth:`receive` (process ACK/feedback packets).  ``max_packets`` bounds
-    the transfer (for flash-crowd style short flows); None means long-lived.
+    :meth:`receive` (process ACK/feedback packets).
     """
 
     @checked
-    def __init__(
-        self,
-        sim: Simulator,
-        packet_size: PositiveBytes = 1000,
-        max_packets: Optional[int] = None,
-    ):
+    def __init__(self, sim: Simulator, packet_size: PositiveBytes = 1000):
         super().__init__(sim, packet_size)
-        self.max_packets = max_packets
         self.running = False
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
         self.packets_sent = 0
-        self.on_complete: Optional[Callable[["Sender"], None]] = None
         # Telemetry channels this sender emits (cwnd, rate, timeouts...).
         # Subclasses register probes here; establish() adopts them into
         # the active recorder as flow.<id>.<key>.
@@ -179,12 +173,6 @@ class Sender(Endpoint):
 
     def _halt(self) -> None:
         """Subclasses cancel their timers here."""
-
-    def _complete(self) -> None:
-        """Called by subclasses when a bounded transfer finishes."""
-        self.stop()
-        if self.on_complete is not None:
-            self.on_complete(self)
 
 
 class Receiver(Endpoint):

@@ -61,17 +61,6 @@ class BinomialRule(WindowRule):
         self.b = b
         self.name = name or f"binomial(k={k},l={l})"
 
-    @property
-    def is_tcp_compatible(self) -> bool:
-        return abs(self.k + self.l - 1.0) < 1e-9
-
-    @property
-    def is_slowly_responsive(self) -> bool:
-        """Reduces by less than half of the window on a loss event."""
-        if self.l < 1:
-            return True
-        return self.b < 0.5
-
     @checked
     def increase_per_ack(self, w: CwndPackets) -> Packets:
         # a / W^k per RTT spread over the ~W ACKs of that RTT.
@@ -105,22 +94,18 @@ def tcp_rule(b: Probability = 0.5) -> AimdRule:
 def sqrt_rule(b: Probability = 0.5) -> BinomialRule:
     """TCP-compatible SQRT rule: k = l = 1/2, decrease factor ``b``.
 
-    SQRT(1/gamma) in the paper is ``sqrt_rule(gamma_to_b(gamma))``.
+    SQRT(1/gamma) in the paper is ``sqrt_rule(1 / gamma)``.
     """
     return BinomialRule(0.5, 0.5, binomial_compatible_a(0.5, 0.5, b), b, name=f"sqrt({b:.4g})")
 
 
 @checked
-def iiad_rule(b: PositiveRatio = 1.0, a: float | None = None) -> BinomialRule:
+def iiad_rule(b: PositiveRatio = 1.0) -> BinomialRule:
     """IIAD rule: k = 1, l = 0, additive decrease ``b`` packets.
 
-    The default increase constant follows Bansal & Balakrishnan's IIAD
+    The increase constant a = b follows Bansal & Balakrishnan's IIAD
     configuration (a = 1), which sits slightly below the leading-order
     TCP-compatible value 1.5 b — matching the paper's observation that
-    IIAD "achieves smoothness at the cost of throughput".  Pass
-    ``a=binomial_compatible_a(1, 0, b)`` for the exactly-compatible
-    variant.
+    IIAD "achieves smoothness at the cost of throughput".
     """
-    if a is None:
-        a = 1.0 * b
-    return BinomialRule(1.0, 0.0, a, b, name=f"iiad({b:.4g})")
+    return BinomialRule(1.0, 0.0, b, b, name=f"iiad({b:.4g})")

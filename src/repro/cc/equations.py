@@ -24,7 +24,6 @@ import sys
 from repro.contracts import (
     NonNegPps,
     NonNegRatio,
-    PositiveBytes,
     PositiveRatio,
     PositiveSeconds,
     Probability,
@@ -79,8 +78,6 @@ def padhye_rate_pps(
     p: Probability,
     rtt_s: PositiveSeconds,
     rto_s: PositiveSeconds | None = None,
-    packet_size: PositiveBytes = 1000,
-    max_burst_ratio: float = 3.0,
 ) -> NonNegPps:
     """Padhye et al. Reno throughput in packets per second.
 
@@ -88,8 +85,7 @@ def padhye_rate_pps(
 
     This is the TFRC control equation (RFC 3448 uses b=1, i.e. no delayed
     ACKs, matching the paper).  ``rto_s`` defaults to 4 * rtt, the TFRC
-    simplification.  ``packet_size`` is accepted for symmetry with byte-rate
-    callers; the packet-rate form does not use it.
+    simplification.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
@@ -101,7 +97,7 @@ def padhye_rate_pps(
         # Kept finite: an overflowed inf times an underflowed loss term is nan.
         rto_s = min(4.0 * rtt_s, sys.float_info.max)
     sqrt_term = math.sqrt(2.0 * p / 3.0)
-    timeout_term = rto_s * min(1.0, max_burst_ratio * math.sqrt(3.0 * p / 8.0)) * p * (
+    timeout_term = rto_s * min(1.0, 3.0 * math.sqrt(3.0 * p / 8.0)) * p * (
         1.0 + 32.0 * p * p
     )
     try:
@@ -111,11 +107,13 @@ def padhye_rate_pps(
 
 
 @checked
-def padhye_rate_per_rtt(
-    p: Probability, rtt_s: PositiveSeconds = 1.0, rto_s: PositiveSeconds | None = None
-) -> float:
-    """Padhye model in packets per RTT (Figure 20's y-axis)."""
-    return padhye_rate_pps(p, rtt_s, rto_s) * rtt_s
+def padhye_rate_per_rtt(p: Probability) -> float:
+    """Padhye model in packets per RTT (Figure 20's y-axis).
+
+    With the default RTO of four RTTs the RTT cancels out: this is the
+    packet rate at an RTT of one second.
+    """
+    return padhye_rate_pps(p, 1.0)
 
 
 @checked

@@ -20,14 +20,13 @@ or when its ACK is overdue by an RTO-like timeout.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 from repro.cc.aimd import tcp_compatible_a
-from repro.cc.base import ACK_SIZE, Receiver, Sender
+from repro.cc.base import ACK_SIZE, INITIAL_RTT, Receiver, Sender
 from repro.net.packet import ACK, DATA, Packet
 from repro.sim.engine import Simulator, Timer
 from repro.telemetry.probes import SeriesProbe
-from repro.contracts import NonNegPps, PositiveBytes, PositiveSeconds, Probability, checked
+from repro.contracts import NonNegPps, PositiveBytes, Probability, checked
 from repro.units import Seconds
 
 __all__ = ["RapSender", "RapSink", "new_rap_flow"]
@@ -39,12 +38,9 @@ class RapSender(Sender):
     Parameters
     ----------
     b:
-        Multiplicative decrease factor (RAP(1/gamma) -> b = 1/gamma).
-    a:
-        Additive increase per RTT; defaults to the paper's TCP-compatible
+        Multiplicative decrease factor (RAP(1/gamma) -> b = 1/gamma); the
+        additive increase per RTT is the paper's TCP-compatible
         a = 4(2b - b^2)/3.
-    initial_rtt:
-        RTT estimate before the first sample.
     """
 
     LOSS_REORDER_DEPTH = 3
@@ -54,17 +50,14 @@ class RapSender(Sender):
         self,
         sim: Simulator,
         b: Probability = 0.5,
-        a: Optional[float] = None,
         packet_size: PositiveBytes = 1000,
-        max_packets: Optional[int] = None,
-        initial_rtt: PositiveSeconds = 0.5,
         conservative: bool = False,
     ):
-        super().__init__(sim, packet_size, max_packets)
+        super().__init__(sim, packet_size)
         if not 0 < b < 1:
             raise ValueError("b must be in (0, 1)")
         self.b = b
-        self.a = a if a is not None else tcp_compatible_a(b)
+        self.a = tcp_compatible_a(b)
         # Ablation of the paper's packet-conservation principle applied to
         # RAP: on a loss event, additionally clamp the virtual window to the
         # number of ACKs that actually arrived in the last RTT (the analogue
@@ -72,7 +65,7 @@ class RapSender(Sender):
         self.conservative = conservative
         self._recent_acks: list[float] = []  # algorithm state, not telemetry
         self.w = 1.0  # virtual window, packets per RTT
-        self.srtt = initial_rtt
+        self.srtt = INITIAL_RTT
         self._seq = 0
         # seq -> send time, in send order: sequence numbers and send times
         # both rise along it, so the stale and the lost packets are prefixes.
@@ -116,8 +109,6 @@ class RapSender(Sender):
 
     def _send_next(self) -> None:
         if not self.running:
-            return
-        if self.max_packets is not None and self._seq >= self.max_packets:
             return
         self._transmit(DATA, self._seq, self.packet_size)
         self._outstanding[self._seq] = self.sim.now
@@ -168,10 +159,6 @@ class RapSender(Sender):
             lost = True
         if lost:
             self._on_loss_event()
-        if self.max_packets is not None and not self._outstanding and (
-            self._seq >= self.max_packets
-        ):
-            self._complete()
 
     def _ack_rate_window(self) -> float:
         """ACKs received in the last RTT (the achieved bottleneck rate)."""

@@ -21,14 +21,14 @@ TCP without delayed ACKs).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cc.base import ACK_SIZE, Receiver, Sender, WindowRule
 from repro.cc.binomial import tcp_rule
 from repro.net.packet import ACK, DATA, Packet
 from repro.sim.engine import Simulator, Timer
 from repro.telemetry.probes import CounterProbe, SeriesProbe
-from repro.contracts import PositiveBytes, PositiveSeconds, checked
+from repro.contracts import PositiveBytes, checked
 from repro.units import Seconds
 
 __all__ = ["TcpSender", "TcpSink", "new_tcp_flow"]
@@ -46,14 +46,9 @@ class TcpSender(Sender):
     packet_size:
         Data packet size in bytes.
     max_packets:
-        Transfer length in packets (None = long-lived flow).
-    initial_ssthresh:
-        Slow-start threshold at start-up (packets); effectively unbounded
-        by default, as in ns-2.
-    min_rto, max_rto, initial_rto:
-        Retransmit timer bounds in seconds.
-    max_cwnd:
-        Optional hard window cap (packets).
+        Transfer length in packets (None = long-lived flow); a bounded
+        transfer stops itself and calls ``on_complete(sender)``.  Only
+        flash-crowd flows are bounded.
     ecn:
         Negotiate ECN: data packets carry ECT and an ECN-Echo on an ACK
         triggers the window decrease without a retransmission (RFC 2481),
@@ -67,6 +62,12 @@ class TcpSender(Sender):
 
     DUPACK_THRESHOLD = 3
     MAX_BACKOFF = 64
+    #: Slow-start threshold at start-up (packets): unbounded, as in ns-2.
+    INITIAL_SSTHRESH = 1e9
+    #: Retransmit timer: first value and bounds, in seconds.
+    INITIAL_RTO = 1.0
+    MIN_RTO = 0.2
+    MAX_RTO = 60.0
 
     @checked
     def __init__(
@@ -75,19 +76,15 @@ class TcpSender(Sender):
         rule: Optional[WindowRule] = None,
         packet_size: PositiveBytes = 1000,
         max_packets: Optional[int] = None,
-        initial_ssthresh: float = 1e9,
-        min_rto: PositiveSeconds = 0.2,
-        max_rto: PositiveSeconds = 60.0,
-        initial_rto: PositiveSeconds = 1.0,
-        max_cwnd: Optional[float] = None,
         ecn: bool = False,
         limited_transmit: bool = False,
     ):
-        super().__init__(sim, packet_size, max_packets)
+        super().__init__(sim, packet_size)
+        self.max_packets = max_packets
+        self.on_complete: Optional[Callable[["TcpSender"], None]] = None
         self.rule = rule if rule is not None else tcp_rule(0.5)
         self.cwnd = 1.0
-        self.ssthresh = initial_ssthresh
-        self.max_cwnd = max_cwnd
+        self.ssthresh = self.INITIAL_SSTHRESH
         # Sequence state (in packets).
         self.snd_una = 0
         self.snd_nxt = 0
@@ -97,9 +94,7 @@ class TcpSender(Sender):
         # RTT estimation (Jacobson/Karels).
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
-        self.min_rto = min_rto
-        self.max_rto = max_rto
-        self.rto = initial_rto
+        self.rto = self.INITIAL_RTO
         self._backoff = 1
         self._rto_timer = Timer(sim, self._on_timeout)
         # ECN and Limited Transmit options.
@@ -161,7 +156,7 @@ class TcpSender(Sender):
         self.packets_sent += 1
 
     def _arm_timer(self) -> None:
-        self._rto_timer.schedule(min(self.rto * self._backoff, self.max_rto))
+        self._rto_timer.schedule(min(self.rto * self._backoff, self.MAX_RTO))
 
     # ACK processing --------------------------------------------------------------
 
@@ -201,8 +196,9 @@ class TcpSender(Sender):
             self._dupacks = 0
             self._open_window(newly_acked)
         if self.max_packets is not None and self.snd_una >= self.max_packets:
-            self._rto_timer.cancel()
-            self._complete()
+            self.stop()  # cancels the RTO timer
+            if self.on_complete is not None:
+                self.on_complete(self)
             return
         if self.snd_nxt > self.snd_una:
             self._arm_timer()
@@ -215,8 +211,6 @@ class TcpSender(Sender):
                 self.cwnd += 1.0  # slow start
             else:
                 self.cwnd += self.rule.increase_per_ack(self.cwnd)
-        if self.max_cwnd is not None:
-            self.cwnd = min(self.cwnd, self.max_cwnd)
         if self.recorded:
             self._cwnd_probe.record(self.sim.now, self.cwnd)
 
@@ -283,8 +277,11 @@ class TcpSender(Sender):
     # RTT estimation ----------------------------------------------------------------
 
     def _sample_rtt(self, sample: Seconds) -> None:
-        if sample <= 0 or self._backoff > 1:
-            return  # Karn: ignore samples that may belong to retransmissions
+        # No Karn guard: TcpSink echoes the send time of the very segment
+        # that triggered the ACK, so a sample after a retransmission is
+        # the retransmission's own round trip, not an ambiguous one.
+        if sample <= 0:
+            return
         if self.srtt is None:
             self.srtt = sample
             self.rttvar = sample / 2.0
@@ -292,7 +289,7 @@ class TcpSender(Sender):
             err = sample - self.srtt
             self.srtt += 0.125 * err
             self.rttvar += 0.25 * (abs(err) - self.rttvar)
-        self.rto = min(max(self.srtt + 4.0 * self.rttvar, self.min_rto), self.max_rto)
+        self.rto = min(max(self.srtt + 4.0 * self.rttvar, self.MIN_RTO), self.MAX_RTO)
 
     # Introspection -------------------------------------------------------------------
 
@@ -307,12 +304,10 @@ class TcpSender(Sender):
 
 
 class TcpSink(Receiver):
-    """TCP receiver: cumulative ACKs, optional delayed ACKs and ECN echo.
+    """TCP receiver: a cumulative ACK for every packet, and ECN echo.
 
-    The paper models TCP *without* delayed acknowledgments, so
-    ``delayed_acks`` defaults off; with it on, every second in-order packet
-    is ACKed (with a 200 ms standalone-ACK timer), halving the ACK clock
-    rate as real stacks do.
+    The paper models TCP *without* delayed acknowledgments, so every
+    arriving data packet is ACKed at once.
 
     ECN: a CE mark on an arriving data packet sets ECN-Echo on the next
     ACK.  We echo once per mark rather than running the full RFC 3168
@@ -320,31 +315,17 @@ class TcpSink(Receiver):
     most once per window, the simplification is behavior-preserving.
     """
 
-    DELAYED_ACK_TIMEOUT = 0.2
-
     @checked
-    def __init__(
-        self,
-        sim: Simulator,
-        packet_size: PositiveBytes = 1000,
-        delayed_acks: bool = False,
-    ):
+    def __init__(self, sim: Simulator, packet_size: PositiveBytes = 1000):
         super().__init__(sim, packet_size)
         self.rcv_nxt = 0
         self._out_of_order: set[int] = set()
-        self.delayed_acks = delayed_acks
-        self._unacked_arrivals = 0
-        self._pending_echo = -1.0
-        self._pending_ece = False
-        self._delack_timer = Timer(sim, self._flush_ack)
         self.acks_sent = 0
 
     def receive(self, packet: Packet) -> None:
         if packet.kind != DATA:
             return
-        in_order = False
         if packet.seq == self.rcv_nxt:
-            in_order = True
             self.rcv_nxt += 1
             while self.rcv_nxt in self._out_of_order:
                 self._out_of_order.discard(self.rcv_nxt)
@@ -355,33 +336,14 @@ class TcpSink(Receiver):
                 self._out_of_order.add(packet.seq)
                 self._deliver(packet)
         # else: duplicate of already-delivered data; just re-ACK.
-        if packet.ce:
-            self._pending_ece = True
-        self._pending_echo = packet.sent_at
-        if self.delayed_acks and in_order and not self._out_of_order:
-            # Delay in-order ACKs: every second packet, or a 200 ms timer.
-            self._unacked_arrivals += 1
-            if self._unacked_arrivals >= 2:
-                self._flush_ack()
-            elif not self._delack_timer.pending:
-                self._delack_timer.schedule(self.DELAYED_ACK_TIMEOUT)
-            return
-        # Out-of-order data (dupacks) and the non-delayed mode ACK at once.
-        self._flush_ack()
-
-    def _flush_ack(self) -> None:
-        if self.delayed_acks:
-            self._delack_timer.cancel()
-        self._unacked_arrivals = 0
         self._transmit(
             ACK,
             self.rcv_nxt,
             ACK_SIZE,
             ack_seq=self.rcv_nxt,
-            echo=self._pending_echo,
-            ece=self._pending_ece,
+            echo=packet.sent_at,
+            ece=packet.ce,
         )
-        self._pending_ece = False
         self.acks_sent += 1
 
 
@@ -390,13 +352,9 @@ def new_tcp_flow(
     sim: Simulator,
     rule: Optional[WindowRule] = None,
     packet_size: PositiveBytes = 1000,
-    max_packets: Optional[int] = None,
-    delayed_acks: bool = False,
     **sender_kwargs,
 ) -> tuple[TcpSender, TcpSink]:
     """Convenience constructor for a sender/sink pair (not yet attached)."""
-    sender = TcpSender(
-        sim, rule=rule, packet_size=packet_size, max_packets=max_packets, **sender_kwargs
-    )
-    sink = TcpSink(sim, packet_size, delayed_acks=delayed_acks)
+    sender = TcpSender(sim, rule=rule, packet_size=packet_size, **sender_kwargs)
+    sink = TcpSink(sim, packet_size)
     return sender, sink

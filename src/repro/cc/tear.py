@@ -17,11 +17,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.cc.base import ACK_SIZE, Receiver, Sender
+from repro.cc.base import ACK_SIZE, INITIAL_RTT, Receiver, Sender
 from repro.net.packet import DATA, FEEDBACK, Packet
 from repro.sim.engine import Simulator, Timer
 from repro.telemetry.probes import SeriesProbe
-from repro.contracts import NonNegRate, PositiveBytes, PositiveSeconds, Probability, checked
+from repro.contracts import NonNegRate, PositiveBytes, checked
 from repro.units import Seconds
 
 __all__ = ["TearReceiver", "TearSender", "new_tear_flow"]
@@ -35,30 +35,20 @@ class TearReceiver(Receiver):
     epochs:
         Number of recent rounds over which the emulated window is averaged
         (the smoothing depth; higher = more slowly responsive).
-    beta:
-        Multiplicative decrease factor applied to the emulated window per
-        loss event (TCP-equivalent: 0.5).
     """
 
+    #: Multiplicative decrease of the emulated window per loss event (TCP's).
+    BETA = 0.5
+
     @checked
-    def __init__(
-        self,
-        sim: Simulator,
-        epochs: int = 8,
-        beta: Probability = 0.5,
-        packet_size: PositiveBytes = 1000,
-        initial_rtt: PositiveSeconds = 0.5,
-    ):
+    def __init__(self, sim: Simulator, epochs: int = 8, packet_size: PositiveBytes = 1000):
         super().__init__(sim, packet_size)
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not 0 < beta < 1:
-            raise ValueError("beta must be in (0, 1)")
         self.epochs = epochs
-        self.beta = beta
         self.cwnd = 1.0
         self.ssthresh = 1e9
-        self.rtt_estimate = initial_rtt
+        self.rtt_estimate = INITIAL_RTT
         self.expected_seq = 0
         # Per-round cwnd snapshots (algorithm state for the epoch mean).
         self._epoch_windows: deque[float] = deque(maxlen=epochs)
@@ -99,7 +89,7 @@ class TearReceiver(Receiver):
         if now < self._loss_event_until:
             return  # same loss event
         self._loss_event_until = now + self.rtt_estimate
-        self.cwnd = max(self.cwnd * (1.0 - self.beta), 1.0)
+        self.cwnd = max(self.cwnd * (1.0 - self.BETA), 1.0)
         self.ssthresh = self.cwnd
 
     # Rate feedback ---------------------------------------------------------------
@@ -124,17 +114,10 @@ class TearSender(Sender):
     """Transmits at the rate dictated by the TEAR receiver."""
 
     @checked
-    def __init__(
-        self,
-        sim: Simulator,
-        packet_size: PositiveBytes = 1000,
-        max_packets: Optional[int] = None,
-        initial_rtt: PositiveSeconds = 0.5,
-    ):
-        super().__init__(sim, packet_size, max_packets)
+    def __init__(self, sim: Simulator, packet_size: PositiveBytes = 1000):
+        super().__init__(sim, packet_size)
         self.srtt: Optional[float] = None
-        self._initial_rtt = initial_rtt
-        self.rate_bps = packet_size * 8.0 / initial_rtt
+        self.rate_bps = packet_size * 8.0 / INITIAL_RTT
         self._seq = 0
         self._send_timer = Timer(sim, self._send_next)
         self._rate_probe = SeriesProbe("rate")
@@ -142,7 +125,7 @@ class TearSender(Sender):
 
     @property
     def rtt(self) -> Seconds:
-        return self.srtt if self.srtt is not None else self._initial_rtt
+        return self.srtt if self.srtt is not None else INITIAL_RTT
 
     @property
     def rate_trace(self) -> list[tuple[float, float]]:
@@ -158,8 +141,6 @@ class TearSender(Sender):
 
     def _send_next(self) -> None:
         if not self.running:
-            return
-        if self.max_packets is not None and self._seq >= self.max_packets:
             return
         self._transmit(DATA, self._seq, self.packet_size, info=self.rtt)
         self._seq += 1
@@ -185,11 +166,10 @@ class TearSender(Sender):
 def new_tear_flow(
     sim: Simulator,
     epochs: int = 8,
-    beta: Probability = 0.5,
     packet_size: PositiveBytes = 1000,
     **sender_kwargs,
 ) -> tuple[TearSender, TearReceiver]:
     """Convenience constructor for a TEAR pair (not attached)."""
     sender = TearSender(sim, packet_size=packet_size, **sender_kwargs)
-    receiver = TearReceiver(sim, epochs=epochs, beta=beta, packet_size=packet_size)
+    receiver = TearReceiver(sim, epochs=epochs, packet_size=packet_size)
     return sender, receiver

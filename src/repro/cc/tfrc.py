@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.cc.base import ACK_SIZE, Receiver, Sender
+from repro.cc.base import ACK_SIZE, INITIAL_RTT, Receiver, Sender
 from repro.cc.equations import padhye_rate_pps
 from repro.contracts import (
     NonNegRate,
@@ -175,11 +175,10 @@ class TfrcReceiver(Receiver):
         n_intervals: int = 6,
         packet_size: PositiveBytes = 1000,
         history_discounting: bool = True,
-        initial_rtt: PositiveSeconds = 0.5,
     ):
         super().__init__(sim, packet_size)
         self.history = LossHistory(n_intervals, history_discounting)
-        self.rtt_estimate = initial_rtt  # piggybacked on data packets
+        self.rtt_estimate = INITIAL_RTT  # piggybacked on data packets
         self.expected_seq = 0
         self._bytes_since_feedback = 0
         self._loss_since_feedback = False
@@ -266,15 +265,11 @@ class TfrcSender(Sender):
         self,
         sim: Simulator,
         packet_size: PositiveBytes = 1000,
-        max_packets: Optional[int] = None,
-        initial_rtt: PositiveSeconds = 0.5,
         conservative: bool = False,
         conservative_c: float = 1.1,
         oscillation_prevention: bool = False,
     ):
-        super().__init__(sim, packet_size, max_packets)
-        if initial_rtt <= 0:
-            raise ValueError("initial_rtt must be positive")
+        super().__init__(sim, packet_size)
         if packet_size <= 0:
             raise ValueError("packet_size must be positive")
         if conservative_c < 1.0:
@@ -288,8 +283,7 @@ class TfrcSender(Sender):
         self.oscillation_prevention = oscillation_prevention
         self._rtt_sqmean: Optional[float] = None
         self.srtt: Optional[float] = None
-        self._initial_rtt = initial_rtt
-        self.rate_bps = packet_size * 8.0 / initial_rtt  # one packet per RTT
+        self.rate_bps = packet_size * 8.0 / INITIAL_RTT  # one packet per RTT
         self.x_recv_bps = 0.0
         self.slow_start = True
         self.p = 0.0
@@ -316,7 +310,7 @@ class TfrcSender(Sender):
     @property
     @checked
     def rtt(self) -> PositiveSeconds:
-        return self.srtt if self.srtt is not None else self._initial_rtt
+        return self.srtt if self.srtt is not None else INITIAL_RTT
 
     @checked
     def _min_rate_bps(self) -> NonNegRate:
@@ -332,8 +326,6 @@ class TfrcSender(Sender):
 
     def _send_next(self) -> None:
         if not self.running:
-            return
-        if self.max_packets is not None and self._seq >= self.max_packets:
             return
         # Data packets carry the sender's RTT estimate, which the receiver
         # needs to group losses into loss events (RFC 3448).

@@ -2,7 +2,7 @@
 
 After a sustained period of high congestion begins, the *stabilization
 time* is the number of RTTs until the network loss rate diminishes to
-within ``threshold`` (1.5) times its steady-state value for that congestion
+within ``THRESHOLD`` (1.5) times its steady-state value for that congestion
 level, with the loss rate averaged over the previous ten RTTs.  The
 *stabilization cost* is the stabilization time multiplied by the average
 loss rate (in percent) during the stabilization interval: a cost of 1 is
@@ -19,6 +19,11 @@ from repro.contracts import NonNegSeconds, PositiveSeconds, Probability, checked
 from repro.units import Ratio, Seconds
 
 __all__ = ["StabilizationResult", "measure_stabilization"]
+
+#: Stabilized: the windowed loss rate is within this factor of steady state ...
+THRESHOLD = 1.5
+#: ... with the loss rate averaged over this many RTTs.
+WINDOW_RTTS = 10
 
 
 @dataclass(frozen=True)
@@ -39,21 +44,19 @@ def measure_stabilization(
     steady_loss_rate: Probability,
     rtt_s: PositiveSeconds,
     end: Seconds,
-    threshold: float = 1.5,
-    window_rtts: int = 10,
 ) -> StabilizationResult:
     """Measure stabilization time and cost after ``congestion_start``.
 
-    Scans the loss rate in a sliding window of ``window_rtts`` RTTs,
+    Scans the loss rate in a sliding window of ``WINDOW_RTTS`` RTTs,
     stepping one RTT at a time, and reports the first instant the windowed
-    loss rate is within ``threshold`` x ``steady_loss_rate``.
+    loss rate is within ``THRESHOLD`` x ``steady_loss_rate``.
     """
     if steady_loss_rate < 0:
         raise ValueError("steady loss rate must be non-negative")
     if rtt_s <= 0:
         raise ValueError("rtt must be positive")
-    window = window_rtts * rtt_s
-    target = threshold * steady_loss_rate
+    window = WINDOW_RTTS * rtt_s
+    target = THRESHOLD * steady_loss_rate
     t = congestion_start + window
     stabilized_at = None
     while t <= end:

@@ -150,8 +150,8 @@ class CutoffDropper(Dropper):
     test timeout and self-clocking behaviour when ACKs stop entirely.
     """
 
-    def __init__(self, after_packets: int, clock: Optional[Callable[[], float]] = None):
-        super().__init__(clock)
+    def __init__(self, after_packets: int):
+        super().__init__()
         if after_packets < 0:
             raise ValueError("after_packets must be non-negative")
         self.after_packets = after_packets

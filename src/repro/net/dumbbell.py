@@ -54,15 +54,16 @@ class Dumbbell:
     queue_factory:
         Builds the forward bottleneck queue; defaults to the paper's RED
         configuration (2.5 x BDP buffer, thresholds at 0.25 / 1.25 x BDP).
-    access_factor:
-        Access links run at ``access_factor`` times the bottleneck rate so
-        that queueing happens only at the bottleneck.
     rng:
         Registry for the RED drop streams.
     ecn_marking:
         Make the default RED bottleneck mark ECN-capable packets instead
-        of dropping them (ignored when a custom queue_factory is given).
+        of dropping them (a custom queue_factory is a ``ValueError``).
     """
+
+    #: Access links run this many times the bottleneck rate, so that
+    #: queueing happens only at the bottleneck.
+    ACCESS_FACTOR = 20.0
 
     def __init__(
         self,
@@ -71,10 +72,14 @@ class Dumbbell:
         rtt_s: Seconds,
         packet_size: Bytes = 1000,
         queue_factory: Optional[Callable[[], QueueDiscipline]] = None,
-        access_factor: float = 20.0,
         rng: Optional[RngRegistry] = None,
         ecn_marking: bool = False,
     ):
+        if queue_factory is not None and ecn_marking:
+            raise ValueError(
+                "ecn_marking marks at the default RED bottleneck; a queue_factory "
+                "builds its own queue: pass one or the other"
+            )
         self.sim = sim
         self.bandwidth_bps = bandwidth_bps
         self.rtt_s = rtt_s
@@ -101,7 +106,7 @@ class Dumbbell:
         # per direction, totalling rtt_s across both directions.
         self._access_delay = rtt_s / 8.0
         bottleneck_delay = rtt_s / 4.0
-        self._access_bw = access_factor * bandwidth_bps
+        self._access_bw = self.ACCESS_FACTOR * bandwidth_bps
 
         self.bottleneck = Link(
             sim, bandwidth_bps, bottleneck_delay, queue_factory(), name="bottleneck"

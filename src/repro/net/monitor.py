@@ -23,7 +23,7 @@ from typing import Optional
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queue import QueueProbes
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timer
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
 from repro.telemetry.probes import GaugeProbe, SeriesProbe
 from repro.telemetry.recorder import Recorder
@@ -50,7 +50,7 @@ class LinkMonitor(LinkMetrics):
         super().__init__(name=name or "link")
         self.sim = sim
         self._link: Optional[Link] = None
-        self._queue_sampler = None  # PeriodicTask once sampling starts
+        self._queue_sampler: Optional[Timer] = None  # armed while sampling
         self._recorder = recorder
         if recorder is not None:
             prefix = f"link.{self.name}"
@@ -96,22 +96,18 @@ class LinkMonitor(LinkMetrics):
 
         self._link.add_tap(on_departure)
 
-    def sample_queue(self, period_s: Optional[Seconds] = None) -> TimeSeries:
+    def sample_queue(self, period_s: Seconds) -> TimeSeries:
         """Start periodic queue-occupancy sampling; returns the series.
 
         The series records (time, packets queued) every ``period_s``
-        seconds (the recorder's cadence by default) until :meth:`stop`
+        seconds, the first one ``period_s`` from now, until :meth:`stop`
         or the end of the simulation — the standing-queue dynamics the
         paper's Section 2 background discusses.
         """
         if self._link is None:
             raise RuntimeError("monitor is not attached to a link")
-        if period_s is None:
-            if self._recorder is None:
-                raise ValueError("period_s required without a recorder cadence")
-            period_s = self._recorder.cadence_s
-        from repro.sim.process import PeriodicTask
-
+        if period_s <= 0:
+            raise ValueError("period_s must be positive")
         link = self._link
         if self.queue_depth is None:
             gauge = GaugeProbe("queue_pkts", read=lambda: float(len(link.queue)))
@@ -126,18 +122,17 @@ class LinkMonitor(LinkMetrics):
 
         def snapshot() -> None:
             gauge.sample(self.sim.now)
+            timer.schedule(period_s)
 
-        if self._queue_sampler is not None:
-            self._queue_sampler.stop()
-        task = PeriodicTask(self.sim, period_s, snapshot)
-        task.start()
-        self._queue_sampler = task
+        self.stop()
+        timer = self._queue_sampler = Timer(self.sim, snapshot)
+        timer.schedule(period_s)
         return gauge.series
 
     def stop(self) -> None:
         """Stop periodic sampling; safe to call at any lifecycle stage."""
         if self._queue_sampler is not None:
-            self._queue_sampler.stop()
+            self._queue_sampler.cancel()
             self._queue_sampler = None
 
 

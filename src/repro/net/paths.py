@@ -30,22 +30,20 @@ def single_path(
     rtt_s: Seconds = 0.05,
     bandwidth_bps: BitsPerSecond = 1e7,
     dropper: Optional[Dropper] = None,
-    queue_pkts: int = 100_000,
-    flow_id: int = 0,
 ) -> None:
     """Wire sender -> (dropper) -> receiver plus the reverse feedback path.
 
     Each direction gets ``bandwidth_bps`` and half the RTT of propagation.
-    The default queue is deep enough that the dropper (not the queue) is
-    the only loss mechanism.
+    The queues are deep enough that the dropper (not a queue) is the only
+    loss mechanism.  The one flow has id 0.
     """
     source = Node(sim, address=1, name="src")
     destination = Node(sim, address=2, name="dst")
     forward = Link(
-        sim, bandwidth_bps, rtt_s / 2.0, DropTailQueue(queue_pkts), name="fwd"
+        sim, bandwidth_bps, rtt_s / 2.0, DropTailQueue(100_000), name="fwd"
     )
     backward = Link(
-        sim, bandwidth_bps, rtt_s / 2.0, DropTailQueue(queue_pkts), name="bwd"
+        sim, bandwidth_bps, rtt_s / 2.0, DropTailQueue(100_000), name="bwd"
     )
     if dropper is not None:
         dropper.connect(destination.receive)
@@ -55,5 +53,5 @@ def single_path(
     backward.connect(source.receive)
     source.add_route(2, forward)
     destination.add_route(1, backward)
-    sender.attach(source, 2, flow_id)
-    receiver.attach(destination, 1, flow_id)
+    sender.attach(source, 2, 0)
+    receiver.attach(destination, 1, 0)

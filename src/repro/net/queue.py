@@ -17,7 +17,6 @@ from typing import Any, Optional
 
 from repro.net.packet import Packet
 from repro.telemetry.probes import CounterProbe
-from repro.units import Bytes
 
 __all__ = ["QueueDiscipline", "DropTailQueue", "QueueProbes"]
 
@@ -60,14 +59,13 @@ class QueueDiscipline:
     #: must override this to False.
     bypass_idle = True
 
-    __slots__ = ("capacity_pkts", "_buffer", "_bytes", "telemetry", "_clock")
+    __slots__ = ("capacity_pkts", "_buffer", "telemetry", "_clock")
 
     def __init__(self, capacity_pkts: int):
         if capacity_pkts < 1:
             raise ValueError("queue capacity must be at least 1 packet")
         self.capacity_pkts = capacity_pkts
         self._buffer: deque[Packet] = deque()
-        self._bytes = 0
         self.telemetry: Optional[QueueProbes] = None
         self._clock: Any = _EPOCH
 
@@ -77,11 +75,6 @@ class QueueDiscipline:
 
     def __len__(self) -> int:
         return len(self._buffer)
-
-    @property
-    def byte_length(self) -> Bytes:
-        """Bytes waiting in the buffer (excluding the packet in service)."""
-        return self._bytes
 
     def admit(self, packet: Packet) -> bool:
         """Admission decision.  Subclasses override (RED drops early)."""
@@ -97,16 +90,13 @@ class QueueDiscipline:
                 telemetry.drops.increment(self._clock.now)
             return False
         self._buffer.append(packet)
-        self._bytes += packet.size
         return True
 
     def dequeue(self) -> Optional[Packet]:
         """Remove and return the head-of-line packet, or None if empty."""
         if not self._buffer:
             return None
-        packet = self._buffer.popleft()
-        self._bytes -= packet.size
-        return packet
+        return self._buffer.popleft()
 
 
 class DropTailQueue(QueueDiscipline):

@@ -3,8 +3,8 @@
 Implements the classic Floyd & Jacobson RED estimator and drop logic in
 packet mode, with the "gentle" extension (drop probability ramps from
 ``max_p`` to 1 between ``max_thresh`` and ``2 * max_thresh`` rather than
-jumping to 1), matching the configuration used by the paper's ns-2
-simulations.
+jumping to 1): the configuration of the paper's ns-2 simulations, and the
+only one here.
 
 The paper's scenarios set ``min_thresh`` and ``max_thresh`` to 0.25 and 1.25
 times the bandwidth-delay product and the physical queue to 2.5 times the
@@ -22,7 +22,6 @@ from repro.sim.rng import deterministic_default_rng
 from repro.contracts import (
     PositiveBytes,
     PositiveRate,
-    PositiveRatio,
     PositiveSeconds,
     Probability,
     checked,
@@ -45,13 +44,6 @@ class REDQueue(QueueDiscipline):
         Physical buffer size; arrivals beyond it are force-dropped.
     min_thresh, max_thresh:
         Average-queue thresholds, in packets.
-    max_p:
-        Drop probability as the average queue reaches ``max_thresh``.
-    weight:
-        EWMA weight for the average queue size estimator.
-    gentle:
-        Ramp drop probability to 1 at ``2 * max_thresh`` instead of
-        dropping everything above ``max_thresh``.
     rng:
         Random stream for drop decisions (deterministic in tests).
     mean_packet_size:
@@ -61,8 +53,13 @@ class REDQueue(QueueDiscipline):
 
     bypass_idle = False  # estimator needs every arrival/drain
 
+    #: Drop probability as the average queue reaches ``max_thresh``.
+    MAX_P = 0.1
+    #: EWMA weight of the average-queue estimator.
+    WEIGHT = 0.002
+
     __slots__ = (
-        "min_thresh", "max_thresh", "max_p", "weight", "gentle", "ecn_marking",
+        "min_thresh", "max_thresh", "max_p", "weight", "ecn_marking",
         "marks", "avg", "_rng", "_mean_pkt_time", "_count", "_idle_since",
     )
 
@@ -72,9 +69,6 @@ class REDQueue(QueueDiscipline):
         capacity_pkts: int,
         min_thresh: Packets,
         max_thresh: Packets,
-        max_p: Probability = 0.1,
-        weight: float = 0.002,
-        gentle: bool = True,
         rng: Optional[random.Random] = None,
         mean_packet_size: PositiveBytes = 1000,
         bandwidth_bps: PositiveRate = 10e6,
@@ -83,15 +77,10 @@ class REDQueue(QueueDiscipline):
         super().__init__(capacity_pkts)
         if not 0 < min_thresh < max_thresh:
             raise ValueError("need 0 < min_thresh < max_thresh")
-        if not 0 < max_p <= 1:
-            raise ValueError("max_p must be in (0, 1]")
-        if not 0 < weight <= 1:
-            raise ValueError("weight must be in (0, 1]")
         self.min_thresh = min_thresh
         self.max_thresh = max_thresh
-        self.max_p = max_p
-        self.weight = weight
-        self.gentle = gentle
+        self.max_p = self.MAX_P
+        self.weight = self.WEIGHT
         self._rng = rng if rng is not None else deterministic_default_rng()
         self._mean_pkt_time = mean_packet_size * 8.0 / bandwidth_bps
         # With ECN marking (RFC 3168), early "drops" of ECN-capable packets
@@ -112,7 +101,7 @@ class REDQueue(QueueDiscipline):
         if self.avg < self.max_thresh:
             frac = (self.avg - self.min_thresh) / (self.max_thresh - self.min_thresh)
             return self.max_p * frac
-        if self.gentle and self.avg < 2 * self.max_thresh:
+        if self.avg < 2 * self.max_thresh:
             frac = (self.avg - self.max_thresh) / self.max_thresh
             return self.max_p + (1.0 - self.max_p) * frac
         return 1.0
@@ -178,7 +167,6 @@ class REDQueue(QueueDiscipline):
         if not buffer:
             return None
         packet = buffer.popleft()
-        self._bytes -= packet.size
         if not buffer:
             self._idle_since = self._clock.now
         return packet
@@ -189,9 +177,6 @@ def red_for_bdp(
     bandwidth_bps: PositiveRate,
     rtt_s: PositiveSeconds,
     packet_size: PositiveBytes = 1000,
-    queue_bdp: PositiveRatio = 2.5,
-    min_thresh_bdp: PositiveRatio = 0.25,
-    max_thresh_bdp: PositiveRatio = 1.25,
     rng: Optional[random.Random] = None,
     ecn_marking: bool = False,
 ) -> REDQueue:
@@ -202,9 +187,9 @@ def red_for_bdp(
     scaled-down scenarios stay valid.
     """
     bdp_pkts = bandwidth_bps * rtt_s / (8.0 * packet_size)
-    capacity = max(4, int(round(queue_bdp * bdp_pkts)))
-    min_thresh = max(1.0, min_thresh_bdp * bdp_pkts)
-    max_thresh = max(min_thresh + 1.0, max_thresh_bdp * bdp_pkts)
+    capacity = max(4, int(round(2.5 * bdp_pkts)))
+    min_thresh = max(1.0, 0.25 * bdp_pkts)
+    max_thresh = max(min_thresh + 1.0, 1.25 * bdp_pkts)
     return REDQueue(
         capacity_pkts=capacity,
         min_thresh=min_thresh,

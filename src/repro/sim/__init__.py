@@ -1,7 +1,6 @@
 """Discrete-event simulation kernel: clock, events, timers, RNG."""
 
 from repro.sim.engine import Event, SimulationError, Simulator, Timer
-from repro.sim.process import PeriodicTask
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -9,6 +8,5 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
-    "PeriodicTask",
     "RngRegistry",
 ]

@@ -66,21 +66,6 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
-    def spawn(self, salt: int) -> "RngRegistry":
-        """Derive a replica registry whose streams never collide.
-
-        The child's master seed is hash-derived from ``(parent seed,
-        salt)`` — the same construction :meth:`stream` uses for names —
-        so distinct salts always yield distinct universes and no child
-        can land back on its parent.  (The previous affine form
-        ``seed * 1_000_003 + salt`` collided with the parent for the
-        default registry: ``RngRegistry(0).spawn(0)`` was ``RngRegistry(0)``.)
-        """
-        digest = hashlib.sha256(
-            f"spawn:{self._master_seed}:{salt}".encode()
-        ).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))
-
     def __getstate__(self) -> dict:
         """Pickle as (master seed, per-stream generator state).
 

@@ -34,9 +34,9 @@ def active_recorder() -> Optional[Recorder]:
 
 
 @contextlib.contextmanager
-def capture(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
-    """Activate ``recorder`` (a fresh one by default) for the block."""
-    rec = recorder if recorder is not None else Recorder()
+def capture() -> Iterator[Recorder]:
+    """Activate a fresh recorder for the block."""
+    rec = Recorder()
     _STACK.append(rec)
     try:
         yield rec

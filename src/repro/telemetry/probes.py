@@ -159,19 +159,15 @@ class CounterProbe(Probe):
 
 
 class SeriesProbe(Probe):
-    """Explicit (time, value) samples, backed by a :class:`TimeSeries`.
-
-    Can wrap an existing series (``SeriesProbe(series=ts)``) so legacy
-    structures become recordable channels without copying.
-    """
+    """Explicit (time, value) samples, backed by a :class:`TimeSeries`."""
 
     kind = "series"
 
     __slots__ = ("series",)
 
-    def __init__(self, name: str = "", series: Optional[TimeSeries] = None):
+    def __init__(self, name: str = ""):
         super().__init__(name)
-        self.series = series if series is not None else TimeSeries(name)
+        self.series = TimeSeries(name)
 
     @property
     def times(self) -> Sequence[float]:
@@ -205,8 +201,8 @@ class SeriesProbe(Probe):
 class GaugeProbe(SeriesProbe):
     """A series fed by sampling a ``read()`` callable.
 
-    The owner (or a :class:`PeriodicTask`) calls :meth:`sample` at the
-    recording cadence; each call reads the current value and appends it.
+    The owner (a link monitor's sampling timer) calls :meth:`sample` at
+    its period; each call reads the current value and appends it.
     """
 
     kind = "gauge"

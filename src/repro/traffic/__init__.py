@@ -5,8 +5,6 @@ from repro.traffic.cbr import (
     CbrSink,
     CbrSource,
     on_off_schedule,
-    reverse_sawtooth_rate,
-    sawtooth_rate,
     square_wave,
 )
 from repro.traffic.flash_crowd import FlashCrowd
@@ -19,7 +17,5 @@ __all__ = [
     "Flow",
     "add_flows",
     "on_off_schedule",
-    "reverse_sawtooth_rate",
-    "sawtooth_rate",
     "square_wave",
 ]

@@ -1,59 +1,40 @@
 """Constant-bit-rate sources and the paper's ON/OFF schedules.
 
-The dynamic scenarios of Sections 4.1, 4.2.1 and 4.2.4 orchestrate the
-available bandwidth with an unresponsive CBR source: a square wave with
-equal ON and OFF times, a "sawtooth" that ramps up then drops to OFF, a
-"reverse sawtooth" that jumps ON and ramps down, and the one-shot
-stop-restart pattern of the Figure 3 experiment.
+The dynamic scenarios of Sections 4.1 and 4.2 orchestrate the available
+bandwidth with an unresponsive CBR source switched on and off: a square
+wave with equal ON and OFF times, and the one-shot stop-restart pattern of
+the Figure 3 experiment.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.cc.base import Receiver, Sender
 from repro.net.packet import DATA, Packet
 from repro.sim.engine import Simulator, Timer
-from repro.units import BitsPerSecond, Bytes, Seconds
+from repro.units import BitsPerSecond, Seconds
 
-__all__ = [
-    "CbrSource",
-    "CbrSink",
-    "square_wave",
-    "on_off_schedule",
-    "sawtooth_rate",
-    "reverse_sawtooth_rate",
-]
+__all__ = ["CbrSource", "CbrSink", "square_wave", "on_off_schedule"]
 
 
 class CbrSource(Sender):
-    """Unresponsive constant (or time-varying) bit-rate source.
+    """Unresponsive constant-bit-rate source of 1000-byte packets."""
 
-    ``rate_bps`` is either a number or a callable ``rate(t) -> bps``
-    evaluated per packet, which implements the sawtooth patterns.  A rate of
-    zero (from a callable) pauses transmission for one polling interval.
-    """
+    #: Longest pause between pacing ticks, in seconds: below 400 kb/s a
+    #: packet takes longer than this to earn, and the extra ticks set
+    #: when it leaves.
+    MAX_TICK = 0.02
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rate_bps: BitsPerSecond | Callable[[float], float],
-        packet_size: Bytes = 1000,
-    ):
-        super().__init__(sim, packet_size)
-        self._rate = rate_bps if callable(rate_bps) else (lambda t, r=rate_bps: r)
-        if not callable(rate_bps) and rate_bps <= 0:
+    def __init__(self, sim: Simulator, rate_bps: BitsPerSecond):
+        super().__init__(sim)
+        if rate_bps <= 0:
             raise ValueError("CBR rate must be positive")
+        self.rate_bps = rate_bps
         self._timer = Timer(sim, self._tick)
         self._seq = 0
         self._credit_bits = 0.0
         self._last_update = 0.0
-        # Ticks are bounded so a time-varying rate (sawtooth ramps through
-        # zero) is tracked instead of slept through.
-        self._max_tick = 0.02
-
-    def current_rate(self) -> float:
-        return self._rate(self.sim.now)
 
     def _begin(self) -> None:
         self._credit_bits = self.packet_size * 8.0  # first packet immediately
@@ -68,7 +49,7 @@ class CbrSource(Sender):
         if not self.running:
             return
         now = self.sim.now
-        rate = self.current_rate()
+        rate = self.rate_bps
         self._credit_bits += rate * (now - self._last_update)
         self._last_update = now
         packet_bits = self.packet_size * 8.0
@@ -78,11 +59,8 @@ class CbrSource(Sender):
             self._transmit(DATA, self._seq, self.packet_size)
             self._seq += 1
             self.packets_sent += 1
-        if rate > 0:
-            deficit = max(packet_bits - self._credit_bits, 0.0)
-            next_tick = min(deficit / rate, self._max_tick)
-        else:
-            next_tick = self._max_tick
+        deficit = max(packet_bits - self._credit_bits, 0.0)
+        next_tick = min(deficit / rate, self.MAX_TICK)
         self._timer.schedule(max(next_tick, 1e-6))
 
     def receive(self, packet: Packet) -> None:
@@ -120,11 +98,9 @@ def square_wave(
     source: Sender,
     on_s: Seconds,
     off_s: Seconds,
-    start: Seconds = 0.0,
     until: Seconds = float("inf"),
-    start_on: bool = True,
 ) -> None:
-    """Alternate ``source`` on/off, starting at ``start``, until ``until``.
+    """Alternate ``source`` on/off, ON from time 0, until ``until``.
 
     Equal ``on_s`` and ``off_s`` give the paper's square wave (Figure 2);
     the period of the wave is ``on_s + off_s``.
@@ -132,48 +108,11 @@ def square_wave(
     if on_s <= 0 or off_s <= 0:
         raise ValueError("on and off durations must be positive")
     transitions: list[tuple[float, bool]] = []
-    t = start
-    on = start_on
+    t = 0.0
+    on = True
     while t < until:
         transitions.append((t, on))
         t += on_s if on else off_s
         on = not on
     on_off_schedule(sim, source, transitions)
 
-
-def sawtooth_rate(
-    peak_bps: BitsPerSecond, ramp_s: Seconds, off_s: Seconds, start: Seconds = 0.0
-) -> Callable[[float], float]:
-    """Rate ramping 0 -> peak over ``ramp_s`` then OFF for ``off_s``, repeating."""
-    if peak_bps <= 0 or ramp_s <= 0 or off_s < 0:
-        raise ValueError("need positive peak and ramp, non-negative off time")
-    period = ramp_s + off_s
-
-    def rate(t: float) -> float:
-        if t < start:
-            return 0.0
-        offset = (t - start) % period
-        if offset < ramp_s:
-            return peak_bps * (offset / ramp_s)
-        return 0.0
-
-    return rate
-
-
-def reverse_sawtooth_rate(
-    peak_bps: BitsPerSecond, ramp_s: Seconds, off_s: Seconds, start: Seconds = 0.0
-) -> Callable[[float], float]:
-    """Rate jumping to peak then ramping down to 0 over ``ramp_s``, then OFF."""
-    if peak_bps <= 0 or ramp_s <= 0 or off_s < 0:
-        raise ValueError("need positive peak and ramp, non-negative off time")
-    period = ramp_s + off_s
-
-    def rate(t: float) -> float:
-        if t < start:
-            return 0.0
-        offset = (t - start) % period
-        if offset < ramp_s:
-            return peak_bps * (1.0 - offset / ramp_s)
-        return 0.0
-
-    return rate

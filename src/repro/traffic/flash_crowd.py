@@ -17,7 +17,7 @@ from repro.cc.tcp import TcpSender, TcpSink
 from repro.net.dumbbell import Dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.rng import deterministic_default_rng
-from repro.units import Bytes, PerSecond, Seconds
+from repro.units import PerSecond, Seconds
 
 __all__ = ["FlashCrowd"]
 
@@ -49,7 +49,6 @@ class FlashCrowd:
         duration_s: Seconds,
         transfer_packets: int = 10,
         start_time: Seconds = 0.0,
-        packet_size: Bytes = 1000,
         rng: Optional[random.Random] = None,
     ):
         if rate_per_s <= 0 or duration_s <= 0 or transfer_packets <= 0:
@@ -60,7 +59,6 @@ class FlashCrowd:
         self.duration_s = duration_s
         self.transfer_packets = transfer_packets
         self.start_time = start_time
-        self.packet_size = packet_size
         self._rng = rng if rng is not None else deterministic_default_rng()
         self._end_time = start_time + duration_s
         self._pair = net.add_host_pair(name="crowd")
@@ -77,13 +75,8 @@ class FlashCrowd:
         self.sim.schedule(gap, self._spawn_next)
 
     def _spawn_flow(self) -> None:
-        sender = TcpSender(
-            self.sim,
-            rule=tcp_rule(0.5),
-            packet_size=self.packet_size,
-            max_packets=self.transfer_packets,
-        )
-        sink = TcpSink(self.sim, self.packet_size)
+        sender = TcpSender(self.sim, rule=tcp_rule(0.5), max_packets=self.transfer_packets)
+        sink = TcpSink(self.sim)
         flow_id = establish(self.net, sender, sink, pair=self._pair)
         self.flow_ids.append(flow_id)
         sender.on_complete = self._on_flow_complete
@@ -97,7 +90,7 @@ class FlashCrowd:
         self._pair.destination.unbind_flow(sender.flow_id)
 
     def aggregate_throughput_bps(self, start: float, end: float) -> float:
-        """Total delivered rate of all crowd flows over [start, end)."""
+        """Total delivered rate of all crowd flows over (start, end]."""
         total_bytes = sum(
             self.net.accountant.delivered_bytes(flow_id, start, end)
             for flow_id in self.flow_ids

@@ -1,17 +1,13 @@
-"""Unit tests for AIMD parameter relations and binomial window rules."""
+"""Unit tests for the AIMD parameter relation and binomial window rules."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cc import (
-    AimdParams,
     AimdRule,
     BinomialRule,
-    aimd_params,
     binomial_compatible_a,
-    deterministic_a,
-    gamma_to_b,
     iiad_rule,
     sqrt_rule,
     tcp_compatible_a,
@@ -22,7 +18,6 @@ from repro.cc import (
 class TestParameterRelations:
     def test_standard_tcp_has_a_equal_1(self):
         assert tcp_compatible_a(0.5) == pytest.approx(1.0)
-        assert deterministic_a(0.5) == pytest.approx(1.0)
 
     def test_paper_formula(self):
         # a = 4(2b - b^2)/3 for b = 1/8.
@@ -32,48 +27,15 @@ class TestParameterRelations:
     def test_smaller_b_means_smaller_a(self):
         assert tcp_compatible_a(0.125) < tcp_compatible_a(0.5)
 
-    def test_gamma_mapping(self):
-        assert gamma_to_b(2) == 0.5
-        assert gamma_to_b(256) == pytest.approx(1 / 256)
-        with pytest.raises(ValueError):
-            gamma_to_b(0.5)
-
     @given(st.floats(0.01, 0.99))
     def test_relations_positive_and_bounded(self, b):
         assert 0 < tcp_compatible_a(b) < 2.0
-        assert 0 < deterministic_a(b) < 3.0
 
     def test_domain_validation(self):
-        for fn in (tcp_compatible_a, deterministic_a):
-            with pytest.raises(ValueError):
-                fn(0.0)
-            with pytest.raises(ValueError):
-                fn(1.0)
-
-
-class TestAimdParams:
-    def test_properties(self):
-        params = aimd_params(0.125)
-        assert params.b == 0.125
-        assert params.decrease_ratio == 0.875
-        assert params.is_slowly_responsive
-        assert params.smoothness == 0.875
-
-    def test_standard_tcp_is_not_slowly_responsive(self):
-        assert not aimd_params(0.5).is_slowly_responsive
-
-    def test_relation_selection(self):
-        yang = aimd_params(0.25, relation="yang-lam")
-        det = aimd_params(0.25, relation="deterministic")
-        assert yang.a != det.a
         with pytest.raises(ValueError):
-            aimd_params(0.25, relation="bogus")
-
-    def test_invalid_params_rejected(self):
+            tcp_compatible_a(0.0)
         with pytest.raises(ValueError):
-            AimdParams(a=-1.0, b=0.5)
-        with pytest.raises(ValueError):
-            AimdParams(a=1.0, b=1.5)
+            tcp_compatible_a(1.0)
 
 
 class TestAimdRule:
@@ -112,17 +74,6 @@ class TestBinomialRules:
         w = 10.0
         assert rule.decrease(w) == pytest.approx(9.0)  # additive decrease
         assert rule.increase_per_ack(w) * w == pytest.approx(rule.a / 10.0)
-
-    def test_tcp_compatibility_flag(self):
-        assert sqrt_rule(0.5).is_tcp_compatible
-        assert iiad_rule().is_tcp_compatible
-        assert not BinomialRule(k=1.0, l=1.0, a=1.0, b=0.5).is_tcp_compatible
-
-    def test_slowly_responsive_flags(self):
-        assert sqrt_rule(0.5).is_slowly_responsive  # l < 1
-        assert iiad_rule().is_slowly_responsive
-        assert not tcp_rule(0.5).is_slowly_responsive
-        assert tcp_rule(0.125).is_slowly_responsive
 
     def test_compatible_a_requires_k_plus_l_1(self):
         with pytest.raises(ValueError):

@@ -44,10 +44,8 @@ class TestAimdResponse:
 
     def test_gentler_decrease_with_matched_a_is_tcp_compatible(self):
         # With the deterministic relation a = 3b/(2-b), any b matches TCP.
-        from repro.cc import deterministic_a
-
         for b in (0.125, 0.25, 0.5):
-            assert aimd_response_rate(0.01, deterministic_a(b), b) == pytest.approx(
+            assert aimd_response_rate(0.01, 3 * b / (2 - b), b) == pytest.approx(
                 simple_response_rate(0.01)
             )
 
@@ -64,8 +62,13 @@ class TestPadhye:
     def test_matches_simple_model_at_low_loss(self):
         # Without timeouts dominating, Padhye ~ sqrt(3/(2p))/RTT.
         p = 1e-4
-        rate = padhye_rate_per_rtt(p, rtt_s=0.1)
+        rate = padhye_rate_pps(p, 0.1) * 0.1
         assert rate == pytest.approx(math.sqrt(1.5 / p), rel=0.05)
+
+    def test_rtt_cancels_out_per_rtt(self):
+        # With the default RTO of four RTTs, packets per RTT ignore the RTT.
+        for rtt in (0.01, 0.1, 3.0):
+            assert padhye_rate_pps(0.05, rtt) * rtt == pytest.approx(padhye_rate_per_rtt(0.05))
 
     def test_timeouts_reduce_rate_at_high_loss(self):
         p = 0.2

@@ -90,15 +90,3 @@ class TestNoSelfClocking:
         sim.run(until=10.0)
         assert sender.srtt == pytest.approx(0.08, rel=0.15)
 
-
-class TestBoundedTransfer:
-    def test_max_packets_completes(self):
-        sim = Simulator()
-        sender, sink = new_rap_flow(sim, max_packets=50)
-        loopback(sim, sender, sink)
-        done = []
-        sender.on_complete = lambda s: done.append(sim.now)
-        sender.start()
-        sim.run(until=60.0)
-        assert done
-        assert sink.packets_received == 50

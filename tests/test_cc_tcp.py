@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cc import establish, new_tcp_flow, sqrt_rule, tcp_rule
-from repro.cc.tcp import TcpSink
+from repro.cc.tcp import TcpSender, TcpSink
 from repro.net import CountBasedDropper, CutoffDropper, Dumbbell, PeriodicDropper
 from repro.sim import Simulator
 from repro.telemetry import capture
@@ -112,7 +112,7 @@ class TestLossRecovery:
         sender.start()
         sim.run(until=60.0)
         # With a dead path, repeated timeouts back the timer off; the
-        # number of timeouts in 60 s must be far below 60 / min_rto = 300.
+        # number of timeouts in 60 s must be far below 60 / MIN_RTO = 300.
         assert 2 <= sender.timeouts <= 20
 
 
@@ -142,11 +142,12 @@ class TestRttEstimation:
 
     def test_rto_respects_minimum(self):
         sim = Simulator()
-        sender, sink = new_tcp_flow(sim, min_rto=0.2, max_packets=500)
+        sender, sink = new_tcp_flow(sim, max_packets=500)
         loopback(sim, sender, sink, rtt=0.01, bandwidth_bps=1e9)
         sender.start()
         sim.run(until=2.0)
-        assert sender.rto >= 0.2
+        assert sender.srtt < TcpSender.MIN_RTO / 4
+        assert sender.rto == TcpSender.MIN_RTO
 
 
 class TestSinkBehaviour:

@@ -1,4 +1,4 @@
-"""Tests for the TCP options: ECN, delayed ACKs, Limited Transmit."""
+"""Tests for the TCP options: ECN and Limited Transmit."""
 
 
 from repro.cc import establish, new_tcp_flow
@@ -100,10 +100,10 @@ class TestEcnQueue:
 
     def test_marking_disabled_by_default(self):
         q = self.make_red(ecn_marking=False)
-        q.avg = 16.0
+        q._rng = self._AlwaysDrop()
+        q.avg = 14.0  # marking region, were marking on
         packet = self.data(ect=True)
-        # In the forced-drop region with marking off, the packet drops.
-        q.gentle = False
+        # An early drop with marking off drops the ECT packet.
         assert not q.enqueue(packet)
         assert not packet.ce
 
@@ -142,49 +142,6 @@ class TestEcnFlow:
         assert sender.ecn_reactions <= marks
 
 
-class TestDelayedAcks:
-    def test_ack_ratio_roughly_half(self):
-        sim = Simulator()
-        sender, sink = new_tcp_flow(sim, delayed_acks=True, max_packets=400)
-        loopback(sim, sender, sink, rtt=0.05, bandwidth_bps=1e8)
-        sender.start()
-        sim.run(until=30.0)
-        assert sink.packets_received == 400
-        assert sink.acks_sent < 0.7 * sink.packets_received
-
-    def test_standalone_timer_acks_last_packet(self):
-        sim = Simulator()
-        sender, sink = new_tcp_flow(sim, delayed_acks=True, max_packets=1)
-        loopback(sim, sender, sink)
-        done = []
-        sender.on_complete = lambda s: done.append(sim.now)
-        sender.start()
-        sim.run(until=5.0)
-        # The single packet is ACKed by the 200 ms delack timer.
-        assert done and done[0] < 1.0
-
-    def test_out_of_order_acks_immediately(self):
-        sim = Simulator()
-        sender, sink = new_tcp_flow(sim, delayed_acks=True)
-        loopback(sim, sender, sink, dropper=PeriodicDropper(30))
-        sender.start()
-        sim.run(until=20.0)
-        # Loss recovery still functions with delayed ACKs on.
-        assert sender.fast_retransmits > 0
-        assert sink.rcv_nxt > 100
-
-    def test_transfer_completes_with_delayed_acks(self):
-        sim = Simulator()
-        sender, sink = new_tcp_flow(sim, delayed_acks=True, max_packets=200)
-        loopback(sim, sender, sink, dropper=PeriodicDropper(40))
-        done = []
-        sender.on_complete = lambda s: done.append(sim.now)
-        sender.start()
-        sim.run(until=60.0)
-        assert done
-        assert sink.rcv_nxt == 200
-
-
 class TestLimitedTransmit:
     def test_new_data_sent_on_early_dupacks(self):
         """With limited transmit, the first two dupacks each release a new
@@ -192,10 +149,12 @@ class TestLimitedTransmit:
         sent = {}
         for enabled in (False, True):
             sim = Simulator()
-            sender, sink = new_tcp_flow(
-                sim, limited_transmit=enabled, max_cwnd=4.0
+            sender, sink = new_tcp_flow(sim, limited_transmit=enabled)
+            # A path of about one packet's BDP and a two-packet queue keeps
+            # windows at a few packets, the regime RFC 3042 is for.
+            loopback(
+                sim, sender, sink, dropper=PeriodicDropper(20), bandwidth_bps=2e5, queue_pkts=2
             )
-            loopback(sim, sender, sink, dropper=PeriodicDropper(20))
             sender.start()
             sim.run(until=30.0)
             sent[enabled] = (sender.timeouts, sink.rcv_nxt)

@@ -24,7 +24,7 @@ class TestWindowEmulation:
 
     def test_loss_decreases_emulated_window(self):
         sim = Simulator()
-        sender, receiver = new_tear_flow(sim, beta=0.5)
+        sender, receiver = new_tear_flow(sim)
         loopback(sim, sender, receiver, dropper=PeriodicDropper(50))
         sender.start()
         sim.run(until=30.0)
@@ -56,14 +56,3 @@ class TestWindowEmulation:
         sim = Simulator()
         with pytest.raises(ValueError):
             TearReceiver(sim, epochs=0)
-        with pytest.raises(ValueError):
-            TearReceiver(sim, beta=1.0)
-
-    def test_bounded_transfer_completes_sending(self):
-        sim = Simulator()
-        sender, receiver = new_tear_flow(sim, max_packets=30)
-        loopback(sim, sender, receiver)
-        sender.start()
-        sim.run(until=60.0)
-        assert receiver.packets_received == 30
-        assert sender.packets_sent == 30

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cc import interval_weights, new_tfrc_flow
+from repro.cc.base import INITIAL_RTT
 from repro.cc.tfrc import LossHistory, TfrcSender
 from repro.net import CutoffDropper, PeriodicDropper
 from repro.sim import Simulator
@@ -137,10 +138,12 @@ class TestTfrcFlow:
 
     def test_rtt_estimate_converges(self):
         sim = Simulator()
-        # Bounded transfer: the flow must not saturate the path (queueing
+        # Loss-limited: the flow must not saturate the path (queueing
         # would inflate the RTT samples) nor flood the event heap.
-        sender, receiver = new_tfrc_flow(sim, max_packets=5000)
-        loopback(sim, sender, receiver, rtt=0.06, bandwidth_bps=1e9)
+        sender, receiver = new_tfrc_flow(sim)
+        loopback(
+            sim, sender, receiver, dropper=PeriodicDropper(100), rtt=0.06, bandwidth_bps=1e9
+        )
         sender.start()
         sim.run(until=8.0)
         assert sender.srtt == pytest.approx(0.06, rel=0.15)
@@ -232,13 +235,6 @@ class TestConstructorValidation:
     """Non-positive timing/size parameters fail fast instead of seeding
     divisions by zero deep inside the rate equation."""
 
-    def test_rejects_non_positive_initial_rtt(self):
-        sim = Simulator()
-        with pytest.raises(ValueError, match="initial_rtt"):
-            TfrcSender(sim, initial_rtt=0.0)
-        with pytest.raises(ValueError, match="initial_rtt"):
-            TfrcSender(sim, initial_rtt=-0.1)
-
     def test_rejects_non_positive_packet_size(self):
         sim = Simulator()
         with pytest.raises(ValueError, match="packet_size"):
@@ -246,5 +242,5 @@ class TestConstructorValidation:
 
     def test_valid_parameters_accepted(self):
         sim = Simulator()
-        sender = TfrcSender(sim, packet_size=500, initial_rtt=0.2)
-        assert sender.rtt == 0.2
+        sender = TfrcSender(sim, packet_size=500)
+        assert sender.rtt == INITIAL_RTT

@@ -232,9 +232,9 @@ class TestEquationContractsUnderEnforcement:
             "for p in (1e-6, 0.01, 0.1, 0.5, 0.9999):\n"
             "    eq.simple_response_rate(p)\n"
             "    eq.aimd_with_timeouts_rate(p)\n"
-            "    eq.padhye_rate_pps(p, rtt_s=0.1, rto_s=0.4, packet_size=1000)\n"
+            "    eq.padhye_rate_pps(p, rtt_s=0.1, rto_s=0.4)\n"
             "eq.simple_response_rate(1.0)\n"
-            "eq.padhye_rate_pps(1.0, rtt_s=0.1, rto_s=0.4, packet_size=1000)\n"
+            "eq.padhye_rate_pps(1.0, rtt_s=0.1, rto_s=0.4)\n"
             "print('OK')\n"
         )
         assert run_enforced("-c", code) == "OK"
@@ -343,7 +343,7 @@ class TestCensus:
         for cls, test in KERNEL_ENFORCED.values():
             assert callable(getattr(cls, test))
         # Pinned, so a removed annotation shows like a removed decorator.
-        assert len(found) == 66
+        assert len(found) == 61
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +418,9 @@ def closed_forms():
 #: (an overflowed default rto times an underflowed loss term).
 FOUND_BY_THE_SWEEP = {
     "padhye_rate_pps": [
-        dict(p=0.25, rtt_s=5e-324, rto_s=5e-324, packet_size=1000),
-        dict(p=1e-300, rtt_s=1e-300, rto_s=None, packet_size=1000),
-        dict(p=5e-324, rtt_s=4.49423283715579e307, rto_s=None, packet_size=1000),
+        dict(p=0.25, rtt_s=5e-324, rto_s=5e-324),
+        dict(p=1e-300, rtt_s=1e-300, rto_s=None),
+        dict(p=5e-324, rtt_s=4.49423283715579e307, rto_s=None),
     ],
     "invert_simple_response": [dict(rate_per_rtt=1e-200)],
     "aimd_response_rate": [dict(p=5e-324, a=0.5, b=0.25)],

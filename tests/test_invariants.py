@@ -206,7 +206,7 @@ def pacing_ratio(name):
     sender.start()
     sim.run(until=end)
     if isinstance(sender, CbrSource):
-        samples = [(0.0, sender.current_rate())]
+        samples = [(0.0, sender.rate_bps)]
     else:
         samples = sender.rate_trace
     return (sent[end] - sent[start]) * per_packet / step_integral(samples, start, end)

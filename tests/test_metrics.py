@@ -76,7 +76,6 @@ class TestStabilization:
             steady_loss_rate=0.0,
             rtt_s=0.05,
             end=10.0,
-            window_rtts=1,
         )
         assert result.stabilized
 

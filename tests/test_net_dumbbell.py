@@ -121,3 +121,13 @@ class TestTopology:
             addresses.add(pair.source.address)
             addresses.add(pair.destination.address)
         assert len(addresses) == 10
+
+    def test_ecn_marking_with_a_custom_queue_is_refused(self):
+        # Marking is a property of the default RED bottleneck; a factory's
+        # queue would silently never mark.
+        from repro.net import DropTailQueue
+
+        with pytest.raises(ValueError, match="ecn_marking.*queue_factory"):
+            Dumbbell(
+                Simulator(), 1e6, 0.05, queue_factory=lambda: DropTailQueue(10), ecn_marking=True
+            )

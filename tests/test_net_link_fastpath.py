@@ -58,15 +58,16 @@ def _make_queue(spec):
     kind, arg = spec
     if kind == "droptail":
         return DropTailQueue(arg)
-    return REDQueue(
+    queue = REDQueue(
         capacity_pkts=6,
         min_thresh=1.0,
         max_thresh=3.0,
-        weight=0.25,
         rng=random.Random(arg),
         mean_packet_size=1000,
         bandwidth_bps=BANDWIDTH_BPS,
     )
+    queue.weight = 0.25  # an estimator that moves within a few packets
+    return queue
 
 
 def _arrival_ticks(program):

@@ -31,38 +31,14 @@ class TestRngRegistry:
         ys = [RngRegistry(2).stream("x").random() for _ in range(5)]
         assert xs != ys
 
-    def test_spawn_changes_seed_deterministically(self):
-        a = RngRegistry(7).spawn(3)
-        b = RngRegistry(7).spawn(3)
-        assert a.master_seed == b.master_seed != 7
-
 
 class TestRngRegistryProperties:
-    """Replica registries and named streams must never collide.
+    """Named streams must never collide.
 
-    ``spawn(salt)`` hands each replicate its own universe of streams and
     ``stream(name)`` hands each component its own sequence; a collision
-    in either silently correlates two supposedly independent random
-    sources, which biases every statistic built on replication.
+    silently correlates two supposedly independent random sources, which
+    biases every statistic built on replication.
     """
-
-    @given(
-        master=st.integers(min_value=0, max_value=2**31 - 1),
-        salts=st.lists(
-            st.integers(min_value=0, max_value=2**20),
-            min_size=2,
-            max_size=8,
-            unique=True,
-        ),
-    )
-    def test_distinct_salts_never_collide(self, master, salts):
-        parent = RngRegistry(master)
-        spawned = [parent.spawn(salt) for salt in salts]
-        seeds = [reg.master_seed for reg in spawned]
-        assert len(set(seeds)) == len(seeds)
-        # ... and the derived streams start from distinct states too.
-        states = [reg.stream("flow.0").getstate() for reg in spawned]
-        assert len(set(states)) == len(states)
 
     @given(
         master=st.integers(min_value=0, max_value=2**31 - 1),
@@ -74,19 +50,6 @@ class TestRngRegistryProperties:
         reg = RngRegistry(master)
         states = [reg.stream(name).getstate() for name in names]
         assert len(set(states)) == len(states)
-
-    @given(
-        master=st.integers(min_value=0, max_value=2**31 - 1),
-        salt=st.integers(min_value=0, max_value=2**20),
-    )
-    def test_spawn_never_returns_the_parent_universe(self, master, salt):
-        parent = RngRegistry(master)
-        child = parent.spawn(salt)
-        assert child.master_seed != parent.master_seed
-        assert (
-            child.stream("flow.0").getstate()
-            != parent.stream("flow.0").getstate()
-        )
 
 
 class TestTimeSeries:

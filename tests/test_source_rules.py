@@ -1,9 +1,9 @@
-"""Two source rules that no run can check, read off the product's AST.
+"""Three source rules that no run can check, read off the product's AST.
 
 Every other invariant of the figure pipeline is a property a test runs:
 purity (``test_job_purity.py``), ranges (``@checked``), units
 (``TestPacing``), the payloads (``test_one_road.py``) and the 28 tables.
-These two defects do not show up in a run on one machine with one hash
+These three defects do not show up in a run on one machine with one hash
 seed, so they are read from the source instead:
 
 * **ambient randomness** in ``repro/{sim,net,cc,traffic}``: a
@@ -16,6 +16,18 @@ seed, so they are read from the source instead:
   ``PYTHONHASHSEED``, so an order that reaches a payload changes its bytes
   from one process to the next.  Iterate ``sorted(...)``; a dict is
   insertion-ordered and fine.
+* **an option nothing sets**: a defaulted parameter of a public function,
+  method or ``__init__`` in ``repro/{sim,net,cc,traffic,metrics,telemetry,
+  analysis}`` that no call in ``src/repro``, ``examples``, ``bench`` or
+  ``benchmarks`` reaches.  A call reaches it by keyword, by position, by a
+  key of a dict literal it passes as ``**``, through ``super().__init__``,
+  through a ``**kwargs`` it forwards, or through a protocol helper
+  (``tcp(2, ecn=True)`` reaches ``new_tcp_flow`` through ``Protocol.of``
+  and ``FAMILIES``, then ``TcpSender`` through ``**sender_kwargs``).  A
+  test setting it is no reason: the paper ran one configuration, and an
+  alternative that no measurement reads is a second code path to keep
+  right.  ``OPTION_ALLOWLIST`` names each exception and the reader it waits
+  for.  ``python -m tests.test_source_rules options`` prints the census.
 
 Each rule keeps the slip that sized it as a mutation case: the real
 module with that one line changed must be flagged (``docs/linting.md``).
@@ -25,10 +37,13 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import sys
+from typing import NamedTuple
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 SIM_PACKAGES = ("sim", "net", "cc", "traffic")
 DOMAIN_PACKAGES = SIM_PACKAGES + ("metrics", "analysis", "experiments")
 RNG_HOME = "sim/rng.py"
@@ -182,3 +197,286 @@ def test_set_iteration_is_flagged(new):
     old = "    end = cfg.duration(period_s)\n    n_total"
     text = mutate("experiments/scenarios.py", old, f"    {new}\n{old}")
     assert set_iterations(text)
+
+
+# Simulator options ------------------------------------------------------------
+
+OPTION_PACKAGES = ("sim", "net", "cc", "traffic", "metrics", "telemetry", "analysis")
+CALLER_DIRS = ("src/repro", "examples", "bench", "benchmarks")
+PROTOCOLS = "experiments/protocols.py"
+
+#: Options no call reaches, kept because a named reader is on its way.
+OPTION_ALLOWLIST = {
+    "TcpSender.limited_transmit": "ROADMAP item 3's ablation arm, measured in EXPERIMENTS.md",
+}
+
+
+class Option(NamedTuple):
+    name: str  # "TcpSender.ecn", "padhye_rate_pps.rto_s"
+    callee: str  # what a call spells: the class for __init__, else the function
+    param: str
+    position: int  # among the arguments a call passes; -1 for keyword-only
+
+
+class Call(NamedTuple):
+    callee: str
+    keywords: frozenset
+    positional: int
+
+
+def signatures(tree: ast.Module):
+    """(name, callee, def, leading implicit arguments) of each public signature."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node, 0
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    yield node.name, node.name, item, 1
+                elif not item.name.startswith("_"):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    yield f"{node.name}.{item.name}", item.name, item, 0 if static else 1
+
+
+def declared_options(text: str) -> list[Option]:
+    """Every defaulted parameter of the module's public signatures."""
+    found = []
+    for name, callee, fn, implicit in signatures(ast.parse(text)):
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        found += [
+            Option(f"{name}.{arg.arg}", callee, arg.arg, index - implicit)
+            for index, arg in enumerate(args[first:], first)
+        ]
+        found += [
+            Option(f"{name}.{arg.arg}", callee, arg.arg, -1)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None
+        ]
+    return found
+
+
+def families() -> dict[str, ast.Call]:
+    """Protocol family -> its ``_Family(key, flow_arg, convert, flow, ...)``."""
+    for node in ast.parse(read(PROTOCOLS)).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "FAMILIES":
+            return {key.value: value for key, value in zip(node.value.keys, node.value.values)}
+    raise AssertionError(f"{PROTOCOLS} no longer defines FAMILIES: re-point the rule")
+
+
+def callers() -> dict[str, str]:
+    """Every non-test module that may call into the simulator, by path."""
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+        for directory in CALLER_DIRS
+        for path in sorted((ROOT / directory).rglob("*.py"))
+        if not path.name.startswith("test_") and path.name != "conftest.py"
+    }
+
+
+def scan_calls(tree: ast.Module, family_flows: dict, inits: dict):
+    """The module's calls, and its ``**kwargs`` forwarding edges.
+
+    An edge ``(g, named, f)`` says that a keyword reaching ``g`` that is
+    not one of its ``named`` parameters reaches ``f``.
+    """
+    calls: list[Call] = []
+    edges: list[tuple[str, frozenset, str]] = []
+
+    def callee_of(call: ast.Call, cls) -> tuple[str | None, set[str]]:
+        """The name a call reaches, and the keywords it passes implicitly."""
+        func = call.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "of"
+            and call.args
+            and isinstance(call.args[0], ast.Constant)
+            and call.args[0].value in family_flows
+        ):
+            # Protocol.of("tcp_b", ...): make() passes the keywords to the
+            # family's new_*_flow, with the slowness parameter converted.
+            family = family_flows[call.args[0].value]
+            return family.args[3].id, {family.args[1].value}
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif not isinstance(func, ast.Attribute):
+            return None, set()
+        elif func.attr == "__init__" and getattr(getattr(func.value, "func", None), "id", "") == "super":
+            name = cls.bases[0].id
+        else:
+            name = func.attr
+        while inits.get(name, (True, None))[0] is False and inits[name][1]:
+            name = inits[name][1]  # a class without __init__ runs its base's
+        return name, set()
+
+    def bindings(fn) -> dict[str, ast.expr]:
+        """What each name in ``fn`` is assigned (for ``**name[key]``)."""
+        bound = {}
+        for node in ast.walk(fn) if fn is not None else ():
+            if isinstance(node, ast.Assign):
+                bound.update((t.id, node.value) for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                bound[node.target.id] = node.value
+        return bound
+
+    def dict_keys(node: ast.AST) -> set[str]:
+        return {
+            key.value
+            for dct in ast.walk(node)
+            if isinstance(dct, ast.Dict)
+            for key in dct.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+        }
+
+    def visit(node: ast.AST, cls, fn) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child, fn)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                visit(child, cls, child)
+                continue
+            if isinstance(child, ast.Call):
+                record(child, cls, fn)
+            visit(child, cls, fn)
+
+    def record(call: ast.Call, cls, fn) -> None:
+        callee, keywords = callee_of(call, cls)
+        if callee is None:
+            return
+        for kw in call.keywords:
+            if kw.arg is not None:
+                keywords.add(kw.arg)
+                continue
+            keywords |= dict_keys(kw.value)
+            head = kw.value
+            while isinstance(head, ast.Subscript):  # **table[key]
+                head = head.value
+            if isinstance(head, ast.Name):
+                keywords |= dict_keys(bindings(fn).get(head.id, ast.Dict([], [])))
+            if fn is not None and fn.args.kwarg and getattr(kw.value, "id", "") == fn.args.kwarg.arg:
+                source = cls.name if cls is not None and fn.name == "__init__" else fn.name
+                named = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+                edges.append((source, frozenset(named), callee))
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        calls.append(Call(callee, frozenset(keywords), 10**6 if starred else len(call.args)))
+
+    visit(tree, None, None)
+    return calls, edges
+
+
+def option_census(overrides: dict[str, str] = {}) -> tuple[list[Option], list[str]]:
+    """(every simulator option, the names no call reaches).
+
+    ``overrides`` maps a module under ``src/repro`` to replacement text.
+    """
+    texts = {path: overrides.get(path) or read(path) for path in modules(OPTION_PACKAGES)}
+    declared = [option for text in texts.values() for option in declared_options(text)]
+    sources = callers()
+    sources.update({f"src/repro/{path}": text for path, text in overrides.items()})
+    trees = [ast.parse(text) for text in sources.values()]
+    inits = {
+        node.name: (
+            any(isinstance(i, ast.FunctionDef) and i.name == "__init__" for i in node.body),
+            next((b.id for b in node.bases if isinstance(b, ast.Name)), None),
+        )
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    family_flows = families()
+    # make() calls each family's converter with the slowness parameter.
+    calls = [
+        Call(family.args[2].id, frozenset(), 1)
+        for family in family_flows.values()
+        if isinstance(family.args[2], ast.Name)
+    ]
+    edges = []
+    for tree in trees:
+        found, forwarded = scan_calls(tree, family_flows, inits)
+        calls += found
+        edges += forwarded
+    keywords: dict[str, set] = {}
+    positional: dict[str, int] = {}
+    for call in calls:
+        keywords.setdefault(call.callee, set()).update(call.keywords)
+        positional[call.callee] = max(positional.get(call.callee, 0), call.positional)
+    changed = True
+    while changed:
+        changed = False
+        for source, named, target in edges:
+            passed = keywords.get(source, set()) - named
+            if not passed <= keywords.setdefault(target, set()):
+                keywords[target] |= passed
+                changed = True
+    unreached = [
+        option.name
+        for option in declared
+        if option.param not in keywords.get(option.callee, ())
+        and not 0 <= option.position < positional.get(option.callee, 0)
+    ]
+    return declared, unreached
+
+
+def test_every_simulator_option_is_set_by_a_caller():
+    _, unreached = option_census()
+    unexplained = [name for name in unreached if name not in OPTION_ALLOWLIST]
+    assert not unexplained, (
+        f"{unexplained}: nothing outside the tests sets these; delete each with the "
+        "mechanism only it selects, or name its reader in OPTION_ALLOWLIST"
+    )
+
+
+def test_the_option_allowlist_is_short_and_live():
+    declared, unreached = option_census()
+    assert len(OPTION_ALLOWLIST) <= 6
+    assert set(OPTION_ALLOWLIST) <= {option.name for option in declared}
+    assert set(OPTION_ALLOWLIST) <= set(unreached), "a caller appeared: drop the entry"
+
+
+@pytest.mark.parametrize(
+    "path, old, new, flagged",
+    [
+        # The sizing slip: a knob added "for later" that nothing sets.
+        (
+            "cc/tcp.py",
+            "        limited_transmit: bool = False,\n",
+            "        limited_transmit: bool = False,\n        foo: int = 0,\n",
+            "TcpSender.foo",
+        ),
+        (
+            "net/red.py",
+            "    ecn_marking: bool = False,\n) -> REDQueue:",
+            "    ecn_marking: bool = False,\n    gentle: bool = True,\n) -> REDQueue:",
+            "red_for_bdp.gentle",
+        ),
+    ],
+    ids=["TcpSender keyword", "function keyword"],
+)
+def test_an_option_nothing_sets_is_flagged(path, old, new, flagged):
+    _, unreached = option_census({path: mutate(path, old, new)})
+    assert flagged in unreached
+
+
+def test_forwarding_reaches_the_sender():
+    # tcp(...) -> tcp_b -> Protocol.of -> new_tcp_flow -> **sender_kwargs -> TcpSender,
+    # and super().__init__ reaches a base class's option.
+    _, unreached = option_census()
+    assert "TcpSender.ecn" not in unreached
+    assert "Dropper.clock" not in unreached
+    assert "new_tcp_flow.rule" not in unreached
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["options"]:
+        raise SystemExit("usage: python -m tests.test_source_rules options")
+    declared, unreached = option_census()
+    print(f"simulator options: {len(declared)}")
+    print(f"reached by no caller: {len(unreached)}")
+    for name in unreached:
+        print(f"  {name}: {OPTION_ALLOWLIST.get(name, 'NOT ALLOWLISTED')}")

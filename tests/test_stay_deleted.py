@@ -153,6 +153,14 @@ STAY_DELETED = [
         "simlint: its engine, CLI, rule registry, suppression comments and "
         "eight rules; D001 and D003 are tests/test_source_rules.py",
     ),
+    (
+        r"delayed_acks|PeriodicTask|sim\.process|sawtooth_rate|\.spawn\(|relation=|max_cwnd",
+        ("src", "tests", "examples", "docs", "README.md"),
+        (),
+        "simulator options nothing set, and what only they selected: delayed "
+        "ACKs, PeriodicTask, the sawtooth CBR rates, RngRegistry.spawn, the "
+        "second a(b) rule and the window cap; the options rule keeps them out",
+    ),
 ]
 
 

@@ -113,15 +113,6 @@ class TestSeriesProbe:
         with pytest.raises(ValueError):
             probe.record(0.5, 0.0)
 
-    def test_wraps_an_existing_series(self):
-        from repro.telemetry import TimeSeries
-
-        ts = TimeSeries("legacy")
-        ts.append(0.0, 7.0)
-        probe = SeriesProbe("legacy", series=ts)
-        probe.record(1.0, 8.0)
-        assert list(ts) == [(0.0, 7.0), (1.0, 8.0)]
-
 
 class TestWindowConventions:
     def test_counters_count_start_to_end_and_bytes_grow_after_start_to_end(self):
@@ -159,17 +150,6 @@ class TestGaugeProbe:
 
 
 class TestRecorder:
-    def test_create_or_get_returns_the_same_probe(self):
-        rec = Recorder()
-        assert rec.counter("a.drops") is rec.counter("a.drops")
-        assert rec.series("a.rate") is rec.series("a.rate")
-
-    def test_kind_mismatch_raises(self):
-        rec = Recorder()
-        rec.counter("x")
-        with pytest.raises(TypeError):
-            rec.series("x")
-
     def test_adopt_is_idempotent_for_the_same_probe(self):
         rec = Recorder()
         probe = CounterProbe("drops")
@@ -193,7 +173,7 @@ class TestCapture:
         assert active_recorder() is None
         with capture() as outer:
             assert active_recorder() is outer
-            with capture(Recorder()) as inner:
+            with capture() as inner:
                 assert active_recorder() is inner
             assert active_recorder() is outer
         assert active_recorder() is None
@@ -210,11 +190,11 @@ class TestCapture:
 # ---------------------------------------------------------------------------
 
 
-def _run_traffic(recorder):
-    """A small dumbbell run with one TCP flow, captured into ``recorder``."""
+def _run_traffic():
+    """A small dumbbell run with one TCP flow, captured; (sim, net, recorder)."""
     from repro.cc.tcp import new_tcp_flow
 
-    with capture(recorder):
+    with capture() as recorder:
         sim = Simulator()
         net = Dumbbell(sim, bandwidth_bps=1e6, rtt_s=0.05)
         sender, receiver = new_tcp_flow(sim)
@@ -224,13 +204,12 @@ def _run_traffic(recorder):
         net.monitor.sample_queue(0.05)
         sender.start()
         sim.run(until=4.0)
-    return sim, net
+    return sim, net, recorder
 
 
 class TestEventLoopEmission:
     def test_channels_are_adopted_and_time_ordered(self):
-        rec = Recorder()
-        sim, net = _run_traffic(rec)
+        sim, net, rec = _run_traffic()
         for expected in (
             "link.bottleneck.arrivals",
             "link.bottleneck.drops",
@@ -247,8 +226,7 @@ class TestEventLoopEmission:
         assert rec.meta["link.bottleneck.bandwidth_bps"] == 1e6
 
     def test_channel_data_matches_the_live_monitor(self):
-        rec = Recorder()
-        sim, net = _run_traffic(rec)
+        sim, net, rec = _run_traffic()
         arrivals = rec.channels["link.bottleneck.arrivals"]
         assert arrivals is net.monitor.arrivals  # adopted, not copied
         assert arrivals.count == net.monitor.arrivals_in(0.0, sim.now + 1.0)
@@ -267,6 +245,13 @@ class TestEventLoopEmission:
         # restarting reuses the same gauge channel rather than shadowing
         assert net.monitor.sample_queue(0.5) is series
 
+    def test_queue_samples_fall_on_the_period(self):
+        sim = Simulator()
+        net = Dumbbell(sim, bandwidth_bps=1e6, rtt_s=0.05)
+        series = net.monitor.sample_queue(0.5)
+        sim.run(until=2.0)
+        assert list(series.times) == [0.5, 1.0, 1.5, 2.0]
+
     def test_sample_queue_requires_attachment(self):
         from repro.net.monitor import LinkMonitor
 
@@ -274,11 +259,11 @@ class TestEventLoopEmission:
         with pytest.raises(RuntimeError):
             monitor.sample_queue(0.1)
 
-    def test_sample_queue_default_period_needs_a_cadence(self):
+    def test_sample_queue_needs_a_positive_period(self):
         sim = Simulator()
         net = Dumbbell(sim, bandwidth_bps=1e6, rtt_s=0.05)
         with pytest.raises(ValueError):
-            net.monitor.sample_queue()  # no recorder to take a cadence from
+            net.monitor.sample_queue(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +401,14 @@ class TestPayForUse:
 class TestTraceRoundTrip:
     def _recorder(self):
         rec = Recorder()
-        drops = rec.counter("link.b.drops")
+        drops = rec.adopt("link.b.drops", CounterProbe())
         drops.increment(0.5)
         drops.increment(1.25)
         drops.increment(1.25)
-        rate = rec.series("flow.0.rate")
+        rate = rec.adopt("flow.0.rate", SeriesProbe())
         rate.record(0.0, 10.0)
         rate.record(1.0, 12.5)
-        gauge = rec.gauge("link.b.queue_pkts", read=lambda: 4.0)
+        gauge = rec.adopt("link.b.queue_pkts", GaugeProbe(read=lambda: 4.0))
         gauge.sample(0.75)
         rec.annotate("link.b.bandwidth_bps", 1e6)
         return rec
@@ -459,7 +444,7 @@ class TestTraceRoundTrip:
 
     def test_flows_layout(self):
         rec = Recorder()
-        probe = rec.series("flow.3.bytes")
+        probe = rec.adopt("flow.3.bytes", SeriesProbe())
         probe.record(1.0, 1000.0)
         probe.record(2.0, 3000.0)
         reader = TraceReader.loads(rec.export_text())
@@ -560,11 +545,15 @@ class TestPackedColumns:
     @settings(max_examples=150, deadline=None)
     def test_every_bit_pattern_survives_export_and_load(self, times, patterns):
         rec = Recorder()
+        # Adopted up front, so present when empty.
+        counter = rec.adopt("c", CounterProbe())
+        series = rec.adopt("s", SeriesProbe())
+        gauge = rec.adopt("g", GaugeProbe())
         for t, v in zip(times, patterns):
-            rec.counter("c").increment(t)
-            rec.series("s").record(t, v)
-            rec.gauge("g", read=lambda v=v: v).sample(t)
-        rec.counter("c"), rec.series("s"), rec.gauge("g")  # present when empty
+            counter.increment(t)
+            series.record(t, v)
+            gauge.read = lambda v=v: v
+            gauge.sample(t)
         text = rec.export_text()
         assert rec.export_text() == text  # two exports of one run
         reader = TraceReader.loads(text)
@@ -640,9 +629,11 @@ class TestPackedColumns:
         # so a regression fails here without a stopwatch.
         n = 3000
         rec = Recorder()
+        arrivals = rec.adopt("link.bottleneck.arrivals", CounterProbe())
+        cwnd = rec.adopt("flow.12.cwnd", SeriesProbe())
         for i in range(n):
-            rec.counter("link.bottleneck.arrivals").increment(i / 7)
-            rec.series("flow.12.cwnd").record(i / 7, 1e6 / (i + 1))
+            arrivals.increment(i / 7)
+            cwnd.record(i / 7, 1e6 / (i + 1))
         counter, series = rec.export_text().splitlines()[1:]
         assert len(series) / (2 * n) <= 11.5
         assert len(counter) / (2 * n) <= 6
@@ -650,8 +641,7 @@ class TestPackedColumns:
 
 class TestSimulationTraceRoundTrip:
     def test_replayed_metrics_match_live(self):
-        rec = Recorder()
-        sim, net = _run_traffic(rec)
+        sim, net, rec = _run_traffic()
         reader = TraceReader.loads(rec.export_text())
         live, replayed = net.monitor, reader.link("bottleneck")
         for start, end in ((0.0, 1.0), (1.0, 2.5), (0.0, 4.0)):
@@ -745,7 +735,7 @@ class TestTimeSeriesExtend:
         # SeriesProbe.load goes through extend(); a recorded trace must
         # come back sample-for-sample.
         recorder = Recorder()
-        probe = recorder.series("flow.1.bytes")
+        probe = recorder.adopt("flow.1.bytes", SeriesProbe())
         for t in range(5):
             probe.record(float(t), float(t * 100))
         text = recorder.export_text()

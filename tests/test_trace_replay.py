@@ -18,7 +18,7 @@ from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.replay import REPLAYERS, replay_job
 from repro.experiments.runner import Table
 from repro.experiments.scenarios import CbrRestartConfig, OscillationConfig
-from repro.telemetry import Recorder
+from repro.telemetry import CounterProbe, Recorder, SeriesProbe
 from repro.telemetry.trace import TraceReader
 
 #: The smallest stored trace: a current-schema header and no channels.
@@ -334,10 +334,12 @@ class TestCli:
         from repro.cli import main
 
         rec = Recorder()
+        drops = rec.adopt("link.bottleneck.drops", CounterProbe())
         for t in (0.5, 1.25, 1.25):
-            rec.counter("link.bottleneck.drops").increment(t)
-        rec.series("flow.0.cwnd").record(0.1, 2.0)
-        rec.series("flow.0.cwnd").record(0.30000000000000004, float("inf"))
+            drops.increment(t)
+        cwnd = rec.adopt("flow.0.cwnd", SeriesProbe())
+        cwnd.record(0.1, 2.0)
+        cwnd.record(0.30000000000000004, float("inf"))
         rec.annotate("scenario", "cbr_restart")
         text = rec.export_text()
         cache = ResultCache(tmp_path)

@@ -11,8 +11,6 @@ from repro.traffic import (
     FlashCrowd,
     add_flows,
     on_off_schedule,
-    reverse_sawtooth_rate,
-    sawtooth_rate,
     square_wave,
 )
 
@@ -77,39 +75,6 @@ class TestSquareWave:
         src = CbrSource(sim, rate_bps=1e5)
         with pytest.raises(ValueError):
             square_wave(sim, src, on_s=0.0, off_s=1.0, until=5.0)
-
-
-class TestSawtooth:
-    def test_ramp_shape(self):
-        rate = sawtooth_rate(peak_bps=1e6, ramp_s=4.0, off_s=1.0)
-        assert rate(0.0) == 0.0
-        assert rate(2.0) == pytest.approx(5e5)
-        assert rate(3.99) == pytest.approx(1e6, rel=0.01)
-        assert rate(4.5) == 0.0  # off
-        assert rate(7.0) == pytest.approx(5e5)  # next cycle
-
-    def test_reverse_ramp_shape(self):
-        rate = reverse_sawtooth_rate(peak_bps=1e6, ramp_s=4.0, off_s=1.0)
-        assert rate(0.0) == pytest.approx(1e6)
-        assert rate(2.0) == pytest.approx(5e5)
-        assert rate(4.5) == 0.0
-
-    def test_sawtooth_source_end_to_end(self):
-        sim, net = build(bandwidth=2e6)
-        src = CbrSource(sim, rate_bps=sawtooth_rate(1e6, 4.0, 1.0))
-        sink = CbrSink(sim)
-        flow = establish(net, src, sink)
-        src.start_at(0.0)
-        sim.run(until=5.0)
-        early = net.accountant.throughput_bps(flow, 0.0, 1.0)
-        late = net.accountant.throughput_bps(flow, 3.0, 4.0)
-        assert late > early * 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sawtooth_rate(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            reverse_sawtooth_rate(1e6, 0.0, 1.0)
 
 
 class TestFlashCrowd:
