@@ -28,6 +28,10 @@ order — see ``docs/performance.md`` for the ablation that left these):
   the coordinator runs itself: all of them with zero workers, the jobs a
   worker would buy nothing for (the inline fast path, which asks a
   :class:`~repro.experiments.costmodel.CostModel`) and a degraded pool's.
+  One predicate, :meth:`Executor._runs_here`, says which.
+* **the coordinator takes the tail** — when every worker is busy and
+  one job is left, the coordinator computes it instead of waiting, so a
+  map of ``workers + 1`` simulations leaves no core idle for a whole job.
 * **a worker is a fork of the coordinator and a pipe** — a slot is one
   ``multiprocessing.Process`` in :func:`_worker_main` plus this end of
   one duplex pipe.  A fork has ``repro`` and the scenario registry
@@ -56,6 +60,11 @@ Fault tolerance:
   with exponential backoff while a job's attempt number is at most
   ``max_retries``, in a worker and in this process alike; a stuck worker
   is killed, joined and its slot respawned;
+* the jobs the coordinator computes — inline jobs and a map's last
+  job alike — run without a worker's isolation, so they run here only
+  when no fault spec and no ``job_timeout`` asks for that isolation; a
+  last job that fails for good drains the busy workers first, as a
+  worker's failure does;
 * when the pool is irrecoverable (its rebuild budget, ``workers + 2``
   per map, is spent), the executor **degrades to in-process execution**
   for the remaining jobs rather than failing the run;
@@ -138,7 +147,7 @@ class ExecutionReport:
     cache_hits: int = 0
     deduplicated: int = 0
     # -- scheduling ---------------------------------------------------------
-    inlined: int = 0  # jobs run on the coordinator's inline fast path
+    inlined: int = 0  # jobs the coordinator computed itself
     load_balance: float = 1.0  # max slot busy time / mean (1.0 = perfect)
     # -- fault tolerance ----------------------------------------------------
     retries: int = 0  # re-executions after an error/crash/timeout
@@ -330,7 +339,11 @@ class Executor:
             pending.setdefault(jb.content_hash, []).append(i)
         report.lookup_s = time.monotonic() - lookup_started
 
-        # Stage 2: dedup identical misses, run each unique job once.
+        # Stage 2: dedup identical misses, run each unique job once.  A
+        # traced member represents its group, so the trace is recorded.
+        for where in pending.values():
+            if len(where) > 1:
+                where.sort(key=lambda i: not jobs[i].trace)
         unique = [(digest, jobs[where[0]]) for digest, where in pending.items()]
         report.deduplicated = sum(len(where) - 1 for where in pending.values())
         report.computed = len(unique)
@@ -401,7 +414,7 @@ class Executor:
                     )
                 report.store_s += time.monotonic() - flush_started
             report.execute_s = time.monotonic() - execute_started
-            self._log_map(report)
+            self._log_map(report, jobs)
 
         # Stage 3: fan out, preserving submission order.
         for pos, (digest, jb) in enumerate(unique):
@@ -416,24 +429,36 @@ class Executor:
             for jb, value, was_cached in zip(jobs, values, cached)
         ]
 
+    def _runs_here(self, jb: Job, *, last: bool) -> bool:
+        """The one rule for where a job runs: in this process when there
+        are no workers, or when nothing needs a worker's isolation (no
+        fault to inject, no timeout to enforce — an injected crash must
+        kill a worker, never the coordinator) and a worker would buy
+        nothing: one worker, a job the cost model predicts cheaper than a
+        pool round-trip (the inline path), or the ``last`` job of a
+        coordinator that would otherwise only wait — a one-job map, or a
+        map's tail while every worker is busy.
+        """
+        if self.workers == 0:
+            return True
+        if self._fault_text is not None or self.job_timeout is not None:
+            return False
+        return (
+            self.workers == 1
+            or last
+            or self.cost_model.predict(jb) <= INLINE_THRESHOLD_S
+        )
+
     def _execute(self, jobs: Sequence[Job], complete: Callable) -> None:
         """Run the deduplicated batch, calling ``complete(pos, value_text,
-        trace_text, ...)`` for each job as it finishes.
-
-        A job runs here when there are no workers, or when nothing needs
-        a worker's isolation (no fault to inject, no timeout to enforce —
-        an injected crash must kill a worker, never the coordinator) and
-        a worker would buy nothing: one worker, one job, or a job the cost
-        model predicts cheaper than a pool round-trip (the inline path).
-        """
+        trace_text, ...)`` for each job as it finishes; where each job
+        runs is :meth:`_runs_here`'s call."""
         report = self.last_report
-        plain = self._fault_text is None and self.job_timeout is None
         dispatch_started = time.monotonic()
-        every = self.workers == 0 or plain and (self.workers == 1 or len(jobs) == 1)
         here: deque[tuple[int, Job, int]] = deque()
         pooled: deque[tuple[int, Job, int]] = deque()
         for pos, jb in enumerate(jobs):
-            inline = every or plain and self.cost_model.predict(jb) <= INLINE_THRESHOLD_S
+            inline = self._runs_here(jb, last=len(jobs) == 1)
             (here if inline else pooled).append((pos, jb, 1))
         if self.workers:
             report.dispatch_s += time.monotonic() - dispatch_started
@@ -621,6 +646,20 @@ class Executor:
                         self._degrade(queue, complete)
                         return
                     continue  # a submit just failed; loop re-fills
+                if (
+                    len(queue) == 1
+                    and len(busy) == sum(slot.alive for slot in slots)
+                    and self._runs_here(queue[0][1], last=True)
+                ):
+                    # The tail: every worker is busy and one job is left,
+                    # so the coordinator computes it instead of waiting.
+                    report.inlined += 1
+                    try:
+                        self._run_here(queue, complete)
+                    except ExecutionError:
+                        self._drain(slots, complete)  # as a worker's failure does
+                        raise
+                    continue
                 timeout = None
                 if self.job_timeout is not None:
                     deadline = min(slot.started for slot in busy) + self.job_timeout
@@ -801,9 +840,14 @@ class Executor:
         record.update((k, v) for k, v in optional.items() if v is not None)
         self.run_log.record(**record)
 
-    def _log_map(self, report: ExecutionReport) -> None:
+    def _log_map(self, report: ExecutionReport, jobs: Sequence[Job]) -> None:
         if self.run_log is not None:
-            self.run_log.record(event="map", workers=self.workers, **report.as_dict())
+            self.run_log.record(
+                event="map",
+                workers=self.workers,
+                figures=sorted({jb.figure for jb in jobs}),
+                **report.as_dict(),
+            )
 
 
 def make_executor(

@@ -15,20 +15,23 @@ Record schema (``event="job"``, one per submitted job)::
      "retried": true,           # attempts > 1
      "timed_out": false,        # a per-job timeout fired for this job
      "degraded": false,         # computed in-process after pool degradation
-     "worker_pid": 4242,        # pid that produced the payload (null if none)
+     "worker_pid": 4242,        # pid that produced the payload: a worker's, or
+                                # the coordinator's for a job it computed
      "wall_s": 1.234,           # wall-clock of the successful attempt
      "worker_exit": -9}         # only on a job that lost a worker: exit status
                                 # of the last one lost (70 injected crash,
                                 # -9 --job-timeout kill or an outside SIGKILL)
 
 Plus one summary record per ``Executor.map`` call (``event="map"``) with
-the full :class:`~repro.experiments.executor.ExecutionReport` accounting
-(jobs / computed / cache_hits / deduplicated / retries / failures /
-timeouts / salvaged / pool_rebuilds / degraded, the per-stage wall-clock
-including scheduler phases — startup_s / dispatch_s / transport_s /
-compute_s — the inline-fast-path count, and ``load_balance``: the
-busiest worker slot's busy time over the mean, 1.0 meaning a perfectly
-balanced map).
+``workers``, ``figures`` — the sorted figure names of the map's jobs, so
+a ``run all`` log reads map by map — and the full
+:class:`~repro.experiments.executor.ExecutionReport` accounting (jobs /
+computed / cache_hits / deduplicated / retries / failures / timeouts /
+salvaged / pool_rebuilds / degraded, the per-stage wall-clock including
+scheduler phases — startup_s / dispatch_s / transport_s / compute_s —
+``inlined``, the jobs the coordinator computed itself, and
+``load_balance``: the busiest worker slot's busy time over the mean,
+1.0 meaning a perfectly balanced map).
 
 Point the CLI at a log with ``--run-log PATH`` or set ``REPRO_RUN_LOG``
 for the benchmark harness; records append, so one log can span a whole

@@ -28,6 +28,7 @@ import re
 
 import pytest
 
+from repro.experiments import fig11_convergence_analysis as fig11
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import (
@@ -332,6 +333,14 @@ class TestRunLog:
         statuses = [r["status"] for r in read_log(log) if r["event"] == "job"]
         assert statuses.count("computed") == 2
         assert statuses.count("deduplicated") == 1
+
+    def test_a_map_record_names_its_figures(self, tmp_path):
+        log = tmp_path / "run.jsonl"
+        executor = Executor(run_log=log)
+        executor.map(fig11.jobs("fast")[:1] + JOBS() + JOBS()[:1])
+        executor.map([])
+        summaries = [r for r in read_log(log) if r["event"] == "map"]
+        assert [r["figures"] for r in summaries] == [["fig11", "fig20"], []]
 
     def test_close_closes_only_a_run_log_it_opened(self, tmp_path, monkeypatch):
         from_path = make_executor(0, run_log=tmp_path / "path.jsonl")

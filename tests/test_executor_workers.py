@@ -31,10 +31,12 @@ import pytest
 
 import repro
 import repro.experiments.executor as executor_module
+from repro.experiments import DropperSpec, LossPatternConfig, job, tcp
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.executor import ExecutionError, Executor
 from repro.experiments.faults import CRASH_EXIT_STATUS, FaultSpec, InjectedFault
+from repro.experiments.jobs import indexed
 from tests.test_scheduler_determinism import POOL_FORCING_TIMEOUT_S, _fingerprint
 
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -49,6 +51,7 @@ needs_fork = pytest.mark.skipif(
 #: JSON object.
 DRIVER = """
 import json, multiprocessing, os, sys, threading
+from repro.experiments import DropperSpec, LossPatternConfig, job, tcp
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.executor import Executor
 
@@ -121,6 +124,19 @@ def wait_for_records(log: pathlib.Path, count: int, process: subprocess.Popen):
         assert time.monotonic() < deadline, "the driver never got that far"
         time.sleep(0.01)
     return job_records(log)
+
+
+def loss_pattern_jobs(count: int, *, duration_s: float = 5.0, last=None):
+    """``count`` short simulations as ``dispatch_smalljobs`` builds them
+    (a 5-s one is ~15 ms: predicted too dear to inline), then one with
+    the dropper ``last`` when it is given."""
+    config = LossPatternConfig(duration_s=duration_s, warmup_s=1.0)
+    kinds = [DropperSpec("periodic", (60 + i,)) for i in range(count)]
+    kinds += [last] if last is not None else []
+    return indexed(
+        job("tail", "loss_pattern", config=config, protocol=tcp(), params={"dropper": d})
+        for d in kinds
+    )
 
 
 @pytest.fixture(scope="module")
@@ -393,3 +409,47 @@ class TestArmsNoFaultSpecReaches:
             executor.close()
         assert executor.last_report.salvaged == 1
         assert cache.lookup(JOBS()[1]) is not MISS
+
+
+class TestTheTail:
+    """When every worker is busy and one job is left, the coordinator
+    computes it instead of waiting — exactly where an inline job may run."""
+
+    def test_the_coordinator_computes_the_last_of_workers_plus_one(self, tmp_path):
+        log = tmp_path / "run.jsonl"
+        with Executor(2, run_log=log) as executor:
+            executor.map(loss_pattern_jobs(3))
+        assert executor.last_report.inlined == 1
+        pids = {r["index"]: r["worker_pid"] for r in job_records(log)}
+        assert [pids[i] == os.getpid() for i in range(3)] == [False, False, True]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"fault": "error:index=99"}, {"job_timeout": POOL_FORCING_TIMEOUT_S}],
+        ids=["fault-spec", "job-timeout"],
+    )
+    def test_isolation_keeps_the_last_job_on_a_worker(self, tmp_path, kwargs):
+        log = tmp_path / "run.jsonl"
+        with Executor(2, run_log=log, **kwargs) as executor:
+            executor.map(loss_pattern_jobs(3))
+        assert executor.last_report.inlined == 0
+        pids = {r["worker_pid"] for r in job_records(log)}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_a_failing_last_job_raises_after_the_workers_results_are_cached(
+        self, tmp_path
+    ):
+        # The last job's dropper is unknown: ``build`` raises KeyError on
+        # every attempt, long before either worker's 30-s simulation ends.
+        # Those two results must reach the cache before the error leaves.
+        *good, bad = loss_pattern_jobs(
+            2, duration_s=30.0, last=DropperSpec("no-such-kind")
+        )
+        cache = ResultCache(tmp_path)
+        with Executor(2, max_retries=1, backoff_s=0.0) as executor:
+            with pytest.raises(ExecutionError, match="no-such-kind") as excinfo:
+                executor.map([*good, bad], cache)
+        assert isinstance(excinfo.value.__cause__, KeyError)
+        report = executor.last_report
+        assert (report.inlined, report.failures, report.salvaged) == (1, 1, 2)
+        assert all(cache.lookup(jb) is not MISS for jb in good)

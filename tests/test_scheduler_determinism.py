@@ -1,18 +1,20 @@
 """Where and when a job runs is a throughput matter, never a correctness one.
 
-The executor's machinery (inline fast path, warm pools, packed
-transport, batched pack writes) must be invisible in every output byte:
-these tests drive *arbitrary* execution orders and both execution
-places — the coordinating process and a real two-worker pool — through
-the pipeline and assert byte-identical reduced tables and identical
-on-disk cache contents.  The cache comparison is deliberately a
-whole-tree byte fingerprint — batched pack files are sorted on flush, so
-even *file* bytes must not depend on completion order.
+The executor's machinery (inline fast path, the coordinator taking a
+map's last job, warm pools, packed transport, batched pack writes) must
+be invisible in every output byte: these tests drive *arbitrary*
+execution orders and both execution places — the coordinating process
+and a real two-worker pool — through the pipeline and assert
+byte-identical reduced tables and identical on-disk cache contents.
+The cache comparison is deliberately a whole-tree byte fingerprint —
+batched pack files are sorted on flush, so even *file* bytes must not
+depend on completion order.
 
 Jobs execute in submission order, so an execution order is forced by
 permuting the submitted list and un-permuting the results.  The pool is
 forced with ``job_timeout=``: a timeout needs the worker-isolation
-boundary, so the executor itself switches the inline fast path off.
+boundary, so the executor itself switches the inline fast path (and
+the coordinator's share of a map's tail) off.
 """
 
 import pathlib
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import fig06_flash_crowd as fig06
 from repro.experiments import fig11_convergence_analysis as fig11
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import ResultCache
@@ -103,6 +106,20 @@ class TestConfigurationMatrix:
         assert _fingerprint(tmp_path / "parallel") == _fingerprint(
             tmp_path / "serial"
         )
+
+    def test_workers_plus_one_jobs_match_serial(self, tmp_path):
+        # Two jobs on the workers, the third — the tail — in the
+        # coordinator.  fig06 is shortened: its three simulations are
+        # all that matter here, not its numbers.
+        jobs = fig06.jobs("fast", end=14.0, crowd_start=5.0, crowd_duration_s=2.0)
+        serial_cache = ResultCache(tmp_path / "serial")
+        serial = fig06.reduce(Executor().map(jobs, serial_cache)).format()
+        with Executor(2) as executor:
+            tail_cache = ResultCache(tmp_path / "tail")
+            tail = fig06.reduce(executor.map(jobs, tail_cache)).format()
+            assert executor.last_report.inlined == 1
+        assert tail == serial
+        assert _fingerprint(tmp_path / "tail") == _fingerprint(tmp_path / "serial")
 
     def test_inline_fast_path_matches_pooled(self, tmp_path):
         jobs = fig20.jobs("fast")

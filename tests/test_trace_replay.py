@@ -207,6 +207,16 @@ class TestExecutorTracing:
         ex.map([jb], cache)
         assert (ex.last_report.cache_hits, ex.last_report.computed) == (1, 0)
 
+    def test_a_traced_job_deduplicated_with_an_untraced_twin_is_traced(self, tmp_path):
+        # Both share one content hash, so the map computes one of them:
+        # the traced one, or the trace is never recorded.
+        cache = ResultCache(tmp_path)
+        jb = tiny_cbr_restart_job(trace=False)
+        ex = Executor()
+        ex.map([jb, dataclasses.replace(jb, trace=True)], cache)
+        assert (ex.last_report.computed, ex.last_report.deduplicated) == (1, 1)
+        assert cache.has_trace(dataclasses.replace(jb, trace=True))
+
     def test_untraced_jobs_never_touch_traces(self, tmp_path):
         cache = ResultCache(tmp_path)
         jb = tiny_cbr_restart_job(trace=False)
