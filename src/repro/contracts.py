@@ -30,7 +30,7 @@ escape.  The gate is evaluated **at decoration time**: when
 unchanged, so the disabled mode costs literally nothing — not even an
 extra frame.  When it is set, a signature whose hints cannot be
 resolved fails at import rather than going unchecked.  CI runs the
-whole tier-1 suite, plus full-size fig04 and fig14, under
+whole tier-1 suite, plus full-size fig04, fig06 and fig14, under
 ``REPRO_CONTRACTS=1``; the tables stay byte-identical to the default
 mode (see ``docs/contracts.md``).
 """

@@ -105,7 +105,7 @@ class Link:
         # With a tap on, one pending event carries the packet in service to the taps:
         # the first tap starts that here, later ones find it made.
         if len(self._taps) == 1 and self.sim.now < self._busy_until:
-            self.sim.call_at(self._busy_until, self._tapped, self._last)
+            self.sim.at(self._busy_until, self._tapped, self._last)
 
     def send(self, packet: Packet) -> None:
         """Offer a packet to the link; it queues, serializes, propagates."""
@@ -116,7 +116,7 @@ class Link:
         if self._wake or now < self._busy_until:
             if queue.enqueue(packet) and not self._wake:
                 self._wake = True
-                self.sim.call_at(self._busy_until, self._departed)
+                self.sim.at(self._busy_until, self._departed)
             return
         if not queue.bypass_idle or queue.telemetry is not None:
             # RED sees every arrival, a monitored queue counts it; a passive one skips the trip.
@@ -132,16 +132,16 @@ class Link:
         self._last = packet
         self._pkts += 1
         self._bytes += packet.size
-        self.sim.call_at(done + self.delay_s, self._receiver, packet)
+        self.sim.at(done + self.delay_s, self._receiver, packet)
         if self.queue._buffer:
             self._wake = True
             if self._taps:
                 # The taps ride the wake-up a bare link schedules right here.
-                self.sim.call_at(done, self._departed, packet)
+                self.sim.at(done, self._departed, packet)
             else:
-                self.sim.call_at(done, self._departed)
+                self.sim.at(done, self._departed)
         elif self._taps:
-            self.sim.call_at(done, self._tapped, packet)
+            self.sim.at(done, self._tapped, packet)
 
     def _tapped(self, departed: Packet) -> None:
         """The serialization of ``departed`` ended now: show it to the taps."""

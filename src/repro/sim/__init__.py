@@ -1,10 +1,9 @@
-"""Discrete-event simulation kernel: clock, events, timers, RNG."""
+"""Discrete-event simulation kernel: clock, timers, RNG."""
 
-from repro.sim.engine import Event, SimulationError, Simulator, Timer
+from repro.sim.engine import SimulationError, Simulator, Timer
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "Event",
     "SimulationError",
     "Simulator",
     "Timer",

@@ -104,7 +104,7 @@ class Probe:
 
 
 class CounterProbe(Probe):
-    """Event counter with per-event timestamps.
+    """A counter of events, with per-event timestamps.
 
     Stores event times in one ``array('d')``: every event counts one, so
     the running total after ``times[i]`` is ``i + 1`` and a windowed count

@@ -72,7 +72,7 @@ class FlashCrowd:
             return
         self._spawn_flow()
         gap = self._rng.expovariate(self.rate_per_s)
-        self.sim.schedule(gap, self._spawn_next)
+        self.sim.at(self.sim.now + gap, self._spawn_next)
 
     def _spawn_flow(self) -> None:
         sender = TcpSender(self.sim, rule=tcp_rule(0.5), max_packets=self.transfer_packets)

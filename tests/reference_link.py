@@ -90,8 +90,10 @@ class ReferenceLink:
             # estimator; monitored queues must count every arrival).
             self._busy = True
             self.in_service = packet
-            self.sim.call_in(
-                packet.size * self._tx_per_byte, self._transmission_done, packet
+            self.sim.at(
+                self.sim.now + packet.size * self._tx_per_byte,
+                self._transmission_done,
+                packet,
             )
             return
         if queue.enqueue(packet) and not self._busy:
@@ -106,8 +108,10 @@ class ReferenceLink:
         self._busy = True
         self.in_service = packet
         # Fire-and-forget: per-packet link events are never cancelled.
-        self.sim.call_in(
-            packet.size * self._tx_per_byte, self._transmission_done, packet
+        self.sim.at(
+            self.sim.now + packet.size * self._tx_per_byte,
+            self._transmission_done,
+            packet,
         )
 
     def _transmission_done(self, packet: Packet) -> None:
@@ -116,5 +120,5 @@ class ReferenceLink:
         if self._taps:
             for tap in self._taps:
                 tap(packet)
-        self.sim.call_in(self.delay_s, self._receiver, packet)
+        self.sim.at(self.sim.now + self.delay_s, self._receiver, packet)
         self._start_transmission()

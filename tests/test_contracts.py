@@ -30,7 +30,7 @@ from repro.contracts import (
     checked,
     contracts_enabled,
 )
-from tests import test_sim_engine, test_sim_engine_fastpath
+from tests import test_sim_engine
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -262,15 +262,8 @@ PACKAGES = ("cc", "net", "sim", "metrics", "analysis")
 #: contract (and raises ``SimulationError``, which callers catch), each
 #: listed with the test that proves it.
 KERNEL_ENFORCED = {
-    "repro.sim.engine.Simulator.schedule": (
-        test_sim_engine.TestScheduling, "test_negative_delay_rejected"),
     "repro.sim.engine.Simulator.at": (
         test_sim_engine.TestScheduling, "test_nan_time_rejected"),
-    "repro.sim.engine.Simulator.call_in": (
-        test_sim_engine_fastpath.TestCallInContract,
-        "test_call_in_rejects_negative_delay_and_nan"),
-    "repro.sim.engine.Simulator.call_at": (
-        test_sim_engine_fastpath.TestCallInContract, "test_call_at_rejects_past_times"),
     "repro.sim.engine.Timer.schedule": (
         test_sim_engine.TestTimer, "test_negative_and_nan_delays_rejected"),
 }
@@ -343,7 +336,7 @@ class TestCensus:
         for cls, test in KERNEL_ENFORCED.values():
             assert callable(getattr(cls, test))
         # Pinned, so a removed annotation shows like a removed decorator.
-        assert len(found) == 61
+        assert len(found) == 58
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ Two layers:
   miniature fig14-style run in a fresh interpreter with enforcement
   armed — the ``@checked`` gate is evaluated at decoration (import) time,
   so flipping the env var in-process would be a no-op;
-* full-figure byte-identity tests for fig04 and fig14 (plain vs enforced,
-  and plain vs the committed ``results/`` table), gated behind
+* full-figure byte-identity tests for fig04, fig06 and fig14 (plain vs
+  enforced, and plain vs the committed ``results/`` table), gated behind
   ``REPRO_SWEEP_TESTS=1`` because each figure runs twice (~3 minutes
-  total).  CI's ``contracts-sweep`` job sets the gate while it runs the
+  total).  fig06, the flash crowd, is the figure whose timers retire the
+  most calendar entries.  CI's ``contracts-sweep`` job sets the gate while it runs the
   whole suite under ``REPRO_CONTRACTS=1``; see ``.github/workflows/ci.yml``.
 """
 
@@ -71,7 +72,7 @@ def test_tiny_sweep_has_zero_violations_under_enforcement():
     os.environ.get("REPRO_SWEEP_TESTS") != "1",
     reason="full-figure sweep (minutes); CI sets REPRO_SWEEP_TESTS=1",
 )
-@pytest.mark.parametrize("figure", ["fig04", "fig14"])
+@pytest.mark.parametrize("figure", ["fig04", "fig06", "fig14"])
 def test_full_figure_byte_identical_under_enforcement(figure, tmp_path):
     plain_dir = tmp_path / "plain"
     checked_dir = tmp_path / "checked"

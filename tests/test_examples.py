@@ -2,15 +2,26 @@
 
 The fast examples run end to end; the longer studies are executed with
 the module's building blocks at reduced scale elsewhere in the suite, so
-here we only verify they load and expose a main().
+here we only verify they load and expose a main().  The ``>>>`` examples
+in the package's docstrings run too.
 """
 
+import doctest
+import importlib
 import importlib.util
 import pathlib
 
 import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Every module of the package whose docstrings hold a ``>>>`` example.
+DOCTESTED = sorted(
+    ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+    for path in PACKAGE.rglob("*.py")
+    if ">>>" in path.read_text(encoding="utf-8")
+)
 
 
 def load_example(name: str):
@@ -55,3 +66,9 @@ class TestFastExamplesRun:
         out = capsys.readouterr().out
         assert "ECN-marked" in out
         assert "goodput_mbps" in out
+
+
+@pytest.mark.parametrize("module", DOCTESTED)
+def test_docstring_examples_run(module):
+    result = doctest.testmod(importlib.import_module(module))
+    assert result.attempted and not result.failed

@@ -202,7 +202,7 @@ def pacing_ratio(name):
         sent[t] = sender.packets_sent
 
     for t in PACING_WINDOW:
-        sim.call_at(t, snapshot, t)
+        sim.at(t, snapshot, t)
     sender.start()
     sim.run(until=end)
     if isinstance(sender, CbrSource):

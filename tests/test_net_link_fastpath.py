@@ -112,7 +112,7 @@ def _run(link_cls, program, queue_spec, delay_s, chained, tap_at, probes, sample
         )
 
     for instant in samples:
-        sim.at(instant, sim.call_in, 0.0, sample)
+        sim.at(instant, sim.at, instant, sample)
 
     packets = [Packet(0, DATA, i, size, 0, 1) for i, (size, _) in enumerate(program)]
     times = [ticks * TICK for ticks in _arrival_ticks(program)]
@@ -121,7 +121,7 @@ def _run(link_cls, program, queue_spec, delay_s, chained, tap_at, probes, sample
         def arrive(i):
             link.send(packets[i])
             if i + 1 < len(packets):
-                sim.call_at(times[i + 1], arrive, i + 1)
+                sim.at(times[i + 1], arrive, i + 1)
 
         sim.at(times[0], arrive, 0)
     else:
@@ -258,7 +258,7 @@ class TestTimeBasedCounters:
         sim, link = self._link()
         first = Packet(0, DATA, 0, 1000, 0, 1)
         link.send(first)
-        assert sim.pending == 1  # the delivery; nothing at the end of serialization
+        assert len(sim._heap) == 1  # the delivery; nothing at the end of serialization
         assert (link.packets_sent, link.bytes_sent, link.in_service) == (0, 0, first)
         sim.run(until=0.5)
         assert (link.packets_sent, link.bytes_sent, link.in_service) == (0, 0, first)

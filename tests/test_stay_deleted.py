@@ -161,6 +161,16 @@ STAY_DELETED = [
         "ACKs, PeriodicTask, the sawtooth CBR rates, RngRegistry.spawn, the "
         "second a(b) rule and the window cap; the options rule keeps them out",
     ),
+    (
+        r"\bEvent\b|\bcall_(in|at)\b|Simulator\.(schedule|stop|pending)|\bsim\.schedule\("
+        r"|\bsim\.stop\(\)|\bsim\.pending\b|\b_cancelled\b",
+        ("src", "tests", "examples", "benchmarks", "docs", "README.md", "DESIGN.md", ".github"),
+        # The frozen oracle keeps the old kernel; the performance log its history.
+        ("tests/reference_kernel.py", "docs/performance.md"),
+        "the cancellable Event, schedule / call_in / call_at, stop, pending and "
+        "the tombstone count; Simulator.at is the one scheduling call and a "
+        "Timer retires its own entries",
+    ),
 ]
 
 
