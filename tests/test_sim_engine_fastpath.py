@@ -10,10 +10,13 @@ tests drive random schedule / timer churn through both kernels and
 compare the full firing transcripts.
 """
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import SimulationError, Simulator, Timer
 from tests.reference_kernel import ReferenceSimulator, ReferenceTimer
 
 # One churn program = a list of instructions interpreted against a kernel:
@@ -168,6 +171,49 @@ class TestHorizon:
         assert order == ["a", "b", "c", "d"] and sim.now == 2.0
         sim.run(until=2.0)
         assert sim.now == 2.0 and sim.events_fired == 4
+
+
+class TestCallInContract:
+    """The fire-and-forget entry's contract, now held by ``Simulator.at``
+    (plain entries) and ``Timer`` (relative delays)."""
+
+    def test_call_at_fires_at_absolute_time(self):
+        sim = Simulator()
+        fired = []
+        sim.at(2.5, fired.append, "x")
+        sim.run()
+        assert fired == ["x"] and sim.now == 2.5
+
+    def test_call_in_rejects_negative_delay_and_nan(self):
+        sim = Simulator()
+        timer = Timer(sim, lambda: None)
+        with pytest.raises(SimulationError):
+            timer.schedule(-0.1)
+        with pytest.raises(SimulationError):
+            timer.schedule(math.nan)
+        with pytest.raises(SimulationError):
+            sim.at(math.nan, lambda: None)
+        assert not timer.pending and sim._heap == []
+
+    def test_call_at_rejects_past_times(self):
+        sim = Simulator()
+        sim.at(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.at(0.5, lambda: None)
+
+    def test_events_fired_counts_both_entry_kinds(self):
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, fired.append, "plain")
+        Timer(sim, lambda: fired.append("timer")).schedule(2.0)
+        cancelled = Timer(sim, lambda: fired.append("cancelled"))
+        cancelled.schedule(3.0)
+        cancelled.cancel()
+        sim.run()
+        # A plain entry and a timer's entry are both counted; so is the
+        # retired entry the cancelled timer left, popped but not called.
+        assert fired == ["plain", "timer"] and sim.events_fired == 3
 
 
 class TestAtContract:
