@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Parallel, cached figure regeneration through ``run_figure``.
 
-``run_figure(name, scale, executor=..., cache=...)`` is the one road from
-a figure name to its table: the figure module describes its work as
+``run_figures(names, scale, executor=..., cache=...)`` is the one road
+from figure names to their tables, and ``run_figure(name, ...)`` is its
+one-name form: the figure module describes its work as
 ``jobs(scale)`` — pure, picklable simulation points — and formats results
 with ``reduce(results)``; the executor fans the work out over a process
 pool and the content-addressed cache replays previous results, without

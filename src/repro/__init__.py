@@ -12,7 +12,7 @@ The library has five layers:
 * :mod:`repro.traffic` / :mod:`repro.metrics` / :mod:`repro.analysis` —
   workloads, measurement machinery and closed-form models;
 * :mod:`repro.experiments` — one module per paper figure
-  (``fig03`` ... ``fig20``), all reached through ``run_figure(name, scale)``.
+  (``fig03`` ... ``fig20``), all reached through ``run_figures(names, scale)``.
 
 Quickstart::
 

@@ -25,6 +25,12 @@ simulation — and prints it byte-identically, which is how CI proves the
 telemetry stream carries everything the figures need
 (see ``docs/telemetry.md``).
 
+``run`` is one ``executor.map`` over every named entry's jobs
+(:func:`~repro.experiments.run_figures`), so a simulation point two
+entries share — fig05 re-reads fig04's sweep — is computed once per
+run.  The tables print when the map is done, followed by one accounting
+line for the whole run.
+
 Results are cached on disk (``~/.cache/repro`` by default, see
 ``--cache-dir``) keyed by the content hash of each job plus a
 code-version salt, so a warm second run replays from the cache without
@@ -38,7 +44,7 @@ with ``--job-timeout``, failing jobs retry up to ``--max-retries`` times,
 and completed results always reach the cache before any failure
 propagates.  ``--run-log PATH`` appends one JSONL provenance record per
 job (content hash, attempts, worker pid, wall time, ``worker_exit`` — the
-exit status of a worker lost on it) plus a summary per figure — see
+exit status of a worker lost on it) plus a summary of the run — see
 ``docs/experiments.md``.
 
 Jobs run in submission order; on a parallel run those cheaper than a
@@ -56,8 +62,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.experiments import ALL_FIGURES, EXTENSIONS, TRACE_NEEDS_CACHE
-from repro.experiments import run_figure, table_filename
+from repro.experiments import ALL_FIGURES, EXTENSIONS, run_figures, table_filename
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.executor import JobResult, make_executor
 from repro.experiments.runner import Table
@@ -151,7 +156,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="PATH",
         help="append one JSONL provenance record per job (plus a summary "
-        "per figure) to PATH; also honors REPRO_RUN_LOG",
+        "of the run) to PATH; also honors REPRO_RUN_LOG",
     )
     run_parser.add_argument(
         "--job-timeout",
@@ -255,25 +260,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name}: {summary}")
         return 0
 
-    if args.command != "run" and args.figure == "all":
-        print(f"{args.command} works on one figure at a time", file=sys.stderr)
-        return 2
-    names = list(runnable) if args.figure == "all" else [args.figure]
-    unknown = [n for n in names if n not in runnable]
-    if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(runnable)}", file=sys.stderr)
-        return 2
+    if args.command != "run":
+        if args.figure == "all":
+            print(f"{args.command} works on one figure at a time", file=sys.stderr)
+            return 2
+        if args.figure not in runnable:
+            print(f"unknown figure: {args.figure}", file=sys.stderr)
+            print(f"available: {', '.join(runnable)}", file=sys.stderr)
+            return 2
+        command = _profile_command if args.command == "profile" else _trace_command
+        return command(args, runnable[args.figure])
 
-    if args.command == "profile":
-        return _profile_command(args, runnable)
-
-    if args.command == "trace":
-        return _trace_command(args, runnable)
-
-    if args.trace and not args.cache:
-        print(TRACE_NEEDS_CACHE, file=sys.stderr)
-        return 2
     if args.cache_dir is not None and not args.cache:
         print("--cache-dir needs the cache (drop --no-cache)", file=sys.stderr)
         return 2
@@ -291,63 +288,42 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    total_jobs = total_computed = total_hits = total_dedup = 0
-    total_retries = total_timeouts = total_rebuilds = 0
-    any_degraded = False
+    names = list(runnable) if args.figure == "all" else [args.figure]
+    started = time.time()
     try:
-        for name in names:
-            started = time.time()
-            table = run_figure(
-                name, args.scale, executor=executor, cache=cache, trace=args.trace
-            )
-            elapsed = time.time() - started
-            report = executor.last_report
-            total_jobs += report.jobs
-            total_computed += report.computed
-            total_hits += report.cache_hits
-            total_dedup += report.deduplicated
-            total_retries += report.retries
-            total_timeouts += report.timeouts
-            total_rebuilds += report.pool_rebuilds
-            any_degraded = any_degraded or report.degraded
-            print(table.format())
-            print(
-                f"[{name} completed in {elapsed:.1f}s at scale={args.scale}: "
-                f"{report.jobs} jobs, {report.computed} computed, "
-                f"{report.cache_hits} cache hits, "
-                f"{report.deduplicated} deduplicated{_report_extras(report)}]"
-            )
-            if args.chart:
-                chart = _figure_chart(name, table)
-                if chart:
-                    print()
-                    print(chart)
-            if args.out:
-                args.out.mkdir(parents=True, exist_ok=True)
-                (args.out / table_filename(name)).write_text(table.format() + "\n")
-            print()
+        tables = run_figures(
+            names, args.scale, executor=executor, cache=cache, trace=args.trace
+        )
+    except (KeyError, ValueError) as exc:  # an unknown name, or --trace --no-cache
+        print(exc.args[0], file=sys.stderr)
+        return 2
     finally:
         executor.close()  # kill and join the workers
-    if len(names) > 1:
-        where = "off" if cache is None else str(cache.root)
-        extras = ""
-        if total_retries:
-            extras += f", {total_retries} retried"
-        if total_timeouts:
-            extras += f", {total_timeouts} timed out"
-        if total_rebuilds:
-            extras += f", {total_rebuilds} pool rebuilds"
-        if any_degraded:
-            extras += ", degraded to serial"
-        print(
-            f"[total: {total_jobs} jobs, {total_computed} computed, "
-            f"{total_hits} cache hits, {total_dedup} deduplicated{extras}; "
-            f"cache={where}, workers={executor.workers}]"
-        )
+    elapsed = time.time() - started
+    for name, table in tables.items():
+        print(table.format())
+        if args.chart:
+            chart = _figure_chart(name, table)
+            if chart:
+                print()
+                print(chart)
+        if args.out:
+            args.out.mkdir(parents=True, exist_ok=True)
+            (args.out / table_filename(name)).write_text(table.format() + "\n")
+        print()
+    report = executor.last_report
+    where = "off" if cache is None else str(cache.root)
+    print(
+        f"[{args.figure} completed in {elapsed:.1f}s at scale={args.scale}: "
+        f"{report.jobs} jobs, {report.computed} computed, "
+        f"{report.cache_hits} cache hits, "
+        f"{report.deduplicated} deduplicated{_report_extras(report)}; "
+        f"cache={where}, workers={executor.workers}]"
+    )
     return 0
 
 
-def _profile_command(args, runnable) -> int:
+def _profile_command(args, module) -> int:
     """``repro profile``: cProfile a figure's jobs and print hot functions.
 
     The jobs run in-process (no cache, no worker pool — a profile of a
@@ -362,7 +338,7 @@ def _profile_command(args, runnable) -> int:
     if args.jobs < 1 or args.top < 1:
         print("profile: --jobs and --top must be >= 1", file=sys.stderr)
         return 2
-    job_list = runnable[args.figure].jobs(args.scale)[: args.jobs]
+    job_list = module.jobs(args.scale)[: args.jobs]
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -383,7 +359,7 @@ def _profile_command(args, runnable) -> int:
     return 0
 
 
-def _trace_command(args, runnable) -> int:
+def _trace_command(args, module) -> int:
     """``repro trace``: inspect or replay the stored telemetry traces."""
     from repro.experiments.replay import replay_job
     from repro.telemetry.trace import TraceReader
@@ -394,7 +370,6 @@ def _trace_command(args, runnable) -> int:
     if args.out is not None and not args.replay:
         print("trace: --out needs --replay", file=sys.stderr)
         return 2
-    module = runnable[args.figure]
     cache = ResultCache(args.cache_dir if args.cache_dir else default_cache_dir())
     jobs = module.jobs(args.scale)
 

@@ -1,10 +1,12 @@
 """One experiment module per paper figure, plus shared scenario machinery.
 
-:func:`run_figure` is the one road from a figure name to its
-:class:`~repro.experiments.runner.Table`: ``run_figure("fig05")``
-regenerates the data behind paper figure 5 (``scale="fast"`` is the
-CI-sized configuration, ``scale="paper"`` the paper's parameters).  The
-CLI, the benchmark harness and the tests all go through it.
+:func:`run_figures` is the one road from registry names to their
+:class:`~repro.experiments.runner.Table` objects, in one ``map``:
+``run_figures(["fig04", "fig05"])`` regenerates the data behind paper
+figures 4 and 5, simulating the points they share once (``scale="fast"``
+is the CI-sized configuration, ``scale="paper"`` the paper's
+parameters).  :func:`run_figure` is its one-name form.  The CLI, the
+benchmark harness and the tests all go through it.
 
 Every figure module is the declarative pair underneath:
 ``jobs(scale) -> list[Job]`` describes the simulation points and
@@ -16,7 +18,8 @@ that unpickles a :class:`Job` has the whole registry.
 """
 
 import dataclasses
-from typing import Optional
+from itertools import islice
+from typing import Optional, Sequence
 
 from repro.experiments import (
     ext_ablation_history_discounting,
@@ -122,41 +125,51 @@ def table_filename(name: str) -> str:
     return module.__name__.rpartition(".")[2] + ".txt"
 
 
-#: Why tracing needs a cache; shared by :func:`run_figure` and the CLI.
-TRACE_NEEDS_CACHE = (
-    "--trace requires the cache: trace artifacts are stored beside "
-    "cached results (drop --no-cache)"
-)
-
-
-def run_figure(
-    name: str,
+def run_figures(
+    names: Sequence[str],
     scale: str = "fast",
     *,
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
     trace: bool = False,
     **overrides,
-) -> Table:
-    """Regenerate one figure (or extension) table, by registry name.
+) -> dict[str, Table]:
+    """Regenerate registry entries' tables, by name, in one ``map``.
 
-    ``module.jobs(scale, **overrides)`` -> ``executor.map`` (in process
-    when ``executor`` is None) -> ``module.reduce``.  ``trace=True`` also
-    records a telemetry trace per job, stored beside its cached result.
-    ``executor.last_report`` holds the run's accounting afterwards.
+    Every entry's ``module.jobs(scale, **overrides)`` goes into one
+    ``executor.map`` (in process when ``executor`` is None), so a point
+    two entries share is computed once; each entry's slice of the
+    results, in job order, goes to its ``module.reduce``.  ``trace=True``
+    also records a telemetry trace per job, stored beside its cached
+    result.  ``executor.last_report`` holds the run's accounting
+    afterwards.
     """
     runnable = {**ALL_FIGURES, **EXTENSIONS}
-    module = runnable.get(name)
-    if module is None:
+    unknown = [name for name in names if name not in runnable]
+    if unknown:
         raise KeyError(
-            f"unknown figure {name!r}; available: {', '.join(runnable)}"
+            f"unknown figure {', '.join(map(repr, unknown))}; "
+            f"available: {', '.join(runnable)}"
         )
     if trace and cache is None:
-        raise ValueError(TRACE_NEEDS_CACHE)
-    job_list = module.jobs(scale, **overrides)
+        raise ValueError(
+            "--trace requires the cache: trace artifacts are stored beside "
+            "cached results (drop --no-cache)"
+        )
+    job_lists = [runnable[name].jobs(scale, **overrides) for name in names]
+    jobs = [jb for job_list in job_lists for jb in job_list]
     if trace:
-        job_list = [dataclasses.replace(jb, trace=True) for jb in job_list]
-    return module.reduce((executor or Executor()).map(job_list, cache))
+        jobs = [dataclasses.replace(jb, trace=True) for jb in jobs]
+    results = iter((executor or Executor()).map(jobs, cache))
+    return {
+        name: runnable[name].reduce(list(islice(results, len(job_list))))
+        for name, job_list in zip(names, job_lists)
+    }
+
+
+def run_figure(name: str, scale: str = "fast", **options) -> Table:
+    """Regenerate one figure (or extension) table: ``run_figures([name])``."""
+    return run_figures([name], scale, **options)[name]
 
 
 __all__ = [
@@ -180,7 +193,6 @@ __all__ = [
     "Protocol",
     "ResultCache",
     "RunLog",
-    "TRACE_NEEDS_CACHE",
     "Table",
     "default_cache_dir",
     "execute_job",
@@ -190,6 +202,7 @@ __all__ = [
     "pick_config",
     "rap",
     "run_figure",
+    "run_figures",
     "sqrt",
     "table_filename",
     "tcp",

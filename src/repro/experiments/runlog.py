@@ -23,9 +23,9 @@ Record schema (``event="job"``, one per submitted job)::
                                 # -9 --job-timeout kill or an outside SIGKILL)
 
 Plus one summary record per ``Executor.map`` call (``event="map"``) with
-``workers``, ``figures`` — the sorted figure names of the map's jobs, so
-a ``run all`` log reads map by map — and the full
-:class:`~repro.experiments.executor.ExecutionReport` accounting (jobs /
+``workers``, ``figures`` — the sorted figure names of the map's jobs;
+``repro run`` is one map, so its record names every entry it ran — and
+the full :class:`~repro.experiments.executor.ExecutionReport` accounting (jobs /
 computed / cache_hits / deduplicated / retries / failures / timeouts /
 salvaged / pool_rebuilds / degraded, the per-stage wall-clock including
 scheduler phases — startup_s / dispatch_s / transport_s / compute_s —

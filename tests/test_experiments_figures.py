@@ -1,8 +1,9 @@
 """Plumbing tests for every figure module.
 
-Every registry name is driven through ``run_figure`` — the one road the
-CLI and the benchmark harness take — with miniature parameter overrides,
-so the jobs/reduce paths stay covered without the benchmark-scale cost.
+Every registry name is driven through ``run_figure`` — the one-name form
+of ``run_figures``, the one road the CLI and the benchmark harness take —
+with miniature parameter overrides, so the jobs/reduce paths stay covered
+without the benchmark-scale cost.
 The tests share one temporary-directory cache: a figure simulated by the registry
 sweep is a cache hit for its own shape test.  Shape assertions on the
 real configurations live in benchmarks/.
@@ -22,6 +23,7 @@ from repro.experiments import (
     Table,
     fig04_stabilization_time,
     run_figure,
+    run_figures,
     table_filename,
 )
 from repro.experiments.jobs import run_job
@@ -150,6 +152,32 @@ class TestRegistry:
     def test_trace_without_a_cache_is_rejected(self):
         with pytest.raises(ValueError, match="--trace requires the cache"):
             run_figure("fig11", trace=True)
+
+
+class TestOneMap:
+    """``run_figures`` maps every entry's jobs at once, so the executor's
+    dedup sees the points two entries share and computes each once."""
+
+    def test_a_shared_point_is_computed_once_and_the_tables_are_unchanged(self):
+        executor = Executor()
+        overrides = dict(TINY_STABILIZATION, gammas=[2, 4])
+        tables = run_figures(["fig05", "fig04"], executor=executor, **overrides)
+        report = executor.last_report
+        assert (report.jobs, report.computed, report.deduplicated) == (4, 2, 2)
+        assert list(tables) == ["fig05", "fig04"]
+        for name, table in tables.items():
+            alone = run_figure(name, executor=executor, **overrides)
+            assert executor.last_report.computed == 2
+            assert table.format() == alone.format()
+
+    def test_names_and_trace_are_checked_before_any_job_runs(self):
+        executor = Executor()
+        with pytest.raises(KeyError) as excinfo:
+            run_figures(["fig04", "nope", "fig99"], executor=executor)
+        assert "'nope', 'fig99'" in excinfo.value.args[0]
+        with pytest.raises(ValueError, match="--trace requires the cache"):
+            run_figures(["fig04", "fig05"], executor=executor, trace=True)
+        assert executor.last_report.jobs == 0
 
 
 class TestSimulationFigures:

@@ -40,7 +40,15 @@ STAY_DELETED = [
         r"def run\(",
         ("src/repro/experiments", "benchmarks"),
         (),
-        "per-figure run(): run_figure is the one road to a table (PR 15)",
+        "per-figure run(): run_figure is the one-name form of run_figures, "
+        "the one road to a table (PR 15)",
+    ),
+    (
+        r"\brun_figure\b|\btotal_\w+|any_degraded|for name in names",
+        ("src/repro/cli.py",),
+        (),
+        "the CLI's per-figure run_figure loop and its eight total_* counters; "
+        "repro run is one run_figures map with one accounting line",
     ),
     (
         r"_start_transmission|_transmission_done|COMPACT_MIN_CANCELLED|_note_cancelled",
