@@ -379,7 +379,6 @@ class Executor:
             outcomes[pos] = value
             self._completed_count = len(outcomes)
             report.compute_s += wall_s
-            self.cost_model.observe(jb, wall_s)
             self._log_job(
                 jb,
                 status="computed",

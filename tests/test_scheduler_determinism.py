@@ -28,7 +28,6 @@ from repro.experiments import fig06_flash_crowd as fig06
 from repro.experiments import fig11_convergence_analysis as fig11
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import ResultCache
-from repro.experiments.costmodel import CostModel
 from repro.experiments.executor import Executor
 
 N_JOBS = len(fig20.jobs("fast"))
@@ -139,16 +138,3 @@ class TestConfigurationMatrix:
             pooled_exec.close()
         assert inline == pooled
         assert _fingerprint(tmp_path / "inline") == _fingerprint(tmp_path / "pooled")
-
-    def test_inline_decision_uses_learned_costs(self):
-        # The cost model's one reader: after a scenario has been observed
-        # slow, its jobs stop taking the inline path.
-        model = CostModel()
-        jobs = fig20.jobs("fast") + fig11.jobs("fast")[:1]
-        model.observe(jobs[-1], 100.0)  # fig11's scenario measured huge
-        executor = Executor(2, cost_model=model)
-        try:
-            executor.map(jobs)
-            assert executor.last_report.inlined == len(jobs) - 1
-        finally:
-            executor.close()

@@ -4,7 +4,7 @@ Each entry names machinery a PR removed after measuring that nothing
 justified it, and the trees where its names must not reappear — so a
 revert, a stale doc or a half-rebased branch fails here, locally, instead
 of in a CI ``git grep``.  History lives in ``CHANGES.md``, ``ROADMAP.md``
-and ``docs/performance.md``, which are deliberately in no entry's roots.
+and git; the two files are deliberately in no entry's roots.
 """
 
 import os
@@ -173,11 +173,18 @@ STAY_DELETED = [
         r"\bEvent\b|\bcall_(in|at)\b|Simulator\.(schedule|stop|pending)|\bsim\.schedule\("
         r"|\bsim\.stop\(\)|\bsim\.pending\b|\b_cancelled\b",
         ("src", "tests", "examples", "benchmarks", "docs", "README.md", "DESIGN.md", ".github"),
-        # The frozen oracle keeps the old kernel; the performance log its history.
-        ("tests/reference_kernel.py", "docs/performance.md"),
+        # The frozen oracle keeps the old kernel.
+        ("tests/reference_kernel.py",),
         "the cancellable Event, schedule / call_in / call_at, stop, pending and "
         "the tombstone count; Simulator.at is the one scheduling call and a "
         "Timer retires its own entries",
+    ),
+    (
+        r"cost_model\.observe|\bobservations\(|\b_estimates\b",
+        ("src", "tests", "docs", "README.md"),
+        (),
+        "the cost model's learned tier: a map is split before any of its jobs "
+        "completes, so predict is the static seed times the scale factor",
     ),
 ]
 
