@@ -87,6 +87,7 @@ fault injection for all of the above lives in
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -102,6 +103,11 @@ from repro.experiments.costmodel import CostModel
 from repro.experiments.faults import FaultSpec
 from repro.experiments.jobs import Job, run_job
 from repro.experiments.runlog import RunLog
+
+try:
+    import resource
+except ImportError:  # no getrusage on this platform: the map record omits peak_rss_mb
+    resource = None  # type: ignore[assignment]
 
 __all__ = [
     "ExecutionError",
@@ -211,9 +217,15 @@ def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
     that dies takes its workers with it.  A fork also copies the cache
     batch and the run-log handle: a worker touches neither, and leaves
     through ``Process``'s own exit, which runs no inherited ``atexit``.
+
+    The heap a fork inherits is frozen before the first request, so the
+    collection that ends each simulated job (:func:`~repro.experiments.
+    jobs.execute_job`) neither traverses the coordinator's objects nor
+    copies their pages on write.
     """
     for end in inherited:
         end.close()
+    gc.freeze()
     while True:
         try:
             request = conn.recv()
@@ -840,13 +852,19 @@ class Executor:
         self.run_log.record(**record)
 
     def _log_map(self, report: ExecutionReport, jobs: Sequence[Job]) -> None:
-        if self.run_log is not None:
-            self.run_log.record(
-                event="map",
-                workers=self.workers,
-                figures=sorted({jb.figure for jb in jobs}),
-                **report.as_dict(),
-            )
+        if self.run_log is None:
+            return
+        record = {
+            "event": "map",
+            "workers": self.workers,
+            "figures": sorted({jb.figure for jb in jobs}),
+            **report.as_dict(),
+        }
+        if resource is not None:
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            per_mb = 1 << 20 if sys.platform == "darwin" else 1 << 10  # bytes there, KB here
+            record["peak_rss_mb"] = round(peak / per_mb, 1)
+        self.run_log.record(**record)
 
 
 def make_executor(

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.experiments.protocols import Protocol
-from repro.telemetry import capture
+from repro.sim import fired_in_process
+from repro.telemetry import active_recorder, capture
 
 __all__ = [
     "DropperSpec",
@@ -308,6 +310,12 @@ def execute_job(jb: Job, fault: Optional[Callable[[Job], None]] = None) -> Any:
     tests prove the executor's retry/timeout/degradation paths produce
     byte-identical results to a clean run.  Executors only pass a fault
     to pool workers, never to in-process execution.
+
+    A scenario that ran the kernel leaves its network behind as cyclic
+    garbage (``docs/simulator.md``, "Lifetimes"), so the job frees it
+    with one collection before it returns, not whenever the collector
+    gets round to it.  Under a recorder the trace's probes still hold
+    the network, and :func:`run_job` collects once it has exported them.
     """
     if fault is not None:
         fault(jb)
@@ -317,7 +325,17 @@ def execute_job(jb: Job, fault: Optional[Callable[[Job], None]] = None) -> Any:
         raise KeyError(
             f"unknown scenario {jb.scenario!r}; available: {', '.join(sorted(SCENARIOS))}"
         ) from None
-    return fn(jb)
+    fired = fired_in_process()
+    value = fn(jb)
+    if active_recorder() is None:
+        _free_simulation(fired)
+    return value
+
+
+def _free_simulation(fired: int) -> None:
+    """One full collection if a simulator has fired since ``fired`` was read."""
+    if fired_in_process() != fired:
+        gc.collect()
 
 
 def run_job(
@@ -336,11 +354,14 @@ def run_job(
     """
     trace_text = None
     if jb.trace:
+        fired = fired_in_process()
         with capture() as recorder:
             recorder.annotate("job", jb.describe())
             recorder.annotate("scenario", jb.scenario)
             value = execute_job(jb, fault)
         trace_text = recorder.export_text()
+        del recorder  # its probes are the last hold on the network
+        _free_simulation(fired)
     else:
         value = execute_job(jb, fault)
     return json.dumps(value, allow_nan=True, sort_keys=True), trace_text

@@ -31,7 +31,9 @@ salvaged / pool_rebuilds / degraded, the per-stage wall-clock including
 scheduler phases — startup_s / dispatch_s / transport_s / compute_s —
 ``inlined``, the jobs the coordinator computed itself, and
 ``load_balance``: the busiest worker slot's busy time over the mean,
-1.0 meaning a perfectly balanced map).
+1.0 meaning a perfectly balanced map), and ``peak_rss_mb``: the
+coordinator's ``ru_maxrss`` in MB when the map ends, workers not
+included, omitted where the platform has no ``resource`` module.
 
 Point the CLI at a log with ``--run-log PATH`` or set ``REPRO_RUN_LOG``
 for the benchmark harness; records append, so one log can span a whole

@@ -151,11 +151,13 @@ class CbrRestartConfig:
 
     @classmethod
     def fast(cls, **overrides) -> "CbrRestartConfig":
-        """Half the flows and bandwidth (same per-flow share), shorter
-        phases.  The idle period stays ~28 s: it must be long enough for
-        TFRC's history discounting to let flows grow into the freed
-        bandwidth, which is what creates the post-restart shedding problem
-        the experiment measures."""
+        """6 flows on 5 Mbps (the paper: 20 on 10), shorter phases.  The
+        per-flow share is *not* kept: while the CBR is on, each flow's
+        share of the bandwidth it leaves is 2.60 packets/RTT, against the
+        paper's 1.56 (1000-byte packets).  The idle period stays ~28 s:
+        it must be long enough for TFRC's history discounting to let flows
+        grow into the freed bandwidth, which is what creates the
+        post-restart shedding problem the experiment measures."""
         base = cls(
             bandwidth_bps=5e6,
             n_flows=6,
@@ -345,10 +347,11 @@ class OscillationConfig:
 
     @classmethod
     def fast(cls, **overrides) -> "OscillationConfig":
-        """2+2 flows on 8 Mbps: preserves the paper's per-flow window size
-        (~8-9 packets/RTT), which decides who wins under oscillation —
-        at much smaller windows the sharper-decrease algorithm is instead
-        penalized by timeouts."""
+        """2+2 flows on 8 Mbps (the paper: 5+5 on 15): a mean per-flow
+        share of 8.33 packets/RTT against the paper's 6.25, 1.33× (the
+        bandwidth per flow goes from 15/10 to 8/4 Mbps).  The window size
+        decides who wins under oscillation — at much smaller windows the
+        sharper-decrease algorithm is instead penalized by timeouts."""
         base = cls(
             bandwidth_bps=8e6,
             n_flows_a=2,

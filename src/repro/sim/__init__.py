@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel: clock, timers, RNG."""
 
-from repro.sim.engine import SimulationError, Simulator, Timer
+from repro.sim.engine import SimulationError, Simulator, Timer, fired_in_process
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -8,4 +8,5 @@ __all__ = [
     "Simulator",
     "Timer",
     "RngRegistry",
+    "fired_in_process",
 ]

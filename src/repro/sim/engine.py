@@ -39,10 +39,19 @@ from typing import Any, Callable, Optional
 
 from repro.contracts import NonNegSeconds
 
-__all__ = ["Simulator", "Timer", "SimulationError"]
+__all__ = ["Simulator", "Timer", "SimulationError", "fired_in_process"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+#: Entries fired by every :class:`Simulator` of this process, added once
+#: per ``run`` call (never per event).
+_fired_in_process = 0
+
+
+def fired_in_process() -> int:
+    """How many calendar entries every simulator in this process has fired."""
+    return _fired_in_process
 
 
 class SimulationError(RuntimeError):
@@ -101,6 +110,7 @@ class Simulator:
         fire.  Without ``until`` the clock stops at the last entry popped,
         which may be a retired timer entry.
         """
+        global _fired_in_process
         if self._running:
             raise SimulationError("simulator is already running")
         horizon = math.inf if until is None else until
@@ -124,6 +134,7 @@ class Simulator:
             if until is not None and self.now < until:
                 self.now = until
         finally:
+            _fired_in_process += fired
             self.events_fired += fired
             self._running = False
 

@@ -25,6 +25,7 @@ import json
 import os
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -341,6 +342,23 @@ class TestRunLog:
         executor.map([])
         summaries = [r for r in read_log(log) if r["event"] == "map"]
         assert [r["figures"] for r in summaries] == [["fig11", "fig20"], []]
+
+    def test_a_map_record_carries_the_coordinators_peak_rss(self, tmp_path, monkeypatch):
+        import repro.experiments.executor as executor_module
+
+        resource = pytest.importorskip("resource")
+        log = tmp_path / "run.jsonl"
+        executor = Executor(run_log=log)
+        executor.map(JOBS())
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        monkeypatch.setattr(executor_module, "resource", None)  # a platform without it
+        executor.map(JOBS())
+        measured, absent = [r for r in read_log(log) if r["event"] == "map"]
+        assert measured["peak_rss_mb"] > 0
+        if sys.platform.startswith("linux"):  # ru_maxrss is KB here, bytes on macOS
+            assert measured["peak_rss_mb"] <= round(peak_kb / 1024, 1)
+        assert "peak_rss_mb" not in absent
+        assert "peak_rss_mb" not in executor.last_report.as_dict()
 
     def test_close_closes_only_a_run_log_it_opened(self, tmp_path, monkeypatch):
         from_path = make_executor(0, run_log=tmp_path / "path.jsonl")

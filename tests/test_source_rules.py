@@ -1,9 +1,9 @@
-"""Three source rules that no run can check, read off the product's AST.
+"""Four source rules that no run can check, read off the product's AST.
 
 Every other invariant of the figure pipeline is a property a test runs:
 purity (``test_job_purity.py``), ranges (``@checked``), units
 (``TestPacing``), the payloads (``test_one_road.py``) and the 28 tables.
-These three defects do not show up in a run on one machine with one hash
+These four defects do not show up in a run on one machine with one hash
 seed, so they are read from the source instead:
 
 * **ambient randomness** in ``repro/{sim,net,cc,traffic}``: a
@@ -28,6 +28,13 @@ seed, so they are read from the source instead:
   alternative that no measurement reads is a second code path to keep
   right.  ``OPTION_ALLOWLIST`` names each exception and the reader it waits
   for.  ``python -m tests.test_source_rules options`` prints the census.
+* **the collector touched outside the job layer**: an ``import gc`` or a
+  ``gc.*`` call anywhere in ``src/repro`` but ``experiments/jobs.py``
+  (one collection when a simulated job returns) and
+  ``experiments/executor.py`` (a worker freezes the heap it inherits).
+  Object lifetimes are decided in one place; a scenario or a component
+  that collects, freezes or disables the collector itself changes what
+  every job costs, and no table shows it.
 
 Each rule keeps the slip that sized it as a mutation case: the real
 module with that one line changed must be flagged (``docs/linting.md``).
@@ -197,6 +204,58 @@ def test_set_iteration_is_flagged(new):
     old = "    end = cfg.duration(period_s)\n    n_total"
     text = mutate("experiments/scenarios.py", old, f"    {new}\n{old}")
     assert set_iterations(text)
+
+
+# The collector ----------------------------------------------------------------
+
+#: The two modules that decide object lifetimes.
+GC_HOMES = ("experiments/jobs.py", "experiments/executor.py")
+
+
+def collector_uses(text: str) -> list[int]:
+    """Lines that import the ``gc`` module or reach into it."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "gc")
+        or (isinstance(node, ast.Attribute) and root_name(node) == "gc")
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() not in GC_HOMES
+    ],
+)
+def test_only_the_job_layer_touches_the_collector(path):
+    lines = collector_uses(read(path))
+    assert not lines, f"{path}:{lines}: object lifetimes are {' and '.join(GC_HOMES)}'s"
+
+
+def test_the_job_layer_does_touch_it():
+    assert all(collector_uses(read(path)) for path in GC_HOMES)
+
+
+@pytest.mark.parametrize(
+    "path, old, new",
+    [
+        # The sizing slip: a scenario freeing its own network.
+        (
+            "experiments/scenarios.py",
+            "    end = cfg.duration(period_s)\n    n_total",
+            "    end = cfg.duration(period_s)\n    gc.collect()\n    n_total",
+        ),
+        ("sim/engine.py", "import heapq\n", "import gc\nimport heapq\n"),
+        ("sim/engine.py", "import heapq\n", "from gc import disable\nimport heapq\n"),
+    ],
+    ids=["a scenario collecting", "import gc", "from gc import"],
+)
+def test_the_collector_outside_the_job_layer_is_flagged(path, old, new):
+    assert collector_uses(mutate(path, old, new))
 
 
 # Simulator options ------------------------------------------------------------
