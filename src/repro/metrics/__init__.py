@@ -13,7 +13,7 @@ from repro.metrics.smoothness import (
 )
 from repro.metrics.stabilization import StabilizationResult, measure_stabilization
 from repro.metrics.stats import Summary, replicate, summarize, t_quantile_975
-from repro.metrics.utilization import f_of_k, flows_f_of_k, utilization_series
+from repro.metrics.utilization import f_of_k, flows_f_of_k
 
 __all__ = [
     "SmoothnessResult",
@@ -31,5 +31,4 @@ __all__ = [
     "normalized_shares",
     "rate_bins",
     "smoothness",
-    "utilization_series",
 ]

@@ -10,11 +10,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
-from repro.telemetry.series import TimeSeries
 from repro.contracts import PositiveSeconds, checked
 from repro.units import Ratio, Seconds
 
-__all__ = ["f_of_k", "flows_f_of_k", "utilization_series"]
+__all__ = ["f_of_k", "flows_f_of_k"]
 
 
 @checked
@@ -53,16 +52,3 @@ def flows_f_of_k(
     )
     capacity_bytes = available_bps * (end - event_time) / 8.0
     return delivered / capacity_bytes
-
-
-@checked
-def utilization_series(
-    monitor: LinkMetrics, window_s: PositiveSeconds, start: Seconds, end: Seconds
-) -> TimeSeries:
-    """Windowed link utilization samples over [start, end)."""
-    series = TimeSeries("utilization")
-    t = start + window_s
-    while t <= end:
-        series.append(t, monitor.utilization(t - window_s, t))
-        t += window_s
-    return series

@@ -6,9 +6,10 @@ Packets that arrive while the transmitter is busy wait in the attached
 :class:`~repro.net.queue.QueueDiscipline`, which is where all congestion
 losses happen.  A serialization ends at a *time*, not at an event: its
 start schedules the delivery, so an uncontended crossing is one calendar
-event; one at the end exists only for a tap or a waiting packet.  A tap
-only watches: its events ride beside the link's own and never decide
-anything, so a tapped link sends, queues and drops exactly like a bare one.
+event; one at the end exists only for a waiting packet.  A recorded link
+(:meth:`Link.record_departures`) writes each serialization into its probe
+when it starts, so it schedules, sends, queues and drops exactly like a bare
+one.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Optional
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, QueueDiscipline
 from repro.sim.engine import Simulator
+from repro.telemetry.probes import SeriesProbe
 from repro.contracts import NonNegSeconds, PositiveRate, checked
 
 __all__ = ["Link"]
@@ -43,8 +45,9 @@ class Link:
     a busy link holds ``len(link.queue) + 1`` packets.
     """
 
-    __slots__ = ("sim", "bandwidth_bps", "delay_s", "queue", "name", "_receiver", "_taps",
-                 "_tx_per_byte", "_busy_until", "_wake", "_last", "_pkts", "_bytes")
+    __slots__ = ("sim", "bandwidth_bps", "delay_s", "queue", "name", "_receiver", "_record",
+                 "_recorded_from", "_tx_per_byte", "_busy_until", "_wake", "_last", "_pkts",
+                 "_bytes")
 
     @checked
     def __init__(
@@ -66,7 +69,8 @@ class Link:
         self.queue.bind_clock(sim)
         self.name = name
         self._receiver: Optional[Callable[[Packet], None]] = None
-        self._taps: list[Callable[[Packet], None]] = []
+        self._record: Optional[SeriesProbe] = None  # the departures probe, once requested
+        self._recorded_from = 0  # _bytes before the first recorded serialization
         self._tx_per_byte = 8.0 / bandwidth_bps
         self._busy_until = 0.0  # when the serialization in progress ends
         # _departed is pending at _busy_until, for waiting packets: arrivals queue until it
@@ -95,17 +99,19 @@ class Link:
         """Set the downstream receiver (a node's or agent's receive)."""
         self._receiver = receiver
 
-    def add_tap(self, tap: Callable[[Packet], None]) -> None:
-        """Register a departure tap, called once per transmitted packet.
+    def record_departures(self, probe: SeriesProbe) -> None:
+        """Write every serialization from now on into ``probe``.
 
-        Taps (the monitors' hook) fire the instant a serialization ends, the packet
-        counted and its delivery scheduled; one added mid-serialization sees it too.
+        Each one is written when it starts, as ``(the time it ends, bytes departed
+        since this call)``; a packet in service now is written at once.  So a run
+        stopped mid-serialization holds that packet, stamped after the horizon, and
+        the link schedules nothing for the probe.  A later call replaces the probe.
         """
-        self._taps.append(tap)
-        # With a tap on, one pending event carries the packet in service to the taps:
-        # the first tap starts that here, later ones find it made.
-        if len(self._taps) == 1 and self.sim.now < self._busy_until:
-            self.sim.at(self._busy_until, self._tapped, self._last)
+        packet = self.in_service
+        self._record = probe
+        self._recorded_from = self._bytes - (packet.size if packet is not None else 0)
+        if packet is not None:
+            probe.record(self._busy_until, packet.size)
 
     def send(self, packet: Packet) -> None:
         """Offer a packet to the link; it queues, serializes, propagates."""
@@ -133,26 +139,14 @@ class Link:
         self._pkts += 1
         self._bytes += packet.size
         self.sim.at(done + self.delay_s, self._receiver, packet)
+        if self._record is not None:
+            self._record.record(done, self._bytes - self._recorded_from)
         if self.queue._buffer:
             self._wake = True
-            if self._taps:
-                # The taps ride the wake-up a bare link schedules right here.
-                self.sim.at(done, self._departed, packet)
-            else:
-                self.sim.at(done, self._departed)
-        elif self._taps:
-            self.sim.at(done, self._tapped, packet)
+            self.sim.at(done, self._departed)
 
-    def _tapped(self, departed: Packet) -> None:
-        """The serialization of ``departed`` ended now: show it to the taps."""
-        for tap in self._taps:
-            tap(departed)
-
-    def _departed(self, departed: Optional[Packet] = None) -> None:
-        """A serialization ended now and packets wait: taps, then the next."""
-        if departed is not None:
-            for tap in self._taps:
-                tap(departed)
+    def _departed(self) -> None:
+        """A serialization ended now and packets wait: start the next."""
         self._wake = False
         packet = self.queue.dequeue() if self.queue._buffer else None
         if packet is not None:

@@ -1,11 +1,11 @@
-"""Measurement taps: link monitors and per-flow accounting.
+"""Link monitors and per-flow accounting: the live measurement frontends.
 
 :class:`LinkMonitor` and :class:`FlowAccountant` are thin *live
 frontends* over the telemetry measurement bases
 (:class:`~repro.telemetry.measures.LinkMetrics` /
 :class:`~repro.telemetry.measures.FlowMetrics`): they wire simulation
-components (queue probes, link taps, receiver callbacks) into the
-channels and inherit every derived metric — loss rate, utilization,
+components (queue probes, a link's departures probe, receiver callbacks)
+into the channels and inherit every derived metric — loss rate, utilization,
 per-flow throughput — from the base, so the identical arithmetic runs
 over a trace replayed offline.
 
@@ -37,8 +37,9 @@ class LinkMonitor(LinkMetrics):
     """Observes arrivals, drops, marks and departures on one link.
 
     Attach with :meth:`attach`; the monitor hands the queue a probe
-    bundle and, when departures are recorded, registers a departure tap
-    on the link (no monkey-patching of link internals).
+    bundle and, when departures are recorded, hands the link its
+    ``departed_bytes`` probe (:meth:`Link.record_departures`), which the
+    link writes itself.
     """
 
     def __init__(
@@ -75,9 +76,11 @@ class LinkMonitor(LinkMetrics):
     def record_departures(self) -> None:
         """Record ``departed_bytes`` from now on: what ``utilization`` reads.
 
-        The tap costs a calendar event for every packet nothing waits
-        behind, so only a recorder or this request (made before
-        ``sim.run()``) turns it on.
+        The link writes each serialization into the probe when it starts, stamped
+        with the time it ends, so a run stopped mid-serialization holds that packet
+        too, after the horizon.  That is a probe write per packet and no calendar
+        entry, and only a recorder or this request (made before ``sim.run()``)
+        turns it on.
         """
         if self._link is None:
             raise RuntimeError("monitor is not attached to a link")
@@ -86,15 +89,7 @@ class LinkMonitor(LinkMetrics):
         probe = self.departures = SeriesProbe("departed_bytes")
         if self._recorder is not None:
             self._recorder.adopt(f"link.{self.name}.departed_bytes", probe)
-        sim = self.sim
-        departed = 0
-
-        def on_departure(packet: Packet) -> None:
-            nonlocal departed
-            departed += packet.size
-            probe.record(sim.now, departed)
-
-        self._link.add_tap(on_departure)
+        self._link.record_departures(probe)
 
     def sample_queue(self, period_s: Seconds) -> TimeSeries:
         """Start periodic queue-occupancy sampling; returns the series.

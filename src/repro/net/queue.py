@@ -5,7 +5,8 @@ owning :class:`~repro.net.link.Link` dequeues packets for transmission.
 Queues emit arrivals, drops and ECN marks into telemetry probes (a
 :class:`QueueProbes` bundle wired up by the per-link
 :class:`~repro.net.monitor.LinkMonitor`), which is how loss rates are
-measured; per-packet hooks go on the link (:meth:`Link.add_tap`).
+measured; departures are written by the link itself
+(:meth:`Link.record_departures`).
 """
 
 from __future__ import annotations

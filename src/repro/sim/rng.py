@@ -1,14 +1,16 @@
 """Deterministic named random streams.
 
-Every stochastic component (RED drop decisions, flash-crowd arrivals, start
-jitter...) draws from its own named stream so that adding a component, or a
-component drawing more numbers, does not perturb the randomness seen by the
-others.  Streams are derived from a single master seed, making whole
-simulations reproducible from one integer.
+An :class:`RngRegistry` derives named streams from one master seed: the
+same (seed, name) pair always yields the same sequence, and a component
+drawing more numbers from its stream perturbs no other stream.  Only RED
+draws from one today — the dumbbell's registry hands both bottleneck
+queues its one ``"red"`` stream.  Start jitter, reverse flows, the second
+flow group and the flash crowd draw from ``random.Random(seed + k)``
+streams their scenario builds (k = 0, 1, 3, 7).
 
-Registries pickle cleanly — including mid-sequence stream state — so a
-simulation configuration can cross a process boundary (the parallel job
-executor forks workers) without perturbing any random draw.
+Registries pickle with explicit per-stream state, mid-sequence positions
+included.  No job carries one, though: a job carries its seed, and every
+process builds its streams from that.
 """
 
 from __future__ import annotations

@@ -336,7 +336,7 @@ class TestCensus:
         for cls, test in KERNEL_ENFORCED.values():
             assert callable(getattr(cls, test))
         # Pinned, so a removed annotation shows like a removed decorator.
-        assert len(found) == 58
+        assert len(found) == 57
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reproducibility: identical seeds must give identical simulations.
 
-The RNG-stream discipline (every stochastic component draws from its own
-named stream) exists so results are exactly reproducible and so adding a
-component does not perturb others.  These tests pin that down.
+The RNG-stream discipline (every stochastic component draws from a stream
+derived from the seed: RED's named one, the others ``random.Random(seed +
+k)``) exists so results are exactly reproducible and so adding a component
+does not perturb others.  These tests pin that down.
 """
 
 

@@ -33,7 +33,7 @@ from repro.cc.binomial import sqrt_rule, tcp_rule
 from repro.net import DropTailQueue, Dumbbell, Link, Packet, PeriodicDropper, QueueProbes
 from repro.net.packet import DATA
 from repro.sim import Simulator
-from repro.telemetry import CounterProbe, capture
+from repro.telemetry import CounterProbe, SeriesProbe, capture
 from repro.traffic import CbrSink, CbrSource
 
 from tests.helpers import loopback
@@ -56,14 +56,15 @@ class TestNetworkConservation:
         link.connect(delivered.append)
         probes = QueueProbes(arrivals=CounterProbe(), drops=CounterProbe())
         link.queue.telemetry = probes
-        departed = []
-        link.add_tap(departed.append)
+        departures = SeriesProbe()
+        link.record_departures(departures)
         for seq in range(sends):
             link.send(Packet(0, DATA, seq, 1000, 0, 1))
         sim.run()
         assert probes.arrivals.count == sends
         assert len(delivered) + probes.drops.count == sends
-        assert departed == delivered
+        # What departed is what was delivered, one packet's bytes at a time.
+        assert list(departures.values) == [1000.0 * n for n in range(1, len(delivered) + 1)]
         # No duplication: each seq at most once.
         seqs = [p.seq for p in delivered]
         assert len(seqs) == len(set(seqs))

@@ -186,6 +186,13 @@ STAY_DELETED = [
         "the cost model's learned tier: a map is split before any of its jobs "
         "completes, so predict is the static seed times the scale factor",
     ),
+    (
+        r"\badd_tap\b|\b_tapped\b",
+        ("src", "docs", "examples", "README.md"),
+        (),
+        "the link's departure taps and the calendar entries they cost; a "
+        "recorded link writes each serialization when it starts",
+    ),
 ]
 
 

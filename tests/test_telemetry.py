@@ -290,8 +290,9 @@ def _census_run(request_departures=False):
         senders.append(sender)
     if request_departures:
         net.monitor.record_departures()
-        net.monitor.record_departures()  # idempotent: one tap, one channel
-        assert len(net.bottleneck._taps) == 1
+        probe = net.monitor.departures
+        net.monitor.record_departures()  # idempotent: one probe, one channel
+        assert net.monitor.departures is probe and net.bottleneck._record is probe
     sim.run(until=12.0)
     return net, senders
 
@@ -299,15 +300,18 @@ def _census_run(request_departures=False):
 class TestPayForUse:
     #: Every channel of ``_census_run`` and its length, as the commit before
     #: pay-for-use wrote them under a recorder.  A recorder still gets all.
+    #: The two ``departed_bytes`` lengths are one more than that commit's
+    #: (955, 958): each link now writes a serialization when it starts, so
+    #: the packet still on the wire at the 12 s horizon is recorded too.
     RECORDED = {
         "link.bottleneck.arrivals": 1042,
         "link.bottleneck.drops": 81,
         "link.bottleneck.marks": 0,
-        "link.bottleneck.departed_bytes": 955,
+        "link.bottleneck.departed_bytes": 956,
         "link.bottleneck_rev.arrivals": 1035,
         "link.bottleneck_rev.drops": 72,
         "link.bottleneck_rev.marks": 0,
-        "link.bottleneck_rev.departed_bytes": 958,
+        "link.bottleneck_rev.departed_bytes": 959,
         "flow.0.cwnd": 293,
         "flow.0.timeouts": 6,
         "flow.1.rate": 9,
@@ -333,6 +337,8 @@ class TestPayForUse:
             net, _ = _census_run()
         assert {name: len(probe) for name, probe in rec.channels.items()} == self.RECORDED
         assert list(rec.channels) == list(self.RECORDED)  # export order too
+        # Both bottlenecks recorded, and the calendar of the bare run below.
+        assert net.sim.events_fired == 8090
 
     def test_without_a_recorder_only_the_read_channels_are_written(self):
         net, senders = _census_run()
@@ -348,10 +354,10 @@ class TestPayForUse:
             written[f"flow.{flow_id}.bytes"] = net.accountant._probes[flow_id]
         lengths = {name: len(probe) for name, probe in written.items() if len(probe)}
         assert lengths == {name: self.RECORDED[name] for name in self.ALWAYS_ON}
-        # The same simulation without the taps' events: that commit, which
-        # tapped both bottlenecks for every run, fired 8681.  8064 of these
-        # call something; the other 26 are retired timer entries (pulled
-        # forward or cancelled), which pop, count and return at once.
+        # The commit before pay-for-use, which tapped both bottlenecks for
+        # every run, fired 8681.  8064 of these call something; the other 26
+        # are retired timer entries (pulled forward or cancelled), which pop,
+        # count and return at once.  A recorder adds none.
         assert net.sim.events_fired == 8090
 
     def test_no_reverse_monitor_without_a_recorder_and_the_link_still_delivers(self):
@@ -372,13 +378,34 @@ class TestPayForUse:
                 read(0.0, 12.0)
 
     def test_requested_departures_equal_the_recorded_ones(self):
+        # 955 departures by the horizon, plus the packet on the wire there.
         with capture():
             recorded, _ = _census_run()
         requested, _ = _census_run(request_departures=True)
-        assert len(requested.monitor.departures) == 955
+        assert len(requested.monitor.departures) == 956
         assert list(requested.monitor.departures) == list(recorded.monitor.departures)
         assert requested.monitor.utilization(2.0, 12.0) == recorded.monitor.utilization(2.0, 12.0)
         assert requested.reverse_monitor is None  # a request is for one channel
+
+    def test_a_run_stopped_mid_serialization_records_it_after_the_horizon(self):
+        with capture():
+            net, _ = _census_run()
+        # Pinned: what the windows ending at the horizon read when each
+        # departure was written at its end, with nothing after 12 s.
+        pinned = {
+            "bottleneck": ((0.71552, 447200.0), (0.0, 0.0), 545080.0),
+            "bottleneck_rev": ((0.619008, 386880.0), (1.600000000000034, 1000.0), 471280.0),
+        }
+        for monitor in (net.monitor, net.reverse_monitor):
+            series = monitor.departures.series
+            assert sum(when > 12.0 for when in series.times) == 1
+            assert series.times[-1] > 12.0
+            assert series.values[-1] - series.values[-2] == 1000.0  # that one packet
+            window, tail, total = pinned[monitor.name]
+            for start, (utilization, departed) in ((2.0, window), (11.99, tail)):
+                assert monitor.utilization(start, 12.0) == utilization
+                assert monitor.departed_bytes_in(start, 12.0) == departed
+            assert monitor.departed_bytes_in(0.0, 12.0) == total
 
     def test_record_departures_requires_attachment(self):
         from repro.net.monitor import LinkMonitor
@@ -393,6 +420,46 @@ class TestPayForUse:
         with pytest.raises(RuntimeError, match=r"rate was not recorded.*capture\(\)"):
             senders[1].rate_trace
         assert senders[0].timeouts == 6  # the counter is always on
+
+
+class TestTraceIsAWrite:
+    """A traced job fires exactly the calendar of its untraced twin.
+
+    The jobs are the ones the ``trace_roundtrip`` benchmark records: fig03
+    shortened (TCP and TFRC) and fig07's first point at the sweep's length.
+    Recording departures is a probe write, so it schedules nothing.
+    """
+
+    FIG03_SHORT = {"cbr_stop": 20.0, "cbr_restart": 28.0, "end": 40.0}
+    FIG07_SWEEP = {
+        "periods": (0.4, 4.0),
+        "min_duration_s": 12.0,
+        "max_duration_s": 12.0,
+        "warmup_s": 4.0,
+    }
+
+    @staticmethod
+    def _fired(jb):
+        from repro.experiments.jobs import run_job
+        from repro.sim import fired_in_process
+
+        before = fired_in_process()
+        value, trace = run_job(jb)
+        return fired_in_process() - before, value, trace
+
+    @pytest.mark.parametrize("figure, index", [("fig03", 0), ("fig03", 2), ("fig07", 0)])
+    def test_a_traced_job_fires_its_untraced_twins_calendar(self, figure, index):
+        import dataclasses
+
+        from repro.experiments import ALL_FIGURES
+
+        overrides = self.FIG03_SHORT if figure == "fig03" else self.FIG07_SWEEP
+        jb = ALL_FIGURES[figure].jobs("fast", **overrides)[index]
+        fired, value, trace = self._fired(dataclasses.replace(jb, trace=False))
+        traced = self._fired(dataclasses.replace(jb, trace=True))
+        assert trace is None and traced[2] is not None
+        assert traced[:2] == (fired, value)
+        assert fired > 100_000
 
 
 # ---------------------------------------------------------------------------
