@@ -96,7 +96,8 @@ class Probe:
         return len(self.times)
 
     def snapshot(self) -> dict:
-        """Channel payload for trace export: kind, sample count, packed columns."""
+        """The channel's trace record as a dict: kind, sample count, packed
+        columns (``Recorder`` writes the same fields piece by piece)."""
         record = {"kind": self.kind, "n": len(self)}
         for column in self.columns:
             record[column] = pack_column(getattr(self, column))
@@ -192,9 +193,17 @@ class SeriesProbe(Probe):
         series._values.append(value)
 
     def load(self, times: array, values: array) -> None:
-        """Replace contents from unpacked trace columns (trace replay)."""
+        """Replace contents from unpacked trace columns (trace replay).
+
+        The series keeps the two arrays it is handed, as
+        :meth:`CounterProbe.load` keeps its one: a loaded trace holds each
+        decoded column once.
+        """
+        if len(times) != len(values):
+            raise ValueError(f"{len(times)} times but {len(values)} values")
+        check_time_ordered(times)
         fresh = TimeSeries(self.series.name)
-        fresh.extend(times, values)
+        fresh._times, fresh._values = times, values
         self.series = fresh
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Union
+from typing import Any, Iterator, Union
 
-from repro.telemetry.probes import Probe
+from repro.telemetry.probes import Probe, pack_column
 
 __all__ = ["Recorder", "TRACE_SCHEMA_VERSION"]
 
@@ -60,21 +60,39 @@ class Recorder:
 
     # Export ------------------------------------------------------------------
 
-    def export_text(self) -> str:
-        """Serialize all channels to JSONL (header line + one per channel)."""
-        header = {
-            "__telemetry__": TRACE_SCHEMA_VERSION,
-            "meta": self.meta,
-        }
-        lines = [json.dumps(header, sort_keys=True)]
+    def _parts(self) -> Iterator[str]:
+        """The JSONL trace in pieces, each packed column a piece of its own.
+
+        A channel line is the ``json.dumps`` of its scalar fields with the
+        closing brace dropped, then its columns: the bytes of dumping the
+        whole record with sorted keys, because the column names sort after
+        ``channel``, ``kind`` and ``n`` (and ``Probe.columns`` is in sorted
+        order) and base64 needs no escaping.  No column is copied into a
+        line of its own.
+        """
+        header = {"__telemetry__": TRACE_SCHEMA_VERSION, "meta": self.meta}
+        yield json.dumps(header, sort_keys=True) + "\n"
         for channel, probe in self.channels.items():
-            record = {"channel": channel}
-            record.update(probe.snapshot())
-            lines.append(json.dumps(record, sort_keys=True))
-        return "\n".join(lines) + "\n"
+            scalars = {"channel": channel, "kind": probe.kind, "n": len(probe)}
+            yield json.dumps(scalars, sort_keys=True)[:-1]
+            for column in probe.columns:
+                yield f', "{column}": "'
+                yield pack_column(getattr(probe, column))
+                yield '"'
+            yield "}\n"
+
+    def export_text(self) -> str:
+        """Serialize all channels to JSONL (header line + one per channel).
+
+        The packed columns are joined into the text once: the export holds
+        about twice the text at its peak, the pieces and the result.
+        """
+        return "".join(self._parts())
 
     def export(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the JSONL trace to ``path``."""
+        """Write the JSONL trace to ``path``: :meth:`export_text`'s bytes,
+        written piece by piece, so the whole text is never held."""
         target = pathlib.Path(path)
-        target.write_text(self.export_text(), encoding="utf-8")
+        with open(target, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(self._parts())
         return target

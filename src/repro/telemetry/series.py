@@ -20,26 +20,33 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.units import Seconds
 
 __all__ = ["TimeSeries", "check_time_ordered"]
 
 
+#: Samples per ``tolist()`` in :func:`check_time_ordered`: about 130 kB
+#: of Python floats at a time, never one per sample of the whole column.
+_ORDER_CHUNK = 4096
+
+
 def check_time_ordered(times: array) -> None:
     """Raise ``ValueError`` unless ``times`` never goes backwards.
 
-    One C-level sort of an already-sorted list; the Python loop runs only
-    to name the offending pair.
+    One C-level sort of an already-sorted list per chunk (each chunk
+    repeats its predecessor's last time, so no pair is skipped); the
+    Python loop runs only to name the offending pair.
     """
-    ordered = times.tolist()
-    if ordered != sorted(ordered):
-        for i in range(1, len(ordered)):
-            if ordered[i] < ordered[i - 1]:
-                raise ValueError(
-                    f"samples must be time-ordered: {ordered[i]} < {ordered[i - 1]}"
-                )
+    for lo in range(0, len(times), _ORDER_CHUNK):
+        chunk = times[max(lo - 1, 0) : lo + _ORDER_CHUNK].tolist()
+        if chunk != sorted(chunk):
+            for i in range(1, len(chunk)):
+                if chunk[i] < chunk[i - 1]:
+                    raise ValueError(
+                        f"samples must be time-ordered: {chunk[i]} < {chunk[i - 1]}"
+                    )
 
 
 class TimeSeries:
@@ -78,31 +85,6 @@ class TimeSeries:
             )
         times.append(time)
         self._values.append(value)
-
-    def extend(self, times: Iterable[float], values: Iterable[float]) -> None:
-        """Bulk-append pre-ordered samples (used when loading traces).
-
-        Ordering is validated once over the whole input, then both buffers
-        grow through a single C-level ``array.extend`` — no per-sample
-        Python ``append`` (with its comparison) in the loop, which is what
-        used to dominate trace-replay load time.  Unordered input raises
-        ``ValueError`` *before* anything is appended, so a failed extend
-        leaves the series untouched.
-        """
-        new_times = array("d", times)
-        new_values = array("d", values)
-        # zip() semantics: the shorter input decides how much is appended.
-        n = min(len(new_times), len(new_values))
-        del new_times[n:], new_values[n:]
-        if not n:
-            return
-        if self._times and new_times[0] < self._times[-1]:
-            raise ValueError(
-                f"samples must be time-ordered: {new_times[0]} < {self._times[-1]}"
-            )
-        check_time_ordered(new_times)
-        self._times.extend(new_times)
-        self._values.extend(new_values)
 
     def window(self, start: Seconds, end: Seconds) -> "TimeSeries":
         """Samples with start <= time < end, as a new series."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
-from typing import Any, Union
+from typing import Any, Iterable, Iterator, Union
 
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
 from repro.telemetry.probes import (
@@ -43,6 +43,42 @@ _PROBE_KINDS = {
 }
 
 _FLOW_BYTES = re.compile(r"^flow\.(\d+)\.bytes$")
+
+
+#: The line boundaries ``str.splitlines()`` knows besides "\n" (one
+#: ``str.find`` each is a C scan; a regex class reads a character at a time).
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lines_of(source: str, start: int, end: int) -> Iterator[str]:
+    r"""``source[start:end].splitlines()``, for a span holding no "\n" but
+    possibly a last one: one copy, the line, unless the span holds another
+    boundary (a "\r" or a form feed, say), which no export writes."""
+    stop = end - 1 if end > start and source[end - 1] == "\n" else end
+    if any(source.find(mark, start, stop) >= 0 for mark in _OTHER_BREAKS):
+        yield from source[start:end].splitlines()
+    else:
+        yield source[start:stop]
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    r"""``text.splitlines()``, a line at a time.
+
+    A split after every "\n" never parts a boundary ("\r\n" included),
+    so the lines of the spans are the lines of the text.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start) + 1 or size
+        yield from _lines_of(text, start, end)
+        start = end
+
+
+def _file_lines(handle: Iterable[str]) -> Iterator[str]:
+    r"""What :func:`_text_lines` yields for the text ``handle`` holds, read
+    from a file opened with ``newline="\n"`` (each piece ends at one)."""
+    for piece in handle:
+        yield from _lines_of(piece, 0, len(piece))
 
 
 def parse_header(line: str) -> dict[str, Any]:
@@ -105,25 +141,40 @@ class TraceReader:
 
     @classmethod
     def loads(cls, text: str) -> "TraceReader":
-        lines = [
+        """Parse a trace held as one string, a line at a time.
+
+        Each line is copied out of ``text`` on its own, never the whole
+        text at once, and each decoded column is kept as it is.
+        """
+        return cls._read(_text_lines(text))
+
+    @classmethod
+    def from_file(cls, path: Union[str, pathlib.Path]) -> "TraceReader":
+        """Parse the trace at ``path``, a line at a time off the open file."""
+        # newline="\n": lines end at "\n" only and are not translated, as
+        # _text_lines() sees them in a string.
+        with open(path, encoding="utf-8", newline="\n") as handle:
+            return cls._read(_file_lines(handle))
+
+    @classmethod
+    def _read(cls, lines: Iterator[str]) -> "TraceReader":
+        """Numbered as ``str.splitlines()`` numbers them; blank lines skipped."""
+        numbered = (
             (number, line)
-            for number, line in enumerate(text.splitlines(), 1)
+            for number, line in enumerate(lines, 1)
             if line and not line.isspace()
-        ]
-        if not lines:
+        )
+        first = next(numbered, None)
+        if first is None:
             raise ValueError("empty trace")
-        meta = parse_header(lines[0][1])
+        meta = parse_header(first[1])
         channels: dict[str, Probe] = {}
-        for number, line in lines[1:]:
+        for number, line in numbered:
             try:
                 _load_channel(line, channels)
             except ValueError as exc:
                 raise ValueError(f"trace line {number}: {exc}") from None
         return cls(meta, channels)
-
-    @classmethod
-    def from_file(cls, path: Union[str, pathlib.Path]) -> "TraceReader":
-        return cls.loads(pathlib.Path(path).read_text(encoding="utf-8"))
 
     # Channel access ----------------------------------------------------------
 

@@ -193,6 +193,13 @@ STAY_DELETED = [
         "the link's departure taps and the calendar entries they cost; a "
         "recorded link writes each serialization when it starts",
     ),
+    (
+        r"TimeSeries\.extend|def extend\(",
+        ("src/repro/telemetry", "docs/telemetry.md"),
+        (),
+        "TimeSeries.extend and its two copies of every loaded column; a "
+        "loaded series keeps the arrays the trace decoded",
+    ),
 ]
 
 

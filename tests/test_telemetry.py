@@ -5,9 +5,11 @@ contexts, probe emission ordering under the event loop, and the JSONL
 trace export / :class:`TraceReader` round trip.
 """
 
+import gc
 import json
 import math
 import struct
+import tracemalloc
 from array import array
 
 import pytest
@@ -29,6 +31,7 @@ from repro.telemetry import (
     probes,
 )
 from repro.telemetry.probes import pack_column, unpack_column
+from repro.telemetry.series import check_time_ordered
 
 
 def _packed(*values):
@@ -757,58 +760,234 @@ class TestCountInProperties:
 
 
 # ---------------------------------------------------------------------------
-# TimeSeries.extend: bulk loading
+# SeriesProbe.load: a loaded series keeps the decoded arrays
 # ---------------------------------------------------------------------------
 
 
-class TestTimeSeriesExtend:
-    def _series(self):
-        from repro.telemetry.series import TimeSeries
-
-        return TimeSeries("s")
-
-    def test_extend_matches_repeated_append(self):
-        a, b = self._series(), self._series()
+class TestSeriesProbeLoad:
+    def test_load_matches_repeated_record(self):
+        loaded, recorded = SeriesProbe("s"), SeriesProbe("s")
         times = [0.0, 1.0, 1.0, 2.5]
         values = [1.0, 2.0, 3.0, 4.0]
-        a.extend(times, values)
+        loaded.load(array("d", times), array("d", values))
         for t, v in zip(times, values):
-            b.append(t, v)
-        assert list(a.times) == list(b.times)
-        assert list(a.values) == list(b.values)
+            recorded.record(t, v)
+        assert list(loaded) == list(recorded)
 
-    def test_unordered_input_raises_and_leaves_series_untouched(self):
-        series = self._series()
-        series.append(0.0, 1.0)
+    def test_load_keeps_the_arrays_it_is_handed(self):
+        probe = GaugeProbe("q")
+        times, values = array("d", [0.0, 1.0]), array("d", [5.0, 6.0])
+        probe.load(times, values)
+        assert probe.times is times and probe.values is values
+        probe.record(1.0, 7.0)  # the loaded tail still guards the order
         with pytest.raises(ValueError):
-            series.extend([1.0, 0.5], [1.0, 2.0])
-        assert len(series) == 1  # nothing was partially appended
+            probe.record(0.5, 8.0)
 
-    def test_extend_must_not_regress_behind_existing_samples(self):
-        series = self._series()
-        series.append(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.extend([4.0], [1.0])
+    def test_unordered_input_raises_and_leaves_probe_untouched(self):
+        probe = SeriesProbe("s")
+        probe.record(0.0, 1.0)
+        with pytest.raises(ValueError, match="time-ordered: 0.5 < 1.0"):
+            probe.load(array("d", [1.0, 0.5]), array("d", [1.0, 2.0]))
+        assert list(probe) == [(0.0, 1.0)]  # nothing was partially loaded
 
-    def test_extend_truncates_to_shorter_input(self):
-        series = self._series()
-        series.extend([0.0, 1.0, 2.0], [1.0, 2.0])  # zip semantics
-        assert list(series.times) == [0.0, 1.0]
+    def test_load_rejects_columns_of_unequal_length(self):
+        probe = SeriesProbe("s")
+        with pytest.raises(ValueError, match="3 times but 2 values"):
+            probe.load(array("d", [0.0, 1.0, 2.0]), array("d", [1.0, 2.0]))
+        assert len(probe) == 0
 
-    def test_extend_empty_is_a_noop(self):
-        series = self._series()
-        series.extend([], [])
-        assert len(series) == 0
+    def test_load_empty_is_empty(self):
+        probe = SeriesProbe("s")
+        probe.record(0.0, 1.0)
+        probe.load(array("d"), array("d"))
+        assert len(probe) == 0
 
-    def test_trace_reader_round_trips_extend_loaded_series(self):
-        # SeriesProbe.load goes through extend(); a recorded trace must
-        # come back sample-for-sample.
+    def test_trace_reader_round_trips_loaded_series(self):
         recorder = Recorder()
         probe = recorder.adopt("flow.1.bytes", SeriesProbe())
         for t in range(5):
             probe.record(float(t), float(t * 100))
-        text = recorder.export_text()
-        reader = TraceReader.loads(text)
+        reader = TraceReader.loads(recorder.export_text())
         clone = reader.channel("flow.1.bytes")
         assert list(clone.times) == list(probe.times)
         assert list(clone.values) == list(probe.values)
+
+
+class TestCheckTimeOrdered:
+    N = 3 * 4096 + 5  # three chunks of 4096 samples and a short fourth
+
+    @pytest.mark.parametrize(
+        "at", [1, 2, 4095, 4096, 4097, 8192, 8193, 3 * 4096 + 2]
+    )
+    def test_a_regression_anywhere_names_the_first_pair(self, at):
+        times = array("d", range(self.N))
+        times[at] = at - 1.5  # behind its predecessor
+        times[at + 2] = -1.0  # a later one, not named
+        with pytest.raises(ValueError) as caught:
+            check_time_ordered(times)
+        assert str(caught.value) == (
+            f"samples must be time-ordered: {at - 1.5} < {float(at - 1)}"
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 4096, 4097, 8193])
+    def test_ordered_columns_with_ties_pass(self, n):
+        check_time_ordered(array("d", (float(i // 3) for i in range(n))))
+
+
+# ---------------------------------------------------------------------------
+# Export and load: the bytes, the line numbers, and what each one holds
+# ---------------------------------------------------------------------------
+
+#: Channel names a line must escape: a quote, a backslash, a control
+#: character, non-ASCII text.
+_AWKWARD_NAMES = [
+    'flow."q".bytes',
+    "link.a\\b.drops",
+    "flow.\t\x01.cwnd",
+    "link.débit→.queue_pkts",
+]
+
+
+def _awkward_recorder():
+    rec = Recorder()
+    rec.annotate("link.é.bandwidth_bps", 1e6)
+    for index, name in enumerate(_AWKWARD_NAMES):
+        for kind in (CounterProbe, SeriesProbe, GaugeProbe):
+            probe = rec.adopt(f"{name}.{kind.kind}", kind())
+            for i in range(index + 2):
+                if kind is CounterProbe:
+                    probe.increment(i / 3)
+                else:
+                    probe.record(i / 3, -0.0 if i == 0 else i * 1e300)
+    rec.adopt("empty", SeriesProbe())
+    return rec
+
+
+def _big_recorder(channels=10, samples=10_000):
+    """About 100 000 samples per channel kind, over ten channels each."""
+    rec = Recorder()
+    for c in range(channels):
+        counter = rec.adopt(f"link.{c}.drops", CounterProbe())
+        series = rec.adopt(f"flow.{c}.bytes", SeriesProbe())
+        gauge = rec.adopt(f"link.{c}.queue_pkts", GaugeProbe())
+        for i in range(samples):
+            t = i / 7
+            counter.increment(t)
+            series.record(t, 1000.0 * i)
+            gauge.read = lambda v=i % 50: float(v)
+            gauge.sample(t)
+    return rec
+
+
+def _traced_peak(fn):
+    """(fn's result, the most tracemalloc saw allocated during fn)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestExportBytes:
+    def test_every_line_is_the_sorted_dump_of_its_record(self):
+        rec = _awkward_recorder()
+        lines = rec.export_text().split("\n")
+        assert lines.pop() == ""  # the text ends with a newline
+        header = {"__telemetry__": TRACE_SCHEMA_VERSION, "meta": rec.meta}
+        assert lines[0] == json.dumps(header, sort_keys=True)
+        assert len(lines) == 1 + len(rec.channels)
+        for line, (name, probe) in zip(lines[1:], rec.channels.items()):
+            assert line == json.dumps({"channel": name, **probe.snapshot()}, sort_keys=True)
+        assert {json.loads(line)["channel"] for line in lines[1:]} == set(rec.channels)
+
+    def test_export_writes_the_bytes_of_export_text(self, tmp_path):
+        rec = _awkward_recorder()
+        path = rec.export(tmp_path / "trace.jsonl")
+        assert path.read_bytes() == rec.export_text().encode("utf-8")
+
+    def test_from_file_reads_what_loads_reads(self, tmp_path):
+        rec = _awkward_recorder()
+        text = rec.export_text()
+        (tmp_path / "trace.jsonl").write_bytes(text.encode("utf-8"))
+        from_file = TraceReader.from_file(tmp_path / "trace.jsonl")
+        loaded = TraceReader.loads(text)
+        assert from_file.meta == loaded.meta == rec.meta
+        assert list(from_file.channels) == list(loaded.channels) == list(rec.channels)
+        for name, probe in rec.channels.items():
+            for reader in (from_file, loaded):
+                clone = reader.channel(name)
+                assert type(clone) is type(probe)
+                assert clone.snapshot() == probe.snapshot()
+
+
+class TestReaderLineNumbers:
+    """A trace edited by hand or by another tool still names the line that
+    ``str.splitlines()`` numbers, from a string and from a file alike."""
+
+    def _lines(self):
+        return TestTraceRoundTrip()._recorder().export_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "layout, line",
+        [
+            # (how the four lines are joined, the line number of a corrupt
+            # third line: "flow.0.rate" with its kind cut out)
+            (lambda ls: "\r\n".join(ls) + "\r\n", 3),
+            (lambda ls: "\n".join(ls), 3),
+            (lambda ls: "\r\n".join(ls), 3),
+            (lambda ls: "\n\n".join(ls) + "\n\n", 5),
+            (lambda ls: "\n \t\n".join(ls) + "\n", 5),
+            (lambda ls: "\n" + "\r\n\r\n".join(ls), 6),
+            (lambda ls: "\r".join(ls) + "\r", 3),
+            (lambda ls: "\r\r\n".join(ls) + "\n", 5),
+            (lambda ls: "\x0c\n".join(ls), 5),
+            (lambda ls: "\u2028".join(ls), 3),
+        ],
+    )
+    def test_a_corrupt_line_keeps_its_splitlines_number(self, tmp_path, layout, line):
+        lines = self._lines()
+        good = layout(lines)
+        lines[2] = lines[2].replace('"kind": "series", ', "")
+        bad = layout(lines)
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(bad.encode("utf-8"))
+        assert bad.splitlines()[line - 1] == lines[2]  # the layout's own count
+        message = rf"^trace line {line}: channel 'flow.0.rate': unknown channel kind None$"
+        with pytest.raises(ValueError, match=message):
+            TraceReader.loads(bad)
+        with pytest.raises(ValueError, match=message):
+            TraceReader.from_file(path)
+        path.write_bytes(good.encode("utf-8"))
+        for reader in (TraceReader.loads(good), TraceReader.from_file(path)):
+            assert list(reader.channels) == ["link.b.drops", "flow.0.rate", "link.b.queue_pkts"]
+
+    def test_a_json_error_reads_as_it_did_on_the_bare_line(self):
+        lines = self._lines()
+        cut = lines[1][:-20]
+        lines[1] = cut
+        try:
+            json.loads(cut)
+        except ValueError as exc:
+            expected = f"trace line 2: {exc}"
+        with pytest.raises(ValueError) as caught:
+            TraceReader.loads("\r\n".join(lines) + "\r\n")
+        assert str(caught.value) == expected
+
+
+class TestTraceMemory:
+    """A trace costs its size about once at each end (tracemalloc, so the
+    bounds are the same on every host)."""
+
+    def test_export_holds_the_text_about_twice(self):
+        rec = _big_recorder()
+        text, peak = _traced_peak(rec.export_text)
+        assert len(text) > 5_000_000
+        assert peak <= 2.5 * len(text), peak / len(text)
+
+    def test_loads_holds_little_beyond_the_arrays_it_keeps(self):
+        text = _big_recorder().export_text()
+        reader, peak = _traced_peak(lambda: TraceReader.loads(text))
+        assert len(reader.channels) == 30
+        assert peak <= 1.5 * len(text), peak / len(text)
