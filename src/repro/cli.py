@@ -32,9 +32,9 @@ run.  The tables print when the map is done, followed by one accounting
 line for the whole run.
 
 Results are cached on disk (``~/.cache/repro`` by default, see
-``--cache-dir``) keyed by the content hash of each job plus a
-code-version salt, so a warm second run replays from the cache without
-simulating anything.  Parallel runs produce byte-identical tables to
+``--cache-dir``) keyed by the content hash of each job, in a directory
+named by the code-version salt, so a warm second run replays from the
+cache without simulating anything.  Parallel runs produce byte-identical tables to
 serial runs: every job carries its own seed and results are re-ordered
 by job index before reduction.
 
@@ -376,7 +376,7 @@ def _trace_command(args, module) -> int:
     def missing(jb) -> int:
         print(
             f"no trace for {args.figure} job {jb.index} "
-            f"(key {cache.key(jb)[:12]}...); record one with "
+            f"(hash {jb.content_hash[:12]}...); record one with "
             f"'repro run {args.figure} --trace --scale {args.scale}'",
             file=sys.stderr,
         )

@@ -1,11 +1,12 @@
 """Content-addressed on-disk cache for experiment job results.
 
 Every :class:`~repro.experiments.jobs.Job` has a stable content hash over
-its full declarative description.  The cache keys canonical-JSON
-payloads by ``sha256(job_hash : salt)`` where the salt folds in the
-library version and the job-schema version, so a code upgrade (or an
-explicit salt override) invalidates every stale entry without deleting
-anything.
+its full declarative description, and that hash is the job's one name:
+the cache key, the run log's ``hash`` and the stem of its trace file.
+The salt folds in the library version and the job-schema version and is
+a directory, ``root/<salt>/``, so a code upgrade (or an explicit salt
+override) starts an empty cache beside the stale one without deleting
+anything; ``rm -r root/<old salt>`` reclaims an old version's space.
 
 With a warm cache, re-running ``python -m repro run all`` performs zero
 simulations: every job is answered from disk and only the (cheap) reduce
@@ -14,13 +15,13 @@ and surfaced by the CLI.
 
 There is one layout on disk.  Key ``ab…`` belongs to shard ``ab``, and
 every record of a shard is a *frame* in the shard's pack
-``root/ab/ab.pack``::
+``root/<salt>/ab/ab.pack``::
 
     key (32 raw bytes) | record length (<I) | canonical payload (UTF-8 JSON)
 
 The record is :func:`~repro.experiments.jobs.run_job`'s payload text as
-it is; the key stamp binds it to its job and salt.  ``root/ab/ab.pack.idx``
-— ``{"entries": {key: [frame offset, record length]}, "version": 3}``,
+it is; the key stamp binds it to its job.  ``ab.pack.idx`` beside it —
+``{"entries": {key: [frame offset, record length]}, "version": 3}``,
 replaced atomically — says where each frame starts.  A lookup is one
 probe of that index (read once per shard per instance) and one ``pread``
 of the frame; a frame that is short, is stamped with another key or holds
@@ -43,7 +44,6 @@ nothing ever reads it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
@@ -68,6 +68,9 @@ _FRAME_HEAD = struct.Struct("<32sI")
 _INDEX_VERSION = 3
 
 _TRACE_SUFFIX = ".trace.jsonl"
+
+#: Characters a salt cannot hold: it names one directory under the root.
+_NOT_IN_A_SALT = frozenset({"/", "\0", os.sep, os.altsep or "/"})
 
 
 def default_salt() -> str:
@@ -129,34 +132,26 @@ def _is_current_trace(header_line: str) -> bool:
 
 
 class ResultCache:
-    """Content-addressed store of JSON job payloads under ``root``, as
-    frames of per-shard packs (see the module docstring for the layout
+    """Content-addressed store of JSON job payloads under ``root/<salt>``,
+    as frames of per-shard packs (see the module docstring for the layout
     and what concurrent runs may see).
     """
 
     def __init__(self, root: Union[str, os.PathLike], salt: Optional[str] = None):
         self.root = pathlib.Path(root)
-        #: ``root`` as a plain string: the per-job paths are built from it.
-        self._dir = str(self.root)
         self.salt = salt if salt is not None else default_salt()
+        if self.salt in ("", ".", "..") or not _NOT_IN_A_SALT.isdisjoint(self.salt):
+            raise ValueError(f"cache salt {self.salt!r} is not one path component")
+        #: ``root/<salt>`` as a plain string: the per-job paths are built from it.
+        self._dir = f"{self.root}/{self.salt}"
         self.stats = CacheStats()
         #: Active batch buffer (key -> record text), or None outside a batch.
         self._batch: Optional[dict[str, str]] = None
-        #: Pack indexes read so far, one dict (key -> [frame offset,
-        #: record length]) per shard; ``{}`` for a shard with no index.
-        self._indexes: dict[str, dict[str, list]] = {}
-        #: Job content hash -> cache key, for every job this instance saw.
-        self._keys: dict[str, str] = {}
+        #: Pack indexes read so far, one dict (key -> (frame offset,
+        #: record length)) per shard; ``{}`` for a shard with no index.
+        self._indexes: dict[str, dict[str, tuple]] = {}
 
-    # -- keys and paths -----------------------------------------------------
-
-    def key(self, jb: Job) -> str:
-        """Cache key: job content hash + code-version salt, once per job."""
-        key = self._keys.get(jb.content_hash)
-        if key is None:
-            text = f"{jb.content_hash}:{self.salt}"
-            key = self._keys[jb.content_hash] = hashlib.sha256(text.encode()).hexdigest()
-        return key
+    # -- paths --------------------------------------------------------------
 
     def _file(self, shard: str, name: str) -> str:
         return f"{self._dir}/{shard}/{name}"
@@ -166,7 +161,7 @@ class ResultCache:
 
     def trace_path(self, jb: Job) -> pathlib.Path:
         """Where ``jb``'s trace artifact lives on disk."""
-        return pathlib.Path(self._trace_file(self.key(jb)))
+        return pathlib.Path(self._trace_file(jb.content_hash))
 
     # -- lookup / store -----------------------------------------------------
 
@@ -176,7 +171,7 @@ class ResultCache:
         Corrupt or unreadable entries count as misses (and are
         recomputed); the cache never raises on bad disk state.
         """
-        record = self._record(self.key(jb))
+        record = self._record(jb.content_hash)
         if record is not None:
             try:
                 value = json.loads(record)
@@ -233,13 +228,13 @@ class ResultCache:
         ``value_text`` must be ``json.dumps(value, allow_nan=True,
         sort_keys=True)`` output — exactly what
         :func:`~repro.experiments.jobs.run_job` returns — and becomes the
-        record as it is: the frame's key stamp names the job and salt, so
-        nothing is wrapped around the payload.  Returning the parsed text
+        record as it is: the frame's key stamp names the job, so nothing
+        is wrapped around the payload.  Returning the parsed text
         guarantees cold runs see exactly what warm runs will read back,
         keeping output byte-identical whether or not the cache was
         already populated.
         """
-        key = self.key(jb)
+        key = jb.content_hash
         if self._batch is not None:
             self._batch[key] = value_text
         else:
@@ -294,28 +289,37 @@ class ResultCache:
         index = self._read_index(shard)
         for key, offset, length in spans:
             if offset + _FRAME_HEAD.size + length <= written:
-                index[key] = [start + offset, length]
+                index[key] = (start + offset, length)
         text = json.dumps({"version": _INDEX_VERSION, "entries": index}, sort_keys=True)
         _atomic_write_text(self._file(shard, shard + ".pack.idx"), text)
         self._indexes[shard] = index
 
-    def _read_index(self, shard: str) -> dict[str, list]:
+    def _read_index(self, shard: str) -> dict[str, tuple]:
         """The shard's index as it is on disk now: ``{}`` when it is
-        missing, unreadable or of another version."""
+        missing, unreadable or of another version.  An entry that is not
+        two values is left out: a miss, like any damaged entry."""
         try:
             with open(self._file(shard, shard + ".pack.idx"), "rb") as handle:
                 doc = json.loads(handle.read())
-            if doc["version"] == _INDEX_VERSION:
-                return dict(doc["entries"])
-        except (OSError, ValueError, KeyError, TypeError, RecursionError):
-            pass
-        return {}
+            if doc["version"] != _INDEX_VERSION:
+                return {}
+            entries = doc["entries"].items()
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
+            return {}
+        index = {}
+        for key, entry in entries:
+            try:
+                offset, length = entry
+            except (TypeError, ValueError):
+                continue
+            index[key] = (offset, length)
+        return index
 
     # -- trace artifacts ----------------------------------------------------
     #
     # A trace is the raw telemetry (JSONL, see repro.telemetry.trace) the
     # simulation emitted while computing a result.  It is stored *beside*
-    # the shard's pack — same shard, the key plus ``.trace.jsonl`` — and
+    # the shard's pack — same shard, the job's hash plus ``.trace.jsonl`` — and
     # never read by lookup(), so trace artifacts cannot perturb results.
     #
     # Only a trace TraceReader can load counts as stored: a file whose
@@ -325,14 +329,14 @@ class ResultCache:
 
     def store_trace(self, jb: Job, text: str) -> None:
         """Persist the JSONL trace for ``jb`` next to its result record."""
-        key = self.key(jb)
+        key = jb.content_hash
         os.makedirs(f"{self._dir}/{key[:2]}", exist_ok=True)
         _atomic_write_text(self._trace_file(key), text)
 
     def load_trace(self, jb: Job) -> Optional[str]:
         """The stored current-schema JSONL trace for ``jb``, or None."""
         try:
-            with open(self._trace_file(self.key(jb)), encoding="utf-8") as handle:
+            with open(self._trace_file(jb.content_hash), encoding="utf-8") as handle:
                 text = handle.read()
         except (OSError, ValueError):  # unreadable or not text
             return None
@@ -342,7 +346,7 @@ class ResultCache:
     def has_trace(self, jb: Job) -> bool:
         """True when a current-schema trace artifact exists for ``jb``."""
         try:
-            with open(self._trace_file(self.key(jb)), encoding="utf-8") as handle:
+            with open(self._trace_file(jb.content_hash), encoding="utf-8") as handle:
                 return _is_current_trace(handle.readline())
         except (OSError, ValueError):
             return False
@@ -350,7 +354,8 @@ class ResultCache:
     # -- counting -----------------------------------------------------------
 
     def __len__(self) -> int:
-        """Number of indexed entries; litter is never counted."""
+        """Number of indexed entries under this salt; litter and other
+        salts' entries are never counted."""
         try:
             with os.scandir(self._dir) as entries:
                 shards = [e.name for e in entries if len(e.name) == 2 and e.is_dir()]

@@ -32,7 +32,6 @@ execution cannot perturb output formatting.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import gc
 import hashlib
 import json
@@ -168,7 +167,7 @@ def content_hash(description: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     """One simulation (or analysis) point, described declaratively.
 
@@ -195,6 +194,10 @@ class Job:
     # hash (compare=False) so tracing never forks the result cache: a traced
     # and an untraced run of the same point share one cache entry.
     trace: bool = dataclasses.field(default=False, compare=False)
+    # The content hash, once asked for: a slot, not an instance dict.
+    _hash: Optional[str] = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def param(self, name: str, default: Any = None) -> Any:
         for key, value in self.params:
@@ -220,16 +223,21 @@ class Job:
             "scale": self.scale,
         }
 
-    @functools.cached_property
+    @property
     def content_hash(self) -> str:
         """Stable across processes and platforms for identical work.
 
         Computed once per ``Job`` object (the cache key, dedup, the run
-        log and fault matching all ask): the instance is frozen, so the
-        memo cannot go stale; ``dataclasses.replace`` builds a new object
-        and hashes again, and a pickled job carries its hash along.
+        log and fault matching all ask) and kept in the ``_hash`` slot:
+        the instance is frozen, so the memo cannot go stale;
+        ``dataclasses.replace`` builds a new object and hashes again, and
+        a pickled job carries its hash along.
         """
-        return content_hash(self.describe())
+        digest = self._hash
+        if digest is None:
+            digest = content_hash(self.describe())
+            object.__setattr__(self, "_hash", digest)
+        return digest
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         proto = self.protocol.family if self.protocol else None

@@ -1,10 +1,18 @@
-"""Shared test fixtures: a two-node loopback path with optional dropper."""
+"""Shared test fixtures: a two-node loopback path with optional dropper,
+where a job's shard files sit in a result cache, and what a call leaves
+allocated."""
 
 from __future__ import annotations
 
-from typing import Optional
+import gc
+import os
+import pathlib
+import tracemalloc
+from typing import Any, Callable, Optional, Union
 
 from repro.cc.base import Receiver, Sender
+from repro.experiments.cache import default_salt
+from repro.experiments.jobs import Job
 from repro.net import DropTailQueue, Dropper, Link, Node
 from repro.sim import Simulator
 
@@ -39,3 +47,24 @@ def loopback(
     node_b.add_route(1, backward)
     sender.attach(node_a, 2, flow_id)
     receiver.attach(node_b, 1, flow_id)
+
+
+def shard_file(root: Union[str, os.PathLike], jb: Job, suffix: str) -> pathlib.Path:
+    """``root/<salt>/ab/ab<suffix>``: a file of ``jb``'s shard ``ab`` in the
+    cache at ``root`` under the code-version salt."""
+    shard = jb.content_hash[:2]
+    return pathlib.Path(root) / default_salt() / shard / f"{shard}{suffix}"
+
+
+def retained_bytes(fn: Callable[[], Any]) -> tuple[int, Any]:
+    """(bytes tracemalloc still sees allocated after ``fn`` returned and a
+    full collection ran, ``fn``'s result) — what ``fn`` leaves behind."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        tracemalloc.stop()

@@ -11,15 +11,17 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
 import struct
 
 import pytest
 
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import MISS, ResultCache
-from repro.experiments.executor import Executor
+from repro.experiments.executor import Executor, make_executor
 from repro.experiments.jobs import job, run_job
 from repro.telemetry import Recorder
+from tests.helpers import retained_bytes, shard_file
 
 JOBS = lambda: fig20.jobs("fast")  # noqa: E731 - tiny factory
 
@@ -41,15 +43,14 @@ def payload(jb):
 
 
 @pytest.fixture(scope="module")
-def shard_jobs(tmp_path_factory):
+def shard_jobs():
     """Sixteen jobs whose keys share shard ``SHARD``, with equal-length
     records — so an offset off by whole frames lands on a parsable record
     of another job."""
     found, i = [], 100_000
-    cache = ResultCache(tmp_path_factory.mktemp("keys"))
     while len(found) < WRITERS * RECORDS_PER_WRITER:
         jb = job("race", "timeout_models", params={"i": i})
-        if cache.key(jb).startswith(SHARD):
+        if jb.content_hash.startswith(SHARD):
             found.append(jb)
         i += 1
     return found
@@ -63,11 +64,6 @@ def flushed(root, jobs):
         cache.store(jb, payload(jb))
     cache.flush_batch()
     return cache
-
-
-def shard_file(root, jb, suffix):
-    shard = ResultCache(root).key(jb)[:2]
-    return root / shard / f"{shard}{suffix}"
 
 
 def assert_recomputed(root, jb):
@@ -131,8 +127,9 @@ class TestBatchedPacks:
             cache.store(jb, {"i": i})
         cache.flush_batch()
         # Entries live in per-shard packs, not one file per result.
-        assert not list(tmp_path.glob("*/" + cache.key(jobs[0]) + ".json"))
-        assert list(tmp_path.glob("*/*.pack"))
+        pack = shard_file(tmp_path, jobs[0], ".pack")
+        assert not pack.with_name(jobs[0].content_hash + ".json").exists()
+        assert pack.exists()
         fresh = ResultCache(tmp_path)
         for i, jb in enumerate(jobs):
             assert fresh.lookup(jb) == {"i": i}
@@ -149,17 +146,39 @@ class TestBatchedPacks:
 
     def test_a_frame_is_the_key_then_the_length_then_the_record(self, tmp_path):
         # The record is the payload text run_job returned, byte for byte:
-        # the stamp, not an envelope, names the job and the salt.
+        # the stamp, not an envelope, names the job; the salt is the
+        # directory the shard sits in.
         jb = JOBS()[0]
-        cache = ResultCache(tmp_path)
-        Executor().map([jb], cache)
+        Executor().map([jb], ResultCache(tmp_path))
         frame = shard_file(tmp_path, jb, ".pack").read_bytes()
-        key = cache.key(jb)
+        key = jb.content_hash
         (length,) = struct.unpack_from("<I", frame, 32)
         assert frame[:32] == bytes.fromhex(key) and len(frame) == 36 + length
         assert frame[36:] == run_job(jb)[0].encode("utf-8")
         index = json.loads(shard_file(tmp_path, jb, ".pack.idx").read_text())
         assert index == {"version": 3, "entries": {key: [0, length]}}
+
+
+class TestOneName:
+    def test_the_run_log_hash_names_the_record_and_the_trace(self, tmp_path):
+        # One name per job, end to end: the run log's hash is the job's
+        # content hash, its key in the shard's index and its trace's stem.
+        jobs = [dataclasses.replace(jb, trace=True) for jb in JOBS()[:3]]
+        root = tmp_path / "cache"
+        cache = ResultCache(root)
+        with make_executor(0, run_log=tmp_path / "run.jsonl") as executor:
+            executor.map(jobs, cache)
+        records = map(json.loads, (tmp_path / "run.jsonl").read_text().splitlines())
+        computed = [r for r in records if r["event"] == "job" and r["status"] == "computed"]
+        assert len(computed) == len(jobs)
+        for record in computed:
+            jb = jobs[record["index"]]
+            trace = pathlib.Path(record["trace_path"])
+            index = json.loads(shard_file(root, jb, ".pack.idx").read_text())
+            assert record["hash"] == jb.content_hash
+            assert record["hash"] == trace.name.removesuffix(".trace.jsonl")
+            assert record["hash"] in index["entries"]
+            assert trace.is_file() and trace.parent.parent == root / cache.salt
 
 
 class TestAFrameNamesItsKey:
@@ -168,19 +187,39 @@ class TestAFrameNamesItsKey:
     )
     def test_a_misdirected_index_entry_is_a_miss(self, tmp_path, shard_jobs, entry):
         a, b = shard_jobs[:2]
-        cache = flushed(tmp_path, [a, b])
+        flushed(tmp_path, [a, b])
         index_path = shard_file(tmp_path, a, ".pack.idx")
         doc = json.loads(index_path.read_text())
         end = shard_file(tmp_path, a, ".pack").stat().st_size
-        doc["entries"][cache.key(a)] = {
-            "another key's frame": doc["entries"][cache.key(b)],
-            "past the end of the pack": [end, doc["entries"][cache.key(a)][1]],
+        doc["entries"][a.content_hash] = {
+            "another key's frame": doc["entries"][b.content_hash],
+            "past the end of the pack": [end, doc["entries"][a.content_hash][1]],
             "not [offset, length]": "junk",
         }[entry]
         index_path.write_text(json.dumps(doc))
         fresh = ResultCache(tmp_path)
         assert fresh.lookup(a) is MISS
         assert fresh.lookup(b) == payload(b)
+
+
+class TestMemory:
+    def test_a_cold_map_leaves_little_in_the_cache_per_job(self, tmp_path):
+        # What the cache keeps of a job is its index entry; the key is the
+        # job's own hash string, so naming the job costs the cache nothing.
+        jobs = [
+            job("mem", "timeout_models", params={"p": (i + 1) / 5_001}) for i in range(5_000)
+        ]
+        for jb in jobs:
+            jb.content_hash
+        Executor().map(jobs[:1], ResultCache(tmp_path / "warm-up"))  # first-call state
+        cache = ResultCache(tmp_path / "cache")
+
+        def cold_map_with_the_results_dropped():
+            Executor().map(jobs, cache)
+
+        held, _ = retained_bytes(cold_map_with_the_results_dropped)
+        assert len(cache) == len(jobs)
+        assert held / len(jobs) <= 180
 
 
 def _flush_at_the_barrier(root, jobs, barrier):
@@ -284,10 +323,9 @@ class TestRecoveryPaths:
         elif damage == "short frame":
             pack.write_bytes(frame[:-1])
         elif damage == "nested record":  # stamped and indexed as the job's own
-            key = ResultCache(tmp_path).key(jb)
             pack.write_bytes(frame[:32] + struct.pack("<I", len(nested)) + nested)
             doc = json.loads(index_path.read_text())
-            doc["entries"][key] = [0, len(nested)]
+            doc["entries"][jb.content_hash] = [0, len(nested)]
             index_path.write_text(json.dumps(doc))
         elif damage == "nested index":
             index_path.write_bytes(nested)
@@ -311,34 +349,40 @@ class TestRecoveryPaths:
         # pointing at bare length-prefixed records, or a record in its own
         # <key>.json blob; before the record was the payload, an index of
         # version 2 over key-stamped frames.  A reader of either would
-        # serve the whole envelope as the payload.
-        packed, blobbed, enveloped = JOBS()[:3]
-        cache = ResultCache(tmp_path)
-        for jb, where in ((packed, "pack"), (blobbed, "blob"), (enveloped, "frame")):
-            key = cache.key(jb)
-            record = json.dumps({"job": jb.describe(), "salt": cache.salt, "value": 1})
-            shard = tmp_path / key[:2]
-            shard.mkdir(exist_ok=True)
+        # serve the whole envelope as the payload.  And before the salt
+        # was a directory, version-3 frames of bare payloads in root/ab.
+        # Each is keyed by the job's own hash, the worst case, and all but
+        # the last sit in the salt directory.
+        packed, blobbed, enveloped, unsalted = olds = JOBS()[:4]
+        for jb, where in zip(olds, ("pack", "blob", "frame", "unsalted")):
+            key = jb.content_hash
+            if where == "unsalted":
+                record, shard = "1", tmp_path / key[:2]
+            else:
+                record = json.dumps({"job": jb.describe(), "salt": "old", "value": 1})
+                shard = shard_file(tmp_path, jb, "").parent
+            shard.mkdir(parents=True, exist_ok=True)
             if where == "blob":
                 (shard / f"{key}.json").write_text(record)
                 continue
             if where == "pack":
                 head, version, offset = struct.pack("<I", len(record)), 1, 4
             else:
-                head, version, offset = bytes.fromhex(key) + struct.pack("<I", len(record)), 2, 0
+                stamp = bytes.fromhex(key) + struct.pack("<I", len(record))
+                head, version, offset = stamp, 2 if where == "frame" else 3, 0
             (shard / f"{key[:2]}.pack").write_bytes(head + record.encode())
             (shard / f"{key[:2]}.pack.idx").write_text(
                 json.dumps({"version": version, "entries": {key: [offset, len(record)]}})
             )
-        for jb in (packed, blobbed, enveloped):
+        assert len(ResultCache(tmp_path)) == 0
+        for jb in olds:
             assert_recomputed(tmp_path, jb)
         fresh = ResultCache(tmp_path)
-        assert [fresh.lookup(jb) for jb in (packed, blobbed, enveloped)] == [
-            json.loads(run_job(jb)[0]) for jb in (packed, blobbed, enveloped)
-        ]
-        blob = tmp_path / cache.key(blobbed)[:2] / f"{cache.key(blobbed)}.json"
+        assert [fresh.lookup(jb) for jb in olds] == [json.loads(run_job(jb)[0]) for jb in olds]
+        blob = shard_file(tmp_path, blobbed, "").with_name(f"{blobbed.content_hash}.json")
         assert blob.exists()  # inert: never read, never counted
-        assert len(ResultCache(tmp_path)) == 3
+        assert (tmp_path / unsalted.content_hash[:2]).exists()  # inert too
+        assert len(ResultCache(tmp_path)) == 4
 
     def test_a_torn_tail_is_inert_and_the_next_flush_appends_after_it(
         self, tmp_path, shard_jobs, monkeypatch
@@ -347,7 +391,7 @@ class TestRecoveryPaths:
         # leaves bytes no index references: the frames that landed whole
         # are indexed, the torn one is a miss, and the next flush appends
         # after the torn bytes.
-        first, torn = sorted(shard_jobs[:2], key=ResultCache(tmp_path).key)  # frame order
+        first, torn = sorted(shard_jobs[:2], key=lambda jb: jb.content_hash)  # frame order
         later = shard_jobs[2]
         real_write = os.write
         frame_size = []

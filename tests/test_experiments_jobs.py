@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -35,6 +36,7 @@ from repro.experiments.executor import Executor, make_executor
 from repro.experiments.jobs import DropperSpec, Job, canonical, content_hash, job
 from repro.experiments.protocols import tcp, tfrc
 from repro.sim.rng import RngRegistry
+from tests.helpers import retained_bytes, shard_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -164,6 +166,22 @@ class TestContentHash:
         assert replace(jb, trace=True).content_hash == digest
         assert replace(jb, tags=(("other", 1),)).content_hash == digest
         assert len(hashed) == 4
+
+    def test_a_hashed_job_keeps_its_hash_in_a_slot(self):
+        # 10 000 closed-form jobs, as dispatch_smalljobs builds them: a
+        # memo in an instance dict costs a dict per job on top of the job.
+        def hashed_jobs():
+            js = [
+                job("mem", "timeout_models", params={"p": (i + 1) / 10_001})
+                for i in range(10_000)
+            ]
+            for jb in js:
+                jb.content_hash
+            return js
+
+        held, js = retained_bytes(hashed_jobs)
+        assert not hasattr(js[0], "__dict__")
+        assert held / len(js) <= 460
 
     def test_two_maps_hash_each_job_once(self, tmp_path, monkeypatch):
         hashed = _count_hashes(monkeypatch)
@@ -323,12 +341,21 @@ class TestResultCache:
         assert upgraded.lookup(js[0]) is MISS
         assert upgraded.stats.misses == 1
 
+        # The upgrade stores beside the old version, which still hits.
+        Executor().map(fig20.jobs("fast", p_values=[0.1, 0.2]), upgraded)
+        assert ResultCache(tmp_path).lookup(js[0]) is not MISS
+        assert (len(ResultCache(tmp_path)), len(upgraded)) == (1, 2)
+
+    @pytest.mark.parametrize("salt", ["", ".", "..", "a/b", "/abs", "a\0b"])
+    def test_a_salt_is_one_path_component(self, tmp_path, salt):
+        with pytest.raises(ValueError, match=re.escape(repr(salt))):
+            ResultCache(tmp_path, salt=salt)
+
     def test_corrupt_blob_is_a_miss_and_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path)
         js = fig20.jobs("fast", p_values=[0.1])
         cache.store(js[0], {"ok": True})
-        shard = cache.key(js[0])[:2]
-        pack = tmp_path / shard / f"{shard}.pack"
+        pack = shard_file(tmp_path, js[0], ".pack")
         frame = pack.read_bytes()
         # Same length, same key stamp (32 bytes + u32 length): only the
         # record's bytes are garbage.
@@ -342,8 +369,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         js = fig20.jobs("fast", p_values=[0.1])
         Executor().map(js, cache)
-        shard = cache.key(js[0])[:2]
-        pack = tmp_path / shard / f"{shard}.pack"
+        pack = shard_file(tmp_path, js[0], ".pack")
         assert pack.exists()
         pack.write_bytes(b"\x00" * 4)  # truncate: index offsets now dangle
         fresh = ResultCache(tmp_path)

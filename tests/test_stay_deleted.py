@@ -200,6 +200,20 @@ STAY_DELETED = [
         "TimeSeries.extend and its two copies of every loaded column; a "
         "loaded series keeps the arrays the trace decoded",
     ),
+    (
+        r"\b_keys\b|def key\(|\bhashlib\b",
+        ("src/repro/experiments/cache.py",),
+        (),
+        "the cache's salted re-hash of every job and its per-instance memo; "
+        "the key is the job's content hash and the salt is a directory",
+    ),
+    (
+        r"cached_property",
+        ("src/repro/experiments/jobs.py",),
+        (),
+        "the content hash memo in an instance dict; a job keeps its hash in "
+        "the _hash slot",
+    ),
 ]
 
 
