@@ -26,7 +26,6 @@ from repro.cc.binomial import (
 from repro.cc.equations import (
     aimd_response_rate,
     aimd_with_timeouts_rate,
-    invert_simple_response,
     padhye_rate_per_rtt,
     padhye_rate_pps,
     simple_response_rate,
@@ -63,7 +62,6 @@ __all__ = [
     "establish",
     "iiad_rule",
     "interval_weights",
-    "invert_simple_response",
     "new_rap_flow",
     "new_tcp_flow",
     "new_tear_flow",

@@ -22,7 +22,7 @@ from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.telemetry import active_recorder
-from repro.telemetry.probes import Probe, SeriesProbe
+from repro.telemetry.probes import Probe
 from repro.contracts import CwndPackets, NonNegSeconds, PositiveBytes, checked
 from repro.units import Packets, Seconds
 
@@ -133,15 +133,6 @@ class Sender(Endpoint):
         """Bind to a node; under a recorder, start writing the series."""
         super().attach(node, peer_address, flow_id)
         self.recorded = active_recorder() is not None
-
-    def _samples(self, probe: SeriesProbe) -> list[tuple[float, float]]:
-        """(time, value) samples of one of this sender's series; raises if unrecorded."""
-        if not self.recorded:
-            raise RuntimeError(
-                f"{probe.name} was not recorded: attach the sender inside "
-                "telemetry.capture() to have its series written"
-            )
-        return list(probe)
 
     def start(self) -> None:
         """Begin transmitting now."""

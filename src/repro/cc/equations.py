@@ -29,7 +29,6 @@ from repro.contracts import (
     Probability,
     checked,
 )
-from repro.units import Ratio
 
 __all__ = [
     "simple_response_rate",
@@ -37,7 +36,6 @@ __all__ = [
     "padhye_rate_pps",
     "padhye_rate_per_rtt",
     "aimd_with_timeouts_rate",
-    "invert_simple_response",
 ]
 
 
@@ -144,14 +142,3 @@ def aimd_with_timeouts_rate(p: Probability) -> NonNegRatio:
     if math.isinf(backoff):
         return 0.0
     return n_plus_1 / backoff
-
-
-@checked
-def invert_simple_response(rate_per_rtt: PositiveRatio) -> Ratio:
-    """Loss rate that yields ``rate_per_rtt`` under the sqrt(1.5/p) model."""
-    if rate_per_rtt <= 0:
-        raise ValueError("rate must be positive")
-    try:
-        return 1.5 / (rate_per_rtt * rate_per_rtt)
-    except ZeroDivisionError:
-        return math.inf  # the rate -> 0 limit, reached early by underflow

@@ -90,10 +90,6 @@ class RapSender(Sender):
         if self.recorded:
             self._rate_probe.record(self.sim.now, self.rate_pps)
 
-    @property
-    def rate_trace(self) -> list[tuple[float, float]]:
-        return self._samples(self._rate_probe)
-
     # Lifecycle ---------------------------------------------------------------------
 
     def _begin(self) -> None:

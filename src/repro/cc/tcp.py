@@ -297,11 +297,6 @@ class TcpSender(Sender):
     def timeouts(self) -> int:
         return self._timeout_events.count
 
-    @property
-    def cwnd_trace(self) -> list[tuple[float, float]]:
-        """(time, window) samples taken at every window change."""
-        return self._samples(self._cwnd_probe)
-
 
 class TcpSink(Receiver):
     """TCP receiver: a cumulative ACK for every packet, and ECN echo.

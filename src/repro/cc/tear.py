@@ -127,10 +127,6 @@ class TearSender(Sender):
     def rtt(self) -> Seconds:
         return self.srtt if self.srtt is not None else INITIAL_RTT
 
-    @property
-    def rate_trace(self) -> list[tuple[float, float]]:
-        return self._samples(self._rate_probe)
-
     def _begin(self) -> None:
         if self.recorded:
             self._rate_probe.record(self.sim.now, self.rate_bps)

@@ -320,10 +320,6 @@ class TfrcSender(Sender):
         if self.recorded:
             self._rate_probe.record(self.sim.now, self.rate_bps)
 
-    @property
-    def rate_trace(self) -> list[tuple[float, float]]:
-        return self._samples(self._rate_probe)
-
     def _send_next(self) -> None:
         if not self.running:
             return

@@ -58,7 +58,7 @@ __all__ = [
 #: Bump when the meaning of job payloads changes; combined with the
 #: library version it salts the on-disk result cache (see
 #: :mod:`repro.experiments.cache`), so stale records are never reused.
-JOBS_SCHEMA_VERSION = 1
+JOBS_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ dynamics depend on, computed from the config alone — no simulation:
 * **per-flow packets per RTT** in each phase: a flow's equal share of
   what the bottleneck leaves it, in the 1000-byte packets ``build_net``
   sends (window size decides timeouts against fast recovery);
-* the bottleneck **queue in BDPs**: the RED queue ``red_for_bdp`` builds
-  (2.5 × BDP, rounded to a whole packet);
+* the bottleneck **queue in BDPs**: ``queue_depth``, the depth of every
+  bottleneck queue (2.5 × BDP, rounded to a whole packet);
 * **phase lengths in RTTs**;
 * the **CBR fraction** and a flash crowd's **load per BDP**.
 
@@ -31,7 +31,7 @@ from repro.experiments.scenarios import (
     LossPatternConfig,
     OscillationConfig,
 )
-from repro.net.red import red_for_bdp
+from repro.net.red import bdp_packets, queue_depth
 
 __all__ = [
     "cbr_restart_ledger",
@@ -47,12 +47,11 @@ PACKET_BYTES = 1000
 
 
 def _pkts_per_rtt(bps: float, rtt_s: float) -> float:
-    return bps * rtt_s / (8.0 * PACKET_BYTES)
+    return bdp_packets(bps, rtt_s, PACKET_BYTES)
 
 
 def _queue_bdp(bandwidth_bps: float, rtt_s: float) -> float:
-    queue = red_for_bdp(bandwidth_bps, rtt_s, PACKET_BYTES)
-    return queue.capacity_pkts / _pkts_per_rtt(bandwidth_bps, rtt_s)
+    return queue_depth(bandwidth_bps, rtt_s, PACKET_BYTES) / _pkts_per_rtt(bandwidth_bps, rtt_s)
 
 
 def cbr_restart_ledger(cfg: CbrRestartConfig) -> dict[str, float]:

@@ -44,6 +44,7 @@ from repro.net.dumbbell import Dumbbell
 from repro.net.monitor import FlowAccountant
 from repro.net.paths import single_path
 from repro.net.queue import DropTailQueue
+from repro.net.red import queue_depth
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.telemetry import active_recorder
@@ -86,13 +87,13 @@ def build_net(
 
     ``aqm`` is the bottleneck queue: the paper's ``"red"``, the same RED
     marking ECN-capable packets (``"red+ecn"``), or a ``"droptail"`` of the
-    same 2.5 x BDP depth.
+    same depth, ``queue_depth``'s 2.5 x BDP.
     """
-    bdp_pkts = bandwidth_bps * rtt_s / (8.0 * packet_size)
+    depth = queue_depth(bandwidth_bps, rtt_s, packet_size)
     bottlenecks: dict[str, dict] = {
         "red": {},  # Dumbbell's default
         "red+ecn": {"ecn_marking": True},
-        "droptail": {"queue_factory": lambda: DropTailQueue(max(4, int(2.5 * bdp_pkts)))},
+        "droptail": {"queue_factory": lambda: DropTailQueue(depth)},
     }
     if aqm not in bottlenecks:
         raise ValueError(f"unknown AQM {aqm!r}; use {' or '.join(bottlenecks)}")

@@ -3,7 +3,6 @@
 from repro.metrics.fairness import (
     delta_fair_convergence_time,
     jain_index,
-    normalized_shares,
 )
 from repro.metrics.smoothness import (
     SmoothnessResult,
@@ -28,7 +27,6 @@ __all__ = [
     "flows_f_of_k",
     "jain_index",
     "measure_stabilization",
-    "normalized_shares",
     "rate_bins",
     "smoothness",
 ]

@@ -1,4 +1,4 @@
-"""Fairness metrics: Jain's index, normalized shares, δ-fair convergence.
+"""Fairness metrics: Jain's index and δ-fair convergence.
 
 Section 4.2.2 defines the δ-fair convergence time as the time for two flows
 starting from a bandwidth allocation of (B - b0, b0) to reach
@@ -11,12 +11,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.telemetry.measures import FlowMetrics
-from repro.contracts import PositiveRate, PositiveSeconds, Probability, checked
+from repro.contracts import PositiveSeconds, Probability, checked
 from repro.units import Seconds
 
 __all__ = [
     "jain_index",
-    "normalized_shares",
     "delta_fair_convergence_time",
 ]
 
@@ -34,23 +33,6 @@ def jain_index(rates: Sequence[float]) -> Probability:
         return 1.0  # all-zero allocation is (vacuously) even
     # Cauchy-Schwarz bounds the quotient by 1; rounding can overshoot it.
     return min(1.0, total * total / (len(rates) * squares))
-
-
-@checked
-def normalized_shares(
-    accountant: FlowMetrics,
-    flow_ids: Sequence[int],
-    start: Seconds,
-    end: Seconds,
-    fair_share_bps: PositiveRate,
-) -> list[float]:
-    """Per-flow throughput normalized by a fair share (1.0 = exactly fair)."""
-    if fair_share_bps <= 0:
-        raise ValueError("fair share must be positive")
-    return [
-        accountant.throughput_bps(flow_id, start, end) / fair_share_bps
-        for flow_id in flow_ids
-    ]
 
 
 @checked

@@ -4,8 +4,7 @@ The paper's smoothness metric is the largest ratio between the sending
 rates in two consecutive round-trip times.  TFRC has a perfect smoothness
 of 1 under periodic loss; TCP(b) has smoothness 1 - b (we report the metric
 so that 1 is perfectly smooth and smaller is burstier, i.e. the *minimum*
-consecutive ratio; the inverse convention — max ratio >= 1 — is also
-provided since both appear in the literature).
+consecutive ratio).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ class SmoothnessResult:
     """Smoothness statistics of one flow's delivered-rate series."""
 
     min_ratio: float  # worst consecutive-bin decrease (1 = perfectly smooth)
-    max_ratio: float  # worst consecutive-bin change as a ratio >= 1
     cov: float  # coefficient of variation of the bin rates
 
 
@@ -38,14 +36,21 @@ def rate_bins(
     start: Seconds,
     end: Seconds,
 ) -> list[float]:
-    """Delivered rate (bps) over consecutive bins of ``bin_s`` seconds."""
+    """Delivered rate (bps) over consecutive bins of ``bin_s`` seconds.
+
+    Bin ``i`` spans ``start + i * bin_s`` to the next edge, computed by
+    integer index: edges summed ``t += bin_s`` drift, and a drifted last
+    edge past ``end`` loses the last bin.
+    """
     if bin_s <= 0:
         raise ValueError("bin size must be positive")
     bins = []
-    t = start
-    while t + bin_s <= end:
-        bins.append(accountant.throughput_bps(flow_id, t, t + bin_s))
-        t += bin_s
+    lo = start
+    i = 1
+    while (hi := start + i * bin_s) <= end:
+        bins.append(accountant.throughput_bps(flow_id, lo, hi))
+        lo = hi
+        i += 1
     return bins
 
 
@@ -54,25 +59,20 @@ def smoothness(rates: Sequence[float]) -> SmoothnessResult:
 
     Bins where both neighbours are zero are skipped (an idle flow is not
     "bursty"); a transition between zero and non-zero counts as maximally
-    rough (ratio 0 / inf).
+    rough (ratio 0).
     """
     if len(rates) < 2:
         raise ValueError("need at least two rate samples")
     min_ratio = 1.0
-    max_ratio = 1.0
     for previous, current in zip(rates, rates[1:]):
         if previous == 0 and current == 0:
             continue
         if previous == 0 or current == 0:
             min_ratio = 0.0
-            max_ratio = math.inf
             continue
         ratio = current / previous
         min_ratio = min(min_ratio, ratio, 1.0 / ratio)
-        max_ratio = max(max_ratio, ratio, 1.0 / ratio)
-    return SmoothnessResult(
-        min_ratio=min_ratio, max_ratio=max_ratio, cov=coefficient_of_variation(rates)
-    )
+    return SmoothnessResult(min_ratio=min_ratio, cov=coefficient_of_variation(rates))
 
 
 @checked

@@ -3,7 +3,6 @@
 from repro.net.droppers import (
     BernoulliDropper,
     CountBasedDropper,
-    CutoffDropper,
     Dropper,
     TimedDropper,
     PeriodicDropper,
@@ -26,7 +25,6 @@ __all__ = [
     "FEEDBACK",
     "BernoulliDropper",
     "CountBasedDropper",
-    "CutoffDropper",
     "DropTailQueue",
     "Dropper",
     "Dumbbell",

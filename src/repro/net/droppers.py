@@ -25,7 +25,6 @@ from repro.units import Seconds
 __all__ = [
     "Dropper",
     "CountBasedDropper",
-    "CutoffDropper",
     "TimedDropper",
     "PeriodicDropper",
     "PhaseDropper",
@@ -141,25 +140,6 @@ class PhaseDropper(Dropper):
             self._arrivals_in_phase = 0
             return True
         return False
-
-
-class CutoffDropper(Dropper):
-    """Pass the first ``after_packets`` data packets, then drop everything.
-
-    Models a path that goes dead (route failure, total overload) — used to
-    test timeout and self-clocking behaviour when ACKs stop entirely.
-    """
-
-    def __init__(self, after_packets: int):
-        super().__init__()
-        if after_packets < 0:
-            raise ValueError("after_packets must be non-negative")
-        self.after_packets = after_packets
-        self._seen = 0
-
-    def should_drop(self, packet: Packet) -> bool:
-        self._seen += 1
-        return self._seen > self.after_packets
 
 
 class TimedDropper(Dropper):

@@ -22,7 +22,7 @@ from repro.net.red import red_for_bdp
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.telemetry import active_recorder
-from repro.units import BitsPerSecond, Bytes, Packets, Seconds
+from repro.units import BitsPerSecond, Bytes, Seconds
 
 __all__ = ["Dumbbell", "HostPair"]
 
@@ -184,8 +184,3 @@ class Dumbbell:
         src_router.add_route(destination.address, out_link)
         dst_router.add_route(source.address, back_link)
         return HostPair(source, destination, forward)
-
-    @property
-    def bdp_packets(self) -> Packets:
-        """Bandwidth-delay product of the bottleneck, in data packets."""
-        return self.bandwidth_bps * self.rtt_s / (8.0 * self.packet_size)

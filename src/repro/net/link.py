@@ -89,12 +89,6 @@ class Link:
         """Packets whose serialization has ended."""
         return self._pkts - (self.sim.now < self._busy_until)
 
-    @property
-    def bytes_sent(self) -> int:
-        """Bytes of the packets whose serialization has ended."""
-        packet = self.in_service
-        return self._bytes - (packet.size if packet is not None else 0)
-
     def connect(self, receiver: Callable[[Packet], None]) -> None:
         """Set the downstream receiver (a node's or agent's receive)."""
         self._receiver = receiver

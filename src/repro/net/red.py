@@ -8,7 +8,8 @@ only one here.
 
 The paper's scenarios set ``min_thresh`` and ``max_thresh`` to 0.25 and 1.25
 times the bandwidth-delay product and the physical queue to 2.5 times the
-BDP; :func:`red_for_bdp` builds exactly that.
+BDP; :func:`red_for_bdp` builds exactly that, and :func:`queue_depth` is the
+one depth every bottleneck queue of a scenario gets.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from repro.contracts import (
     Probability,
     checked,
 )
-from repro.units import Packets
+from repro.units import BitsPerSecond, Bytes, Packets, Seconds
 
-__all__ = ["REDQueue", "red_for_bdp"]
+__all__ = ["REDQueue", "bdp_packets", "queue_depth", "red_for_bdp"]
 
 
 class REDQueue(QueueDiscipline):
@@ -172,6 +173,17 @@ class REDQueue(QueueDiscipline):
         return packet
 
 
+def bdp_packets(bandwidth_bps: BitsPerSecond, rtt_s: Seconds, packet_size: Bytes) -> Packets:
+    """Bandwidth-delay product, in packets of ``packet_size`` bytes."""
+    return bandwidth_bps * rtt_s / (8.0 * packet_size)
+
+
+def queue_depth(bandwidth_bps: BitsPerSecond, rtt_s: Seconds, packet_size: Bytes) -> int:
+    """The paper's bottleneck buffer, RED's and drop-tail's alike: 2.5 x BDP
+    rounded to a whole packet, and never under 4."""
+    return max(4, int(round(2.5 * bdp_packets(bandwidth_bps, rtt_s, packet_size))))
+
+
 @checked
 def red_for_bdp(
     bandwidth_bps: PositiveRate,
@@ -186,8 +198,8 @@ def red_for_bdp(
     1.25 x BDP (Section 3 of the paper), with thresholds floored so tiny
     scaled-down scenarios stay valid.
     """
-    bdp_pkts = bandwidth_bps * rtt_s / (8.0 * packet_size)
-    capacity = max(4, int(round(2.5 * bdp_pkts)))
+    bdp_pkts = bdp_packets(bandwidth_bps, rtt_s, packet_size)
+    capacity = queue_depth(bandwidth_bps, rtt_s, packet_size)
     min_thresh = max(1.0, 0.25 * bdp_pkts)
     max_thresh = max(min_thresh + 1.0, 1.25 * bdp_pkts)
     return REDQueue(

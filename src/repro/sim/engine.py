@@ -169,11 +169,6 @@ class Timer:
         """Whether the timer is armed."""
         return self._armed
 
-    @property
-    def expiry(self) -> Optional[float]:
-        """Absolute time the timer will fire, or None if not armed."""
-        return self._deadline if self._armed else None
-
     def schedule(self, delay: NonNegSeconds) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
         sim = self._sim

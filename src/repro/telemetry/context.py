@@ -6,7 +6,7 @@ one run and components look it up at build time:
 
     with capture() as recorder:
         result = run_scenario(cfg)
-    recorder.export(path)
+    text = recorder.export_text()
 
 ``active_recorder()`` returns ``None`` outside any ``capture`` block, in
 which case components simply keep their probes private (measurement

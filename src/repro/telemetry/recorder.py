@@ -20,8 +20,7 @@ samples are read with ``repro trace FIG --job N --channel NAME``.  See
 from __future__ import annotations
 
 import json
-import pathlib
-from typing import Any, Iterator, Union
+from typing import Any, Iterator
 
 from repro.telemetry.probes import Probe, pack_column
 
@@ -88,11 +87,3 @@ class Recorder:
         about twice the text at its peak, the pieces and the result.
         """
         return "".join(self._parts())
-
-    def export(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the JSONL trace to ``path``: :meth:`export_text`'s bytes,
-        written piece by piece, so the whole text is never held."""
-        target = pathlib.Path(path)
-        with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(self._parts())
-        return target

@@ -110,22 +110,3 @@ class TimeSeries:
         if idx < 0:
             return None
         return self._values[idx]
-
-    def resample(self, period: Seconds, start: Seconds, end: Seconds) -> "TimeSeries":
-        """Step-function resampling at a fixed period (sample-and-hold).
-
-        Sample times are computed as ``start + i * period`` by integer
-        index rather than by accumulating ``t += period``, so rounding
-        error cannot drift the grid over long runs.
-        """
-        out = TimeSeries(self.name)
-        i = 0
-        while True:
-            t = start + i * period
-            if t >= end:
-                break
-            value = self.last_before(t)
-            if value is not None:
-                out.append(t, value)
-            i += 1
-        return out

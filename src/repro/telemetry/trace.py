@@ -19,9 +19,8 @@ treats it as absent, see ``ResultCache.has_trace``).
 from __future__ import annotations
 
 import json
-import pathlib
 import re
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Iterator
 
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
 from repro.telemetry.probes import (
@@ -72,13 +71,6 @@ def _text_lines(text: str) -> Iterator[str]:
         end = text.find("\n", start) + 1 or size
         yield from _lines_of(text, start, end)
         start = end
-
-
-def _file_lines(handle: Iterable[str]) -> Iterator[str]:
-    r"""What :func:`_text_lines` yields for the text ``handle`` holds, read
-    from a file opened with ``newline="\n"`` (each piece ends at one)."""
-    for piece in handle:
-        yield from _lines_of(piece, 0, len(piece))
 
 
 def parse_header(line: str) -> dict[str, Any]:
@@ -147,14 +139,6 @@ class TraceReader:
         text at once, and each decoded column is kept as it is.
         """
         return cls._read(_text_lines(text))
-
-    @classmethod
-    def from_file(cls, path: Union[str, pathlib.Path]) -> "TraceReader":
-        """Parse the trace at ``path``, a line at a time off the open file."""
-        # newline="\n": lines end at "\n" only and are not translated, as
-        # _text_lines() sees them in a string.
-        with open(path, encoding="utf-8", newline="\n") as handle:
-            return cls._read(_file_lines(handle))
 
     @classmethod
     def _read(cls, lines: Iterator[str]) -> "TraceReader":

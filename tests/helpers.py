@@ -1,6 +1,6 @@
 """Shared test fixtures: a two-node loopback path with optional dropper,
-where a job's shard files sit in a result cache, and what a call leaves
-allocated."""
+a dropper that kills the path, a flow's recorded series, where a job's
+shard files sit in a result cache, and what a call leaves allocated."""
 
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ from typing import Any, Callable, Optional, Union
 from repro.cc.base import Receiver, Sender
 from repro.experiments.cache import default_salt
 from repro.experiments.jobs import Job
-from repro.net import DropTailQueue, Dropper, Link, Node
+from repro.net import DropTailQueue, Dropper, Link, Node, Packet
 from repro.sim import Simulator
+from repro.telemetry import Recorder, active_recorder
 
 
 def loopback(
@@ -32,6 +33,8 @@ def loopback(
     The forward path has ``bandwidth_bps`` and half the RTT of propagation;
     the return path is identical.  A dropper, when given, sits after the
     forward link, imposing its loss pattern regardless of queue state.
+    Inside ``capture()`` the sender's channels land in the recorder as
+    ``flow.<flow_id>.<key>``, as ``establish`` puts them there.
     """
     node_a = Node(sim, address=1, name="src")
     node_b = Node(sim, address=2, name="dst")
@@ -47,6 +50,32 @@ def loopback(
     node_b.add_route(1, backward)
     sender.attach(node_a, 2, flow_id)
     receiver.attach(node_b, 1, flow_id)
+    recorder = active_recorder()
+    if recorder is not None:
+        for key, probe in sender.probes.items():
+            recorder.adopt(f"flow.{flow_id}.{key}", probe)
+
+
+def series(recorder: Recorder, key: str, flow_id: int = 0) -> list[tuple[float, float]]:
+    """(time, value) samples of the flow's recorded ``cwnd`` or ``rate``."""
+    return list(recorder.channels[f"flow.{flow_id}.{key}"])
+
+
+class CutoffDropper(Dropper):
+    """Pass the first ``after_packets`` data packets, then drop everything.
+
+    Models a path that goes dead (route failure, total overload), to test
+    timeout and self-clocking behaviour when ACKs stop entirely.
+    """
+
+    def __init__(self, after_packets: int):
+        super().__init__()
+        self.after_packets = after_packets
+        self._seen = 0
+
+    def should_drop(self, packet: Packet) -> bool:
+        self._seen += 1
+        return self._seen > self.after_packets
 
 
 def shard_file(root: Union[str, os.PathLike], jb: Job, suffix: str) -> pathlib.Path:

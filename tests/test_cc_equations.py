@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.cc import (
     aimd_response_rate,
     aimd_with_timeouts_rate,
-    invert_simple_response,
     padhye_rate_per_rtt,
     padhye_rate_pps,
     simple_response_rate,
@@ -32,7 +31,8 @@ class TestSimpleResponse:
 
     @given(st.floats(1e-6, 1.0))
     def test_inversion_roundtrip(self, p):
-        assert invert_simple_response(simple_response_rate(p)) == pytest.approx(p)
+        # The model is rate = sqrt(1.5 / p): it inverts to p = 1.5 / rate^2.
+        assert 1.5 / simple_response_rate(p) ** 2 == pytest.approx(p)
 
 
 class TestAimdResponse:

@@ -4,11 +4,11 @@ import pytest
 
 from repro.cc import new_rap_flow
 from repro.cc.rap import RapSender
-from repro.net import CutoffDropper, PeriodicDropper
+from repro.net import PeriodicDropper
 from repro.sim import Simulator
 from repro.telemetry import capture
 
-from tests.helpers import loopback
+from tests.helpers import CutoffDropper, loopback, series
 
 
 class TestRateAdaptation:
@@ -36,12 +36,13 @@ class TestRateAdaptation:
         for b in (0.5, 1 / 64):
             sim = Simulator()
             sender, sink = new_rap_flow(sim, b=b)
-            with capture():  # the rate series is written only for a recorder
+            with capture() as recorder:  # the rate series is written only for a recorder
                 loopback(sim, sender, sink, dropper=PeriodicDropper(60))
             sender.start()
             sim.run(until=30.0)
-            assert len(sender.rate_trace) > 100  # a sample per RTT and per loss event
-            rates = [r for _, r in sender.rate_trace[len(sender.rate_trace) // 2 :]]
+            samples = series(recorder, "rate")
+            assert len(samples) > 100  # a sample per RTT and per loss event
+            rates = [r for _, r in samples[len(samples) // 2 :]]
             trace[b] = min(rates) / max(rates)
         # RAP(1/64) has a much narrower rate band than RAP(1/2).
         assert trace[1 / 64] > trace[0.5]

@@ -4,11 +4,11 @@ import pytest
 
 from repro.cc import establish, new_tcp_flow, sqrt_rule, tcp_rule
 from repro.cc.tcp import TcpSender, TcpSink
-from repro.net import CountBasedDropper, CutoffDropper, Dumbbell, PeriodicDropper
+from repro.net import CountBasedDropper, Dumbbell, PeriodicDropper
 from repro.sim import Simulator
 from repro.telemetry import capture
 
-from tests.helpers import loopback
+from tests.helpers import CutoffDropper, loopback, series
 
 
 class TestSlowStart:
@@ -82,11 +82,11 @@ class TestLossRecovery:
         for b in (0.5, 0.125):
             sim = Simulator()
             sender, sink = new_tcp_flow(sim, rule=tcp_rule(b))
-            with capture():  # cwnd is written only for a recorder
+            with capture() as recorder:  # cwnd is written only for a recorder
                 loopback(sim, sender, sink, dropper=PeriodicDropper(100))
             sender.start()
             sim.run(until=30.0)
-            trace = sender.cwnd_trace
+            trace = series(recorder, "cwnd")
             assert len(trace) > 1000  # about one sample per ACK
             values = [w for _, w in trace[len(trace) // 2 :]]
             results[b] = (min(values), max(values))

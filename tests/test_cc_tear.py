@@ -8,7 +8,7 @@ from repro.net import PeriodicDropper
 from repro.sim import Simulator
 from repro.telemetry import capture
 
-from tests.helpers import loopback
+from tests.helpers import loopback, series
 
 
 class TestWindowEmulation:
@@ -43,11 +43,11 @@ class TestWindowEmulation:
         for epochs in (1, 16):
             sim = Simulator()
             sender, receiver = new_tear_flow(sim, epochs=epochs)
-            with capture():  # the rate series is written only for a recorder
+            with capture() as recorder:  # the rate series is written only for a recorder
                 loopback(sim, sender, receiver, dropper=PeriodicDropper(50))
             sender.start()
             sim.run(until=60.0)
-            tail = [r for t, r in sender.rate_trace if t > 30.0]
+            tail = [r for t, r in series(recorder, "rate") if t > 30.0]
             assert len(tail) > 100  # a sample per feedback packet
             band[epochs] = min(tail) / max(tail)
         assert band[16] > band[1]

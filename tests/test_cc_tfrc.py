@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from repro.cc import interval_weights, new_tfrc_flow
 from repro.cc.base import INITIAL_RTT
 from repro.cc.tfrc import LossHistory, TfrcSender
-from repro.net import CutoffDropper, PeriodicDropper
+from repro.net import PeriodicDropper
 from repro.sim import Simulator
 from repro.telemetry import capture
 
-from tests.helpers import loopback
+from tests.helpers import CutoffDropper, loopback, series
 
 
 class TestIntervalWeights:
@@ -178,11 +178,11 @@ class TestTfrcFlow:
         """TFRC under periodic loss holds a nearly constant rate."""
         sim = Simulator()
         sender, receiver = new_tfrc_flow(sim, n_intervals=8)
-        with capture():  # the rate series is written only for a recorder
+        with capture() as recorder:  # the rate series is written only for a recorder
             loopback(sim, sender, receiver, dropper=PeriodicDropper(100))
         sender.start()
         sim.run(until=80.0)
-        tail = [r for t, r in sender.rate_trace if t > 40.0]
+        tail = [r for t, r in series(recorder, "rate") if t > 40.0]
         assert len(tail) > 100  # a sample per feedback report
         assert max(tail) / min(tail) < 2.0
 
@@ -213,11 +213,11 @@ class TestOscillationPrevention:
             sender, receiver = new_tfrc_flow(
                 sim, n_intervals=6, oscillation_prevention=osc
             )
-            with capture():  # the rate series is written only for a recorder
-                establish(net, sender, receiver)
+            with capture() as recorder:  # the rate series is written only for a recorder
+                flow_id = establish(net, sender, receiver)
             sender.start()
             sim.run(until=40.0)
-            tail = [r for t, r in sender.rate_trace if t > 15.0]
+            tail = [r for t, r in series(recorder, "rate", flow_id) if t > 15.0]
             assert len(tail) > 100  # a sample per feedback report
             mean = sum(tail) / len(tail)
             var = sum((r - mean) ** 2 for r in tail) / len(tail)

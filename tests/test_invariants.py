@@ -36,7 +36,7 @@ from repro.sim import Simulator
 from repro.telemetry import CounterProbe, SeriesProbe, capture
 from repro.traffic import CbrSink, CbrSource
 
-from tests.helpers import loopback
+from tests.helpers import CutoffDropper, loopback, series
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -104,42 +104,44 @@ class TestSenderStateInvariants:
     def run_flow(self, maker, dropper_period, until=30.0):
         sim = Simulator()
         sender, receiver = maker(sim)
-        with capture():  # the cwnd / rate series are written only for a recorder
+        with capture() as recorder:  # the cwnd / rate series are written only for a recorder
             loopback(sim, sender, receiver, dropper=PeriodicDropper(dropper_period))
         sender.start()
         sim.run(until=until)
-        return sender
+        return sender, recorder
 
     @pytest.mark.parametrize("period", [5, 29, 211])
     def test_tcp_window_bounds(self, period):
-        sender = self.run_flow(lambda s: new_tcp_flow(s, tcp_rule(0.5)), period)
+        sender, recorder = self.run_flow(lambda s: new_tcp_flow(s, tcp_rule(0.5)), period)
         assert sender.cwnd >= 1.0
-        assert len(sender.cwnd_trace) > 200  # about one sample per ACK
-        for _, w in sender.cwnd_trace:
+        samples = series(recorder, "cwnd")
+        assert len(samples) > 200  # about one sample per ACK
+        for _, w in samples:
             assert w >= 1.0
 
     @pytest.mark.parametrize("period", [5, 29, 211])
     def test_sqrt_window_bounds(self, period):
-        sender = self.run_flow(lambda s: new_tcp_flow(s, sqrt_rule(0.5)), period)
+        sender, _ = self.run_flow(lambda s: new_tcp_flow(s, sqrt_rule(0.5)), period)
         assert sender.cwnd >= 1.0
 
     @pytest.mark.parametrize("period", [7, 53])
     def test_rap_rate_bounds(self, period):
-        sender = self.run_flow(lambda s: new_rap_flow(s, b=0.5), period)
+        sender, recorder = self.run_flow(lambda s: new_rap_flow(s, b=0.5), period)
         assert sender.w >= 1.0
         assert sender.srtt > 0
-        assert len(sender.rate_trace) > 100  # a sample per RTT and per loss event
-        for _, rate in sender.rate_trace:
+        samples = series(recorder, "rate")
+        assert len(samples) > 100  # a sample per RTT and per loss event
+        for _, rate in samples:
             assert rate > 0
 
     @pytest.mark.parametrize("period", [7, 53])
     def test_tfrc_rate_bounds(self, period):
-        sender = self.run_flow(lambda s: new_tfrc_flow(s, n_intervals=6), period)
+        sender, _ = self.run_flow(lambda s: new_tfrc_flow(s, n_intervals=6), period)
         assert sender.rate_bps >= sender._min_rate_bps()
         assert 0.0 <= sender.p <= 1.0
 
     def test_tcp_sequence_monotone(self):
-        sender = self.run_flow(lambda s: new_tcp_flow(s), 19)
+        sender, _ = self.run_flow(lambda s: new_tcp_flow(s), 19)
         assert 0 <= sender.snd_una <= sender.snd_nxt
 
 
@@ -148,7 +150,6 @@ class TestConservativeRap:
         """After ACKs stop, the conservative variant shuts down fast while
         plain RAP keeps transmitting."""
         from repro.cc.rap import RapSender, RapSink
-        from repro.net import CutoffDropper
 
         sent = {}
         for conservative in (False, True):
@@ -194,7 +195,7 @@ def pacing_ratio(name):
     maker, per_packet = PACED[name]
     sim = Simulator()
     sender, receiver = maker(sim)
-    with capture():  # the rate series is written only for a recorder
+    with capture() as recorder:  # the rate series is written only for a recorder
         loopback(sim, sender, receiver, bandwidth_bps=1e8, dropper=PeriodicDropper(50))
     start, end = PACING_WINDOW
     sent = {}
@@ -209,7 +210,7 @@ def pacing_ratio(name):
     if isinstance(sender, CbrSource):
         samples = [(0.0, sender.rate_bps)]
     else:
-        samples = sender.rate_trace
+        samples = series(recorder, "rate")
     return (sent[end] - sent[start]) * per_packet / step_integral(samples, start, end)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import Dumbbell, Packet
 from repro.net.packet import ACK, DATA
+from repro.net.red import bdp_packets
 from repro.sim import Simulator
 
 
@@ -111,7 +112,24 @@ class TestTopology:
 
     def test_bdp_packets(self):
         _, net = build(bandwidth=10e6, rtt=0.05)
-        assert net.bdp_packets == pytest.approx(62.5)
+        assert bdp_packets(net.bandwidth_bps, net.rtt_s, net.packet_size) == pytest.approx(62.5)
+        assert net.bottleneck.queue.capacity_pkts == 156  # 2.5 x BDP
+
+    @pytest.mark.parametrize(
+        "bandwidth, rtt",
+        # fast and paper's settings (2.5 x BDP = 78.125, 156.25), a depth that
+        # rounds up (25.625), and a BDP below the 4-packet floor.
+        [(5e6, 0.05), (10e6, 0.05), (1.64e6, 0.05), (1e5, 0.05)],
+    )
+    def test_droptail_and_red_bottlenecks_are_equally_deep(self, bandwidth, rtt):
+        from repro.experiments.scenarios import build_net
+
+        depths = {
+            aqm: build_net(bandwidth, rtt, seed=1, reverse_flows=0, aqm=aqm)[1]
+            .bottleneck.queue.capacity_pkts
+            for aqm in ("red", "red+ecn", "droptail")
+        }
+        assert len(set(depths.values())) == 1, depths
 
     def test_many_pairs_have_distinct_addresses(self):
         _, net = build()

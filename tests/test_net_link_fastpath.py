@@ -131,7 +131,6 @@ def _run(link_cls, program, queue_spec, delay_s, chained, record_at, probes, sam
             (
                 sim.now,
                 link.packets_sent,
-                link.bytes_sent,
                 None if in_service is None else in_service.seq,
                 len(link.queue),
             )
@@ -160,7 +159,7 @@ def _run(link_cls, program, queue_spec, delay_s, chained, record_at, probes, sam
         "dropped": dropped,
         "departed": list(departures),
         "sampled": sampled,
-        "final": (link.packets_sent, link.bytes_sent, link.in_service is None, len(queue)),
+        "final": (link.packets_sent, link.in_service is None, len(queue)),
         "end": sim.now,
         "events": sim.events_fired,
     }
@@ -295,11 +294,11 @@ class TestTimeBasedCounters:
         first = Packet(0, DATA, 0, 1000, 0, 1)
         link.send(first)
         assert len(sim._heap) == 1  # the delivery; nothing at the end of serialization
-        assert (link.packets_sent, link.bytes_sent, link.in_service) == (0, 0, first)
+        assert (link.packets_sent, link.in_service) == (0, first)
         sim.run(until=0.5)
-        assert (link.packets_sent, link.bytes_sent, link.in_service) == (0, 0, first)
+        assert (link.packets_sent, link.in_service) == (0, first)
         sim.run(until=1.0)
-        assert (link.packets_sent, link.bytes_sent, link.in_service) == (1, 1000, None)
+        assert (link.packets_sent, link.in_service) == (1, None)
 
     def test_recording_mid_serialization_writes_it_now(self):
         sim, link = self._link()
@@ -312,7 +311,7 @@ class TestTimeBasedCounters:
         link.send(Packet(0, DATA, 1, 1000, 0, 1))
         sim.run()
         assert list(departures) == [(1.0, 1000.0), (2.0, 2000.0)]
-        assert (link.packets_sent, link.bytes_sent) == (2, 2000)
+        assert link.packets_sent == 2
 
     def test_recording_beside_a_wake_up_writes_once(self):
         sim, link = self._link()
@@ -336,7 +335,7 @@ class TestTimeBasedCounters:
         link.send(Packet(0, DATA, 1, 500, 0, 1))
         sim.run(until=1.25)
         assert list(departures) == [(1.0, 1000.0), (1.5, 1500.0)]
-        assert (link.packets_sent, link.bytes_sent) == (1, 1000)  # the counters keep time
+        assert link.packets_sent == 1  # the counter keeps time
 
     def test_monitor_attached_mid_serialization_counts_departures_from_then_on(self):
         from repro.net.monitor import LinkMonitor

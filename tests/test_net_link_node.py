@@ -5,6 +5,7 @@ import pytest
 from repro.net import DropTailQueue, Link, LinkMonitor, Node, Packet
 from repro.net.packet import DATA
 from repro.sim import Simulator
+from repro.telemetry import SeriesProbe
 
 
 def make_packet(seq=0, size=1000, flow=0, src=0, dst=1, kind=DATA):
@@ -53,10 +54,12 @@ class TestLink:
         sim = Simulator()
         link = Link(sim, 1e6, 0.0)
         link.connect(lambda p: None)
+        departures = SeriesProbe()
+        link.record_departures(departures)
         link.send(make_packet(size=500))
         link.send(make_packet(size=700))
         sim.run()
-        assert link.bytes_sent == 1200
+        assert list(departures.values) == [500.0, 1200.0]
         assert link.packets_sent == 2
 
     def test_parameter_validation(self):

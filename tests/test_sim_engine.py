@@ -209,13 +209,6 @@ class TestTimer:
         sim.run()
         assert fired == []
 
-    def test_expiry_reports_absolute_time(self):
-        sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        assert timer.expiry is None
-        timer.schedule(3.0)
-        assert timer.expiry == 3.0
-
     def test_timer_restartable_from_callback(self):
         sim = Simulator()
         fired = []
@@ -245,11 +238,11 @@ class TestTimer:
         timer.schedule(7.0)
         assert calls == []
         assert len(sim._heap) == 1
-        assert timer.pending and timer.expiry == 7.0
+        assert timer.pending
         sim.run()
         assert fired == [7.0]
         assert calls == [7.0]  # the stale entry re-armed, once
-        assert not timer.pending and timer.expiry is None
+        assert not timer.pending
 
     def test_earlier_rearm_fires_at_the_earlier_time(self):
         sim = Simulator()
@@ -257,7 +250,6 @@ class TestTimer:
         timer = Timer(sim, lambda: fired.append(sim.now))
         timer.schedule(5.0)
         timer.schedule(2.0)
-        assert timer.expiry == 2.0
         assert len(sim._heap) == 2  # the 5.0 entry is retired, not removed
         sim.run()
         assert fired == [2.0]
@@ -286,7 +278,7 @@ class TestTimer:
             timer.schedule(2.0)
             timer.schedule(5.0)
             timer.cancel()
-            assert not timer.pending and timer.expiry is None
+            assert not timer.pending
             sim.run(until=10.0)
             return fired
 
@@ -319,11 +311,11 @@ class TestTimer:
     def test_pending_is_false_inside_the_callback(self):
         sim = Simulator()
         seen = []
-        timer = Timer(sim, lambda: seen.append((timer.pending, timer.expiry)))
+        timer = Timer(sim, lambda: seen.append((sim.now, timer.pending)))
         timer.schedule(1.0)
         timer.schedule(3.0)
         sim.run()
-        assert seen == [(False, None)]
+        assert seen == [(3.0, False)]
 
     @pytest.mark.parametrize("armed", [False, True])
     @pytest.mark.parametrize("delay", [-1.0, float("nan")])
@@ -336,7 +328,7 @@ class TestTimer:
         with pytest.raises(SimulationError):
             timer.schedule(delay)
         # Rejected before anything is retired: the timer is as it was.
-        assert (timer.pending, timer.expiry) == ((True, 5.0) if armed else (False, None))
+        assert timer.pending == armed
         sim.run()
         assert fired == ([5.0] if armed else [])
 

@@ -98,13 +98,6 @@ class TestTimeSeries:
         assert ts.last_before(1.5) == 10.0
         assert ts.last_before(10.0) == 20.0
 
-    def test_resample_sample_and_hold(self):
-        ts = TimeSeries()
-        ts.append(0.0, 1.0)
-        ts.append(1.0, 5.0)
-        out = ts.resample(0.5, 0.0, 2.0)
-        assert list(out) == [(0.0, 1.0), (0.5, 1.0), (1.0, 5.0), (1.5, 5.0)]
-
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=50))
     def test_window_never_widens(self, raw_times):
         times = sorted(raw_times)

@@ -1,9 +1,9 @@
-"""Four source rules that no run can check, read off the product's AST.
+"""Five source rules that no run can check, read off the product's AST.
 
 Every other invariant of the figure pipeline is a property a test runs:
 purity (``test_job_purity.py``), ranges (``@checked``), units
 (``TestPacing``), the payloads (``test_one_road.py``) and the 28 tables.
-These four defects do not show up in a run on one machine with one hash
+These five defects do not show up in a run on one machine with one hash
 seed, so they are read from the source instead:
 
 * **ambient randomness** in ``repro/{sim,net,cc,traffic}``: a
@@ -28,6 +28,15 @@ seed, so they are read from the source instead:
   alternative that no measurement reads is a second code path to keep
   right.  ``OPTION_ALLOWLIST`` names each exception and the reader it waits
   for.  ``python -m tests.test_source_rules options`` prints the census.
+* **a public name nothing reads**: a public top-level function or class, or
+  a public method or property of one, in the same packages that no module
+  in ``src/repro``, ``examples``, ``bench`` or ``benchmarks`` spells as a
+  name, an attribute or a string.  An import, an ``__all__`` entry (a
+  package re-export) and the definition's own body do not count, and
+  neither do tests: an accessor only a test reads is a second way to look
+  at state the product reads one way.  ``READER_ALLOWLIST`` names each
+  exception and the ROADMAP item bringing its reader;
+  ``python -m tests.test_source_rules readers`` prints the census.
 * **the collector touched outside the job layer**: an ``import gc`` or a
   ``gc.*`` call anywhere in ``src/repro`` but ``experiments/jobs.py``
   (one collection when a simulated job returns) and
@@ -531,11 +540,161 @@ def test_forwarding_reaches_the_sender():
     assert "new_tcp_flow.rule" not in unreached
 
 
+# Public names -----------------------------------------------------------------
+
+#: Public names nothing outside the tests reads, kept because a named reader
+#: is on its way (at most eight).
+READER_ALLOWLIST = {
+    "f_of_k_aimd_approx": "ROADMAP items 15 and 16: Fig 13's model column and the fluid oracle",
+    "aimd_responsiveness_rtts": "ROADMAP items 15 and 16: ext_responsiveness's model column",
+    "tfrc_responsiveness_rtts": "ROADMAP items 15 and 16: ext_responsiveness's model column",
+    "aimd_aggressiveness_pps": "ROADMAP items 15 and 16: ext_aggressiveness's model column",
+    "iterate_expected_windows": "ROADMAP item 16's oracle: the two-flow transient's contraction",
+    "aimd_response_rate": "ROADMAP item 16's oracle: the fluid share without oscillation",
+    "replicate": "ROADMAP item 4: seeds as a job axis, reduced to mean ± half-width",
+    "Summary.overlaps": "ROADMAP item 4: an ordering claim read off two intervals",
+}
+
+
+def public_names(tree: ast.Module):
+    """(name, what a reader spells, def) of each public top-level function
+    and class, and each public method and property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def spellings(tree: ast.Module) -> dict[str, list[int]]:
+    """Name, attribute and string constant -> the lines that read it.
+
+    An import is not a read, and neither is an ``__all__`` entry: a
+    package re-exporting a name reads nothing.
+    """
+    exported = {
+        id(node)
+        for statement in tree.body
+        if isinstance(statement, ast.Assign)
+        and any(getattr(target, "id", "") == "__all__" for target in statement.targets)
+        for node in ast.walk(statement.value)
+    }
+    found: dict[str, list[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            spelled = node.id
+        elif isinstance(node, ast.Attribute):
+            spelled = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            spelled = node.value
+        else:
+            continue
+        if id(node) not in exported:
+            found.setdefault(spelled, []).append(node.lineno)
+    return found
+
+
+def reader_census(overrides: dict[str, str] = {}) -> tuple[list[str], list[str]]:
+    """(every public simulator name, the names no non-test module reads).
+
+    ``overrides`` maps a module under ``src/repro`` to replacement text.  A
+    read inside the name's own definition (a recursion, a class naming
+    itself) does not count.
+    """
+    sources = callers()
+    sources.update({f"src/repro/{path}": text for path, text in overrides.items()})
+    reads = {path: spellings(ast.parse(text)) for path, text in sources.items()}
+    declared, unread = [], []
+    for path in modules(OPTION_PACKAGES):
+        home = f"src/repro/{path}"
+        for name, spelled, node in public_names(ast.parse(sources[home])):
+            declared.append(name)
+            if not any(
+                not (where == home and node.lineno <= line <= node.end_lineno)
+                for where, found in reads.items()
+                for line in found.get(spelled, ())
+            ):
+                unread.append(name)
+    return declared, unread
+
+
+def test_every_public_simulator_name_has_a_reader():
+    _, unread = reader_census()
+    unexplained = [name for name in unread if name not in READER_ALLOWLIST]
+    assert not unexplained, (
+        f"{unexplained}: nothing outside the tests reads these; delete each with its "
+        "tests, or name its reader in READER_ALLOWLIST"
+    )
+
+
+def test_the_reader_allowlist_is_short_and_live():
+    declared, unread = reader_census()
+    assert len(READER_ALLOWLIST) <= 8
+    assert set(READER_ALLOWLIST) <= set(declared)
+    assert set(READER_ALLOWLIST) <= set(unread), "a reader appeared: drop the entry"
+
+
+@pytest.mark.parametrize(
+    "edits, flagged",
+    [
+        # The sizing slip: an accessor added so that a test can look inside.
+        (
+            [
+                (
+                    "cc/tcp.py",
+                    "    def _sample_rtt(",
+                    "    def peek_window(self) -> float:\n"
+                    "        return self.cwnd\n\n"
+                    "    def _sample_rtt(",
+                ),
+            ],
+            "TcpSender.peek_window",
+        ),
+        (
+            [
+                (
+                    "cc/tcp.py",
+                    "\nclass TcpSender(",
+                    "\ndef window_of(sender) -> float:\n"
+                    "    return sender.cwnd\n\n\nclass TcpSender(",
+                ),
+                (
+                    "cc/__init__.py",
+                    "from repro.cc.tcp import TcpSender, TcpSink, new_tcp_flow\n",
+                    "from repro.cc.tcp import TcpSender, TcpSink, new_tcp_flow, window_of\n",
+                ),
+                ("cc/__init__.py", "__all__ = [\n", '__all__ = [\n    "window_of",\n'),
+            ],
+            "window_of",
+        ),
+    ],
+    ids=["TcpSender method", "an __init__ re-export"],
+)
+def test_a_name_nothing_reads_is_flagged(edits, flagged):
+    texts: dict[str, str] = {}
+    for path, old, new in edits:
+        text = texts.get(path) or read(path)
+        assert text.count(old) == 1, f"{path} no longer holds {old!r}: re-point the case"
+        texts[path] = text.replace(old, new)
+    _, unread = reader_census(texts)
+    assert flagged in unread
+
+
+CENSUSES = {"options": option_census, "readers": reader_census}
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["options"]:
-        raise SystemExit("usage: python -m tests.test_source_rules options")
-    declared, unreached = option_census()
-    print(f"simulator options: {len(declared)}")
-    print(f"reached by no caller: {len(unreached)}")
-    for name in unreached:
-        print(f"  {name}: {OPTION_ALLOWLIST.get(name, 'NOT ALLOWLISTED')}")
+    if len(sys.argv) != 2 or sys.argv[1] not in CENSUSES:
+        raise SystemExit(f"usage: python -m tests.test_source_rules {{{'|'.join(CENSUSES)}}}")
+    if sys.argv[1] == "options":
+        declared, unreached = option_census()
+        print(f"simulator options: {len(declared)}")
+        print(f"reached by no caller: {len(unreached)}")
+        for name in unreached:
+            print(f"  {name}: {OPTION_ALLOWLIST.get(name, 'NOT ALLOWLISTED')}")
+    else:
+        declared, unread = reader_census()
+        print(f"public simulator names: {len(declared)}")
+        print(f"read by no caller: {len(unread)}")
+        for name in unread:
+            print(f"  {name}: {READER_ALLOWLIST.get(name, 'NOT ALLOWLISTED')}")

@@ -214,6 +214,41 @@ STAY_DELETED = [
         "the content hash memo in an instance dict; a job keeps its hash in "
         "the _hash slot",
     ),
+    (
+        r"\.expiry\b|def expiry|\bbytes_sent\b|\.bdp_packets\b",
+        ("src", "tests", "examples", "benchmarks", "docs/simulator.md", "README.md"),
+        # The frozen oracles keep the old kernel and link.
+        ("tests/reference_kernel.py", "tests/reference_link.py"),
+        "Timer.expiry, Link.bytes_sent and Dumbbell.bdp_packets, read only by "
+        "tests; the one BDP formula is net.red.bdp_packets",
+    ),
+    (
+        r"\b(cwnd|rate)_trace\b|\._samples\(",
+        ("src", "tests", "examples", "benchmarks", "docs/telemetry.md", "README.md"),
+        (),
+        "the senders' cwnd_trace / rate_trace accessors; a series is read "
+        "off the recorder's flow.<id>.cwnd / rate channel",
+    ),
+    (
+        r"\.export\(|\bfrom_file\b|_file_lines",
+        ("src", "tests", "examples", "benchmarks", "docs/telemetry.md", "README.md"),
+        (),
+        "the file twins of the trace I/O; a trace reaches the disk through "
+        "export_text and ResultCache, and comes back through loads",
+    ),
+    (
+        r"invert_simple_response|\bnormalized_shares\b|\bresample\b|\bmax_ratio\b",
+        ("src", "tests", "examples", "benchmarks", "docs/telemetry.md", "README.md", "DESIGN.md"),
+        (),
+        "closed forms and metrics read only by tests: the square-root "
+        "model's inverse, normalized_shares, TimeSeries.resample, max_ratio",
+    ),
+    (
+        r"CutoffDropper",
+        ("src", "examples", "benchmarks", "README.md"),
+        (),
+        "CutoffDropper, a test fixture: it lives in tests/helpers.py",
+    ),
 ]
 
 

@@ -416,12 +416,10 @@ class TestPayForUse:
         with pytest.raises(RuntimeError, match="not attached"):
             LinkMonitor(Simulator()).record_departures()
 
-    def test_reading_an_unrecorded_sender_series_raises(self):
+    def test_an_unrecorded_sender_writes_no_series(self):
         _, senders = _census_run()
-        with pytest.raises(RuntimeError, match=r"cwnd was not recorded.*capture\(\)"):
-            senders[0].cwnd_trace
-        with pytest.raises(RuntimeError, match=r"rate was not recorded.*capture\(\)"):
-            senders[1].rate_trace
+        assert len(senders[0].probes["cwnd"]) == 0
+        assert len(senders[1].probes["rate"]) == 0
         assert senders[0].timeouts == 6  # the counter is always on
 
 
@@ -496,9 +494,13 @@ class TestTraceRoundTrip:
         assert reader.meta == rec.meta
 
     def test_export_file_round_trip(self, tmp_path):
-        rec = self._recorder()
-        path = rec.export(tmp_path / "trace.jsonl")
-        reader = TraceReader.from_file(path)
+        # On disk a trace is the result cache's: stored beside the job's record.
+        from repro.experiments.cache import ResultCache
+        from repro.experiments.jobs import job
+
+        cache, jb = ResultCache(tmp_path), job("trace", "timeout_models")
+        cache.store_trace(jb, self._recorder().export_text())
+        reader = TraceReader.loads(cache.load_trace(jb))
         assert reader.counter("link.b.drops").count == 3
 
     def test_export_is_deterministic(self):
@@ -903,28 +905,25 @@ class TestExportBytes:
         assert {json.loads(line)["channel"] for line in lines[1:]} == set(rec.channels)
 
     def test_export_writes_the_bytes_of_export_text(self, tmp_path):
-        rec = _awkward_recorder()
-        path = rec.export(tmp_path / "trace.jsonl")
-        assert path.read_bytes() == rec.export_text().encode("utf-8")
+        from repro.experiments.cache import ResultCache
+        from repro.experiments.jobs import job
 
-    def test_from_file_reads_what_loads_reads(self, tmp_path):
         rec = _awkward_recorder()
-        text = rec.export_text()
-        (tmp_path / "trace.jsonl").write_bytes(text.encode("utf-8"))
-        from_file = TraceReader.from_file(tmp_path / "trace.jsonl")
-        loaded = TraceReader.loads(text)
-        assert from_file.meta == loaded.meta == rec.meta
-        assert list(from_file.channels) == list(loaded.channels) == list(rec.channels)
+        cache, jb = ResultCache(tmp_path), job("trace", "timeout_models")
+        cache.store_trace(jb, rec.export_text())
+        assert cache.trace_path(jb).read_bytes() == rec.export_text().encode("utf-8")
+        loaded = TraceReader.loads(cache.load_trace(jb))
+        assert loaded.meta == rec.meta
+        assert list(loaded.channels) == list(rec.channels)
         for name, probe in rec.channels.items():
-            for reader in (from_file, loaded):
-                clone = reader.channel(name)
-                assert type(clone) is type(probe)
-                assert clone.snapshot() == probe.snapshot()
+            clone = loaded.channel(name)
+            assert type(clone) is type(probe)
+            assert clone.snapshot() == probe.snapshot()
 
 
 class TestReaderLineNumbers:
     """A trace edited by hand or by another tool still names the line that
-    ``str.splitlines()`` numbers, from a string and from a file alike."""
+    ``str.splitlines()`` numbers."""
 
     def _lines(self):
         return TestTraceRoundTrip()._recorder().export_text().splitlines()
@@ -946,22 +945,17 @@ class TestReaderLineNumbers:
             (lambda ls: "\u2028".join(ls), 3),
         ],
     )
-    def test_a_corrupt_line_keeps_its_splitlines_number(self, tmp_path, layout, line):
+    def test_a_corrupt_line_keeps_its_splitlines_number(self, layout, line):
         lines = self._lines()
         good = layout(lines)
         lines[2] = lines[2].replace('"kind": "series", ', "")
         bad = layout(lines)
-        path = tmp_path / "trace.jsonl"
-        path.write_bytes(bad.encode("utf-8"))
         assert bad.splitlines()[line - 1] == lines[2]  # the layout's own count
         message = rf"^trace line {line}: channel 'flow.0.rate': unknown channel kind None$"
         with pytest.raises(ValueError, match=message):
             TraceReader.loads(bad)
-        with pytest.raises(ValueError, match=message):
-            TraceReader.from_file(path)
-        path.write_bytes(good.encode("utf-8"))
-        for reader in (TraceReader.loads(good), TraceReader.from_file(path)):
-            assert list(reader.channels) == ["link.b.drops", "flow.0.rate", "link.b.queue_pkts"]
+        reader = TraceReader.loads(good)
+        assert list(reader.channels) == ["link.b.drops", "flow.0.rate", "link.b.queue_pkts"]
 
     def test_a_json_error_reads_as_it_did_on_the_bare_line(self):
         lines = self._lines()

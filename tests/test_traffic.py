@@ -5,6 +5,7 @@ import pytest
 from repro.cc import establish, new_tcp_flow
 from repro.net import Dumbbell
 from repro.sim import Simulator
+from repro.telemetry import SeriesProbe
 from repro.traffic import (
     CbrSink,
     CbrSource,
@@ -119,10 +120,13 @@ class TestAddFlows:
         add_flows(
             sim, net, lambda s: new_tcp_flow(s), count=1, forward=False
         )
+        forward, reverse = SeriesProbe(), SeriesProbe()
+        net.bottleneck.record_departures(forward)
+        net.reverse_bottleneck.record_departures(reverse)
         sim.run(until=5.0)
         # Data (1000 B) crosses the reverse bottleneck, ACKs (40 B) the forward one.
         assert net.reverse_bottleneck.packets_sent > 0
-        assert net.reverse_bottleneck.bytes_sent > net.bottleneck.bytes_sent
+        assert reverse.values[-1] > forward.values[-1]
 
     def test_count_validation(self):
         sim, net = build()
