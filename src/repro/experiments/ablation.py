@@ -28,10 +28,12 @@ def ablation_jobs(
     scenario_name: str,
     config_cls: type,
     variants: Sequence[tuple[tuple[str, ...], Protocol, dict]],
-    scale: str = "fast",
+    scale: str,
     **overrides,
 ) -> list[Job]:
-    """One ``scenario_name`` job per variant, all on one config."""
+    """One ``scenario_name`` job per variant, all on one config.  Each
+    ablation module's ``jobs`` is this function with the first four
+    arguments bound."""
     cfg = pick_config(config_cls, scale, **overrides)
     return indexed(
         job(

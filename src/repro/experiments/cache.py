@@ -4,9 +4,9 @@ Every :class:`~repro.experiments.jobs.Job` has a stable content hash over
 its full declarative description, and that hash is the job's one name:
 the cache key, the run log's ``hash`` and the stem of its trace file.
 The salt folds in the library version and the job-schema version and is
-a directory, ``root/<salt>/``, so a code upgrade (or an explicit salt
-override) starts an empty cache beside the stale one without deleting
-anything; ``rm -r root/<old salt>`` reclaims an old version's space.
+a directory, ``root/<salt>/``, so a code upgrade starts an empty cache
+beside the stale one without deleting anything; ``rm -r root/<old salt>``
+reclaims an old version's space.
 
 With a warm cache, re-running ``python -m repro run all`` performs zero
 simulations: every job is answered from disk and only the (cheap) reduce
@@ -68,10 +68,6 @@ _FRAME_HEAD = struct.Struct("<32sI")
 _INDEX_VERSION = 3
 
 _TRACE_SUFFIX = ".trace.jsonl"
-
-#: Characters a salt cannot hold: it names one directory under the root.
-_NOT_IN_A_SALT = frozenset({"/", "\0", os.sep, os.altsep or "/"})
-
 
 def default_salt() -> str:
     """Code-version salt: changes whenever results may change meaning."""
@@ -137,11 +133,9 @@ class ResultCache:
     and what concurrent runs may see).
     """
 
-    def __init__(self, root: Union[str, os.PathLike], salt: Optional[str] = None):
+    def __init__(self, root: Union[str, os.PathLike]):
         self.root = pathlib.Path(root)
-        self.salt = salt if salt is not None else default_salt()
-        if self.salt in ("", ".", "..") or not _NOT_IN_A_SALT.isdisjoint(self.salt):
-            raise ValueError(f"cache salt {self.salt!r} is not one path component")
+        self.salt = default_salt()
         #: ``root/<salt>`` as a plain string: the per-job paths are built from it.
         self._dir = f"{self.root}/{self.salt}"
         self.stats = CacheStats()

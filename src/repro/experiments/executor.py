@@ -119,8 +119,9 @@ __all__ = [
 
 #: Default bounded-retry budget for failing (not crashing-pool) jobs.
 DEFAULT_MAX_RETRIES = 2
-#: Base of the exponential retry backoff, in seconds.
-DEFAULT_BACKOFF_S = 0.05
+#: Base of the exponential retry backoff, and the pause before a respawn,
+#: in seconds.
+BACKOFF_S = 0.05
 #: Jobs predicted at or under this many wall seconds run inline in the
 #: coordinator instead of paying a pool round-trip (~ms each).
 INLINE_THRESHOLD_S = 0.01
@@ -272,7 +273,9 @@ class Executor:
     """Caching, dedup, ordering, retries and telemetry around ``run_job``.
 
     ``workers=0`` runs every job in this process; ``workers >= 1`` keeps
-    that many isolated worker processes, one job each at a time.
+    that many isolated worker processes, one job each at a time.  The fault
+    spec (:mod:`repro.experiments.faults`) is ``REPRO_FAULT_SPEC``'s, read
+    once here.
     """
 
     def __init__(
@@ -281,9 +284,7 @@ class Executor:
         *,
         job_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
-        backoff_s: Optional[float] = None,
         run_log: Union[RunLog, str, os.PathLike, None] = None,
-        fault: Optional[str] = None,
         cost_model: Optional[CostModel] = None,
     ):
         self._slots: list[_Slot] = []
@@ -301,8 +302,7 @@ class Executor:
         self.max_retries = max_retries if max_retries is not None else DEFAULT_MAX_RETRIES
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        self.backoff_s = backoff_s if backoff_s is not None else DEFAULT_BACKOFF_S
-        fault_text = fault if fault is not None else os.environ.get("REPRO_FAULT_SPEC")
+        fault_text = os.environ.get("REPRO_FAULT_SPEC")
         FaultSpec.parse(fault_text)  # validate eagerly: fail fast on typos
         self._fault_text = (fault_text or "").strip() or None
         self.cost_model = cost_model if cost_model is not None else CostModel()
@@ -513,7 +513,7 @@ class Executor:
         exponential backoff; past that, fail the job."""
         if attempt <= self.max_retries:
             self.last_report.retries += 1
-            time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+            time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
             queue.append((pos, jb, attempt + 1))
             return
         self._fail(pos, jb, attempt, exc, **flags)
@@ -611,7 +611,7 @@ class Executor:
         if self._rebuilds_used < self.workers + 2:
             self._rebuilds_used += 1
             self.last_report.pool_rebuilds += 1
-            time.sleep(self.backoff_s)
+            time.sleep(BACKOFF_S)
             self._spawn(slot)
         return worker_exit
 
@@ -872,17 +872,14 @@ def make_executor(
     *,
     job_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    backoff_s: Optional[float] = None,
     run_log: Union[RunLog, str, os.PathLike, None] = None,
-    fault: Optional[str] = None,
     cost_model: Optional[CostModel] = None,
 ) -> Executor:
     """``parallel`` 0 or 1 runs in this process, more across that many workers.
 
-    ``run_log`` and ``fault`` default from the environment
-    (``REPRO_RUN_LOG``, ``REPRO_FAULT_SPEC``) so the benchmark harness and
-    CI smoke jobs can configure telemetry and fault injection without
-    touching call sites.
+    ``run_log`` defaults from ``REPRO_RUN_LOG``, and fault injection is
+    ``REPRO_FAULT_SPEC``'s alone, so the benchmark harness and CI smoke
+    jobs configure telemetry and faults without touching call sites.
     """
     if parallel < 0:
         raise ValueError(f"parallel must be >= 0 workers, got {parallel}")
@@ -890,8 +887,6 @@ def make_executor(
         parallel if parallel > 1 else 0,
         job_timeout=job_timeout,
         max_retries=max_retries,
-        backoff_s=backoff_s,
         run_log=run_log,
-        fault=fault,
         cost_model=cost_model,
     )

@@ -15,27 +15,27 @@ from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.runner import Table
 
-__all__ = ["jobs", "reduce"]
+__all__ = ["PROTOCOLS", "jobs", "reduce"]
+
+#: (label, protocol, the analytic ``a`` of AIMD(a, b)), one job each.
+PROTOCOLS = [
+    ("TCP(1/2)", tcp(2), tcp_compatible_a(0.5)),
+    ("TCP(1/8)", tcp(8), tcp_compatible_a(0.125)),
+    ("TFRC(6) no-disc", tfrc(6, history_discounting=False), math.nan),
+    ("TFRC(6) disc", tfrc(6, history_discounting=True), math.nan),
+]
 
 
-def jobs(scale: str = "fast", **overrides) -> list[Job]:
-    """``overrides`` are keyword arguments of the measurement function."""
-    protocols = [
-        ("TCP(1/2)", tcp(2), tcp_compatible_a(0.5)),
-        ("TCP(1/8)", tcp(8), tcp_compatible_a(0.125)),
-        ("TFRC(6) no-disc", tfrc(6, history_discounting=False), math.nan),
-        ("TFRC(6) disc", tfrc(6, history_discounting=True), math.nan),
-    ]
+def jobs(scale: str = "fast") -> list[Job]:
     return indexed(
         job(
             "ext_aggressiveness",
             "aggressiveness",
             protocol=protocol,
-            params=overrides,
             scale=scale,
             tags={"label": label, "analytic_a": analytic},
         )
-        for label, protocol, analytic in protocols
+        for label, protocol, analytic in PROTOCOLS
     )
 
 

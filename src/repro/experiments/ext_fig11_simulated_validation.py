@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.convergence import acks_to_fairness
+from repro.analysis import convergence
 from repro.experiments.jobs import Job, indexed, job, scenario
-from repro.experiments.protocols import Protocol, tcp_b
+from repro.experiments.protocols import PACKET_BYTES, Protocol, tcp_b
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import ConvergenceConfig, converge
 
-__all__ = ["jobs", "measure_acks_to_fairness", "reduce", "simulated_acks_to_fairness"]
+__all__ = ["acks_to_fairness", "jobs", "measure_acks_to_fairness", "reduce"]
 
 
 def measure_acks_to_fairness(protocol: Protocol, cfg: ConvergenceConfig) -> tuple[float, float]:
@@ -27,19 +27,20 @@ def measure_acks_to_fairness(protocol: Protocol, cfg: ConvergenceConfig) -> tupl
     flows of ``protocol`` (a TCP(b) with ``ecn=True``) over a marking RED
     bottleneck; the δ-fair convergence time becomes an ACK count (every
     delivered packet is ACKed).  Returns ``(acks, observed_mark_rate)`` for
-    :func:`repro.analysis.convergence.acks_to_fairness`.
+    :func:`repro.analysis.convergence.acks_to_fairness`, the closed form.
     """
     converge_s, net, flows = converge(protocol, cfg, cfg.seeds[0], aqm="red+ecn")
     horizon = cfg.second_start + converge_s
     acked_packets = sum(
-        net.accountant.delivered_bytes(f, cfg.second_start, horizon) / 1000.0 for f in flows
+        net.accountant.delivered_bytes(f, cfg.second_start, horizon) / PACKET_BYTES
+        for f in flows
     )
     mark_rate = net.monitor.mark_rate(cfg.second_start, horizon)
     return acked_packets, 0.0 if math.isnan(mark_rate) else mark_rate
 
 
 @scenario("acks_to_fairness")
-def simulated_acks_to_fairness(jb: Job) -> list[float]:
+def acks_to_fairness(jb: Job) -> list[float]:
     """This module's table: simulated ``[ACKs to δ-fairness, mark rate]``."""
     return list(measure_acks_to_fairness(jb.protocol, jb.config))
 
@@ -68,5 +69,6 @@ def reduce(results) -> Table:
     for result in results:
         b, delta = dict(result.job.protocol.params)["b"], result.job.config.delta
         acks, p = result.value
-        table.add(b, acks, p, acks_to_fairness(b, p, delta) if 0 < p < 1 else math.nan)
+        model = convergence.acks_to_fairness(b, p, delta) if 0 < p < 1 else math.nan
+        table.add(b, acks, p, model)
     return table

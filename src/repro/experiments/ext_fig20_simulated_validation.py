@@ -8,25 +8,22 @@ timeouts" (upper bound).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.cc.equations import aimd_with_timeouts_rate, padhye_rate_per_rtt
 from repro.experiments.jobs import DropperSpec, Job, indexed, job
-from repro.experiments.protocols import tcp
+from repro.experiments.protocols import PACKET_BYTES, tcp
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import LossPatternConfig
 
-__all__ = ["jobs", "reduce"]
+__all__ = ["DROP_RATES", "jobs", "reduce"]
 
-PACKET_BITS = 8000.0  # tcp()'s default 1000-byte packets
+PACKET_BITS = PACKET_BYTES * 8.0
+#: The Bernoulli drop rates p, one job each.
+DROP_RATES = [0.05, 0.1, 0.2, 0.3, 0.45]
 
 
-def jobs(
-    scale: str = "fast",
-    p_values: Sequence[float] = (0.05, 0.1, 0.2, 0.3, 0.45),
-    **overrides,
-) -> list[Job]:
-    """One single-flow ``loss_pattern`` job per drop rate."""
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    """One single-flow ``loss_pattern`` job per drop rate; ``overrides``
+    are config fields."""
     duration_s, warmup_s = (200.0, 20.0) if scale == "fast" else (600.0, 60.0)
     sizing = {"bandwidth_bps": 1e8, "duration_s": duration_s, "warmup_s": warmup_s}
     cfg = pick_config(LossPatternConfig, scale, **{**sizing, **overrides})
@@ -36,10 +33,10 @@ def jobs(
             "loss_pattern",
             config=cfg,
             protocol=tcp(),
-            params={"dropper": DropperSpec("bernoulli", (float(p), 1))},
+            params={"dropper": DropperSpec("bernoulli", (p, 1))},
             scale=scale,
         )
-        for p in p_values
+        for p in DROP_RATES
     )
 
 

@@ -26,7 +26,14 @@ from repro.experiments.scenarios import build_net
 from repro.metrics.smoothness import coefficient_of_variation
 from repro.traffic.bulk import add_flows
 
-__all__ = ["QueueDynamicsConfig", "jobs", "measure_queue_dynamics", "queue_dynamics", "reduce"]
+__all__ = [
+    "PROTOCOLS",
+    "QueueDynamicsConfig",
+    "jobs",
+    "measure_queue_dynamics",
+    "queue_dynamics",
+    "reduce",
+]
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,7 @@ def queue_dynamics(jb: Job) -> dict:
     }
 
 
-def default_protocols() -> tuple[Protocol, ...]:
-    return (tcp(2), tcp(8), tfrc(6))
+PROTOCOLS = [tcp(2), tcp(8), tfrc(6)]
 
 
 def jobs(scale: str = "fast", **overrides) -> list[Job]:
@@ -90,7 +96,7 @@ def jobs(scale: str = "fast", **overrides) -> list[Job]:
             params={"aqm": aqm},
             scale=scale,
         )
-        for protocol in default_protocols()
+        for protocol in PROTOCOLS
         for aqm in ("red", "droptail")
     )
 

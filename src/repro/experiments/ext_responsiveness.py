@@ -16,7 +16,7 @@ to half its value at the onset.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.experiments.jobs import Job, indexed, job, scenario
 from repro.experiments.protocols import Protocol, sqrt, tcp, tfrc
@@ -27,6 +27,8 @@ from repro.net.paths import single_path
 from repro.sim.engine import Simulator
 
 __all__ = [
+    "OBSERVE_RTTS",
+    "PROTOCOLS",
     "SwitchDropper",
     "aggressiveness",
     "jobs",
@@ -62,46 +64,67 @@ def _control_variable(sender) -> float:
     raise TypeError(f"cannot find a control variable on {type(sender)!r}")
 
 
-def measure_responsiveness_rtts(
-    protocol: Protocol,
-    rtt_s: float = 0.05,
-    warmup_s: float = 40.0,
-    observe_rtts: int = 400,
-    bandwidth_bps: float = 1e7,
-    steady_loss_period: int = 500,
-) -> Optional[float]:
-    """RTTs of one-loss-per-RTT congestion until the control halves.
+#: The path both measurements run on, and how long a flow is held at its
+#: steady operating point before the loss process switches.
+RTT_S = 0.05
+BANDWIDTH_BPS = 1e7
+WARMUP_S = 40.0
 
-    Returns None when the sender has not halved within ``observe_rtts``
-    (effectively unresponsive on this timescale).
-    """
+
+def _switch_loss(
+    protocol: Protocol,
+    steady_loss_period: int,
+    after: Callable[[Callable[[], float]], Dropper],
+    observe_rtts: int,
+    read: Callable[[Any], float],
+) -> list[float]:
+    """The one harness: hold a flow of ``protocol`` at steady loss (every
+    ``steady_loss_period``-th packet dropped) for ``WARMUP_S``, switch the
+    loss process to ``after(clock)``, and sample ``read(sender)`` at the
+    switch and once per RTT for ``observe_rtts`` RTTs."""
     sim = Simulator()
     sender, receiver = protocol.make(sim)
     clock = lambda: sim.now  # noqa: E731 - tiny closure over the sim
     dropper = SwitchDropper(
-        warmup_s,
+        WARMUP_S,
         before=PeriodicDropper(steady_loss_period),
-        after=TimedDropper(rtt_s, clock=clock, start_at=warmup_s),
+        after=after(clock),
         clock=clock,
     )
     single_path(
-        sim, sender, receiver, rtt_s=rtt_s, bandwidth_bps=bandwidth_bps,
+        sim, sender, receiver, rtt_s=RTT_S, bandwidth_bps=BANDWIDTH_BPS,
         dropper=dropper,
     )
     sender.start()
-    sim.run(until=warmup_s)
-    baseline = _control_variable(sender)
-    if baseline <= 0:
-        return None
-    # Sample the control variable each RTT of the congestion period.
-    samples: list[float] = []
+    sim.run(until=WARMUP_S)
+    samples = [read(sender)]
 
     def sample() -> None:
-        samples.append(_control_variable(sender))
+        samples.append(read(sender))
 
     for k in range(1, observe_rtts + 1):
-        sim.at(warmup_s + k * rtt_s, sample)
-    sim.run(until=warmup_s + (observe_rtts + 1) * rtt_s)
+        sim.at(WARMUP_S + k * RTT_S, sample)
+    sim.run(until=WARMUP_S + (observe_rtts + 1) * RTT_S)
+    return samples
+
+
+def measure_responsiveness_rtts(protocol: Protocol, observe_rtts: int) -> Optional[float]:
+    """RTTs of one-loss-per-RTT congestion until the control halves.
+
+    The flow is held at mild periodic loss (every 500th packet), then
+    loses one packet per RTT.  Returns None when the sender has not
+    halved within ``observe_rtts`` (effectively unresponsive on this
+    timescale).
+    """
+    baseline, *samples = _switch_loss(
+        protocol,
+        500,
+        lambda clock: TimedDropper(RTT_S, clock=clock, start_at=WARMUP_S),
+        observe_rtts,
+        _control_variable,
+    )
+    if baseline <= 0:
+        return None
     for k, value in enumerate(samples, start=1):
         if value <= baseline / 2.0:
             return float(k)
@@ -112,35 +135,32 @@ def measure_responsiveness_rtts(
 def responsiveness(jb: Job) -> Optional[float]:
     """This module's table: RTTs of persistent congestion until the rate
     halves, or None when it never does within ``observe_rtts``."""
-    return measure_responsiveness_rtts(jb.protocol, observe_rtts=jb.param("observe_rtts"))
+    return measure_responsiveness_rtts(jb.protocol, jb.param("observe_rtts"))
 
 
-def default_protocols() -> list[tuple[str, Protocol, float]]:
-    return [
-        ("TCP(1/2)", tcp(2), 1.0),
-        ("TCP(1/8)", tcp(8), 6.0),
-        ("SQRT(1/2)", sqrt(2), math.nan),
-        ("TFRC(6)", tfrc(6), 5.0),
-        ("TFRC(256)", tfrc(256), math.nan),
-    ]
+#: (label, protocol, the paper's responsiveness in RTTs), one job each.
+PROTOCOLS = [
+    ("TCP(1/2)", tcp(2), 1.0),
+    ("TCP(1/8)", tcp(8), 6.0),
+    ("SQRT(1/2)", sqrt(2), math.nan),
+    ("TFRC(6)", tfrc(6), 5.0),
+    ("TFRC(256)", tfrc(256), math.nan),
+]
+#: Scale -> how many RTTs of congestion a sender gets to halve in.
+OBSERVE_RTTS = {"fast": 400, "paper": 1000}
 
 
-def jobs(scale: str = "fast", observe_rtts: Optional[int] = None) -> list[Job]:
-    observe = (
-        observe_rtts
-        if observe_rtts is not None
-        else (400 if scale == "fast" else 1000)
-    )
+def jobs(scale: str = "fast") -> list[Job]:
     return indexed(
         job(
             "ext_responsiveness",
             "responsiveness",
             protocol=protocol,
-            params={"observe_rtts": int(observe)},
+            params={"observe_rtts": OBSERVE_RTTS[scale]},
             scale=scale,
             tags={"label": name, "reference": reference},
         )
-        for name, protocol, reference in default_protocols()
+        for name, protocol, reference in PROTOCOLS
     )
 
 
@@ -167,61 +187,32 @@ def reduce(results) -> Table:
     return table
 
 
-def measure_aggressiveness_pkts_per_rtt(
-    protocol: Protocol,
-    rtt_s: float = 0.05,
-    warmup_s: float = 40.0,
-    observe_rtts: int = 60,
-    bandwidth_bps: float = 1e7,
-    steady_loss_period: int = 200,
-) -> float:
+def measure_aggressiveness_pkts_per_rtt(protocol: Protocol) -> float:
     """Maximum control-variable increase in one RTT once congestion ends.
 
     The paper (via Floyd et al.'s companion report) defines aggressiveness
     as the maximum increase in the sending rate in one RTT absent
     congestion: ``a`` packets/RTT for AIMD(a, b), and 0.14-0.28 packets/sec
     for TFRC depending on history discounting.  Here the flow is held at a
-    steady point by periodic loss, the loss stops, and the largest per-RTT
-    increase of the control variable (in packets per RTT) over the
-    following RTTs is reported.
+    steady point by periodic loss (every 200th packet), the loss stops,
+    and the largest per-RTT increase of the control variable (in packets
+    per RTT) over the following 60 RTTs is reported.
     """
-    sim = Simulator()
-    sender, receiver = protocol.make(sim)
-    clock = lambda: sim.now  # noqa: E731 - tiny closure over the sim
-    dropper = SwitchDropper(
-        warmup_s,
-        before=PeriodicDropper(steady_loss_period),
-        after=PeriodicDropper(10**9),  # congestion ends
-        clock=clock,
-    )
-    single_path(
-        sim, sender, receiver, rtt_s=rtt_s, bandwidth_bps=bandwidth_bps,
-        dropper=dropper,
-    )
-    sender.start()
-    sim.run(until=warmup_s)
-    packet_bits = getattr(sender, "packet_size", 1000) * 8.0
 
-    def in_packets_per_rtt() -> float:
+    def in_packets_per_rtt(sender) -> float:
         value = _control_variable(sender)
         if hasattr(sender, "cwnd") or hasattr(sender, "w"):
             return value  # already a window in packets
-        return value * rtt_s / packet_bits  # rate-based: bps -> pkts/RTT
+        return value * RTT_S / (sender.packet_size * 8.0)  # rate-based: bps -> pkts/RTT
 
-    samples = [in_packets_per_rtt()]
-
-    def sample() -> None:
-        samples.append(in_packets_per_rtt())
-
-    for k in range(1, observe_rtts + 1):
-        sim.at(warmup_s + k * rtt_s, sample)
-    sim.run(until=warmup_s + (observe_rtts + 1) * rtt_s)
+    samples = _switch_loss(
+        protocol, 200, lambda clock: PeriodicDropper(10**9), 60, in_packets_per_rtt
+    )
     return max(b - a for a, b in zip(samples, samples[1:]))
 
 
 @scenario("aggressiveness")
 def aggressiveness(jb: Job) -> float:
     """:mod:`~repro.experiments.ext_aggressiveness`'s table: largest per-RTT
-    control increase once congestion ends; the job's params are keyword
-    arguments of the measurement."""
-    return measure_aggressiveness_pkts_per_rtt(jb.protocol, **dict(jb.params))
+    control increase once congestion ends."""
+    return measure_aggressiveness_pkts_per_rtt(jb.protocol)

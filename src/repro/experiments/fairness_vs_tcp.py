@@ -19,13 +19,13 @@ from repro.experiments.protocols import Protocol, tcp
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import OscillationConfig
 
-__all__ = ["default_periods", "fairness_jobs", "fairness_reduce"]
+__all__ = ["PERIODS", "fairness_jobs", "fairness_reduce"]
 
-
-def default_periods(scale: str) -> list[float]:
-    if scale == "fast":
-        return [0.2, 0.4, 1.0, 4.0, 16.0]
-    return [0.2, 0.4, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+#: Scale -> the square-wave periods (seconds), one job each.
+PERIODS = {
+    "fast": [0.2, 0.4, 1.0, 4.0, 16.0],
+    "paper": [0.2, 0.4, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+}
 
 
 def fairness_jobs(
@@ -35,9 +35,10 @@ def fairness_jobs(
     periods: Sequence[float] | None = None,
     **overrides,
 ) -> list[Job]:
-    """One mixed TCP-vs-competitor oscillation job per square-wave period."""
+    """One mixed TCP-vs-competitor oscillation job per square-wave period:
+    ``periods``, else the scale's :data:`PERIODS`."""
     cfg = pick_config(OscillationConfig, scale, **overrides)
-    periods = list(periods) if periods is not None else default_periods(scale)
+    periods = list(periods) if periods is not None else PERIODS[scale]
     reference = tcp(2)
     return indexed(
         job(

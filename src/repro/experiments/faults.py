@@ -6,7 +6,7 @@ stall or fail a *specific* job on a *specific* attempt, deterministically,
 so the executor's retry / rebuild / degrade machinery can be proven to
 yield byte-identical results to a clean run.
 
-A fault is described by a compact spec string, usually supplied through
+A fault is described by a compact spec string, supplied through
 the ``REPRO_FAULT_SPEC`` environment variable::
 
     <action>[=seconds]:<selector>[:<when>]

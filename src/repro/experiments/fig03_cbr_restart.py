@@ -9,35 +9,22 @@ without self-clocking) hold the network in overload for hundreds of RTTs.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.experiments.jobs import Job, indexed, job
-from repro.experiments.protocols import Protocol, tcp, tfrc
+from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import CbrRestartConfig
 
-__all__ = ["default_protocols", "jobs", "reduce"]
+__all__ = ["PROTOCOLS", "jobs", "reduce"]
+
+PROTOCOLS = [tcp(2), tcp(256), tfrc(256), tfrc(256, conservative=True)]
 
 
-def default_protocols() -> list[Protocol]:
-    return [
-        tcp(2),
-        tcp(256),
-        tfrc(256),
-        tfrc(256, conservative=True),
-    ]
-
-
-def jobs(
-    scale: str = "fast",
-    protocols: Sequence[Protocol] | None = None,
-    **overrides,
-) -> list[Job]:
-    """One CBR-restart job per protocol."""
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    """One CBR-restart job per protocol; ``overrides`` are config fields."""
     cfg = pick_config(CbrRestartConfig, scale, **overrides)
     return indexed(
         job("fig03", "cbr_restart", config=cfg, protocol=protocol, scale=scale)
-        for protocol in (protocols if protocols is not None else default_protocols())
+        for protocol in PROTOCOLS
     )
 
 

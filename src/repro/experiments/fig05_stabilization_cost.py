@@ -20,9 +20,9 @@ from repro.experiments.runner import Table
 __all__ = ["jobs", "reduce"]
 
 
-def jobs(scale: str = "fast", **kwargs) -> list[Job]:
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
     """The Figure 4 sweep, relabelled."""
-    return [replace(j, figure="fig05") for j in fig04.jobs(scale, **kwargs)]
+    return [replace(j, figure="fig05") for j in fig04.jobs(scale, **overrides)]
 
 
 def reduce(results) -> Table:

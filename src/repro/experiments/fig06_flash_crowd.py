@@ -9,29 +9,22 @@ TFRC(256) without self-clocking is slow to yield.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.experiments.jobs import Job, indexed, job
-from repro.experiments.protocols import Protocol, tcp, tfrc
+from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import FlashCrowdConfig
 
-__all__ = ["default_protocols", "jobs", "reduce"]
+__all__ = ["PROTOCOLS", "jobs", "reduce"]
+
+#: The background traffic, one job each.
+PROTOCOLS = [tcp(2), tfrc(256), tfrc(256, conservative=True)]
 
 
-def default_protocols() -> list[Protocol]:
-    return [tcp(2), tfrc(256), tfrc(256, conservative=True)]
-
-
-def jobs(
-    scale: str = "fast",
-    protocols: Sequence[Protocol] | None = None,
-    **overrides,
-) -> list[Job]:
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
     cfg = pick_config(FlashCrowdConfig, scale, **overrides)
     return indexed(
         job("fig06", "flash_crowd", config=cfg, protocol=protocol, scale=scale)
-        for protocol in (protocols if protocols is not None else default_protocols())
+        for protocol in PROTOCOLS
     )
 
 

@@ -22,8 +22,8 @@ PAPER_CLAIM = (
 )
 
 
-def jobs(scale: str = "fast", **kwargs) -> list[Job]:
-    return fairness_jobs("fig08", COMPETITOR, scale, **kwargs)
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    return fairness_jobs("fig08", COMPETITOR, scale, **overrides)
 
 
 def reduce(results) -> Table:

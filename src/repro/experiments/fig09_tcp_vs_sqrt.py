@@ -21,8 +21,8 @@ PAPER_CLAIM = (
 )
 
 
-def jobs(scale: str = "fast", **kwargs) -> list[Job]:
-    return fairness_jobs("fig09", COMPETITOR, scale, **kwargs)
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    return fairness_jobs("fig09", COMPETITOR, scale, **overrides)
 
 
 def reduce(results) -> Table:

@@ -13,25 +13,22 @@ as the serial implementation did.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
 
 from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.protocols import tcp_b
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import ConvergenceConfig
 
-__all__ = ["default_bs", "jobs", "reduce"]
+__all__ = ["BS", "jobs", "reduce"]
+
+#: Scale -> the decrease factors b swept.
+BS = {
+    "fast": [0.5, 0.25, 0.125, 1 / 32, 1 / 128],
+    "paper": [0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256],
+}
 
 
-def default_bs(scale: str) -> list[float]:
-    if scale == "fast":
-        return [0.5, 0.25, 0.125, 1 / 32, 1 / 128]
-    return [0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256]
-
-
-def jobs(
-    scale: str = "fast", bs: Sequence[float] | None = None, **overrides
-) -> list[Job]:
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
     cfg = pick_config(ConvergenceConfig, scale, **overrides)
     return indexed(
         job(
@@ -43,7 +40,7 @@ def jobs(
             scale=scale,
             tags={"b": b},
         )
-        for b in (bs if bs is not None else default_bs(scale))
+        for b in BS[scale]
         for seed in cfg.seeds
     )
 

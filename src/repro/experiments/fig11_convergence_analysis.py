@@ -8,17 +8,16 @@ shaped curves.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.analysis.convergence import acks_to_fairness
 from repro.experiments.jobs import Job, indexed, job, scenario
 from repro.experiments.runner import Table
 
-__all__ = ["analysis_acks", "default_bs", "jobs", "reduce"]
+__all__ = ["BS", "DELTA", "P", "analysis_acks", "jobs", "reduce"]
 
-
-def default_bs(scale: str = "fast") -> list[float]:
-    return [0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 1 / 32, 1 / 64, 1 / 128, 1 / 256]
+#: The decrease factors b, at both scales (a closed form costs nothing).
+BS = [0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 1 / 32, 1 / 64, 1 / 128, 1 / 256]
+#: The paper's mark rate p and fairness margin delta.
+P = DELTA = 0.1
 
 
 @scenario("analysis_acks")
@@ -27,20 +26,10 @@ def analysis_acks(jb: Job) -> float:
     return acks_to_fairness(jb.param("b"), jb.param("p"), jb.param("delta"))
 
 
-def jobs(
-    scale: str = "fast",
-    bs: Sequence[float] | None = None,
-    p: float = 0.1,
-    delta: float = 0.1,
-) -> list[Job]:
+def jobs(scale: str = "fast") -> list[Job]:
     return indexed(
-        job(
-            "fig11",
-            "analysis_acks",
-            params={"b": float(b), "p": float(p), "delta": float(delta)},
-            scale=scale,
-        )
-        for b in (bs if bs is not None else default_bs(scale))
+        job("fig11", "analysis_acks", params={"b": b, "p": P, "delta": DELTA}, scale=scale)
+        for b in BS
     )
 
 

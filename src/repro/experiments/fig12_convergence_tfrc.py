@@ -9,25 +9,19 @@ multiplicative decreases.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
 
 from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.protocols import tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import ConvergenceConfig
 
-__all__ = ["default_ks", "jobs", "reduce"]
+__all__ = ["KS", "jobs", "reduce"]
+
+#: Scale -> the TFRC history lengths k swept.
+KS = {"fast": [1, 6, 32, 128], "paper": [1, 2, 6, 16, 32, 64, 128, 256]}
 
 
-def default_ks(scale: str) -> list[int]:
-    if scale == "fast":
-        return [1, 6, 32, 128]
-    return [1, 2, 6, 16, 32, 64, 128, 256]
-
-
-def jobs(
-    scale: str = "fast", ks: Sequence[int] | None = None, **overrides
-) -> list[Job]:
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
     cfg = pick_config(ConvergenceConfig, scale, **overrides)
     return indexed(
         job(
@@ -39,7 +33,7 @@ def jobs(
             scale=scale,
             tags={"k": k},
         )
-        for k in (ks if ks is not None else default_ks(scale))
+        for k in KS[scale]
         for seed in cfg.seeds
     )
 

@@ -9,14 +9,14 @@ the loss-rate response.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.protocols import Protocol, sqrt, tcp, tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import DoublingConfig
 
-__all__ = ["FAMILIES", "default_gammas", "jobs", "reduce"]
+__all__ = ["FAMILIES", "GAMMAS", "jobs", "reduce"]
 
 FAMILIES: dict[str, Callable[[int], Protocol]] = {
     "TCP(1/b)": lambda g: tcp(g),
@@ -25,21 +25,12 @@ FAMILIES: dict[str, Callable[[int], Protocol]] = {
 }
 
 
-def default_gammas(scale: str) -> list[int]:
-    if scale == "fast":
-        return [2, 8, 64, 256]
-    return [2, 4, 8, 16, 32, 64, 128, 256]
+#: Scale -> the slowness parameters each family is swept over.
+GAMMAS = {"fast": [2, 8, 64, 256], "paper": [2, 4, 8, 16, 32, 64, 128, 256]}
 
 
-def jobs(
-    scale: str = "fast",
-    gammas: Sequence[int] | None = None,
-    families: dict[str, Callable[[int], Protocol]] | None = None,
-    **overrides,
-) -> list[Job]:
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
     cfg = pick_config(DoublingConfig, scale, **overrides)
-    gammas = list(gammas) if gammas is not None else default_gammas(scale)
-    families = families if families is not None else FAMILIES
     return indexed(
         job(
             "fig13",
@@ -49,8 +40,8 @@ def jobs(
             scale=scale,
             tags={"family": family, "b_param": gamma},
         )
-        for family, factory in families.items()
-        for gamma in gammas
+        for family, factory in FAMILIES.items()
+        for gamma in GAMMAS[scale]
     )
 
 

@@ -22,9 +22,8 @@ NOTES = (
 )
 
 
-def jobs(scale: str = "fast", **kwargs) -> list[Job]:
-    kwargs.setdefault("cbr_fraction", CBR_FRACTION)
-    return sweep_jobs("fig14", scale, **kwargs)
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    return sweep_jobs("fig14", scale, CBR_FRACTION, **overrides)
 
 
 def reduce(results) -> Table:

@@ -13,9 +13,8 @@ TITLE = "Figure 15: drop rate vs CBR ON/OFF time (3:1 oscillation)"
 NOTES = "Companion drop-rate series for the Figure 14 runs."
 
 
-def jobs(scale: str = "fast", **kwargs) -> list[Job]:
-    kwargs.setdefault("cbr_fraction", CBR_FRACTION)
-    return sweep_jobs("fig15", scale, **kwargs)
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    return sweep_jobs("fig15", scale, CBR_FRACTION, **overrides)
 
 
 def reduce(results) -> Table:

@@ -21,9 +21,8 @@ NOTES = (
 )
 
 
-def jobs(scale: str = "fast", **kwargs) -> list[Job]:
-    kwargs.setdefault("cbr_fraction", CBR_FRACTION)
-    return sweep_jobs("fig16", scale, **kwargs)
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    return sweep_jobs("fig16", scale, CBR_FRACTION, **overrides)
 
 
 def reduce(results) -> Table:

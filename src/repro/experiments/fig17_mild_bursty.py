@@ -8,13 +8,26 @@ TCP(1/8) and achieves slightly higher throughput.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.experiments.jobs import DropperSpec, Job, indexed, job
 from repro.experiments.protocols import Protocol, tcp, tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import LossPatternConfig
 from repro.net.droppers import mild_bursty_pattern
 
-__all__ = ["default_protocols", "jobs", "loss_pattern_table", "reduce"]
+__all__ = [
+    "MILD_BURSTY",
+    "PROTOCOLS",
+    "jobs",
+    "loss_pattern_jobs",
+    "loss_pattern_table",
+    "reduce",
+]
+
+PROTOCOLS = [tfrc(6), tcp(8)]
+#: The repeating 3 x 50, 3 x 400 arrival-gap pattern (Figures 17 and 19).
+MILD_BURSTY = DropperSpec.count(mild_bursty_pattern())
 
 LOSS_COLUMNS = [
     "protocol",
@@ -26,19 +39,16 @@ LOSS_COLUMNS = [
 ]
 
 
-def default_protocols() -> list[Protocol]:
-    return [tfrc(6), tcp(8)]
-
-
-def jobs(
-    scale: str = "fast",
-    protocols: list[Protocol] | None = None,
-    *,
-    figure: str = "fig17",
+def loss_pattern_jobs(
+    figure: str,
+    protocols: Sequence[Protocol],
+    dropper: DropperSpec,
+    scale: str,
     **overrides,
 ) -> list[Job]:
+    """Shared Figures 17-19 jobs: one single-flow ``loss_pattern`` run per
+    protocol under ``dropper``; ``overrides`` are config fields."""
     cfg = pick_config(LossPatternConfig, scale, **overrides)
-    dropper = DropperSpec.count(mild_bursty_pattern())
     return indexed(
         job(
             figure,
@@ -48,8 +58,12 @@ def jobs(
             params={"dropper": dropper},
             scale=scale,
         )
-        for protocol in (protocols if protocols is not None else default_protocols())
+        for protocol in protocols
     )
+
+
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    return loss_pattern_jobs("fig17", PROTOCOLS, MILD_BURSTY, scale, **overrides)
 
 
 def loss_pattern_table(results, title: str, notes: str) -> Table:

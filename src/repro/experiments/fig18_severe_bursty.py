@@ -15,49 +15,22 @@ the low phase, 6+ in the heavy phase.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.experiments.fig17_mild_bursty import loss_pattern_table
-from repro.experiments.jobs import DropperSpec, Job, indexed, job
-from repro.experiments.protocols import Protocol, tcp, tfrc
-from repro.experiments.runner import Table, pick_config
-from repro.experiments.scenarios import LossPatternConfig
+from repro.experiments.fig17_mild_bursty import loss_pattern_jobs, loss_pattern_table
+from repro.experiments.jobs import DropperSpec, Job
+from repro.experiments.protocols import tcp, tfrc
+from repro.experiments.runner import Table
 from repro.net.droppers import severe_bursty_phases
 
-__all__ = ["default_protocols", "default_phases", "jobs", "reduce"]
+__all__ = ["PHASES", "PROTOCOLS", "jobs", "reduce"]
+
+PROTOCOLS = [tfrc(6), tcp(8), tcp(2)]
+#: Scale -> the ``(duration_s, drop_every_n)`` phases of the pattern.
+PHASES = {"fast": [(3.0, 200), (1.0, 4)], "paper": severe_bursty_phases()}
 
 
-def default_protocols() -> list[Protocol]:
-    return [tfrc(6), tcp(8), tcp(2)]
-
-
-def default_phases(scale: str) -> list[tuple[float, int]]:
-    if scale == "fast":
-        return [(3.0, 200), (1.0, 4)]
-    return severe_bursty_phases()
-
-
-def jobs(
-    scale: str = "fast",
-    protocols: list[Protocol] | None = None,
-    phases: Sequence[tuple[float, int]] | None = None,
-    **overrides,
-) -> list[Job]:
-    cfg = pick_config(LossPatternConfig, scale, **overrides)
-    dropper = DropperSpec.phase(
-        list(phases) if phases is not None else default_phases(scale)
-    )
-    return indexed(
-        job(
-            "fig18",
-            "loss_pattern",
-            config=cfg,
-            protocol=protocol,
-            params={"dropper": dropper},
-            scale=scale,
-        )
-        for protocol in (protocols if protocols is not None else default_protocols())
-    )
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    dropper = DropperSpec.phase(PHASES[scale])
+    return loss_pattern_jobs("fig18", PROTOCOLS, dropper, scale, **overrides)
 
 
 def reduce(results) -> Table:

@@ -7,18 +7,23 @@ throughput, relative to SQRT.
 
 from __future__ import annotations
 
-from repro.experiments.fig17_mild_bursty import jobs as _mild_jobs
-from repro.experiments.fig17_mild_bursty import loss_pattern_table
+from repro.experiments.fig17_mild_bursty import (
+    MILD_BURSTY,
+    loss_pattern_jobs,
+    loss_pattern_table,
+)
 from repro.experiments.jobs import Job
 from repro.experiments.protocols import iiad, sqrt
 from repro.experiments.runner import Table
 
-__all__ = ["jobs", "reduce"]
+__all__ = ["PROTOCOLS", "jobs", "reduce"]
+
+PROTOCOLS = [iiad(), sqrt(2)]
 
 
-def jobs(scale: str = "fast", **kwargs) -> list[Job]:
-    kwargs.setdefault("protocols", [iiad(), sqrt(2)])
-    return _mild_jobs(scale, figure="fig19", **kwargs)
+def jobs(scale: str = "fast", **overrides) -> list[Job]:
+    """Figure 17's loss pattern, run on IIAD and SQRT."""
+    return loss_pattern_jobs("fig19", PROTOCOLS, MILD_BURSTY, scale, **overrides)
 
 
 def reduce(results) -> Table:

@@ -8,17 +8,14 @@ at high loss; pure AIMD applies only below p ~ 1/3.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.analysis.timeouts import figure20_series
 from repro.experiments.jobs import Job, indexed, job, scenario
 from repro.experiments.runner import Table
 
-__all__ = ["default_drop_rates", "jobs", "reduce", "timeout_models"]
+__all__ = ["DROP_RATES", "jobs", "reduce", "timeout_models"]
 
-
-def default_drop_rates(scale: str = "fast") -> list[float]:
-    return [0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.33, 0.5, 0.6, 0.7, 0.8, 0.9]
+#: The drop rates p, at both scales (a closed form costs nothing).
+DROP_RATES = [0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.33, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
 @scenario("timeout_models")
@@ -29,12 +26,9 @@ def timeout_models(jb: Job) -> list[float]:
     return [row.pure_aimd, row.aimd_with_timeouts, row.reno]
 
 
-def jobs(scale: str = "fast", p_values: Sequence[float] | None = None) -> list[Job]:
+def jobs(scale: str = "fast") -> list[Job]:
     return indexed(
-        job("fig20", "timeout_models", params={"p": float(p)}, scale=scale)
-        for p in (
-            list(p_values) if p_values is not None else default_drop_rates(scale)
-        )
+        job("fig20", "timeout_models", params={"p": p}, scale=scale) for p in DROP_RATES
     )
 
 

@@ -58,7 +58,7 @@ __all__ = [
 #: Bump when the meaning of job payloads changes; combined with the
 #: library version it salts the on-disk result cache (see
 #: :mod:`repro.experiments.cache`), so stale records are never reused.
-JOBS_SCHEMA_VERSION = 2
+JOBS_SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +205,11 @@ class Job:
                 return value
         return default
 
-    def tag(self, name: str, default: Any = None) -> Any:
+    def tag(self, name: str) -> Any:
         for key, value in self.tags:
             if key == name:
                 return value
-        return default
+        return None
 
     def describe(self) -> dict:
         """The hashed identity of this job (figure/tags/index excluded),

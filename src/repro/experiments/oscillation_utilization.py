@@ -14,49 +14,29 @@ cache they simulate once.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
 
 from repro.experiments.jobs import Job, indexed, job
-from repro.experiments.protocols import Protocol, tcp, tfrc
+from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.runner import Table, pick_config
 from repro.experiments.scenarios import OscillationConfig
 
-__all__ = ["default_protocols", "default_on_times", "reduce_sweep", "sweep_jobs"]
+__all__ = ["N_FLOWS", "ON_TIMES", "PROTOCOLS", "reduce_sweep", "sweep_jobs"]
+
+PROTOCOLS = [tcp(8), tcp(2), tfrc(6)]
+#: Scale -> the CBR ON (= OFF) times swept, in seconds.
+ON_TIMES = {
+    "fast": [0.05, 0.2, 0.8, 3.2],
+    "paper": [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4],
+}
+#: Scale -> how many identical flows share the link (the paper's ten).
+N_FLOWS = {"fast": 6, "paper": 10}
 
 
-def default_protocols() -> list[Protocol]:
-    return [tcp(8), tcp(2), tfrc(6)]
-
-
-def default_on_times(scale: str) -> list[float]:
-    if scale == "fast":
-        return [0.05, 0.2, 0.8, 3.2]
-    return [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4]
-
-
-def _sweep_config(
-    scale: str,
-    cbr_fraction: float,
-    n_flows: int | None,
-    **overrides,
-) -> OscillationConfig:
+def sweep_jobs(figure: str, scale: str, cbr_fraction: float, **overrides) -> list[Job]:
+    """One job per (protocol, ON time): identical-flow oscillation runs;
+    ``overrides`` are :class:`OscillationConfig` fields."""
     cfg = pick_config(OscillationConfig, scale, cbr_fraction=cbr_fraction, **overrides)
-    if n_flows is None:
-        n_flows = 10 if scale == "paper" else 6
-    return replace(cfg, n_flows_a=n_flows, n_flows_b=0)
-
-
-def sweep_jobs(
-    figure: str,
-    scale: str = "fast",
-    cbr_fraction: float = 2.0 / 3.0,
-    on_times: Sequence[float] | None = None,
-    protocols: list[Protocol] | None = None,
-    n_flows: int | None = None,
-    **overrides,
-) -> list[Job]:
-    """One job per (protocol, ON time): identical-flow oscillation runs."""
-    cfg = _sweep_config(scale, cbr_fraction, n_flows, **overrides)
+    cfg = replace(cfg, n_flows_a=N_FLOWS[scale], n_flows_b=0)
     return indexed(
         job(
             figure,
@@ -68,8 +48,8 @@ def sweep_jobs(
             scale=scale,
             tags={"on_s": float(on_s)},
         )
-        for protocol in (protocols if protocols is not None else default_protocols())
-        for on_s in (on_times if on_times is not None else default_on_times(scale))
+        for protocol in PROTOCOLS
+        for on_s in ON_TIMES[scale]
     )
 
 

@@ -27,7 +27,13 @@ from repro.cc.tfrc import TfrcSender, new_tfrc_flow
 from repro.sim.engine import Simulator
 from repro.units import Bytes, Ratio
 
-__all__ = ["FAMILIES", "Protocol", "tcp", "tcp_b", "sqrt", "iiad", "rap", "tfrc", "tear"]
+__all__ = [
+    "FAMILIES", "PACKET_BYTES", "Protocol", "tcp", "tcp_b", "sqrt", "iiad", "rap", "tfrc", "tear",
+]
+
+#: The packet size every protocol helper sends and every scenario's
+#: network is sized for: the paper's 1000-byte packets.
+PACKET_BYTES: Bytes = 1000
 
 
 class _Family(NamedTuple):
@@ -109,42 +115,42 @@ class Protocol:
         return self.name
 
 
-def tcp(gamma: float = 2.0, packet_size: Bytes = 1000, **options: Any) -> Protocol:
+def tcp(gamma: float = 2.0, **options: Any) -> Protocol:
     """TCP(1/gamma): window-based AIMD with the full TCP machinery."""
-    return tcp_b(1.0 / gamma, packet_size, **options)
+    return tcp_b(1.0 / gamma, **options)
 
 
-def tcp_b(b: Ratio, packet_size: Bytes = 1000, **options: Any) -> Protocol:
+def tcp_b(b: Ratio, **options: Any) -> Protocol:
     """TCP(b) by decrease factor (TCP(0.5) is standard TCP)."""
-    return Protocol.of("tcp_b", b=float(b), packet_size=int(packet_size), **options)
+    return Protocol.of("tcp_b", b=float(b), packet_size=PACKET_BYTES, **options)
 
 
-def sqrt(gamma: float = 2.0, packet_size: Bytes = 1000, **options: Any) -> Protocol:
+def sqrt(gamma: float = 2.0, **options: Any) -> Protocol:
     """SQRT(1/gamma): the k = l = 1/2 binomial on the TCP machinery."""
-    return Protocol.of("sqrt", gamma=float(gamma), packet_size=int(packet_size), **options)
+    return Protocol.of("sqrt", gamma=float(gamma), packet_size=PACKET_BYTES, **options)
 
 
-def iiad(b: Ratio = 1.0, packet_size: Bytes = 1000, **options: Any) -> Protocol:
-    """IIAD: inverse-increase additive-decrease binomial."""
-    return Protocol.of("iiad", b=float(b), packet_size=int(packet_size), **options)
+def iiad(**options: Any) -> Protocol:
+    """IIAD: inverse-increase additive-decrease binomial (b = 1)."""
+    return Protocol.of("iiad", b=1.0, packet_size=PACKET_BYTES, **options)
 
 
-def rap(gamma: float = 2.0, packet_size: Bytes = 1000, **options: Any) -> Protocol:
+def rap(gamma: float = 2.0, **options: Any) -> Protocol:
     """RAP(1/gamma): rate-based AIMD, no self-clocking."""
-    return Protocol.of("rap", gamma=float(gamma), packet_size=int(packet_size), **options)
+    return Protocol.of("rap", gamma=float(gamma), packet_size=PACKET_BYTES, **options)
 
 
 def tfrc(
-    k: int = 6, conservative: bool = False, history_discounting: bool = True,
-    packet_size: Bytes = 1000, **options: Any,
+    k: int = 6, conservative: bool = False, history_discounting: bool = True, **options: Any
 ) -> Protocol:
     """TFRC(k), optionally with the paper's self-clocking (conservative_)."""
     return Protocol.of(
         "tfrc", k=int(k), conservative=bool(conservative),
-        history_discounting=bool(history_discounting), packet_size=int(packet_size), **options,
+        history_discounting=bool(history_discounting), packet_size=PACKET_BYTES, **options,
     )
 
 
-def tear(epochs: int = 8, packet_size: Bytes = 1000, **options: Any) -> Protocol:
-    """TEAR: receiver-based TCP emulation (extension; not in the figures)."""
-    return Protocol.of("tear", epochs=int(epochs), packet_size=int(packet_size), **options)
+def tear(**options: Any) -> Protocol:
+    """TEAR over 8 epochs: receiver-based TCP emulation (extension; not in
+    the figures)."""
+    return Protocol.of("tear", epochs=8, packet_size=PACKET_BYTES, **options)

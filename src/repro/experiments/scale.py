@@ -6,8 +6,8 @@ function per config returns the dimensionless numbers its scenario's
 dynamics depend on, computed from the config alone — no simulation:
 
 * **per-flow packets per RTT** in each phase: a flow's equal share of
-  what the bottleneck leaves it, in the 1000-byte packets ``build_net``
-  sends (window size decides timeouts against fast recovery);
+  what the bottleneck leaves it, in the ``PACKET_BYTES`` packets
+  ``build_net`` sends (window size decides timeouts against fast recovery);
 * the bottleneck **queue in BDPs**: ``queue_depth``, the depth of every
   bottleneck queue (2.5 × BDP, rounded to a whole packet);
 * **phase lengths in RTTs**;
@@ -17,12 +17,13 @@ Each docstring says which numbers the preset keeps and why the others
 differ; ``tests/test_scale_ledger.py`` pins ``fast`` against ``paper``
 number by number (equal where kept, the ratio otherwise), and DESIGN.md
 §2 prints the table.  A figure's own overrides (fig04's flow counts,
-the oscillation sweeps' ``n_flows``) are not the preset's and are not
+the oscillation sweeps' ``N_FLOWS``) are not the preset's and are not
 in the ledger.
 """
 
 from __future__ import annotations
 
+from repro.experiments.protocols import PACKET_BYTES
 from repro.experiments.scenarios import (
     CbrRestartConfig,
     ConvergenceConfig,
@@ -41,9 +42,6 @@ __all__ = [
     "loss_pattern_ledger",
     "oscillation_ledger",
 ]
-
-#: ``build_net``'s packet size, which every scenario sends.
-PACKET_BYTES = 1000
 
 
 def _pkts_per_rtt(bps: float, rtt_s: float) -> float:

@@ -35,7 +35,7 @@ from typing import Sequence
 from repro.cc.base import establish
 from repro.cc.tcp import new_tcp_flow
 from repro.experiments.jobs import Job, scenario
-from repro.experiments.protocols import Protocol
+from repro.experiments.protocols import PACKET_BYTES, Protocol
 from repro.metrics.fairness import delta_fair_convergence_time
 from repro.metrics.smoothness import rate_bins, smoothness
 from repro.metrics.stabilization import measure_stabilization
@@ -52,7 +52,7 @@ from repro.telemetry.measures import FlowMetrics, LinkMetrics
 from repro.traffic.bulk import Flow, add_flows
 from repro.traffic.cbr import CbrSink, CbrSource, on_off_schedule, square_wave
 from repro.traffic.flash_crowd import FlashCrowd
-from repro.units import BitsPerSecond, Bytes, Seconds
+from repro.units import BitsPerSecond, Seconds
 
 __all__ = [
     "CbrRestartConfig",
@@ -80,16 +80,16 @@ def build_net(
     rtt_s: Seconds,
     seed: int,
     reverse_flows: int,
-    packet_size: Bytes = 1000,
     aqm: str = "red",
 ) -> tuple[Simulator, Dumbbell]:
-    """Dumbbell plus the paper's bidirectional background TCP traffic.
+    """Dumbbell plus the paper's bidirectional background TCP traffic, in
+    :data:`~repro.experiments.protocols.PACKET_BYTES` packets.
 
     ``aqm`` is the bottleneck queue: the paper's ``"red"``, the same RED
     marking ECN-capable packets (``"red+ecn"``), or a ``"droptail"`` of the
     same depth, ``queue_depth``'s 2.5 x BDP.
     """
-    depth = queue_depth(bandwidth_bps, rtt_s, packet_size)
+    depth = queue_depth(bandwidth_bps, rtt_s, PACKET_BYTES)
     bottlenecks: dict[str, dict] = {
         "red": {},  # Dumbbell's default
         "red+ecn": {"ecn_marking": True},
@@ -102,7 +102,7 @@ def build_net(
         sim,
         bandwidth_bps=bandwidth_bps,
         rtt_s=rtt_s,
-        packet_size=packet_size,
+        packet_size=PACKET_BYTES,
         rng=RngRegistry(seed),
         **bottlenecks[aqm],
     )
@@ -110,7 +110,7 @@ def build_net(
         add_flows(
             sim,
             net,
-            lambda s: new_tcp_flow(s, packet_size=packet_size),
+            lambda s: new_tcp_flow(s, packet_size=PACKET_BYTES),
             count=reverse_flows,
             start_at=0.0,
             start_jitter_s=rtt_s * 4,
@@ -297,13 +297,14 @@ def flash_crowd(jb: Job) -> dict:
     sim.run(until=cfg.end)
 
     def aggregate_bps(flow_ids: Sequence[int]) -> list[list[float]]:
-        """``[bin end, the flows' aggregate throughput over the bin]`` per ``bin_s``."""
+        """``[bin end, the flows' aggregate throughput over the bin]`` per
+        ``bin_s``; bin ``k`` ends at ``bin_s + k * bin_s``, by integer index."""
         pairs = []
-        t = cfg.bin_s
-        while t <= cfg.end:
+        k = 0
+        while (t := cfg.bin_s + k * cfg.bin_s) <= cfg.end:
             rates = (net.accountant.throughput_bps(fid, t - cfg.bin_s, t) for fid in flow_ids)
             pairs.append([t, sum(rates, 0.0)])
-            t += cfg.bin_s
+            k += 1
         return pairs
 
     active_end = cfg.crowd_start + cfg.crowd_duration_s

@@ -60,10 +60,10 @@ def delta_fair_convergence_time(
         raise ValueError("delta must be in (0, 1)")
     if sustain_windows < 1:
         raise ValueError("sustain_windows must be >= 1")
-    t = start + window_s
     run_start: Optional[float] = None
     consecutive = 0
-    while t <= end:
+    k = 0
+    while (t := start + window_s + k * window_s) <= end:
         a = accountant.throughput_bps(flow_a, t - window_s, t)
         b = accountant.throughput_bps(flow_b, t - window_s, t)
         total = a + b
@@ -77,5 +77,5 @@ def delta_fair_convergence_time(
         else:
             consecutive = 0
             run_start = None
-        t += window_s
+        k += 1
     return None

@@ -49,7 +49,9 @@ def measure_stabilization(
 
     Scans the loss rate in a sliding window of ``WINDOW_RTTS`` RTTs,
     stepping one RTT at a time, and reports the first instant the windowed
-    loss rate is within ``THRESHOLD`` x ``steady_loss_rate``.
+    loss rate is within ``THRESHOLD`` x ``steady_loss_rate``.  Scan instant
+    ``k`` is ``congestion_start + window + k * rtt_s``, computed by integer
+    index: instants summed ``t += rtt_s`` drift from the RTT grid.
     """
     if steady_loss_rate < 0:
         raise ValueError("steady loss rate must be non-negative")
@@ -57,14 +59,14 @@ def measure_stabilization(
         raise ValueError("rtt must be positive")
     window = WINDOW_RTTS * rtt_s
     target = THRESHOLD * steady_loss_rate
-    t = congestion_start + window
     stabilized_at = None
-    while t <= end:
+    k = 0
+    while (t := congestion_start + window + k * rtt_s) <= end:
         rate = monitor.loss_rate(t - window, t)
         if not math.isnan(rate) and rate <= target:
             stabilized_at = t
             break
-        t += rtt_s
+        k += 1
     if stabilized_at is None:
         # Never stabilized within the simulation: charge the whole run.
         duration = end - congestion_start

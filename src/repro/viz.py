@@ -1,4 +1,4 @@
-"""Terminal visualization: sparklines and ASCII charts.
+"""Terminal visualization: ASCII charts.
 
 The benchmark harness and examples render result tables; these helpers
 turn numeric series into quick terminal graphics so a figure's *shape* —
@@ -11,34 +11,10 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-__all__ = ["sparkline", "line_chart", "bar_chart"]
+__all__ = ["line_chart", "bar_chart"]
 
-_BLOCKS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line block-character rendering of a series.
-
-    >>> sparkline([0, 1, 2, 3])
-    ' ▂▅█'
-    """
-    if not values:
-        return ""
-    finite = [v for v in values if not math.isnan(v)]
-    if not finite:
-        return " " * len(values)
-    lo, hi = min(finite), max(finite)
-    span = hi - lo
-    out = []
-    for v in values:
-        if math.isnan(v):
-            out.append(" ")
-        elif span == 0:
-            out.append(_BLOCKS[4])
-        else:
-            idx = int((v - lo) / span * (len(_BLOCKS) - 1))
-            out.append(_BLOCKS[idx])
-    return "".join(out)
+#: The character grid a line chart fills, and a full bar's length.
+CHART_WIDTH, CHART_HEIGHT, BAR_WIDTH = 64, 16, 50
 
 
 def _scale(value: float, lo: float, hi: float, steps: int, log: bool) -> int:
@@ -52,18 +28,17 @@ def _scale(value: float, lo: float, hi: float, steps: int, log: bool) -> int:
 
 def line_chart(
     series: Mapping[str, Sequence[tuple[float, float]]],
-    width: int = 64,
-    height: int = 16,
     title: str = "",
     log_x: bool = False,
-    log_y: bool = False,
 ) -> str:
-    """Plot one or more (x, y) series on a character grid.
+    """Plot one or more (x, y) series on a ``CHART_WIDTH`` x
+    ``CHART_HEIGHT`` character grid.
 
     Each series gets a marker (its name's first letter, uppercased in
     order of appearance on collisions).  Axes are annotated with the data
-    ranges; log scaling requires strictly positive values on that axis.
+    ranges; a log x axis requires strictly positive x values.
     """
+    width, height = CHART_WIDTH, CHART_HEIGHT
     points = [
         (x, y) for pts in series.values() for x, y in pts if not math.isnan(y)
     ]
@@ -73,8 +48,6 @@ def line_chart(
     ys = [y for _, y in points]
     if log_x and min(xs) <= 0:
         raise ValueError("log_x requires positive x values")
-    if log_y and min(ys) <= 0:
-        raise ValueError("log_y requires positive y values")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
 
@@ -88,7 +61,7 @@ def line_chart(
             if math.isnan(y):
                 continue
             col = _scale(x, x_lo, x_hi, width, log_x)
-            row = height - 1 - _scale(y, y_lo, y_hi, height, log_y)
+            row = height - 1 - _scale(y, y_lo, y_hi, height, False)
             grid[row][col] = mark
 
     lines = []
@@ -116,13 +89,14 @@ def line_chart(
     return "\n".join(lines)
 
 
-def bar_chart(
-    values: Mapping[str, float],
-    width: int = 50,
-    title: str = "",
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart of labelled values (non-negative)."""
+def bar_chart(values: Mapping[str, float], title: str = "") -> str:
+    """Horizontal bar chart of labelled values (non-negative); the largest
+    bar is ``BAR_WIDTH`` characters.
+
+    >>> print(bar_chart({"a": 2.0, "b": 1.0}))
+    a |██████████████████████████████████████████████████ 2
+    b |█████████████████████████ 1
+    """
     if not values:
         raise ValueError("nothing to plot")
     if any(v < 0 for v in values.values()):
@@ -131,6 +105,6 @@ def bar_chart(
     label_width = max(len(k) for k in values)
     lines = [title] if title else []
     for name, value in values.items():
-        bar = "█" * max(1 if value > 0 else 0, int(round(value / peak * width)))
-        lines.append(f"{name.ljust(label_width)} |{bar} {value:.3g}{unit}")
+        bar = "█" * max(1 if value > 0 else 0, int(round(value / peak * BAR_WIDTH)))
+        lines.append(f"{name.ljust(label_width)} |{bar} {value:.3g}")
     return "\n".join(lines)

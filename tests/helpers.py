@@ -1,6 +1,7 @@
 """Shared test fixtures: a two-node loopback path with optional dropper,
 a dropper that kills the path, a flow's recorded series, where a job's
-shard files sit in a result cache, and what a call leaves allocated."""
+shard files sit in a result cache, what a call leaves allocated, and an
+executor built under a fault spec."""
 
 from __future__ import annotations
 
@@ -10,8 +11,11 @@ import pathlib
 import tracemalloc
 from typing import Any, Callable, Optional, Union
 
+import pytest
+
 from repro.cc.base import Receiver, Sender
 from repro.experiments.cache import default_salt
+from repro.experiments.executor import Executor
 from repro.experiments.jobs import Job
 from repro.net import DropTailQueue, Dropper, Link, Node, Packet
 from repro.sim import Simulator
@@ -97,3 +101,12 @@ def retained_bytes(fn: Callable[[], Any]) -> tuple[int, Any]:
         return tracemalloc.get_traced_memory()[0] - before, result
     finally:
         tracemalloc.stop()
+
+
+def faulty_executor(spec: str, *args: Any, **kwargs: Any) -> Executor:
+    """``Executor(*args, **kwargs)`` built under ``REPRO_FAULT_SPEC=spec``,
+    the one route a fault spec takes into the executor; the variable is
+    restored once the executor has read it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_FAULT_SPEC", spec)
+        return Executor(*args, **kwargs)

@@ -29,24 +29,22 @@ TINY_SWEEP = """
 from repro.contracts import contracts_enabled
 assert contracts_enabled(), "harness must arm REPRO_CONTRACTS=1"
 
-from repro.experiments import run_figure
-from repro.experiments.protocols import tcp
+from repro.experiments import Executor
+from repro.experiments import fig04_stabilization_time as fig04
+from repro.experiments import fig14_oscillation_utilization as fig14
 
-t4 = run_figure(
-    "fig04",
-    gammas=[2],
-    families={"TCP(1/g)": lambda g: tcp(g)},
-    bandwidth_bps=1e6, n_flows=2, warmup_s=2.0, cbr_stop=8.0,
+jobs = fig04.jobs(
+    "fast", bandwidth_bps=1e6, n_flows=2, warmup_s=2.0, cbr_stop=8.0,
     cbr_restart=10.0, end=14.0,
 )
+t4 = fig04.reduce(Executor().map(jobs[:1]))  # TCP(1/2)
 assert t4.rows
 
-t14 = run_figure(
-    "fig14",
-    protocols=[tcp(2)],
-    bandwidth_bps=1.5e6, n_flows_a=1, n_flows_b=1,
+jobs = fig14.jobs(
+    "fast", bandwidth_bps=1.5e6,
     min_duration_s=10.0, periods_to_run=3, max_duration_s=12.0, warmup_s=2.0,
 )
+t14 = fig14.reduce(Executor().map(jobs[4:8]))  # TCP(1/2) at every ON time
 assert t14.rows
 print("SWEEP OK")
 """

@@ -29,6 +29,7 @@ import sys
 
 import pytest
 
+import repro.experiments.executor as executor_module
 from repro.experiments import fig11_convergence_analysis as fig11
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.cache import ResultCache
@@ -40,10 +41,17 @@ from repro.experiments.executor import (
 from repro.experiments.faults import FaultSpec, InjectedFault
 from repro.experiments.jobs import execute_job
 from repro.experiments.runlog import RunLog
+from tests.helpers import faulty_executor
 
 # Figure 20 is the cheapest real sweep (12 closed-form analysis jobs):
 # heavy enough to exercise every scheduler path, light enough for CI.
 JOBS = lambda: fig20.jobs("fast")  # noqa: E731 - tiny factory
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """Retries and respawns wait 10 ms, not the product's 50 ms base."""
+    monkeypatch.setattr(executor_module, "BACKOFF_S", 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +101,7 @@ class TestFaultSpec:
 
     def test_executor_validates_spec_eagerly(self):
         with pytest.raises(ValueError):
-            Executor(2, fault="explode:index=0")
+            faulty_executor("explode:index=0", 2)
 
 
 class TestCrashRecovery:
@@ -103,9 +111,7 @@ class TestCrashRecovery:
         """The acceptance path: one worker dies, nothing changes."""
         log = tmp_path / "run.jsonl"
         cache = ResultCache(tmp_path / "cache")
-        executor = Executor(
-            workers=3, fault="crash:index=0", run_log=log, backoff_s=0.01
-        )
+        executor = faulty_executor("crash:index=0", workers=3, run_log=log)
         table = fig20.reduce(executor.map(JOBS(), cache))
         assert table.format() == serial_table
 
@@ -124,9 +130,7 @@ class TestCrashRecovery:
 
     def test_crash_by_content_hash(self, serial_table):
         target = JOBS()[4].content_hash[:12]
-        executor = Executor(
-            workers=2, fault=f"crash:hash={target}", backoff_s=0.01
-        )
+        executor = faulty_executor(f"crash:hash={target}", workers=2)
         table = fig20.reduce(executor.map(JOBS()))
         assert table.format() == serial_table
         assert executor.last_report.retries == 1
@@ -135,9 +139,7 @@ class TestCrashRecovery:
 class TestDegradation:
     def test_hard_broken_pool_degrades_to_serial(self, serial_table):
         """Every worker dies on every attempt: the run still succeeds."""
-        executor = Executor(
-            workers=2, fault="crash:*:always", backoff_s=0.01
-        )
+        executor = faulty_executor("crash:*:always", workers=2)
         table = fig20.reduce(executor.map(JOBS()))
         assert table.format() == serial_table
         report = executor.last_report
@@ -150,12 +152,7 @@ class TestDegradation:
         target = JOBS()[5].content_hash[:12]
         log = tmp_path / "run.jsonl"
         cache = ResultCache(tmp_path / "cache")
-        executor = Executor(
-            workers=2,
-            fault=f"crash:hash={target}:always",
-            backoff_s=0.01,
-            run_log=log,
-        )
+        executor = faulty_executor(f"crash:hash={target}:always", workers=2, run_log=log)
         table = fig20.reduce(executor.map(JOBS(), cache))
         assert table.format() == serial_table
         report = executor.last_report
@@ -173,8 +170,6 @@ class TestDegradation:
         """A job that reaches the in-process loop at attempt k is retried
         there only while ``attempt <= max_retries`` — one budget, not a
         fresh ``max_retries`` on top of what the pool spent."""
-        import repro.experiments.executor as executor_module
-
         real = executor_module.run_job
 
         def broken_here(jb, fault=None):
@@ -185,12 +180,11 @@ class TestDegradation:
             return real(jb, fault)
 
         monkeypatch.setattr(executor_module, "run_job", broken_here)
+        monkeypatch.setattr(executor_module, "BACKOFF_S", 0.001)  # 63 backoff units
         log = tmp_path / "run.jsonl"
         # One worker, budget 3 rebuilds: four crashes, then the job
         # reaches the in-process loop at attempt 5.
-        executor = Executor(
-            1, fault="crash:*:always", max_retries=6, backoff_s=0.001, run_log=log
-        )
+        executor = faulty_executor("crash:*:always", 1, max_retries=6, run_log=log)
         with pytest.raises(ExecutionError) as excinfo:
             executor.map(JOBS()[:1])
         assert excinfo.value.attempts == 7  # 5 and 6 retried, 7 > max_retries
@@ -204,9 +198,7 @@ class TestDegradation:
 
 class TestRetriesAndFailure:
     def test_error_fault_retried_then_succeeds(self, serial_table):
-        executor = Executor(
-            workers=2, fault="error:index=2", max_retries=2, backoff_s=0.01
-        )
+        executor = faulty_executor("error:index=2", workers=2, max_retries=2)
         table = fig20.reduce(executor.map(JOBS()))
         assert table.format() == serial_table
         assert executor.last_report.retries == 1
@@ -215,12 +207,7 @@ class TestRetriesAndFailure:
     def test_exhausted_retries_raise_after_salvage(self, tmp_path):
         target = JOBS()[3].content_hash[:12]
         cache = ResultCache(tmp_path)
-        executor = Executor(
-            workers=2,
-            fault=f"error:hash={target}:always",
-            max_retries=1,
-            backoff_s=0.01,
-        )
+        executor = faulty_executor(f"error:hash={target}:always", workers=2, max_retries=1)
         with pytest.raises(ExecutionError) as excinfo:
             executor.map(JOBS(), cache)
         assert excinfo.value.attempts == 2  # 1 try + 1 retry
@@ -237,8 +224,6 @@ class TestRetriesAndFailure:
 
     def test_serial_executor_retries_transient_errors(self, monkeypatch):
         """In-process execution shares the bounded-retry machinery."""
-        import repro.experiments.executor as executor_module
-
         calls = {"n": 0}
         real = executor_module.run_job
 
@@ -249,19 +234,17 @@ class TestRetriesAndFailure:
             return real(jb, fault)
 
         monkeypatch.setattr(executor_module, "run_job", flaky)
-        executor = Executor(max_retries=2, backoff_s=0.0)
+        executor = Executor(max_retries=2)
         results = executor.map(JOBS()[:2])
         assert len(results) == 2
         assert executor.last_report.retries == 1
 
     def test_serial_executor_raises_when_budget_exhausted(self, monkeypatch):
-        import repro.experiments.executor as executor_module
-
         def always_broken(jb, fault=None):
             raise RuntimeError("permanent")
 
         monkeypatch.setattr(executor_module, "run_job", always_broken)
-        executor = Executor(max_retries=1, backoff_s=0.0)
+        executor = Executor(max_retries=1)
         with pytest.raises(ExecutionError, match="after 2 attempt"):
             executor.map(JOBS()[:1])
         assert executor.last_report.failures == 1
@@ -270,13 +253,8 @@ class TestRetriesAndFailure:
 class TestTimeouts:
     def test_stuck_job_times_out_and_is_retried(self, tmp_path, serial_table):
         log = tmp_path / "run.jsonl"
-        executor = Executor(
-            workers=2,
-            fault="hang=3:index=1",  # attempt 1 stalls 3s
-            job_timeout=0.75,
-            backoff_s=0.01,
-            run_log=log,
-        )
+        # Attempt 1 stalls 3 s.
+        executor = faulty_executor("hang=3:index=1", workers=2, job_timeout=0.75, run_log=log)
         table = fig20.reduce(executor.map(JOBS()))
         assert table.format() == serial_table
         report = executor.last_report
@@ -287,12 +265,8 @@ class TestTimeouts:
         assert summary["timeouts"] == 1
 
     def test_persistent_hang_exhausts_budget(self):
-        executor = Executor(
-            workers=2,
-            fault="hang=3:index=0:always",
-            job_timeout=0.3,
-            max_retries=0,
-            backoff_s=0.01,
+        executor = faulty_executor(
+            "hang=3:index=0:always", workers=2, job_timeout=0.3, max_retries=0
         )
         with pytest.raises(ExecutionError, match="job-timeout"):
             executor.map(JOBS()[:2])
@@ -328,7 +302,8 @@ class TestRunLog:
 
     def test_deduplicated_jobs_are_logged(self, tmp_path):
         log = tmp_path / "run.jsonl"
-        js = fig20.jobs("fast", p_values=[0.1, 0.1, 0.3])
+        every = fig20.jobs("fast")
+        js = [every[4], every[4], every[5]]  # p = 0.1 twice, then 0.2
         executor = Executor(run_log=log)
         executor.map(js)
         statuses = [r["status"] for r in read_log(log) if r["event"] == "job"]
@@ -344,8 +319,6 @@ class TestRunLog:
         assert [r["figures"] for r in summaries] == [["fig11", "fig20"], []]
 
     def test_a_map_record_carries_the_coordinators_peak_rss(self, tmp_path, monkeypatch):
-        import repro.experiments.executor as executor_module
-
         resource = pytest.importorskip("resource")
         log = tmp_path / "run.jsonl"
         executor = Executor(run_log=log)

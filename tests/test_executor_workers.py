@@ -37,6 +37,7 @@ from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.executor import ExecutionError, Executor
 from repro.experiments.faults import CRASH_EXIT_STATUS, FaultSpec, InjectedFault
 from repro.experiments.jobs import indexed
+from tests.helpers import faulty_executor
 from tests.test_scheduler_determinism import POOL_FORCING_TIMEOUT_S, _fingerprint
 
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -47,16 +48,22 @@ needs_fork = pytest.mark.skipif(
 )
 
 #: One fig20 map on two workers in a fresh interpreter; ``argv[1]`` holds
-#: the executor's keyword arguments; its last line of output is one
-#: JSON object.
+#: the executor's keyword arguments, plus ``fault`` (the fault spec it
+#: reads from ``REPRO_FAULT_SPEC``) and ``backoff`` (its backoff base,
+#: 10 ms unless given); its last line of output is one JSON object.
 DRIVER = """
 import json, multiprocessing, os, sys, threading
 from repro.experiments import DropperSpec, LossPatternConfig, job, tcp
+from repro.experiments import executor as executor_module
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments.executor import Executor
 
 threads = threading.active_count()
-executor = Executor(2, **{"backoff_s": 0.01, **json.loads(sys.argv[1])})
+kwargs = json.loads(sys.argv[1])
+executor_module.BACKOFF_S = kwargs.pop("backoff", 0.01)
+if "fault" in kwargs:
+    os.environ["REPRO_FAULT_SPEC"] = kwargs.pop("fault")
+executor = Executor(2, **kwargs)
 table = fig20.reduce(executor.map(fig20.jobs("fast"))).format()
 out = {
     "table": table,
@@ -139,6 +146,12 @@ def loss_pattern_jobs(count: int, *, duration_s: float = 5.0, last=None):
     )
 
 
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """Retries and respawns wait 10 ms, not the product's 50 ms base."""
+    monkeypatch.setattr(executor_module, "BACKOFF_S", 0.01)
+
+
 @pytest.fixture(scope="module")
 def serial_table():
     return fig20.reduce(Executor().map(JOBS())).format()
@@ -176,7 +189,7 @@ class TestNothingLeftRunning:
         log = tmp_path / "run.jsonl"
         read_end, alive = os.pipe()
         process = start_driver(
-            fault="error:index=5", backoff_s=30.0, run_log=str(log), pass_fds=[alive]
+            fault="error:index=5", backoff=30.0, run_log=str(log), pass_fds=[alive]
         )
         os.close(alive)
         try:
@@ -209,9 +222,7 @@ class TestNothingLeftRunning:
 class TestALostWorkerIsNamed:
     def test_an_injected_crash_is_exit_70(self, tmp_path, serial_table):
         log = tmp_path / "run.jsonl"
-        executor = Executor(
-            2, fault="crash:index=0", backoff_s=0.01, run_log=log
-        )
+        executor = faulty_executor("crash:index=0", 2, run_log=log)
         try:
             assert fig20.reduce(executor.map(JOBS())).format() == serial_table
         finally:
@@ -225,13 +236,8 @@ class TestALostWorkerIsNamed:
 
     def test_a_timeout_kill_is_exit_minus_9_and_the_error_says_so(self, tmp_path):
         log = tmp_path / "run.jsonl"
-        executor = Executor(
-            2,
-            fault="hang=30:index=0:always",
-            job_timeout=0.3,
-            max_retries=0,
-            backoff_s=0.01,
-            run_log=log,
+        executor = faulty_executor(
+            "hang=30:index=0:always", 2, job_timeout=0.3, max_retries=0, run_log=log
         )
         try:
             with pytest.raises(ExecutionError, match=r"lost a worker, exit -9"):
@@ -277,9 +283,7 @@ class TestWhatAWorkerSendsBack:
             raise Local("not picklable")
 
         monkeypatch.setattr(FaultSpec, "fire", fire)  # inherited by the fork
-        executor = Executor(
-            2, fault="error:index=0:always", max_retries=2, backoff_s=0.0
-        )
+        executor = faulty_executor("error:index=0:always", 2, max_retries=2)
         try:
             with pytest.raises(ExecutionError, match=r"Local\('not picklable'\)"):
                 executor.map(JOBS())
@@ -335,7 +339,7 @@ class TestTheSpawnArm:
         monkeypatch.setattr(
             executor_module, "_context", lambda: multiprocessing.get_context("spawn")
         )
-        executor = Executor(2, fault="crash:index=0", backoff_s=0.01)
+        executor = faulty_executor("crash:index=0", 2)
         try:
             assert fig20.reduce(executor.map(JOBS())).format() == serial_table
         finally:
@@ -353,7 +357,7 @@ class TestArmsNoFaultSpecReaches:
     leave the table (or the salvage) as a clean run would."""
 
     def test_a_worker_that_died_idle_is_replaced_before_its_job(self, serial_table):
-        executor = Executor(2, job_timeout=POOL_FORCING_TIMEOUT_S, backoff_s=0.01)
+        executor = Executor(2, job_timeout=POOL_FORCING_TIMEOUT_S)
         try:
             executor.map(JOBS())
             idle = executor._slots[0].proc
@@ -401,7 +405,7 @@ class TestArmsNoFaultSpecReaches:
 
         monkeypatch.setattr(FaultSpec, "bind", bind)  # inherited by the fork
         cache = ResultCache(tmp_path)
-        executor = Executor(2, fault="error:*", max_retries=0, backoff_s=0.0)
+        executor = faulty_executor("error:*", 2, max_retries=0)
         try:
             with pytest.raises(ExecutionError, match="fails for good"):
                 executor.map(JOBS()[:2], cache)
@@ -424,13 +428,13 @@ class TestTheTail:
         assert [pids[i] == os.getpid() for i in range(3)] == [False, False, True]
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"fault": "error:index=99"}, {"job_timeout": POOL_FORCING_TIMEOUT_S}],
+        "spec, kwargs",
+        [("error:index=99", {}), ("", {"job_timeout": POOL_FORCING_TIMEOUT_S})],
         ids=["fault-spec", "job-timeout"],
     )
-    def test_isolation_keeps_the_last_job_on_a_worker(self, tmp_path, kwargs):
+    def test_isolation_keeps_the_last_job_on_a_worker(self, tmp_path, spec, kwargs):
         log = tmp_path / "run.jsonl"
-        with Executor(2, run_log=log, **kwargs) as executor:
+        with faulty_executor(spec, 2, run_log=log, **kwargs) as executor:
             executor.map(loss_pattern_jobs(3))
         assert executor.last_report.inlined == 0
         pids = {r["worker_pid"] for r in job_records(log)}
@@ -446,7 +450,7 @@ class TestTheTail:
             2, duration_s=30.0, last=DropperSpec("no-such-kind")
         )
         cache = ResultCache(tmp_path)
-        with Executor(2, max_retries=1, backoff_s=0.0) as executor:
+        with Executor(2, max_retries=1) as executor:
             with pytest.raises(ExecutionError, match="no-such-kind") as excinfo:
                 executor.map([*good, bad], cache)
         assert isinstance(excinfo.value.__cause__, KeyError)

@@ -71,17 +71,13 @@ class TestSwitchDropper:
 
 class TestResponsivenessMeasurement:
     def test_tcp_halves_quickly(self):
-        measured = measure_responsiveness_rtts(
-            tcp(2), warmup_s=15.0, observe_rtts=100
-        )
+        measured = measure_responsiveness_rtts(tcp(2), 100)
         assert measured is not None
         assert measured <= 10
 
     def test_tfrc256_slower_than_tcp(self):
-        tcp_r = measure_responsiveness_rtts(tcp(2), warmup_s=15.0, observe_rtts=150)
-        slow_r = measure_responsiveness_rtts(
-            tfrc(256), warmup_s=15.0, observe_rtts=150
-        )
+        tcp_r = measure_responsiveness_rtts(tcp(2), 150)
+        slow_r = measure_responsiveness_rtts(tfrc(256), 150)
         assert tcp_r is not None
         if slow_r is not None:
             assert slow_r > tcp_r * 3

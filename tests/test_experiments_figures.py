@@ -2,8 +2,11 @@
 
 Every registry name is driven through ``run_figure`` — the one-name form
 of ``run_figures``, the one road the CLI and the benchmark harness take —
-with miniature parameter overrides, so the jobs/reduce paths stay covered
-without the benchmark-scale cost.
+over a miniature cut of its own job list: a tiny config (the overrides
+``jobs`` takes) and the first job or two of the figure's sweep, so the
+jobs/reduce paths stay covered without the benchmark-scale cost.  A
+figure's sweep axes are constants of its module; a test shrinks a figure
+by cutting or editing its jobs, never through a knob.
 The tests share one temporary-directory cache: a figure simulated by the registry
 sweep is a cache hit for its own shape test.  Shape assertions on the
 real configurations live in benchmarks/.
@@ -26,7 +29,7 @@ from repro.experiments import (
     run_figures,
     table_filename,
 )
-from repro.experiments.jobs import run_job
+from repro.experiments.jobs import Job, run_job
 from repro.experiments.protocols import tcp
 
 TINY_CBR = dict(
@@ -38,62 +41,75 @@ TINY_OSC = dict(
     min_duration_s=10.0, periods_to_run=3, max_duration_s=12.0, warmup_s=2.0,
 )
 TINY_LOSS = dict(bandwidth_bps=3e6, duration_s=10.0, warmup_s=2.0)
-TINY_STABILIZATION = dict(
-    gammas=[2], families={"TCP(1/g)": lambda g: tcp(g)}, **TINY_CBR
-)
 TINY_CONVERGENCE = dict(bandwidth_bps=1e6, second_start=4.0, end=30.0, seeds=(1,))
-TINY_OSC_SWEEP = dict(on_times=[0.5], protocols=[tcp(2)], n_flows=2, **TINY_OSC)
 TINY_QUEUE = dict(bandwidth_bps=2e6, n_flows=4, duration_s=25.0, warmup_s=10.0)
+TINY_DOUBLING = dict(bandwidth_bps=2e6, n_flows=4, n_stopped=2, stop_at=10.0)
 
 RUNNABLE = {**ALL_FIGURES, **EXTENSIONS}
 
-#: Miniature overrides for every registry name.
+
+def first(jobs: list[Job]) -> list[Job]:
+    return jobs[:1]
+
+
+def every(jobs: list[Job]) -> list[Job]:
+    return jobs
+
+
+def two_flows_at(index: int):
+    """The sweep's job ``index`` with two identical flows (Figs 14-16)."""
+    def cut(jobs: list[Job]) -> list[Job]:
+        jb = jobs[index]
+        return [dataclasses.replace(jb, config=dataclasses.replace(jb.config, n_flows_a=2))]
+    return cut
+
+
+#: Registry name -> (the config overrides its ``jobs`` takes, the cut of
+#: the job list it runs).
 TINY = {
-    "fig03": dict(protocols=[tcp(2)], **TINY_CBR),
-    "fig04": TINY_STABILIZATION,
-    "fig05": TINY_STABILIZATION,
-    "fig06": dict(
-        protocols=[tcp(2)],
-        bandwidth_bps=2e6,
-        n_background=2,
-        crowd_rate_per_s=30.0,
-        crowd_duration_s=1.0,
-        crowd_start=3.0,
-        end=8.0,
+    "fig03": (TINY_CBR, first),  # TCP(1/2)
+    "fig04": (TINY_CBR, first),  # TCP(1/g) at g = 2
+    "fig05": (TINY_CBR, first),
+    "fig06": (
+        dict(
+            bandwidth_bps=2e6,
+            n_background=2,
+            crowd_rate_per_s=30.0,
+            crowd_duration_s=1.0,
+            crowd_start=3.0,
+            end=8.0,
+        ),
+        first,  # TCP(1/2) in the background
     ),
-    "fig07": dict(periods=[1.0], **TINY_OSC),
-    "fig08": dict(periods=[1.0], **TINY_OSC),
-    "fig09": dict(periods=[1.0], **TINY_OSC),
-    "fig10": dict(bs=[0.5], **TINY_CONVERGENCE),
-    "fig11": {},
-    "fig12": dict(ks=[2], **TINY_CONVERGENCE),
-    "fig13": dict(
-        gammas=[2],
-        families={"TCP(1/b)": lambda g: tcp(g)},
-        bandwidth_bps=2e6,
-        n_flows=4,
-        n_stopped=2,
-        stop_at=10.0,
+    "fig07": (TINY_OSC, lambda jobs: jobs[2:3]),  # the 1 s period
+    "fig08": (TINY_OSC, lambda jobs: jobs[2:3]),
+    "fig09": (TINY_OSC, lambda jobs: jobs[2:3]),
+    "fig10": (TINY_CONVERGENCE, first),  # b = 0.5
+    "fig11": ({}, every),
+    "fig12": (TINY_CONVERGENCE, first),  # k = 1
+    "fig13": (TINY_DOUBLING, first),  # TCP(1/b) at b = 2
+    "fig14": (TINY_OSC, two_flows_at(6)),  # TCP(1/2), ON/OFF 0.8 s
+    "fig15": (TINY_OSC, two_flows_at(6)),
+    "fig16": (TINY_OSC, two_flows_at(6)),
+    # The mild pattern on TCP(1/2), the loss_pattern job the payload pin holds.
+    "fig17": (TINY_LOSS, lambda jobs: [dataclasses.replace(jobs[0], protocol=tcp(2))]),
+    "fig18": (TINY_LOSS, first),  # TFRC(6)
+    "fig19": (TINY_LOSS, every),
+    "fig20": ({}, every),
+    # TCP(1/2) given 60 RTTs to halve in.
+    "responsiveness": (
+        {}, lambda jobs: [dataclasses.replace(jobs[0], params=(("observe_rtts", 60),))]
     ),
-    "fig14": TINY_OSC_SWEEP,
-    "fig15": TINY_OSC_SWEEP,
-    "fig16": TINY_OSC_SWEEP,
-    "fig17": dict(protocols=[tcp(2)], **TINY_LOSS),
-    "fig18": dict(protocols=[tcp(2)], phases=[(2.0, 100), (0.5, 4)], **TINY_LOSS),
-    "fig19": TINY_LOSS,
-    "fig20": {},
-    "responsiveness": dict(observe_rtts=60),
-    "queue_dynamics": TINY_QUEUE,
-    "aggressiveness": dict(warmup_s=5.0, observe_rtts=10),
-    "fig11_simulated_validation": dict(bandwidth_bps=1e6, second_start=4.0, end=20.0),
-    "fig20_simulated_validation": dict(p_values=[0.1], duration_s=10.0, warmup_s=2.0),
-    "ablation_tfrc_conservative_c": TINY_CBR,
-    "ablation_red_vs_droptail": TINY_CBR,
-    "ablation_history_discounting": dict(
-        bandwidth_bps=2e6, n_flows=4, n_stopped=2, stop_at=10.0
-    ),
-    "ablation_rap_packet_conservation": TINY_CBR,
-    "ablation_tfrc_oscillation_prevention": TINY_QUEUE,
+    "queue_dynamics": (TINY_QUEUE, every),
+    "aggressiveness": ({}, first),  # TCP(1/2)
+    "fig11_simulated_validation": (dict(bandwidth_bps=1e6, second_start=4.0, end=20.0), every),
+    # TCP at p = 0.1.
+    "fig20_simulated_validation": (dict(duration_s=10.0, warmup_s=2.0), lambda jobs: jobs[1:2]),
+    "ablation_tfrc_conservative_c": (TINY_CBR, every),
+    "ablation_red_vs_droptail": (TINY_CBR, every),
+    "ablation_history_discounting": (TINY_DOUBLING, every),
+    "ablation_rap_packet_conservation": (TINY_CBR, every),
+    "ablation_tfrc_oscillation_prevention": (TINY_QUEUE, every),
 }
 
 CACHE: ResultCache
@@ -105,8 +121,18 @@ def shared_cache(tmp_path_factory):
     CACHE = ResultCache(tmp_path_factory.mktemp("tiny-figures"))
 
 
-def tiny(name: str) -> Table:
-    return run_figure(name, "fast", cache=CACHE, **TINY[name])
+def tiny_jobs(name: str) -> list[Job]:
+    """The registry entry's jobs on its tiny config, cut as ``TINY`` says."""
+    config, cut = TINY[name]
+    return cut(RUNNABLE[name].jobs("fast", **config))
+
+
+def tiny(name: str, **options) -> Table:
+    """``run_figure(name)`` with the entry's ``jobs`` answering its tiny cut."""
+    module, jobs = RUNNABLE[name], tiny_jobs(name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "jobs", lambda scale: jobs)
+        return run_figure(name, "fast", **{"cache": CACHE, **options})
 
 
 def module_name(name: str) -> str:
@@ -137,7 +163,7 @@ class TestRegistry:
     def test_a_recorder_does_not_change_the_payload(self, name):
         # Telemetry is pay-for-use: under a recorder a job writes channels,
         # and fires reverse-bottleneck tap events, that it otherwise skips.
-        job = RUNNABLE[name].jobs("fast", **TINY[name])[0]
+        job = tiny_jobs(name)[0]
         traced_text, trace_text = run_job(dataclasses.replace(job, trace=True))
         assert trace_text.startswith('{"__telemetry__"')
         assert traced_text == run_job(job)[0]
@@ -158,15 +184,20 @@ class TestOneMap:
     """``run_figures`` maps every entry's jobs at once, so the executor's
     dedup sees the points two entries share and computes each once."""
 
-    def test_a_shared_point_is_computed_once_and_the_tables_are_unchanged(self):
+    def test_a_shared_point_is_computed_once_and_the_tables_are_unchanged(self, monkeypatch):
         executor = Executor()
-        overrides = dict(TINY_STABILIZATION, gammas=[2, 4])
-        tables = run_figures(["fig05", "fig04"], executor=executor, **overrides)
+        # Figure 5's jobs are Figure 4's: cutting Figure 4's sweep to its
+        # first two points (TCP(1/g) at g = 2 and 16) cuts both.
+        sweep = fig04_stabilization_time.jobs
+        monkeypatch.setattr(
+            fig04_stabilization_time, "jobs", lambda scale, **config: sweep(scale, **config)[:2]
+        )
+        tables = run_figures(["fig05", "fig04"], executor=executor, **TINY_CBR)
         report = executor.last_report
         assert (report.jobs, report.computed, report.deduplicated) == (4, 2, 2)
         assert list(tables) == ["fig05", "fig04"]
         for name, table in tables.items():
-            alone = run_figure(name, executor=executor, **overrides)
+            alone = run_figure(name, executor=executor, **TINY_CBR)
             assert executor.last_report.computed == 2
             assert table.format() == alone.format()
 
@@ -189,9 +220,9 @@ class TestSimulationFigures:
     def test_fig04_and_05_share_sweep(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = Executor()
-        t4 = run_figure("fig04", executor=executor, cache=cache, **TINY["fig04"])
+        t4 = tiny("fig04", executor=executor, cache=cache)
         assert executor.last_report.computed == 1
-        t5 = run_figure("fig05", executor=executor, cache=cache, **TINY["fig05"])
+        t5 = tiny("fig05", executor=executor, cache=cache)
         assert executor.last_report.computed == 0
         assert executor.last_report.cache_hits == 1
         assert t4.rows and t5.rows

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -31,9 +30,17 @@ from repro.experiments import fig14_oscillation_utilization as fig14
 from repro.experiments import fig15_oscillation_droprate as fig15
 from repro.experiments import fig19_iiad_sqrt as fig19
 from repro.experiments import fig20_timeout_models as fig20
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import MISS, ResultCache, default_salt
 from repro.experiments.executor import Executor, make_executor
-from repro.experiments.jobs import DropperSpec, Job, canonical, content_hash, job
+from repro.experiments.jobs import (
+    JOBS_SCHEMA_VERSION,
+    DropperSpec,
+    Job,
+    canonical,
+    content_hash,
+    job,
+)
 from repro.experiments.protocols import tcp, tfrc
 from repro.sim.rng import RngRegistry
 from tests.helpers import retained_bytes, shard_file
@@ -53,19 +60,22 @@ TINY_LOSS = dict(bandwidth_bps=3e6, duration_s=10.0, warmup_s=2.0)
 
 
 def tiny_fig04_jobs():
-    return fig04.jobs(
-        "fast", gammas=[2], families={"TCP(1/g)": lambda g: tcp(g)}, **TINY_CBR
-    )
+    return fig04.jobs("fast", **TINY_CBR)[:1]  # TCP(1/2)
 
 
 def tiny_fig14_jobs():
-    return fig14.jobs(
-        "fast", on_times=[0.5], protocols=[tcp(2)], n_flows=2, **TINY_OSC
-    )
+    jb = fig14.jobs("fast", **TINY_OSC)[6]  # TCP(1/2), ON/OFF 0.8 s
+    return [replace(jb, config=replace(jb.config, n_flows_a=2))]
 
 
 def tiny_fig19_jobs():
     return fig19.jobs("fast", **TINY_LOSS)
+
+
+def fig20_at(*ps: float) -> list[Job]:
+    """Figure 20's jobs at the drop rates ``ps``, cut from its sweep."""
+    by_p = {jb.param("p"): jb for jb in fig20.jobs("fast")}
+    return [by_p[p] for p in ps]
 
 
 def _count_hashes(monkeypatch):
@@ -289,7 +299,7 @@ class TestParallelMatchesSerial:
             make_executor(-1)
 
     def test_identical_jobs_deduplicated(self):
-        js = fig20.jobs("fast", p_values=[0.1, 0.1, 0.3])
+        js = fig20_at(0.1, 0.1, 0.33)
         executor = Executor()
         results = executor.map(js)
         report = executor.last_report
@@ -326,34 +336,32 @@ class TestResultCache:
     def test_config_change_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = Executor()
-        executor.map(fig20.jobs("fast", p_values=[0.1]), cache)
-        executor.map(fig20.jobs("fast", p_values=[0.2]), cache)
+        executor.map(fig20_at(0.1), cache)
+        executor.map(fig20_at(0.2), cache)
         assert executor.last_report.cache_hits == 0
         assert executor.last_report.computed == 1
 
     def test_salt_change_invalidates(self, tmp_path):
-        js = fig20.jobs("fast", p_values=[0.1])
+        js = fig20_at(0.1)
         old = ResultCache(tmp_path)  # default code-version salt
         Executor().map(js, old)
         assert old.lookup(js[0]) is not MISS
 
-        upgraded = ResultCache(tmp_path, salt=default_salt() + "-next")
+        with pytest.MonkeyPatch.context() as patch:  # the next schema version
+            patch.setattr(cache_module, "JOBS_SCHEMA_VERSION", JOBS_SCHEMA_VERSION + 1)
+            upgraded = ResultCache(tmp_path)
+        assert upgraded.salt != default_salt()
         assert upgraded.lookup(js[0]) is MISS
         assert upgraded.stats.misses == 1
 
         # The upgrade stores beside the old version, which still hits.
-        Executor().map(fig20.jobs("fast", p_values=[0.1, 0.2]), upgraded)
+        Executor().map(fig20_at(0.1, 0.2), upgraded)
         assert ResultCache(tmp_path).lookup(js[0]) is not MISS
         assert (len(ResultCache(tmp_path)), len(upgraded)) == (1, 2)
 
-    @pytest.mark.parametrize("salt", ["", ".", "..", "a/b", "/abs", "a\0b"])
-    def test_a_salt_is_one_path_component(self, tmp_path, salt):
-        with pytest.raises(ValueError, match=re.escape(repr(salt))):
-            ResultCache(tmp_path, salt=salt)
-
     def test_corrupt_blob_is_a_miss_and_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path)
-        js = fig20.jobs("fast", p_values=[0.1])
+        js = fig20_at(0.1)
         cache.store(js[0], {"ok": True})
         pack = shard_file(tmp_path, js[0], ".pack")
         frame = pack.read_bytes()
@@ -367,7 +375,7 @@ class TestResultCache:
 
     def test_corrupt_pack_is_a_miss_and_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path)
-        js = fig20.jobs("fast", p_values=[0.1])
+        js = fig20_at(0.1)
         Executor().map(js, cache)
         pack = shard_file(tmp_path, js[0], ".pack")
         assert pack.exists()
@@ -381,14 +389,14 @@ class TestResultCache:
     def test_a_fresh_root_holds_what_a_map_stores(self, tmp_path):
         cache = ResultCache(tmp_path / "fresh")
         assert cache.root == tmp_path / "fresh" and len(cache) == 0
-        js = fig20.jobs("fast", p_values=[0.3])
+        js = fig20_at(0.33)
         Executor().map(js, cache)
         assert cache.lookup(js[0]) is not MISS
         assert len(cache) == 1
 
     def test_store_returns_json_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        jb = fig20.jobs("fast", p_values=[0.1])[0]
+        jb = fig20_at(0.1)[0]
         value = {"xs": [1, 2.5], "label": "ok", "none": None}
         assert cache.store(jb, value) == value
 
@@ -396,13 +404,13 @@ class TestResultCache:
 class TestExecuteHelper:
     def test_execute_defaults_to_serial(self):
         executor = Executor()
-        results = executor.map(fig20.jobs("fast", p_values=[0.1]))
+        results = executor.map(fig20_at(0.1))
         assert executor.workers == 0 and not executor._slots
         assert len(results) == 1 and not results[0].cached
 
     def test_execute_with_cache_marks_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
-        js = fig20.jobs("fast", p_values=[0.1])
+        js = fig20_at(0.1)
         Executor().map(js, cache)
         results = Executor().map(js, cache)
         assert results[0].cached

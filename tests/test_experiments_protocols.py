@@ -59,9 +59,9 @@ class TestFactories:
         assert protocol.name == "TFRC(32)+SC"
 
     def test_tear_factory(self):
-        sender, receiver = tear(epochs=4).make(Simulator())
+        sender, receiver = tear().make(Simulator())
         assert isinstance(sender, TearSender)
-        assert receiver.epochs == 4
+        assert receiver.epochs == 8
 
     def test_each_make_call_is_fresh(self):
         protocol = tcp(2)

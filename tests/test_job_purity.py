@@ -32,7 +32,7 @@ import sys
 import repro
 from repro.experiments.jobs import SCENARIOS, Job, job
 from tests import purity_controls
-from tests.test_experiments_figures import RUNNABLE, TINY
+from tests.test_experiments_figures import TINY, tiny_jobs
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -43,8 +43,8 @@ FRESH_PROCESS = "differs when recomputed in a fresh process"
 
 def one_tiny_job_per_scenario() -> "list[Job]":
     picked: "dict[str, Job]" = {}
-    for name, overrides in TINY.items():
-        for jb in RUNNABLE[name].jobs("fast", **overrides):
+    for name in TINY:
+        for jb in tiny_jobs(name):
             picked.setdefault(jb.scenario, jb)
     return list(picked.values())
 

@@ -78,6 +78,22 @@ class TestStabilization:
         )
         assert result.stabilized
 
+    def test_the_scan_walks_the_rtt_grid_by_index(self):
+        # Instants summed t += rtt_s drifted off the grid: fig04's job 11
+        # read 446.99999999997516 RTTs where its grid instant gives
+        # 446.9999999999999.  Scanned as Figs 3-5 scan the fast restart at
+        # 73 s: window k ends at 73 s + 10 RTTs + k RTTs.
+        ends = []
+
+        class Never:
+            def loss_rate(self, start, end):
+                ends.append(end)
+                return 1.0
+
+        rtt_s, start = 0.05, 73.0
+        measure_stabilization(Never(), start, 0.0, rtt_s, start + 10 * rtt_s + 400 * rtt_s)
+        assert ends[:401] == [start + 10 * rtt_s + k * rtt_s for k in range(401)]
+
     def test_validation(self):
         monitor = FakeMonitor([])
         with pytest.raises(ValueError):

@@ -18,25 +18,31 @@ seed, so they are read from the source instead:
   insertion-ordered and fine.
 * **an option nothing sets**: a defaulted parameter of a public function,
   method or ``__init__`` in ``repro/{sim,net,cc,traffic,metrics,telemetry,
-  analysis}`` that no call in ``src/repro``, ``examples``, ``bench`` or
-  ``benchmarks`` reaches.  A call reaches it by keyword, by position, by a
-  key of a dict literal it passes as ``**``, through ``super().__init__``,
-  through a ``**kwargs`` it forwards, or through a protocol helper
-  (``tcp(2, ecn=True)`` reaches ``new_tcp_flow`` through ``Protocol.of``
-  and ``FAMILIES``, then ``TcpSender`` through ``**sender_kwargs``).  A
-  test setting it is no reason: the paper ran one configuration, and an
-  alternative that no measurement reads is a second code path to keep
-  right.  ``OPTION_ALLOWLIST`` names each exception and the reader it waits
-  for.  ``python -m tests.test_source_rules options`` prints the census.
+  analysis,experiments}`` or ``repro/viz.py`` that no call in
+  ``src/repro``, ``examples``, ``bench`` or ``benchmarks`` (the
+  paper-claims suite, whose ``test_*`` modules count) reaches.  A call
+  reaches it by keyword, by position, by a key of a dict literal it
+  passes as ``**``, through ``super().__init__``, through a ``**kwargs``
+  it forwards, or through a protocol helper (``tcp(2, ecn=True)`` reaches
+  ``new_tcp_flow`` through ``Protocol.of`` and ``FAMILIES``, then
+  ``TcpSender`` through ``**sender_kwargs``).  A test setting it is no
+  reason: the paper ran one configuration, and an alternative that no
+  measurement reads is a second code path to keep right; a figure's
+  sweep axes are its module's constants, and a test shrinks a figure by
+  cutting its job list.  ``OPTION_ALLOWLIST`` names each exception and
+  the reader it waits for.  ``python -m tests.test_source_rules options``
+  prints the census.
 * **a public name nothing reads**: a public top-level function or class, or
   a public method or property of one, in the same packages that no module
   in ``src/repro``, ``examples``, ``bench`` or ``benchmarks`` spells as a
   name, an attribute or a string.  An import, an ``__all__`` entry (a
   package re-export) and the definition's own body do not count, and
   neither do tests: an accessor only a test reads is a second way to look
-  at state the product reads one way.  ``READER_ALLOWLIST`` names each
-  exception and the ROADMAP item bringing its reader;
-  ``python -m tests.test_source_rules readers`` prints the census.
+  at state the product reads one way.  ``experiments/scale.py`` is exempt:
+  DESIGN.md §2's table and its test read its ledger functions.
+  ``READER_ALLOWLIST`` names each exception and the ROADMAP item bringing
+  its reader; ``python -m tests.test_source_rules readers`` prints the
+  census.
 * **the collector touched outside the job layer**: an ``import gc`` or a
   ``gc.*`` call anywhere in ``src/repro`` but ``experiments/jobs.py``
   (one collection when a simulated job returns) and
@@ -70,12 +76,14 @@ SET_OPERATORS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
 
 def modules(packages) -> list[str]:
-    """Every module in ``packages``, relative to ``src/repro``."""
-    return [
-        path.relative_to(SRC).as_posix()
-        for package in packages
-        for path in sorted((SRC / package).rglob("*.py"))
-    ]
+    """Every module in ``packages`` (a package directory or one module
+    file), relative to ``src/repro``."""
+    found = []
+    for package in packages:
+        top = SRC / package
+        paths = [top] if top.is_file() else sorted(top.rglob("*.py"))
+        found += [path.relative_to(SRC).as_posix() for path in paths]
+    return found
 
 
 def read(path: str) -> str:
@@ -269,13 +277,19 @@ def test_the_collector_outside_the_job_layer_is_flagged(path, old, new):
 
 # Simulator options ------------------------------------------------------------
 
-OPTION_PACKAGES = ("sim", "net", "cc", "traffic", "metrics", "telemetry", "analysis")
+OPTION_PACKAGES = (
+    "sim", "net", "cc", "traffic", "metrics", "telemetry", "analysis", "experiments", "viz.py",
+)
 CALLER_DIRS = ("src/repro", "examples", "bench", "benchmarks")
+#: Caller directories whose ``test_*`` modules are product too: the
+#: paper-claims suite regenerates ``results/`` through ``run_figure``.
+PRODUCT_TESTS = ("benchmarks",)
 PROTOCOLS = "experiments/protocols.py"
 
 #: Options no call reaches, kept because a named reader is on its way.
 OPTION_ALLOWLIST = {
     "TcpSender.limited_transmit": "ROADMAP item 3's ablation arm, measured in EXPERIMENTS.md",
+    "fairness_jobs.periods": "bench's SWEEP_FIGURES cuts fig07 to two periods through **",
 }
 
 
@@ -338,13 +352,20 @@ def families() -> dict[str, ast.Call]:
 
 
 def callers() -> dict[str, str]:
-    """Every non-test module that may call into the simulator, by path."""
+    """Every non-test module that may call into the product, by path."""
     return {
         path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
         for directory in CALLER_DIRS
         for path in sorted((ROOT / directory).rglob("*.py"))
-        if not path.name.startswith("test_") and path.name != "conftest.py"
+        if directory in PRODUCT_TESTS
+        or not (path.name.startswith("test_") or path.name == "conftest.py")
     }
+
+
+def test_every_caller_directory_contributes_a_module():
+    sources = callers()
+    empty = [d for d in CALLER_DIRS if not any(path.startswith(f"{d}/") for path in sources)]
+    assert not empty, f"{empty}: no module counted; the rules do not read these directories"
 
 
 def scan_calls(tree: ast.Module, family_flows: dict, inits: dict):
@@ -523,8 +544,17 @@ def test_the_option_allowlist_is_short_and_live():
             "    ecn_marking: bool = False,\n    gentle: bool = True,\n) -> REDQueue:",
             "red_for_bdp.gentle",
         ),
+        # A figure's sweep axis put back as a knob only a test would set.
+        (
+            "experiments/fig17_mild_bursty.py",
+            'def jobs(scale: str = "fast", **overrides) -> list[Job]:\n'
+            '    return loss_pattern_jobs("fig17", PROTOCOLS,',
+            'def jobs(scale: str = "fast", protocols=None, **overrides) -> list[Job]:\n'
+            '    return loss_pattern_jobs("fig17", protocols or PROTOCOLS,',
+            "jobs.protocols",
+        ),
     ],
-    ids=["TcpSender keyword", "function keyword"],
+    ids=["TcpSender keyword", "function keyword", "a figure knob"],
 )
 def test_an_option_nothing_sets_is_flagged(path, old, new, flagged):
     _, unreached = option_census({path: mutate(path, old, new)})
@@ -541,6 +571,11 @@ def test_forwarding_reaches_the_sender():
 
 
 # Public names -----------------------------------------------------------------
+
+#: The module the readers rule skips: the scale ledger's functions are read
+#: by DESIGN.md §2's table and ``tests/test_scale_ledger.py``, and ROADMAP
+#: item 14 moves its numbers.
+SCALE_LEDGER = "experiments/scale.py"
 
 #: Public names nothing outside the tests reads, kept because a named reader
 #: is on its way (at most eight).
@@ -595,18 +630,20 @@ def spellings(tree: ast.Module) -> dict[str, list[int]]:
     return found
 
 
-def reader_census(overrides: dict[str, str] = {}) -> tuple[list[str], list[str]]:
-    """(every public simulator name, the names no non-test module reads).
+def reader_census(
+    overrides: dict[str, str] = {}, exempt: tuple[str, ...] = (SCALE_LEDGER,)
+) -> tuple[list[str], list[str]]:
+    """(every public product name, the names no non-test module reads).
 
-    ``overrides`` maps a module under ``src/repro`` to replacement text.  A
-    read inside the name's own definition (a recursion, a class naming
-    itself) does not count.
+    ``overrides`` maps a module under ``src/repro`` to replacement text; the
+    ``exempt`` modules are not scanned.  A read inside the name's own
+    definition (a recursion, a class naming itself) does not count.
     """
     sources = callers()
     sources.update({f"src/repro/{path}": text for path, text in overrides.items()})
     reads = {path: spellings(ast.parse(text)) for path, text in sources.items()}
     declared, unread = [], []
-    for path in modules(OPTION_PACKAGES):
+    for path in [p for p in modules(OPTION_PACKAGES) if p not in exempt]:
         home = f"src/repro/{path}"
         for name, spelled, node in public_names(ast.parse(sources[home])):
             declared.append(name)
@@ -633,6 +670,12 @@ def test_the_reader_allowlist_is_short_and_live():
     assert len(READER_ALLOWLIST) <= 8
     assert set(READER_ALLOWLIST) <= set(declared)
     assert set(READER_ALLOWLIST) <= set(unread), "a reader appeared: drop the entry"
+
+
+def test_the_exemption_has_names_only_its_ledger_reads():
+    ledger = {name for name, _, _ in public_names(ast.parse(read(SCALE_LEDGER)))}
+    _, unread = reader_census(exempt=())
+    assert ledger & set(unread), f"a product module reads {SCALE_LEDGER}: drop the exemption"
 
 
 @pytest.mark.parametrize(
@@ -668,8 +711,26 @@ def test_the_reader_allowlist_is_short_and_live():
             ],
             "window_of",
         ),
+        (
+            [
+                (
+                    "experiments/fig17_mild_bursty.py",
+                    "\ndef jobs(",
+                    "\ndef mild_gaps() -> list[int]:\n"
+                    "    return mild_bursty_pattern()\n\n\ndef jobs(",
+                ),
+                (
+                    "experiments/__init__.py",
+                    "from repro.experiments.faults import FaultSpec, InjectedFault\n",
+                    "from repro.experiments.faults import FaultSpec, InjectedFault\n"
+                    "from repro.experiments.fig17_mild_bursty import mild_gaps\n",
+                ),
+                ("experiments/__init__.py", "__all__ = [\n", '__all__ = [\n    "mild_gaps",\n'),
+            ],
+            "mild_gaps",
+        ),
     ],
-    ids=["TcpSender method", "an __init__ re-export"],
+    ids=["TcpSender method", "an __init__ re-export", "an experiments re-export"],
 )
 def test_a_name_nothing_reads_is_flagged(edits, flagged):
     texts: dict[str, str] = {}
@@ -688,13 +749,13 @@ if __name__ == "__main__":
         raise SystemExit(f"usage: python -m tests.test_source_rules {{{'|'.join(CENSUSES)}}}")
     if sys.argv[1] == "options":
         declared, unreached = option_census()
-        print(f"simulator options: {len(declared)}")
+        print(f"options: {len(declared)}")
         print(f"reached by no caller: {len(unreached)}")
         for name in unreached:
             print(f"  {name}: {OPTION_ALLOWLIST.get(name, 'NOT ALLOWLISTED')}")
     else:
         declared, unread = reader_census()
-        print(f"public simulator names: {len(declared)}")
+        print(f"public names: {len(declared)}")
         print(f"read by no caller: {len(unread)}")
         for name in unread:
             print(f"  {name}: {READER_ALLOWLIST.get(name, 'NOT ALLOWLISTED')}")

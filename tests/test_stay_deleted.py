@@ -249,6 +249,24 @@ STAY_DELETED = [
         (),
         "CutoffDropper, a test fixture: it lives in tests/helpers.py",
     ),
+    (
+        r"\bdefault_(protocols|gammas|bs|ks|phases|drop_rates|on_times|periods)\b"
+        r"|\bp_values=|\bobserve_rtts=|\bsimulated_acks_to_fairness\b",
+        ("src", "tests", "examples", "benchmarks", "docs/experiments.md", "README.md"),
+        (),
+        "the figure knobs and the default_*() helpers that filled them; a "
+        "figure's sweep axes are its module's constants, and a test cuts the "
+        "job list",
+    ),
+    (
+        r"\bsparkline\b|\blog_y\b|\bbackoff_s=|\bsalt=|\bExecutor\([^)]*\bfault=",
+        ("src", "tests", "examples", "benchmarks", "docs", "README.md", "DESIGN.md"),
+        # The record of the deletion.
+        ("docs/linting.md",),
+        "viz.sparkline and the chart size knobs, the executor's backoff and "
+        "fault arguments (REPRO_FAULT_SPEC is the one route) and "
+        "ResultCache's salt argument",
+    ),
 ]
 
 
