@@ -41,7 +41,6 @@ def ablation_jobs(
             scenario_name,
             config=cfg,
             protocol=protocol,
-            scale=scale,
             params=params,
             tags={"row": cells},
         )

@@ -3,11 +3,14 @@
 The parallel executor needs one number per job — predicted wall seconds
 — *before* the job has run, to decide whether a pool round-trip (~ms)
 is worth paying.  This module supplies it from per-scenario constants
-(the static seeds) times a per-scale factor, with a one-second default
-for unknown scenarios.  Absolute accuracy is irrelevant; only the
-µs-vs-seconds magnitude matters, and the seeds separate closed-form
-from simulated scenarios by 30x.  Nothing is learned from wall times:
-a map is split before any of its jobs completes.
+(the static seeds), with a one-second default for unknown scenarios.
+Absolute accuracy is irrelevant; only the µs-vs-seconds magnitude
+matters, and the seeds separate closed-form from simulated scenarios by
+more than 30x.  A job does not know its scale, and need not: a paper
+sweep's points cost more, but no closed-form job comes near the
+executor's inline threshold and no simulated one falls under it.
+Nothing is learned from wall times: a map is split before any of its
+jobs completes.
 
 Predictions only choose *where* a job runs; results are reduced in
 canonical job order, so a wildly wrong estimate can cost wall-clock but
@@ -41,15 +44,10 @@ STATIC_SEED_S = {
 #: Seed for scenarios absent from :data:`STATIC_SEED_S`.
 DEFAULT_SEED_S = 1.0
 
-#: Multiplier applied to fast-scale seeds for other scales ("paper"
-#: sweeps simulate ~an order of magnitude more virtual seconds).
-_SCALE_FACTOR = {"fast": 1.0, "paper": 30.0}
-
 
 class CostModel:
-    """Predicted wall seconds per job: its scenario's seed, scaled."""
+    """Predicted wall seconds per job: its scenario's seed."""
 
     def predict(self, jb: Job) -> float:
         """Predicted wall seconds for ``jb``."""
-        seed = STATIC_SEED_S.get(jb.scenario, DEFAULT_SEED_S)
-        return seed * _SCALE_FACTOR.get(jb.scale, 1.0)
+        return STATIC_SEED_S.get(jb.scenario, DEFAULT_SEED_S)

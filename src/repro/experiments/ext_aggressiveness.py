@@ -32,7 +32,6 @@ def jobs(scale: str = "fast") -> list[Job]:
             "ext_aggressiveness",
             "aggressiveness",
             protocol=protocol,
-            scale=scale,
             tags={"label": label, "analytic_a": analytic},
         )
         for label, protocol, analytic in PROTOCOLS

@@ -29,7 +29,7 @@ def measure_acks_to_fairness(protocol: Protocol, cfg: ConvergenceConfig) -> tupl
     delivered packet is ACKed).  Returns ``(acks, observed_mark_rate)`` for
     :func:`repro.analysis.convergence.acks_to_fairness`, the closed form.
     """
-    converge_s, net, flows = converge(protocol, cfg, cfg.seeds[0], aqm="red+ecn")
+    converge_s, net, flows = converge(protocol, cfg, aqm="red+ecn")
     horizon = cfg.second_start + converge_s
     acked_packets = sum(
         net.accountant.delivered_bytes(f, cfg.second_start, horizon) / PACKET_BYTES
@@ -47,14 +47,13 @@ def acks_to_fairness(jb: Job) -> list[float]:
 
 def jobs(scale: str = "fast", **overrides) -> list[Job]:
     """The convergence scenario, one seed, no reverse traffic, for two b."""
-    cfg = pick_config(ConvergenceConfig, scale, **{"seeds": (1,), "reverse_flows": 0, **overrides})
+    cfg = pick_config(ConvergenceConfig, scale, **{"reverse_flows": 0, **overrides})
     return indexed(
         job(
             "ext_fig11_simulated_validation",
             "acks_to_fairness",
             config=cfg,
             protocol=tcp_b(b, ecn=True),
-            scale=scale,
         )
         for b in (0.5, 0.125)
     )

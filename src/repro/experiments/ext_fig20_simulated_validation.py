@@ -34,7 +34,6 @@ def jobs(scale: str = "fast", **overrides) -> list[Job]:
             config=cfg,
             protocol=tcp(),
             params={"dropper": DropperSpec("bernoulli", (p, 1))},
-            scale=scale,
         )
         for p in DROP_RATES
     )

@@ -94,7 +94,6 @@ def jobs(scale: str = "fast", **overrides) -> list[Job]:
             config=cfg,
             protocol=protocol,
             params={"aqm": aqm},
-            scale=scale,
         )
         for protocol in PROTOCOLS
         for aqm in ("red", "droptail")

@@ -157,7 +157,6 @@ def jobs(scale: str = "fast") -> list[Job]:
             "responsiveness",
             protocol=protocol,
             params={"observe_rtts": OBSERVE_RTTS[scale]},
-            scale=scale,
             tags={"label": name, "reference": reference},
         )
         for name, protocol, reference in PROTOCOLS

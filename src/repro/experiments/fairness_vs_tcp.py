@@ -46,7 +46,6 @@ def fairness_jobs(
             "oscillation",
             config=cfg,
             protocol=reference,
-            scale=scale,
             params={"period_s": float(period), "protocol_b": competitor},
         )
         for period in periods

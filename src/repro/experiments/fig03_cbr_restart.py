@@ -23,7 +23,7 @@ def jobs(scale: str = "fast", **overrides) -> list[Job]:
     """One CBR-restart job per protocol; ``overrides`` are config fields."""
     cfg = pick_config(CbrRestartConfig, scale, **overrides)
     return indexed(
-        job("fig03", "cbr_restart", config=cfg, protocol=protocol, scale=scale)
+        job("fig03", "cbr_restart", config=cfg, protocol=protocol)
         for protocol in PROTOCOLS
     )
 

@@ -45,7 +45,6 @@ def jobs(scale: str = "fast", **overrides) -> list[Job]:
             "cbr_restart",
             config=cfg,
             protocol=factory(gamma),
-            scale=scale,
             tags={"family": family, "gamma": gamma},
         )
         for family, factory in FAMILIES.items()

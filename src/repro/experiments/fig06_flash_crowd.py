@@ -23,7 +23,7 @@ PROTOCOLS = [tcp(2), tfrc(256), tfrc(256, conservative=True)]
 def jobs(scale: str = "fast", **overrides) -> list[Job]:
     cfg = pick_config(FlashCrowdConfig, scale, **overrides)
     return indexed(
-        job("fig06", "flash_crowd", config=cfg, protocol=protocol, scale=scale)
+        job("fig06", "flash_crowd", config=cfg, protocol=protocol)
         for protocol in PROTOCOLS
     )
 

@@ -12,12 +12,10 @@ as the serial implementation did.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.protocols import tcp_b
 from repro.experiments.runner import Table, pick_config
-from repro.experiments.scenarios import ConvergenceConfig
+from repro.experiments.scenarios import CONVERGENCE_SEEDS, ConvergenceConfig
 
 __all__ = ["BS", "jobs", "reduce"]
 
@@ -29,19 +27,16 @@ BS = {
 
 
 def jobs(scale: str = "fast", **overrides) -> list[Job]:
-    cfg = pick_config(ConvergenceConfig, scale, **overrides)
     return indexed(
         job(
             "fig10",
             "convergence",
-            config=replace(cfg, seeds=(seed,)),
+            config=pick_config(ConvergenceConfig, scale, seed=seed, **overrides),
             protocol=tcp_b(b),
-            seed=seed,
-            scale=scale,
             tags={"b": b},
         )
         for b in BS[scale]
-        for seed in cfg.seeds
+        for seed in CONVERGENCE_SEEDS[scale]
     )
 
 

@@ -28,7 +28,7 @@ def analysis_acks(jb: Job) -> float:
 
 def jobs(scale: str = "fast") -> list[Job]:
     return indexed(
-        job("fig11", "analysis_acks", params={"b": b, "p": P, "delta": DELTA}, scale=scale)
+        job("fig11", "analysis_acks", params={"b": b, "p": P, "delta": DELTA})
         for b in BS
     )
 

@@ -8,12 +8,10 @@ multiplicative decreases.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.protocols import tfrc
 from repro.experiments.runner import Table, pick_config
-from repro.experiments.scenarios import ConvergenceConfig
+from repro.experiments.scenarios import CONVERGENCE_SEEDS, ConvergenceConfig
 
 __all__ = ["KS", "jobs", "reduce"]
 
@@ -22,19 +20,16 @@ KS = {"fast": [1, 6, 32, 128], "paper": [1, 2, 6, 16, 32, 64, 128, 256]}
 
 
 def jobs(scale: str = "fast", **overrides) -> list[Job]:
-    cfg = pick_config(ConvergenceConfig, scale, **overrides)
     return indexed(
         job(
             "fig12",
             "convergence",
-            config=replace(cfg, seeds=(seed,)),
+            config=pick_config(ConvergenceConfig, scale, seed=seed, **overrides),
             protocol=tfrc(k),
-            seed=seed,
-            scale=scale,
             tags={"k": k},
         )
         for k in KS[scale]
-        for seed in cfg.seeds
+        for seed in CONVERGENCE_SEEDS[scale]
     )
 
 

@@ -37,7 +37,6 @@ def jobs(scale: str = "fast", **overrides) -> list[Job]:
             "doubling",
             config=cfg,
             protocol=factory(gamma),
-            scale=scale,
             tags={"family": family, "b_param": gamma},
         )
         for family, factory in FAMILIES.items()

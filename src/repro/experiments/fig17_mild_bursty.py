@@ -56,7 +56,6 @@ def loss_pattern_jobs(
             config=cfg,
             protocol=protocol,
             params={"dropper": dropper},
-            scale=scale,
         )
         for protocol in protocols
     )

@@ -28,7 +28,7 @@ def timeout_models(jb: Job) -> list[float]:
 
 def jobs(scale: str = "fast") -> list[Job]:
     return indexed(
-        job("fig20", "timeout_models", params={"p": p}, scale=scale) for p in DROP_RATES
+        job("fig20", "timeout_models", params={"p": p}) for p in DROP_RATES
     )
 
 

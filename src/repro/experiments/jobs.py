@@ -4,9 +4,9 @@ The experiment layer is split into three stages:
 
 1. **Define** — each figure module exposes ``jobs(scale) -> list[Job]``.
    A :class:`Job` is a pure, picklable description of one simulation
-   point: ``(scenario, scenario_config, protocol, params, seed,
-   scale)``.  Jobs carry a stable content hash so identical work is
-   recognized across figures, runs and processes.
+   point: ``(scenario, scenario_config, protocol, params)``.  Jobs carry
+   a stable content hash so identical work is recognized across figures,
+   scales, runs and processes.
 2. **Execute** — an executor from :mod:`repro.experiments.executor` maps
    :func:`run_job` over the jobs (serially or across a process pool)
    and returns results in job order, optionally consulting the
@@ -58,7 +58,7 @@ __all__ = [
 #: Bump when the meaning of job payloads changes; combined with the
 #: library version it salts the on-disk result cache (see
 #: :mod:`repro.experiments.cache`), so stale records are never reused.
-JOBS_SCHEMA_VERSION = 3
+JOBS_SCHEMA_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,9 @@ class Job:
     ``scenario`` names an entry in :data:`SCENARIOS`; ``config`` is the
     scenario's frozen config dataclass; ``protocol`` the protocol under
     test; ``params`` extra computational inputs (square-wave period,
-    dropper spec, ...).  ``tags`` carry display-only keys for ``reduce``
+    dropper spec, ...).  These four are all a job computes from — a seed
+    is a config field and a scale only picks the config — so a point two
+    scales share is one job.  ``tags`` carry display-only keys for ``reduce``
     (family labels, sweep coordinates already implied by the protocol) and
     are **excluded** from the content hash, as are ``figure`` and
     ``index`` — so Figures 4 and 5, which share a sweep, share cache
@@ -186,8 +188,6 @@ class Job:
     config: Any = None
     protocol: Optional[Protocol] = None
     params: tuple[tuple[str, Any], ...] = ()
-    seed: Optional[int] = None
-    scale: str = "fast"
     tags: tuple[tuple[str, Any], ...] = dataclasses.field(default=(), compare=False)
     index: int = dataclasses.field(default=0, compare=False)
     # Record a telemetry trace while executing.  Excluded from the content
@@ -219,8 +219,6 @@ class Job:
             "config": canonical(self.config),
             "protocol": canonical(self.protocol),
             "params": canonical(dict(self.params)),
-            "seed": self.seed,
-            "scale": self.scale,
         }
 
     @property
@@ -243,7 +241,7 @@ class Job:
         proto = self.protocol.family if self.protocol else None
         return (
             f"<Job {self.figure}#{self.index} scenario={self.scenario} "
-            f"protocol={proto} seed={self.seed} scale={self.scale}>"
+            f"protocol={proto}>"
         )
 
 
@@ -253,8 +251,6 @@ def job(
     *,
     config: Any = None,
     protocol: Optional[Protocol] = None,
-    seed: Optional[int] = None,
-    scale: str = "fast",
     params: Optional[dict[str, Any]] = None,
     tags: Optional[dict[str, Any]] = None,
 ) -> Job:
@@ -265,8 +261,6 @@ def job(
         config=config,
         protocol=protocol,
         params=tuple(sorted((params or {}).items())),
-        seed=seed,
-        scale=scale,
         tags=tuple(sorted((tags or {}).items())),
     )
 

@@ -13,8 +13,6 @@ cache they simulate once.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.experiments.jobs import Job, indexed, job
 from repro.experiments.protocols import tcp, tfrc
 from repro.experiments.runner import Table, pick_config
@@ -34,9 +32,9 @@ N_FLOWS = {"fast": 6, "paper": 10}
 
 def sweep_jobs(figure: str, scale: str, cbr_fraction: float, **overrides) -> list[Job]:
     """One job per (protocol, ON time): identical-flow oscillation runs;
-    ``overrides`` are :class:`OscillationConfig` fields."""
-    cfg = pick_config(OscillationConfig, scale, cbr_fraction=cbr_fraction, **overrides)
-    cfg = replace(cfg, n_flows_a=N_FLOWS[scale], n_flows_b=0)
+    ``overrides`` are :class:`OscillationConfig` fields, flow counts too."""
+    defaults = {"cbr_fraction": cbr_fraction, "n_flows_a": N_FLOWS[scale], "n_flows_b": 0}
+    cfg = pick_config(OscillationConfig, scale, **{**defaults, **overrides})
     return indexed(
         job(
             figure,
@@ -45,7 +43,6 @@ def sweep_jobs(figure: str, scale: str, cbr_fraction: float, **overrides) -> lis
             protocol=protocol,
             # ON time == OFF time; the square-wave period is twice that.
             params={"period_s": 2.0 * float(on_s), "protocol_b": None},
-            scale=scale,
             tags={"on_s": float(on_s)},
         )
         for protocol in PROTOCOLS

@@ -26,11 +26,3 @@ class TestColdPredictions:
         model = CostModel()
         jb = dataclasses.replace(JOB(), scenario="mystery_scenario")
         assert model.predict(jb) == DEFAULT_SEED_S
-
-    def test_paper_scale_predicts_slower_than_fast(self):
-        import dataclasses
-
-        model = CostModel()
-        fast = JOB()
-        paper = dataclasses.replace(fast, scale="paper")
-        assert model.predict(paper) > model.predict(fast)

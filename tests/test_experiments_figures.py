@@ -40,8 +40,10 @@ TINY_OSC = dict(
     bandwidth_bps=1.5e6, n_flows_a=1, n_flows_b=1,
     min_duration_s=10.0, periods_to_run=3, max_duration_s=12.0, warmup_s=2.0,
 )
+#: Figs 14-16's identical flows: two of one protocol.
+TINY_IDENTICAL = {**TINY_OSC, "n_flows_a": 2, "n_flows_b": 0}
 TINY_LOSS = dict(bandwidth_bps=3e6, duration_s=10.0, warmup_s=2.0)
-TINY_CONVERGENCE = dict(bandwidth_bps=1e6, second_start=4.0, end=30.0, seeds=(1,))
+TINY_CONVERGENCE = dict(bandwidth_bps=1e6, second_start=4.0, end=30.0)
 TINY_QUEUE = dict(bandwidth_bps=2e6, n_flows=4, duration_s=25.0, warmup_s=10.0)
 TINY_DOUBLING = dict(bandwidth_bps=2e6, n_flows=4, n_stopped=2, stop_at=10.0)
 
@@ -54,14 +56,6 @@ def first(jobs: list[Job]) -> list[Job]:
 
 def every(jobs: list[Job]) -> list[Job]:
     return jobs
-
-
-def two_flows_at(index: int):
-    """The sweep's job ``index`` with two identical flows (Figs 14-16)."""
-    def cut(jobs: list[Job]) -> list[Job]:
-        jb = jobs[index]
-        return [dataclasses.replace(jb, config=dataclasses.replace(jb.config, n_flows_a=2))]
-    return cut
 
 
 #: Registry name -> (the config overrides its ``jobs`` takes, the cut of
@@ -84,13 +78,13 @@ TINY = {
     "fig07": (TINY_OSC, lambda jobs: jobs[2:3]),  # the 1 s period
     "fig08": (TINY_OSC, lambda jobs: jobs[2:3]),
     "fig09": (TINY_OSC, lambda jobs: jobs[2:3]),
-    "fig10": (TINY_CONVERGENCE, first),  # b = 0.5
+    "fig10": (TINY_CONVERGENCE, first),  # b = 0.5, seed 1
     "fig11": ({}, every),
-    "fig12": (TINY_CONVERGENCE, first),  # k = 1
+    "fig12": (TINY_CONVERGENCE, first),  # k = 1, seed 1
     "fig13": (TINY_DOUBLING, first),  # TCP(1/b) at b = 2
-    "fig14": (TINY_OSC, two_flows_at(6)),  # TCP(1/2), ON/OFF 0.8 s
-    "fig15": (TINY_OSC, two_flows_at(6)),
-    "fig16": (TINY_OSC, two_flows_at(6)),
+    "fig14": (TINY_IDENTICAL, lambda jobs: jobs[6:7]),  # TCP(1/2), ON/OFF 0.8 s
+    "fig15": (TINY_IDENTICAL, lambda jobs: jobs[6:7]),
+    "fig16": (TINY_IDENTICAL, lambda jobs: jobs[6:7]),
     # The mild pattern on TCP(1/2), the loss_pattern job the payload pin holds.
     "fig17": (TINY_LOSS, lambda jobs: [dataclasses.replace(jobs[0], protocol=tcp(2))]),
     "fig18": (TINY_LOSS, first),  # TFRC(6)

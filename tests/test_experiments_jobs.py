@@ -64,8 +64,7 @@ def tiny_fig04_jobs():
 
 
 def tiny_fig14_jobs():
-    jb = fig14.jobs("fast", **TINY_OSC)[6]  # TCP(1/2), ON/OFF 0.8 s
-    return [replace(jb, config=replace(jb.config, n_flows_a=2))]
+    return fig14.jobs("fast", **TINY_OSC, n_flows_a=2)[6:7]  # TCP(1/2), ON/OFF 0.8 s
 
 
 def tiny_fig19_jobs():
@@ -121,14 +120,15 @@ class TestContentHash:
     @pytest.mark.parametrize(
         "scale, n_jobs, digest",
         [
-            ("fast", 168, "d44d69d8b70620223d731d7026e4a35d134b7e9fefd1c27a033bd734e4a8b285"),
-            ("paper", 298, "85e08c73b4fde83b528d61efbbf77d39ccf8a1bd3fc0c163659b83d8fbb403b3"),
+            ("fast", 168, "b5202dc1750c1af37c9f728f9b01abe450d33e68fd79b9a8f27006a699c44a54"),
+            ("paper", 298, "14548da7d5840a41f016a7c0dfa243c52964752800f5924a4a387a1dfa6c4855"),
         ],
     )
     def test_the_twenty_original_tables_keep_their_job_hashes(self, scale, n_jobs, digest):
-        """Values from the commit before ``Protocol`` became the job field:
-        every cache key and trace header of the 18 figures and the first
-        two extensions is what it was."""
+        """Values from the commit that made a job's hash its inputs alone
+        (scenario, config, protocol, params; no scale or seed field): every
+        cache key and trace header of the 18 figures and the first two
+        extensions is what it was."""
         original = [*ALL_FIGURES, "responsiveness", "queue_dynamics"]
         lines = [
             f"{name}#{jb.index} {jb.content_hash}"
@@ -152,8 +152,6 @@ class TestContentHash:
 
     def test_inputs_do_affect_hash(self):
         jb = tiny_fig04_jobs()[0]
-        assert replace(jb, seed=77).content_hash != jb.content_hash
-        assert replace(jb, scale="paper").content_hash != jb.content_hash
         assert (
             replace(jb, config=replace(jb.config, bandwidth_bps=2e6)).content_hash
             != jb.content_hash
@@ -172,7 +170,7 @@ class TestContentHash:
         assert len(hashed) == 1
         assert digest == content_hash(jb.describe())  # a fresh computation
         # replace() builds a new object, so a new identity is a new hash
-        assert replace(jb, seed=77).content_hash != digest
+        assert replace(jb, protocol=tfrc(6)).content_hash != digest
         assert replace(jb, trace=True).content_hash == digest
         assert replace(jb, tags=(("other", 1),)).content_hash == digest
         assert len(hashed) == 4
@@ -242,14 +240,34 @@ class TestJobsContract:
 
     def test_every_figure_has_one_cost_class(self):
         # The executor runs jobs in submission order because every map is
-        # one figure and every figure's jobs share one (scenario, scale):
-        # any cost-ordered dispatch would be the identity.  A figure that
+        # one figure and every figure's jobs share one scenario: any
+        # cost-ordered dispatch would be the identity.  A figure that
         # breaks this is the moment to re-propose cost-ordered dispatch,
         # measured against the sweep_parallel2 workload in bench/.
         for name, module in {**ALL_FIGURES, **EXTENSIONS}.items():
             for scale in ("fast", "paper"):
-                classes = {(jb.scenario, jb.scale) for jb in module.jobs(scale)}
+                classes = {jb.scenario for jb in module.jobs(scale)}
                 assert len(classes) == 1, (name, scale, classes)
+
+    def test_fast_and_paper_share_thirty_points_and_keep_their_own_counts(self):
+        # A job is its inputs, not the scale that chose them: the points
+        # whose config and sweep axes are the same at both scales (fig11,
+        # fig17, fig19, fig20 and aggressiveness) are one cache entry.
+        # Within a scale nothing merges that the scale and seed fields
+        # kept apart: 149 and 247 distinct points, as when they were hashed.
+        runnable = {**ALL_FIGURES, **EXTENSIONS}.values()
+        fast, paper = (
+            {jb.content_hash for module in runnable for jb in module.jobs(scale)}
+            for scale in ("fast", "paper")
+        )
+        assert (len(fast), len(paper)) == (149, 247)
+        assert len(fast & paper) == 30
+
+    def test_an_oscillation_override_sets_the_flow_counts(self):
+        assert fig14.jobs("fast", n_flows_a=2)[0].config.n_flows_a == 2
+        assert fig14.jobs("paper", n_flows_b=1)[0].config.n_flows_b == 1
+        assert {jb.config.n_flows_a for jb in fig14.jobs("fast")} == {6}
+        assert {jb.config.n_flows_b for jb in fig14.jobs("paper")} == {0}
 
     def test_jobs_are_indexed_in_order(self):
         js = fig20.jobs("fast")

@@ -92,12 +92,7 @@ class TestOscillation:
 
 
 class TestConvergence:
-    CFG = ConvergenceConfig(
-        bandwidth_bps=1e6,
-        second_start=8.0,
-        end=60.0,
-        seeds=(1,),
-    )
+    CFG = ConvergenceConfig(bandwidth_bps=1e6, second_start=8.0, end=60.0)
 
     def test_returns_positive_time(self):
         assert 0 < run("convergence", self.CFG) <= 52.0

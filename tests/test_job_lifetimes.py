@@ -71,8 +71,10 @@ def idle(jb) -> dict:
     return {"pid": os.getpid()}
 
 
-def job_of(name: str, seed: int = 0, trace: bool = False):
-    return replace(job("lifetimes", f"lifetimes_{name}", seed=seed), trace=trace)
+def job_of(name: str, n: int = 0, trace: bool = False):
+    """A ``lifetimes_<name>`` job; ``n`` is an unread param that keeps
+    otherwise equal jobs apart."""
+    return replace(job("lifetimes", f"lifetimes_{name}", params={"n": n}), trace=trace)
 
 
 @pytest.fixture(autouse=True)
@@ -154,7 +156,7 @@ def test_closed_form_jobs_make_no_collection():
 
 
 def test_one_collection_per_simulated_job_traced_or_not():
-    jobs = [job_of("build", seed) for seed in (1, 2, 3)]
+    jobs = [job_of("build", n) for n in (1, 2, 3)]
     with make_executor(0) as executor:
         assert collections_during(lambda: executor.map(jobs)) == 3
     assert collections_during(lambda: run_job(job_of("build", 4, trace=True))) == 1

@@ -25,7 +25,11 @@ seed, so they are read from the source instead:
   passes as ``**``, through ``super().__init__``, through a ``**kwargs``
   it forwards, or through a protocol helper (``tcp(2, ecn=True)`` reaches
   ``new_tcp_flow`` through ``Protocol.of`` and ``FAMILIES``, then
-  ``TcpSender`` through ``**sender_kwargs``).  A test setting it is no
+  ``TcpSender`` through ``**sender_kwargs``).  A call whose receiver
+  names a module (``fig17_mild_bursty.jobs``, ``ALL_FIGURES["fig17"].jobs``,
+  or ``ALL_FIGURES[f].jobs(**TABLE[f])`` key by key) reaches that
+  module's function only; any other call reaches the name in every
+  module.  A test setting it is no
   reason: the paper ran one configuration, and an alternative that no
   measurement reads is a second code path to keep right; a figure's
   sweep axes are its module's constants, and a test shrinks a figure by
@@ -285,25 +289,36 @@ CALLER_DIRS = ("src/repro", "examples", "bench", "benchmarks")
 #: paper-claims suite regenerates ``results/`` through ``run_figure``.
 PRODUCT_TESTS = ("benchmarks",)
 PROTOCOLS = "experiments/protocols.py"
+REGISTRY = "experiments/__init__.py"
 
 #: Options no call reaches, kept because a named reader is on its way.
 OPTION_ALLOWLIST = {
     "TcpSender.limited_transmit": "ROADMAP item 3's ablation arm, measured in EXPERIMENTS.md",
-    "fairness_jobs.periods": "bench's SWEEP_FIGURES cuts fig07 to two periods through **",
 }
 
 
 class Option(NamedTuple):
     name: str  # "TcpSender.ecn", "padhye_rate_pps.rto_s"
-    callee: str  # what a call spells: the class for __init__, else the function
+    callee: tuple[str, str]  # (module, the class for __init__, else the function)
     param: str
     position: int  # among the arguments a call passes; -1 for keyword-only
 
 
+#: A call's callee: (the module its receiver names, or None for any
+#: module, the name it spells).
+Callee = tuple[str | None, str]
+
+
 class Call(NamedTuple):
-    callee: str
+    callee: Callee
     keywords: frozenset
     positional: int
+
+
+def dotted(path: str) -> str:
+    """The module a path under ``src/repro`` is imported as."""
+    parts = ["repro", *path.removesuffix(".py").split("/")]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def signatures(tree: ast.Module):
@@ -325,18 +340,18 @@ def signatures(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item, 0 if static else 1
 
 
-def declared_options(text: str) -> list[Option]:
+def declared_options(text: str, module: str) -> list[Option]:
     """Every defaulted parameter of the module's public signatures."""
     found = []
     for name, callee, fn, implicit in signatures(ast.parse(text)):
         args = fn.args.posonlyargs + fn.args.args
         first = len(args) - len(fn.args.defaults)
         found += [
-            Option(f"{name}.{arg.arg}", callee, arg.arg, index - implicit)
+            Option(f"{name}.{arg.arg}", (module, callee), arg.arg, index - implicit)
             for index, arg in enumerate(args[first:], first)
         ]
         found += [
-            Option(f"{name}.{arg.arg}", callee, arg.arg, -1)
+            Option(f"{name}.{arg.arg}", (module, callee), arg.arg, -1)
             for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
             if default is not None
         ]
@@ -368,17 +383,76 @@ def test_every_caller_directory_contributes_a_module():
     assert not empty, f"{empty}: no module counted; the rules do not read these directories"
 
 
-def scan_calls(tree: ast.Module, family_flows: dict, inits: dict):
+def registries() -> dict[str, dict[str, str]]:
+    """``ALL_FIGURES`` and ``EXTENSIONS``: registry key -> module."""
+    tree = ast.parse(read(REGISTRY))
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            found[getattr(node.targets[0], "id", "")] = {
+                key.value: f"repro.experiments.{value.id}"
+                for key, value in zip(node.value.keys, node.value.values)
+            }
+    if not {"ALL_FIGURES", "EXTENSIONS"} <= set(found):
+        raise AssertionError(f"{REGISTRY} no longer defines the registries: re-point the rule")
+    return found
+
+
+def module_names(tree: ast.Module, known: set[str]) -> dict[str, str]:
+    """Local name -> the module in ``known`` it is bound to by an import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(
+                (alias.asname, alias.name) for alias in node.names if alias.asname
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            bound.update(
+                (alias.asname or alias.name, f"{node.module}.{alias.name}")
+                for alias in node.names
+            )
+    return {name: module for name, module in bound.items() if module in known}
+
+
+def scan_calls(
+    tree: ast.Module, module: str, family_flows: dict, inits: dict, known: set[str], registry: dict
+):
     """The module's calls, and its ``**kwargs`` forwarding edges.
 
     An edge ``(g, named, f)`` says that a keyword reaching ``g`` that is
-    not one of its ``named`` parameters reaches ``f``.
+    not one of its ``named`` parameters reaches ``f``.  ``known`` holds the
+    modules a receiver can name, ``registry`` what :func:`registries` reads.
     """
     calls: list[Call] = []
-    edges: list[tuple[str, frozenset, str]] = []
+    edges: list[tuple[Callee, frozenset, Callee]] = []
+    imported = module_names(tree, known)
+    top_level = bindings(tree.body)
 
-    def callee_of(call: ast.Call, cls) -> tuple[str | None, set[str]]:
-        """The name a call reaches, and the keywords it passes implicitly."""
+    def receiver_module(node: ast.expr) -> str | None:
+        """The module ``node`` names: an imported one, a dotted path or a
+        registry entry under a constant key; None when it stays dynamic."""
+        if isinstance(node, ast.Name):
+            return imported.get(node.id)
+        if isinstance(node, ast.Attribute):
+            path = []
+            while isinstance(node, ast.Attribute):
+                path.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name):
+                full = ".".join([node.id, *reversed(path)])
+                return full if full in known else None
+            return None
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in registry
+            and isinstance(node.slice, ast.Constant)
+        ):
+            return registry[node.value.id].get(node.slice.value)
+        return None
+
+    def callee_of(call: ast.Call, cls) -> tuple[Callee | None, set[str]]:
+        """What a call reaches, and the keywords it passes implicitly."""
         func = call.func
         if (
             isinstance(func, ast.Attribute)
@@ -390,7 +464,8 @@ def scan_calls(tree: ast.Module, family_flows: dict, inits: dict):
             # Protocol.of("tcp_b", ...): make() passes the keywords to the
             # family's new_*_flow, with the slowness parameter converted.
             family = family_flows[call.args[0].value]
-            return family.args[3].id, {family.args[1].value}
+            return (None, family.args[3].id), {family.args[1].value}
+        owner = None
         if isinstance(func, ast.Name):
             name = func.id
         elif not isinstance(func, ast.Attribute):
@@ -398,29 +473,54 @@ def scan_calls(tree: ast.Module, family_flows: dict, inits: dict):
         elif func.attr == "__init__" and getattr(getattr(func.value, "func", None), "id", "") == "super":
             name = cls.bases[0].id
         else:
-            name = func.attr
+            name, owner = func.attr, receiver_module(func.value)
         while inits.get(name, (True, None))[0] is False and inits[name][1]:
-            name = inits[name][1]  # a class without __init__ runs its base's
-        return name, set()
+            name, owner = inits[name][1], None  # a class without __init__ runs its base's
+        return (owner, name), set()
 
-    def bindings(fn) -> dict[str, ast.expr]:
-        """What each name in ``fn`` is assigned (for ``**name[key]``)."""
-        bound = {}
-        for node in ast.walk(fn) if fn is not None else ():
-            if isinstance(node, ast.Assign):
-                bound.update((t.id, node.value) for t in node.targets if isinstance(t, ast.Name))
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                bound[node.target.id] = node.value
-        return bound
+    def bound(fn, name: str) -> ast.expr | None:
+        """What ``name`` is assigned in ``fn``, else at module level."""
+        return bindings(ast.walk(fn) if fn is not None else ()).get(name) or top_level.get(name)
 
-    def dict_keys(node: ast.AST) -> set[str]:
-        return {
-            key.value
-            for dct in ast.walk(node)
-            if isinstance(dct, ast.Dict)
-            for key in dct.keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)
-        }
+    def table_of(node: ast.expr, fn) -> ast.Dict | None:
+        """The dict literal a ``**TABLE[key]`` argument indexes."""
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+            table = bound(fn, node.value.id)
+            return table if isinstance(table, ast.Dict) else None
+        return None
+
+    def per_key(call: ast.Call, fn) -> list[Call]:
+        """``REGISTRY[k].f(..., **TABLE[k])``: one call per key of TABLE,
+        each to the module the registry holds under that key."""
+        func = call.func
+        receiver = getattr(func, "value", None)
+        if not (
+            isinstance(receiver, ast.Subscript)
+            and isinstance(receiver.value, ast.Name)
+            and receiver.value.id in registry
+            and isinstance(receiver.slice, ast.Name)
+        ):
+            return []
+        spread = [
+            kw.value
+            for kw in call.keywords
+            if kw.arg is None
+            and isinstance(kw.value, ast.Subscript)
+            and getattr(kw.value.slice, "id", None) == receiver.slice.id
+        ]
+        table = table_of(spread[0], fn) if len(spread) == 1 else None
+        if table is None:
+            return []
+        named = {kw.arg for kw in call.keywords if kw.arg is not None}
+        return [
+            Call(
+                (registry[receiver.value.id].get(key.value), func.attr),
+                frozenset(named | dict_keys(value)),
+                len(call.args),
+            )
+            for key, value in zip(table.keys, table.values)
+            if isinstance(key, ast.Constant) and key.value in registry[receiver.value.id]
+        ]
 
     def visit(node: ast.AST, cls, fn) -> None:
         for child in ast.iter_child_nodes(node):
@@ -438,25 +538,54 @@ def scan_calls(tree: ast.Module, family_flows: dict, inits: dict):
         callee, keywords = callee_of(call, cls)
         if callee is None:
             return
+        if keyed := per_key(call, fn):
+            calls.extend(keyed)
+            return
         for kw in call.keywords:
             if kw.arg is not None:
                 keywords.add(kw.arg)
                 continue
             keywords |= dict_keys(kw.value)
-            head = kw.value
-            while isinstance(head, ast.Subscript):  # **table[key]
-                head = head.value
-            if isinstance(head, ast.Name):
-                keywords |= dict_keys(bindings(fn).get(head.id, ast.Dict([], [])))
+            table = table_of(kw.value, fn)
+            if table is not None:  # **TABLE[key]: the entry's keys, or every entry's
+                key = kw.value.slice
+                keywords |= set().union(*(
+                    dict_keys(value)
+                    for k, value in zip(table.keys, table.values)
+                    if not isinstance(key, ast.Constant) or getattr(k, "value", None) == key.value
+                ))
+            elif isinstance(kw.value, ast.Name):
+                keywords |= dict_keys(bound(fn, kw.value.id) or ast.Dict([], []))
             if fn is not None and fn.args.kwarg and getattr(kw.value, "id", "") == fn.args.kwarg.arg:
                 source = cls.name if cls is not None and fn.name == "__init__" else fn.name
                 named = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
-                edges.append((source, frozenset(named), callee))
+                edges.append(((module, source), frozenset(named), callee))
         starred = any(isinstance(arg, ast.Starred) for arg in call.args)
         calls.append(Call(callee, frozenset(keywords), 10**6 if starred else len(call.args)))
 
     visit(tree, None, None)
     return calls, edges
+
+
+def bindings(body) -> dict[str, ast.expr]:
+    """What each name the nodes in ``body`` assign is assigned."""
+    bound = {}
+    for node in body:
+        if isinstance(node, ast.Assign):
+            bound.update((t.id, node.value) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound[node.target.id] = node.value
+    return bound
+
+
+def dict_keys(node: ast.AST) -> set[str]:
+    return {
+        key.value
+        for dct in ast.walk(node)
+        if isinstance(dct, ast.Dict)
+        for key in dct.keys
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
 
 
 def option_census(overrides: dict[str, str] = {}) -> tuple[list[Option], list[str]]:
@@ -465,49 +594,65 @@ def option_census(overrides: dict[str, str] = {}) -> tuple[list[Option], list[st
     ``overrides`` maps a module under ``src/repro`` to replacement text.
     """
     texts = {path: overrides.get(path) or read(path) for path in modules(OPTION_PACKAGES)}
-    declared = [option for text in texts.values() for option in declared_options(text)]
+    declared = [
+        option for path, text in texts.items() for option in declared_options(text, dotted(path))
+    ]
+    known = {dotted(path) for path in texts}
     sources = callers()
     sources.update({f"src/repro/{path}": text for path, text in overrides.items()})
-    trees = [ast.parse(text) for text in sources.values()]
+    trees = {
+        dotted(path.removeprefix("src/repro/")) if path.startswith("src/repro/") else path:
+        ast.parse(text)
+        for path, text in sources.items()
+    }
     inits = {
         node.name: (
             any(isinstance(i, ast.FunctionDef) and i.name == "__init__" for i in node.body),
             next((b.id for b in node.bases if isinstance(b, ast.Name)), None),
         )
-        for tree in trees
+        for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
     }
     family_flows = families()
     # make() calls each family's converter with the slowness parameter.
     calls = [
-        Call(family.args[2].id, frozenset(), 1)
+        Call((None, family.args[2].id), frozenset(), 1)
         for family in family_flows.values()
         if isinstance(family.args[2], ast.Name)
     ]
     edges = []
-    for tree in trees:
-        found, forwarded = scan_calls(tree, family_flows, inits)
+    registry = registries()
+    for module, tree in trees.items():
+        found, forwarded = scan_calls(tree, module, family_flows, inits, known, registry)
         calls += found
         edges += forwarded
-    keywords: dict[str, set] = {}
-    positional: dict[str, int] = {}
+    keywords: dict[Callee, set] = {}
+    positional: dict[Callee, int] = {}
     for call in calls:
         keywords.setdefault(call.callee, set()).update(call.keywords)
         positional[call.callee] = max(positional.get(call.callee, 0), call.positional)
+
+    def reaching(callee: Callee) -> set:
+        """The keywords a call to this module's name, or to the name in
+        any module, passes."""
+        return keywords.get(callee, set()) | keywords.get((None, callee[1]), set())
+
     changed = True
     while changed:
         changed = False
         for source, named, target in edges:
-            passed = keywords.get(source, set()) - named
+            passed = reaching(source) - named
             if not passed <= keywords.setdefault(target, set()):
                 keywords[target] |= passed
                 changed = True
     unreached = [
         option.name
         for option in declared
-        if option.param not in keywords.get(option.callee, ())
-        and not 0 <= option.position < positional.get(option.callee, 0)
+        if option.param not in reaching(option.callee)
+        and not 0 <= option.position < max(
+            positional.get(option.callee, 0), positional.get((None, option.callee[1]), 0)
+        )
     ]
     return declared, unreached
 
@@ -559,6 +704,50 @@ def test_the_option_allowlist_is_short_and_live():
 def test_an_option_nothing_sets_is_flagged(path, old, new, flagged):
     _, unreached = option_census({path: mutate(path, old, new)})
     assert flagged in unreached
+
+
+#: A knob put on fig03's ``jobs``, and callers that set the same keyword on
+#: fig17's: each names fig17, so the knob stays unreached.
+FIG03_KNOB = (
+    'def jobs(scale: str = "fast", **overrides) -> list[Job]:',
+    'def jobs(scale: str = "fast", gammas=None, **overrides) -> list[Job]:',
+)
+CALLER = "experiments/_census_caller.py"
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [
+        "from repro.experiments import fig17_mild_bursty\n"
+        'fig17_mild_bursty.jobs("fast", gammas=(2,))\n',
+        "import repro.experiments.fig17_mild_bursty as fig17\n"
+        'fig17.jobs("fast", gammas=(2,))\n',
+        "import repro.experiments.fig17_mild_bursty\n"
+        'repro.experiments.fig17_mild_bursty.jobs("fast", gammas=(2,))\n',
+        "from repro.experiments import ALL_FIGURES\n"
+        'ALL_FIGURES["fig17"].jobs("fast", gammas=(2,))\n',
+        "from repro.experiments import ALL_FIGURES\n"
+        'TABLE = {"fig17": {"gammas": (2,)}, "fig03": {}}\n'
+        "def build():\n"
+        '    return [ALL_FIGURES[f].jobs("fast", **TABLE[f]) for f in TABLE]\n',
+    ],
+    ids=["imported module", "module alias", "dotted path", "registry key", "per-key table"],
+)
+def test_a_knob_set_only_on_another_modules_function_is_flagged(caller):
+    fig03 = "experiments/fig03_cbr_restart.py"
+    _, unreached = option_census({fig03: mutate(fig03, *FIG03_KNOB), CALLER: caller})
+    assert "jobs.gammas" in unreached
+
+
+def test_a_dynamic_receiver_reaches_the_name_in_every_module():
+    fig03 = "experiments/fig03_cbr_restart.py"
+    caller = (
+        "from repro.experiments import ALL_FIGURES\n"
+        "def build():\n"
+        '    return [m.jobs("fast", gammas=(2,)) for m in ALL_FIGURES.values()]\n'
+    )
+    _, unreached = option_census({fig03: mutate(fig03, *FIG03_KNOB), CALLER: caller})
+    assert "jobs.gammas" not in unreached
 
 
 def test_forwarding_reaches_the_sender():

@@ -267,6 +267,20 @@ STAY_DELETED = [
         "fault arguments (REPRO_FAULT_SPEC is the one route) and "
         "ResultCache's salt argument",
     ),
+    (
+        r"\bscale=scale\b|\b(jb|job|self)\.(scale|seed)\b|_SCALE_FACTOR",
+        ("src", "tests", "examples", "benchmarks", "docs", "README.md", "DESIGN.md"),
+        (),
+        "Job.scale, Job.seed and the cost model's per-scale factor: a job "
+        "hashes only what it computes from, and a seed is a config field",
+    ),
+    (
+        r"\.seeds\b|\bseeds=\(|\bseeds: tuple",
+        ("src", "tests", "examples", "benchmarks", "docs", "README.md", "DESIGN.md"),
+        (),
+        "ConvergenceConfig.seeds and the loop over it; a convergence config "
+        "has one seed and Figures 10 and 12 fan CONVERGENCE_SEEDS out",
+    ),
 ]
 
 

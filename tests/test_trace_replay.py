@@ -36,7 +36,7 @@ def tiny_cbr_restart_job(trace=True):
     cfg = dataclasses.replace(
         CbrRestartConfig.fast(), cbr_stop=6.0, cbr_restart=9.0, end=14.0
     )
-    jb = indexed([job("figtest", "cbr_restart", config=cfg, protocol=tcp(), seed=1)])[0]
+    jb = indexed([job("figtest", "cbr_restart", config=cfg, protocol=tcp())])[0]
     return dataclasses.replace(jb, trace=trace)
 
 
@@ -48,7 +48,6 @@ def tiny_oscillation_job(trace=True):
                 "oscillation",
                 config=OscillationConfig.fast(),
                 protocol=tcp(),
-                seed=1,
                 params={"period_s": 2.0, "protocol_b": tfrc()},
             )
         ]
