@@ -87,8 +87,9 @@ class RapSender(Sender):
         return self.w / self.srtt
 
     def _record_rate(self) -> None:
+        """Sample the sending rate in bits/s, the unit of TFRC's and TEAR's."""
         if self.recorded:
-            self._rate_probe.record(self.sim.now, self.rate_pps)
+            self._rate_probe.record(self.sim.now, self.rate_pps * self.packet_size * 8.0)
 
     # Lifecycle ---------------------------------------------------------------------
 

@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.experiments.protocols import Protocol
 from repro.sim import fired_in_process
-from repro.telemetry import active_recorder, capture
+from repro.telemetry import capture
 
 __all__ = [
     "DropperSpec",
@@ -316,8 +316,9 @@ def execute_job(jb: Job, fault: Optional[Callable[[Job], None]] = None) -> Any:
     A scenario that ran the kernel leaves its network behind as cyclic
     garbage (``docs/simulator.md``, "Lifetimes"), so the job frees it
     with one collection before it returns, not whenever the collector
-    gets round to it.  Under a recorder the trace's probes still hold
-    the network, and :func:`run_job` collects once it has exported them.
+    gets round to it.  This is the one place a job collects: a recorder
+    holds only its probes' samples, never the network, so a traced job
+    frees its network here too, before its trace is exported.
     """
     if fault is not None:
         fault(jb)
@@ -329,15 +330,9 @@ def execute_job(jb: Job, fault: Optional[Callable[[Job], None]] = None) -> Any:
         ) from None
     fired = fired_in_process()
     value = fn(jb)
-    if active_recorder() is None:
-        _free_simulation(fired)
-    return value
-
-
-def _free_simulation(fired: int) -> None:
-    """One full collection if a simulator has fired since ``fired`` was read."""
     if fired_in_process() != fired:
         gc.collect()
+    return value
 
 
 def run_job(
@@ -352,18 +347,17 @@ def run_job(
     the same ``json.loads`` of it — whichever way it was computed.  A
     ``trace=True`` job runs under a recorder and its JSONL export travels
     *beside* the payload; ``trace_text`` is None when no trace was asked
-    for, so "no trace" and "empty trace" stay distinct.
+    for, so "no trace" and "empty trace" stay distinct.  Either way the
+    job collects in :func:`execute_job`: the recorder holds samples, not
+    the network, so the network is freed before the trace is exported.
     """
     trace_text = None
     if jb.trace:
-        fired = fired_in_process()
         with capture() as recorder:
             recorder.annotate("job", jb.describe())
             recorder.annotate("scenario", jb.scenario)
             value = execute_job(jb, fault)
         trace_text = recorder.export_text()
-        del recorder  # its probes are the last hold on the network
-        _free_simulation(fired)
     else:
         value = execute_job(jb, fault)
     return json.dumps(value, allow_nan=True, sort_keys=True), trace_text

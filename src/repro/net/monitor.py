@@ -14,6 +14,8 @@ via :func:`~repro.telemetry.context.capture`), all channels are adopted
 under hierarchical names (``link.<name>.drops``, ``flow.<id>.bytes``)
 and end up in the exported trace.  Without one, a link's departures are
 pay-for-use: recorded only after :meth:`LinkMonitor.record_departures`.
+Every channel is a plain probe the monitor writes into; none reads the
+network back, so a recorder holding the channels holds no network.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from repro.net.packet import Packet
 from repro.net.queue import QueueProbes
 from repro.sim.engine import Simulator, Timer
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
-from repro.telemetry.probes import GaugeProbe, SeriesProbe
+from repro.telemetry.probes import SeriesProbe
 from repro.telemetry.recorder import Recorder
-from repro.telemetry.series import TimeSeries
 from repro.units import Seconds
 
 __all__ = ["LinkMonitor", "FlowAccountant"]
@@ -51,7 +52,7 @@ class LinkMonitor(LinkMetrics):
         super().__init__(name=name or "link")
         self.sim = sim
         self._link: Optional[Link] = None
-        self._queue_sampler: Optional[Timer] = None  # armed while sampling
+        self._queue_pkts: Optional[SeriesProbe] = None  # set once sampling starts
         self._recorder = recorder
         if recorder is not None:
             prefix = f"link.{self.name}"
@@ -91,44 +92,33 @@ class LinkMonitor(LinkMetrics):
             self._recorder.adopt(f"link.{self.name}.departed_bytes", probe)
         self._link.record_departures(probe)
 
-    def sample_queue(self, period_s: Seconds) -> TimeSeries:
+    def sample_queue(self, period_s: Seconds) -> SeriesProbe:
         """Start periodic queue-occupancy sampling; returns the series.
 
-        The series records (time, packets queued) every ``period_s``
-        seconds, the first one ``period_s`` from now, until :meth:`stop`
-        or the end of the simulation — the standing-queue dynamics the
-        paper's Section 2 background discusses.
+        The ``queue_pkts`` series records (time, packets queued) every
+        ``period_s`` seconds, the first one ``period_s`` from now, until the
+        end of the simulation — the standing-queue dynamics the paper's
+        Section 2 background discusses.  A link is sampled at one period:
+        a second call raises.
         """
         if self._link is None:
             raise RuntimeError("monitor is not attached to a link")
         if period_s <= 0:
             raise ValueError("period_s must be positive")
-        link = self._link
-        if self.queue_depth is None:
-            gauge = GaugeProbe("queue_pkts", read=lambda: float(len(link.queue)))
-            self.queue_depth = gauge
-            if self._recorder is not None:
-                self._recorder.adopt(f"link.{self.name}.queue_pkts", gauge)
-        else:
-            # Restarting (e.g. at a new period) keeps appending to the
-            # same channel rather than shadowing it with a fresh gauge.
-            gauge = self.queue_depth
-            gauge.read = lambda: float(len(link.queue))
+        if self._queue_pkts is not None:
+            raise RuntimeError(f"the queue of link {self.name!r} is already sampled")
+        series = self._queue_pkts = SeriesProbe("queue_pkts")
+        if self._recorder is not None:
+            self._recorder.adopt(f"link.{self.name}.queue_pkts", series)
+        sim, queue = self.sim, self._link.queue
 
-        def snapshot() -> None:
-            gauge.sample(self.sim.now)
+        def sample() -> None:
+            series.record(sim.now, float(len(queue)))
             timer.schedule(period_s)
 
-        self.stop()
-        timer = self._queue_sampler = Timer(self.sim, snapshot)
+        timer = Timer(sim, sample)
         timer.schedule(period_s)
-        return gauge.series
-
-    def stop(self) -> None:
-        """Stop periodic sampling; safe to call at any lifecycle stage."""
-        if self._queue_sampler is not None:
-            self._queue_sampler.cancel()
-            self._queue_sampler = None
+        return series
 
 
 class FlowAccountant(FlowMetrics):

@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.telemetry.probes import CounterProbe, GaugeProbe, SeriesProbe
-from repro.telemetry.series import TimeSeries
+from repro.telemetry.probes import CounterProbe, SeriesProbe
 from repro.units import BitsPerSecond, Bytes, Ratio, Seconds
 
 __all__ = ["LinkMetrics", "FlowMetrics"]
 
 
-def _growth(series: TimeSeries, start: Seconds, end: Seconds) -> float:
+def _growth(series: SeriesProbe, start: Seconds, end: Seconds) -> float:
     """Growth of a cumulative series over (start, end]; 0 before its first sample."""
     return (series.last_before(end) or 0.0) - (series.last_before(start) or 0.0)
 
@@ -43,7 +42,6 @@ class LinkMetrics:
         self.drops = CounterProbe("drops")
         self.marks = CounterProbe("marks")  # ECN CE marks (RED marking mode)
         self.departures: Optional[SeriesProbe] = None  # pay-for-use: None = not recorded
-        self.queue_depth: Optional[GaugeProbe] = None
 
     def arrivals_in(self, start: Seconds, end: Seconds) -> int:
         return self.arrivals.count_in(start, end)
@@ -74,7 +72,7 @@ class LinkMetrics:
         start: Seconds,
         end: Seconds,
         stride_s: Seconds = 0.0,
-    ) -> TimeSeries:
+    ) -> SeriesProbe:
         """Loss rate over a sliding window.
 
         Each sample at time t is the loss rate over [t - window_s, t).  The
@@ -85,7 +83,7 @@ class LinkMetrics:
         error cannot skew the boundaries on long runs.
         """
         stride = stride_s if stride_s > 0 else window_s
-        series = TimeSeries("loss_rate")
+        series = SeriesProbe("loss_rate")
         i = 0
         while True:
             t = start + window_s + i * stride
@@ -93,7 +91,7 @@ class LinkMetrics:
                 break
             rate = self.loss_rate(t - window_s, t)
             if not math.isnan(rate):
-                series.append(t, rate)
+                series.record(t, rate)
             i += 1
         return series
 
@@ -103,7 +101,7 @@ class LinkMetrics:
                 f"departures of link {self.name!r} were not recorded: call its monitor's "
                 "record_departures() before sim.run(), or build it under telemetry.capture()"
             )
-        return _growth(self.departures.series, start, end)
+        return _growth(self.departures, start, end)
 
     def utilization(self, start: Seconds, end: Seconds) -> Ratio:
         """Fraction of the link's capacity used over (start, end]."""
@@ -129,7 +127,7 @@ class FlowMetrics:
         probe = self._probes.get(flow_id)
         if probe is None:
             return 0.0
-        return _growth(probe.series, start, end)
+        return _growth(probe, start, end)
 
     def throughput_bps(
         self, flow_id: int, start: Seconds, end: Seconds

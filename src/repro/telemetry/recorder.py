@@ -5,7 +5,9 @@ A :class:`Recorder` owns a flat namespace of hierarchical channel names
 Components create their probes privately and hand them over with
 :meth:`adopt` — adoption is how pre-existing instrumentation (a sender's
 cwnd probe) becomes part of a trace without the component knowing about
-recording at all.
+recording at all.  A probe holds samples and nothing else, so a recorder
+never holds the network it recorded: when a scenario returns, its network
+is garbage whether or not it ran under a recorder.
 
 Traces are exported as JSONL: a header line carrying schema version and
 run metadata, then one line per channel — its name, kind, sample count
@@ -26,7 +28,7 @@ from repro.telemetry.probes import Probe, pack_column
 
 __all__ = ["Recorder", "TRACE_SCHEMA_VERSION"]
 
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
 
 class Recorder:

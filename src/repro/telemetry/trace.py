@@ -23,23 +23,12 @@ import re
 from typing import Any, Iterator
 
 from repro.telemetry.measures import FlowMetrics, LinkMetrics
-from repro.telemetry.probes import (
-    CounterProbe,
-    GaugeProbe,
-    Probe,
-    SeriesProbe,
-    unpack_column,
-)
+from repro.telemetry.probes import CounterProbe, Probe, SeriesProbe, unpack_column
 from repro.telemetry.recorder import TRACE_SCHEMA_VERSION
-from repro.telemetry.series import TimeSeries
 
 __all__ = ["TraceReader", "parse_header"]
 
-_PROBE_KINDS = {
-    "counter": CounterProbe,
-    "series": SeriesProbe,
-    "gauge": GaugeProbe,
-}
+_PROBE_KINDS = {"counter": CounterProbe, "series": SeriesProbe}
 
 _FLOW_BYTES = re.compile(r"^flow\.(\d+)\.bytes$")
 
@@ -174,18 +163,6 @@ class TraceReader:
                 f"available: {sorted(self.channels)}"
             ) from None
 
-    def counter(self, name: str) -> CounterProbe:
-        probe = self.channel(name)
-        if not isinstance(probe, CounterProbe):
-            raise TypeError(f"channel {name!r} is {probe.kind}, not counter")
-        return probe
-
-    def series(self, name: str) -> TimeSeries:
-        probe = self.channel(name)
-        if not isinstance(probe, SeriesProbe):
-            raise TypeError(f"channel {name!r} is {probe.kind}, not series")
-        return probe.series
-
     # Standard layouts --------------------------------------------------------
 
     def link(self, name: str) -> LinkMetrics:
@@ -207,9 +184,6 @@ class TraceReader:
         departures = self.channels.get(prefix + "departed_bytes")
         if isinstance(departures, SeriesProbe):
             metrics.departures = departures
-        queue_depth = self.channels.get(prefix + "queue_pkts")
-        if isinstance(queue_depth, GaugeProbe):
-            metrics.queue_depth = queue_depth
         return metrics
 
     def flows(self) -> FlowMetrics:

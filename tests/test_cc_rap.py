@@ -47,6 +47,26 @@ class TestRateAdaptation:
         # RAP(1/64) has a much narrower rate band than RAP(1/2).
         assert trace[1 / 64] > trace[0.5]
 
+    def test_rate_samples_are_bits_per_second(self):
+        # The unit of TFRC's and TEAR's rate channels: w / srtt packets per
+        # second times the packet's bits, at every sample.
+        sim = Simulator()
+        sender, sink = new_rap_flow(sim, b=0.5, packet_size=500)
+        with capture() as recorder:
+            loopback(sim, sender, sink, dropper=PeriodicDropper(60))
+        expected = []
+        record_rate = sender._record_rate
+
+        def expect_then_record():
+            expected.append((sim.now, sender.w / sender.srtt * 500 * 8))
+            record_rate()
+
+        sender._record_rate = expect_then_record
+        sender.start()
+        sim.run(until=10.0)
+        assert len(expected) > 50
+        assert series(recorder, "rate") == expected
+
     def test_at_most_one_decrease_per_rtt(self):
         sim = Simulator()
         sender, sink = new_rap_flow(sim, b=0.5)

@@ -165,15 +165,16 @@ class TestConservativeRap:
         assert sent[True] < sent[False]
 
 
-#: Sender -> (flow factory, what one 1000-byte packet counts for in the
-#: units of the sender's rate).  RAP paces in packets per second; the
-#: others in bit/s.  CBR has no rate series: its rate is the constant.
+#: Sender -> flow factory.  Every rate is in bit/s, so one 1000-byte
+#: packet counts for PACKET_BITS of it.  CBR has no rate series: its rate
+#: is the constant.
 PACED = {
-    "tfrc": (new_tfrc_flow, 8000.0),
-    "tear": (new_tear_flow, 8000.0),
-    "rap": (new_rap_flow, 1.0),
-    "cbr": (lambda sim: (CbrSource(sim, 2e6), CbrSink(sim)), 8000.0),
+    "tfrc": new_tfrc_flow,
+    "tear": new_tear_flow,
+    "rap": new_rap_flow,
+    "cbr": lambda sim: (CbrSource(sim, 2e6), CbrSink(sim)),
 }
+PACKET_BITS = 8000.0
 PACING_WINDOW = (10.0, 40.0)
 
 
@@ -192,9 +193,8 @@ def pacing_ratio(name):
     """What ``name`` put on the wire over PACING_WINDOW, over the integral
     of its own rate across the same window (1.0 when it sends what it
     computed)."""
-    maker, per_packet = PACED[name]
     sim = Simulator()
-    sender, receiver = maker(sim)
+    sender, receiver = PACED[name](sim)
     with capture() as recorder:  # the rate series is written only for a recorder
         loopback(sim, sender, receiver, bandwidth_bps=1e8, dropper=PeriodicDropper(50))
     start, end = PACING_WINDOW
@@ -211,7 +211,7 @@ def pacing_ratio(name):
         samples = [(0.0, sender.rate_bps)]
     else:
         samples = series(recorder, "rate")
-    return (sent[end] - sent[start]) * per_packet / step_integral(samples, start, end)
+    return (sent[end] - sent[start]) * PACKET_BITS / step_integral(samples, start, end)
 
 
 #: The send gap of a bit/s pacer with its bytes -> bits factor dropped.

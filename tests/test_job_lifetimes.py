@@ -3,8 +3,10 @@
 A simulated network is cyclic by construction (calendar and bound
 callbacks, node and link, sender and timer), so when a scenario returns,
 its whole graph is garbage only a collection can reclaim.
-``execute_job`` collects once after a scenario that ran the kernel, and
-a traced ``run_job`` once its recorder lets go.  Every road a job takes
+``execute_job`` collects once after a scenario that ran the kernel,
+traced or not: a recorder holds its probes' samples, never the network,
+so a traced job's network is dead before its trace is exported.  Every
+road a job takes
 is checked here: in-process, traced, an ``Executor(0)`` map, the
 coordinator's tail of a two-worker map, and a worker's second job.
 
@@ -30,8 +32,7 @@ from repro.experiments import ALL_FIGURES
 from repro.experiments.executor import make_executor
 from repro.experiments.jobs import SCENARIOS, execute_job, job, run_job
 from repro.sim import Simulator
-from repro.telemetry import active_recorder
-from repro.telemetry.probes import GaugeProbe
+from repro.telemetry import Recorder, SeriesProbe, active_recorder
 from tests.helpers import loopback
 
 needs_fork = pytest.mark.skipif(
@@ -48,11 +49,13 @@ def build(jb) -> dict:
     sim = Simulator()
     sender, sink = new_tcp_flow(sim)
     loopback(sim, sender, sink)
+    clock = SeriesProbe("clock")
     recorder = active_recorder()
-    if recorder is not None:  # as a link monitor's queue gauge holds its link
-        recorder.adopt("lifetime.clock", GaugeProbe("clock", read=lambda: sim.now))
+    if recorder is not None:  # a recorded channel, as a link monitor's queue
+        recorder.adopt("lifetime.clock", clock)
     sender.start()
     sim.run(until=0.3)
+    clock.record(sim.now, sim.now)
     LAST_BUILT[0] = (os.getpid(), weakref.ref(sim))
     return {"pid": os.getpid()}
 
@@ -98,9 +101,18 @@ def test_execute_job_frees_its_simulation():
     assert execute_job(job_of("probe"))["dead"]
 
 
-def test_a_traced_job_frees_its_simulation_once_its_trace_is_exported():
+def test_a_traced_job_frees_its_simulation_once_its_trace_is_exported(monkeypatch):
+    dead_at_export = []
+    export_text = Recorder.export_text
+
+    def export_after_looking(recorder):
+        dead_at_export.append(LAST_BUILT[0][1]() is None)
+        return export_text(recorder)
+
+    monkeypatch.setattr(Recorder, "export_text", export_after_looking)
     _, trace_text = run_job(job_of("build", trace=True))
-    assert "lifetime.clock" in trace_text  # the recorder held the network
+    assert "lifetime.clock" in trace_text  # the recorder held a channel
+    assert dead_at_export == [True]  # ... and not the network
     value_text, _ = run_job(job_of("probe"))
     assert '"dead": true' in value_text
 

@@ -348,7 +348,7 @@ class TestTimeBasedCounters:
         monitor.record_departures()
         link.send(Packet(0, DATA, 1, 500, 0, 1))
         sim.run()
-        assert list(monitor.departures.series) == [(1.0, 1000.0), (1.5, 1500.0)]
+        assert list(monitor.departures) == [(1.0, 1000.0), (1.5, 1500.0)]
         assert monitor.arrivals.count == 1  # only the packet offered after attach
 
     def test_unconnected_link_still_raises(self):

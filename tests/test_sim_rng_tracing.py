@@ -1,4 +1,5 @@
-"""Unit tests for RNG streams, time series and counter window edges."""
+"""Unit tests for RNG streams, time series (``SeriesProbe``) and counter
+window edges."""
 
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import RngRegistry
-from repro.telemetry import CounterProbe, TimeSeries
+from repro.telemetry import CounterProbe, SeriesProbe
 
 
 class TestRngRegistry:
@@ -53,46 +54,47 @@ class TestRngRegistryProperties:
 
 
 class TestTimeSeries:
+    """A ``SeriesProbe``'s samples and the windowed reads over them."""
+
     def test_append_and_iterate(self):
-        ts = TimeSeries("x")
-        ts.append(0.0, 1.0)
-        ts.append(1.0, 2.0)
+        ts = SeriesProbe("x")
+        ts.record(0.0, 1.0)
+        ts.record(1.0, 2.0)
         assert list(ts) == [(0.0, 1.0), (1.0, 2.0)]
         assert len(ts) == 2
 
     def test_out_of_order_append_rejected(self):
-        ts = TimeSeries()
-        ts.append(2.0, 1.0)
+        ts = SeriesProbe()
+        ts.record(2.0, 1.0)
         with pytest.raises(ValueError):
-            ts.append(1.0, 1.0)
+            ts.record(1.0, 1.0)
 
     def test_equal_time_appends_allowed(self):
-        ts = TimeSeries()
-        ts.append(1.0, 1.0)
-        ts.append(1.0, 2.0)
+        ts = SeriesProbe()
+        ts.record(1.0, 1.0)
+        ts.record(1.0, 2.0)
         assert len(ts) == 2
 
     def test_window_half_open(self):
-        ts = TimeSeries()
+        ts = SeriesProbe()
         for t in range(5):
-            ts.append(float(t), float(t))
+            ts.record(float(t), float(t))
         win = ts.window(1.0, 3.0)
         assert list(win.times) == [1.0, 2.0]
 
-    def test_mean_and_max(self):
-        ts = TimeSeries()
+    def test_mean(self):
+        ts = SeriesProbe()
         for v in (1.0, 2.0, 6.0):
-            ts.append(v, v)
+            ts.record(v, v)
         assert ts.mean() == 3.0
-        assert ts.max() == 6.0
 
     def test_mean_of_empty_is_nan(self):
-        assert math.isnan(TimeSeries().mean())
+        assert math.isnan(SeriesProbe().mean())
 
     def test_last_before(self):
-        ts = TimeSeries()
-        ts.append(1.0, 10.0)
-        ts.append(2.0, 20.0)
+        ts = SeriesProbe()
+        ts.record(1.0, 10.0)
+        ts.record(2.0, 20.0)
         assert ts.last_before(0.5) is None
         assert ts.last_before(1.0) == 10.0
         assert ts.last_before(1.5) == 10.0
@@ -101,9 +103,9 @@ class TestTimeSeries:
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=50))
     def test_window_never_widens(self, raw_times):
         times = sorted(raw_times)
-        ts = TimeSeries()
+        ts = SeriesProbe()
         for t in times:
-            ts.append(t, t)
+            ts.record(t, t)
         win = ts.window(10.0, 60.0)
         assert all(10.0 <= t < 60.0 for t in win.times)
         assert len(win) == sum(1 for t in times if 10.0 <= t < 60.0)

@@ -39,7 +39,9 @@ seed, so they are read from the source instead:
 * **a public name nothing reads**: a public top-level function or class, or
   a public method or property of one, in the same packages that no module
   in ``src/repro``, ``examples``, ``bench`` or ``benchmarks`` spells as a
-  name, an attribute or a string.  An import, an ``__all__`` entry (a
+  name, an attribute or a string — a method or property only as an
+  attribute or a string, since a bare name of the same spelling is a
+  local, not a read of the member.  An import, an ``__all__`` entry (a
   package re-export) and the definition's own body do not count, and
   neither do tests: an accessor only a test reads is a second way to look
   at state the product reads one way.  ``experiments/scale.py`` is exempt:
@@ -791,8 +793,9 @@ def public_names(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def spellings(tree: ast.Module) -> dict[str, list[int]]:
-    """Name, attribute and string constant -> the lines that read it.
+def spellings(tree: ast.Module) -> dict[str, list[tuple[int, bool]]]:
+    """Name, attribute and string constant -> ``(line, bare)`` of each read,
+    ``bare`` when it is a plain name (which reads no class member).
 
     An import is not a read, and neither is an ``__all__`` entry: a
     package re-exporting a name reads nothing.
@@ -804,7 +807,7 @@ def spellings(tree: ast.Module) -> dict[str, list[int]]:
         and any(getattr(target, "id", "") == "__all__" for target in statement.targets)
         for node in ast.walk(statement.value)
     }
-    found: dict[str, list[int]] = {}
+    found: dict[str, list[tuple[int, bool]]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             spelled = node.id
@@ -815,7 +818,7 @@ def spellings(tree: ast.Module) -> dict[str, list[int]]:
         else:
             continue
         if id(node) not in exported:
-            found.setdefault(spelled, []).append(node.lineno)
+            found.setdefault(spelled, []).append((node.lineno, isinstance(node, ast.Name)))
     return found
 
 
@@ -826,7 +829,8 @@ def reader_census(
 
     ``overrides`` maps a module under ``src/repro`` to replacement text; the
     ``exempt`` modules are not scanned.  A read inside the name's own
-    definition (a recursion, a class naming itself) does not count.
+    definition (a recursion, a class naming itself) does not count, and a
+    bare name reads only a top-level name, never a ``Class.member``.
     """
     sources = callers()
     sources.update({f"src/repro/{path}": text for path, text in overrides.items()})
@@ -836,10 +840,12 @@ def reader_census(
         home = f"src/repro/{path}"
         for name, spelled, node in public_names(ast.parse(sources[home])):
             declared.append(name)
+            member = name != spelled
             if not any(
                 not (where == home and node.lineno <= line <= node.end_lineno)
+                and not (bare and member)
                 for where, found in reads.items()
-                for line in found.get(spelled, ())
+                for line, bare in found.get(spelled, ())
             ):
                 unread.append(name)
     return declared, unread
@@ -918,8 +924,30 @@ def test_the_exemption_has_names_only_its_ledger_reads():
             ],
             "mild_gaps",
         ),
+        # A test-only method whose spelling a closure shares: the closure's
+        # bare name reads no member (as a sampler named snapshot once kept
+        # Probe.snapshot alive).
+        (
+            [
+                (
+                    "net/monitor.py",
+                    "    def attach(self, link: Link) -> None:",
+                    "    def peek(self) -> int:\n"
+                    "        return len(self._link.queue)\n\n"
+                    "    def attach(self, link: Link) -> None:",
+                ),
+                ("net/monitor.py", "        def sample() -> None:", "        def peek() -> None:"),
+                ("net/monitor.py", "Timer(sim, sample)", "Timer(sim, peek)"),
+            ],
+            "LinkMonitor.peek",
+        ),
     ],
-    ids=["TcpSender method", "an __init__ re-export", "an experiments re-export"],
+    ids=[
+        "TcpSender method",
+        "an __init__ re-export",
+        "an experiments re-export",
+        "a member and a local",
+    ],
 )
 def test_a_name_nothing_reads_is_flagged(edits, flagged):
     texts: dict[str, str] = {}

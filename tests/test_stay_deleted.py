@@ -281,6 +281,36 @@ STAY_DELETED = [
         "ConvergenceConfig.seeds and the loop over it; a convergence config "
         "has one seed and Figures 10 and 12 fan CONVERGENCE_SEEDS out",
     ),
+    (
+        r"\bTimeSeries\b|telemetry[./]series\b",
+        ("src", "tests", "examples", "benchmarks", "docs/telemetry.md", "README.md", "DESIGN.md"),
+        (),
+        "TimeSeries and telemetry/series.py, the storage under SeriesProbe; "
+        "a series probe holds its own times and values",
+    ),
+    (
+        r"\bGaugeProbe\b|\.queue_depth\b|\bmonitor\.stop\(|_queue_sampler",
+        ("src", "tests", "examples", "benchmarks", "docs", "README.md", "DESIGN.md"),
+        # The record of the deletion.
+        ("docs/linting.md",),
+        "GaugeProbe, the probe that polled a callable, LinkMetrics.queue_depth "
+        "and LinkMonitor.stop; sample_queue records into a SeriesProbe, once",
+    ),
+    (
+        r"\.snapshot\(\)|def snapshot\(self|\breader\.(counter|series)\("
+        r"|def (counter|series)\(self",
+        ("src", "tests", "examples", "benchmarks", "docs/telemetry.md", "README.md"),
+        (),
+        "Probe.snapshot and TraceReader.counter / series, read only by "
+        "tests; a channel is read with reader.channel or off export_text",
+    ),
+    (
+        r"_free_simulation",
+        ("src", "tests", "docs", "README.md"),
+        (),
+        "the traced job's second collection path; execute_job collects "
+        "traced or not, since a recorder holds no network",
+    ),
 ]
 
 

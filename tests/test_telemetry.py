@@ -21,7 +21,6 @@ from repro.sim import Simulator
 from repro.telemetry import (
     TRACE_SCHEMA_VERSION,
     CounterProbe,
-    GaugeProbe,
     LinkMetrics,
     Recorder,
     SeriesProbe,
@@ -30,12 +29,20 @@ from repro.telemetry import (
     capture,
     probes,
 )
-from repro.telemetry.probes import pack_column, unpack_column
-from repro.telemetry.series import check_time_ordered
+from repro.telemetry.probes import check_time_ordered, pack_column, unpack_column
 
 
 def _packed(*values):
     return pack_column(array("d", values))
+
+
+def _line_record(probe):
+    """The trace record ``Recorder`` writes for ``probe``, as a dict: kind,
+    sample count and packed columns (the channel name aside)."""
+    record = {"kind": probe.kind, "n": len(probe)}
+    for column in probe.columns:
+        record[column] = pack_column(getattr(probe, column))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +79,10 @@ class TestCounterProbe:
         probe.increment(1.0)
         probe.increment(4.0)
         probe.increment(4.0)
-        snap = probe.snapshot()
-        assert sorted(snap) == ["kind", "n", "times"]  # one column on disk
+        rec = Recorder()
+        rec.adopt("drops", probe)
+        snap = json.loads(rec.export_text().splitlines()[1])
+        assert sorted(snap) == ["channel", "kind", "n", "times"]  # one column on disk
         clone = CounterProbe("drops")
         clone.load(unpack_column(snap["times"], snap["n"]))
         assert clone.count == probe.count == snap["n"]
@@ -131,20 +140,6 @@ class TestWindowConventions:
         assert link.arrivals_in(1.0, 2.0) == 1
         assert link.departed_bytes_in(1.0, 2.0) == 200.0
         assert link.utilization(1.0, 2.0) == 0.2  # 200 of the 1000 bytes a second
-
-
-class TestGaugeProbe:
-    def test_sample_reads_the_callable(self):
-        depth = [0]
-        gauge = GaugeProbe("queue", read=lambda: depth[0])
-        gauge.sample(0.0)
-        depth[0] = 3
-        gauge.sample(1.0)
-        assert list(gauge) == [(0.0, 0.0), (1.0, 3.0)]
-
-    def test_sample_without_read_raises(self):
-        with pytest.raises(RuntimeError):
-            GaugeProbe("queue").sample(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +230,14 @@ class TestEventLoopEmission:
         assert arrivals.count == net.monitor.arrivals_in(0.0, sim.now + 1.0)
         assert arrivals.count > 0
 
-    def test_queue_sampler_lifecycle(self):
+    def test_a_link_is_sampled_at_one_period(self):
         sim = Simulator()
         net = Dumbbell(sim, bandwidth_bps=1e6, rtt_s=0.05)
         series = net.monitor.sample_queue(0.5)
+        with pytest.raises(RuntimeError, match="already sampled"):
+            net.monitor.sample_queue(0.25)
         sim.run(until=2.0)
-        n_running = len(series)
-        assert n_running >= 3  # sampled at the requested cadence
-        net.monitor.stop()
-        sim.run(until=4.0)
-        assert len(series) == n_running  # stop() really stops the task
-        # restarting reuses the same gauge channel rather than shadowing
-        assert net.monitor.sample_queue(0.5) is series
+        assert list(series.times) == [0.5, 1.0, 1.5, 2.0]  # one sampler, one channel
 
     def test_queue_samples_fall_on_the_period(self):
         sim = Simulator()
@@ -400,7 +391,7 @@ class TestPayForUse:
             "bottleneck_rev": ((0.619008, 386880.0), (1.600000000000034, 1000.0), 471280.0),
         }
         for monitor in (net.monitor, net.reverse_monitor):
-            series = monitor.departures.series
+            series = monitor.departures
             assert sum(when > 12.0 for when in series.times) == 1
             assert series.times[-1] > 12.0
             assert series.values[-1] - series.values[-2] == 1000.0  # that one packet
@@ -478,8 +469,8 @@ class TestTraceRoundTrip:
         rate = rec.adopt("flow.0.rate", SeriesProbe())
         rate.record(0.0, 10.0)
         rate.record(1.0, 12.5)
-        gauge = rec.adopt("link.b.queue_pkts", GaugeProbe(read=lambda: 4.0))
-        gauge.sample(0.75)
+        queue = rec.adopt("link.b.queue_pkts", SeriesProbe())
+        queue.record(0.75, 4.0)
         rec.annotate("link.b.bandwidth_bps", 1e6)
         return rec
 
@@ -490,7 +481,7 @@ class TestTraceRoundTrip:
         for name, probe in rec.channels.items():
             clone = reader.channel(name)
             assert clone.kind == probe.kind, name
-            assert clone.snapshot() == probe.snapshot(), name
+            assert _line_record(clone) == _line_record(probe), name
         assert reader.meta == rec.meta
 
     def test_export_file_round_trip(self, tmp_path):
@@ -501,7 +492,7 @@ class TestTraceRoundTrip:
         cache, jb = ResultCache(tmp_path), job("trace", "timeout_models")
         cache.store_trace(jb, self._recorder().export_text())
         reader = TraceReader.loads(cache.load_trace(jb))
-        assert reader.counter("link.b.drops").count == 3
+        assert reader.channel("link.b.drops").count == 3
 
     def test_export_is_deterministic(self):
         assert self._recorder().export_text() == self._recorder().export_text()
@@ -558,15 +549,27 @@ class TestTraceRoundTrip:
         "old, new, message",
         [
             ('"channel": "flow.0.rate", ', "", r"line 3: not a channel record"),
-            ('"kind": "series", ', "", r"line 3: channel 'flow.0.rate': unknown channel kind None"),
-            ('"kind": "series"', '"kind": "histogram"', r"line 3: channel 'flow.0.rate': unknown"),
-            ('"kind": "series"', '"kind": ["series"]', r"line 3: channel 'flow.0.rate': unknown"),
+            (
+                '"flow.0.rate", "kind": "series", ',
+                '"flow.0.rate", ',
+                r"line 3: channel 'flow.0.rate': unknown channel kind None",
+            ),
+            (
+                '"flow.0.rate", "kind": "series"',
+                '"flow.0.rate", "kind": "gauge"',
+                r"line 3: channel 'flow.0.rate': unknown channel kind 'gauge'",
+            ),
+            (
+                '"flow.0.rate", "kind": "series"',
+                '"flow.0.rate", "kind": ["series"]',
+                r"line 3: channel 'flow.0.rate': unknown",
+            ),
             ('"n": 2, "times"', '"n": 2, "time"', r"line 3: channel 'flow.0.rate'.*keys"),
             ('"n": 2, ', "", r"line 3: channel 'flow.0.rate'.*keys"),
             ('"n": 2', '"n": 2.0', r"line 3: channel 'flow.0.rate': n must be"),
             ('"n": 2', '"n": true', r"line 3: channel 'flow.0.rate': n must be"),
             ('"n": 1', '"n": -1', r"line 4: channel 'link.b.queue_pkts': n must be"),
-            ('"kind": "gauge"', '"kind": "gauge"}{', r"line 4: "),
+            ('"n": 1, "times"', '"n": 1}{"times"', r"line 4: "),
             ("flow.0.rate", "link.b.drops", r"line 3: channel 'link.b.drops': an earlier line"),
         ],
     )
@@ -587,13 +590,6 @@ class TestTraceRoundTrip:
         )
         with pytest.raises(ValueError, match="line 2: channel 'link.b.drops'.*keys"):
             TraceReader.loads(text)
-
-    def test_kind_accessors_check_types(self):
-        reader = TraceReader.loads(self._recorder().export_text())
-        with pytest.raises(TypeError):
-            reader.counter("flow.0.rate")
-        with pytest.raises(TypeError):
-            reader.series("link.b.drops")
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +618,9 @@ class TestPackedColumns:
         # Adopted up front, so present when empty.
         counter = rec.adopt("c", CounterProbe())
         series = rec.adopt("s", SeriesProbe())
-        gauge = rec.adopt("g", GaugeProbe())
         for t, v in zip(times, patterns):
             counter.increment(t)
             series.record(t, v)
-            gauge.read = lambda v=v: v
-            gauge.sample(t)
         text = rec.export_text()
         assert rec.export_text() == text  # two exports of one run
         reader = TraceReader.loads(text)
@@ -636,7 +629,7 @@ class TestPackedColumns:
             assert type(clone) is type(probe)
             assert _bits(clone.times) == _bits(probe.times) == _bits(times)
             assert _bits(clone.values) == _bits(probe.values)
-        assert _bits(reader.series("s").values) == _bits(patterns[: len(times)])
+        assert _bits(reader.channel("s").values) == _bits(patterns[: len(times)])
 
     def _trace(self):
         return TestTraceRoundTrip()._recorder().export_text()
@@ -758,7 +751,9 @@ class TestCountInProperties:
         assert got == sum(1 for t in times if start <= t < end)
         # The totals column is synthesised on read, not stored: 1.0 .. n.
         assert list(counter.values) == [float(i + 1) for i in range(len(times))]
-        assert "values" not in counter.snapshot()
+        rec = Recorder()
+        rec.adopt("c", counter)
+        assert '"values"' not in rec.export_text()
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +772,7 @@ class TestSeriesProbeLoad:
         assert list(loaded) == list(recorded)
 
     def test_load_keeps_the_arrays_it_is_handed(self):
-        probe = GaugeProbe("q")
+        probe = SeriesProbe("q")
         times, values = array("d", [0.0, 1.0]), array("d", [5.0, 6.0])
         probe.load(times, values)
         assert probe.times is times and probe.values is values
@@ -854,7 +849,7 @@ def _awkward_recorder():
     rec = Recorder()
     rec.annotate("link.é.bandwidth_bps", 1e6)
     for index, name in enumerate(_AWKWARD_NAMES):
-        for kind in (CounterProbe, SeriesProbe, GaugeProbe):
+        for kind in (CounterProbe, SeriesProbe):
             probe = rec.adopt(f"{name}.{kind.kind}", kind())
             for i in range(index + 2):
                 if kind is CounterProbe:
@@ -871,13 +866,12 @@ def _big_recorder(channels=10, samples=10_000):
     for c in range(channels):
         counter = rec.adopt(f"link.{c}.drops", CounterProbe())
         series = rec.adopt(f"flow.{c}.bytes", SeriesProbe())
-        gauge = rec.adopt(f"link.{c}.queue_pkts", GaugeProbe())
+        queue = rec.adopt(f"link.{c}.queue_pkts", SeriesProbe())
         for i in range(samples):
             t = i / 7
             counter.increment(t)
             series.record(t, 1000.0 * i)
-            gauge.read = lambda v=i % 50: float(v)
-            gauge.sample(t)
+            queue.record(t, float(i % 50))
     return rec
 
 
@@ -901,7 +895,7 @@ class TestExportBytes:
         assert lines[0] == json.dumps(header, sort_keys=True)
         assert len(lines) == 1 + len(rec.channels)
         for line, (name, probe) in zip(lines[1:], rec.channels.items()):
-            assert line == json.dumps({"channel": name, **probe.snapshot()}, sort_keys=True)
+            assert line == json.dumps({"channel": name, **_line_record(probe)}, sort_keys=True)
         assert {json.loads(line)["channel"] for line in lines[1:]} == set(rec.channels)
 
     def test_export_writes_the_bytes_of_export_text(self, tmp_path):
@@ -918,7 +912,7 @@ class TestExportBytes:
         for name, probe in rec.channels.items():
             clone = loaded.channel(name)
             assert type(clone) is type(probe)
-            assert clone.snapshot() == probe.snapshot()
+            assert _line_record(clone) == _line_record(probe)
 
 
 class TestReaderLineNumbers:
