@@ -13,33 +13,37 @@ simulations: every job is answered from disk and only the (cheap) reduce
 stage runs.  Hit/miss/store accounting is kept on :attr:`ResultCache.stats`
 and surfaced by the CLI.
 
-There is one layout on disk.  Key ``ab…`` belongs to shard ``ab``, and
-every record of a shard is a *frame* in the shard's pack
-``root/<salt>/ab/ab.pack``::
+There is one layout on disk.  Every record is a *frame* in the salt's one
+pack, ``root/<salt>/results.pack``::
 
     key (32 raw bytes) | record length (<I) | canonical payload (UTF-8 JSON)
 
 The record is :func:`~repro.experiments.jobs.run_job`'s payload text as
-it is; the key stamp binds it to its job.  ``ab.pack.idx`` beside it —
-``{"entries": {key: [frame offset, record length]}, "version": 3}``,
-replaced atomically — says where each frame starts.  A lookup is one
-probe of that index (read once per shard per instance) and one ``pread``
-of the frame; a frame that is short, is stamped with another key or holds
-a record that does not parse (or nests too deep to) is a miss, recomputed
-and re-stored like any other.  An index of another version reads as
-empty, so an older cache is one miss per entry.
+it is; the key stamp binds it to its job.  ``results.idx`` beside it is
+a run of fixed ``<32sQI`` entries (key, frame offset, record length),
+replaced atomically, that says where each frame starts.  A lookup is one
+probe of that index (read once per instance) and one ``pread`` of the
+frame; a frame that is short, is stamped with another key or holds a
+record that does not parse (or nests too deep to) is a miss, recomputed
+and re-stored like any other.  An index that is not a whole number of
+entries reads as empty, and an entry reaching past the end of the pack
+is left out.  An older cache has other file names, so it is one miss
+per entry and is never written.
 
 A flush — :meth:`ResultCache.flush_batch`, or a store outside a batch —
-is one ``O_APPEND`` write per shard, frames sorted by key so the pack
-bytes do not depend on job completion order.  Each frame's offset is
-where that write actually landed, and the new entries are merged into
+appends the frames, sorted by key so the pack bytes do not depend on job
+completion order, with ``O_APPEND`` writes of at most :data:`_CHUNK`
+bytes (a larger frame is a write of its own).  Each frame's offset is
+where its write actually landed, and the new entries are merged into
 the index as it is on disk at that moment.  Processes sharing a cache
-directory therefore never read each other's payloads; an entry lost to a
-simultaneous index replace is a miss.  Bytes no index references (a
+directory therefore never read each other's payloads; an entry lost to
+a simultaneous index replace is a miss.  Bytes no index references (a
 flush killed between its write and its index) are inert: the next flush
-appends after them.  So is every other file in a shard — ``*.tmp`` left
-by an interrupted write, a ``<key>.json`` of an older layout — because
-nothing ever reads it.
+appends after them.  So is every other file under the salt — ``*.tmp``
+left by an interrupted write, an older layout's packs, indexes and
+``<key>.json`` blobs — because nothing ever reads it.  A trace sits in a
+folder named by its key's first two hex digits,
+``root/<salt>/ab/<key>.trace.jsonl``.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import pathlib
 import struct
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from repro import __version__
 from repro.experiments.jobs import JOBS_SCHEMA_VERSION, Job
@@ -64,8 +68,17 @@ MISS = object()
 #: A frame's head: the key's 32 raw bytes, then the record's byte count.
 _FRAME_HEAD = struct.Struct("<32sI")
 
-#: Pack index format version: bump it whenever the record layout changes.
-_INDEX_VERSION = 3
+#: An index entry: the key's 32 raw bytes, the frame's offset in the
+#: pack, the record's byte count.
+_ENTRY = struct.Struct("<32sQI")
+
+#: An entry in memory is one int, ``offset * _BASE + length`` (a length
+#: is a ``<I``): a third of the bytes of an ``(offset, length)`` tuple.
+_BASE = 1 << 32
+
+#: The most bytes a flush hands one ``write``: it bounds what a flush
+#: holds besides its batch and its index.
+_CHUNK = 1 << 16
 
 _TRACE_SUFFIX = ".trace.jsonl"
 
@@ -96,10 +109,11 @@ class CacheStats:
         return f"{self.hits} hits, {self.misses} misses, {self.stores} stores"
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` so readers see the old or the new file.
+def _atomic_write(path: str, mode: str, pieces: Iterable[Any]) -> None:
+    """Write ``pieces`` (text or bytes, as ``mode`` says) to ``path`` so
+    readers see the old or the new file.
 
-    The text goes to a ``<name>*.tmp`` sibling first and is renamed over
+    The pieces go to a ``<name>*.tmp`` sibling first and are renamed over
     ``path``; a failed write removes its tmp file before re-raising, and
     a killed process leaves only inert ``*.tmp`` litter — never a torn
     file.  The folder must exist.
@@ -107,8 +121,8 @@ def _atomic_write_text(path: str, text: str) -> None:
     folder, name = os.path.split(path)
     fd, tmp = tempfile.mkstemp(dir=folder, prefix=name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, mode) as handle:
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except OSError:
         try:
@@ -116,6 +130,23 @@ def _atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_chunk(
+    fd: int,
+    chunk: bytearray,
+    spans: list[tuple[str, int, int]],
+    index: dict[str, int],
+) -> None:
+    """Append ``chunk`` in one write and put each of its frames that
+    landed whole in ``index``."""
+    written = os.write(fd, chunk)
+    # Where the write landed: another process may have appended since
+    # this one opened the pack or wrote its last chunk.
+    start = os.lseek(fd, 0, os.SEEK_CUR) - written
+    for key, offset, length in spans:
+        if offset + _FRAME_HEAD.size + length <= written:
+            index[key] = (start + offset) * _BASE + length
 
 
 def _is_current_trace(header_line: str) -> bool:
@@ -129,8 +160,8 @@ def _is_current_trace(header_line: str) -> bool:
 
 class ResultCache:
     """Content-addressed store of JSON job payloads under ``root/<salt>``,
-    as frames of per-shard packs (see the module docstring for the layout
-    and what concurrent runs may see).
+    as frames of one pack (see the module docstring for the layout and
+    what concurrent runs may see).
     """
 
     def __init__(self, root: Union[str, os.PathLike]):
@@ -138,20 +169,19 @@ class ResultCache:
         self.salt = default_salt()
         #: ``root/<salt>`` as a plain string: the per-job paths are built from it.
         self._dir = f"{self.root}/{self.salt}"
+        self._pack = f"{self._dir}/results.pack"
+        self._index_file = f"{self._dir}/results.idx"
         self.stats = CacheStats()
         #: Active batch buffer (key -> record text), or None outside a batch.
         self._batch: Optional[dict[str, str]] = None
-        #: Pack indexes read so far, one dict (key -> (frame offset,
-        #: record length)) per shard; ``{}`` for a shard with no index.
-        self._indexes: dict[str, dict[str, tuple]] = {}
+        #: The index (key -> entry, see :data:`_BASE`), read on the first
+        #: lookup; None until then.
+        self._index: Optional[dict[str, int]] = None
 
     # -- paths --------------------------------------------------------------
 
-    def _file(self, shard: str, name: str) -> str:
-        return f"{self._dir}/{shard}/{name}"
-
     def _trace_file(self, key: str) -> str:
-        return self._file(key[:2], key + _TRACE_SUFFIX)
+        return f"{self._dir}/{key[:2]}/{key}{_TRACE_SUFFIX}"
 
     def trace_path(self, jb: Job) -> pathlib.Path:
         """Where ``jb``'s trace artifact lives on disk."""
@@ -183,23 +213,22 @@ class ResultCache:
             text = self._batch.get(key)
             if text is not None:
                 return text
-        shard = key[:2]
-        index = self._indexes.get(shard)
+        index = self._index
         if index is None:
-            index = self._indexes[shard] = self._read_index(shard)
+            index = self._index = self._merge_on_disk({})
         entry = index.get(key)
         if entry is None:
             return None
+        offset, length = divmod(entry, _BASE)
         try:
-            offset, length = entry
-            head = _FRAME_HEAD.pack(bytes.fromhex(key), length)
-            fd = os.open(self._file(shard, shard + ".pack"), os.O_RDONLY)
+            fd = os.open(self._pack, os.O_RDONLY)
             try:
                 frame = os.pread(fd, _FRAME_HEAD.size + length, offset)
             finally:
                 os.close(fd)
-        except (OSError, ValueError, TypeError, struct.error):
-            return None  # no pack, or an entry that is not [offset, length]
+        except OSError:
+            return None  # no pack
+        head = _FRAME_HEAD.pack(bytes.fromhex(key), length)
         if len(frame) != _FRAME_HEAD.size + length or not frame.startswith(head):
             return None  # short, or another key's frame
         try:
@@ -232,15 +261,15 @@ class ResultCache:
         if self._batch is not None:
             self._batch[key] = value_text
         else:
-            self._append(key[:2], [(key, value_text)])
+            self._append({key: value_text})
         self.stats.stores += 1
         return json.loads(value_text)
 
-    # -- batched stores and the pack files ----------------------------------
+    # -- batched stores and the pack ----------------------------------------
     #
     # One executor map produces many small records at once.  Batching
-    # buffers them and flushes each shard's records as one append to its
-    # pack plus one index replace, instead of one write per record.
+    # buffers them and flushes them as appends to the pack plus one index
+    # replace, instead of one write and one replace per record.
 
     def begin_batch(self) -> None:
         """Start buffering stores; a re-entrant call keeps the buffer."""
@@ -248,73 +277,68 @@ class ResultCache:
             self._batch = {}
 
     def flush_batch(self) -> int:
-        """Write buffered records to their shards' packs; returns the count."""
+        """Write buffered records to the pack; returns the count."""
         batch, self._batch = self._batch, None
         if not batch:
             return 0
-        by_shard: dict[str, list[tuple[str, str]]] = {}
-        for key in sorted(batch):
-            by_shard.setdefault(key[:2], []).append((key, batch[key]))
-        for shard, records in by_shard.items():
-            self._append(shard, records)
+        self._append(batch)
         return len(batch)
 
-    def _append(self, shard: str, records: list[tuple[str, str]]) -> None:
-        """Append key-sorted ``records`` to the shard's pack in one
-        ``O_APPEND`` write, then index the frames that landed whole."""
-        frames: list[bytes] = []
-        spans: list[tuple[str, int, int]] = []  # key, offset in the write, length
-        size = 0
-        for key, text in records:
-            record = text.encode("utf-8")
-            frames += (_FRAME_HEAD.pack(bytes.fromhex(key), len(record)), record)
-            spans.append((key, size, len(record)))
-            size += _FRAME_HEAD.size + len(record)
-        os.makedirs(f"{self._dir}/{shard}", exist_ok=True)
-        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
-        fd = os.open(self._file(shard, shard + ".pack"), flags, 0o666)
+    def _append(self, records: dict[str, str]) -> None:
+        """Append ``records`` (key -> record text) to the pack, sorted by
+        key, in ``O_APPEND`` writes of at most :data:`_CHUNK` bytes; index
+        the frames that landed whole, and replace the index with that
+        merged into the one on disk."""
+        index = {} if self._index is None else self._index
+        os.makedirs(self._dir, exist_ok=True)
+        fd = os.open(self._pack, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            written = os.write(fd, b"".join(frames))
-            # Where the write landed: another process may have appended
-            # between this one's open and its write.
-            start = os.lseek(fd, 0, os.SEEK_CUR) - written
+            chunk = bytearray()
+            spans: list[tuple[str, int, int]] = []  # key, offset in the chunk, length
+            for key in sorted(records):
+                record = records[key].encode("utf-8")
+                if spans and len(chunk) + _FRAME_HEAD.size + len(record) > _CHUNK:
+                    _write_chunk(fd, chunk, spans, index)
+                    chunk, spans = bytearray(), []
+                spans.append((key, len(chunk), len(record)))
+                chunk += _FRAME_HEAD.pack(bytes.fromhex(key), len(record))
+                chunk += record
+            if spans:
+                _write_chunk(fd, chunk, spans, index)
         finally:
             os.close(fd)
-        index = self._read_index(shard)
-        for key, offset, length in spans:
-            if offset + _FRAME_HEAD.size + length <= written:
-                index[key] = (start + offset, length)
-        text = json.dumps({"version": _INDEX_VERSION, "entries": index}, sort_keys=True)
-        _atomic_write_text(self._file(shard, shard + ".pack.idx"), text)
-        self._indexes[shard] = index
+        self._index = self._merge_on_disk(index)
+        entries = (
+            _ENTRY.pack(bytes.fromhex(key), *divmod(entry, _BASE)) for key, entry in index.items()
+        )
+        _atomic_write(self._index_file, "wb", entries)
 
-    def _read_index(self, shard: str) -> dict[str, tuple]:
-        """The shard's index as it is on disk now: ``{}`` when it is
-        missing, unreadable or of another version.  An entry that is not
-        two values is left out: a miss, like any damaged entry."""
+    def _merge_on_disk(self, index: dict[str, int]) -> dict[str, int]:
+        """Add to ``index`` every entry of the index on disk now that it
+        lacks, and return it.  An index that is missing, unreadable or not
+        a whole number of entries adds nothing; nor does an entry reaching
+        past the end of the pack (a miss, like any damaged entry)."""
         try:
-            with open(self._file(shard, shard + ".pack.idx"), "rb") as handle:
-                doc = json.loads(handle.read())
-            if doc["version"] != _INDEX_VERSION:
-                return {}
-            entries = doc["entries"].items()
-        except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
-            return {}
-        index = {}
-        for key, entry in entries:
-            try:
-                offset, length = entry
-            except (TypeError, ValueError):
-                continue
-            index[key] = (offset, length)
+            with open(self._index_file, "rb") as handle:
+                data = handle.read()
+            # The pack only grows, and an entry is written after its frame.
+            end = os.stat(self._pack).st_size if data else 0
+        except OSError:
+            return index
+        if len(data) % _ENTRY.size:
+            return index
+        for raw, offset, length in _ENTRY.iter_unpack(data):
+            if offset + _FRAME_HEAD.size + length <= end:
+                index.setdefault(raw.hex(), offset * _BASE + length)
         return index
 
     # -- trace artifacts ----------------------------------------------------
     #
     # A trace is the raw telemetry (JSONL, see repro.telemetry.trace) the
-    # simulation emitted while computing a result.  It is stored *beside*
-    # the shard's pack — same shard, the job's hash plus ``.trace.jsonl`` — and
-    # never read by lookup(), so trace artifacts cannot perturb results.
+    # simulation emitted while computing a result.  It is stored under the
+    # salt in a folder named by the key's first two hex digits, as the
+    # job's hash plus ``.trace.jsonl``, and never read by lookup(), so
+    # trace artifacts cannot perturb results.
     #
     # Only a trace TraceReader can load counts as stored: a file whose
     # header declares another schema (left by an older version under the
@@ -325,7 +349,7 @@ class ResultCache:
         """Persist the JSONL trace for ``jb`` next to its result record."""
         key = jb.content_hash
         os.makedirs(f"{self._dir}/{key[:2]}", exist_ok=True)
-        _atomic_write_text(self._trace_file(key), text)
+        _atomic_write(self._trace_file(key), "w", [text])
 
     def load_trace(self, jb: Job) -> Optional[str]:
         """The stored current-schema JSONL trace for ``jb``, or None."""
@@ -348,14 +372,9 @@ class ResultCache:
     # -- counting -----------------------------------------------------------
 
     def __len__(self) -> int:
-        """Number of indexed entries under this salt; litter and other
-        salts' entries are never counted."""
-        try:
-            with os.scandir(self._dir) as entries:
-                shards = [e.name for e in entries if len(e.name) == 2 and e.is_dir()]
-        except OSError:  # no root yet
-            return 0
-        return sum(len(self._read_index(shard)) for shard in shards)
+        """Number of indexed entries under this salt, as the index on disk
+        says now; litter and other salts' entries are never counted."""
+        return len(self._merge_on_disk({}))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ResultCache {self._dir} [{self.stats}]>"

@@ -46,7 +46,7 @@ order — see ``docs/performance.md`` for the ablation that left these):
   alike, so the coordinator splices the text into the cache record
   instead of re-serializing a dict, and every ``reduce`` reads a
   ``json.loads`` of that text; with a disk cache the map's records
-  flush as batched per-shard pack appends
+  flush as batched appends to the cache's one pack
   (:meth:`~repro.experiments.cache.ResultCache.flush_batch`).
 
 Fault tolerance:

@@ -1,6 +1,6 @@
 """Shared test fixtures: a two-node loopback path with optional dropper,
-a dropper that kills the path, a flow's recorded series, where a job's
-shard files sit in a result cache, what a call leaves allocated, and an
+a dropper that kills the path, a flow's recorded series, where a result
+cache's pack and index sit, what a call leaves allocated, and an
 executor built under a fault spec."""
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from repro.cc.base import Receiver, Sender
 from repro.experiments.cache import default_salt
 from repro.experiments.executor import Executor
-from repro.experiments.jobs import Job
 from repro.net import DropTailQueue, Dropper, Link, Node, Packet
 from repro.sim import Simulator
 from repro.telemetry import Recorder, active_recorder
@@ -82,11 +81,12 @@ class CutoffDropper(Dropper):
         return self._seen > self.after_packets
 
 
-def shard_file(root: Union[str, os.PathLike], jb: Job, suffix: str) -> pathlib.Path:
-    """``root/<salt>/ab/ab<suffix>``: a file of ``jb``'s shard ``ab`` in the
-    cache at ``root`` under the code-version salt."""
-    shard = jb.content_hash[:2]
-    return pathlib.Path(root) / default_salt() / shard / f"{shard}{suffix}"
+def cache_files(root: Union[str, os.PathLike]) -> tuple[pathlib.Path, pathlib.Path]:
+    """``root/<salt>/results.pack`` and ``root/<salt>/results.idx``: the
+    one pack and its index of the cache at ``root`` under the code-version
+    salt."""
+    salted = pathlib.Path(root) / default_salt()
+    return salted / "results.pack", salted / "results.idx"
 
 
 def retained_bytes(fn: Callable[[], Any]) -> tuple[int, Any]:

@@ -7,26 +7,28 @@ maps each path to the test here (or in ``test_experiments_jobs.py`` /
 """
 
 import dataclasses
+import gc
 import json
 import math
 import multiprocessing
 import os
 import pathlib
 import struct
+import tracemalloc
 
 import pytest
 
 from repro.experiments import fig20_timeout_models as fig20
-from repro.experiments.cache import MISS, ResultCache
+from repro.experiments.cache import MISS, ResultCache, default_salt
 from repro.experiments.executor import Executor, make_executor
 from repro.experiments.jobs import job, run_job
 from repro.telemetry import Recorder
-from tests.helpers import retained_bytes, shard_file
+from tests.helpers import cache_files, retained_bytes
 
 JOBS = lambda: fig20.jobs("fast")  # noqa: E731 - tiny factory
 
-#: The shard every record of the concurrency tests lands in.
-SHARD = "f7"
+#: An index entry: the key's raw bytes, the frame's offset, the record's length.
+ENTRY = struct.Struct("<32sQI")
 WRITERS = 4
 RECORDS_PER_WRITER = 4
 TRIALS = 100
@@ -43,17 +45,28 @@ def payload(jb):
 
 
 @pytest.fixture(scope="module")
-def shard_jobs():
-    """Sixteen jobs whose keys share shard ``SHARD``, with equal-length
-    records — so an offset off by whole frames lands on a parsable record
-    of another job."""
-    found, i = [], 100_000
-    while len(found) < WRITERS * RECORDS_PER_WRITER:
-        jb = job("race", "timeout_models", params={"i": i})
-        if jb.content_hash.startswith(SHARD):
-            found.append(jb)
-        i += 1
-    return found
+def race_jobs():
+    """Sixteen jobs with equal-length records — so an offset off by whole
+    frames lands on a parsable record of another job."""
+    return [
+        job("race", "timeout_models", params={"i": 100_000 + i})
+        for i in range(WRITERS * RECORDS_PER_WRITER)
+    ]
+
+
+def read_index(path):
+    """The index file at ``path`` as ``{hex key: (offset, length)}``."""
+    return {
+        raw.hex(): (offset, length)
+        for raw, offset, length in ENTRY.iter_unpack(path.read_bytes())
+    }
+
+
+def write_index(path, index):
+    """Replace the index file at ``path`` with ``index``'s entries."""
+    path.write_bytes(
+        b"".join(ENTRY.pack(bytes.fromhex(key), *entry) for key, entry in index.items())
+    )
 
 
 def flushed(root, jobs):
@@ -86,10 +99,8 @@ class TestCacheSplicing:
         value_text = shipped_text(value)
         returned = via_splice.store_text(jb, value_text)
         assert returned == value
-        for suffix in (".pack", ".pack.idx"):
-            pack_a = shard_file(tmp_path / "a", jb, suffix).read_bytes()
-            pack_b = shard_file(tmp_path / "b", jb, suffix).read_bytes()
-            assert pack_a == pack_b
+        for file_a, file_b in zip(cache_files(tmp_path / "a"), cache_files(tmp_path / "b")):
+            assert file_a.read_bytes() == file_b.read_bytes()
 
     def test_spliced_record_hits_on_lookup(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -126,8 +137,8 @@ class TestBatchedPacks:
         for i, jb in enumerate(jobs):
             cache.store(jb, {"i": i})
         cache.flush_batch()
-        # Entries live in per-shard packs, not one file per result.
-        pack = shard_file(tmp_path, jobs[0], ".pack")
+        # Entries live in the pack, not one file per result.
+        pack, _ = cache_files(tmp_path)
         assert not pack.with_name(jobs[0].content_hash + ".json").exists()
         assert pack.exists()
         fresh = ResultCache(tmp_path)
@@ -147,22 +158,35 @@ class TestBatchedPacks:
     def test_a_frame_is_the_key_then_the_length_then_the_record(self, tmp_path):
         # The record is the payload text run_job returned, byte for byte:
         # the stamp, not an envelope, names the job; the salt is the
-        # directory the shard sits in.
+        # directory the pack sits in.  Its index entry is the same key,
+        # the frame's offset and the record's length.
         jb = JOBS()[0]
         Executor().map([jb], ResultCache(tmp_path))
-        frame = shard_file(tmp_path, jb, ".pack").read_bytes()
+        pack, index = cache_files(tmp_path)
+        frame = pack.read_bytes()
         key = jb.content_hash
         (length,) = struct.unpack_from("<I", frame, 32)
         assert frame[:32] == bytes.fromhex(key) and len(frame) == 36 + length
         assert frame[36:] == run_job(jb)[0].encode("utf-8")
-        index = json.loads(shard_file(tmp_path, jb, ".pack.idx").read_text())
-        assert index == {"version": 3, "entries": {key: [0, length]}}
+        assert index.read_bytes() == ENTRY.pack(bytes.fromhex(key), 0, length)
+
+    def test_a_cold_map_writes_one_pack_and_one_index(self, tmp_path):
+        # However many keys a map stores, the salt holds two files.
+        jobs = [job("files", "timeout_models", params={"p": (i + 1) / 301}) for i in range(300)]
+        cache = ResultCache(tmp_path)
+        Executor().map(jobs, cache)
+        salted = tmp_path / cache.salt
+        assert sorted(p.relative_to(salted) for p in salted.rglob("*")) == [
+            pathlib.Path("results.idx"),
+            pathlib.Path("results.pack"),
+        ]
+        assert len(cache) == len(jobs)
 
 
 class TestOneName:
     def test_the_run_log_hash_names_the_record_and_the_trace(self, tmp_path):
         # One name per job, end to end: the run log's hash is the job's
-        # content hash, its key in the shard's index and its trace's stem.
+        # content hash, its key in the index and its trace's stem.
         jobs = [dataclasses.replace(jb, trace=True) for jb in JOBS()[:3]]
         root = tmp_path / "cache"
         cache = ResultCache(root)
@@ -174,29 +198,25 @@ class TestOneName:
         for record in computed:
             jb = jobs[record["index"]]
             trace = pathlib.Path(record["trace_path"])
-            index = json.loads(shard_file(root, jb, ".pack.idx").read_text())
             assert record["hash"] == jb.content_hash
             assert record["hash"] == trace.name.removesuffix(".trace.jsonl")
-            assert record["hash"] in index["entries"]
+            assert record["hash"] in read_index(cache_files(root)[1])
             assert trace.is_file() and trace.parent.parent == root / cache.salt
 
 
 class TestAFrameNamesItsKey:
-    @pytest.mark.parametrize(
-        "entry", ["another key's frame", "past the end of the pack", "not [offset, length]"]
-    )
-    def test_a_misdirected_index_entry_is_a_miss(self, tmp_path, shard_jobs, entry):
-        a, b = shard_jobs[:2]
+    @pytest.mark.parametrize("entry", ["another key's frame", "past the end of the pack"])
+    def test_a_misdirected_index_entry_is_a_miss(self, tmp_path, race_jobs, entry):
+        a, b = race_jobs[:2]
         flushed(tmp_path, [a, b])
-        index_path = shard_file(tmp_path, a, ".pack.idx")
-        doc = json.loads(index_path.read_text())
-        end = shard_file(tmp_path, a, ".pack").stat().st_size
-        doc["entries"][a.content_hash] = {
-            "another key's frame": doc["entries"][b.content_hash],
-            "past the end of the pack": [end, doc["entries"][a.content_hash][1]],
-            "not [offset, length]": "junk",
+        pack, index_path = cache_files(tmp_path)
+        index = read_index(index_path)
+        end = pack.stat().st_size
+        index[a.content_hash] = {
+            "another key's frame": index[b.content_hash],
+            "past the end of the pack": (end, index[a.content_hash][1]),
         }[entry]
-        index_path.write_text(json.dumps(doc))
+        write_index(index_path, index)
         fresh = ResultCache(tmp_path)
         assert fresh.lookup(a) is MISS
         assert fresh.lookup(b) == payload(b)
@@ -221,6 +241,28 @@ class TestMemory:
         assert len(cache) == len(jobs)
         assert held / len(jobs) <= 180
 
+    def test_a_flush_holds_little_besides_its_batch(self, tmp_path):
+        # A flush writes the pack in bounded chunks and streams the index
+        # out entry by entry: its peak is the index it keeps plus one
+        # chunk (1.6 times the record bytes), not a joined copy of every
+        # frame and of the whole index (8.5 times).
+        jobs = [job("mem", "timeout_models", params={"p": (i + 1) / 5_001}) for i in range(5_000)]
+        texts = [shipped_text([40 + i / 7, 1 - i / 9e3, 38 + i / 11]) for i in range(5_000)]
+        record_bytes = sum(len(text.encode("utf-8")) for text in texts)
+        cache = ResultCache(tmp_path)
+        cache.begin_batch()
+        for jb, text in zip(jobs, texts):
+            cache.store_text(jb, text)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert cache.flush_batch() == len(jobs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * record_bytes
+
 
 def _flush_at_the_barrier(root, jobs, barrier):
     cache = ResultCache(root)
@@ -234,9 +276,9 @@ def _flush_at_the_barrier(root, jobs, barrier):
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
 )
-def test_concurrent_flushes_never_serve_another_jobs_payload(tmp_path, shard_jobs):
+def test_concurrent_flushes_never_serve_another_jobs_payload(tmp_path, race_jobs):
     """Four processes wait at a barrier, then each flushes four
-    equal-length records into one shard.  An entry lost to a
+    equal-length records into the one pack.  An entry lost to a
     simultaneous index replace is a miss (allowed: it is recomputed); a
     hit is always the job's own payload.
 
@@ -254,7 +296,7 @@ def test_concurrent_flushes_never_serve_another_jobs_payload(tmp_path, shard_job
         writers = [
             context.Process(
                 target=_flush_at_the_barrier,
-                args=(root, shard_jobs[w::WRITERS], barrier),
+                args=(root, race_jobs[w::WRITERS], barrier),
             )
             for w in range(WRITERS)
         ]
@@ -264,7 +306,7 @@ def test_concurrent_flushes_never_serve_another_jobs_payload(tmp_path, shard_job
             writer.join(timeout=60)
         assert [writer.exitcode for writer in writers] == [0] * WRITERS
         fresh = ResultCache(root)
-        for jb in shard_jobs:
+        for jb in race_jobs:
             value = fresh.lookup(jb)
             hits += value is not MISS
             wrong += value is not MISS and value != payload(jb)
@@ -281,7 +323,7 @@ class TestRecoveryPaths:
         # job is recomputed with both of its artifacts re-stored.
         kept, orphaned = JOBS()[0], dataclasses.replace(JOBS()[1], trace=True)
         Executor().map([kept], ResultCache(tmp_path))
-        stale = shard_file(tmp_path, kept, ".pack.idx.1234.tmp")
+        stale = cache_files(tmp_path)[1].with_name("results.idx1234.tmp")
         stale.write_text("{ torn")
         ResultCache(tmp_path).store_trace(orphaned, Recorder().export_text())
         cache = ResultCache(tmp_path)
@@ -302,7 +344,7 @@ class TestRecoveryPaths:
             "short frame",
             "not UTF-8",
             "nested record",
-            "nested index",
+            "index length not a whole number of entries",
             "nested trace header",
         ],
     )
@@ -310,8 +352,7 @@ class TestRecoveryPaths:
         # A traced job, so that a trace header is on disk to damage too.
         jb = dataclasses.replace(JOBS()[0], trace=True)
         Executor().map([jb], ResultCache(tmp_path))
-        index_path = shard_file(tmp_path, jb, ".pack.idx")
-        pack = shard_file(tmp_path, jb, ".pack")
+        pack, index_path = cache_files(tmp_path)
         frame = pack.read_bytes()
         nested = b"[" * 100_000  # deeper than the JSON parser recurses
         if damage == "missing index":
@@ -324,11 +365,9 @@ class TestRecoveryPaths:
             pack.write_bytes(frame[:-1])
         elif damage == "nested record":  # stamped and indexed as the job's own
             pack.write_bytes(frame[:32] + struct.pack("<I", len(nested)) + nested)
-            doc = json.loads(index_path.read_text())
-            doc["entries"][jb.content_hash] = [0, len(nested)]
-            index_path.write_text(json.dumps(doc))
-        elif damage == "nested index":
-            index_path.write_bytes(nested)
+            write_index(index_path, {jb.content_hash: (0, len(nested))})
+        elif damage == "index length not a whole number of entries":
+            index_path.write_bytes(index_path.read_bytes()[:-1])
         elif damage == "nested trace header":
             ResultCache(tmp_path).trace_path(jb).write_bytes(nested + b"\n")
         else:  # same length, same stamp
@@ -349,18 +388,21 @@ class TestRecoveryPaths:
         # pointing at bare length-prefixed records, or a record in its own
         # <key>.json blob; before the record was the payload, an index of
         # version 2 over key-stamped frames.  A reader of either would
-        # serve the whole envelope as the payload.  And before the salt
-        # was a directory, version-3 frames of bare payloads in root/ab.
-        # Each is keyed by the job's own hash, the worst case, and all but
-        # the last sit in the salt directory.
-        packed, blobbed, enveloped, unsalted = olds = JOBS()[:4]
-        for jb, where in zip(olds, ("pack", "blob", "frame", "unsalted")):
+        # serve the whole envelope as the payload.  Then version-3 frames
+        # of bare payloads: before the salt was a directory in root/ab,
+        # and before the one pack in root/<salt>/ab, one pack and JSON
+        # index per shard.  Each is keyed by the job's own hash, the worst
+        # case, and all but the unsalted one sit in the salt directory.
+        olds = JOBS()[:5]
+        layouts = ("pack", "blob", "frame", "unsalted", "sharded")
+        for jb, where in zip(olds, layouts):
             key = jb.content_hash
-            if where == "unsalted":
-                record, shard = "1", tmp_path / key[:2]
+            if where in ("unsalted", "sharded"):
+                record = "1"
             else:
                 record = json.dumps({"job": jb.describe(), "salt": "old", "value": 1})
-                shard = shard_file(tmp_path, jb, "").parent
+            salted = tmp_path if where == "unsalted" else tmp_path / default_salt()
+            shard = salted / key[:2]
             shard.mkdir(parents=True, exist_ok=True)
             if where == "blob":
                 (shard / f"{key}.json").write_text(record)
@@ -374,25 +416,25 @@ class TestRecoveryPaths:
             (shard / f"{key[:2]}.pack.idx").write_text(
                 json.dumps({"version": version, "entries": {key: [offset, len(record)]}})
             )
+        parent_files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         assert len(ResultCache(tmp_path)) == 0
         for jb in olds:
             assert_recomputed(tmp_path, jb)
         fresh = ResultCache(tmp_path)
         assert [fresh.lookup(jb) for jb in olds] == [json.loads(run_job(jb)[0]) for jb in olds]
-        blob = shard_file(tmp_path, blobbed, "").with_name(f"{blobbed.content_hash}.json")
-        assert blob.exists()  # inert: never read, never counted
-        assert (tmp_path / unsalted.content_hash[:2]).exists()  # inert too
-        assert len(ResultCache(tmp_path)) == 4
+        # Inert: never read, never counted, never written.
+        assert {p: p.read_bytes() for p in parent_files} == parent_files
+        assert len(ResultCache(tmp_path)) == len(olds)
 
     def test_a_torn_tail_is_inert_and_the_next_flush_appends_after_it(
-        self, tmp_path, shard_jobs, monkeypatch
+        self, tmp_path, race_jobs, monkeypatch
     ):
         # A flush whose write lands short (or is killed before its index)
         # leaves bytes no index references: the frames that landed whole
         # are indexed, the torn one is a miss, and the next flush appends
         # after the torn bytes.
-        first, torn = sorted(shard_jobs[:2], key=lambda jb: jb.content_hash)  # frame order
-        later = shard_jobs[2]
+        first, torn = sorted(race_jobs[:2], key=lambda jb: jb.content_hash)  # frame order
+        later = race_jobs[2]
         real_write = os.write
         frame_size = []
 
@@ -403,7 +445,7 @@ class TestRecoveryPaths:
         monkeypatch.setattr(os, "write", short_write)
         flushed(tmp_path, [first, torn])
         monkeypatch.undo()
-        pack = shard_file(tmp_path, first, ".pack")
+        pack, _ = cache_files(tmp_path)
         assert pack.stat().st_size == frame_size[0] + 10
         flushed(tmp_path, [later])
         fresh = ResultCache(tmp_path)

@@ -43,7 +43,7 @@ from repro.experiments.jobs import (
 )
 from repro.experiments.protocols import tcp, tfrc
 from repro.sim.rng import RngRegistry
-from tests.helpers import retained_bytes, shard_file
+from tests.helpers import cache_files, retained_bytes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -381,7 +381,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         js = fig20_at(0.1)
         cache.store(js[0], {"ok": True})
-        pack = shard_file(tmp_path, js[0], ".pack")
+        pack, _ = cache_files(tmp_path)
         frame = pack.read_bytes()
         # Same length, same key stamp (32 bytes + u32 length): only the
         # record's bytes are garbage.
@@ -395,7 +395,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         js = fig20_at(0.1)
         Executor().map(js, cache)
-        pack = shard_file(tmp_path, js[0], ".pack")
+        pack, _ = cache_files(tmp_path)
         assert pack.exists()
         pack.write_bytes(b"\x00" * 4)  # truncate: index offsets now dangle
         fresh = ResultCache(tmp_path)

@@ -136,7 +136,7 @@ STAY_DELETED = [
         ("src",),
         (),
         "the per-record blob layout, its size threshold and path helper; "
-        "every record is a key-stamped frame in its shard's pack",
+        "every record is a key-stamped frame in the one pack",
     ),
     (
         r"REPRO_JOB_TIMEOUT|REPRO_MAX_RETRIES|_env_number",
@@ -303,6 +303,14 @@ STAY_DELETED = [
         (),
         "Probe.snapshot and TraceReader.counter / series, read only by "
         "tests; a channel is read with reader.channel or off export_text",
+    ),
+    (
+        r"_INDEX_VERSION|\bby_shard\b|\bshard_file\b|\.pack\.idx",
+        ("src", "tests", "docs/experiments.md", "README.md", ".github"),
+        # Writes the older layouts on purpose, to show they are never read.
+        ("tests/test_cache_packs.py",),
+        "the 256 shard packs and their versioned JSON indexes; a cache is "
+        "one pack and one binary index under its salt",
     ),
     (
         r"_free_simulation",

@@ -129,6 +129,7 @@ class TestCacheTraceArtifacts:
         jb = tiny_cbr_restart_job()
         cache.store(jb, {"x": 1})
         if on_disk:
+            cache.trace_path(jb).parent.mkdir(parents=True)
             cache.trace_path(jb).write_bytes(stale.encode("latin-1"))
         else:
             cache.store_trace(jb, stale)
@@ -191,6 +192,7 @@ class TestExecutorTracing:
         ex = Executor()
         plain = ex.map([tiny_cbr_restart_job(trace=False)], cache)
         jb = tiny_cbr_restart_job(trace=True)
+        cache.trace_path(jb).parent.mkdir(parents=True)
         cache.trace_path(jb).write_text(V1_TRACE)
         # an untraced map still hits: the result beside it is valid
         ex.map([tiny_cbr_restart_job(trace=False)], cache)
@@ -379,6 +381,7 @@ class TestCli:
         cache = ResultCache(tmp_path)
         (jb,) = _FakeFigure.jobs("fast")
         cache.store(jb, {"protocol": "TCP", "cost": 1.0})
+        cache.trace_path(jb).parent.mkdir(parents=True)
         cache.trace_path(jb).write_text(V1_TRACE)
         base = ["trace", figure, "--cache-dir", str(tmp_path)]
         for mode in (["--replay"], ["--job", "0"]):
