@@ -21,14 +21,18 @@ pack, ``root/<salt>/results.pack``::
 The record is :func:`~repro.experiments.jobs.run_job`'s payload text as
 it is; the key stamp binds it to its job.  ``results.idx`` beside it is
 a run of fixed ``<32sQI`` entries (key, frame offset, record length),
-replaced atomically, that says where each frame starts.  A lookup is one
-probe of that index (read once per instance) and one ``pread`` of the
-frame; a frame that is short, is stamped with another key or holds a
-record that does not parse (or nests too deep to) is a miss, recomputed
-and re-stored like any other.  An index that is not a whole number of
+replaced atomically, that says where each frame starts.  A lookup takes
+a whole map's jobs: one probe of that index (read once per instance) per
+job, one descriptor of the pack for the call, one ``pread`` per hit's
+frame, and one validated pass that parses each hit's record on its own.
+A frame that is short or is stamped with another key, and a record that
+does not parse, does not end at its own last byte or nests too deep, is
+a miss by itself — whatever its neighbours hold — recomputed and
+re-stored like any other.  An index that is not a whole number of
 entries reads as empty, and an entry reaching past the end of the pack
 is left out.  An older cache has other file names, so it is one miss
-per entry and is never written.
+per entry and is never written.  A store parses nothing: the executor
+parses a map's computed texts once, together (:func:`parse_all`).
 
 A flush — :meth:`ResultCache.flush_batch`, or a store outside a batch —
 appends the frames, sorted by key so the pack bytes do not depend on job
@@ -54,7 +58,7 @@ import pathlib
 import struct
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro import __version__
 from repro.experiments.jobs import JOBS_SCHEMA_VERSION, Job
@@ -79,6 +83,9 @@ _BASE = 1 << 32
 #: The most bytes a flush hands one ``write``: it bounds what a flush
 #: holds besides its batch and its index.
 _CHUNK = 1 << 16
+
+#: Parses one JSON value at the start of a text: ``(value, end)``.
+_RAW_DECODE = json.JSONDecoder().raw_decode
 
 _TRACE_SUFFIX = ".trace.jsonl"
 
@@ -149,6 +156,43 @@ def _write_chunk(
             index[key] = (start + offset) * _BASE + length
 
 
+def _read_record(fd: int, key: str, entry: int) -> Optional[str]:
+    """The record of ``key``'s frame at ``entry`` in the pack open on
+    ``fd``, or None when the frame is unreadable or short, is stamped with
+    another key or is not UTF-8."""
+    offset, length = divmod(entry, _BASE)
+    try:
+        frame = os.pread(fd, _FRAME_HEAD.size + length, offset)
+    except OSError:
+        return None
+    head = _FRAME_HEAD.pack(bytes.fromhex(key), length)
+    if len(frame) != _FRAME_HEAD.size + length or not frame.startswith(head):
+        return None  # short, or another key's frame
+    try:
+        return frame[_FRAME_HEAD.size :].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def parse_all(texts: Sequence[str]) -> list[Any]:
+    """The ``json.loads`` of each of ``texts``, which must each be one
+    whole JSON value (``run_job``'s payload texts are), parsed as JSON
+    arrays of at most :data:`_CHUNK` characters — bytes, for ASCII
+    canonical JSON — and a longer text as a pass of its own."""
+    values: list[Any] = []
+    chunk: list[str] = []
+    size = 0
+    for text in texts:
+        if chunk and size + len(text) > _CHUNK:
+            values += json.loads(f"[{','.join(chunk)}]")
+            chunk, size = [], 0
+        chunk.append(text)
+        size += len(text) + 1
+    if chunk:
+        values += json.loads(f"[{','.join(chunk)}]")
+    return values
+
+
 def _is_current_trace(header_line: str) -> bool:
     """True when a trace opening with ``header_line`` can be loaded."""
     try:
@@ -189,52 +233,53 @@ class ResultCache:
 
     # -- lookup / store -----------------------------------------------------
 
-    def lookup(self, jb: Job) -> Any:
-        """The cached payload for ``jb``, or :data:`MISS`.
+    def lookup(self, jobs: Sequence[Job]) -> list[Any]:
+        """The cached payload of each of ``jobs``, in order, with
+        :data:`MISS` where there is none.
 
-        Corrupt or unreadable entries count as misses (and are
-        recomputed); the cache never raises on bad disk state.
+        Each job is one probe of the index (or of the open batch).  The
+        hits are read and parsed in one pass: each frame is one ``pread``
+        on a descriptor of the pack opened once per call, at the first
+        indexed key, and each record must parse on its own and end at its
+        own last byte.  Corrupt or unreadable records count as misses (and
+        are recomputed); the cache never raises on bad disk state.
         """
-        record = self._record(jb.content_hash)
-        if record is not None:
-            try:
-                value = json.loads(record)
-            except (ValueError, RecursionError):
-                pass
-            else:
-                self.stats.hits += 1
-                return value
-        self.stats.misses += 1
-        return MISS
-
-    def _record(self, key: str) -> Optional[str]:
-        """The stored record text for ``key``, or None."""
-        if self._batch:
-            text = self._batch.get(key)
-            if text is not None:
-                return text
+        batch = self._batch or {}
         index = self._index
         if index is None:
             index = self._index = self._merge_on_disk({})
-        entry = index.get(key)
-        if entry is None:
-            return None
-        offset, length = divmod(entry, _BASE)
+        values: list[Any] = [MISS] * len(jobs)
+        hits = 0
+        fd: Optional[int] = None
         try:
-            fd = os.open(self._pack, os.O_RDONLY)
-            try:
-                frame = os.pread(fd, _FRAME_HEAD.size + length, offset)
-            finally:
+            for i, jb in enumerate(jobs):
+                key = jb.content_hash
+                record = batch.get(key)
+                if record is None:
+                    entry = index.get(key)
+                    if entry is None:
+                        continue
+                    if fd is None:
+                        try:
+                            fd = os.open(self._pack, os.O_RDONLY)
+                        except OSError:
+                            fd = -1  # no pack: every pread fails, every key misses
+                    record = _read_record(fd, key, entry)
+                    if record is None:
+                        continue
+                try:
+                    value, end = _RAW_DECODE(record)
+                except (ValueError, RecursionError):
+                    continue
+                if end == len(record):  # a whole record, nothing after it
+                    values[i] = value
+                    hits += 1
+        finally:
+            if fd is not None and fd >= 0:
                 os.close(fd)
-        except OSError:
-            return None  # no pack
-        head = _FRAME_HEAD.pack(bytes.fromhex(key), length)
-        if len(frame) != _FRAME_HEAD.size + length or not frame.startswith(head):
-            return None  # short, or another key's frame
-        try:
-            return frame[_FRAME_HEAD.size :].decode("utf-8")
-        except UnicodeDecodeError:
-            return None
+        self.stats.hits += hits
+        self.stats.misses += len(jobs) - hits
+        return values
 
     def store(self, jb: Job, value: Any) -> Any:
         """Persist ``value`` for ``jb``; returns the JSON round-trip of it.
@@ -242,20 +287,21 @@ class ResultCache:
         sort_keys keeps the on-disk byte layout independent of dict
         construction order, so identical payloads are identical records.
         """
-        return self.store_text(jb, json.dumps(value, allow_nan=True, sort_keys=True))
+        text = json.dumps(value, allow_nan=True, sort_keys=True)
+        self.store_text(jb, text)
+        return json.loads(text)
 
-    def store_text(self, jb: Job, value_text: str) -> Any:
-        """Persist a payload already in canonical-JSON text form; returns
-        the ``json.loads`` of it.
+    def store_text(self, jb: Job, value_text: str) -> None:
+        """Persist a payload already in canonical-JSON text form.
 
         ``value_text`` must be ``json.dumps(value, allow_nan=True,
         sort_keys=True)`` output — exactly what
         :func:`~repro.experiments.jobs.run_job` returns — and becomes the
         record as it is: the frame's key stamp names the job, so nothing
-        is wrapped around the payload.  Returning the parsed text
-        guarantees cold runs see exactly what warm runs will read back,
-        keeping output byte-identical whether or not the cache was
-        already populated.
+        is wrapped around the payload.  Nothing is parsed here: the
+        executor parses a map's computed texts once, together
+        (:func:`parse_all`), so cold runs see exactly the ``json.loads``
+        of the record a warm run reads back.
         """
         key = jb.content_hash
         if self._batch is not None:
@@ -263,7 +309,6 @@ class ResultCache:
         else:
             self._append({key: value_text})
         self.stats.stores += 1
-        return json.loads(value_text)
 
     # -- batched stores and the pack ----------------------------------------
     #

@@ -42,12 +42,17 @@ order — see ``docs/performance.md`` for the ablation that left these):
   without fork run the same code on ``spawn``.
 * **a result is text** — :func:`~repro.experiments.jobs.run_job` dumps a
   payload once, to the *canonical JSON text* the cache stores, in a
-  worker (which returns ``(value_text, trace_text, pid)``) and in-process
-  alike, so the coordinator splices the text into the cache record
-  instead of re-serializing a dict, and every ``reduce`` reads a
-  ``json.loads`` of that text; with a disk cache the map's records
-  flush as batched appends to the cache's one pack
+  worker (which returns ``(value_text, trace_text, work, pid)``) and
+  in-process alike, so the coordinator splices the text into the cache
+  record instead of re-serializing a dict; with a disk cache the map's
+  records flush as batched appends to the cache's one pack
   (:meth:`~repro.experiments.cache.ResultCache.flush_batch`).
+* **one read and one parse per map** — stage 1 is one
+  :meth:`~repro.experiments.cache.ResultCache.lookup` of every job on
+  one descriptor of the pack, and the computed texts are parsed together
+  once the map has run (:func:`~repro.experiments.cache.parse_all`), so
+  every ``reduce`` reads the ``json.loads`` of the text a warm run reads
+  back.
 
 Fault tolerance:
 
@@ -79,7 +84,8 @@ pool rebuilds, degradation, per-stage wall-clock, inline count,
 load-balance efficiency), and an optional
 :class:`~repro.experiments.runlog.RunLog` records one JSONL event per
 job (content hash, status, attempts, worker pid, wall time, the exit
-status of a worker lost on it) plus a summary per batch.  Deterministic
+status of a worker lost on it, and a computed job's calendar entries,
+simulated seconds and CPU seconds) plus a summary per batch.  Deterministic
 fault injection for all of the above lives in
 :mod:`repro.experiments.faults`.
 """
@@ -88,7 +94,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
 import multiprocessing
 import os
 import sys
@@ -98,11 +103,12 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.experiments.cache import MISS, ResultCache
+from repro.experiments.cache import MISS, ResultCache, parse_all
 from repro.experiments.costmodel import CostModel
 from repro.experiments.faults import FaultSpec
 from repro.experiments.jobs import Job, run_job
 from repro.experiments.runlog import RunLog
+from repro.sim import fired_in_process, simulated_ns_in_process
 
 try:
     import resource
@@ -169,7 +175,7 @@ class ExecutionReport:
     store_s: float = 0.0  # portion of execute_s spent persisting results
     startup_s: float = 0.0  # building / reviving worker pools
     dispatch_s: float = 0.0  # cost prediction + inline/pool partition
-    transport_s: float = 0.0  # decoding result text when no cache does it
+    transport_s: float = 0.0  # parsing the computed payload texts, once per map
     compute_s: float = 0.0  # sum of successful attempts' wall seconds
 
     def as_dict(self) -> dict:
@@ -194,10 +200,28 @@ class ExecutionError(RuntimeError):
         self.attempts = attempts
 
 
+def _run_counted(
+    jb: Job, fault: Optional[Callable[[Job], None]] = None
+) -> tuple[str, Optional[str], dict[str, Any]]:
+    """``run_job``'s pair plus the work the attempt took, for the run
+    log: the calendar entries it fired (``events``), the simulated
+    seconds it ran (``sim_s``) and this process's CPU seconds
+    (``cpu_s``).  None of it reaches a payload, a record or a hash."""
+    events, sim_ns, cpu = fired_in_process(), simulated_ns_in_process(), time.process_time()
+    value_text, trace_text = run_job(jb, fault)
+    work = {
+        "events": fired_in_process() - events,
+        "sim_s": (simulated_ns_in_process() - sim_ns) / 1e9,
+        "cpu_s": round(time.process_time() - cpu, 6),
+    }
+    return value_text, trace_text, work
+
+
 def _pool_run(
     jb: Job, position: int, attempt: int, fault_text: Optional[str]
-) -> tuple[str, Optional[str], int]:
-    """Worker-side entry point: ``run_job``'s pair plus the worker pid.
+) -> tuple[str, Optional[str], dict[str, Any], int]:
+    """Worker-side entry point: :func:`_run_counted`'s triple plus the
+    worker pid.
 
     Fault injection (:mod:`repro.experiments.faults`) is bound here —
     inside the worker process — so a ``crash`` fault can only ever kill a
@@ -205,7 +229,7 @@ def _pool_run(
     """
     spec = FaultSpec.parse(fault_text)
     fault = spec.bind(position, attempt) if spec is not None else None
-    return (*run_job(jb, fault), os.getpid())
+    return (*_run_counted(jb, fault), os.getpid())
 
 
 def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
@@ -333,22 +357,26 @@ class Executor:
         values: list[Any] = [MISS] * len(jobs)
         cached = [False] * len(jobs)
 
-        # Stage 1: cache lookups, in submission order.  A traced job only
-        # accepts a hit when its trace artifact exists too — a cached
+        # Stage 1: one cache lookup for the whole map.  A traced job only
+        # asks for a hit when its trace artifact exists too — a cached
         # result without a trace is recomputed (and re-stored, this time
         # with the trace beside it).
         lookup_started = time.monotonic()
+        if cache is not None:
+            if any(jb.trace for jb in jobs):
+                asked = [i for i, jb in enumerate(jobs) if not jb.trace or cache.has_trace(jb)]
+                for i, hit in zip(asked, cache.lookup([jobs[i] for i in asked])):
+                    values[i] = hit
+            else:  # the usual map: no list of positions to hold
+                values = cache.lookup(jobs)
         pending: dict[str, list[int]] = {}
         for i, jb in enumerate(jobs):
-            if cache is not None and (not jb.trace or cache.has_trace(jb)):
-                hit = cache.lookup(jb)
-                if hit is not MISS:
-                    values[i] = hit
-                    cached[i] = True
-                    report.cache_hits += 1
-                    self._log_job(jb, status="cached", attempts=0)
-                    continue
-            pending.setdefault(jb.content_hash, []).append(i)
+            if values[i] is not MISS:
+                cached[i] = True
+                report.cache_hits += 1
+                self._log_job(jb, status="cached", attempts=0)
+            else:
+                pending.setdefault(jb.content_hash, []).append(i)
         report.lookup_s = time.monotonic() - lookup_started
 
         # Stage 2: dedup identical misses, run each unique job once.  A
@@ -359,7 +387,9 @@ class Executor:
         unique = [(digest, jobs[where[0]]) for digest, where in pending.items()]
         report.deduplicated = sum(len(where) - 1 for where in pending.values())
         report.computed = len(unique)
-        outcomes: dict[int, Any] = {}
+        # Each unique job's payload text, by position: parsed together
+        # once the map has run.
+        outcomes = [""] * len(unique)
 
         def complete(
             pos: int,
@@ -369,6 +399,7 @@ class Executor:
             attempts: int,
             worker_pid: Optional[int],
             wall_s: float,
+            work: Optional[dict[str, Any]],
             degraded: bool = False,
         ) -> None:
             # ``run_job``'s pair, from a worker or from this process.
@@ -379,17 +410,13 @@ class Executor:
             trace_path: Optional[str] = None
             if cache is not None:
                 store_started = time.monotonic()
-                value = cache.store_text(jb, value_text)
+                cache.store_text(jb, value_text)
                 if trace_text is not None:
                     cache.store_trace(jb, trace_text)
                     trace_path = str(cache.trace_path(jb))
                 report.store_s += time.monotonic() - store_started
-            else:
-                transport_started = time.monotonic()
-                value = json.loads(value_text)
-                report.transport_s += time.monotonic() - transport_started
-            outcomes[pos] = value
-            self._completed_count = len(outcomes)
+            outcomes[pos] = value_text
+            self._completed_count += 1
             report.compute_s += wall_s
             self._log_job(
                 jb,
@@ -401,6 +428,7 @@ class Executor:
                 degraded=degraded,
                 trace_path=trace_path,
                 worker_exit=self._worker_exits.get(pos),
+                work=work,
             )
 
         if cache is not None:
@@ -408,8 +436,13 @@ class Executor:
         execute_started = time.monotonic()
         try:
             self._execute([jb for _, jb in unique], complete)
+            # One parse of every computed text: what a warm run reads back.
+            transport_started = time.monotonic()
+            computed = parse_all(outcomes)
+            outcomes.clear()  # the flush frees the texts
+            report.transport_s = time.monotonic() - transport_started
         except Exception:  # salvage accounting only; the failure is re-raised untouched
-            report.salvaged = len(outcomes)
+            report.salvaged = self._completed_count
             raise
         finally:
             if cache is not None:
@@ -428,8 +461,7 @@ class Executor:
             self._log_map(report, jobs)
 
         # Stage 3: fan out, preserving submission order.
-        for pos, (digest, jb) in enumerate(unique):
-            value = outcomes[pos]
+        for (digest, jb), value in zip(unique, computed):
             where = pending[digest]
             for i in where:
                 values[i] = value
@@ -488,11 +520,15 @@ class Executor:
         able to kill the coordinating process), so this is also where the
         jobs of an irrecoverable pool finish.
         """
+        counted = self.run_log is not None  # no log, no per-job clock
         while queue:
             pos, jb, attempt = queue.popleft()
             started = time.monotonic()
             try:
-                value_text, trace_text = run_job(jb)
+                if counted:
+                    value_text, trace_text, work = _run_counted(jb)
+                else:
+                    (value_text, trace_text), work = run_job(jb), None
             except Exception as exc:  # bounded retry; exhausting it raises ExecutionError from exc
                 self._retry_or_fail(queue, pos, jb, attempt, exc, degraded=degraded)
                 continue
@@ -503,6 +539,7 @@ class Executor:
                 attempts=attempt,
                 worker_pid=os.getpid(),
                 wall_s=time.monotonic() - started,
+                work=work,
                 degraded=degraded,
             )
 
@@ -769,7 +806,7 @@ class Executor:
         """``slot``'s job succeeded: free the slot, complete the job."""
         pos, _, attempt = slot.item
         slot.item = None
-        value_text, trace_text, worker_pid = reply
+        value_text, trace_text, work, worker_pid = reply
         wall_s = now - slot.started
         slot.busy_s += wall_s
         complete(
@@ -779,6 +816,7 @@ class Executor:
             attempts=attempt,
             worker_pid=worker_pid,
             wall_s=wall_s,
+            work=work,
         )
 
     def _drain(self, slots: Sequence[_Slot], complete: Callable) -> None:
@@ -829,10 +867,13 @@ class Executor:
         retried: bool = False,
         degraded: bool = False,
         timed_out: bool = False,
+        work: Optional[dict[str, Any]] = None,
         **optional: Any,
     ) -> None:
         """One ``job`` record; an ``optional`` field (``error``,
-        ``trace_path``, ``worker_exit``) is written only when it is set."""
+        ``trace_path``, ``worker_exit``) is written only when it is set,
+        and so is a computed job's ``work`` (``events``, ``sim_s``,
+        ``cpu_s``: see :func:`_run_counted`)."""
         if self.run_log is None:
             return
         record = {
@@ -849,6 +890,7 @@ class Executor:
             "wall_s": round(wall_s, 6),
         }
         record.update((k, v) for k, v in optional.items() if v is not None)
+        record.update(work or ())
         self.run_log.record(**record)
 
     def _log_map(self, report: ExecutionReport, jobs: Sequence[Job]) -> None:

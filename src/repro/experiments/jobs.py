@@ -155,11 +155,18 @@ def canonical(obj: Any) -> Any:
     )
 
 
+#: The compact sorted-key JSON a content hash is taken over: one encoder,
+#: not one per ``json.dumps`` call with arguments.
+_hash_text = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=True).encode
+
+#: A payload's canonical JSON text, the bytes of its cache record.
+_payload_text = json.JSONEncoder(sort_keys=True, allow_nan=True).encode
+
+
 def content_hash(description: Any) -> str:
     """Stable SHA-256 over the compact sorted-key JSON of ``description``,
     which must already be canonical (:meth:`Job.describe` is)."""
-    text = json.dumps(description, sort_keys=True, separators=(",", ":"), allow_nan=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_hash_text(description).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +221,11 @@ class Job:
     def describe(self) -> dict:
         """The hashed identity of this job (figure/tags/index excluded),
         canonical as it stands."""
+        config, protocol = self.config, self.protocol
         return {
             "scenario": self.scenario,
-            "config": canonical(self.config),
-            "protocol": canonical(self.protocol),
+            "config": None if config is None else canonical(config),
+            "protocol": None if protocol is None else canonical(protocol),
             "params": canonical(dict(self.params)),
         }
 
@@ -360,4 +368,4 @@ def run_job(
         trace_text = recorder.export_text()
     else:
         value = execute_job(jb, fault)
-    return json.dumps(value, allow_nan=True, sort_keys=True), trace_text
+    return _payload_text(value), trace_text

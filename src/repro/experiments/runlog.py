@@ -18,9 +18,13 @@ Record schema (``event="job"``, one per submitted job)::
      "worker_pid": 4242,        # pid that produced the payload: a worker's, or
                                 # the coordinator's for a job it computed
      "wall_s": 1.234,           # wall-clock of the successful attempt
-     "worker_exit": -9}         # only on a job that lost a worker: exit status
+     "worker_exit": -9,         # only on a job that lost a worker: exit status
                                 # of the last one lost (70 injected crash,
                                 # -9 --job-timeout kill or an outside SIGKILL)
+     "events": 412873,          # only on a computed job: calendar entries fired,
+     "sim_s": 120.0,            # simulated seconds run (both the same wherever
+                                # the job ran), and
+     "cpu_s": 1.198}            # the CPU seconds of the process that ran it
 
 Plus one summary record per ``Executor.map`` call (``event="map"``) with
 ``workers``, ``figures`` — the sorted figure names of the map's jobs;

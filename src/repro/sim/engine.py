@@ -39,7 +39,13 @@ from typing import Any, Callable, Optional
 
 from repro.contracts import NonNegSeconds
 
-__all__ = ["Simulator", "Timer", "SimulationError", "fired_in_process"]
+__all__ = [
+    "Simulator",
+    "Timer",
+    "SimulationError",
+    "fired_in_process",
+    "simulated_ns_in_process",
+]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -48,10 +54,21 @@ _heappop = heapq.heappop
 #: per ``run`` call (never per event).
 _fired_in_process = 0
 
+#: Simulated time every :class:`Simulator` of this process has advanced
+#: its clock by, in whole nanoseconds, added once per ``run`` call: an
+#: int, so the difference over one job does not depend on what the
+#: process simulated before it.
+_simulated_ns_in_process = 0
+
 
 def fired_in_process() -> int:
     """How many calendar entries every simulator in this process has fired."""
     return _fired_in_process
+
+
+def simulated_ns_in_process() -> int:
+    """How many simulated nanoseconds every simulator in this process has run."""
+    return _simulated_ns_in_process
 
 
 class SimulationError(RuntimeError):
@@ -110,13 +127,14 @@ class Simulator:
         fire.  Without ``until`` the clock stops at the last entry popped,
         which may be a retired timer entry.
         """
-        global _fired_in_process
+        global _fired_in_process, _simulated_ns_in_process
         if self._running:
             raise SimulationError("simulator is already running")
         horizon = math.inf if until is None else until
         if math.isnan(horizon):
             raise SimulationError("cannot run until time NaN")
         self._running = True
+        started = self.now
         heap = self._heap
         heappop = _heappop
         fired = 0
@@ -135,6 +153,7 @@ class Simulator:
                 self.now = until
         finally:
             _fired_in_process += fired
+            _simulated_ns_in_process += round((self.now - started) * 1e9)
             self.events_fired += fired
             self._running = False
 

@@ -1,7 +1,7 @@
 """Shared test fixtures: a two-node loopback path with optional dropper,
 a dropper that kills the path, a flow's recorded series, where a result
-cache's pack and index sit, what a call leaves allocated, and an
-executor built under a fault spec."""
+cache's pack and index sit, one job's cached payload, what a call leaves
+allocated, and an executor built under a fault spec."""
 
 from __future__ import annotations
 
@@ -14,8 +14,9 @@ from typing import Any, Callable, Optional, Union
 import pytest
 
 from repro.cc.base import Receiver, Sender
-from repro.experiments.cache import default_salt
+from repro.experiments.cache import ResultCache, default_salt
 from repro.experiments.executor import Executor
+from repro.experiments.jobs import Job
 from repro.net import DropTailQueue, Dropper, Link, Node, Packet
 from repro.sim import Simulator
 from repro.telemetry import Recorder, active_recorder
@@ -87,6 +88,12 @@ def cache_files(root: Union[str, os.PathLike]) -> tuple[pathlib.Path, pathlib.Pa
     salt."""
     salted = pathlib.Path(root) / default_salt()
     return salted / "results.pack", salted / "results.idx"
+
+
+def cached(cache: ResultCache, jb: Job) -> Any:
+    """``jb``'s cached payload, or ``MISS``: a ``lookup`` of one job."""
+    (value,) = cache.lookup([jb])
+    return value
 
 
 def retained_bytes(fn: Callable[[], Any]) -> tuple[int, Any]:

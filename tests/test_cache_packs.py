@@ -19,11 +19,11 @@ import tracemalloc
 import pytest
 
 from repro.experiments import fig20_timeout_models as fig20
-from repro.experiments.cache import MISS, ResultCache, default_salt
+from repro.experiments.cache import MISS, ResultCache, default_salt, parse_all
 from repro.experiments.executor import Executor, make_executor
-from repro.experiments.jobs import job, run_job
+from repro.experiments.jobs import SCENARIOS, job, run_job
 from repro.telemetry import Recorder
-from tests.helpers import cache_files, retained_bytes
+from tests.helpers import cache_files, cached, retained_bytes
 
 JOBS = lambda: fig20.jobs("fast")  # noqa: E731 - tiny factory
 
@@ -82,11 +82,11 @@ def flushed(root, jobs):
 def assert_recomputed(root, jb):
     """A fresh lookup misses; the executor recomputes and re-stores it."""
     fresh = ResultCache(root)
-    assert fresh.lookup(jb) is MISS
+    assert cached(fresh, jb) is MISS
     executor = Executor()
     executor.map([jb], fresh)
     assert executor.last_report.computed == 1
-    assert ResultCache(root).lookup(jb) is not MISS
+    assert cached(ResultCache(root), jb) is not MISS
 
 
 class TestCacheSplicing:
@@ -96,9 +96,7 @@ class TestCacheSplicing:
         via_store = ResultCache(tmp_path / "a")
         via_store.store(jb, value)
         via_splice = ResultCache(tmp_path / "b")
-        value_text = shipped_text(value)
-        returned = via_splice.store_text(jb, value_text)
-        assert returned == value
+        via_splice.store_text(jb, shipped_text(value))
         for file_a, file_b in zip(cache_files(tmp_path / "a"), cache_files(tmp_path / "b")):
             assert file_a.read_bytes() == file_b.read_bytes()
 
@@ -108,25 +106,42 @@ class TestCacheSplicing:
         value = {"x": [1, 2, 3]}
         value_text = shipped_text(value)
         cache.store_text(jb, value_text)
-        assert ResultCache(tmp_path).lookup(jb) == value
+        assert cached(ResultCache(tmp_path), jb) == value
 
-    def test_store_text_returns_the_json_round_trip(self, tmp_path):
-        # Same contract as store(): callers get what a reader would see.
-        cache = ResultCache(tmp_path)
-        jb = JOBS()[0]
-        value = {"t": (1, 2)}  # tuples become lists through JSON
-        value_text = shipped_text(value)
-        assert cache.store_text(jb, value_text) == {"t": [1, 2]}
+    def test_a_cold_map_returns_the_json_round_trip(self, tmp_path, monkeypatch):
+        # Tuples become lists, int keys strings and NaN stays NaN through
+        # JSON: the map hands out the parse of the text run_job returned,
+        # which is what a warm map reads back.  Mutation that fails it:
+        # parse_all handing out its texts unparsed.
+        value = {"t": (1, (2.5, "x")), "nan": math.nan, "by_int": {3: [math.inf]}}
+        monkeypatch.setitem(SCENARIOS, "cold_and_warm", lambda jb: value)
+        jb = job("cold", "cold_and_warm")
+        (cold,) = Executor().map([jb], ResultCache(tmp_path))
+        (warm,) = Executor().map([jb], ResultCache(tmp_path))
+        assert (cold.cached, warm.cached) == (False, True)
+        assert cold.value["t"] == [1, [2.5, "x"]] and cold.value["by_int"] == {"3": [math.inf]}
+        assert math.isnan(cold.value["nan"]) and math.isnan(warm.value["nan"])
+        assert shipped_text(cold.value) == shipped_text(warm.value) == shipped_text(value)
 
     def test_a_nan_payload_is_the_same_cold_and_warm(self, tmp_path):
         # allow_nan: NaN and the infinities are stored as JSON's
         # NaN/Infinity tokens and parse back to the same floats.
         jb = JOBS()[0]
         value = {"nan": math.nan, "inf": [math.inf, -math.inf], "x": 0.1}
-        cold = ResultCache(tmp_path).store_text(jb, shipped_text(value))
-        warm = ResultCache(tmp_path).lookup(jb)
+        text = shipped_text(value)
+        ResultCache(tmp_path).store_text(jb, text)
+        (cold,) = parse_all([text])
+        warm = cached(ResultCache(tmp_path), jb)
         assert math.isnan(warm["nan"])
         assert shipped_text(cold) == shipped_text(warm) == shipped_text(value)
+
+    def test_parse_all_is_json_loads_of_each_text(self):
+        # Passes of at most 64 KiB: a text longer than that is one of its
+        # own, and the chunk boundaries fall between texts.
+        texts = [shipped_text([i / 7] * (i % 50)) for i in range(3_000)]
+        texts.insert(1_000, shipped_text(["x" * 100_000]))
+        assert parse_all(texts) == [json.loads(text) for text in texts]
+        assert parse_all([]) == []
 
 
 class TestBatchedPacks:
@@ -143,7 +158,7 @@ class TestBatchedPacks:
         assert pack.exists()
         fresh = ResultCache(tmp_path)
         for i, jb in enumerate(jobs):
-            assert fresh.lookup(jb) == {"i": i}
+            assert cached(fresh, jb) == {"i": i}
         assert len(fresh) == len(jobs)
 
     def test_batched_entries_visible_before_flush(self, tmp_path):
@@ -151,9 +166,9 @@ class TestBatchedPacks:
         jb = JOBS()[0]
         cache.begin_batch()
         cache.store(jb, {"ok": 1})
-        assert cache.lookup(jb) == {"ok": 1}  # buffered, still a hit
+        assert cached(cache, jb) == {"ok": 1}  # buffered, still a hit
         cache.flush_batch()
-        assert cache.lookup(jb) == {"ok": 1}
+        assert cached(cache, jb) == {"ok": 1}
 
     def test_a_frame_is_the_key_then_the_length_then_the_record(self, tmp_path):
         # The record is the payload text run_job returned, byte for byte:
@@ -218,8 +233,175 @@ class TestAFrameNamesItsKey:
         }[entry]
         write_index(index_path, index)
         fresh = ResultCache(tmp_path)
-        assert fresh.lookup(a) is MISS
-        assert fresh.lookup(b) == payload(b)
+        assert cached(fresh, a) is MISS
+        assert cached(fresh, b) == payload(b)
+
+
+def write_pack(root, records):
+    """A pack and index at ``root`` holding ``records``, ``(job, record
+    text)`` pairs, as they are: each frame stamped and indexed as its
+    job's own."""
+    pack, index_path = cache_files(root)
+    pack.parent.mkdir(parents=True, exist_ok=True)
+    frames, index = bytearray(), {}
+    for jb, record in records:
+        data = record.encode("utf-8")
+        index[jb.content_hash] = (len(frames), len(data))
+        frames += bytes.fromhex(jb.content_hash) + struct.pack("<I", len(data)) + data
+    pack.write_bytes(bytes(frames))
+    write_index(index_path, index)
+
+
+class TestOneReadPerMap:
+    def test_a_warm_map_opens_the_pack_once(self, tmp_path, monkeypatch):
+        # Mutation that fails it: an os.open of the pack per hit.
+        jobs = JOBS()
+        Executor().map(jobs, ResultCache(tmp_path))
+        pack = str(cache_files(tmp_path)[0])
+        real_open, opened = os.open, []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.fspath(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counting_open)
+        executor = Executor()
+        executor.map(jobs, ResultCache(tmp_path))
+        assert executor.last_report.cache_hits == len(jobs) > 1
+        assert opened.count(pack) == 1
+
+    @pytest.mark.parametrize("damage", ["does not parse", "nests too deep", "an adjacent pair"])
+    def test_a_damaged_record_is_a_miss_by_itself(self, tmp_path, damage):
+        # Each record parses on its own and must end at its own last byte.
+        # Mutation that fails all three: one json.loads of "[" + the
+        # records joined by "," + "]" — it hands the pair "1,[2" / "3]"
+        # out as two values, and takes every neighbour of the other two
+        # down with it.
+        damaged = {
+            "does not parse": ["{ torn"],
+            "nests too deep": ["[" * 100_000],  # deeper than the JSON parser recurses
+            "an adjacent pair": ["1,[2", "3]"],
+        }[damage]
+        jobs = JOBS()[:4]
+        bad = range(1, 1 + len(damaged))
+        records = [shipped_text({"own": i}) for i in range(len(jobs))]
+        records[1 : 1 + len(damaged)] = damaged
+        write_pack(tmp_path, zip(jobs, records))
+        fresh = ResultCache(tmp_path)
+        assert [value is MISS for value in fresh.lookup(jobs)] == [
+            i in bad for i in range(len(jobs))
+        ]
+        executor = Executor()
+        results = executor.map(jobs, fresh)
+        assert executor.last_report.computed == len(damaged)
+        for i, (jb, result) in enumerate(zip(jobs, results)):
+            if i in bad:  # recomputed
+                assert not result.cached and result.value == json.loads(run_job(jb)[0])
+            else:  # a hit on its own record, whatever its neighbour holds
+                assert result.cached and result.value == {"own": i}
+        assert MISS not in ResultCache(tmp_path).lookup(jobs)
+
+
+class TestRaces:
+    """Two instances share one root, and one's whole flush runs parked
+    inside the other's ``os.write``, ``os.replace`` or ``os.open``: each
+    interleaving a shared cache directory allows, forced rather than
+    hoped for."""
+
+    @staticmethod
+    def park(monkeypatch, name, other):
+        """The next ``os.<name>`` call runs ``other()`` first, once."""
+        real = getattr(os, name)
+
+        def parked(*args, **kwargs):
+            monkeypatch.setattr(os, name, real)
+            other()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(os, name, parked)
+
+    @staticmethod
+    def batch(root, jobs):
+        """A cache at ``root`` with ``payload(jb)`` for ``jobs`` buffered."""
+        cache = ResultCache(root)
+        cache.begin_batch()
+        for jb in jobs:
+            cache.store(jb, payload(jb))
+        return cache
+
+    def test_an_offset_is_where_the_write_landed(self, tmp_path, race_jobs, monkeypatch):
+        # The other flush appends between this one's open of the pack and
+        # its write.  Mutation that fails it: offsets taken from an
+        # os.fstat before the write — this flush's entries then name the
+        # other's equal-length frames, and miss.
+        mine, theirs = race_jobs[:4], race_jobs[4:8]
+        cache = self.batch(tmp_path, mine)
+        self.park(monkeypatch, "write", lambda: flushed(tmp_path, theirs))
+        cache.flush_batch()
+        index = read_index(cache_files(tmp_path)[1])
+        assert max(index[jb.content_hash][0] for jb in theirs) < min(
+            index[jb.content_hash][0] for jb in mine
+        )
+        both = mine + theirs
+        assert ResultCache(tmp_path).lookup(both) == [payload(jb) for jb in both]
+
+    def test_an_entry_lost_to_an_index_replace_is_a_miss(self, tmp_path, race_jobs, monkeypatch):
+        # The other flush appends and replaces the index between this
+        # one's merge of the index on disk and its replace: the last
+        # replace wins and the other's entries are lost — misses, never
+        # another job's payload, and recomputed like any miss.
+        mine, theirs = race_jobs[:4], JOBS()[:4]
+        cache = self.batch(tmp_path, mine)
+        self.park(monkeypatch, "replace", lambda: Executor().map(theirs, ResultCache(tmp_path)))
+        cache.flush_batch()
+        both = mine + theirs
+        lost = [payload(jb) for jb in mine] + [MISS] * len(theirs)
+        assert ResultCache(tmp_path).lookup(both) == lost
+        executor = Executor()
+        results = executor.map(both, ResultCache(tmp_path))
+        assert executor.last_report.computed == len(theirs)
+        assert [result.value for result in results[len(mine) :]] == [
+            json.loads(run_job(jb)[0]) for jb in theirs
+        ]
+        assert MISS not in ResultCache(tmp_path).lookup(both)
+
+    def test_a_flush_killed_before_its_index_leaves_inert_bytes(
+        self, tmp_path, race_jobs, monkeypatch
+    ):
+        # Killed between its pack append and its index replace: the frames
+        # it appended are referenced by no index, and the next flush
+        # appends after them.
+        mine, theirs = race_jobs[:4], race_jobs[4:8]
+
+        def killed(*args, **kwargs):
+            raise OSError("killed before the index replace")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            flushed(tmp_path, mine)
+        monkeypatch.undo()
+        pack, index_path = cache_files(tmp_path)
+        left = pack.stat().st_size
+        assert left > 0 and not index_path.exists()
+        assert sorted(path.name for path in pack.parent.iterdir()) == ["results.pack"]
+        flushed(tmp_path, theirs)
+        assert min(offset for offset, _ in read_index(index_path).values()) == left
+        both = mine + theirs
+        assert ResultCache(tmp_path).lookup(both) == [MISS] * len(mine) + [
+            payload(jb) for jb in theirs
+        ]
+
+    def test_a_lookup_answers_from_the_index_it_read(self, tmp_path, race_jobs, monkeypatch):
+        # The other flush appends and replaces the index between this
+        # lookup's read of the index and its open of the pack: the frames
+        # it read are still where its index says (the pack only grows),
+        # and the entries it never read are misses.
+        old, new = race_jobs[:4], race_jobs[4:8]
+        flushed(tmp_path, old)
+        reader = ResultCache(tmp_path)
+        self.park(monkeypatch, "open", lambda: flushed(tmp_path, new))
+        assert reader.lookup(old + new) == [payload(jb) for jb in old] + [MISS] * len(new)
+        assert ResultCache(tmp_path).lookup(old + new) == [payload(jb) for jb in old + new]
 
 
 class TestMemory:
@@ -282,11 +464,11 @@ def test_concurrent_flushes_never_serve_another_jobs_payload(tmp_path, race_jobs
     simultaneous index replace is a miss (allowed: it is recomputed); a
     hit is always the job's own payload.
 
-    A hundred trials, not twenty: on a two-core host the first few dozen
-    barrier releases wake the writers a millisecond apart and their
-    flushes seldom meet.  There, a flush that takes its offset before it
-    appends served no wrong payload in twenty trials, and tens to
-    hundreds in a hundred.
+    Whether the flushes meet is up to the scheduler: on a two-core host
+    the first few dozen barrier releases wake the writers a millisecond
+    apart.  Each interleaving this can reach is forced, one at a time,
+    in :class:`TestRaces`; a misdirected entry names another key's frame,
+    so its key stamp makes it a miss here, never a wrong payload.
     """
     context = multiprocessing.get_context("fork")
     wrong = hits = 0
@@ -307,7 +489,7 @@ def test_concurrent_flushes_never_serve_another_jobs_payload(tmp_path, race_jobs
         assert [writer.exitcode for writer in writers] == [0] * WRITERS
         fresh = ResultCache(root)
         for jb in race_jobs:
-            value = fresh.lookup(jb)
+            value = cached(fresh, jb)
             hits += value is not MISS
             wrong += value is not MISS and value != payload(jb)
     assert wrong == 0
@@ -327,8 +509,8 @@ class TestRecoveryPaths:
         stale.write_text("{ torn")
         ResultCache(tmp_path).store_trace(orphaned, Recorder().export_text())
         cache = ResultCache(tmp_path)
-        assert len(cache) == 1 and cache.lookup(kept) is not MISS
-        assert cache.lookup(orphaned) is MISS
+        assert len(cache) == 1 and cached(cache, kept) is not MISS
+        assert cached(cache, orphaned) is MISS
         executor = Executor()
         executor.map([orphaned], cache)
         assert executor.last_report.computed == 1
@@ -421,7 +603,7 @@ class TestRecoveryPaths:
         for jb in olds:
             assert_recomputed(tmp_path, jb)
         fresh = ResultCache(tmp_path)
-        assert [fresh.lookup(jb) for jb in olds] == [json.loads(run_job(jb)[0]) for jb in olds]
+        assert [cached(fresh, jb) for jb in olds] == [json.loads(run_job(jb)[0]) for jb in olds]
         # Inert: never read, never counted, never written.
         assert {p: p.read_bytes() for p in parent_files} == parent_files
         assert len(ResultCache(tmp_path)) == len(olds)
@@ -449,7 +631,7 @@ class TestRecoveryPaths:
         assert pack.stat().st_size == frame_size[0] + 10
         flushed(tmp_path, [later])
         fresh = ResultCache(tmp_path)
-        first_value, torn_value, later_value = map(fresh.lookup, (first, torn, later))
+        first_value, torn_value, later_value = fresh.lookup([first, torn, later])
         assert (first_value, later_value) == (payload(first), payload(later))
         assert torn_value is MISS
         assert pack.stat().st_size == 2 * frame_size[0] + 10

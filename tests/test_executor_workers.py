@@ -37,7 +37,7 @@ from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.executor import ExecutionError, Executor
 from repro.experiments.faults import CRASH_EXIT_STATUS, FaultSpec, InjectedFault
 from repro.experiments.jobs import indexed
-from tests.helpers import faulty_executor
+from tests.helpers import cached, faulty_executor
 from tests.test_scheduler_determinism import POOL_FORCING_TIMEOUT_S, _fingerprint
 
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -412,7 +412,7 @@ class TestArmsNoFaultSpecReaches:
         finally:
             executor.close()
         assert executor.last_report.salvaged == 1
-        assert cache.lookup(JOBS()[1]) is not MISS
+        assert cached(cache, JOBS()[1]) is not MISS
 
 
 class TestTheTail:
@@ -456,4 +456,35 @@ class TestTheTail:
         assert isinstance(excinfo.value.__cause__, KeyError)
         report = executor.last_report
         assert (report.inlined, report.failures, report.salvaged) == (1, 1, 2)
-        assert all(cache.lookup(jb) is not MISS for jb in good)
+        assert all(cached(cache, jb) is not MISS for jb in good)
+
+
+class TestWorkPerJob:
+    """A computed job's run-log record says what it did — the calendar
+    entries it fired (``events``) and the simulated seconds it ran
+    (``sim_s``), the same wherever it ran — and its CPU seconds."""
+
+    def test_serial_worker_and_tail_record_the_same_work(self, tmp_path):
+        jobs = loss_pattern_jobs(3)
+        serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+        with Executor(run_log=serial) as executor:
+            executor.map(jobs)
+        with Executor(2, run_log=pooled) as executor:
+            executor.map(jobs)  # the last job is the coordinator's tail
+            executor.map(jobs[::-1])  # and now the first is
+        reference = {r["hash"]: (r["events"], r["sim_s"]) for r in job_records(serial)}
+        assert len(reference) == 3
+        assert all(events > 0 and sim_s == 5.0 for events, sim_s in reference.values())
+        records = job_records(pooled)
+        tails = [r for r in records if r["worker_pid"] == os.getpid()]
+        assert len(records) == 6 and len({r["hash"] for r in tails}) == len(tails) == 2
+        for record in records:
+            assert (record["events"], record["sim_s"]) == reference[record["hash"]]
+        assert all(r["cpu_s"] > 0 for r in records + job_records(serial))
+
+    def test_no_run_log_reads_no_per_job_clock_in_process(self, monkeypatch):
+        def counted(*args):
+            raise AssertionError("a per-job clock was read without a run log")
+
+        monkeypatch.setattr(executor_module, "_run_counted", counted)
+        assert len(Executor().map(JOBS())) == len(JOBS())

@@ -43,7 +43,7 @@ from repro.experiments.jobs import (
 )
 from repro.experiments.protocols import tcp, tfrc
 from repro.sim.rng import RngRegistry
-from tests.helpers import cache_files, retained_bytes
+from tests.helpers import cache_files, cached, retained_bytes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -363,18 +363,18 @@ class TestResultCache:
         js = fig20_at(0.1)
         old = ResultCache(tmp_path)  # default code-version salt
         Executor().map(js, old)
-        assert old.lookup(js[0]) is not MISS
+        assert cached(old, js[0]) is not MISS
 
         with pytest.MonkeyPatch.context() as patch:  # the next schema version
             patch.setattr(cache_module, "JOBS_SCHEMA_VERSION", JOBS_SCHEMA_VERSION + 1)
             upgraded = ResultCache(tmp_path)
         assert upgraded.salt != default_salt()
-        assert upgraded.lookup(js[0]) is MISS
+        assert cached(upgraded, js[0]) is MISS
         assert upgraded.stats.misses == 1
 
         # The upgrade stores beside the old version, which still hits.
         Executor().map(fig20_at(0.1, 0.2), upgraded)
-        assert ResultCache(tmp_path).lookup(js[0]) is not MISS
+        assert cached(ResultCache(tmp_path), js[0]) is not MISS
         assert (len(ResultCache(tmp_path)), len(upgraded)) == (1, 2)
 
     def test_corrupt_blob_is_a_miss_and_recomputed(self, tmp_path):
@@ -386,7 +386,7 @@ class TestResultCache:
         # Same length, same key stamp (32 bytes + u32 length): only the
         # record's bytes are garbage.
         pack.write_bytes(frame[:36] + b"{ not json !".ljust(len(frame) - 36))
-        assert cache.lookup(js[0]) is MISS
+        assert cached(cache, js[0]) is MISS
         executor = Executor()
         executor.map(js, cache)
         assert executor.last_report.computed == 1
@@ -399,7 +399,7 @@ class TestResultCache:
         assert pack.exists()
         pack.write_bytes(b"\x00" * 4)  # truncate: index offsets now dangle
         fresh = ResultCache(tmp_path)
-        assert fresh.lookup(js[0]) is MISS
+        assert cached(fresh, js[0]) is MISS
         executor = Executor()
         executor.map(js, fresh)
         assert executor.last_report.computed == 1
@@ -409,7 +409,7 @@ class TestResultCache:
         assert cache.root == tmp_path / "fresh" and len(cache) == 0
         js = fig20_at(0.33)
         Executor().map(js, cache)
-        assert cache.lookup(js[0]) is not MISS
+        assert cached(cache, js[0]) is not MISS
         assert len(cache) == 1
 
     def test_store_returns_json_round_trip(self, tmp_path):

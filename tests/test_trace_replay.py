@@ -20,6 +20,7 @@ from repro.experiments.runner import Table
 from repro.experiments.scenarios import CbrRestartConfig, OscillationConfig
 from repro.telemetry import CounterProbe, Recorder, SeriesProbe
 from repro.telemetry.trace import TraceReader
+from tests.helpers import cached
 
 #: The smallest stored trace: a current-schema header and no channels.
 EMPTY_TRACE = Recorder().export_text()
@@ -149,7 +150,7 @@ class TestExecutorTracing:
         results = Executor().map([jb], cache)
         # only the payload reaches results and the cache
         assert "__trace__" not in results[0].value
-        assert "__trace__" not in cache.lookup(jb)
+        assert "__trace__" not in cached(cache, jb)
         assert cache.has_trace(jb)
         TraceReader.loads(cache.load_trace(jb))  # parses
 
