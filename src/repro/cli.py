@@ -51,7 +51,7 @@ Jobs run in submission order; on a parallel run those cheaper than a
 pool round-trip run inline in the coordinator, each worker is a fork of
 the coordinator at the end of a pipe, and results travel as
 canonical-JSON text.  None of this can change a table — only how fast
-it appears; see ``docs/performance.md``.
+it appears; see ``docs/performance.md``, "The levers that hold".
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ submission position rather than completion time.  That same purity makes
 retries safe — re-running a job can only reproduce the identical payload.
 
 Throughput (one configuration, no modes; jobs execute in submission
-order — see ``docs/performance.md`` for the ablation that left these):
+order — ``docs/performance.md``, "The levers that hold", says what each
+of these bought):
 
 * **one in-process loop** — :meth:`Executor._run_here` runs every job
   the coordinator runs itself: all of them with zero workers, the jobs a
@@ -142,9 +143,12 @@ def _context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-@dataclass
+@dataclass(slots=True)
 class JobResult:
-    """One job's outcome: the job, its JSON-native payload, provenance."""
+    """One job's outcome: the job, its JSON-native payload, provenance.
+
+    Slotted, as :class:`Job` is: a map of small jobs holds one per job.
+    """
 
     job: Job
     value: Any

@@ -32,7 +32,7 @@ from repro.experiments import fig19_iiad_sqrt as fig19
 from repro.experiments import fig20_timeout_models as fig20
 from repro.experiments import cache as cache_module
 from repro.experiments.cache import MISS, ResultCache, default_salt
-from repro.experiments.executor import Executor, make_executor
+from repro.experiments.executor import Executor, JobResult, make_executor
 from repro.experiments.jobs import (
     JOBS_SCHEMA_VERSION,
     DropperSpec,
@@ -177,7 +177,8 @@ class TestContentHash:
 
     def test_a_hashed_job_keeps_its_hash_in_a_slot(self):
         # 10 000 closed-form jobs, as dispatch_smalljobs builds them: a
-        # memo in an instance dict costs a dict per job on top of the job.
+        # memo in an instance dict costs a dict per job on top of the job,
+        # and a map returns one JobResult per job, slotted the same way.
         def hashed_jobs():
             js = [
                 job("mem", "timeout_models", params={"p": (i + 1) / 10_001})
@@ -189,6 +190,7 @@ class TestContentHash:
 
         held, js = retained_bytes(hashed_jobs)
         assert not hasattr(js[0], "__dict__")
+        assert not hasattr(JobResult(job=js[0], value=None), "__dict__")
         assert held / len(js) <= 460
 
     def test_two_maps_hash_each_job_once(self, tmp_path, monkeypatch):
